@@ -1,6 +1,7 @@
 // Package repro's root benchmarks regenerate every table and figure of the
 // reproduction (one benchmark per experiment of DESIGN.md Section 4) plus
-// end-to-end generator/router benchmarks. By default the experiments run at
+// end-to-end generator benchmarks; routing and serving speed is measured by
+// the ledger (ledger/README.md). By default the experiments run at
 // a reduced scale so `go test -bench=.` finishes in minutes; set
 // REPRO_BENCH_SCALE=1 to reproduce the full tables recorded in
 // EXPERIMENTS.md (cmd/smallworld prints the same tables interactively).
@@ -11,12 +12,6 @@
 package repro
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"log/slog"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"strconv"
 	"testing"
@@ -26,9 +21,6 @@ import (
 	"repro/internal/girg"
 	"repro/internal/graph"
 	"repro/internal/hrg"
-	"repro/internal/route"
-	"repro/internal/serve"
-	"repro/internal/xrand"
 )
 
 func benchScale() float64 {
@@ -103,11 +95,18 @@ func BenchmarkPipelineGIRGGenerate(b *testing.B) {
 	}
 }
 
-func BenchmarkPipelineGreedyEpisodes(b *testing.B) {
+// BenchmarkPipelineGreedyEpisodesOverlayEmpty routes 50-episode batches with
+// an empty live overlay attached. It must cost what the ledger's
+// core.milgram50_ms rung costs on the bare graph: an empty overlay routes
+// through the unchanged CSR fast path.
+func BenchmarkPipelineGreedyEpisodesOverlayEmpty(b *testing.B) {
 	p := girg.DefaultParams(20000)
 	p.FixedN = true
 	nw, err := core.NewGIRG(p, 5, girg.Options{})
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := nw.SetOverlay(graph.NewOverlay(nw.Graph)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -118,150 +117,6 @@ func BenchmarkPipelineGreedyEpisodes(b *testing.B) {
 		}
 		b.ReportMetric(rep.Success.P, "success")
 	}
-}
-
-// Overlay-path variants of the pipeline bench: the same 50-episode batches,
-// routed over a live overlay. The empty variant must cost the same as the
-// base bench — an empty overlay routes through the unchanged CSR fast
-// paths — while the churn variant (2% joins wired to 3 contacts each, 2%
-// tombstoned leaves) bounds the merged-adjacency overhead of a live graph;
-// BENCH_pr8.json (`make bench-overlay`) holds it to <= 1.5x ms/op.
-
-func overlayBenchNetwork(b *testing.B, churn bool) *core.Network {
-	b.Helper()
-	p := girg.DefaultParams(20000)
-	p.FixedN = true
-	nw, err := core.NewGIRG(p, 5, girg.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := nw.Graph
-	ov := graph.NewOverlay(g)
-	if churn {
-		rng := xrand.New(77)
-		dim := g.Space().Dim()
-		e := ov.Edit()
-		for i := 0; i < g.N()/50; i++ {
-			pos := make([]float64, dim)
-			for d := range pos {
-				pos[d] = rng.Float64()
-			}
-			id, err := e.AddVertex(pos, g.WMin()*(1+rng.Float64()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := 0; k < 3; k++ {
-				if u := rng.IntN(g.N()); !e.Tombstoned(u) && !e.HasEdge(id, u) {
-					if err := e.AddEdge(id, u); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		for picked := 0; picked < g.N()/50; {
-			if v := rng.IntN(g.N()); !e.Tombstoned(v) {
-				if err := e.RemoveVertex(v); err != nil {
-					b.Fatal(err)
-				}
-				picked++
-			}
-		}
-		ov = e.Finish()
-	}
-	if err := nw.SetOverlay(ov); err != nil {
-		b.Fatal(err)
-	}
-	return nw
-}
-
-func benchOverlayEpisodes(b *testing.B, churn bool) {
-	nw := overlayBenchNetwork(b, churn)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := core.RunMilgram(nw, core.MilgramConfig{Pairs: 50, Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.Success.P, "success")
-	}
-}
-
-func BenchmarkPipelineGreedyEpisodesOverlayEmpty(b *testing.B) { benchOverlayEpisodes(b, false) }
-func BenchmarkPipelineGreedyEpisodesOverlayChurn(b *testing.B) { benchOverlayEpisodes(b, true) }
-
-// BenchmarkGreedyEpisode is the hot-path benchmark of the v2 routing
-// surface: one standard-φ greedy episode through route.GreedyCSR with
-// reused Scratch/Result buffers. The headline number is allocs/op, which
-// must be 0 — TestGreedyCSRZeroAlloc in internal/route enforces the same
-// property with testing.AllocsPerRun, so a regression fails the test suite,
-// not just this benchmark's eyeball check.
-func BenchmarkGreedyEpisode(b *testing.B) {
-	p := girg.DefaultParams(20000)
-	p.FixedN = true
-	nw, err := core.NewGIRG(p, 5, girg.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := nw.Graph
-	giant := graph.GiantComponent(g)
-	rng := xrand.New(7)
-	const nPairs = 64
-	pairs := make([][2]int, nPairs)
-	for i := range pairs {
-		pairs[i] = [2]int{giant[rng.IntN(len(giant))], giant[rng.IntN(len(giant))]}
-	}
-	var (
-		sc  route.Scratch
-		out route.Result
-	)
-	budget := route.Budget{MaxScans: 1 << 20}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr := pairs[i%nPairs]
-		route.GreedyCSR(g, pr[1], pr[0], budget, &sc, &out)
-	}
-}
-
-// BenchmarkServeRouteBatch measures the HTTP batch surface end to end —
-// JSON decode, admission, per-item breaker/retry bookkeeping, routing on
-// pooled episode state, JSON encode — in queries, not requests: divide
-// ns/op by the batch size for the per-query cost.
-func BenchmarkServeRouteBatch(b *testing.B) {
-	p := girg.DefaultParams(20000)
-	p.FixedN = true
-	nw, err := core.NewGIRG(p, 5, girg.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := serve.New(serve.Config{
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	srv.AddNetwork(serve.DefaultGraph, nw)
-	h := srv.Handler()
-
-	giant := graph.GiantComponent(nw.Graph)
-	rng := xrand.New(7)
-	const batch = 64
-	items := make([]serve.BatchItem, batch)
-	for i := range items {
-		items[i] = serve.BatchItem{S: giant[rng.IntN(len(giant))], T: giant[rng.IntN(len(giant))]}
-	}
-	body, err := json.Marshal(serve.BatchRouteRequest{Items: items})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/route/batch", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("batch status = %d", w.Code)
-		}
-	}
-	b.ReportMetric(batch, "queries/req")
 }
 
 func BenchmarkPipelineHRGGenerate(b *testing.B) {

@@ -154,32 +154,17 @@ func (nw *Network) Giant() []int {
 // zero value selects greedy). Observers, if any, receive the episode's
 // per-move events (step order, episode 0) after the episode finishes.
 func (nw *Network) Route(proto Protocol, s, t int, obs ...route.Observer) (route.Result, error) {
-	p, err := resolve(proto)
+	var res route.Result
+	vw, err := nw.routeEpisode(EpisodeConfig{Protocol: proto, S: s, T: t}, nil, &res)
 	if err != nil {
 		return route.Result{}, err
 	}
-	g, obj := route.Graph(nw.Graph), route.Objective{}
-	if ov, live := nw.liveView(); live {
-		if err := nw.checkLive(false); err != nil {
-			return route.Result{}, err
-		}
-		if s < 0 || s >= ov.N() || t < 0 || t >= ov.N() {
-			return route.Result{}, fmt.Errorf("core: vertex pair (%d, %d) out of range (n = %d)", s, t, ov.N())
-		}
-		g, obj = ov, route.NewStandard(ov, t)
-	} else {
-		if s < 0 || s >= nw.Graph.N() || t < 0 || t >= nw.Graph.N() {
-			return route.Result{}, fmt.Errorf("core: vertex pair (%d, %d) out of range (n = %d)", s, t, nw.Graph.N())
-		}
-		obj = nw.NewObjective(t)
-	}
-	res, err := runEpisode(g, p, obj, s, 0, 0)
-	if err != nil {
-		return route.Result{}, err
-	}
-	for _, o := range obs {
-		if o != nil {
-			route.Observe(g, obj, res, 0, o)
+	if len(obs) > 0 {
+		obj := vw.objective(t)
+		for _, o := range obs {
+			if o != nil {
+				route.Observe(vw.g, obj, res, 0, o)
+			}
 		}
 	}
 	return res, nil
@@ -187,7 +172,7 @@ func (nw *Network) Route(proto Protocol, s, t int, obs ...route.Observer) (route
 
 // budgetStop is the sentinel the budget guard panics with to unwind opaque
 // protocol code once an episode exhausts its hop or wall-time budget;
-// runEpisode recovers it and classifies the episode route.FailDeadline.
+// runEpisodeInto recovers it and classifies the episode route.FailDeadline.
 type budgetStop struct{}
 
 // budgetGraph enforces per-episode budgets at the one point every protocol
@@ -224,17 +209,6 @@ func (b *budgetGraph) Neighbors(v int) []int32 {
 type workerState struct {
 	sc  route.Scratch
 	out route.Result
-}
-
-// runEpisode runs one protocol episode into a fresh Result. It is the
-// adapter over runEpisodeInto that the single-route entry points use; batch
-// engines call runEpisodeInto directly with per-worker scratch.
-func runEpisode(g route.Graph, p route.Protocol, obj route.Objective, s int, maxHops int, timeout time.Duration) (route.Result, error) {
-	var res route.Result
-	if err := runEpisodeInto(g, p, obj, s, maxHops, timeout, nil, &res); err != nil {
-		return route.Result{}, err
-	}
-	return res, nil
 }
 
 // runEpisodeInto runs one protocol episode into the caller-owned out
@@ -393,22 +367,11 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 	if cfg.Checkpoint != nil && cfg.Observer != nil {
 		return MilgramReport{}, fmt.Errorf("core: checkpointed runs do not support observers (episode paths are not journaled)")
 	}
-	proto, err := resolve(cfg.Protocol)
+	// Resolve the view once per batch: every episode of this run sees the
+	// same overlay epoch, whatever the mutation log publishes meanwhile.
+	vw, err := nw.view(cfg.Protocol, cfg.Objective)
 	if err != nil {
 		return MilgramReport{}, err
-	}
-	// Load the live overlay once per batch: every episode of this run sees
-	// the same epoch, whatever the mutation log publishes meanwhile.
-	ov, live := nw.liveView()
-	if live {
-		if err := nw.checkLive(cfg.Objective != nil); err != nil {
-			return MilgramReport{}, err
-		}
-	}
-	liveG := route.Graph(nw.Graph)
-	liveN := nw.Graph.N()
-	if live {
-		liveG, liveN = ov, ov.N()
 	}
 	pool := nw.Giant()
 	if cfg.WholeGraph {
@@ -417,7 +380,8 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 	if !cfg.WholeGraph && len(pool) < 2 {
 		return MilgramReport{}, fmt.Errorf("core: giant component too small (%d)", len(pool))
 	}
-	if cfg.WholeGraph && liveN < 2 {
+	n := vw.g.N()
+	if cfg.WholeGraph && n < 2 {
 		return MilgramReport{}, fmt.Errorf("core: graph too small")
 	}
 	engine.batches.Add(1)
@@ -428,7 +392,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 		if pool != nil {
 			return pool[rng.IntN(len(pool))]
 		}
-		return rng.IntN(liveN)
+		return rng.IntN(n)
 	}
 	type pair struct{ s, t int }
 	pairs := make([]pair, 0, cfg.Pairs)
@@ -439,34 +403,20 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 		}
 	}
 
-	objective := nw.NewObjective
-	if cfg.Objective != nil {
-		objective = cfg.Objective
-	}
-	if live {
-		// The overlay's own geometry must drive scoring, or added vertices
-		// index past the base objective's arrays (checkLive already rejected
-		// custom overrides and non-standard networks).
-		objective = func(t int) route.Objective { return route.NewStandard(ov, t) }
-	}
-
 	// Bind the fault plan once per batch; episodes then instantiate cheap
 	// per-episode faulty views keyed by their episode index, so fault
 	// decisions are independent of worker count and scheduling. With a live
 	// overlay the plan binds to the overlay view, so fault draws cover added
 	// vertices too.
-	bound := cfg.Faults.Bind(liveG)
+	bound := cfg.Faults.Bind(vw.g)
 
 	// Route every pair; episodes are deterministic and independent. Each
 	// worker owns one workerState whose scratch buffers and Result are
 	// reused across every episode that worker runs, so steady-state batch
-	// routing stops allocating a Result path per episode. Greedy episodes on
-	// a standard-phi network additionally skip the per-episode Objective
-	// closure entirely through the concrete CSR fast path.
+	// routing stops allocating a Result path per episode (routeOne
+	// additionally takes the concrete fast path where it applies).
 	workers := par.Workers(len(pairs), 0)
 	states := make([]workerState, workers)
-	_, isGreedy := proto.(route.GreedyRouter)
-	csrFast := isGreedy && nw.StandardPhi && cfg.Objective == nil && bound.Empty()
 	episodes := make([]episode, len(pairs))
 	runOne := func(w, i int) {
 		ws := &states[w]
@@ -479,27 +429,9 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 			episodes[i] = episode{done: true, failure: route.FailCrashedTarget}
 			return
 		}
-		if csrFast {
-			start := time.Now()
-			b := route.Budget{MaxScans: cfg.MaxHops}
-			if cfg.EpisodeTimeout > 0 {
-				b.Deadline = start.Add(cfg.EpisodeTimeout)
-			}
-			if live {
-				route.GreedyCSROverlay(ov, p.t, p.s, b, &ws.sc, &ws.out)
-			} else {
-				route.GreedyCSR(nw.Graph, p.t, p.s, b, &ws.sc, &ws.out)
-			}
-			recordEpisode(ws.out, time.Since(start))
-		} else {
-			eg, eobj := liveG, objective(p.t)
-			if !bound.Empty() {
-				eg, eobj = bound.View(eg, eobj, i)
-			}
-			if err := runEpisodeInto(eg, proto, eobj, p.s, cfg.MaxHops, cfg.EpisodeTimeout, &ws.sc, &ws.out); err != nil {
-				episodes[i] = episode{done: true, err: err}
-				return
-			}
+		if err := vw.routeOne(bound, i, p.s, p.t, cfg.MaxHops, cfg.EpisodeTimeout, &ws.sc, &ws.out); err != nil {
+			episodes[i] = episode{done: true, err: err}
+			return
 		}
 		res := &ws.out
 		ep := episode{done: true, success: res.Success, truncated: res.Truncated,
@@ -512,13 +444,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 			// Stretch is measured against the fault-free graph: injected
 			// faults change what routing sees, not what distance means. Under
 			// a live overlay the fault-free truth is the overlay itself.
-			d := 0
-			if live {
-				d = graph.BFSDistanceOn(ov, p.s, p.t)
-			} else {
-				d = graph.BFSDistance(nw.Graph, p.s, p.t)
-			}
-			if d > 0 {
+			if d := graph.BFSDistanceOn(vw.g, p.s, p.t); d > 0 {
 				ep.stretch = float64(res.Moves) / float64(d)
 			}
 		}
@@ -559,7 +485,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 			if !episodes[i].done {
 				continue
 			}
-			route.Observe(liveG, objective(p.t), route.Result{Path: episodes[i].path}, i, cfg.Observer)
+			route.Observe(vw.g, vw.objective(p.t), route.Result{Path: episodes[i].path}, i, cfg.Observer)
 		}
 	}
 

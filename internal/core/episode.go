@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/graph"
 	"repro/internal/route"
 )
 
@@ -58,62 +59,122 @@ func (nw *Network) RouteEpisode(cfg EpisodeConfig) (route.Result, error) {
 // array is reused; callers that keep paths past the next episode copy them
 // (route.Result.CopyInto). sc may be nil at the cost of per-episode
 // allocations. Greedy episodes on a standard-phi network without faults run
-// the concrete zero-allocation fast path (route.GreedyCSR).
+// the concrete zero-allocation fast path (route.GreedyCSR, or
+// route.GreedyCSROverlay when a live overlay is attached).
 func (nw *Network) RouteEpisodeInto(cfg EpisodeConfig, sc *route.Scratch, out *route.Result) error {
-	p, err := resolve(cfg.Protocol)
+	_, err := nw.routeEpisode(cfg, sc, out)
+	return err
+}
+
+// routeEpisode is the body of Route and RouteEpisodeInto. It returns the
+// view the episode routed over, so a caller replaying further observers
+// scores them on the same epoch.
+func (nw *Network) routeEpisode(cfg EpisodeConfig, sc *route.Scratch, out *route.Result) (routeView, error) {
+	vw, err := nw.view(cfg.Protocol, nil)
 	if err != nil {
-		return err
+		return vw, err
 	}
-	// One atomic load per episode: the request routes entirely over this
-	// epoch even if a mutation batch publishes mid-flight.
-	ov, live := nw.liveView()
-	if live {
-		if err := nw.checkLive(false); err != nil {
-			return err
-		}
+	if n := vw.g.N(); cfg.S < 0 || cfg.S >= n || cfg.T < 0 || cfg.T >= n {
+		return vw, fmt.Errorf("core: vertex pair (%d, %d) out of range (n = %d)", cfg.S, cfg.T, n)
 	}
-	liveG := route.Graph(nw.Graph)
-	liveN := nw.Graph.N()
-	if live {
-		liveG, liveN = ov, ov.N()
-	}
-	objective := nw.NewObjective
-	if live {
-		objective = func(t int) route.Objective { return route.NewStandard(ov, t) }
-	}
-	if cfg.S < 0 || cfg.S >= liveN || cfg.T < 0 || cfg.T >= liveN {
-		return fmt.Errorf("core: vertex pair (%d, %d) out of range (n = %d)", cfg.S, cfg.T, liveN)
-	}
-	bound := cfg.Faults.Bind(liveG)
+	bound := cfg.Faults.Bind(vw.g)
 	if !bound.Empty() && (bound.Crashed(cfg.S) || bound.Crashed(cfg.T)) {
 		*out = route.Result{Path: append(out.Path[:0], cfg.S), Unique: 1, Stuck: -1, Failure: route.FailCrashedTarget}
 		recordEpisode(*out, 0)
-		return nil
+		return vw, nil
 	}
-	_, isGreedy := p.(route.GreedyRouter)
-	if isGreedy && nw.StandardPhi && bound.Empty() && sc != nil {
-		start := time.Now()
-		b := route.Budget{MaxScans: cfg.MaxHops}
-		if cfg.Timeout > 0 {
-			b.Deadline = start.Add(cfg.Timeout)
-		}
-		if live {
-			route.GreedyCSROverlay(ov, cfg.T, cfg.S, b, sc, out)
-		} else {
-			route.GreedyCSR(nw.Graph, cfg.T, cfg.S, b, sc, out)
-		}
-		recordEpisode(*out, time.Since(start))
-	} else {
-		eg, eobj := liveG, objective(cfg.T)
-		if !bound.Empty() {
-			eg, eobj = bound.View(eg, eobj, cfg.Episode)
-		}
-		if err := runEpisodeInto(eg, p, eobj, cfg.S, cfg.MaxHops, cfg.Timeout, sc, out); err != nil {
-			return err
-		}
+	if err := vw.routeOne(bound, cfg.Episode, cfg.S, cfg.T, cfg.MaxHops, cfg.Timeout, sc, out); err != nil {
+		return vw, err
 	}
 	if cfg.Observer != nil {
-		route.Observe(liveG, objective(cfg.T), *out, cfg.Episode, cfg.Observer)
+		route.Observe(vw.g, vw.objective(cfg.T), *out, cfg.Episode, cfg.Observer)
 	}
-	return nil
+	return vw, nil
+}
+
+// routeView is what one request, or one whole batch, routes over — fixed by
+// a single atomic load of the live overlay, so every episode of it sees one
+// epoch even if a mutation batch publishes mid-flight.
+type routeView struct {
+	proto route.Protocol
+	base  *graph.Graph
+	ov    *graph.Overlay // the live overlay; nil when none (or an empty one) is attached
+	g     route.Graph    // ov when live, base otherwise
+	// factory is the network's objective factory or the caller's override;
+	// it scores base vertices only (see objective).
+	factory func(t int) route.Objective
+	// csr reports that episodes are greedy under exactly the standard phi,
+	// so the concrete fast path computes the same episode.
+	csr bool
+}
+
+// view resolves proto and the graph to route over. override optionally
+// replaces the network's objective factory; live overlays reject it (and
+// non-standard networks) instead of silently scoring added vertices wrong.
+func (nw *Network) view(proto Protocol, override func(t int) route.Objective) (routeView, error) {
+	p, err := resolve(proto)
+	if err != nil {
+		return routeView{}, err
+	}
+	_, greedy := p.(route.GreedyRouter)
+	vw := routeView{
+		proto:   p,
+		base:    nw.Graph,
+		g:       nw.Graph,
+		factory: nw.NewObjective,
+		csr:     greedy && nw.StandardPhi && override == nil,
+	}
+	if override != nil {
+		vw.factory = override
+	}
+	// An attached but empty overlay routes through the unchanged base paths.
+	if ov := nw.live.Load(); ov != nil && !ov.Empty() {
+		if !nw.StandardPhi {
+			return routeView{}, fmt.Errorf("core: live overlays require a standard-objective network (%s routes by a custom objective)", nw.Label)
+		}
+		if override != nil {
+			return routeView{}, fmt.Errorf("core: live overlays do not compose with custom objective overrides")
+		}
+		vw.ov, vw.g = ov, ov
+	}
+	return vw, nil
+}
+
+// objective builds the episode objective toward t. Under a live overlay the
+// overlay's own geometry must drive scoring, or added vertices index past
+// the base objective's arrays (view already rejected overrides and
+// non-standard networks).
+func (vw *routeView) objective(t int) route.Objective {
+	if vw.ov != nil {
+		return route.NewStandard(vw.ov, t)
+	}
+	return vw.factory(t)
+}
+
+// routeOne routes one episode from s toward t into out and feeds the engine
+// counters. This is the one place the fast-path decision is made: a greedy
+// episode under the standard phi with no fault plan and a scratch to build
+// on runs the concrete walk (over the overlay when live); everything else
+// runs the protocol through the interface path on the episode's faulty
+// view. Budget cuts come back as route.FailDeadline results on both paths.
+func (vw *routeView) routeOne(bound *faults.BoundPlan, episode, s, t, maxHops int, timeout time.Duration, sc *route.Scratch, out *route.Result) error {
+	if vw.csr && bound.Empty() && sc != nil {
+		start := time.Now()
+		b := route.Budget{MaxScans: maxHops}
+		if timeout > 0 {
+			b.Deadline = start.Add(timeout)
+		}
+		if vw.ov != nil {
+			route.GreedyCSROverlay(vw.ov, t, s, b, sc, out)
+		} else {
+			route.GreedyCSR(vw.base, t, s, b, sc, out)
+		}
+		recordEpisode(*out, time.Since(start))
+		return nil
+	}
+	eg, eobj := vw.g, vw.objective(t)
+	if !bound.Empty() {
+		eg, eobj = bound.View(eg, eobj, episode)
+	}
+	return runEpisodeInto(eg, vw.proto, eobj, s, maxHops, timeout, sc, out)
 }

@@ -37,14 +37,6 @@ func (nw *Network) SetOverlay(ov *graph.Overlay) error {
 // LiveOverlay returns the attached overlay, or nil.
 func (nw *Network) LiveOverlay() *graph.Overlay { return nw.live.Load() }
 
-// liveView returns the overlay to route over, if any: attached and
-// non-empty (an empty overlay routes through the unchanged base fast
-// paths).
-func (nw *Network) liveView() (*graph.Overlay, bool) {
-	ov := nw.live.Load()
-	return ov, ov != nil && !ov.Empty()
-}
-
 // LiveN returns the live vertex-id space: the overlay's N when one is
 // attached, the base graph's otherwise.
 func (nw *Network) LiveN() int {
@@ -52,16 +44,4 @@ func (nw *Network) LiveN() int {
 		return ov.N()
 	}
 	return nw.Graph.N()
-}
-
-// checkLive validates that this network can route over a live overlay with
-// the given objective override.
-func (nw *Network) checkLive(customObjective bool) error {
-	if !nw.StandardPhi {
-		return fmt.Errorf("core: live overlays require a standard-objective network (%s routes by a custom objective)", nw.Label)
-	}
-	if customObjective {
-		return fmt.Errorf("core: live overlays do not compose with custom objective overrides")
-	}
-	return nil
 }

@@ -70,11 +70,11 @@ func TestObserverFigure1Trajectory(t *testing.T) {
 			t.Fatalf("event %d: W = %g, graph weight %g", i, ev.W, nw.Graph.Weight(ev.V))
 		}
 	}
-	// And matches route.Trajectory, the library's own Figure 1 expansion.
-	traj := route.Trajectory(nw.Graph, nw.NewObjective(res.Path[len(res.Path)-1]), res)
+	// And matches route.Moves, the library's own Figure 1 expansion.
+	traj := route.Moves(nw.Graph, nw.NewObjective(res.Path[len(res.Path)-1]), res, 0)
 	for i, h := range traj {
-		if events[i].V != h.V || events[i].W != h.W || events[i].Score != h.Score {
-			t.Fatalf("event %d = %+v differs from trajectory hop %+v", i, events[i], h)
+		if events[i] != h {
+			t.Fatalf("event %d = %+v differs from trajectory move %+v", i, events[i], h)
 		}
 	}
 

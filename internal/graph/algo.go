@@ -35,9 +35,10 @@ type AdjacencyView interface {
 	Neighbors(v int) []int32
 }
 
-// BFSDistanceOn is BFSDistance over any adjacency view — in particular a
-// live *Overlay, so churn experiments can measure stretch against the
-// drifted graph's true distances rather than the stale base's.
+// BFSDistanceOn is the hop distance between s and t over any adjacency view
+// (-1 if disconnected; it stops as soon as t is settled) — in particular
+// over a live *Overlay, so churn experiments can measure stretch against
+// the drifted graph's true distances rather than the stale base's.
 func BFSDistanceOn(g AdjacencyView, s, t int) int {
 	if s == t {
 		return 0
@@ -67,32 +68,7 @@ func BFSDistanceOn(g AdjacencyView, s, t int) int {
 
 // BFSDistance returns the hop distance between s and t, or -1 if
 // disconnected. It stops as soon as t is settled.
-func BFSDistance(g *Graph, s, t int) int {
-	if s == t {
-		return 0
-	}
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[s] = 0
-	queue := []int32{int32(s)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		dv := dist[v]
-		for _, u := range g.Neighbors(int(v)) {
-			if dist[u] < 0 {
-				if int(u) == t {
-					return int(dv) + 1
-				}
-				dist[u] = dv + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return -1
-}
+func BFSDistance(g *Graph, s, t int) int { return BFSDistanceOn(g, s, t) }
 
 // Components labels every vertex with a component id in [0, count) and
 // returns the labels, the component sizes, and the id of a largest

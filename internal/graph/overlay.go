@@ -107,9 +107,9 @@ func (o *Overlay) Tombstoned(v int) bool {
 }
 
 // Delta returns the sorted add/del adjacency delta of v (nil, nil when v is
-// clean). The slices alias internal storage and must not be modified. Hot
-// paths (route.GreedyCSROverlay) merge them with the base CSR scan without
-// allocating.
+// clean). The slices alias internal storage and must not be modified. The
+// fast-path scan behind route.GreedyCSROverlay merges them with the base
+// CSR list in place, without allocating.
 func (o *Overlay) Delta(v int) (add, del []int32) {
 	d, ok := o.deltas[int32(v)]
 	if !ok {

@@ -20,14 +20,6 @@ func (GreedyRouter) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *R
 	greedyInto(g, obj, s, out)
 }
 
-// RouteBatch routes the batch episode-by-episode; greedy has no cross-episode
-// setup to amortize beyond the reused buffers.
-func (GreedyRouter) RouteBatch(g Graph, objs []Objective, srcs []int, sc *Scratch, out []Result) {
-	for i := range srcs {
-		greedyInto(g, objs[i], srcs[i], &out[i])
-	}
-}
-
 func init() { Register(GreedyRouter{}) }
 
 // Graph is the read-only view routing protocols need. *graph.Graph
@@ -53,7 +45,7 @@ func greedyInto(g Graph, obj Objective, s int, out *Result) {
 	out.reset(s)
 	v := s
 	for v != obj.Target {
-		u := bestNeighborIface(g, obj, v)
+		u := BestNeighbor(g, obj, v)
 		if u < 0 || !better(obj.Score(u), obj.Score(v), u, v) {
 			out.Stuck = v
 			out.Unique = len(out.Path)
@@ -66,44 +58,4 @@ func greedyInto(g Graph, obj Objective, s int, out *Result) {
 	out.Success = true
 	out.Unique = len(out.Path)
 	out.classify()
-}
-
-func bestNeighborIface(g Graph, obj Objective, v int) int {
-	best := -1
-	var bestScore float64
-	for _, u32 := range g.Neighbors(v) {
-		u := int(u32)
-		s := obj.Score(u)
-		if best == -1 || better(s, bestScore, u, best) {
-			best, bestScore = u, s
-		}
-	}
-	return best
-}
-
-// Hop is one point of a routing trajectory: the vertex, its model weight
-// and its objective value.
-//
-// Deprecated: Hop predates the Observer hook and duplicates MoveEvent minus
-// the (Episode, Step) coordinates. Use MoveEvent and Moves (or Observe
-// directly); Hop remains only for pre-observer callers.
-type Hop struct {
-	V     int
-	W     float64
-	Score float64
-}
-
-// Trajectory expands a result's path into per-hop (weight, objective)
-// records for trajectory analysis (Figure 1).
-//
-// Deprecated: use Moves, which returns the same (V, W, Score) stream as
-// MoveEvents — the type every observer and analyzer already consumes.
-// Trajectory is a thin conversion over the same replay.
-func Trajectory(g Graph, obj Objective, res Result) []Hop {
-	evs := Moves(g, obj, res, 0)
-	hops := make([]Hop, len(evs))
-	for i, ev := range evs {
-		hops[i] = Hop{V: ev.V, W: ev.W, Score: ev.Score}
-	}
-	return hops
 }

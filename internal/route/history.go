@@ -97,7 +97,7 @@ func (a HistoryPatch) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out 
 		}
 		// (P1): on a fresh vertex with a strictly better neighbor, move
 		// greedily to the best neighbor.
-		if u := bestNeighborIface(g, obj, pos); u >= 0 && better(obj.Score(u), obj.Score(pos), u, pos) {
+		if u := BestNeighbor(g, obj, pos); u >= 0 && better(obj.Score(u), obj.Score(pos), u, pos) {
 			res.step(u)
 			pos = u
 			if !visited[u] {
@@ -225,7 +225,7 @@ func (a GravityPressure) RouteInto(g Graph, obj Objective, s int, sc *Scratch, o
 		}
 		var next int
 		if !pressure {
-			u := bestNeighborIface(g, obj, pos)
+			u := BestNeighbor(g, obj, pos)
 			if u < 0 {
 				res.Stuck = pos
 				res.finalize(sc, g.N()) // isolated vertex

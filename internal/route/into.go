@@ -1,51 +1,32 @@
 package route
 
-import (
-	"math"
-	"time"
-
-	"repro/internal/graph"
-)
-
-// inf is math.Inf(1) hoisted out of the hot loop.
-var inf = math.Inf(1)
-
 // This file is the v2 protocol surface: routing into caller-owned Results
 // over reusable per-worker Scratch state, so the steady-state hot path
 // performs zero heap allocations per episode.
 //
 // Three tiers, fastest first:
 //
-//   - GreedyCSR: concrete-type greedy routing on *graph.Graph under the
-//     standard GIRG objective phi, scores computed inline from the CSR
-//     arrays — no interface dispatch, no Objective closure, no per-episode
-//     allocation at all (enforced by a testing.AllocsPerRun gate).
-//   - IntoRouter / BatchRouter: optional Protocol extensions. Protocols
-//     implementing them route into a caller-owned Result with scratch
-//     reuse; all built-ins do.
+//   - GreedyCSR and its shard-masked and live-overlay views (walk.go):
+//     concrete-type greedy routing on *graph.Graph under the standard GIRG
+//     objective phi, scores computed inline from the CSR arrays — no
+//     interface dispatch, no Objective closure, no per-episode allocation
+//     at all (enforced by a testing.AllocsPerRun gate).
+//   - IntoRouter: the optional Protocol extension. Protocols implementing
+//     it route into a caller-owned Result with scratch reuse; all built-ins
+//     do.
 //   - The adapter: any other Protocol keeps working — RouteInto falls back
 //     to the allocating Route call and copies the result into out.
-type (
-	// IntoRouter is the zero-alloc extension of Protocol: RouteInto routes
-	// one episode from s toward obj.Target into out, reusing out's Path
-	// backing array and sc's buffers. Implementations must not retain sc or
-	// out, and out.Path is only valid until out's next reuse — callers that
-	// keep paths across episodes copy them (Result.CopyInto). sc may be nil,
-	// at the cost of per-episode allocations.
-	IntoRouter interface {
-		Protocol
-		RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result)
-	}
 
-	// BatchRouter is the batch extension of Protocol: RouteBatch routes
-	// episode i from srcs[i] toward objs[i].Target into out[i], amortizing
-	// per-episode setup across the batch. len(objs), len(srcs) and len(out)
-	// must agree.
-	BatchRouter interface {
-		Protocol
-		RouteBatch(g Graph, objs []Objective, srcs []int, sc *Scratch, out []Result)
-	}
-)
+// IntoRouter is the zero-alloc extension of Protocol: RouteInto routes
+// one episode from s toward obj.Target into out, reusing out's Path
+// backing array and sc's buffers. Implementations must not retain sc or
+// out, and out.Path is only valid until out's next reuse — callers that
+// keep paths across episodes copy them (Result.CopyInto). sc may be nil,
+// at the cost of per-episode allocations.
+type IntoRouter interface {
+	Protocol
+	RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result)
+}
 
 // RouteInto routes one episode under p into out. Protocols implementing
 // IntoRouter get the zero-alloc path; every other Protocol falls back
@@ -58,124 +39,4 @@ func RouteInto(p Protocol, g Graph, obj Objective, s int, sc *Scratch, out *Resu
 	}
 	res := p.Route(g, obj, s)
 	res.CopyInto(out)
-}
-
-// RouteBatch routes len(srcs) episodes under p, episode i from srcs[i]
-// toward objs[i].Target into out[i]. Protocols implementing BatchRouter run
-// their own batch loop; others are driven episode-by-episode through
-// RouteInto.
-func RouteBatch(p Protocol, g Graph, objs []Objective, srcs []int, sc *Scratch, out []Result) {
-	if br, ok := p.(BatchRouter); ok {
-		br.RouteBatch(g, objs, srcs, sc, out)
-		return
-	}
-	for i := range srcs {
-		RouteInto(p, g, objs[i], srcs[i], sc, &out[i])
-	}
-}
-
-// Budget bounds one GreedyCSR episode the way the engine's budgetGraph
-// bounds interface-path episodes: MaxScans caps adjacency scans (greedy
-// performs exactly one per path vertex, so the cap lands on the same scan at
-// any worker count) and Deadline is the wall-clock backstop. Exceeding
-// either resets the episode to a FailDeadline result whose path is just the
-// source, bit-identical to the engine's interface-path classification.
-type Budget struct {
-	// MaxScans is the adjacency-scan budget (0 = unlimited).
-	MaxScans int
-	// Deadline is the wall-clock cutoff (zero = none).
-	Deadline time.Time
-}
-
-// GreedyCSR is the concrete-type fast path of the v2 surface: Algorithm 1
-// from s toward t on a *graph.Graph under the standard objective
-//
-//	phi(v) = w_v / (wmin * intensity * ||x_v - x_t||^dim),
-//
-// with neighbor scans running directly over the CSR arrays (no interface
-// dispatch, no bounds checks beyond the slice window) and per-vertex scores
-// memoized in sc's epoch-stamped cache (no Objective closure, no per-episode
-// cache allocation). The episode it produces is bit-identical to
-// Greedy(g, NewStandard(g, t), s): identical scores in identical comparison
-// order, including the id tie-break.
-//
-// The graph must carry geometry (positions); weights may be nil (treated as
-// 1, as Graph.Weight does). Steady-state calls perform zero heap
-// allocations — TestGreedyCSRZeroAlloc gates this with testing.AllocsPerRun.
-func GreedyCSR(g *graph.Graph, t, s int, b Budget, sc *Scratch, out *Result) {
-	out.reset(s)
-	offsets, adj := g.CSR()
-	pos := g.Positions()
-	space := pos.Space()
-	xt := pos.At(t)
-	weights := g.Weights()
-	norm := 1 / (g.WMin() * g.Intensity())
-	sc.beginScores(g.N())
-	scores, stamps, epoch := sc.scores, sc.stamps, sc.epoch
-
-	// score is phi(v) with epoch-stamped memoization; the target scores
-	// +Inf, exactly as NewStandard spells it. The closure captures only
-	// locals and never escapes, so it compiles allocation-free.
-	score := func(v int) float64 {
-		if stamps[v] == epoch {
-			return scores[v]
-		}
-		var ph float64
-		if v == t {
-			ph = inf
-		} else {
-			w := 1.0
-			if weights != nil {
-				w = weights[v]
-			}
-			ph = w * norm / space.DistPow(pos.At(v), xt)
-		}
-		scores[v] = ph
-		stamps[v] = epoch
-		return ph
-	}
-
-	scans := 0
-	v := s
-	for v != t {
-		// Budget check, in budgetGraph's order: count the scan, cut past
-		// MaxScans, then the wall clock.
-		scans++
-		if b.MaxScans > 0 && scans > b.MaxScans {
-			out.cutDeadline(s)
-			return
-		}
-		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-			out.cutDeadline(s)
-			return
-		}
-		best := -1
-		var bestScore float64
-		for _, u32 := range adj[offsets[v]:offsets[v+1]] {
-			u := int(u32)
-			su := score(u)
-			if best == -1 || better(su, bestScore, u, best) {
-				best, bestScore = u, su
-			}
-		}
-		if best < 0 || !better(bestScore, score(v), best, v) {
-			out.Stuck = v
-			out.Unique = len(out.Path) // greedy never revisits
-			out.classify()
-			return
-		}
-		out.step(best)
-		v = best
-	}
-	out.Success = true
-	out.Unique = len(out.Path)
-	out.classify()
-}
-
-// cutDeadline resets r to the engine's budget-cut shape: a failed
-// FailDeadline episode whose path is just the source.
-func (r *Result) cutDeadline(s int) {
-	r.reset(s)
-	r.Unique = 1
-	r.Failure = FailDeadline
 }

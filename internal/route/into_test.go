@@ -50,8 +50,8 @@ func TestRouteIntoMatchesRouteAllProtocols(t *testing.T) {
 }
 
 // TestRouteIntoAdapterForLegacyProtocols checks that a Protocol implementing
-// only the v1 surface still works through RouteInto/RouteBatch, with the
-// result copied into the caller's Result.
+// only the v1 surface still works through RouteInto, with the result copied
+// into the caller's Result.
 func TestRouteIntoAdapterForLegacyProtocols(t *testing.T) {
 	g := newTestGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	obj := scoreObjective([]float64{0.1, 0.2, 0.3, 0}, 3)
@@ -61,16 +61,9 @@ func TestRouteIntoAdapterForLegacyProtocols(t *testing.T) {
 	RouteInto(legacy, g, obj, 0, nil, &out)
 	want := legacy.Route(g, obj, 0)
 	sameEpisode(t, "legacy adapter", want, out)
-
-	objs := []Objective{obj, obj}
-	srcs := []int{0, 1}
-	outs := make([]Result, 2)
-	RouteBatch(legacy, g, objs, srcs, nil, outs)
-	sameEpisode(t, "legacy batch[0]", legacy.Route(g, obj, 0), outs[0])
-	sameEpisode(t, "legacy batch[1]", legacy.Route(g, obj, 1), outs[1])
 }
 
-// legacyOnly is a v1-only Protocol (no RouteInto/RouteBatch): the adapter
+// legacyOnly is a v1-only Protocol (no RouteInto): the adapter
 // path must carry it unmodified.
 type legacyOnly struct{}
 
@@ -79,22 +72,108 @@ func (legacyOnly) Route(g Graph, obj Objective, s int) Result {
 	return Greedy(g, obj, s)
 }
 
-// TestGreedyCSRMatchesInterfaceGreedy is the core equivalence of the fast
-// path: on random GIRGs, GreedyCSR must produce episodes bit-identical to
-// Greedy under NewStandard — same paths, same dead-ends, same tie-breaks.
-func TestGreedyCSRMatchesInterfaceGreedy(t *testing.T) {
-	for _, seed := range []uint64{3, 17, 41} {
-		g := girgForRouting(t, 2000, seed)
-		rng := xrand.New(seed * 7)
-		var sc Scratch
-		var out Result
-		for i := 0; i < 60; i++ {
-			s := rng.IntN(g.N())
-			tgt := rng.IntN(g.N())
-			want := Greedy(g, NewStandard(g, tgt), s)
-			GreedyCSR(g, tgt, s, Budget{}, &sc, &out)
-			sameEpisode(t, "csr", want, out)
+// stitchWalk runs greedyWalk to termination. Without masks that is one
+// call. With masks (shard i owns masks[i]; vertex v lives on shard
+// v % len(masks)) it chains segments the way the serving layer's hop
+// forwarding does, handing each segment what is left of the scan budget, so
+// the stitched episode must equal the single-node one — budget cut included.
+func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, tgt, s int, b Budget) Result {
+	t.Helper()
+	var sc Scratch
+	var seg, merged Result
+	if masks == nil {
+		if exit := greedyWalk(g, o, tgt, s, nil, b, &sc, &merged); exit != -1 {
+			t.Fatalf("unmasked walk exited at %d", exit)
 		}
+		return merged
+	}
+	merged.reset(s)
+	for cur := s; ; {
+		sb := b
+		if b.MaxScans > 0 {
+			// One scan per move so far; with none left the single-node walk
+			// would cut on its next scan.
+			if sb.MaxScans = b.MaxScans - merged.Moves; sb.MaxScans <= 0 {
+				merged.cutDeadline(s)
+				return merged
+			}
+		}
+		exit := greedyWalk(g, o, tgt, cur, masks[cur%len(masks)], sb, &sc, &seg)
+		if exit < 0 && seg.Failure == FailDeadline {
+			merged.cutDeadline(s)
+			return merged
+		}
+		for _, v := range seg.Path[1:] {
+			merged.step(v)
+		}
+		merged.Unique = len(merged.Path)
+		if exit < 0 {
+			merged.Success, merged.Stuck, merged.Failure = seg.Success, seg.Stuck, seg.Failure
+			return merged
+		}
+		if exit == tgt || masks[cur%len(masks)][exit] {
+			t.Fatalf("segment from %d exited at %d (target %d)", cur, exit, tgt)
+		}
+		if merged.Moves > len(masks[0]) {
+			t.Fatal("stitching did not terminate")
+		}
+		cur = exit
+	}
+}
+
+// TestGreedyCSRMatchesInterfaceGreedy is the core equivalence of the fast
+// path, over every configuration the one walk runs in: immutable graph or
+// live overlay, whole or stitched across two shard masks. Each must produce
+// episodes bit-identical to Greedy under NewStandard on the (materialized)
+// graph — same paths, same dead-ends, same tie-breaks — and a scan budget or
+// an expired deadline must cut to the engine's source-only FailDeadline
+// shape on exactly the scan the interface path's accounting predicts.
+func TestGreedyCSRMatchesInterfaceGreedy(t *testing.T) {
+	base := girgForRouting(t, 2000, 17)
+	live := churnOverlay(t, base, 40, 7)
+	mat, err := live.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := [][]bool{make([]bool, live.N()), make([]bool, live.N())}
+	for v := 0; v < live.N(); v++ {
+		masks[v%2][v] = true
+	}
+	for _, c := range []struct {
+		name  string
+		o     *graph.Overlay
+		masks [][]bool
+		ref   *graph.Graph
+	}{
+		{"immutable", nil, nil, base},
+		{"immutable+mask", nil, masks, base},
+		{"overlay", live, nil, mat},
+		{"overlay+mask", live, masks, mat},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := xrand.New(41)
+			expired := Budget{Deadline: time.Now().Add(-time.Second)}
+			for i := 0; i < 120; i++ {
+				s, tgt := rng.IntN(c.ref.N()), rng.IntN(c.ref.N())
+				want := Greedy(c.ref, NewStandard(c.ref, tgt), s)
+				sameEpisode(t, "unbudgeted", want, stitchWalk(t, base, c.o, c.masks, tgt, s, Budget{}))
+				scans := len(want.Path) // one per path vertex, the target excepted
+				if want.Success {
+					scans--
+				}
+				cut := Result{Path: []int{s}, Unique: 1, Stuck: -1, Failure: FailDeadline}
+				for _, limit := range []int{1, 2} {
+					exp := want
+					if scans > limit {
+						exp = cut
+					}
+					sameEpisode(t, "scan budget", exp, stitchWalk(t, base, c.o, c.masks, tgt, s, Budget{MaxScans: limit}))
+				}
+				if s != tgt {
+					sameEpisode(t, "expired deadline", cut, stitchWalk(t, base, c.o, c.masks, tgt, s, expired))
+				}
+			}
+		})
 	}
 }
 
@@ -136,28 +215,45 @@ func TestGreedyCSRBudgetMatchesEngineCut(t *testing.T) {
 }
 
 // TestGreedyCSRZeroAlloc is the enforced allocation gate of the v2 hot path:
-// after warm-up, a GreedyCSR episode performs zero heap allocations.
+// after warm-up, an episode through any of the three exported entry points
+// performs zero heap allocations — on the immutable graph, on a half-owned
+// shard mask, and on a pre-churned overlay whose dirty vertices take the
+// merge scan.
 func TestGreedyCSRZeroAlloc(t *testing.T) {
 	g := girgForRouting(t, 2000, 9)
-	rng := xrand.New(77)
+	o := churnOverlay(t, g, 20, 13)
+	owned := make([]bool, g.N())
+	for v := range owned {
+		owned[v] = v%2 == 0
+	}
 	var sc Scratch
 	var out Result
-	// Warm up: grow the scratch cache and the path buffer to steady state.
-	for i := 0; i < 50; i++ {
-		GreedyCSR(g, rng.IntN(g.N()), rng.IntN(g.N()), Budget{}, &sc, &out)
-	}
-	srcs := make([]int, 64)
-	tgts := make([]int, 64)
-	for i := range srcs {
-		srcs[i], tgts[i] = rng.IntN(g.N()), rng.IntN(g.N())
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(64, func() {
-		GreedyCSR(g, tgts[i%64], srcs[i%64], Budget{}, &sc, &out)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("GreedyCSR allocates %.1f times per episode, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		n    int
+		run  func(tgt, s int)
+	}{
+		{"GreedyCSR", g.N(), func(tgt, s int) { GreedyCSR(g, tgt, s, Budget{}, &sc, &out) }},
+		{"GreedyCSRPartial", g.N(), func(tgt, s int) { GreedyCSRPartial(g, tgt, s, owned, Budget{}, &sc, &out) }},
+		{"GreedyCSROverlay", o.N(), func(tgt, s int) { GreedyCSROverlay(o, tgt, s, Budget{}, &sc, &out) }},
+	} {
+		rng := xrand.New(77)
+		pairs := make([][2]int, 64)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.IntN(c.n), rng.IntN(c.n)}
+		}
+		// Warm up: grow the scratch cache and the path buffer to steady state.
+		for _, p := range pairs {
+			c.run(p[1], p[0])
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(pairs), func() {
+			c.run(pairs[i%len(pairs)][1], pairs[i%len(pairs)][0])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f times per episode, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -224,24 +320,24 @@ func TestResultCopyInto(t *testing.T) {
 	}
 }
 
-// TestMovesMatchesTrajectory pins the satellite refactor: the deprecated
-// Trajectory is a thin conversion over Moves, and both replay the same
-// (V, W, Score) stream.
+// TestMovesMatchesTrajectory pins the replay: Moves returns one event per
+// path vertex, in step order under the given episode index, carrying the
+// vertex's weight and objective value — the Figure 1 trajectory.
 func TestMovesMatchesTrajectory(t *testing.T) {
 	g := girgForRouting(t, 500, 31)
 	obj := NewStandard(g, 7)
 	res := Greedy(g, obj, 3)
 	evs := Moves(g, obj, res, 4)
-	hops := Trajectory(g, obj, res)
-	if len(evs) != len(res.Path) || len(hops) != len(res.Path) {
-		t.Fatalf("lengths: %d events, %d hops, %d path", len(evs), len(hops), len(res.Path))
+	if len(evs) != len(res.Path) {
+		t.Fatalf("lengths: %d events, %d path", len(evs), len(res.Path))
 	}
 	for i, ev := range evs {
 		if ev.Episode != 4 || ev.Step != i {
 			t.Fatalf("event %d has coordinates (%d, %d)", i, ev.Episode, ev.Step)
 		}
-		if ev.V != hops[i].V || ev.W != hops[i].W || ev.Score != hops[i].Score {
-			t.Fatalf("event %d: %+v vs hop %+v", i, ev, hops[i])
+		v := res.Path[i]
+		if ev.V != v || ev.W != g.Weight(v) || ev.Score != obj.Score(v) {
+			t.Fatalf("event %d: %+v, want vertex %d weight %v score %v", i, ev, v, g.Weight(v), obj.Score(v))
 		}
 	}
 }

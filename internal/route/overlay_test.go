@@ -147,17 +147,36 @@ func TestGreedyCSROverlayTombstonedDeadEnd(t *testing.T) {
 			}
 		}
 	}
+	// Two departures: a base vertex, and a vertex that joined after the
+	// snapshot (id >= g.N()) with an edge — the one place the scan has no
+	// base list to read.
 	e := graph.NewOverlay(g).Edit()
 	if err := e.RemoveVertex(victim); err != nil {
+		t.Fatal(err)
+	}
+	joined, err := e.AddVertex(make([]float64, g.Space().Dim()), g.WMin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddEdge(joined, tgt); err != nil {
+		t.Fatal(err)
+	}
+	e = e.Finish().Edit()
+	if err := e.RemoveVertex(joined); err != nil {
 		t.Fatal(err)
 	}
 	o := e.Finish()
 	var sc Scratch
 	var out Result
-	// A walk starting on a departed vertex dead-ends immediately.
-	GreedyCSROverlay(o, tgt, victim, Budget{}, &sc, &out)
-	if out.Success || out.Failure != FailDeadEnd || out.Stuck != victim {
-		t.Fatalf("tombstoned source: %+v", out)
+	for _, src := range []int{victim, joined} {
+		// A walk starting on a departed vertex dead-ends immediately...
+		GreedyCSROverlay(o, tgt, src, Budget{}, &sc, &out)
+		if out.Success || out.Failure != FailDeadEnd || out.Stuck != src {
+			t.Fatalf("tombstoned source %d: %+v", src, out)
+		}
+		// ...exactly as on the interface path, where the overlay's empty
+		// Neighbors gives the same class.
+		sameEpisode(t, "tombstoned source", Greedy(o, NewStandard(o, tgt), src), out)
 	}
 	// A walk toward a departed target terminates with a classified failure
 	// (the target is unreachable; greedy dead-ends in bounded time).
@@ -168,80 +187,26 @@ func TestGreedyCSROverlayTombstonedDeadEnd(t *testing.T) {
 	if out.Failure == FailNone {
 		t.Fatalf("unclassified failure: %+v", out)
 	}
-	// Interface path: the overlay's empty Neighbors gives the same class.
-	res := Greedy(o, NewStandard(o, tgt), victim)
-	if res.Success || res.Failure != FailDeadEnd {
-		t.Fatalf("interface path on tombstoned source: %+v", res)
-	}
 }
 
-// TestGreedyCSROverlayPartialStitch splits the overlay's id space into two
+// TestGreedyWalkOverlayMaskStitch splits the overlay's id space into two
 // synthetic shards and checks the stitched segments reproduce the
 // single-node overlay episode bit for bit — the cluster invariant lifted
-// onto live graphs.
-func TestGreedyCSROverlayPartialStitch(t *testing.T) {
+// onto live graphs. No exported entry point combines overlay and mask (the
+// serving layer routes live slots locally), so it drives greedyWalk itself.
+func TestGreedyWalkOverlayMaskStitch(t *testing.T) {
 	g := girgForRouting(t, 1500, 25)
 	o := churnOverlay(t, g, 25, 11)
-	owned := make([][]bool, 2)
-	for shard := range owned {
-		owned[shard] = make([]bool, o.N())
-		for v := 0; v < o.N(); v++ {
-			owned[shard][v] = v%2 == shard
-		}
+	owned := [][]bool{make([]bool, o.N()), make([]bool, o.N())}
+	for v := 0; v < o.N(); v++ {
+		owned[v%2][v] = true
 	}
 	rng := xrand.New(12)
-	var scFull, scSeg Scratch
-	var full, seg Result
+	var sc Scratch
+	var full Result
 	for i := 0; i < 40; i++ {
 		s, tgt := rng.IntN(o.N()), rng.IntN(o.N())
-		GreedyCSROverlay(o, tgt, s, Budget{}, &scFull, &full)
-
-		var stitched Result
-		stitched.Path = append(stitched.Path[:0], s)
-		cur, hops := s, 0
-		for {
-			shard := cur % 2
-			exit := GreedyCSROverlayPartial(o, tgt, cur, owned[shard], Budget{}, &scSeg, &seg)
-			stitched.Path = append(stitched.Path, seg.Path[1:]...)
-			if exit < 0 {
-				stitched.Success = seg.Success
-				stitched.Stuck = seg.Stuck
-				stitched.Failure = seg.Failure
-				stitched.Truncated = seg.Truncated
-				break
-			}
-			cur = exit
-			if hops++; hops > o.N() {
-				t.Fatal("stitch loop did not terminate")
-			}
-		}
-		stitched.Moves = len(stitched.Path) - 1
-		stitched.Unique = len(stitched.Path)
-		sameEpisode(t, "stitched", full, stitched)
-	}
-}
-
-func TestGreedyCSROverlayZeroAlloc(t *testing.T) {
-	g := girgForRouting(t, 2000, 26)
-	o := churnOverlay(t, g, 20, 13)
-	var sc Scratch
-	var out Result
-	rng := xrand.New(14)
-	pairs := make([][2]int, 64)
-	for i := range pairs {
-		pairs[i] = [2]int{rng.IntN(o.N()), rng.IntN(o.N())}
-	}
-	// Warm the path buffer.
-	for _, p := range pairs {
-		GreedyCSROverlay(o, p[1], p[0], Budget{}, &sc, &out)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		p := pairs[i%len(pairs)]
-		i++
-		GreedyCSROverlay(o, p[1], p[0], Budget{}, &sc, &out)
-	})
-	if allocs != 0 {
-		t.Fatalf("GreedyCSROverlay allocates %.1f per episode, want 0", allocs)
+		GreedyCSROverlay(o, tgt, s, Budget{}, &sc, &full)
+		sameEpisode(t, "stitched", full, stitchWalk(t, g, o, owned, tgt, s, Budget{}))
 	}
 }

@@ -104,7 +104,7 @@ func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Resul
 				kind, cur = actBacktrack, mLast
 				continue
 			}
-			best := bestNeighborIface(g, obj, v)
+			best := BestNeighbor(g, obj, v)
 			// Lines 11-12: potentially start a new DFS with Phi = phi(v).
 			if phiV := obj.Score(v); phiV > mBest {
 				mBest = phiV
@@ -152,7 +152,7 @@ func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Resul
 				mPhi = prevPhi[v]
 				vPhi[v] = prevPhi[v]
 				mLast = int(parent[v])
-				if u := bestNeighborIface(g, obj, v); u >= 0 && obj.Score(u) >= mPhi {
+				if u := BestNeighbor(g, obj, v); u >= 0 && obj.Score(u) >= mPhi {
 					kind, cur = actExplore, u
 					continue
 				}

@@ -278,7 +278,7 @@ func TestPhiDFSGreedyChoicesP1(t *testing.T) {
 			if !first || i == len(res.Path)-1 {
 				continue
 			}
-			u := bestNeighborIface(g, obj, v)
+			u := BestNeighbor(g, obj, v)
 			if u >= 0 && better(obj.Score(u), obj.Score(v), u, v) {
 				if res.Path[i+1] != u {
 					t.Fatalf("trial %d: (P1) violated at step %d: fresh vertex %d has best neighbor %d but moved to %d",
@@ -302,7 +302,7 @@ func TestHistoryPatchGreedyChoicesP1(t *testing.T) {
 			if !first || i == len(res.Path)-1 {
 				continue
 			}
-			u := bestNeighborIface(g, obj, v)
+			u := BestNeighbor(g, obj, v)
 			if u >= 0 && better(obj.Score(u), obj.Score(v), u, v) {
 				if res.Path[i+1] != u {
 					t.Fatalf("trial %d: (P1) violated at fresh vertex %d", trial, v)
@@ -521,7 +521,7 @@ func TestTrajectoryRecords(t *testing.T) {
 	g.weights = []float64{1, 5, 2}
 	obj := scoreObjective([]float64{1, 2, 0}, 2)
 	res := Greedy(g, obj, 0)
-	hops := Trajectory(g, obj, res)
+	hops := Moves(g, obj, res, 0)
 	if len(hops) != 3 {
 		t.Fatalf("hops %v", hops)
 	}

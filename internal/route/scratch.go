@@ -12,9 +12,9 @@ package route
 // graph it has routed on.
 type Scratch struct {
 	// scores/stamps is the epoch-stamped objective cache of the concrete
-	// fast paths (GreedyCSR): scores[v] is valid iff stamps[v] == epoch, so
-	// invalidating the whole cache between episodes is one increment instead
-	// of an O(n) refill.
+	// fast path (the scorer in walk.go): scores[v] is valid iff stamps[v] ==
+	// epoch, so invalidating the whole cache between episodes is one
+	// increment instead of an O(n) refill.
 	scores []float64
 	stamps []uint32
 	epoch  uint32

@@ -1,0 +1,287 @@
+package route
+
+import (
+	"math"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/torus"
+)
+
+// This file is the concrete fast path of the v2 surface: Algorithm 1 under
+// the standard objective, written once. greedyWalk is the only loop; the
+// three exported entry points — GreedyCSR (immutable graph), GreedyCSRPartial
+// (one shard of it) and GreedyCSROverlay (live overlay) — are one-line
+// views of it, so a change to the walk or to its scan is made, and proved
+// bit-identical to the interface-path Greedy, in exactly one place.
+
+// inf is math.Inf(1) hoisted out of the hot loop.
+var inf = math.Inf(1)
+
+// Budget bounds one fast-path episode the way the engine's budgetGraph
+// bounds interface-path episodes: MaxScans caps adjacency scans (greedy
+// performs exactly one per path vertex, so the cap lands on the same scan at
+// any worker count) and Deadline is the wall-clock backstop. Exceeding
+// either resets the episode to a FailDeadline result whose path is just the
+// source, bit-identical to the engine's interface-path classification.
+type Budget struct {
+	// MaxScans is the adjacency-scan budget (0 = unlimited).
+	MaxScans int
+	// Deadline is the wall-clock cutoff (zero = none).
+	Deadline time.Time
+}
+
+// scorer is the scan primitive of the fast path: phi toward one target over
+// the base graph's flat arrays, memoized in the Scratch's epoch-stamped
+// cache, plus the argmax of phi over one adjacency list. It is a plain
+// struct — no interface, no type parameter — so the per-neighbor work
+// compiles to direct loads. The overlay is consulted only for vertices
+// added after the snapshot (v >= baseN); base vertices of a live graph
+// score from the same arrays as on the immutable one.
+type scorer struct {
+	t       int
+	xt      []float64
+	space   torus.Space
+	pos     *torus.Positions
+	weights []float64 // nil = all 1, as Graph.Weight spells it
+	norm    float64
+	baseN   int
+	o       *graph.Overlay // nil on an immutable graph
+	scores  []float64
+	stamps  []uint32
+	epoch   uint32
+}
+
+func newScorer(g *graph.Graph, o *graph.Overlay, t int, sc *Scratch) scorer {
+	n := g.N()
+	if o != nil {
+		n = o.N()
+	}
+	sc.beginScores(n)
+	s := scorer{
+		t:       t,
+		space:   g.Space(),
+		pos:     g.Positions(),
+		weights: g.Weights(),
+		norm:    1 / (g.WMin() * g.Intensity()),
+		baseN:   g.N(),
+		o:       o,
+		scores:  sc.scores,
+		stamps:  sc.stamps,
+		epoch:   sc.epoch,
+	}
+	if o != nil {
+		s.xt = o.Pos(t)
+	} else {
+		s.xt = s.pos.At(t)
+	}
+	return s
+}
+
+// score is phi(v) with epoch-stamped memoization; the target scores +Inf
+// and every other vertex w_v * norm / dist^dim, exactly as NewStandard
+// spells it, so the float sequence is bit-identical to the interface path.
+func (s *scorer) score(v int) float64 {
+	if s.stamps[v] == s.epoch {
+		return s.scores[v]
+	}
+	var ph float64
+	if v == s.t {
+		ph = inf
+	} else {
+		var x []float64
+		w := 1.0
+		if v >= s.baseN {
+			x, w = s.o.Pos(v), s.o.Weight(v)
+		} else {
+			x = s.pos.At(v)
+			if s.weights != nil {
+				w = s.weights[v]
+			}
+		}
+		ph = w * s.norm / s.space.DistPow(x, s.xt)
+	}
+	s.scores[v] = ph
+	s.stamps[v] = s.epoch
+	return ph
+}
+
+// best returns the phi-maximal vertex of one adjacency list (ties broken by
+// id, as everywhere) with its score, or -1 when the list is empty. The list
+// is the sorted base slice bs minus the sorted del plus the sorted add (an
+// overlay's per-vertex delta: add and bs are disjoint, del is a subset of
+// bs). A clean vertex — every vertex of an immutable graph, and most of a
+// live one — has neither and takes the bare CSR loop; a dirty one is merged
+// in place in ascending id order, without allocating.
+func (s *scorer) best(bs, add, del []int32) (best int, bestScore float64) {
+	best = -1
+	if len(add) == 0 && len(del) == 0 {
+		for _, u32 := range bs {
+			u := int(u32)
+			su := s.score(u)
+			if best == -1 || better(su, bestScore, u, best) {
+				best, bestScore = u, su
+			}
+		}
+		return best, bestScore
+	}
+	for bi, ai, di := 0, 0, 0; bi < len(bs) || ai < len(add); {
+		var u int
+		if ai < len(add) && (bi == len(bs) || add[ai] < bs[bi]) {
+			u = int(add[ai])
+			ai++
+		} else {
+			u32 := bs[bi]
+			bi++
+			for di < len(del) && del[di] < u32 {
+				di++
+			}
+			if di < len(del) && del[di] == u32 {
+				continue
+			}
+			u = int(u32)
+		}
+		su := s.score(u)
+		if best == -1 || better(su, bestScore, u, best) {
+			best, bestScore = u, su
+		}
+	}
+	return best, bestScore
+}
+
+// greedyWalk is Algorithm 1 from s toward t under the standard objective:
+// forward to the neighbor that maximizes phi, drop the packet if none
+// improves on the current vertex. g is the immutable graph (the base of o
+// when o is non-nil); a non-nil o routes over the live overlay, where a
+// tombstoned vertex reads an empty adjacency and an added one (v >= g.N())
+// reads its delta alone; a non-nil owned stops the walk the moment it steps
+// onto a vertex with owned[v] false. Overlay and ownership each cost one
+// nil check per hop, nothing per neighbor.
+//
+// exit >= 0 is that non-owned vertex (never t — arriving at the target is
+// delivery wherever it lives): out holds the segment so far, Path ending at
+// exit, deliberately unclassified (Success false, Failure FailNone, which no
+// terminal episode ever is) because the episode is not over. exit == -1 is
+// a terminal episode: delivered, dead-end, or a budget cut (FailDeadline
+// with the path reset to s).
+func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budget, sc *Scratch, out *Result) (exit int) {
+	out.reset(s)
+	offsets, adj := g.CSR()
+	sco := newScorer(g, o, t, sc)
+	scans := 0
+	v := s
+	for v != t {
+		// Budget check, in budgetGraph's order: count the scan, cut past
+		// MaxScans, then the wall clock.
+		scans++
+		if b.MaxScans > 0 && scans > b.MaxScans {
+			out.cutDeadline(s)
+			return -1
+		}
+		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
+			out.cutDeadline(s)
+			return -1
+		}
+		var bs, add, del []int32
+		if v < sco.baseN {
+			bs = adj[offsets[v]:offsets[v+1]]
+		}
+		if o != nil {
+			if o.Tombstoned(v) {
+				bs = nil
+			} else {
+				add, del = o.Delta(v)
+			}
+		}
+		u, su := sco.best(bs, add, del)
+		if u < 0 || !better(su, sco.score(v), u, v) {
+			out.Stuck = v
+			out.Unique = len(out.Path) // greedy never revisits
+			out.classify()
+			return -1
+		}
+		out.step(u)
+		v = u
+		if owned != nil && v != t && !owned[v] {
+			out.Unique = len(out.Path)
+			return v
+		}
+	}
+	out.Success = true
+	out.Unique = len(out.Path)
+	out.classify()
+	return -1
+}
+
+// cutDeadline resets r to the engine's budget-cut shape: a failed
+// FailDeadline episode whose path is just the source.
+func (r *Result) cutDeadline(s int) {
+	r.reset(s)
+	r.Unique = 1
+	r.Failure = FailDeadline
+}
+
+// GreedyCSR is the concrete-type fast path of the v2 surface: Algorithm 1
+// from s toward t on a *graph.Graph under the standard objective
+//
+//	phi(v) = w_v / (wmin * intensity * ||x_v - x_t||^dim),
+//
+// with neighbor scans running directly over the CSR arrays (no interface
+// dispatch, no bounds checks beyond the slice window) and per-vertex scores
+// memoized in sc's epoch-stamped cache (no Objective closure, no per-episode
+// cache allocation). The episode it produces is bit-identical to
+// Greedy(g, NewStandard(g, t), s): identical scores in identical comparison
+// order, including the id tie-break.
+//
+// The graph must carry geometry (positions); weights may be nil (treated as
+// 1, as Graph.Weight does). Steady-state calls perform zero heap
+// allocations — TestGreedyCSRZeroAlloc gates this with testing.AllocsPerRun.
+func GreedyCSR(g *graph.Graph, t, s int, b Budget, sc *Scratch, out *Result) {
+	greedyWalk(g, nil, t, s, nil, b, sc, out)
+}
+
+// GreedyCSRPartial is GreedyCSR restricted to one shard of a Morton-prefix
+// partition: it routes greedily from s toward t over the full CSR arrays but
+// stops the moment the walk steps onto a vertex the shard does not own,
+// returning that vertex so the caller can forward the continuation to the
+// owning peer (internal/serve's /cluster/hop path).
+//
+// The scores, comparison order and tie-breaks are exactly GreedyCSR's, so
+// stitching the per-shard segments back together reproduces the single-node
+// episode bit for bit: greedy under the standard objective is strictly
+// φ-increasing, hence the walk never revisits a vertex even across shard
+// boundaries, and Unique == len(Path) holds for every segment and for the
+// merged path.
+//
+// Return values:
+//
+//	exit >= 0: the walk stepped onto non-owned vertex exit (never t —
+//	    arriving at the target is delivery wherever it lives). out holds the
+//	    segment so far: Path ends at exit, Success false, Failure FailNone —
+//	    deliberately unclassified, because the episode is not over.
+//	exit == -1: the episode terminated on this shard. out is classified
+//	    exactly as GreedyCSR would: delivered, dead-end, or a budget cut
+//	    (FailDeadline with the path reset to s).
+//
+// owned must have length g.N(); owned[s] is not required — a hop request
+// that raced a membership change still routes, it just forwards again on the
+// next step.
+func GreedyCSRPartial(g *graph.Graph, t, s int, owned []bool, b Budget, sc *Scratch, out *Result) (exit int) {
+	return greedyWalk(g, nil, t, s, owned, b, sc, out)
+}
+
+// GreedyCSROverlay is GreedyCSR over a live overlay: Algorithm 1 from s
+// toward t under the standard objective, scanning merged adjacency (base
+// CSR minus per-vertex del plus add) without allocating. The episode is
+// bit-identical to GreedyCSR(o.Materialize(), t, s, ...): identical scores
+// in a score-equivalent comparison order, identical budget accounting —
+// the invariant that lets a compactor hot-swap the folded snapshot in
+// without changing a single answer. Pass the overlay's own N()-sized
+// scratch; added vertices score like any other.
+//
+// A tombstoned current vertex reads an empty adjacency and classifies as
+// the existing dead-end failure — a walk that reaches a departed vertex
+// (or starts on one) degrades, it never panics or hangs.
+func GreedyCSROverlay(o *graph.Overlay, t, s int, b Budget, sc *Scratch, out *Result) {
+	greedyWalk(o.Base(), o, t, s, nil, b, sc, out)
+}

@@ -101,48 +101,52 @@ type routeFwd struct {
 	failovers int
 }
 
-// clusterRoute runs one attempt of a sharded greedy episode: the local
-// segment via the partial router, then — if the walk crossed the shard
-// boundary — the continuation via forwardHop, stitched back into es.out.
-// The merged result is bit-identical to single-node GreedyCSR whenever the
-// owning peers answered; a failed forward classifies the episode as
-// shard-unreachable. Exactly one engine episode is recorded here, at the
-// entry daemon, with the merged result — hop receivers record nothing, so
-// cluster-wide counters sum honestly. Returns the attempt's forwarding
-// summary.
+// clusterRoute runs one attempt of a sharded greedy episode into es.out.
+// Exactly one engine episode is recorded here, at the entry daemon, with the
+// merged result — hop receivers record nothing, so cluster-wide counters sum
+// honestly. Returns the attempt's forwarding summary.
 func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int, deadline time.Time, es *episodeState, rt *reqTrace, tm *Timings) routeFwd {
-	logger := obs.Logger(ctx)
-	node := s.clusterNode
 	start := time.Now()
+	fwd := s.routeSegment(ctx, graphName, sv, tv, deadline, 1, es, rt, tm)
+	core.RecordEpisode(es.out, time.Since(start))
+	return fwd
+}
+
+// routeSegment is the step the entry daemon and every hop receiver share:
+// the local segment from `from` toward t via the partial router, then — if
+// the walk crossed the shard boundary — the continuation via forwardHop at
+// hop depth fwdDepth, stitched back into es.out. The merged result is
+// bit-identical to single-node GreedyCSR whenever the owning peers answered;
+// a failed forward classifies the episode as shard-unreachable.
+func (s *Server) routeSegment(ctx context.Context, graphName string, from, t int, deadline time.Time, fwdDepth int, es *episodeState, rt *reqTrace, tm *Timings) routeFwd {
+	node := s.clusterNode
 	res := &es.out
 	b := route.Budget{MaxScans: s.cfg.MaxHops, Deadline: deadline}
-	exit := route.GreedyCSRPartial(node.Graph(), tv, sv, node.OwnedMask(), b, &es.sc, res)
+	start := time.Now()
+	exit := route.GreedyCSRPartial(node.Graph(), t, from, node.OwnedMask(), b, &es.sc, res)
 	segDur := time.Since(start)
 	tm.RouteUs += segDur.Microseconds()
 	s.phaseLat[phaseRoute].Record(segDur)
 	rt.add(obs.SpanLocalRoute, start, segDur, "", "partial", "")
-	var fwd routeFwd
-	if exit >= 0 {
-		fwdStart := time.Now()
-		hop, hs, ok := s.forwardHop(ctx, graphName, exit, tv, deadline, 1, rt, tm)
-		tm.ForwardUs += time.Since(fwdStart).Microseconds()
-		fwd.hedges = hs.hedges + hop.Hedges
-		fwd.failovers = hs.failovers + hop.Failovers
-		if ok {
-			mergeHop(res, hop)
-			fwd.forwards = 1 + hop.Forwards
-		} else {
-			s.shardUnreachable.Add(1)
-			res.Success = false
-			res.Failure = route.FailShardUnreachable
-			res.Stuck = -1
-			res.Unique = len(res.Path)
-			fwd.forwards = 1
-			logger.Warn("shard unreachable", "graph", graphName,
-				"exit_vertex", exit, "t", tv)
-		}
+	if exit < 0 {
+		return routeFwd{}
 	}
-	core.RecordEpisode(*res, time.Since(start))
+	fwdStart := time.Now()
+	hop, hs, ok := s.forwardHop(ctx, graphName, exit, t, deadline, fwdDepth, rt, tm)
+	tm.ForwardUs += time.Since(fwdStart).Microseconds()
+	fwd := routeFwd{forwards: 1, hedges: hs.hedges + hop.Hedges, failovers: hs.failovers + hop.Failovers}
+	if ok {
+		mergeHop(res, hop)
+		fwd.forwards += hop.Forwards
+	} else {
+		s.shardUnreachable.Add(1)
+		res.Success = false
+		res.Failure = route.FailShardUnreachable
+		res.Stuck = -1
+		res.Unique = len(res.Path)
+		obs.Logger(ctx).Warn("shard unreachable", "graph", graphName,
+			"exit_vertex", exit, "t", t)
+	}
 	return fwd
 }
 
@@ -493,7 +497,10 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 	// parented on the caller's forward_rpc span (adopted from Traceparent),
 	// with this shard's local segment and onward forwards as children —
 	// without it, stitched trees would show the entry daemon only.
-	rt := s.startHopTrace(r, fmt.Sprintf("depth=%d", req.Depth))
+	rt := s.startHopTrace(r, "")
+	if rt != nil {
+		rt.rootDetail = fmt.Sprintf("depth=%d", req.Depth)
+	}
 	defer func() { rt.finish("") }()
 
 	deadline := time.Now().Add(s.cfg.RequestTimeout)
@@ -515,34 +522,12 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 
 	es := episodePool.Get().(*episodeState)
 	defer episodePool.Put(es)
-	res := &es.out
-	b := route.Budget{MaxScans: s.cfg.MaxHops, Deadline: deadline}
-	segStart := time.Now()
-	exit := route.GreedyCSRPartial(node.Graph(), req.T, req.S, node.OwnedMask(), b, &es.sc, res)
-	segDur := time.Since(segStart)
-	s.phaseLat[phaseRoute].Record(segDur)
-	rt.add(obs.SpanLocalRoute, segStart, segDur, "", "partial", "")
 	// The hop's Timings stay local: HopResponse carries no attribution (the
 	// entry daemon owns the merged episode), but the per-phase histograms and
-	// spans above still need the accumulator forwardHop threads through.
-	tm := &Timings{}
-	resp := HopResponse{}
-	if exit >= 0 {
-		hop, hs, ok := s.forwardHop(r.Context(), graphName, exit, req.T, deadline, req.Depth+1, rt, tm)
-		resp.Hedges = hs.hedges + hop.Hedges
-		resp.Failovers = hs.failovers + hop.Failovers
-		if ok {
-			mergeHop(res, hop)
-			resp.Forwards = 1 + hop.Forwards
-		} else {
-			s.shardUnreachable.Add(1)
-			res.Success = false
-			res.Failure = route.FailShardUnreachable
-			res.Stuck = -1
-			res.Unique = len(res.Path)
-			resp.Forwards = 1
-		}
-	}
+	// spans still need the accumulator the segment threads through.
+	fwd := s.routeSegment(r.Context(), graphName, req.S, req.T, deadline, req.Depth+1, es, rt, &Timings{})
+	res := &es.out
+	resp := HopResponse{Forwards: fwd.forwards, Hedges: fwd.hedges, Failovers: fwd.failovers}
 	resp.Success = res.Success
 	resp.Failure = string(res.Failure)
 	resp.Stuck = res.Stuck

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/girg"
 	"repro/internal/route"
 	"repro/internal/torus"
 )
@@ -336,99 +333,5 @@ func TestHopSnapshotMismatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("hop against non-clustered snapshot = %d, want 409", resp.StatusCode)
-	}
-}
-
-// benchNetwork builds a b-scoped GIRG for the forwarding-overhead
-// benchmarks.
-func benchNetwork(b *testing.B, n float64, seed uint64) *core.Network {
-	b.Helper()
-	p := girg.DefaultParams(n)
-	p.FixedN = true
-	nw, err := core.NewGIRG(p, seed, girg.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return nw
-}
-
-// BenchmarkRouteSingleNode measures POST /route end to end against one
-// unclustered daemon — the baseline for the cluster forwarding overhead.
-// benchLogger drops the per-episode INFO lines that would otherwise
-// dominate the benchmark and drown `go test -bench` output.
-func benchLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
-func BenchmarkRouteSingleNode(b *testing.B) {
-	nw := benchNetwork(b, 2000, 11)
-	srv := New(Config{Workers: 4, RequestIDSalt: 1, RequestTimeout: 10 * time.Second, Logger: benchLogger()})
-	srv.AddNetwork(DefaultGraph, nw)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	benchRoutes(b, []string{ts.URL}, nw.Graph.N())
-}
-
-// BenchmarkRouteCluster3Shard measures the same queries against a 3-shard
-// cluster on loopback HTTP: the delta over single-node is the hop
-// forwarding overhead (serialize, POST, partial-route, stitch).
-func BenchmarkRouteCluster3Shard(b *testing.B) {
-	nw := benchNetwork(b, 2000, 11)
-	var urls []string
-	var daemons []*Server
-	var nodes []*cluster.Node
-	for i, spec := range []string{"0", "10", "11"} {
-		p, err := torus.ParsePrefix(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := New(Config{Workers: 4, RequestIDSalt: uint64(i + 1), RequestTimeout: 10 * time.Second, Logger: benchLogger()})
-		srv.AddNetwork(DefaultGraph, nw)
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		addr := strings.TrimPrefix(ts.URL, "http://")
-		node, err := cluster.NewNode(nw.Graph, p, addr, cluster.Config{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.EnableCluster(node, nil)
-		urls = append(urls, ts.URL)
-		daemons = append(daemons, srv)
-		nodes = append(nodes, node)
-	}
-	for _, n := range nodes {
-		for _, p := range nodes {
-			if p != n {
-				n.Members().Add(p.Self())
-			}
-		}
-	}
-	_ = daemons
-	benchRoutes(b, urls, nw.Graph.N())
-}
-
-func benchRoutes(b *testing.B, urls []string, n int) {
-	client := &http.Client{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := (i * 7919) % n
-		tt := (i*104729 + 13) % n
-		if s == tt {
-			tt = (tt + 1) % n
-		}
-		body, _ := json.Marshal(RouteRequest{S: s, T: tt})
-		resp, err := client.Post(urls[i%len(urls)]+"/route", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rr RouteResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			b.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
 	}
 }

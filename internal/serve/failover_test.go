@@ -204,45 +204,3 @@ func TestHedgedForward(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkRouteCluster3Shard2Replica is BenchmarkRouteCluster3Shard with
-// every shard served by two replicas — the replication overhead on the hot
-// forward path (bigger membership, failover-ordered owner resolution) with
-// hedging configured but never firing.
-func BenchmarkRouteCluster3Shard2Replica(b *testing.B) {
-	nw := benchNetwork(b, 2000, 11)
-	var urls []string
-	var nodes []*cluster.Node
-	i := 0
-	for _, shard := range []string{"0", "10", "11"} {
-		for replica := 0; replica < 2; replica++ {
-			p, err := torus.ParsePrefix(shard)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv := New(Config{Workers: 4, RequestIDSalt: uint64(i + 1),
-				RequestTimeout: 10 * time.Second, HedgeAfter: 100 * time.Millisecond,
-				Logger: benchLogger()})
-			srv.AddNetwork(DefaultGraph, nw)
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			addr := strings.TrimPrefix(ts.URL, "http://")
-			node, err := cluster.NewNode(nw.Graph, p, addr, cluster.Config{Seed: 1, Replica: replica})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.EnableCluster(node, nil)
-			urls = append(urls, ts.URL)
-			nodes = append(nodes, node)
-			i++
-		}
-	}
-	for _, n := range nodes {
-		for _, p := range nodes {
-			if p != n {
-				n.Members().Add(p.Self())
-			}
-		}
-	}
-	benchRoutes(b, urls, nw.Graph.N())
-}
