@@ -32,6 +32,11 @@ type Graph struct {
 	// construction, and readiness probes read the digest per request.
 	fpOnce sync.Once
 	fp     uint64
+
+	// unitOnce/unit memoize UnitCoords the same way; the certificate is a
+	// property of the content, not part of it, so it stays out of the digest.
+	unitOnce sync.Once
+	unit     bool
 }
 
 // Builder accumulates edges before freezing them into a Graph. Edges may be
@@ -166,8 +171,9 @@ func (g *Graph) Neighbors(v int) []int32 {
 
 // CSR exposes the raw compressed-sparse-row arrays: offsets has n+1 entries
 // and adj[offsets[v]:offsets[v+1]] is the sorted adjacency list of v. Both
-// slices alias internal storage and must not be modified; hot paths
-// (route.GreedyCSR) scan them directly to skip interface dispatch.
+// slices alias internal storage and must not be modified; route's greedy
+// walk scans them directly, next to Positions().Raw() and Weights(), to skip
+// interface dispatch.
 func (g *Graph) CSR() (offsets, adj []int32) { return g.offsets, g.adj }
 
 // HasEdge reports whether {u, v} is an edge, via binary search.
@@ -183,6 +189,28 @@ func (g *Graph) Pos(v int) []float64 {
 		return nil
 	}
 	return g.pos.At(v)
+}
+
+// UnitCoords certifies that the graph has geometry and every coordinate is a
+// number in [0, 1) — true of every generator's output, not of every file a
+// decoder accepts (the HRG-to-GIRG angle map may emit exactly 1.0) or every
+// store handed to NewBuilder. route's scan kernel takes the max norm with
+// the max builtin instead of compare-and-branch, which is exact only under
+// this certificate (max propagates a NaN the compare skips); an uncertified
+// graph scans through Space.DistPow. One O(n*dim) pass, memoized.
+func (g *Graph) UnitCoords() bool {
+	g.unitOnce.Do(func() {
+		if g.pos == nil {
+			return
+		}
+		for _, c := range g.pos.Raw() {
+			if !(c >= 0 && c < 1) { // also false for NaN
+				return
+			}
+		}
+		g.unit = true
+	})
+	return g.unit
 }
 
 // Positions returns the underlying position store (may be nil).

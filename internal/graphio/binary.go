@@ -186,6 +186,29 @@ func (r *binReader) section(name string, total int64, consume func(chunk []byte)
 	return nil
 }
 
+// floats decodes a checksummed section of count float64 values and refuses
+// the first one valid rejects: the CRC vouches for the bytes, not for what
+// they spell, and a NaN coordinate or a zero weight poisons every score
+// computed from it.
+func (r *binReader) floats(name string, count int, valid func(float64) bool) ([]float64, error) {
+	vals := make([]float64, 0, allocHint(count))
+	start := r.off
+	var bad error
+	err := r.section(name, int64(count)*8, func(chunk []byte) {
+		for i := 0; i+8 <= len(chunk); i += 8 {
+			f := math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:]))
+			if bad == nil && !valid(f) {
+				bad = corruptf("binary", name, start+int64(len(vals))*8, "invalid value %v at index %d", f, len(vals))
+			}
+			vals = append(vals, f)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return vals, bad
+}
+
 // readBinary decodes the binary format from br, whose next bytes start at
 // the magic.
 func readBinary(br *bufio.Reader) (*graph.Graph, error) {
@@ -229,24 +252,13 @@ func readBinary(br *bufio.Reader) (*graph.Graph, error) {
 		}
 	}
 
-	weights := make([]float64, 0, allocHint(n))
-	err := r.section("weights", int64(n)*8, func(chunk []byte) {
-		for i := 0; i+8 <= len(chunk); i += 8 {
-			weights = append(weights, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-		}
-	})
+	weights, err := r.floats("weights", n, validWeight)
 	if err != nil {
 		return nil, err
 	}
-
 	var pos *torus.Positions
 	if dim > 0 {
-		coords := make([]float64, 0, allocHint(n*dim))
-		err := r.section("positions", int64(n)*int64(dim)*8, func(chunk []byte) {
-			for i := 0; i+8 <= len(chunk); i += 8 {
-				coords = append(coords, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-			}
-		})
+		coords, err := r.floats("positions", n*dim, finite)
 		if err != nil {
 			return nil, err
 		}

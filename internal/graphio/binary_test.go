@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -168,5 +169,77 @@ func TestBinaryRejectsInvalidEdge(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) || ce.Section != "edges" {
 		t.Fatalf("invalid edge id: got %v", err)
+	}
+}
+
+// TestRejectsPoisonedAttributes is the trust boundary of the scan kernel: a
+// snapshot whose checksums are valid but whose floats are not — a NaN or
+// infinite coordinate, a NaN, infinite, zero or negative weight — is refused
+// by both decoders with the section and offset of the offending value, while
+// a finite coordinate outside [0, 1) loads and leaves the graph uncertified.
+func TestRejectsPoisonedAttributes(t *testing.T) {
+	g := corpusGraph()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	weightsAt := binPrelude
+	posAt := weightsAt + g.N()*8 + 4
+	posEnd := posAt + g.N()*g.Space().Dim()*8
+	// Vertex 3's weight, and vertex 3's second coordinate.
+	weightOff, coordOff := weightsAt+3*8, posAt+(3*2+1)*8
+	binaryWith := func(off int, v float64) []byte {
+		mut := bytes.Clone(raw)
+		binary.LittleEndian.PutUint64(mut[off:], math.Float64bits(v))
+		patchSectionCRC(mut, weightsAt, posAt-4)
+		patchSectionCRC(mut, posAt, posEnd)
+		return mut
+	}
+	textWith := func(w, c string) []byte {
+		return []byte("girg 2 1 2 2 1\nv 1 0.25 0.5\nv " + w + " 0.75 " + c + "\ne 0 1\n")
+	}
+	secondLine := int64(len("girg 2 1 2 2 1\nv 1 0.25 0.5\n"))
+
+	for _, c := range []struct {
+		name    string
+		in      []byte
+		section string
+		offset  int64
+	}{
+		{"binary NaN coordinate", binaryWith(coordOff, math.NaN()), "positions", int64(coordOff)},
+		{"binary +Inf coordinate", binaryWith(coordOff, math.Inf(1)), "positions", int64(coordOff)},
+		{"binary NaN weight", binaryWith(weightOff, math.NaN()), "weights", int64(weightOff)},
+		{"binary +Inf weight", binaryWith(weightOff, math.Inf(1)), "weights", int64(weightOff)},
+		{"binary zero weight", binaryWith(weightOff, 0), "weights", int64(weightOff)},
+		{"binary negative weight", binaryWith(weightOff, -2), "weights", int64(weightOff)},
+		{"text NaN coordinate", textWith("1", "NaN"), "vertices", secondLine},
+		{"text -Inf coordinate", textWith("1", "-Inf"), "vertices", secondLine},
+		{"text NaN weight", textWith("nan", "0.5"), "vertices", secondLine},
+		{"text infinite weight", textWith("Inf", "0.5"), "vertices", secondLine},
+		{"text zero weight", textWith("0", "0.5"), "vertices", secondLine},
+		{"text negative weight", textWith("-1", "0.5"), "vertices", secondLine},
+	} {
+		got, err := Read(bytes.NewReader(c.in))
+		var ce *CorruptError
+		if got != nil || !errors.As(err, &ce) || ce.Section != c.section || ce.Offset != c.offset {
+			t.Errorf("%s: got graph %v, error %v; want a corrupt error in %s at offset %d", c.name, got != nil, err, c.section, c.offset)
+		}
+	}
+
+	for name, in := range map[string][]byte{
+		"binary": binaryWith(coordOff, 1),
+		"text":   textWith("1", "1"),
+	} {
+		got, err := Read(bytes.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: a coordinate of exactly 1 was refused: %v", name, err)
+		}
+		if got.UnitCoords() {
+			t.Errorf("%s: a graph with a coordinate of 1 was certified", name)
+		}
+	}
+	if clean, err := Read(bytes.NewReader(raw)); err != nil || !clean.UnitCoords() {
+		t.Fatalf("the unmodified snapshot: error %v, certified %v", err, err == nil && clean.UnitCoords())
 	}
 }

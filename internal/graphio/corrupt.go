@@ -1,6 +1,9 @@
 package graphio
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CorruptError classifies snapshot input that failed structural or
 // integrity validation: which format was being decoded, which section the
@@ -37,3 +40,14 @@ func corruptf(format, section string, offset int64, reasonFormat string, args ..
 		Reason:  fmt.Sprintf(reasonFormat, args...),
 	}
 }
+
+// finite reports whether f is a number. Both decoders require it of every
+// coordinate: the max norm reads a NaN difference as distance 0, so a vertex
+// with a NaN coordinate would score +Inf toward every target. A finite
+// coordinate outside [0, 1) still loads (the HRG-to-GIRG angle map may emit
+// exactly 1.0) and merely leaves the graph without graph.UnitCoords.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// validWeight reports whether w is a finite positive number, as every
+// generator emits; anything else makes the objective zero, negative or NaN.
+func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 0) }

@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -78,6 +79,9 @@ func FuzzRead(f *testing.F) {
 	// Headers that promise far more data than they carry.
 	f.Add([]byte("girg 1000000000 999999999 2 1 1\n"))
 	f.Add([]byte{'G', 'I', 'R', 'B', 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	// Well-formed snapshots whose floats are not numbers a score survives.
+	f.Add([]byte("girg 2 1 1 2 1\nv 1 NaN\nv 1 0.5\ne 0 1\n"))
+	f.Add([]byte("girg 2 1 1 2 1\nv 0 0.25\nv -Inf 0.5\ne 0 1\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
@@ -86,6 +90,18 @@ func FuzzRead(f *testing.F) {
 				t.Fatal("Read returned a graph AND an error")
 			}
 			return
+		}
+		// Accepted attributes are numbers a score can be computed from:
+		// finite coordinates, finite positive weights.
+		for v := 0; v < got.N(); v++ {
+			if w := got.Weight(v); !(w > 0) || math.IsInf(w, 0) {
+				t.Fatalf("accepted weight %v on vertex %d", w, v)
+			}
+			for _, c := range got.Pos(v) {
+				if math.IsNaN(c) || math.IsInf(c, 0) {
+					t.Fatalf("accepted coordinate %v on vertex %d", c, v)
+				}
+			}
 		}
 		// Accepted input must round-trip losslessly through both encoders:
 		// a decoder that silently mis-parsed would break here.

@@ -190,11 +190,17 @@ func readText(br *bufio.Reader) (*graph.Graph, error) {
 		if err != nil {
 			return nil, corruptf("text", "vertices", start, "bad weight on vertex %d: %v", v, err)
 		}
+		if !validWeight(w) {
+			return nil, corruptf("text", "vertices", start, "invalid weight %v on vertex %d", w, v)
+		}
 		weights = append(weights, w)
 		for i := 0; i < dim; i++ {
 			c, err := strconv.ParseFloat(fields[2+i], 64)
 			if err != nil {
 				return nil, corruptf("text", "vertices", start, "bad coordinate on vertex %d: %v", v, err)
+			}
+			if !finite(c) {
+				return nil, corruptf("text", "vertices", start, "non-finite coordinate %v on vertex %d", c, v)
 			}
 			coords = append(coords, c)
 		}

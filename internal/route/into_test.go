@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/girg"
 	"repro/internal/graph"
 	"repro/internal/torus"
 	"repro/internal/xrand"
@@ -79,10 +80,9 @@ func (legacyOnly) Route(g Graph, obj Objective, s int) Result {
 // the stitched episode must equal the single-node one — budget cut included.
 func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, tgt, s int, b Budget) Result {
 	t.Helper()
-	var sc Scratch
 	var seg, merged Result
 	if masks == nil {
-		if exit := greedyWalk(g, o, tgt, s, nil, b, &sc, &merged); exit != -1 {
+		if exit := greedyWalk(g, o, tgt, s, nil, b, &merged); exit != -1 {
 			t.Fatalf("unmasked walk exited at %d", exit)
 		}
 		return merged
@@ -98,7 +98,7 @@ func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, 
 				return merged
 			}
 		}
-		exit := greedyWalk(g, o, tgt, cur, masks[cur%len(masks)], sb, &sc, &seg)
+		exit := greedyWalk(g, o, tgt, cur, masks[cur%len(masks)], sb, &seg)
 		if exit < 0 && seg.Failure == FailDeadline {
 			merged.cutDeadline(s)
 			return merged
@@ -128,52 +128,101 @@ func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, 
 // graph — same paths, same dead-ends, same tie-breaks — and a scan budget or
 // an expired deadline must cut to the engine's source-only FailDeadline
 // shape on exactly the scan the interface path's accounting predicts.
+//
+// The graphs cover every scoring route of the scan: the default GIRG (the
+// dim-2 kernel), dim 1 and dim 3 (the any-dimension kernel), the L2 norm
+// (Space.DistPow), no weights, and a sparse GIRG on which delivered paths
+// average at least four hops — the dense fixtures have a vertex adjacent to
+// most of the graph, so theirs are two, and non-final scans and paths that
+// climb the weight layers would otherwise go uncompared.
 func TestGreedyCSRMatchesInterfaceGreedy(t *testing.T) {
-	base := girgForRouting(t, 2000, 17)
-	live := churnOverlay(t, base, 40, 7)
-	mat, err := live.Materialize()
+	girgWith := func(n float64, seed uint64, edit func(*girg.Params)) *graph.Graph {
+		p := girg.DefaultParams(n)
+		p.FixedN = true
+		edit(&p)
+		g, err := girg.Generate(p, seed, girg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	weighted := girgForRouting(t, 2000, 17)
+	ub, err := graph.NewBuilder(weighted.N(), weighted.Positions(), nil, weighted.Intensity(), weighted.WMin())
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks := [][]bool{make([]bool, live.N()), make([]bool, live.N())}
-	for v := 0; v < live.N(); v++ {
-		masks[v%2][v] = true
-	}
-	for _, c := range []struct {
-		name  string
-		o     *graph.Overlay
-		masks [][]bool
-		ref   *graph.Graph
-	}{
-		{"immutable", nil, nil, base},
-		{"immutable+mask", nil, masks, base},
-		{"overlay", live, nil, mat},
-		{"overlay+mask", live, masks, mat},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			rng := xrand.New(41)
-			expired := Budget{Deadline: time.Now().Add(-time.Second)}
-			for i := 0; i < 120; i++ {
-				s, tgt := rng.IntN(c.ref.N()), rng.IntN(c.ref.N())
-				want := Greedy(c.ref, NewStandard(c.ref, tgt), s)
-				sameEpisode(t, "unbudgeted", want, stitchWalk(t, base, c.o, c.masks, tgt, s, Budget{}))
-				scans := len(want.Path) // one per path vertex, the target excepted
-				if want.Success {
-					scans--
-				}
-				cut := Result{Path: []int{s}, Unique: 1, Stuck: -1, Failure: FailDeadline}
-				for _, limit := range []int{1, 2} {
-					exp := want
-					if scans > limit {
-						exp = cut
-					}
-					sameEpisode(t, "scan budget", exp, stitchWalk(t, base, c.o, c.masks, tgt, s, Budget{MaxScans: limit}))
-				}
-				if s != tgt {
-					sameEpisode(t, "expired deadline", cut, stitchWalk(t, base, c.o, c.masks, tgt, s, expired))
-				}
+	for v := 0; v < weighted.N(); v++ {
+		for _, u := range weighted.Neighbors(v) {
+			if int(u) > v {
+				ub.AddEdge(v, int(u))
 			}
-		})
+		}
+	}
+	for _, gc := range []struct {
+		prefix  string // of the subtest names; the default GIRG keeps the bare ones
+		base    *graph.Graph
+		minHops float64 // lower bound on the mean delivered path, 0 = none
+	}{
+		{"", weighted, 0},
+		{"dim1/", girgWith(1500, 3, func(p *girg.Params) { p.Dim = 1 }), 0},
+		{"dim3/", girgWith(1500, 4, func(p *girg.Params) { p.Dim = 3 }), 0},
+		{"l2/", girgWith(1500, 5, func(p *girg.Params) { p.Norm = torus.L2Norm }), 0},
+		{"unweighted/", ub.Finish(), 0},
+		{"sparse/", girgWith(6000, 6, func(p *girg.Params) { p.Lambda = 0.005 }), 4},
+	} {
+		base := gc.base
+		live := churnOverlay(t, base, 40, 7)
+		mat, err := live.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		masks := [][]bool{make([]bool, live.N()), make([]bool, live.N())}
+		for v := 0; v < live.N(); v++ {
+			masks[v%2][v] = true
+		}
+		for _, c := range []struct {
+			name  string
+			o     *graph.Overlay
+			masks [][]bool
+			ref   *graph.Graph
+		}{
+			{"immutable", nil, nil, base},
+			{"immutable+mask", nil, masks, base},
+			{"overlay", live, nil, mat},
+			{"overlay+mask", live, masks, mat},
+		} {
+			t.Run(gc.prefix+c.name, func(t *testing.T) {
+				rng := xrand.New(41)
+				expired := Budget{Deadline: time.Now().Add(-time.Second)}
+				delivered, hops := 0, 0
+				for i := 0; i < 120; i++ {
+					s, tgt := rng.IntN(c.ref.N()), rng.IntN(c.ref.N())
+					want := Greedy(c.ref, NewStandard(c.ref, tgt), s)
+					sameEpisode(t, "unbudgeted", want, stitchWalk(t, base, c.o, c.masks, tgt, s, Budget{}))
+					scans := len(want.Path) // one per path vertex, the target excepted
+					if want.Success {
+						scans--
+						delivered++
+						hops += want.Moves
+					}
+					cut := Result{Path: []int{s}, Unique: 1, Stuck: -1, Failure: FailDeadline}
+					for _, limit := range []int{1, 2} {
+						exp := want
+						if scans > limit {
+							exp = cut
+						}
+						sameEpisode(t, "scan budget", exp, stitchWalk(t, base, c.o, c.masks, tgt, s, Budget{MaxScans: limit}))
+					}
+					if s != tgt {
+						sameEpisode(t, "expired deadline", cut, stitchWalk(t, base, c.o, c.masks, tgt, s, expired))
+					}
+				}
+				if mean := float64(hops) / float64(delivered); delivered < 20 || mean < gc.minHops {
+					t.Fatalf("%d of 120 episodes delivered over %.2f hops on average, want at least 20 and %.0f hops",
+						delivered, mean, gc.minHops)
+				}
+			})
+		}
 	}
 }
 
@@ -242,7 +291,7 @@ func TestGreedyCSRZeroAlloc(t *testing.T) {
 		for i := range pairs {
 			pairs[i] = [2]int{rng.IntN(c.n), rng.IntN(c.n)}
 		}
-		// Warm up: grow the scratch cache and the path buffer to steady state.
+		// Warm up: grow the path buffer to steady state.
 		for _, p := range pairs {
 			c.run(p[1], p[0])
 		}
@@ -275,28 +324,22 @@ func TestGreedyRouterRouteIntoZeroAllocOnCustomObjective(t *testing.T) {
 	}
 }
 
-// TestScratchEpochWraparound forces the uint32 episode epoch to wrap and
-// checks the caches stay sound (stale stamps from epoch 2^32-1 must not leak
-// into the fresh epoch).
+// TestScratchEpochWraparound forces the uint32 visited-marks epoch to wrap
+// and checks the marks stay sound (stale marks from epoch 2^32-1 must not
+// leak into the fresh epoch).
 func TestScratchEpochWraparound(t *testing.T) {
 	var sc Scratch
-	sc.beginScores(4)
-	sc.scores[2] = 123
-	sc.stamps[2] = sc.epoch // valid entry in the current epoch
-	sc.epoch = math.MaxUint32
-	sc.beginScores(4)
-	if sc.epoch == 0 {
-		t.Fatal("epoch 0 would validate zeroed stamps")
-	}
-	for v, st := range sc.stamps {
-		if st == sc.epoch {
-			t.Fatalf("stale stamp for vertex %d survived wraparound", v)
-		}
-	}
+	sc.beginSeen(4)
+	sc.seen[2] = sc.seenEpoch // a valid mark in the current epoch
 	sc.seenEpoch = math.MaxUint32
 	sc.beginSeen(4)
 	if sc.seenEpoch == 0 {
 		t.Fatal("seen epoch 0 would validate zeroed marks")
+	}
+	for v, st := range sc.seen {
+		if st == sc.seenEpoch {
+			t.Fatalf("stale mark for vertex %d survived wraparound", v)
+		}
 	}
 }
 

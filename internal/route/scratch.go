@@ -1,43 +1,22 @@
 package route
 
 // Scratch is the reusable per-worker state of the v2 routing surface: the
-// buffers an episode needs that would otherwise be allocated fresh per call.
-// One Scratch serves one goroutine at a time; engines keep one per worker
-// (core.RunMilgram) or pool them per request (internal/serve) and thread the
-// same value through every episode that worker runs, so steady-state routing
-// performs zero heap allocations (see RouteInto and GreedyCSR).
+// buffers an interface-path episode needs that would otherwise be allocated
+// fresh per call. One Scratch serves one goroutine at a time; engines keep
+// one per worker (core.RunMilgram) or pool them per request (internal/serve)
+// and thread the same value through every episode that worker runs (see
+// RouteInto). The CSR fast path takes one for the same call shape and leaves
+// it alone: GreedyCSR keeps no state between episodes.
 //
 // The zero value is ready to use: buffers grow on first use and are retained
 // across episodes. A Scratch never shrinks; sizing is bounded by the largest
 // graph it has routed on.
 type Scratch struct {
-	// scores/stamps is the epoch-stamped objective cache of the concrete
-	// fast path (the scorer in walk.go): scores[v] is valid iff stamps[v] ==
-	// epoch, so invalidating the whole cache between episodes is one
-	// increment instead of an O(n) refill.
-	scores []float64
-	stamps []uint32
-	epoch  uint32
-
-	// seen/seenEpoch marks visited vertices (unique-count, adapter paths)
-	// with the same epoch trick.
+	// seen/seenEpoch marks visited vertices (unique-count, adapter paths):
+	// seen[v] is set iff it equals seenEpoch, so clearing every mark between
+	// episodes is one increment instead of an O(n) refill.
 	seen      []uint32
 	seenEpoch uint32
-}
-
-// beginScores readies the score cache for a graph on n vertices and a fresh
-// episode: all cached entries from previous episodes become invalid.
-func (sc *Scratch) beginScores(n int) {
-	if len(sc.scores) < n {
-		sc.scores = make([]float64, n)
-		sc.stamps = make([]uint32, n)
-		sc.epoch = 0
-	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stale stamps could collide, clear them
-		clear(sc.stamps)
-		sc.epoch = 1
-	}
 }
 
 // beginSeen readies the visited-marks buffer for a graph on n vertices.

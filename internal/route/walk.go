@@ -31,79 +31,136 @@ type Budget struct {
 	Deadline time.Time
 }
 
-// scorer is the scan primitive of the fast path: phi toward one target over
-// the base graph's flat arrays, memoized in the Scratch's epoch-stamped
-// cache, plus the argmax of phi over one adjacency list. It is a plain
-// struct — no interface, no type parameter — so the per-neighbor work
-// compiles to direct loads. The overlay is consulted only for vertices
-// added after the snapshot (v >= baseN); base vertices of a live graph
-// score from the same arrays as on the immutable one.
+// scorer is the scan primitive of the fast path: phi toward one target read
+// straight off the base graph's flat position and weight arrays, plus the
+// argmax of phi over one adjacency list. It is a plain struct — no
+// interface, no type parameter, no memo (greedy scans each path vertex once,
+// so a cache could only save re-scoring neighbors two consecutive path
+// vertices share, and paid two more memory streams per neighbor for it). The
+// overlay is consulted only for vertices added after the snapshot
+// (v >= baseN); base vertices of a live graph score from the same arrays as
+// on the immutable one.
 type scorer struct {
 	t       int
 	xt      []float64
 	space   torus.Space
-	pos     *torus.Positions
+	raw     []float64 // base positions, stride len(xt)
 	weights []float64 // nil = all 1, as Graph.Weight spells it
 	norm    float64
 	baseN   int
 	o       *graph.Overlay // nil on an immutable graph
-	scores  []float64
-	stamps  []uint32
-	epoch   uint32
+	// unit selects the unit-coordinate distance kernel (unitDistPow): max
+	// norm on the torus over a graph certified by UnitCoords. Added vertices are wrapped and
+	// finite by construction (OverlayEdit.AddVertex), so the base graph's
+	// certificate covers the overlay.
+	unit bool
+	// unit2 is unit on dim 2, the model's default and score's hot case.
+	unit2 bool
 }
 
-func newScorer(g *graph.Graph, o *graph.Overlay, t int, sc *Scratch) scorer {
-	n := g.N()
-	if o != nil {
-		n = o.N()
-	}
-	sc.beginScores(n)
+func newScorer(g *graph.Graph, o *graph.Overlay, t int) scorer {
+	space := g.Space()
 	s := scorer{
 		t:       t,
-		space:   g.Space(),
-		pos:     g.Positions(),
+		space:   space,
+		raw:     g.Positions().Raw(),
 		weights: g.Weights(),
 		norm:    1 / (g.WMin() * g.Intensity()),
 		baseN:   g.N(),
 		o:       o,
-		scores:  sc.scores,
-		stamps:  sc.stamps,
-		epoch:   sc.epoch,
+		unit:    space.Norm() == torus.MaxNorm && space.Geometry() == torus.Torus && g.UnitCoords(),
 	}
+	s.unit2 = s.unit && space.Dim() == 2
 	if o != nil {
 		s.xt = o.Pos(t)
 	} else {
-		s.xt = s.pos.At(t)
+		s.xt = g.Pos(t)
 	}
 	return s
 }
 
-// score is phi(v) with epoch-stamped memoization; the target scores +Inf
-// and every other vertex w_v * norm / dist^dim, exactly as NewStandard
-// spells it, so the float sequence is bit-identical to the interface path.
-func (s *scorer) score(v int) float64 {
-	if s.stamps[v] == s.epoch {
-		return s.scores[v]
-	}
-	var ph float64
-	if v == s.t {
-		ph = inf
-	} else {
-		var x []float64
-		w := 1.0
-		if v >= s.baseN {
-			x, w = s.o.Pos(v), s.o.Weight(v)
-		} else {
-			x = s.pos.At(v)
-			if s.weights != nil {
-				w = s.weights[v]
-			}
+// unitDistPow is Space.DistPow for the max norm on the torus with the norm
+// taken by the max builtin instead of Dist's "if d > maxd" — a coin flip per
+// coordinate on random positions, and the dearest thing a scan did (one
+// 18 972-neighbor hub scan: 265 us with it, 185 without). max equals that
+// loop only when every coordinate is a number in [0, 1) — a NaN would poison
+// max where the loop skips it — which is what Graph.UnitCoords certifies.
+// The wrap stays Dist's own compare on purpose: min(d, 1-d) is bit-identical
+// and takes the scan to 95 us on a quiet core, but that loop is issue-bound
+// and halves its speed whenever the host runs something on the sibling
+// hyperthread, where a loop that waits on the wrap branches loses a quarter,
+// like the rest of the program (DESIGN 7.1). The power is torus.ipow's exact
+// multiplication order, so the result is bit-identical to DistPow.
+func unitDistPow(x, xt []float64) float64 {
+	m := 0.0
+	for k, a := range x {
+		d := math.Abs(a - xt[k])
+		if d > 0.5 {
+			d = 1 - d
 		}
-		ph = w * s.norm / s.space.DistPow(x, s.xt)
+		m = max(m, d)
 	}
-	s.scores[v] = ph
-	s.stamps[v] = s.epoch
-	return ph
+	r := 1.0
+	for k := len(x); k > 0; k >>= 1 {
+		if k&1 == 1 {
+			r *= m
+		}
+		m *= m
+	}
+	return r
+}
+
+// unitDistPow2 is unitDistPow unrolled for dim 2, the model's default: the
+// two loops above cost as much again as the arithmetic.
+func unitDistPow2(x0, x1, t0, t1 float64) float64 {
+	d0, d1 := math.Abs(x0-t0), math.Abs(x1-t1)
+	if d0 > 0.5 {
+		d0 = 1 - d0
+	}
+	if d1 > 0.5 {
+		d1 = 1 - d1
+	}
+	m := max(d0, d1)
+	return m * m
+}
+
+// score is phi(v): the target scores +Inf and every other vertex
+// w_v * norm / dist^dim, exactly as NewStandard spells it, so the float
+// sequence is bit-identical to the interface path. The body is the hot case
+// alone — a base vertex on the certified default geometry — so that the call
+// a dirty scan makes per neighbor stays a handful of register moves.
+func (s *scorer) score(v int) float64 {
+	if v == s.t {
+		return inf
+	}
+	if !s.unit2 || v >= s.baseN {
+		return s.scoreAny(v)
+	}
+	w := 1.0
+	if s.weights != nil {
+		w = s.weights[v]
+	}
+	return w * s.norm / unitDistPow2(s.raw[2*v], s.raw[2*v+1], s.xt[0], s.xt[1])
+}
+
+// scoreAny is score for every other case: a vertex added by the overlay,
+// another dimension, an uncertified graph, the L2 norm, the cube.
+func (s *scorer) scoreAny(v int) float64 {
+	var x []float64
+	w := 1.0
+	if v >= s.baseN {
+		x, w = s.o.Pos(v), s.o.Weight(v)
+	} else {
+		dim := len(s.xt)
+		x = s.raw[v*dim : (v+1)*dim]
+		if s.weights != nil {
+			w = s.weights[v]
+		}
+	}
+	if s.unit {
+		return w * s.norm / unitDistPow(x, s.xt)
+	}
+	return w * s.norm / s.space.DistPow(x, s.xt)
 }
 
 // best returns the phi-maximal vertex of one adjacency list (ties broken by
@@ -113,13 +170,20 @@ func (s *scorer) score(v int) float64 {
 // bs). A clean vertex — every vertex of an immutable graph, and most of a
 // live one — has neither and takes the bare CSR loop; a dirty one is merged
 // in place in ascending id order, without allocating.
+//
+// Both loops visit ids in ascending order, so better(su, bestScore, u, best)
+// could never take its id arm (u > best always): su > bestScore is the same
+// comparison.
 func (s *scorer) best(bs, add, del []int32) (best int, bestScore float64) {
 	best = -1
 	if len(add) == 0 && len(del) == 0 {
+		if s.unit2 {
+			return s.bestUnit2(bs)
+		}
 		for _, u32 := range bs {
 			u := int(u32)
 			su := s.score(u)
-			if best == -1 || better(su, bestScore, u, best) {
+			if best == -1 || su > bestScore {
 				best, bestScore = u, su
 			}
 		}
@@ -142,7 +206,32 @@ func (s *scorer) best(bs, add, del []int32) (best int, bestScore float64) {
 			u = int(u32)
 		}
 		su := s.score(u)
-		if best == -1 || better(su, bestScore, u, best) {
+		if best == -1 || su > bestScore {
+			best, bestScore = u, su
+		}
+	}
+	return best, bestScore
+}
+
+// bestUnit2 is best's clean loop on the certified default geometry with
+// score's hot case written out in place: a clean list holds base vertices
+// only, and the call per neighbor cost a fifth of the scan (one hub scan:
+// 232 us through score, 185 in place).
+func (s *scorer) bestUnit2(bs []int32) (best int, bestScore float64) {
+	best = -1
+	raw, ws, norm, t := s.raw, s.weights, s.norm, s.t
+	t0, t1 := s.xt[0], s.xt[1]
+	for _, u32 := range bs {
+		u := int(u32)
+		su := inf
+		if u != t {
+			w := 1.0
+			if ws != nil {
+				w = ws[u]
+			}
+			su = w * norm / unitDistPow2(raw[2*u], raw[2*u+1], t0, t1)
+		}
+		if best == -1 || su > bestScore {
 			best, bestScore = u, su
 		}
 	}
@@ -164,10 +253,10 @@ func (s *scorer) best(bs, add, del []int32) (best int, bestScore float64) {
 // terminal episode ever is) because the episode is not over. exit == -1 is
 // a terminal episode: delivered, dead-end, or a budget cut (FailDeadline
 // with the path reset to s).
-func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budget, sc *Scratch, out *Result) (exit int) {
+func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budget, out *Result) (exit int) {
 	out.reset(s)
 	offsets, adj := g.CSR()
-	sco := newScorer(g, o, t, sc)
+	sco := newScorer(g, o, t)
 	scans := 0
 	v := s
 	for v != t {
@@ -226,18 +315,21 @@ func (r *Result) cutDeadline(s int) {
 //
 //	phi(v) = w_v / (wmin * intensity * ||x_v - x_t||^dim),
 //
-// with neighbor scans running directly over the CSR arrays (no interface
-// dispatch, no bounds checks beyond the slice window) and per-vertex scores
-// memoized in sc's epoch-stamped cache (no Objective closure, no per-episode
-// cache allocation). The episode it produces is bit-identical to
-// Greedy(g, NewStandard(g, t), s): identical scores in identical comparison
-// order, including the id tie-break.
+// with neighbor scans running directly over the CSR, position and weight
+// arrays (no interface dispatch, no Objective closure, no score cache: every
+// neighbor of every path vertex is scored once, by the scorer above). The
+// episode it produces is bit-identical to Greedy(g, NewStandard(g, t), s):
+// identical scores in identical comparison order, including the id
+// tie-break.
 //
 // The graph must carry geometry (positions); weights may be nil (treated as
-// 1, as Graph.Weight does). Steady-state calls perform zero heap
-// allocations — TestGreedyCSRZeroAlloc gates this with testing.AllocsPerRun.
-func GreedyCSR(g *graph.Graph, t, s int, b Budget, sc *Scratch, out *Result) {
-	greedyWalk(g, nil, t, s, nil, b, sc, out)
+// 1, as Graph.Weight does). The walk keeps no state between episodes, so the
+// Scratch is not touched — the parameter stays because every caller threads
+// one through all its routing calls, RouteInto-style. Calls perform zero
+// heap allocations once out's path buffer has grown —
+// TestGreedyCSRZeroAlloc gates this with testing.AllocsPerRun.
+func GreedyCSR(g *graph.Graph, t, s int, b Budget, _ *Scratch, out *Result) {
+	greedyWalk(g, nil, t, s, nil, b, out)
 }
 
 // GreedyCSRPartial is GreedyCSR restricted to one shard of a Morton-prefix
@@ -266,8 +358,8 @@ func GreedyCSR(g *graph.Graph, t, s int, b Budget, sc *Scratch, out *Result) {
 // owned must have length g.N(); owned[s] is not required — a hop request
 // that raced a membership change still routes, it just forwards again on the
 // next step.
-func GreedyCSRPartial(g *graph.Graph, t, s int, owned []bool, b Budget, sc *Scratch, out *Result) (exit int) {
-	return greedyWalk(g, nil, t, s, owned, b, sc, out)
+func GreedyCSRPartial(g *graph.Graph, t, s int, owned []bool, b Budget, _ *Scratch, out *Result) (exit int) {
+	return greedyWalk(g, nil, t, s, owned, b, out)
 }
 
 // GreedyCSROverlay is GreedyCSR over a live overlay: Algorithm 1 from s
@@ -276,12 +368,12 @@ func GreedyCSRPartial(g *graph.Graph, t, s int, owned []bool, b Budget, sc *Scra
 // bit-identical to GreedyCSR(o.Materialize(), t, s, ...): identical scores
 // in a score-equivalent comparison order, identical budget accounting —
 // the invariant that lets a compactor hot-swap the folded snapshot in
-// without changing a single answer. Pass the overlay's own N()-sized
-// scratch; added vertices score like any other.
+// without changing a single answer. Added vertices score like any other,
+// from the overlay's own position and weight stores.
 //
 // A tombstoned current vertex reads an empty adjacency and classifies as
 // the existing dead-end failure — a walk that reaches a departed vertex
 // (or starts on one) degrades, it never panics or hangs.
-func GreedyCSROverlay(o *graph.Overlay, t, s int, b Budget, sc *Scratch, out *Result) {
-	greedyWalk(o.Base(), o, t, s, nil, b, sc, out)
+func GreedyCSROverlay(o *graph.Overlay, t, s int, b Budget, _ *Scratch, out *Result) {
+	greedyWalk(o.Base(), o, t, s, nil, b, out)
 }
