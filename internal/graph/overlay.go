@@ -108,8 +108,8 @@ func (o *Overlay) Tombstoned(v int) bool {
 
 // Delta returns the sorted add/del adjacency delta of v (nil, nil when v is
 // clean). The slices alias internal storage and must not be modified. The
-// fast-path scan behind route.GreedyCSROverlay merges them with the base
-// CSR list in place, without allocating.
+// fast-path scan behind route.GreedyCSROverlay applies them to the base CSR
+// list in place, without allocating.
 func (o *Overlay) Delta(v int) (add, del []int32) {
 	d, ok := o.deltas[int32(v)]
 	if !ok {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -167,70 +168,85 @@ func (s *scorer) scoreAny(v int) float64 {
 // id, as everywhere) with its score, or -1 when the list is empty. The list
 // is the sorted base slice bs minus the sorted del plus the sorted add (an
 // overlay's per-vertex delta: add and bs are disjoint, del is a subset of
-// bs). A clean vertex — every vertex of an immutable graph, and most of a
-// live one — has neither and takes the bare CSR loop; a dirty one is merged
-// in place in ascending id order, without allocating.
+// bs). A dirty list is the runs of bs between consecutive del entries, each
+// through the kernel a clean list — one run — goes through, the running
+// argmax handed from run to run; the few add entries are folded last. They
+// arrive out of id order, so they are compared with better, whose id arm is
+// live there: a lower-id add at distance 0 from the target still beats it.
 //
-// Both loops visit ids in ascending order, so better(su, bestScore, u, best)
-// could never take its id arm (u > best always): su > bestScore is the same
-// comparison.
+// The scan is cut short exactly (DESIGN 7.1): ids ascend within bs and the
+// kernel replaces only on a strict >, so the first +Inf it meets — the
+// target, or a lower-id vertex on the target's position — is final whatever
+// follows. The kernel returns at t; a run that comes back +Inf ends bs.
 func (s *scorer) best(bs, add, del []int32) (best int, bestScore float64) {
 	best = -1
-	if len(add) == 0 && len(del) == 0 {
-		if s.unit2 {
-			return s.bestUnit2(bs)
-		}
-		for _, u32 := range bs {
-			u := int(u32)
-			su := s.score(u)
-			if best == -1 || su > bestScore {
-				best, bestScore = u, su
+	for len(bs) > 0 && bestScore != inf {
+		run := bs
+		bs = nil
+		if len(del) > 0 {
+			// Gallop to del[0] from the previous cut, so the searches of
+			// one list cost O(len(del) * log(gap)), never more than a scan.
+			hi := 1
+			for hi < len(run) && run[hi] < del[0] {
+				hi *= 2
 			}
+			cut, _ := slices.BinarySearch(run[hi/2:min(hi+1, len(run))], del[0])
+			cut += hi / 2
+			run, bs, del = run[:cut], run[cut+1:], del[1:]
 		}
-		return best, bestScore
+		best, bestScore = s.bestRun(run, best, bestScore)
 	}
-	for bi, ai, di := 0, 0, 0; bi < len(bs) || ai < len(add); {
-		var u int
-		if ai < len(add) && (bi == len(bs) || add[ai] < bs[bi]) {
-			u = int(add[ai])
-			ai++
-		} else {
-			u32 := bs[bi]
-			bi++
-			for di < len(del) && del[di] < u32 {
-				di++
-			}
-			if di < len(del) && del[di] == u32 {
-				continue
-			}
-			u = int(u32)
-		}
-		su := s.score(u)
-		if best == -1 || su > bestScore {
+	for _, a := range add {
+		u := int(a)
+		if su := s.score(u); best == -1 || better(su, bestScore, u, best) {
 			best, bestScore = u, su
 		}
 	}
 	return best, bestScore
 }
 
-// bestUnit2 is best's clean loop on the certified default geometry with
-// score's hot case written out in place: a clean list holds base vertices
-// only, and the call per neighbor cost a fifth of the scan (one hub scan:
-// 232 us through score, 185 in place).
-func (s *scorer) bestUnit2(bs []int32) (best int, bestScore float64) {
-	best = -1
+// bestRun carries the argmax (best, bestScore) over one ascending run of live
+// base neighbors. Ascending ids mean better's id arm could never fire (u >
+// best always), so su > bestScore is the same comparison. It stops at t:
+// after that comparison bestScore is +Inf (or was NaN, on an uncertified
+// graph), and nothing compares greater than either.
+func (s *scorer) bestRun(run []int32, best int, bestScore float64) (int, float64) {
+	if s.unit2 {
+		return s.bestUnit2(run, best, bestScore)
+	}
+	for _, u32 := range run {
+		u := int(u32)
+		su := s.score(u)
+		if best == -1 || su > bestScore {
+			best, bestScore = u, su
+		}
+		if u == s.t {
+			break
+		}
+	}
+	return best, bestScore
+}
+
+// bestUnit2 is bestRun on the certified default geometry with score's hot
+// case written out in place: a run holds base vertices only, and the call
+// per neighbor cost a fifth of the scan (one hub scan: 232 us through score,
+// 185 in place).
+func (s *scorer) bestUnit2(run []int32, best int, bestScore float64) (int, float64) {
 	raw, ws, norm, t := s.raw, s.weights, s.norm, s.t
 	t0, t1 := s.xt[0], s.xt[1]
-	for _, u32 := range bs {
+	for _, u32 := range run {
 		u := int(u32)
-		su := inf
-		if u != t {
-			w := 1.0
-			if ws != nil {
-				w = ws[u]
+		if u == t {
+			if best == -1 || inf > bestScore {
+				best, bestScore = u, inf
 			}
-			su = w * norm / unitDistPow2(raw[2*u], raw[2*u+1], t0, t1)
+			break
 		}
+		w := 1.0
+		if ws != nil {
+			w = ws[u]
+		}
+		su := w * norm / unitDistPow2(raw[2*u], raw[2*u+1], t0, t1)
 		if best == -1 || su > bestScore {
 			best, bestScore = u, su
 		}
@@ -316,11 +332,11 @@ func (r *Result) cutDeadline(s int) {
 //	phi(v) = w_v / (wmin * intensity * ||x_v - x_t||^dim),
 //
 // with neighbor scans running directly over the CSR, position and weight
-// arrays (no interface dispatch, no Objective closure, no score cache: every
-// neighbor of every path vertex is scored once, by the scorer above). The
-// episode it produces is bit-identical to Greedy(g, NewStandard(g, t), s):
-// identical scores in identical comparison order, including the id
-// tie-break.
+// arrays (no interface dispatch, no Objective closure, no score cache: each
+// path vertex's list is scanned once, up to the target's rank when the
+// target is on it, by the scorer above). The episode it produces is
+// bit-identical to Greedy(g, NewStandard(g, t), s): identical scores in a
+// score-equivalent comparison order, including the id tie-break.
 //
 // The graph must carry geometry (positions); weights may be nil (treated as
 // 1, as Graph.Weight does). The walk keeps no state between episodes, so the

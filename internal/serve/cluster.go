@@ -284,6 +284,12 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 	starts := make([]time.Time, len(cands))
 	ended := make([]bool, len(cands))
 	passStart := time.Now()
+	// The forward_rpc span label, built only when spans are recorded: rt's
+	// methods are nil-safe, but their arguments are evaluated before the call.
+	var label string
+	if rt != nil {
+		label = fmt.Sprintf("hop depth=%d", depth)
+	}
 	defer func() {
 		// Cancel whatever is still in flight — the losers of a won race.
 		// Their goroutines drain into the buffered channel and their
@@ -296,7 +302,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 				cancel()
 				if !ended[i] {
 					rt.end(spanIDs[i], obs.SpanForwardRPC, starts[i], time.Since(starts[i]),
-						cands[i].ID, fmt.Sprintf("hop depth=%d", depth), "cancelled")
+						cands[i].ID, label, "cancelled")
 				}
 			}
 		}
@@ -356,7 +362,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 			if r.err == nil && r.status == http.StatusOK {
 				ended[r.idx] = true
 				rt.end(spanIDs[r.idx], obs.SpanForwardRPC, starts[r.idx], r.dur,
-					peer.ID, fmt.Sprintf("hop depth=%d", depth), "")
+					peer.ID, label, "")
 				pb.Record(false)
 				node.Members().ReportSuccess(peer.ID)
 				switch {
@@ -387,7 +393,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 			}
 			ended[r.idx] = true
 			rt.end(spanIDs[r.idx], obs.SpanForwardRPC, starts[r.idx], r.dur,
-				peer.ID, fmt.Sprintf("hop depth=%d", depth), errMsg)
+				peer.ID, label, errMsg)
 			if next < len(cands) {
 				launch(next)
 				next++

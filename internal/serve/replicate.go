@@ -216,7 +216,10 @@ func (s *Server) shipToReplicas(fromSeq int) {
 // shipSegment posts one segment to one replica, feeding the answered
 // identity back into membership (a replication response is direct contact).
 // retryGap allows a single immediate re-ship from the replica's reported
-// seq when the push raced ahead of it.
+// seq when the push raced ahead of it. The replica reports its position as
+// read after the refused import, by when the concurrently pushed previous
+// batch has usually landed — so a reported seq equal to seg.From is the same
+// race, not a refusal, and is re-shipped too.
 func (s *Server) shipSegment(ctx context.Context, node *cluster.Node, peer cluster.Peer, graphName string, log *mutate.Log, seg mutate.Segment, retryGap bool, rt *reqTrace) {
 	var resp ReplicateResponse
 	spanID := rt.allocID()
@@ -243,7 +246,7 @@ func (s *Server) shipSegment(ctx context.Context, node *cluster.Node, peer clust
 	case status == http.StatusConflict && retryGap &&
 		resp.Position.BaseFP == seg.BaseFP &&
 		resp.Position.Generation == seg.Generation &&
-		resp.Position.Seq < seg.From:
+		resp.Position.Seq <= seg.From:
 		wider, err := log.Export(seg.BaseFP, seg.Generation, resp.Position.Seq, 0)
 		if err != nil {
 			s.shipFails.Add(1)

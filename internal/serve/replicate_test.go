@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,9 +182,68 @@ func TestReplicateShipConvergence(t *testing.T) {
 			t.Fatalf("%s replication stats = %+v, want 3 imported batches on a non-primary", d.addr, st)
 		}
 	}
-	st := primary.srv.Stats().Cluster.Replication
-	if st == nil || !st.Primary || st.ShippedBatches < 6 {
-		t.Fatalf("primary replication stats = %+v, want primary with >= 6 shipped batches", st)
+	// The replicas converge when they import; the primary counts a batch as
+	// shipped when the ack comes back, a moment later on its ship goroutine.
+	waitFor(t, func() bool {
+		st := primary.srv.Stats().Cluster.Replication
+		return st != nil && st.Primary && st.ShippedBatches >= 6
+	})
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestReplicateReshipWhenGapClosed pins the lost-push fix. Two pushes race:
+// the later one reaches the replica first and is refused as a gap, but the
+// replica reads the position it reports after the refusal, by when the
+// earlier push has landed — so the 409 names exactly the seq the refused
+// segment starts at. That answer must be re-shipped like any other gap, not
+// logged as a refusal and left to anti-entropy. The stub stands in for the
+// replica on the first push only, so the test has no race of its own.
+func TestReplicateReshipWhenGapClosed(t *testing.T) {
+	nw := testNetwork(t, 100, 9)
+	var daemons []*replicaDaemon
+	var pushes atomic.Int32
+	stub := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path != "/cluster/replicate" || pushes.Add(1) > 1 {
+			return http.DefaultTransport.RoundTrip(r)
+		}
+		var req ReplicateRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			return nil, err
+		}
+		body, err := json.Marshal(ReplicateResponse{
+			Graph: req.Graph,
+			Position: mutate.Position{
+				BaseFP: req.Segment.BaseFP, Generation: req.Segment.Generation, Seq: req.Segment.From,
+			},
+			Self: daemons[1].node.Self(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &http.Response{
+			StatusCode: http.StatusConflict,
+			Header:     http.Header{"Content-Type": []string{"application/json"}},
+			Body:       io.NopCloser(bytes.NewReader(body)),
+			Request:    r,
+		}, nil
+	})
+	daemons = newReplicaSet(t, nw, 2, Config{RequestTimeout: 5 * time.Second},
+		func(string) *http.Client { return &http.Client{Transport: stub} })
+	primary, replica := daemons[0], daemons[1]
+
+	resp, _, bad := postMutate(t, primary.ts.URL, MutateRequest{
+		Graph: "live", Ops: addVertexOps(nw, nw.Graph.N()),
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutate: status %d (%s)", resp.StatusCode, bad.Error)
+	}
+	waitPosition(t, replica, primary.log.Position())
+	if got := pushes.Load(); got != 2 {
+		t.Fatalf("%d pushes reached the replica's address, want the refused one and its re-ship", got)
 	}
 }
 
