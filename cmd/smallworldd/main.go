@@ -34,7 +34,8 @@
 // Cluster mode (-shard) turns the daemon into one Morton shard of a
 // cluster: it owns the vertices whose deep Morton code starts with the
 // given binary prefix, answers shard-local greedy walks itself, and
-// forwards continuations to the owning peers over POST /cluster/hop.
+// forwards continuations to the owning peers as frames on persistent hop
+// streams (upgraded from POST /cluster/hop on the peer's own listener).
 // Membership converges by gossip (-peers seeds it); a dead shard degrades
 // its own vertices to fast classified shard-unreachable failures while
 // every other route keeps working:
@@ -360,6 +361,9 @@ func run(args []string, ready chan<- string) error {
 	if err := srv.Drain(dctx); err != nil {
 		logger.Warn("shutdown drain incomplete", "err", err)
 	}
+	// Hop streams are hijacked connections: drained of work by now, they
+	// would otherwise sit open until the process exits.
+	srv.Close()
 	if err := hs.Shutdown(dctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}

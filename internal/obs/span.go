@@ -25,9 +25,10 @@ const (
 	// SpanRequest is the root span of a trace on its entry daemon: the whole
 	// server-side handling of one routed query.
 	SpanRequest = "request"
-	// SpanHop is the root span a *forwarding* daemon records for each
-	// /cluster/hop (or /cluster/replicate, /cluster/segment) it serves; its
-	// parent is the caller's forward_rpc span on another daemon.
+	// SpanHop is the root span a *forwarding* daemon records for each hop
+	// (a frame on a hop stream, or a JSON POST /cluster/hop; likewise each
+	// /cluster/replicate and /cluster/segment) it serves; its parent is the
+	// caller's forward_rpc span on another daemon.
 	SpanHop = "hop"
 	// SpanQueueWait is time spent in the admission pool before a worker slot
 	// was acquired.
@@ -40,8 +41,8 @@ const (
 	// SpanLocalRoute is one engine episode (or partial CSR segment) executed
 	// on the local shard.
 	SpanLocalRoute = "local_route"
-	// SpanForwardRPC is one POST /cluster/hop (or replicate/segment ship)
-	// round trip to a peer, named in Peer.
+	// SpanForwardRPC is one hop-frame round trip on a hop stream (or one
+	// replicate/segment ship over HTTP) to a peer, named in Peer.
 	SpanForwardRPC = "forward_rpc"
 	// SpanHedgeWait is the armed hedge delay: from the primary forward's
 	// launch until the hedged attempt fired.
@@ -81,9 +82,10 @@ type PhaseSpan struct {
 	Err string `json:"err,omitempty"`
 }
 
-// TraceHeader is the header that propagates trace context on cluster RPCs
-// (POST /cluster/hop, /cluster/replicate, /cluster/segment), spelled like
-// W3C trace-context so standard tooling recognizes the shape.
+// TraceHeader is the header that propagates trace context on the cluster's
+// HTTP RPCs (the JSON POST /cluster/hop, /cluster/replicate,
+// /cluster/segment), spelled like W3C trace-context so standard tooling
+// recognizes the shape; a hop frame carries the same value as a field.
 const TraceHeader = "Traceparent"
 
 // FormatTraceparent encodes (trace, parent span) as a W3C-style

@@ -180,7 +180,8 @@ type BatchItemResult struct {
 	Timings *Timings `json:"timings,omitempty"`
 }
 
-// HopRequest is the body of POST /cluster/hop: a shard daemon hands the
+// HopRequest is one hop — the body of a JSON POST /cluster/hop, and what a
+// request frame on a hop stream carries (hopwire.go): a shard daemon hands the
 // continuation of a greedy walk to the peer owning the vertex the walk
 // stepped onto. The receiver routes its own segment and forwards again if
 // the walk crosses out of its shard, so the response always describes the
@@ -194,7 +195,9 @@ type HopRequest struct {
 	S int `json:"s"`
 	T int `json:"t"`
 	// DeadlineMs is the sender's remaining request budget; the receiver
-	// routes under min(DeadlineMs, its own RequestTimeout).
+	// routes under min(DeadlineMs, its own RequestTimeout). 0 is "none": a
+	// frame carries the budget in µs instead, so a remainder under 1 ms
+	// cannot read as none.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 	// Depth counts hop forwards so far; past the cap the chain is cut off as
 	// a truncated episode instead of looping forever.

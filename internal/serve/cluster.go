@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,7 +18,8 @@ import (
 // This file is the cluster half of the serving layer: when EnableCluster
 // installs a shard map, eligible /route queries run the partial greedy
 // router over the local shard and forward the continuation to the owning
-// peer over POST /cluster/hop. Forwarding reuses the daemon's resilience
+// peer as one frame on a persistent hop stream (hopwire.go; the stream is an
+// upgrade of POST /cluster/hop). Forwarding reuses the daemon's resilience
 // vocabulary — a circuit breaker per (peer, graph), the RetryPolicy's
 // backoff, the request deadline — and a forward that cannot be completed
 // comes back as the classified shard-unreachable failure, never a hang:
@@ -39,8 +39,9 @@ const maxHopDepth = 16
 type peerKey struct{ peer, graph string }
 
 // EnableCluster installs the shard map and starts answering /cluster/hop
-// and /cluster/gossip. client carries hop forwards and may be nil (a
-// default client; per-request deadlines bound every call). Call before
+// and /cluster/gossip. client carries the cluster's HTTP calls — journal
+// ships, segment pulls, metrics federation; hops ride their own streams —
+// and may be nil (a default client; deadlines bound every call). Call before
 // serving — the field is not synchronized against in-flight requests.
 func (s *Server) EnableCluster(node *cluster.Node, client *http.Client) {
 	if client == nil {
@@ -245,44 +246,44 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 	}
 }
 
-// postResult is one replica attempt's answer, tagged with its candidate
-// index and the round-trip wall time.
-type postResult struct {
+// hopAttempt is one launched attempt of a failover pass: what the pass keeps
+// about it, then the answer and the round-trip wall time.
+type hopAttempt struct {
 	idx    int
+	spanID string
+	start  time.Time
+	cancel context.CancelFunc
+	ended  bool
+
 	resp   HopResponse
 	status int
 	err    error
 	dur    time.Duration
 }
 
-// tryReplicas runs one failover pass over the candidate replicas: post to
-// the first, hedge onto the second after the deterministic delay, fail over
-// to the next on observed failure, first 200 wins. retryable reports
-// whether at least one failure was transient (transport error or 5xx) — a
-// pure-4xx pass will not improve on retry.
+// tryReplicas runs one failover pass over the candidate replicas: try the
+// first, hedge onto the second after the deterministic delay, fail over to
+// the next on observed failure, first 200 wins. retryable reports whether at
+// least one failure was transient (transport error or 5xx) — a pure-4xx pass
+// will not improve on retry.
+//
+// Every attempt is one hopRPC on a goroutine and a context of its own, so
+// that a hedge can race it; the losers of a won race are cancelled and record
+// nothing (slow is not a strike).
 //
 // Tracing: each launched attempt gets a forward_rpc span whose id is
 // allocated serially in the select loop (deterministic despite racing RPCs)
-// and rides the Traceparent header, so the receiving daemon's hop root
+// and rides the frame as the traceparent, so the receiving daemon's hop root
 // parents onto it. A cancelled loser still publishes its span (err
-// "cancelled") — the peer may have served the hop and recorded children
-// under that id, and a published parent is what keeps stitched trees free of
-// orphans.
+// "cancelled") — the peer may have served the hop and recorded children under
+// that id, and a published parent keeps stitched trees free of orphans.
 func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int, deadline time.Time, depth int, cands []cluster.Peer, stats *hopStats, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
 	logger := obs.Logger(ctx)
 	node := s.clusterNode
-	req := HopRequest{
-		Graph: graphName,
-		S:     from, T: t,
-		DeadlineMs: time.Until(deadline).Milliseconds(),
-		Depth:      depth,
-	}
+	req := HopRequest{Graph: graphName, S: from, T: t, Depth: depth}
 
-	results := make(chan postResult, len(cands))
-	cancels := make([]context.CancelFunc, len(cands))
-	spanIDs := make([]string, len(cands))
-	starts := make([]time.Time, len(cands))
-	ended := make([]bool, len(cands))
+	results := make(chan *hopAttempt, len(cands))
+	atts := make([]hopAttempt, len(cands))
 	passStart := time.Now()
 	// The forward_rpc span label, built only when spans are recorded: rt's
 	// methods are nil-safe, but their arguments are evaluated before the call.
@@ -294,31 +295,30 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 		// Cancel whatever is still in flight — the losers of a won race.
 		// Their goroutines drain into the buffered channel and their
 		// cancellation errors are never recorded against breaker or
-		// membership: being slower than the winner is not a failure. Their
-		// spans are published as cancelled so downstream hop spans keep a
-		// recorded parent.
-		for i, cancel := range cancels {
-			if cancel != nil {
-				cancel()
-				if !ended[i] {
-					rt.end(spanIDs[i], obs.SpanForwardRPC, starts[i], time.Since(starts[i]),
-						cands[i].ID, label, "cancelled")
+		// membership. Their spans are published as cancelled so downstream
+		// hop spans keep a recorded parent.
+		for i := range atts {
+			a := &atts[i]
+			if a.cancel != nil {
+				a.cancel()
+				if !a.ended {
+					rt.end(a.spanID, obs.SpanForwardRPC, a.start, time.Since(a.start), cands[i].ID, label, "cancelled")
 				}
 			}
 		}
 	}()
 	hedgedIdx := -1 // candidate index launched by the hedge timer
 	launch := func(i int) {
-		actx, cancel := context.WithCancel(ctx)
-		cancels[i] = cancel
-		spanIDs[i] = rt.allocID()
-		starts[i] = time.Now()
-		tp := rt.traceparent(spanIDs[i])
+		a := &atts[i]
+		var actx context.Context
+		actx, a.cancel = context.WithCancel(ctx)
+		a.idx, a.spanID, a.start = i, rt.allocID(), time.Now()
+		tp := rt.traceparent(a.spanID)
 		s.forwards.Add(1)
 		go func() {
-			t0 := time.Now()
-			resp, status, err := s.postHop(actx, cands[i], req, deadline, tp)
-			results <- postResult{i, resp, status, err, time.Since(t0)}
+			a.resp, a.status, a.err = s.hopRPC(actx, cands[i].ID, req, deadline, tp)
+			a.dur = time.Since(a.start)
+			results <- a
 		}()
 	}
 
@@ -354,46 +354,43 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 				next++
 				pending++
 			}
-		case r := <-results:
+		case a := <-results:
 			pending--
-			peer := cands[r.idx]
+			peer := cands[a.idx]
 			pb := s.peerBreaker(peer.ID, graphName)
-			s.phaseLat[phaseForward].Record(r.dur)
-			if r.err == nil && r.status == http.StatusOK {
-				ended[r.idx] = true
-				rt.end(spanIDs[r.idx], obs.SpanForwardRPC, starts[r.idx], r.dur,
-					peer.ID, label, "")
+			s.phaseLat[phaseForward].Record(a.dur)
+			a.ended = true
+			if a.err == nil && a.status == http.StatusOK {
+				rt.end(a.spanID, obs.SpanForwardRPC, a.start, a.dur, peer.ID, label, "")
 				pb.Record(false)
 				node.Members().ReportSuccess(peer.ID)
 				switch {
-				case r.idx == hedgedIdx:
+				case a.idx == hedgedIdx:
 					s.hedgeWins.Add(1)
-					s.hedgeWinLat.Record(r.dur)
-				case r.idx > 0:
+					s.hedgeWinLat.Record(a.dur)
+				case a.idx > 0:
 					stats.failovers++
 					s.failovers.Add(1)
 					s.failoverLat.Record(time.Since(passStart))
 				}
-				return r.resp, false, true
+				return a.resp, false, true
 			}
 			s.forwardFails.Add(1)
 			pb.Record(true)
 			node.Members().ReportFailure(peer.ID)
 			var errMsg string
-			if r.err != nil {
+			if a.err != nil {
 				retryable = true
-				errMsg = r.err.Error()
-				logger.Warn("forward failed", "peer", peer.ID, "err", r.err)
+				errMsg = a.err.Error()
+				logger.Warn("forward failed", "peer", peer.ID, "err", a.err)
 			} else {
-				errMsg = fmt.Sprintf("status %d", r.status)
-				logger.Warn("forward failed", "peer", peer.ID, "status", r.status)
-				if r.status < 400 || r.status >= 500 {
+				errMsg = fmt.Sprintf("status %d", a.status)
+				logger.Warn("forward failed", "peer", peer.ID, "status", a.status)
+				if a.status < 400 || a.status >= 500 {
 					retryable = true
 				}
 			}
-			ended[r.idx] = true
-			rt.end(spanIDs[r.idx], obs.SpanForwardRPC, starts[r.idx], r.dur,
-				peer.ID, label, errMsg)
+			rt.end(a.spanID, obs.SpanForwardRPC, a.start, a.dur, peer.ID, label, errMsg)
 			if next < len(cands) {
 				launch(next)
 				next++
@@ -404,144 +401,109 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 	return HopResponse{}, retryable, false
 }
 
-// postHop is one POST /cluster/hop round trip, bounded by the request
-// deadline and carrying the request id across the hop (satellite of the
-// observability story: one id labels the episode on every shard it
-// touches). tp, when non-empty, is the Traceparent header value naming the
-// sender's forward_rpc span, so the receiver's spans parent onto it.
-func (s *Server) postHop(ctx context.Context, peer cluster.Peer, req HopRequest, deadline time.Time, tp string) (HopResponse, int, error) {
-	var resp HopResponse
-	body, err := json.Marshal(req)
-	if err != nil {
-		return resp, 0, err
+// handleClusterHop serves POST /cluster/hop. With Upgrade: smallworld-hop/1
+// the connection becomes a hop stream (serveHopStream) — what peers use.
+// Without it, it is the JSON front-end of serveHop: one HopRequest body, one
+// HopResponse, the documented contract and the reference the frame codec is
+// tested against.
+func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case s.clusterNode == nil:
+		writeError(w, http.StatusNotFound, 0, "not clustered")
+	case r.Method != http.MethodPost:
+		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
+	case r.Header.Get("Upgrade") == hopProto:
+		s.serveHopStream(w, r)
+	default:
+		var req HopRequest
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+			return
+		}
+		es := episodePool.Get().(*episodeState)
+		defer episodePool.Put(es)
+		budget := time.Duration(req.DeadlineMs) * time.Millisecond
+		resp, status, msg := s.serveHop(r.Context(), req, budget, r.Header.Get(obs.TraceHeader), es)
+		switch status {
+		case http.StatusOK:
+			writeJSON(w, status, resp)
+		case http.StatusServiceUnavailable:
+			writeError(w, status, s.cfg.RetryAfter, "%s", msg)
+		default:
+			writeError(w, status, 0, "%s", msg)
+		}
 	}
-	hctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(hctx, http.MethodPost,
-		"http://"+peer.ID+"/cluster/hop", bytes.NewReader(body))
-	if err != nil {
-		return resp, 0, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if id := obs.RequestID(ctx); id != "" {
-		hreq.Header.Set("X-Request-ID", id)
-	}
-	if tp != "" {
-		hreq.Header.Set(obs.TraceHeader, tp)
-	}
-	hresp, err := s.clusterClient.Do(hreq)
-	if err != nil {
-		return resp, 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<16))
-		hresp.Body.Close()
-	}()
-	if hresp.StatusCode != http.StatusOK {
-		return resp, hresp.StatusCode, nil
-	}
-	if err := json.NewDecoder(io.LimitReader(hresp.Body, 8<<20)).Decode(&resp); err != nil {
-		return resp, hresp.StatusCode, err
-	}
-	return resp, hresp.StatusCode, nil
 }
 
-// handleClusterHop serves POST /cluster/hop: route the continuation of a
-// peer's greedy walk over the local shard, forwarding again if it crosses
-// out. Hops bypass the admission pool — they are the continuation of a
-// request already admitted at the entry daemon, and waiting for a slot here
-// could deadlock two shards forwarding into each other — but they respect
-// draining. Any classified outcome is 200; the entry daemon records the
-// episode, so this handler touches no engine counters.
-func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
-	logger := obs.Logger(r.Context())
-	node := s.clusterNode
-	if node == nil {
-		writeError(w, http.StatusNotFound, 0, "not clustered")
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
-		return
-	}
+// serveHop answers one hop, whichever front-end it arrived on: route the
+// continuation of a peer's greedy walk over the local shard into es,
+// forwarding again if it crosses out. budget is the sender's remaining
+// request budget (0 = none; the hop routes under min(budget, RequestTimeout))
+// and tp its traceparent. Hops bypass the admission pool — they are the
+// continuation of a request already admitted at the entry daemon, and waiting
+// for a slot here could deadlock two shards forwarding into each other — but
+// they respect draining. Any classified outcome is 200, with resp.Path
+// aliasing es; any other status comes with its error text. The entry daemon
+// records the episode, so this touches no engine counters.
+func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Duration, tp string, es *episodeState) (resp HopResponse, status int, msg string) {
+	logger := obs.Logger(ctx)
 	if !s.beginRequest() {
-		writeError(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "server draining")
-		return
+		return resp, http.StatusServiceUnavailable, "server draining"
 	}
 	defer s.inflight.Done()
-
-	var req HopRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
-		return
-	}
 	graphName := req.Graph
 	if graphName == "" {
 		graphName = DefaultGraph
 	}
 	nw, ok := s.Network(graphName)
-	if !ok {
-		writeError(w, http.StatusNotFound, 0, "unknown graph %q", graphName)
-		return
-	}
-	if nw.Graph != node.Graph() {
-		writeError(w, http.StatusConflict, 0, "graph %q is not the clustered snapshot", graphName)
-		return
-	}
-	if nw.LiveOverlay() != nil {
-		writeError(w, http.StatusConflict, 0, "graph %q carries a live overlay; hops route over the immutable base only", graphName)
-		return
-	}
-	if req.S < 0 || req.S >= nw.Graph.N() || req.T < 0 || req.T >= nw.Graph.N() {
-		writeError(w, http.StatusBadRequest, 0, "vertex pair (%d, %d) out of range (n = %d)",
-			req.S, req.T, nw.Graph.N())
-		return
+	switch {
+	case !ok:
+		return resp, http.StatusNotFound, fmt.Sprintf("unknown graph %q", graphName)
+	case nw.Graph != s.clusterNode.Graph():
+		return resp, http.StatusConflict, fmt.Sprintf("graph %q is not the clustered snapshot", graphName)
+	case nw.LiveOverlay() != nil:
+		return resp, http.StatusConflict, fmt.Sprintf("graph %q carries a live overlay; hops route over the immutable base only", graphName)
+	case req.S < 0 || req.S >= nw.Graph.N() || req.T < 0 || req.T >= nw.Graph.N():
+		return resp, http.StatusBadRequest, fmt.Sprintf("vertex pair (%d, %d) out of range (n = %d)", req.S, req.T, nw.Graph.N())
 	}
 	s.hopsServed.Add(1)
 
 	// The forwarding daemon records its own side of the trace: a hop root
-	// parented on the caller's forward_rpc span (adopted from Traceparent),
-	// with this shard's local segment and onward forwards as children —
-	// without it, stitched trees would show the entry daemon only.
-	rt := s.startHopTrace(r, "")
+	// parented on the caller's forward_rpc span (adopted from the
+	// traceparent), with this shard's local segment and onward forwards as
+	// children — without it, stitched trees would show the entry daemon only.
+	rt := s.startHopTrace(tp, "")
 	if rt != nil {
 		rt.rootDetail = fmt.Sprintf("depth=%d", req.Depth)
 	}
 	defer func() { rt.finish("") }()
 
 	deadline := time.Now().Add(s.cfg.RequestTimeout)
-	if req.DeadlineMs > 0 {
-		if d := time.Now().Add(time.Duration(req.DeadlineMs) * time.Millisecond); d.Before(deadline) {
+	if budget > 0 {
+		if d := time.Now().Add(budget); d.Before(deadline) {
 			deadline = d
 		}
 	}
+	res := &es.out
 	if req.Depth > maxHopDepth {
 		rt.finish("truncated")
 		logger.Warn("hop chain truncated", "depth", req.Depth, "s", req.S, "t", req.T)
-		writeJSON(w, http.StatusOK, HopResponse{
-			Failure: string(route.FailTruncated),
-			Stuck:   -1,
-			Path:    []int{req.S},
-		})
-		return
+		res.Path = append(res.Path[:0], req.S)
+		return HopResponse{Failure: string(route.FailTruncated), Stuck: -1, Path: res.Path}, http.StatusOK, ""
 	}
 
-	es := episodePool.Get().(*episodeState)
-	defer episodePool.Put(es)
 	// The hop's Timings stay local: HopResponse carries no attribution (the
 	// entry daemon owns the merged episode), but the per-phase histograms and
 	// spans still need the accumulator the segment threads through.
-	fwd := s.routeSegment(r.Context(), graphName, req.S, req.T, deadline, req.Depth+1, es, rt, &Timings{})
-	res := &es.out
-	resp := HopResponse{Forwards: fwd.forwards, Hedges: fwd.hedges, Failovers: fwd.failovers}
-	resp.Success = res.Success
-	resp.Failure = string(res.Failure)
-	resp.Stuck = res.Stuck
-	resp.Moves = res.Moves
-	resp.Path = append([]int(nil), res.Path...)
+	fwd := s.routeSegment(ctx, graphName, req.S, req.T, deadline, req.Depth+1, es, rt, &Timings{})
+	resp = HopResponse{
+		Success: res.Success, Failure: string(res.Failure), Stuck: res.Stuck,
+		Path: res.Path, Moves: res.Moves,
+		Forwards: fwd.forwards, Hedges: fwd.hedges, Failovers: fwd.failovers,
+	}
 	logger.Debug("hop served", "s", req.S, "t", req.T, "depth", req.Depth,
 		"success", resp.Success, "failure", resp.Failure, "forwards", resp.Forwards)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, http.StatusOK, ""
 }
 
 // handleClusterGossip serves POST /cluster/gossip: merge the sender and its
@@ -591,6 +553,14 @@ func (s *Server) writeClusterMetrics(p *obs.PromWriter) {
 	s.hedgeWinLat.WriteHistogramSamples(p, "smallworld_cluster_hedge_win_latency_seconds", nil)
 	p.Family("smallworld_cluster_failover_latency_seconds", "histogram", "Time from a forward pass's first attempt to a success at a non-first-choice replica.")
 	s.failoverLat.WriteHistogramSamples(p, "smallworld_cluster_failover_latency_seconds", nil)
+	s.hopMu.Lock()
+	in := len(s.hopIn)
+	s.hopMu.Unlock()
+	p.Family("smallworld_cluster_hop_streams", "gauge", "Open hop streams: accepted (in) and dialled, idle or in use (out).")
+	p.SampleInt("smallworld_cluster_hop_streams", []obs.Label{{Name: "dir", Value: "in"}}, int64(in))
+	p.SampleInt("smallworld_cluster_hop_streams", []obs.Label{{Name: "dir", Value: "out"}}, s.hopStreamsOut.Load())
+	p.Family("smallworld_cluster_hop_redials_total", "counter", "Forwards retried on a fresh dial because the reused stream was stale.")
+	p.SampleInt("smallworld_cluster_hop_redials_total", nil, s.hopRedials.Load())
 
 	counts := node.Members().CountByState()
 	p.Family("smallworld_cluster_peers", "gauge", "Known peers by failure-detector state.")

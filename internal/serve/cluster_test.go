@@ -27,6 +27,13 @@ type shardDaemon struct {
 	addr string
 }
 
+// kill takes the daemon down the way a dead process goes: the listener and
+// every connection, hop streams included.
+func (d *shardDaemon) kill() {
+	d.ts.Close()
+	d.srv.Close()
+}
+
 // newTestCluster spins up one httptest daemon per shard spec over a shared
 // snapshot, with full static membership (no gossip loop — membership state
 // is driven by forward successes/failures, deterministically).
@@ -44,6 +51,7 @@ func newTestCluster(t *testing.T, nw *core.Network, specs []string, cfg Config, 
 		srv.AddNetwork(DefaultGraph, nw)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
+		t.Cleanup(srv.Close) // httptest's Close does not see hijacked hop streams
 		addr := strings.TrimPrefix(ts.URL, "http://")
 		node, err := cluster.NewNode(nw.Graph, p, addr, mcfg)
 		if err != nil {
@@ -167,7 +175,7 @@ func TestClusterChaos(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				if w == 0 && i == perWorker/3 {
-					killOnce.Do(victim.ts.Close) // the shard dies mid-load
+					killOnce.Do(victim.kill) // the shard dies mid-load
 				}
 				s := (w*perWorker + i*7919) % n
 				tt := (i*104729 + w + 1) % n

@@ -38,6 +38,7 @@ func newReplicatedCluster(t *testing.T, nw *core.Network, specs []replicaSpec, c
 		srv.AddNetwork(DefaultGraph, nw)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
+		t.Cleanup(srv.Close) // httptest's Close does not see hijacked hop streams
 		addr := strings.TrimPrefix(ts.URL, "http://")
 		mc := mcfg
 		mc.Replica = spec.replica

@@ -78,7 +78,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	}
 	// Adopt the shipper's trace context: the import shows up as a hop root
 	// under its replicate forward_rpc span.
-	rt := s.startHopTrace(r, "replicate")
+	rt := s.startHopTrace(r.Header.Get(obs.TraceHeader), "replicate")
 	defer func() { rt.finish("") }()
 	var req ReplicateRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxReplicateBody)).Decode(&req); err != nil {
@@ -143,7 +143,7 @@ func (s *Server) handleClusterSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	// Adopt the puller's trace context: the export shows up as a hop root
 	// under its segment forward_rpc span.
-	rt := s.startHopTrace(r, "segment")
+	rt := s.startHopTrace(r.Header.Get(obs.TraceHeader), "segment")
 	defer func() { rt.finish("") }()
 	var req SegmentRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {

@@ -47,6 +47,7 @@ func newReplicaSet(t *testing.T, nw *core.Network, k int, cfg Config, clientFor 
 		srv.AddNetwork(DefaultGraph, nw)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
+		t.Cleanup(srv.Close) // httptest's Close does not see hijacked hop streams
 		addr := strings.TrimPrefix(ts.URL, "http://")
 		node, err := cluster.NewNode(nw.Graph, prefix, addr, cluster.Config{Seed: 1, Replica: i})
 		if err != nil {

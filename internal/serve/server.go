@@ -31,6 +31,7 @@ import (
 	"expvar"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -170,6 +171,18 @@ type Server struct {
 	// fire the hedge deterministically; production wraps time.NewTimer.
 	hedgeTimer func(d time.Duration) (<-chan time.Time, func())
 
+	// Hop streams (hopwire.go). hopMu guards the per-peer stacks of idle
+	// dialled streams, the accepted connections and hopClosed; hopServers is
+	// the *http.Servers Close is registered with; hopStreamsOut counts
+	// dialled streams, idle or checked out.
+	hopMu         sync.Mutex
+	hopIdle       map[string][]*hopStream
+	hopIn         map[net.Conn]struct{}
+	hopClosed     bool
+	hopServers    sync.Map
+	hopStreamsOut atomic.Int64
+	hopRedials    atomic.Int64
+
 	// Replication counters (journal shipping + anti-entropy; only move when
 	// a mutation log and cluster mode are both enabled).
 	shippedBatches  atomic.Int64
@@ -252,6 +265,8 @@ func New(cfg Config) *Server {
 		pool:         NewPool(c.Workers, c.QueueDepth),
 		breakers:     map[string]*Breaker{},
 		peerBreakers: map[peerKey]*Breaker{},
+		hopIdle:      map[string][]*hopStream{},
+		hopIn:        map[net.Conn]struct{}{},
 		logger:       logger,
 		tracer:       c.Tracer,
 		spans:        c.Spans,
@@ -424,15 +439,20 @@ func (s *Server) Handler() http.Handler {
 // hop, so one grep over all shards' logs reconstructs the whole walk.
 func (s *Server) withRequestID(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get("X-Request-ID"))
-		if id == "" {
-			_, id = s.rids.Next()
-		}
+		ctx, id := s.requestScope(r.Context(), r.Header.Get("X-Request-ID"))
 		w.Header().Set("X-Request-ID", id)
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = obs.WithLogger(ctx, s.logger.With("request_id", id))
 		h.ServeHTTP(w, r.WithContext(ctx))
 	})
+}
+
+// requestScope labels ctx with the request id — the presented one when it is
+// sane, a minted one otherwise — and the logger that carries it.
+func (s *Server) requestScope(ctx context.Context, id string) (context.Context, string) {
+	if id = sanitizeRequestID(id); id == "" {
+		_, id = s.rids.Next()
+	}
+	ctx = obs.WithRequestID(ctx, id)
+	return obs.WithLogger(ctx, s.logger.With("request_id", id)), id
 }
 
 // sanitizeRequestID vets an incoming X-Request-ID for adoption: at most 64

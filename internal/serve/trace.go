@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/http"
 	"time"
 
 	"repro/internal/obs"
@@ -18,9 +17,10 @@ import (
 //	                 the trace id are pure hashes of (seed, sequence), so two
 //	                 identical runs trace identical requests with identical
 //	                 ids at any GOMAXPROCS.
-//	startHopTrace    POST /cluster/hop, /cluster/replicate, /cluster/segment —
-//	                 adopt-only: the caller's Traceparent header carries the
-//	                 trace id and the parent span; no header, no spans. The
+//	startHopTrace    a hop (frame or JSON), /cluster/replicate, /cluster/segment —
+//	                 adopt-only: the caller's traceparent (a frame field for
+//	                 hops, the Traceparent header otherwise) carries the trace
+//	                 id and the parent span; no traceparent, no spans. The
 //	                 entry daemon's sampling decision therefore propagates
 //	                 across the whole hop chain.
 //	startLocalTrace  work the daemon starts on its own behalf (anti-entropy
@@ -87,13 +87,13 @@ func (s *Server) startEntryTrace() *reqTrace {
 }
 
 // startHopTrace adopts the trace context a cluster RPC arrived with; nil when
-// tracing is off or the caller sent no (or a malformed) Traceparent header —
-// a bad header never fails the RPC, the hop just goes unrecorded.
-func (s *Server) startHopTrace(r *http.Request, detail string) *reqTrace {
+// tracing is off or the caller sent no (or a malformed) traceparent tp — a
+// bad one never fails the RPC, the hop just goes unrecorded.
+func (s *Server) startHopTrace(tp, detail string) *reqTrace {
 	if s.spans == nil {
 		return nil
 	}
-	trace, parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader))
+	trace, parent, ok := obs.ParseTraceparent(tp)
 	if !ok {
 		return nil
 	}
