@@ -1,8 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -142,5 +145,38 @@ func TestRunCheckpointResume(t *testing.T) {
 		return run(append([]string{"-checkpoint", dir, "-resume"}, other...))
 	}); err == nil {
 		t.Fatal("journal from a different seed accepted")
+	}
+}
+
+// TestSweepGolden is the bit-identity check every engine change used to run
+// by hand against its parent: the whole sweep at scale 0.02, seed 1, as JSON
+// (which carries no timing), hashed and compared with the committed digest
+// at one worker and at eight. A change that means to alter an experiment
+// table regenerates testdata/all_scale002_seed1.sha256 with
+//
+//	go run ./cmd/smallworld -e all -scale 0.02 -seed 1 -format json | sha256sum
+//
+// and says so.
+func TestSweepGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	raw, err := os.ReadFile("testdata/all_scale002_seed1.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(raw))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-e", "all", "-scale", "0.02", "-seed", "1", "-format", "json"})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+			t.Errorf("GOMAXPROCS %d: sweep output hashes to %s, want %s", procs, got, want)
+		}
 	}
 }

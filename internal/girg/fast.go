@@ -44,10 +44,19 @@ func FastSamplerKernel(p Params, kernel EdgeKernel, vs *Vertices, rng *xrand.RNG
 		params: p,
 		kernel: kernel,
 		vs:     vs,
+		raw:    vs.Pos.Raw(),
 		space:  space,
 		rng:    rng,
 		b:      b,
 		dim:    space.Dim(),
+	}
+	// The model's own kernel is called directly, and on the default geometry
+	// with every coordinate a number in [0, 1) pairs read their distance off
+	// the raw store; any other kernel, space or store takes the general calls.
+	s.girg, s.isGIRG = kernel.(Kernel)
+	s.unit2 = s.dim == 2 && space.Norm() == torus.MaxNorm && space.Geometry() == torus.Torus
+	for k := 0; s.unit2 && k < len(s.raw); k++ {
+		s.unit2 = s.raw[k] >= 0 && s.raw[k] < 1 // false for NaN
 	}
 	s.deepLevel = deepLevel(space, n)
 	s.buildLayers()
@@ -77,12 +86,21 @@ type fastLayer struct {
 	wUpper float64 // exclusive upper bound on weights in the layer
 	ids    []int32
 	codes  []uint64 // Morton codes at deepLevel, sorted; parallel to ids
+	// starts[l][c] is the index of the first vertex in cell c of level l or
+	// beyond, with one entry past the last cell. Kept for the levels from 0
+	// up that have at most 4 cells per vertex of the layer: under 6 entries
+	// per vertex over all levels, dropped with the sampler's state.
+	starts [][]int32
 }
 
 type fastState struct {
 	params    Params
 	kernel    EdgeKernel
+	girg      Kernel // kernel's concrete value when isGIRG
+	isGIRG    bool
 	vs        *Vertices
+	raw       []float64 // vs.Pos.Raw()
+	unit2     bool      // dim-2 max-norm torus, every coordinate in [0, 1)
 	space     torus.Space
 	rng       *xrand.RNG
 	b         *graph.Builder
@@ -90,8 +108,8 @@ type fastState struct {
 	deepLevel int
 	layers    []fastLayer
 
-	nbrBuf  []uint64 // scratch for neighbor cell enumeration
-	typeIIB []uint64 // scratch for type-II partner enumeration
+	cells []uint64 // scratch: partner cells of the current cell
+	gaps  []uint32 // scratch: their gaps to it (type II)
 }
 
 func (s *fastState) buildLayers() {
@@ -125,7 +143,12 @@ func (s *fastState) buildLayers() {
 		for k, id := range lay.ids {
 			lay.codes[k] = s.space.Encode(s.vs.Pos.At(int(id)), s.deepLevel)
 		}
+		// The order sort.Sort leaves equal codes in is part of the sampled
+		// stream: another sort would draw another graph.
 		sort.Sort(byCode{lay})
+		for l := 0; l <= s.deepLevel && uint64(1)<<uint(s.dim*l) <= uint64(4*len(lay.ids)); l++ {
+			lay.starts = append(lay.starts, cellStarts(lay.codes, 1<<uint(s.dim*l), uint(s.dim*(s.deepLevel-l))))
+		}
 	}
 }
 
@@ -139,15 +162,51 @@ func (b byCode) Swap(i, j int) {
 	b.l.codes[i], b.l.codes[j] = b.l.codes[j], b.l.codes[i]
 }
 
+// cellStarts builds one level's table of fastLayer.starts from the sorted
+// deep codes: shift takes a deep code to its cell at that level.
+func cellStarts(codes []uint64, cells int, shift uint) []int32 {
+	t := make([]int32, cells+1)
+	c := 0
+	for k, code := range codes {
+		for ; c <= int(code>>shift); c++ {
+			t[c] = int32(k)
+		}
+	}
+	for ; c <= cells; c++ {
+		t[c] = int32(len(codes))
+	}
+	return t
+}
+
 // cellRange returns the [lo, hi) index range of the layer's vertices lying
-// in cell `cell` at the given level.
-func (l *fastLayer) cellRange(cell uint64, level, deepLevel, dim int) (lo, hi int) {
-	shift := uint(dim * (deepLevel - level))
-	loCode := cell << shift
-	hiCode := (cell + 1) << shift
-	lo = sort.Search(len(l.codes), func(i int) bool { return l.codes[i] >= loCode })
-	hi = sort.Search(len(l.codes), func(i int) bool { return l.codes[i] >= hiCode })
+// in cell `cell` at the given level. A level past the tables reads the range
+// of the cell's ancestor at the deepest tabled level — a vertex or so — and
+// bisects the codes inside it; dim*(deepLevel-level) is shift.
+func (l *fastLayer) cellRange(cell uint64, level, dim int, shift uint) (lo, hi int) {
+	up := uint(0)
+	if tabled := len(l.starts) - 1; level > tabled {
+		up, level = uint(dim*(level-tabled)), tabled
+	}
+	t := l.starts[level]
+	lo, hi = int(t[cell>>up]), int(t[cell>>up+1])
+	if up != 0 {
+		lo = lowerBound(l.codes, lo, hi, cell<<shift)
+		hi = lowerBound(l.codes, lo, hi, (cell+1)<<shift)
+	}
 	return lo, hi
+}
+
+// lowerBound returns the first index in [lo, hi) whose code is >= target,
+// or hi.
+func lowerBound(codes []uint64, lo, hi int, target uint64) int {
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); codes[m] < target {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // compLevel returns the comparison level for a saturation volume satPow
@@ -170,6 +229,12 @@ func (s *fastState) compLevel(satPow float64) int {
 	return l
 }
 
+// sampleLayerPair draws the edges between layers i and j. The random stream
+// is consumed in the order of its visits — type I at the comparison level,
+// then type II level by level; within a level the cells of layer i in Morton
+// order, their partner cells in the order torus enumerates them, the vertex
+// pairs of a cell pair row by row — and every pinned fingerprint rests on
+// that order.
 func (s *fastState) sampleLayerPair(i, j int) {
 	li, lj := &s.layers[i], &s.layers[j]
 	if len(li.ids) == 0 || len(lj.ids) == 0 {
@@ -177,152 +242,91 @@ func (s *fastState) sampleLayerPair(i, j int) {
 	}
 	satPow := s.kernel.SaturationDistPow(li.wUpper * lj.wUpper)
 	lvl := s.compLevel(satPow)
-
 	// Type I: identical or adjacent cells at the comparison level.
-	s.forEachNonemptyCell(li, lvl, func(cellA uint64, aLo, aHi int) {
-		s.nbrBuf = s.space.NeighborCells(cellA, lvl, s.nbrBuf[:0])
-		for _, cellB := range s.nbrBuf {
-			if i == j && cellB < cellA {
-				continue // unordered cell pair within one layer
+	s.sampleLevel(li, lj, lvl, false)
+	// Type II: cell pairs that first become non-adjacent at level l2 <= lvl
+	// (non-adjacent cells with adjacent parents).
+	for l2 := 1; l2 <= lvl; l2++ {
+		s.sampleLevel(li, lj, l2, true)
+	}
+}
+
+// sampleLevel visits, for every cell A the vertices of li occupy at the
+// given level, the cells B of lj around it: the adjacent ones with exact
+// per-pair coins (type I), or the separated ones of torus.SeparatedCells by
+// geometric skipping under the kernel's bound at the cells' minimum distance
+// (type II). Within one layer each unordered cell pair is taken from its
+// lower cell.
+func (s *fastState) sampleLevel(li, lj *fastLayer, level int, separated bool) {
+	shift := uint(s.dim * (s.deepLevel - level))
+	side := float64(uint64(1) << uint(level))
+	for aLo, aHi := 0, 0; aLo < len(li.codes); aLo = aHi {
+		cellA := li.codes[aLo] >> shift
+		_, aHi = li.cellRange(cellA, level, s.dim, shift)
+		if separated {
+			s.cells, s.gaps = s.space.SeparatedCells(cellA, level, s.cells[:0], s.gaps[:0])
+		} else {
+			s.cells = s.space.NeighborCells(cellA, level, s.cells[:0])
+		}
+		for k, cellB := range s.cells {
+			if li == lj && cellB < cellA {
+				continue
 			}
-			bLo, bHi := lj.cellRange(cellB, lvl, s.deepLevel, s.dim)
+			bLo, bHi := lj.cellRange(cellB, level, s.dim, shift)
 			if bLo == bHi {
 				continue
 			}
-			if i == j && cellA == cellB {
-				s.exactPairsSameSlice(li, aLo, aHi)
-			} else {
-				s.exactPairsCross(li, aLo, aHi, lj, bLo, bHi)
+			if !separated {
+				s.exactPairs(li, aLo, aHi, lj, bLo, bHi, li == lj && cellA == cellB)
+				continue
 			}
-		}
-	})
-
-	// Type II: cell pairs that first become non-adjacent at level l2 <= lvl
-	// (non-adjacent cells with adjacent parents).
-	wi, wj := li.wUpper, lj.wUpper
-	for l2 := 1; l2 <= lvl; l2++ {
-		s.forEachNonemptyCell(li, l2, func(cellA uint64, aLo, aHi int) {
-			s.typeIIB = s.typeIIPartners(cellA, l2, s.typeIIB[:0])
-			for _, cellB := range s.typeIIB {
-				if i == j && cellB < cellA {
-					continue
-				}
-				bLo, bHi := lj.cellRange(cellB, l2, s.deepLevel, s.dim)
-				if bLo == bHi {
-					continue
-				}
-				minDist := s.space.CellMinDist(cellA, cellB, l2)
-				pbar := s.kernel.Prob(wi, wj, ipow(minDist, s.dim))
-				if pbar <= 0 {
-					continue
-				}
+			minDist := float64(s.gaps[k]) / side
+			if pbar := s.prob(li.wUpper, lj.wUpper, ipow(minDist, s.dim)); pbar > 0 {
 				s.skipSampling(li, aLo, aHi, lj, bLo, bHi, pbar)
 			}
-		})
-	}
-}
-
-// forEachNonemptyCell walks the distinct cells (at the given level) occupied
-// by the layer's vertices, in Morton order, invoking fn with the cell code
-// and the layer index range of its vertices.
-func (s *fastState) forEachNonemptyCell(l *fastLayer, level int, fn func(cell uint64, lo, hi int)) {
-	shift := uint(s.dim * (s.deepLevel - level))
-	pos := 0
-	for pos < len(l.codes) {
-		cell := l.codes[pos] >> shift
-		hiCode := (cell + 1) << shift
-		end := pos + sort.Search(len(l.codes)-pos, func(k int) bool { return l.codes[pos+k] >= hiCode })
-		fn(cell, pos, end)
-		pos = end
-	}
-}
-
-// typeIIPartners appends the cells B at the given level such that B is not
-// adjacent to cellA but parent(B) is adjacent to parent(A). These are
-// exactly the cell pairs "first separated" at this level; each unordered
-// pair of cells is generated from both endpoints (callers dedupe for the
-// same-layer case).
-func (s *fastState) typeIIPartners(cellA uint64, level int, dst []uint64) []uint64 {
-	side := uint32(1) << uint(level)
-	var coords [torus.MaxDim]uint32
-	s.space.DecodeCoords(cellA, level, coords[:s.dim])
-	parentA := s.space.ParentCell(cellA)
-	// Candidate offsets per axis: within +-3 (children of adjacent parents
-	// can differ by at most 3 per axis).
-	var cand [torus.MaxDim][]uint32
-	var seen [7]uint32
-	for ax := 0; ax < s.dim; ax++ {
-		vals := seen[:0]
-		for off := -3; off <= 3; off++ {
-			c, ok := s.space.OffsetCoord(coords[ax], off, side)
-			if !ok {
-				continue // cube boundary: no cell there
-			}
-			dup := false
-			for _, x := range vals {
-				if x == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				vals = append(vals, c)
-			}
-		}
-		cand[ax] = append([]uint32(nil), vals...)
-	}
-	var cur [torus.MaxDim]uint32
-	var rec func(ax int)
-	rec = func(ax int) {
-		if ax == s.dim {
-			cellB := s.space.EncodeCoords(cur[:s.dim], level)
-			if s.space.CellMinDist(cellA, cellB, level) == 0 {
-				return // adjacent or identical: type I territory
-			}
-			parentB := s.space.ParentCell(cellB)
-			if s.space.CellMinDist(parentA, parentB, level-1) != 0 {
-				return // parents not adjacent: handled at a shallower level
-			}
-			dst = append(dst, cellB)
-			return
-		}
-		for _, v := range cand[ax] {
-			cur[ax] = v
-			rec(ax + 1)
-		}
-	}
-	rec(0)
-	return dst
-}
-
-// exactPairsSameSlice flips exact per-pair coins for all index pairs a < b
-// within one layer slice.
-func (s *fastState) exactPairsSameSlice(l *fastLayer, lo, hi int) {
-	for a := lo; a < hi; a++ {
-		u := int(l.ids[a])
-		pu := s.vs.Pos.At(u)
-		wu := s.vs.W[u]
-		for b := a + 1; b < hi; b++ {
-			v := int(l.ids[b])
-			p := s.kernel.Prob(wu, s.vs.W[v], s.space.DistPow(pu, s.vs.Pos.At(v)))
-			if s.rng.Bernoulli(p) {
-				s.b.AddEdge(u, v)
-			}
 		}
 	}
 }
 
-// exactPairsCross flips exact per-pair coins for all cross pairs between two
-// slices (from different layers, or different cells of one layer).
-func (s *fastState) exactPairsCross(li *fastLayer, aLo, aHi int, lj *fastLayer, bLo, bHi int) {
+// prob is the kernel's edge probability.
+func (s *fastState) prob(wu, wv, distPow float64) float64 {
+	if s.isGIRG {
+		return s.girg.Prob(wu, wv, distPow)
+	}
+	return s.kernel.Prob(wu, wv, distPow)
+}
+
+// distPow is space.DistPow of the positions of u and v. The certified case
+// is route's unitDistPow2: the max builtin is the compare-and-branch of
+// Space.Dist wherever no NaN can reach it.
+func (s *fastState) distPow(u, v int) float64 {
+	if !s.unit2 {
+		return s.space.DistPow(s.raw[u*s.dim:(u+1)*s.dim], s.raw[v*s.dim:(v+1)*s.dim])
+	}
+	d0, d1 := math.Abs(s.raw[2*u]-s.raw[2*v]), math.Abs(s.raw[2*u+1]-s.raw[2*v+1])
+	if d0 > 0.5 {
+		d0 = 1 - d0
+	}
+	if d1 > 0.5 {
+		d1 = 1 - d1
+	}
+	m := max(d0, d1)
+	return m * m
+}
+
+// exactPairs flips exact per-pair coins for all cross pairs between two
+// slices (from different layers, or different cells of one layer), or, when
+// same says the two are one slice, for all index pairs a < b within it.
+func (s *fastState) exactPairs(li *fastLayer, aLo, aHi int, lj *fastLayer, bLo, bHi int, same bool) {
 	for a := aLo; a < aHi; a++ {
 		u := int(li.ids[a])
-		pu := s.vs.Pos.At(u)
 		wu := s.vs.W[u]
-		for b := bLo; b < bHi; b++ {
-			v := int(lj.ids[b])
-			p := s.kernel.Prob(wu, s.vs.W[v], s.space.DistPow(pu, s.vs.Pos.At(v)))
-			if s.rng.Bernoulli(p) {
+		if same {
+			bLo = a + 1
+		}
+		for _, id := range lj.ids[bLo:bHi] {
+			v := int(id)
+			if s.rng.Bernoulli(s.prob(wu, s.vs.W[v], s.distPow(u, v))) {
 				s.b.AddEdge(u, v)
 			}
 		}
@@ -333,18 +337,16 @@ func (s *fastState) exactPairsCross(li *fastLayer, aLo, aHi int, lj *fastLayer, 
 // via geometric skipping, then accepts with the exact kernel probability
 // divided by pbar.
 func (s *fastState) skipSampling(li *fastLayer, aLo, aHi int, lj *fastLayer, bLo, bHi int, pbar float64) {
-	na := aHi - aLo
 	nb := bHi - bLo
-	m := na * nb
-	idx := s.rng.GeometricSkip(pbar)
-	for idx < m {
+	m := (aHi - aLo) * nb
+	log1mp := math.Log1p(-pbar)
+	for idx := s.rng.GeometricSkipLog(pbar, log1mp); idx < m; idx += 1 + s.rng.GeometricSkipLog(pbar, log1mp) {
 		u := int(li.ids[aLo+idx/nb])
 		v := int(lj.ids[bLo+idx%nb])
-		p := s.kernel.Prob(s.vs.W[u], s.vs.W[v], s.space.DistPow(s.vs.Pos.At(u), s.vs.Pos.At(v)))
+		p := s.prob(s.vs.W[u], s.vs.W[v], s.distPow(u, v))
 		if p > 0 && s.rng.Bernoulli(p/pbar) {
 			s.b.AddEdge(u, v)
 		}
-		idx += 1 + s.rng.GeometricSkip(pbar)
 	}
 }
 

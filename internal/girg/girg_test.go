@@ -2,6 +2,7 @@ package girg
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -179,6 +180,89 @@ func TestSampleVerticesPlantedErrors(t *testing.T) {
 	p.WMax = 10
 	if _, err := SampleVertices(p, xrand.New(1), []Plant{{W: 20}}); err == nil {
 		t.Error("weight above wmax accepted")
+	}
+}
+
+// TestSampleVerticesPlantedNonFinite: Wrap maps NaN and +-Inf to NaN and
+// NaN < wmin is false, so both used to reach CellCoord and every kernel
+// evaluation.
+func TestSampleVerticesPlantedNonFinite(t *testing.T) {
+	p := DefaultParams(100)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := SampleVertices(p, xrand.New(1), []Plant{{W: 2}, {W: 2, Pos: []float64{0.5, bad}}})
+		if err == nil || !strings.Contains(err.Error(), "planted vertex 1") {
+			t.Errorf("coordinate %v: error %v does not name planted vertex 1", bad, err)
+		}
+		if bad < 0 {
+			continue // -Inf as a weight is already below wmin
+		}
+		_, err = SampleVertices(p, xrand.New(1), []Plant{{W: 2}, {W: 2}, {W: bad}})
+		if err == nil || !strings.Contains(err.Error(), "planted vertex 2") {
+			t.Errorf("weight %v: error %v does not name planted vertex 2", bad, err)
+		}
+	}
+	vs, err := SampleVertices(p, xrand.New(1), []Plant{{W: 2, Pos: []float64{-3.25, 1e6 + 0.5}}})
+	if err != nil {
+		t.Fatalf("finite out-of-range coordinates rejected: %v", err)
+	}
+	if got := vs.Pos.At(0); got[0] != 0.75 || got[1] != 0.5 {
+		t.Fatalf("planted (-3.25, 1e6+0.5) wrapped to %v, want (0.75, 0.5)", got)
+	}
+}
+
+// probRef is Kernel.Prob as it read while every soft evaluation went
+// through math.Pow.
+func probRef(k Kernel, wu, wv, distPow float64) float64 {
+	kk := wu * wv * k.invWMinN
+	if k.threshold {
+		if distPow <= k.lambda*kk {
+			return 1
+		}
+		return 0
+	}
+	if distPow <= 0 {
+		return 1
+	}
+	x := k.lambda * math.Pow(kk/distPow, k.alpha)
+	if x >= 1 {
+		return 1
+	}
+	return x
+}
+
+// TestKernelProbMatchesPow compares Prob with the math.Pow reference bit for
+// bit: random triples across the sampler's range and far outside it, then
+// the edges — subnormal and huge ratios on both sides of the r*r guard, a
+// zero distance, saturated pairs, NaN.
+func TestKernelProbMatchesPow(t *testing.T) {
+	rng := xrand.New(41)
+	edge := []float64{0, 5e-324, 1e-310, 0x1p-1000, 0x1p-501, 0x1p-500, 0x1p-499, 1e-160, 1e-155, 1e-150,
+		0.5, 1, 3, 1e150, 1e155, 1e160, 0x1p499, 0x1p500, 0x1p501, 1e300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for _, alpha := range []float64{2, 1.5, 2.5, 3, math.Inf(1)} {
+		for _, lambda := range []float64{1, 0.005, 8} {
+			p := DefaultParams(20000)
+			p.Alpha, p.Lambda = alpha, lambda
+			k := NewKernel(p)
+			check := func(wu, wv, dp float64) {
+				got, want := k.Prob(wu, wv, dp), probRef(k, wu, wv, dp)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("alpha %v lambda %v: Prob(%v, %v, %v) = %v (%#x), want %v (%#x)", alpha, lambda,
+						wu, wv, dp, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			for i := 0; i < 120000; i++ {
+				wu, wv := rng.PowerLaw(1, 2.5), rng.PowerLaw(1, 2.1)
+				check(wu, wv, rng.Float64()*rng.Float64()) // the sampler's range
+				check(wu, wv, math.Exp(1400*(rng.Float64()-0.5)))
+				check(math.Exp(700*rng.Float64()), math.Exp(700*rng.Float64()), math.Exp(1400*(rng.Float64()-0.5)))
+			}
+			for _, wu := range edge {
+				for _, dp := range edge {
+					check(wu, 1, dp)
+					check(wu, 1e5, dp)
+				}
+			}
+		}
 	}
 }
 
@@ -503,16 +587,6 @@ func TestClusteringIsConstant(t *testing.T) {
 		c := graph.MeanClustering(g, 2000, xrand.New(1))
 		if c < 0.05 {
 			t.Fatalf("n=%v: clustering %v too small", n, c)
-		}
-	}
-}
-
-func BenchmarkFastSampler10k(b *testing.B) {
-	p := DefaultParams(10000)
-	p.FixedN = true
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(p, uint64(i), Options{Sampler: SamplerFast}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -149,7 +149,17 @@ func (k Kernel) Prob(wu, wv, distPow float64) float64 {
 	if distPow <= 0 {
 		return 1
 	}
-	x := k.lambda * math.Pow(kk/distPow, k.alpha)
+	r := kk / distPow
+	// For alpha = 2, the default, r*r is math.Pow(r, 2) bit for bit while the
+	// square is a normal number: Pow squares the mantissa of r with this very
+	// multiplication, rounded once, and scales by a power of two. Outside
+	// that range (and for NaN) Pow's own overflow and subnormal handling
+	// decides.
+	pow := r * r
+	if k.alpha != 2 || !(r > 0x1p-500 && r < 0x1p500) {
+		pow = math.Pow(r, k.alpha)
+	}
+	x := k.lambda * pow
 	if x >= 1 {
 		return 1
 	}
@@ -208,6 +218,9 @@ func SampleVertices(p Params, rng *xrand.RNG, planted []Plant) (*Vertices, error
 	w := make([]float64, n)
 	buf := make([]float64, p.Dim)
 	for i, pl := range planted {
+		if math.IsNaN(pl.W) || math.IsInf(pl.W, 0) {
+			return nil, fmt.Errorf("girg: planted vertex %d weight %v is not finite", i, pl.W)
+		}
 		if pl.W < p.WMin {
 			return nil, fmt.Errorf("girg: planted vertex %d weight %v below wmin %v", i, pl.W, p.WMin)
 		}
@@ -222,6 +235,9 @@ func SampleVertices(p Params, rng *xrand.RNG, planted []Plant) (*Vertices, error
 				return nil, fmt.Errorf("girg: planted vertex %d position has dim %d, want %d", i, len(pl.Pos), p.Dim)
 			}
 			for j, c := range pl.Pos {
+				if math.IsNaN(c) || math.IsInf(c, 0) {
+					return nil, fmt.Errorf("girg: planted vertex %d coordinate %d is %v, not finite", i, j, c)
+				}
 				buf[j] = torus.Wrap(c)
 			}
 			pos.Set(i, buf)

@@ -7,6 +7,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -96,6 +98,7 @@ func (b *Builder) EdgeCount() int { return len(b.src) }
 
 // Finish freezes the builder into a Graph, deduplicating parallel edges.
 func (b *Builder) Finish() *Graph {
+	checkEdgeCount(len(b.src))
 	g := &Graph{
 		n:         b.n,
 		pos:       b.pos,
@@ -127,6 +130,15 @@ func (b *Builder) Finish() *Graph {
 	return g
 }
 
+// checkEdgeCount panics when m edges make more adjacency entries than the
+// CSR form's int32 offsets can index, before Finish allocates anything; the
+// offsets would wrap silently.
+func checkEdgeCount(m int) {
+	if 2*m > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d edges make %d adjacency entries, past the int32 offsets of the CSR form", m, 2*m))
+	}
+}
+
 // sortAndDedup sorts each adjacency list and removes duplicate edges,
 // rebuilding offsets compactly.
 func (g *Graph) sortAndDedup() {
@@ -137,7 +149,7 @@ func (g *Graph) sortAndDedup() {
 		end := g.offsets[v+1]
 		list := g.adj[read:end]
 		read = end
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(list)
 		newOffsets[v] = int32(len(newAdj))
 		var prev int32 = -1
 		for _, u := range list {

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/torus"
@@ -59,6 +62,49 @@ func TestAddEdgePanics(t *testing.T) {
 	mustPanic(func() { b.AddEdge(1, 1) })
 	mustPanic(func() { b.AddEdge(-1, 0) })
 	mustPanic(func() { b.AddEdge(0, 3) })
+}
+
+func TestFinishRefusesOffsetOverflow(t *testing.T) {
+	checkEdgeCount(math.MaxInt32 / 2) // the last count whose offsets fit
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "int32 offsets") {
+			t.Errorf("panic %q does not name the int32 offsets", msg)
+		}
+	}()
+	checkEdgeCount(math.MaxInt32/2 + 1)
+}
+
+// TestFinishMatchesReferenceSort compares Finish, which sorts each list
+// with slices.Sort, against the sort.Slice it replaced, on random
+// multigraphs with repeated and reversed edges.
+func TestFinishMatchesReferenceSort(t *testing.T) {
+	r := xrand.New(31)
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + r.IntN(60)
+		b, err := NewBuilder(n, nil, nil, float64(n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists := make([][]int32, n)
+		for e := r.IntN(6 * n); e > 0; e-- {
+			u, v := r.IntN(n), r.IntN(n)
+			if u == v {
+				continue
+			}
+			for dup := 1 + r.IntN(3); dup > 0; dup-- {
+				b.AddEdge(u, v)
+				lists[u], lists[v] = append(lists[u], int32(v)), append(lists[v], int32(u))
+				u, v = v, u
+			}
+		}
+		g := b.Finish()
+		for v, list := range lists {
+			sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+			if want := slices.Compact(list); !slices.Equal(g.Neighbors(v), want) {
+				t.Fatalf("trial %d vertex %d: adjacency %v, want %v", trial, v, g.Neighbors(v), want)
+			}
+		}
+	}
 }
 
 func TestBasicAdjacency(t *testing.T) {

@@ -8,6 +8,8 @@ package torus
 // Morton code, every cell at every level is one contiguous slice. This is
 // the lookup structure behind the expected-linear-time GIRG sampler.
 
+import "slices"
+
 // CellCoord converts a coordinate in [0,1) to its integer cell index at the
 // given level.
 func CellCoord(x float64, level int) uint32 {
@@ -48,10 +50,27 @@ func (s Space) DecodeCoords(code uint64, level int, out []uint32) {
 }
 
 // spread distributes the low `level` bits of v so that consecutive bits land
-// dim positions apart (bit k of v moves to bit k*dim of the result).
+// dim positions apart (bit k of v moves to bit k*dim of the result): a
+// constant number of shift-and-mask steps for dim <= 3, where MaxLevel keeps
+// v within the 32 (dim 2) and 21 (dim 3) bits the masks carry, a bit loop
+// above.
 func spread(v uint64, dim, level int) uint64 {
-	if dim == 1 {
-		return v & ((1 << uint(level)) - 1)
+	v &= 1<<uint(level) - 1
+	switch dim {
+	case 1:
+		return v
+	case 2:
+		v = (v | v<<16) & 0x0000ffff0000ffff
+		v = (v | v<<8) & 0x00ff00ff00ff00ff
+		v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+		v = (v | v<<2) & 0x3333333333333333
+		return (v | v<<1) & 0x5555555555555555
+	case 3:
+		v = (v | v<<32) & 0x001f00000000ffff
+		v = (v | v<<16) & 0x001f0000ff0000ff
+		v = (v | v<<8) & 0x100f00f00f00f00f
+		v = (v | v<<4) & 0x10c30c30c30c30c3
+		return (v | v<<2) & 0x1249249249249249
 	}
 	var out uint64
 	for k := 0; k < level; k++ {
@@ -62,14 +81,30 @@ func spread(v uint64, dim, level int) uint64 {
 
 // compact is the inverse of spread.
 func compact(v uint64, dim, level int) uint64 {
-	if dim == 1 {
-		return v & ((1 << uint(level)) - 1)
+	switch dim {
+	case 1:
+	case 2:
+		v &= 0x5555555555555555
+		v = (v | v>>1) & 0x3333333333333333
+		v = (v | v>>2) & 0x0f0f0f0f0f0f0f0f
+		v = (v | v>>4) & 0x00ff00ff00ff00ff
+		v = (v | v>>8) & 0x0000ffff0000ffff
+		v = (v | v>>16) & 0x00000000ffffffff
+	case 3:
+		v &= 0x1249249249249249
+		v = (v | v>>2) & 0x10c30c30c30c30c3
+		v = (v | v>>4) & 0x100f00f00f00f00f
+		v = (v | v>>8) & 0x001f0000ff0000ff
+		v = (v | v>>16) & 0x001f00000000ffff
+		v = (v | v>>32) & 0x00000000001fffff
+	default:
+		var out uint64
+		for k := 0; k < level; k++ {
+			out |= ((v >> uint(k*dim)) & 1) << uint(k)
+		}
+		return out
 	}
-	var out uint64
-	for k := 0; k < level; k++ {
-		out |= ((v >> uint(k*dim)) & 1) << uint(k)
-	}
-	return out
+	return v & (1<<uint(level) - 1)
 }
 
 // ParentCell returns the Morton code of the parent (level-1) of a cell code
@@ -138,8 +173,10 @@ func (s Space) OffsetCoord(c uint32, off int, side uint32) (uint32, bool) {
 		}
 		return uint32(v), true
 	}
-	m := int(side)
-	return uint32(((v % m) + m) % m), true
+	if m := int(side); v < 0 || v >= m {
+		v = ((v % m) + m) % m
+	}
+	return uint32(v), true
 }
 
 // NeighborCells appends to dst the Morton codes of all cells at the given
@@ -147,47 +184,84 @@ func (s Space) OffsetCoord(c uint32, off int, side uint32) (uint32, bool) {
 // (cyclically), including the cell itself, without duplicates. For level 0
 // it yields just the single cell.
 func (s Space) NeighborCells(cell uint64, level int, dst []uint64) []uint64 {
-	if level == 0 {
-		return append(dst, 0)
-	}
+	dst, _ = s.cellsAround(cell, level, false, dst, nil)
+	return dst
+}
+
+// SeparatedCells appends to cells the cells B at the given level that are
+// not adjacent to cell while parent(B) is adjacent to parent(cell) — the
+// cell pairs "first separated" at this level, type II of the GIRG sampler —
+// and to gaps, in step, the full cells between the two: CellMinDist in units
+// of the cell side. Each unordered pair is generated from both endpoints.
+func (s Space) SeparatedCells(cell uint64, level int, cells []uint64, gaps []uint32) ([]uint64, []uint32) {
+	return s.cellsAround(cell, level, true, cells, gaps)
+}
+
+// cellsAround enumerates the cells around one cell by coordinate arithmetic.
+// Per axis it lists the candidate columns — offsets -1..1, or for separated
+// -3..3 (children of adjacent parents differ by at most 3) kept where the
+// parent columns are adjacent — in offset order, a column the wrap repeats
+// taken once and one past the cube's boundary dropped, each with its gap to
+// the centre column and its bits already dilated into place. The product is
+// then walked axis 0 outermost; separated skips the cells with no gap on any
+// axis, which are adjacent or identical. The sampler's random stream follows
+// this order, so it is part of the contract.
+func (s Space) cellsAround(cell uint64, level int, separated bool, cells []uint64, gaps []uint32) ([]uint64, []uint32) {
 	side := uint32(1) << uint(level)
-	var coords [MaxDim]uint32
-	s.DecodeCoords(cell, level, coords[:s.dim])
-	// Offsets per axis: {-1, 0, +1}, deduplicated (wrap collapses them for
-	// tiny sides; the cube drops out-of-range neighbors).
-	var offs [MaxDim][]uint32
-	for i := 0; i < s.dim; i++ {
-		var vals []uint32
-		for off := -1; off <= 1; off++ {
-			c, ok := s.OffsetCoord(coords[i], off, side)
-			if !ok {
+	reach := 1
+	if separated {
+		reach = 3
+	}
+	var n, idx [MaxDim]int
+	var part [MaxDim][7]uint64
+	var gap [MaxDim][7]uint32
+	// The dilated column d follows the offsets by dilated increments — fill
+	// the holes between a column's bits, add one, clear the holes again —
+	// which wrap at side as the torus does; a cube cell that would need the
+	// wrap is dropped before d is read.
+	holes := ^spread(uint64(side-1), s.dim, level)
+	for ax := 0; ax < s.dim; ax++ {
+		ca := uint32(compact(cell>>uint(ax), s.dim, level))
+		d := spread(uint64(ca-uint32(reach)), s.dim, level)
+		var cols [7]uint32
+		k := 0
+		for off := -reach; off <= reach; off, d = off+1, ((d|holes)+1)&^holes {
+			c, ok := s.OffsetCoord(ca, off, side)
+			if !ok || separated && s.cellGap(ca>>1, c>>1, side>>1) != 0 || slices.Contains(cols[:k], c) {
 				continue
 			}
-			dup := false
-			for _, x := range vals {
-				if x == c {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				vals = append(vals, c)
-			}
+			cols[k] = c
+			part[ax][k] = d << uint(ax)
+			gap[ax][k] = s.cellGap(ca, c, side)
+			k++
 		}
-		offs[i] = vals
+		n[ax] = k
 	}
-	var cur [MaxDim]uint32
-	var rec func(axis int)
-	rec = func(axis int) {
-		if axis == s.dim {
-			dst = append(dst, s.EncodeCoords(cur[:s.dim], level))
-			return
+	// The odometer runs over all axes but the last, which is the inner loop.
+	last := s.dim - 1
+	for {
+		var code uint64
+		var maxGap uint32
+		for ax := 0; ax < last; ax++ {
+			code |= part[ax][idx[ax]]
+			maxGap = max(maxGap, gap[ax][idx[ax]])
 		}
-		for _, v := range offs[axis] {
-			cur[axis] = v
-			rec(axis + 1)
+		for k := 0; k < n[last]; k++ {
+			if g := max(maxGap, gap[last][k]); !separated {
+				cells = append(cells, code|part[last][k])
+			} else if g != 0 {
+				cells, gaps = append(cells, code|part[last][k]), append(gaps, g)
+			}
+		}
+		ax := last - 1
+		for ; ax >= 0; ax-- {
+			if idx[ax]++; idx[ax] < n[ax] {
+				break
+			}
+			idx[ax] = 0
+		}
+		if ax < 0 {
+			return cells, gaps
 		}
 	}
-	rec(0)
-	return dst
 }

@@ -383,14 +383,6 @@ func BenchmarkDist2D(b *testing.B) {
 	}
 }
 
-func BenchmarkEncode2D(b *testing.B) {
-	s := MustSpace(2)
-	pt := []float64{0.312, 0.771}
-	for i := 0; i < b.N; i++ {
-		_ = s.Encode(pt, 16)
-	}
-}
-
 func TestCubeDistanceNoWrap(t *testing.T) {
 	s, err := NewSpaceFull(2, MaxNorm, Cube)
 	if err != nil {

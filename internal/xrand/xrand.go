@@ -332,6 +332,12 @@ func (r *RNG) gammaInt(k int) float64 {
 // m candidates independently with probability p, start at index GeometricSkip
 // and repeatedly advance by 1+GeometricSkip.
 func (r *RNG) GeometricSkip(p float64) int {
+	return r.GeometricSkipLog(p, math.Log1p(-p))
+}
+
+// GeometricSkipLog is GeometricSkip(p) handed log1mp = math.Log1p(-p) by a
+// caller that draws many skips at one p and takes the logarithm once.
+func (r *RNG) GeometricSkipLog(p, log1mp float64) int {
 	if p >= 1 {
 		return 0
 	}
@@ -340,7 +346,7 @@ func (r *RNG) GeometricSkip(p float64) int {
 		return never
 	}
 	u := r.Float64Open()
-	skip := math.Floor(math.Log(u) / math.Log1p(-p))
+	skip := math.Floor(math.Log(u) / log1mp)
 	if skip > float64(never) {
 		return never
 	}

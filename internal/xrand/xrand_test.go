@@ -313,6 +313,42 @@ func TestGeometricSkipEdges(t *testing.T) {
 	}
 }
 
+// TestGeometricSkipLogDrawForDraw runs the skipper that is handed
+// log1p(-p) against GeometricSkip as it read before the logarithm was
+// hoisted, on one seed each: same skips, same number of draws.
+func TestGeometricSkipLogDrawForDraw(t *testing.T) {
+	ref := func(r *RNG, p float64) int {
+		if p >= 1 {
+			return 0
+		}
+		const never = 1 << 62
+		if p <= 0 {
+			return never
+		}
+		skip := math.Floor(math.Log(r.Float64Open()) / math.Log1p(-p))
+		if skip > float64(never) {
+			return never
+		}
+		return int(skip)
+	}
+	for _, p := range []float64{0, 1e-12, 1e-300, 0.3, 1 - 1e-16, 1, 1.5, -0.1} {
+		a, b, c := New(83), New(83), New(83)
+		log1mp := math.Log1p(-p)
+		for i := 0; i < 2000; i++ {
+			want := ref(a, p)
+			if got := b.GeometricSkipLog(p, log1mp); got != want {
+				t.Fatalf("p=%v draw %d: GeometricSkipLog %d, want %d", p, i, got, want)
+			}
+			if got := c.GeometricSkip(p); got != want {
+				t.Fatalf("p=%v draw %d: GeometricSkip %d, want %d", p, i, got, want)
+			}
+		}
+		if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != y || x != z {
+			t.Fatalf("p=%v: streams diverged after the draws", p)
+		}
+	}
+}
+
 func TestGeometricSkipMatchesBernoulliScan(t *testing.T) {
 	// Using skips to visit candidates must hit each index with probability p.
 	const p = 0.05
