@@ -93,6 +93,13 @@ func (b *Builder) AddEdge(u, v int) {
 	b.dst = append(b.dst, int32(v))
 }
 
+// Grow reserves room for m more edges, for a caller that knows the count up
+// front: AddEdge's append growth otherwise over-allocates and copies.
+func (b *Builder) Grow(m int) {
+	b.src = slices.Grow(b.src, m)
+	b.dst = slices.Grow(b.dst, m)
+}
+
 // EdgeCount returns the number of edges recorded so far.
 func (b *Builder) EdgeCount() int { return len(b.src) }
 

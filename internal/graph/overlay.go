@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/torus"
 )
@@ -45,35 +46,71 @@ type Overlay struct {
 	// entry with both lists empty is dropped — so the delta is a canonical
 	// function of (base, live edge set) regardless of the op order that
 	// produced it.
-	deltas map[int32]*vertexDelta
+	deltas deltaTable
 
 	// addedPos/addedW extend the base's attribute stores for added
 	// vertices: vertex base.N()+i lives at addedPos[i*dim:(i+1)*dim] with
-	// weight addedW[i].
-	addedPos []float64
-	addedW   []float64
+	// weight addedW[i]. Versions share the arrays and read only their own
+	// length of them; addedTaken is set by the one child edit allowed to
+	// append past this overlay's length in place (OverlayEdit.AddVertex).
+	addedPos   []float64
+	addedW     []float64
+	addedTaken atomic.Bool
 
 	// edgesAdded counts live edges absent from the base; edgesRemoved
 	// counts base edges no longer live. M() = base.M() + added - removed.
 	edgesAdded   int
 	edgesRemoved int
 
-	// fpOnce/fp memoize Fingerprint (the digest of the materialized
-	// content, O(n+m)); the overlay is immutable so once is enough.
+	// fpOnce/fp memoize Fingerprint (the digest of the live content,
+	// O(n+m)); the overlay is immutable so once is enough.
 	fpOnce sync.Once
 	fp     uint64
 }
 
-// vertexDelta is the adjacency change of one dirty vertex.
+// vertexDelta is the adjacency change of one dirty vertex. epoch is the
+// epoch of the overlay whose edit created this value: that edit may write it
+// in place, every later one clones it first.
 type vertexDelta struct {
-	add []int32 // sorted live edges not in the base list
-	del []int32 // sorted base edges no longer live
+	epoch uint64
+	add   []int32 // sorted live edges not in the base list
+	del   []int32 // sorted base edges no longer live
+}
+
+// deltaChunkBits fixes the chunk size of the delta table at 256 slots: a
+// chunk is 2 KiB, so the handful a batch touches copy in well under a
+// microsecond each, and the chunk-pointer slice an edit copies is n/256
+// words — 79 at n = 20 000, 3 907 at n = 10⁶.
+const deltaChunkBits = 8
+
+// deltaChunk holds the deltas of 256 consecutive vertex ids (nil = clean),
+// stamped like a vertexDelta with the epoch of the edit that owns it.
+type deltaChunk struct {
+	epoch uint64
+	slot  [1 << deltaChunkBits]*vertexDelta
+}
+
+// deltaTable is the persistent vertex → delta table: chunks indexed by
+// v >> deltaChunkBits, shared between overlay versions and cloned by an edit
+// on first touch. A nil or missing chunk is 256 clean vertices. dirty counts
+// the non-nil slots, so the size queries stay O(1) and exact.
+type deltaTable struct {
+	chunks []*deltaChunk
+	dirty  int
+}
+
+// get returns v's delta, nil when v is clean or out of range.
+func (t *deltaTable) get(v int) *vertexDelta {
+	if c := v >> deltaChunkBits; uint(c) < uint(len(t.chunks)) && t.chunks[c] != nil {
+		return t.chunks[c].slot[v&(1<<deltaChunkBits-1)]
+	}
+	return nil
 }
 
 // NewOverlay returns the empty overlay over base: epoch 0, no delta. It is
 // the state a freshly loaded snapshot serves before any mutation.
 func NewOverlay(base *Graph) *Overlay {
-	return &Overlay{base: base, deltas: map[int32]*vertexDelta{}}
+	return &Overlay{base: base}
 }
 
 // Base returns the immutable snapshot under the overlay.
@@ -86,7 +123,7 @@ func (o *Overlay) Epoch() uint64 { return o.epoch }
 // Empty reports whether the overlay carries no delta at all — routing over
 // an empty overlay is exactly routing over the base.
 func (o *Overlay) Empty() bool {
-	return o.tombCount == 0 && len(o.deltas) == 0 && len(o.addedW) == 0
+	return o.tombCount == 0 && o.deltas.dirty == 0 && len(o.addedW) == 0
 }
 
 // N returns the live vertex-id space: base vertices plus added ones.
@@ -111,37 +148,44 @@ func (o *Overlay) Tombstoned(v int) bool {
 // fast-path scan behind route.GreedyCSROverlay applies them to the base CSR
 // list in place, without allocating.
 func (o *Overlay) Delta(v int) (add, del []int32) {
-	d, ok := o.deltas[int32(v)]
-	if !ok {
-		return nil, nil
+	if d := o.deltas.get(v); d != nil {
+		return d.add, d.del
 	}
-	return d.add, d.del
+	return nil, nil
 }
 
 // DirtyVertices returns the number of vertices with a non-empty adjacency
 // delta — the quantity compaction thresholds watch.
-func (o *Overlay) DirtyVertices() int { return len(o.deltas) }
+func (o *Overlay) DirtyVertices() int { return o.deltas.dirty }
 
 // Neighbors returns the sorted live adjacency of v. Clean base vertices
 // return the base slice without allocating; dirty and added vertices
 // materialize a fresh merged slice per call (the interface-path protocols
 // tolerate that; the CSR fast path merges in place via Delta).
 func (o *Overlay) Neighbors(v int) []int32 {
-	if o.Tombstoned(v) {
-		return nil
-	}
-	d, ok := o.deltas[int32(v)]
-	if !ok {
-		if v < o.base.n {
+	if o.deltas.get(v) == nil {
+		if v < o.base.n && !o.Tombstoned(v) {
 			return o.base.Neighbors(v)
 		}
 		return nil
+	}
+	return o.appendNeighbors(make([]int32, 0, o.Degree(v)), v)
+}
+
+// appendNeighbors appends the sorted live adjacency of v to dst: the base
+// list minus del, merged with add.
+func (o *Overlay) appendNeighbors(dst []int32, v int) []int32 {
+	if o.Tombstoned(v) {
+		return dst
 	}
 	var bs []int32
 	if v < o.base.n {
 		bs = o.base.Neighbors(v)
 	}
-	out := make([]int32, 0, len(bs)-len(d.del)+len(d.add))
+	d := o.deltas.get(v)
+	if d == nil {
+		return append(dst, bs...)
+	}
 	ai, di := 0, 0
 	for _, u := range bs {
 		for di < len(d.del) && d.del[di] < u {
@@ -151,13 +195,12 @@ func (o *Overlay) Neighbors(v int) []int32 {
 			continue
 		}
 		for ai < len(d.add) && d.add[ai] < u {
-			out = append(out, d.add[ai])
+			dst = append(dst, d.add[ai])
 			ai++
 		}
-		out = append(out, u)
+		dst = append(dst, u)
 	}
-	out = append(out, d.add[ai:]...)
-	return out
+	return append(dst, d.add[ai:]...)
 }
 
 // Degree returns the live degree of v.
@@ -165,18 +208,14 @@ func (o *Overlay) Degree(v int) int {
 	if o.Tombstoned(v) {
 		return 0
 	}
-	d, ok := o.deltas[int32(v)]
-	if !ok {
-		if v < o.base.n {
-			return o.base.Degree(v)
-		}
-		return 0
-	}
-	base := 0
+	deg := 0
 	if v < o.base.n {
-		base = o.base.Degree(v)
+		deg = o.base.Degree(v)
 	}
-	return base - len(d.del) + len(d.add)
+	if d := o.deltas.get(v); d != nil {
+		deg += len(d.add) - len(d.del)
+	}
+	return deg
 }
 
 // HasEdge reports whether {u, v} is a live edge.
@@ -184,7 +223,7 @@ func (o *Overlay) HasEdge(u, v int) bool {
 	if o.Tombstoned(u) || o.Tombstoned(v) {
 		return false
 	}
-	if d, ok := o.deltas[int32(u)]; ok {
+	if d := o.deltas.get(u); d != nil {
 		if contains(d.add, int32(v)) {
 			return true
 		}
@@ -249,14 +288,29 @@ func (o *Overlay) Stats() OverlayStats {
 		RemovedVertices: o.tombCount,
 		AddedEdges:      o.edgesAdded,
 		RemovedEdges:    o.edgesRemoved,
-		DirtyVertices:   len(o.deltas),
+		DirtyVertices:   o.deltas.dirty,
 	}
 }
 
 // DeltaSize is the total delta volume (dirty vertices + added vertices +
 // tombstones), the size compaction thresholds compare against.
 func (o *Overlay) DeltaSize() int {
-	return len(o.deltas) + len(o.addedW) + o.tombCount
+	return o.deltas.dirty + len(o.addedW) + o.tombCount
+}
+
+// weightParts returns the live weight store as the two runs it is kept in —
+// the base's weights and the added vertices' — or nils when the live graph
+// is unweighted. A weightless base that vertices joined reads weight 1 on
+// every base vertex, exactly as Graph.Weight does.
+func (o *Overlay) weightParts() (base, added []float64) {
+	base = o.base.weights
+	if base == nil && len(o.addedW) > 0 {
+		base = make([]float64, o.base.n)
+		for v := range base {
+			base[v] = 1
+		}
+	}
+	return base, o.addedW
 }
 
 // Materialize folds the overlay into a fresh immutable Graph with the same
@@ -278,19 +332,18 @@ func (o *Overlay) Materialize() (*Graph, error) {
 		}
 	}
 	var weights []float64
-	if o.base.weights != nil || len(o.addedW) > 0 {
-		weights = make([]float64, 0, n)
-		for v := 0; v < o.base.n; v++ {
-			weights = append(weights, o.base.Weight(v))
-		}
-		weights = append(weights, o.addedW...)
+	if bw, aw := o.weightParts(); bw != nil {
+		weights = append(append(make([]float64, 0, n), bw...), aw...)
 	}
 	b, err := NewBuilder(n, pos, weights, o.base.intensity, o.base.wmin)
 	if err != nil {
 		return nil, fmt.Errorf("graph: materialize: %w", err)
 	}
+	b.Grow(o.M())
+	var buf []int32
 	for v := 0; v < n; v++ {
-		for _, u := range o.Neighbors(v) {
+		buf = o.appendNeighbors(buf[:0], v)
+		for _, u := range buf {
 			if int(u) > v {
 				b.AddEdge(v, int(u))
 			}
@@ -300,19 +353,23 @@ func (o *Overlay) Materialize() (*Graph, error) {
 }
 
 // Fingerprint digests the overlay's live content — the same digest
-// Materialize().Fingerprint() produces, memoized because the overlay is
-// immutable. Two replicas that replayed the same journal report the same
-// value, and it is invariant under compaction (folding the delta into a new
-// base does not change the live graph).
+// Materialize().Fingerprint() produces, streamed through the one layout in
+// fingerprint.go without building that graph, and memoized because the
+// overlay is immutable. Two replicas that replayed the same journal report
+// the same value, and it is invariant under compaction (folding the delta
+// into a new base does not change the live graph).
 func (o *Overlay) Fingerprint() uint64 {
 	o.fpOnce.Do(func() {
-		g, err := o.Materialize()
-		if err != nil {
-			// Materialize only fails on attribute-store invariants the Edit
-			// path already enforces; an overlay that violates them is a bug.
-			panic(fmt.Sprintf("graph: overlay fingerprint: %v", err))
+		src := digestSource{
+			n: o.N(), arcs: 2 * o.M(), intensity: o.base.intensity, wmin: o.base.wmin,
+			degree: o.Degree, appendNeighbors: o.appendNeighbors,
 		}
-		o.fp = g.Fingerprint()
+		if o.base.pos != nil {
+			src.dim = o.base.Space().Dim()
+			src.pos = [2][]float64{o.base.pos.Raw(), o.addedPos}
+		}
+		src.weights[0], src.weights[1] = o.weightParts()
+		o.fp = src.digest()
 	})
 	return o.fp
 }

@@ -17,30 +17,29 @@ import (
 //
 // Edits are not safe for concurrent use; the mutation log serializes them.
 type OverlayEdit struct {
-	next     *Overlay // the overlay under construction; the parent is never modified
-	owned    map[int32]bool
-	finished bool
+	parent    *Overlay
+	next      *Overlay // the overlay under construction; the parent is never modified
+	ownsAdded bool     // next's attribute extension is this edit's to append to
+	finished  bool
 }
 
-// Edit derives a mutation batch from o. The delta map is copied up front
-// (O(dirty vertices)); per-vertex lists and the attribute extensions are
-// cloned only when the batch actually touches them.
+// Edit derives a mutation batch from o. Up front it copies the delta
+// table's chunk pointers (n/256 words) and the tombstone bitmap (n/64 bits);
+// a chunk and a vertex's delta lists are cloned only when the batch touches
+// them, and joins append to the attribute extension in place, so a batch
+// costs what it touches however large the accumulated delta is.
 func (o *Overlay) Edit() *OverlayEdit {
-	next := &Overlay{
+	return &OverlayEdit{parent: o, next: &Overlay{
 		base:         o.base,
 		epoch:        o.epoch + 1,
 		tomb:         append([]uint64(nil), o.tomb...),
 		tombCount:    o.tombCount,
-		deltas:       make(map[int32]*vertexDelta, len(o.deltas)+8),
-		addedPos:     o.addedPos[:len(o.addedPos):len(o.addedPos)],
-		addedW:       o.addedW[:len(o.addedW):len(o.addedW)],
+		deltas:       deltaTable{chunks: append([]*deltaChunk(nil), o.deltas.chunks...), dirty: o.deltas.dirty},
+		addedPos:     o.addedPos,
+		addedW:       o.addedW,
 		edgesAdded:   o.edgesAdded,
 		edgesRemoved: o.edgesRemoved,
-	}
-	for v, d := range o.deltas {
-		next.deltas[v] = d
-	}
-	return &OverlayEdit{next: next, owned: map[int32]bool{}}
+	}}
 }
 
 // N returns the live vertex-id space with this edit's ops applied so far.
@@ -62,33 +61,60 @@ func (e *OverlayEdit) Finish() *Overlay {
 	return e.next
 }
 
-// delta returns a mutable vertexDelta for v, cloning the parent's on first
-// touch so the parent overlay stays frozen.
-func (e *OverlayEdit) delta(v int32) *vertexDelta {
-	d, ok := e.next.deltas[v]
-	if !ok {
-		d = &vertexDelta{}
-		e.next.deltas[v] = d
-		e.owned[v] = true
-		return d
+// slot returns v's table slot in a chunk this edit owns, cloning the
+// parent's chunk on first touch so the parent overlay stays frozen. Chunks
+// and deltas this edit made carry its epoch; a sibling edit of the same
+// parent shares that number but never this table, so the stamp is ownership.
+func (e *OverlayEdit) slot(v int32) **vertexDelta {
+	t, epoch := &e.next.deltas, e.next.epoch
+	c := int(v >> deltaChunkBits)
+	for c >= len(t.chunks) {
+		t.chunks = append(t.chunks, nil)
 	}
-	if !e.owned[v] {
-		d = &vertexDelta{
-			add: append([]int32(nil), d.add...),
-			del: append([]int32(nil), d.del...),
+	ch := t.chunks[c]
+	if ch == nil || ch.epoch != epoch {
+		owned := &deltaChunk{epoch: epoch}
+		if ch != nil {
+			owned.slot = ch.slot
 		}
-		e.next.deltas[v] = d
-		e.owned[v] = true
+		ch, t.chunks[c] = owned, owned
 	}
+	return &ch.slot[v&(1<<deltaChunkBits-1)]
+}
+
+// delta returns a mutable vertexDelta for v, cloning the parent's on first
+// touch.
+func (e *OverlayEdit) delta(v int32) *vertexDelta {
+	s := e.slot(v)
+	d := *s
+	switch {
+	case d == nil:
+		d = &vertexDelta{epoch: e.next.epoch}
+		e.next.deltas.dirty++
+	case d.epoch != e.next.epoch:
+		d = &vertexDelta{
+			epoch: e.next.epoch,
+			add:   append([]int32(nil), d.add...),
+			del:   append([]int32(nil), d.del...),
+		}
+	}
+	*s = d
 	return d
+}
+
+// drop removes v's delta entry, if it has one.
+func (e *OverlayEdit) drop(v int32) {
+	if e.next.deltas.get(int(v)) != nil {
+		*e.slot(v) = nil
+		e.next.deltas.dirty--
+	}
 }
 
 // normalize drops v's delta entry if it became empty (the canonical form
 // Fingerprint and replay equality rely on).
 func (e *OverlayEdit) normalize(v int32) {
-	if d, ok := e.next.deltas[v]; ok && len(d.add) == 0 && len(d.del) == 0 {
-		delete(e.next.deltas, v)
-		delete(e.owned, v)
+	if d := e.next.deltas.get(int(v)); d != nil && len(d.add) == 0 && len(d.del) == 0 {
+		e.drop(v)
 	}
 }
 
@@ -130,6 +156,18 @@ func (e *OverlayEdit) AddVertex(pos []float64, w float64) (int, error) {
 	if math.IsNaN(w) || math.IsInf(w, 0) || w < e.next.base.wmin {
 		return 0, fmt.Errorf("graph: add-vertex: weight %v outside [wmin=%v, +inf)", w, e.next.base.wmin)
 	}
+	if !e.ownsAdded {
+		// The parent reads only its own length of the shared extension, so
+		// the first edit to ask may write past it in place; a sibling (a fork,
+		// or the successor of a discarded edit) and an edit out of capacity
+		// move to arrays of their own, with room to grow into.
+		p, k := e.parent, len(e.parent.addedW)
+		if cap(p.addedW) == k || cap(p.addedPos) < (k+1)*dim || !p.addedTaken.CompareAndSwap(false, true) {
+			e.next.addedW = append(make([]float64, 0, 2*k+8), p.addedW...)
+			e.next.addedPos = append(make([]float64, 0, (2*k+8)*dim), p.addedPos...)
+		}
+		e.ownsAdded = true
+	}
 	v := e.next.N()
 	for _, c := range pos {
 		e.next.addedPos = append(e.next.addedPos, torus.Wrap(c))
@@ -150,15 +188,14 @@ func (e *OverlayEdit) RemoveVertex(v int) error {
 	if e.next.Tombstoned(v) {
 		return fmt.Errorf("graph: remove-vertex: vertex %d already removed", v)
 	}
-	// Detach every live incident edge; Neighbors snapshots the merged list
-	// so the iteration survives the delta updates below.
-	for _, u := range append([]int32(nil), e.next.Neighbors(v)...) {
+	// Detach every live incident edge; the merged list is a copy, so the
+	// iteration survives the delta updates below.
+	for _, u := range e.next.appendNeighbors(nil, v) {
 		if err := e.RemoveEdge(v, int(u)); err != nil {
 			return fmt.Errorf("graph: remove-vertex %d: %w", v, err)
 		}
 	}
-	delete(e.next.deltas, int32(v))
-	delete(e.owned, int32(v))
+	e.drop(int32(v))
 	w := v >> 6
 	for w >= len(e.next.tomb) {
 		e.next.tomb = append(e.next.tomb, 0)

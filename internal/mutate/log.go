@@ -86,8 +86,16 @@ type Log struct {
 	compactions uint64
 	replayed    uint64
 
+	// digest is Overlay.Fingerprint; a field so a test can hold one up.
+	digest func(*graph.Overlay) uint64
+	// advertise is the sink of the pending Advertise request (nil: none);
+	// advertising is set while the digester goroutine runs.
+	advertise   func(Position)
+	advertising bool
+	done        chan struct{} // closed by Close
+
 	compacting atomic.Bool
-	wg         sync.WaitGroup
+	wg         sync.WaitGroup // background compactions and the digester; Close waits
 }
 
 // Applied reports a committed batch.
@@ -141,7 +149,7 @@ func Open(dir string, base *graph.Graph, cfg Config) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mutate: %w", err)
 	}
-	l := &Log{dir: dir, cfg: cfg, base: base}
+	l := &Log{dir: dir, cfg: cfg, base: base, digest: (*graph.Overlay).Fingerprint, done: make(chan struct{})}
 
 	cpath := filepath.Join(dir, currentName)
 	raw, err := os.ReadFile(cpath)
@@ -294,8 +302,7 @@ func (l *Log) Generation() int {
 // Fingerprint returns the live graph's fingerprint — the quantity crash
 // replay must reproduce bit for bit.
 func (l *Log) Fingerprint() uint64 {
-	ov := l.Overlay()
-	return ov.Fingerprint()
+	return l.digest(l.Overlay())
 }
 
 // Stats snapshots the log's counters.
@@ -393,16 +400,24 @@ func (l *Log) Compact() error {
 		return fmt.Errorf("mutate: compaction already in progress")
 	}
 	defer l.compacting.Store(false)
-	return l.compact()
-}
-
-func (l *Log) compact() error {
-	// Phase 1: capture.
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return fmt.Errorf("mutate: log closed")
 	}
+	l.wg.Add(1)
+	l.mu.Unlock()
+	defer l.wg.Done()
+	return l.compact()
+}
+
+// compact runs one compaction. Its caller has registered it in l.wg under
+// the lock while the log was open, so Close waits for it instead of closing
+// the journal under it: a compaction that an acknowledged Apply triggered
+// always runs to its commit.
+func (l *Log) compact() error {
+	// Phase 1: capture.
+	l.mu.Lock()
 	ov, upTo, oldGen := l.ov, l.seq, l.gen
 	l.mu.Unlock()
 
@@ -433,10 +448,6 @@ func (l *Log) compact() error {
 	// Phase 3: commit.
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		os.Remove(snapPath)
-		return fmt.Errorf("mutate: log closed")
-	}
 	abort := func(nj *ckpt.Journal, err error) error {
 		if nj != nil {
 			nj.Close()
@@ -502,8 +513,9 @@ func (l *Log) compact() error {
 	return nil
 }
 
-// Close waits for any background compaction and releases the journal. The
-// log is unusable afterwards.
+// Close stops new applies, compactions and advertisements, waits for the
+// compaction and the digest in flight to finish, and then releases the
+// journal. The log is unusable afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -511,6 +523,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	close(l.done)
 	l.mu.Unlock()
 	l.wg.Wait()
 	l.mu.Lock()

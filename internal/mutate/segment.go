@@ -3,6 +3,7 @@ package mutate
 import (
 	"bytes"
 	"fmt"
+	"time"
 )
 
 // Journal-segment shipping: the replication layer moves mutation batches
@@ -36,7 +37,7 @@ type Position struct {
 	Generation int    `json:"generation"`
 	Seq        int    `json:"seq"`
 	Epoch      uint64 `json:"epoch"`
-	LiveFP     string `json:"live_fp"`
+	LiveFP     string `json:"live_fp,omitempty"`
 }
 
 // SyncError reports a refused export or import: the two logs disagree about
@@ -57,21 +58,76 @@ func (e *SyncError) Error() string {
 // in paced rounds instead of one unbounded response.
 const maxSegmentBatches = 512
 
-// Position returns the log's current replication coordinate.
-func (l *Log) Position() Position {
+// Head returns the log's journal coordinates — Position without the live
+// fingerprint — in O(1): what shipping and anti-entropy steer by.
+func (l *Log) Head() Position {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.positionLocked()
+	return l.headLocked()
 }
 
-func (l *Log) positionLocked() Position {
+func (l *Log) headLocked() Position {
 	return Position{
 		BaseFP:     fpString(l.base.Fingerprint()),
 		Generation: l.gen,
 		Seq:        l.seq,
 		Epoch:      l.ov.Epoch(),
-		LiveFP:     fpString(l.ov.Fingerprint()),
 	}
+}
+
+// Position returns the log's current replication coordinate. The live
+// fingerprint is an O(n+m) digest of the overlay (memoized per overlay): the
+// overlay is captured under the lock and digested after it is released, so
+// applies never wait for a digest.
+func (l *Log) Position() Position {
+	l.mu.Lock()
+	pos, ov := l.headLocked(), l.ov
+	l.mu.Unlock()
+	pos.LiveFP = fpString(l.digest(ov))
+	return pos
+}
+
+// Advertise hands publish the log's Position, live fingerprint included, from
+// a goroutine of the log's own, so a caller on an acknowledgement path pays
+// O(1). Latest wins: at most one digest is in flight per log, a request made
+// meanwhile is served after it from the overlay published by then — the
+// epochs in between are never digested — and every Position handed out is
+// that of one overlay. The digester is background work: after a digest it
+// idles for nine times as long, so a write stream costs a tenth of one core
+// in digests whatever its rate. Close cuts the idling short and waits for
+// the digest in flight.
+func (l *Log) Advertise(publish func(Position)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return
+	}
+	l.advertise = publish
+	if l.advertising {
+		return
+	}
+	l.advertising = true
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		for {
+			l.mu.Lock()
+			publish := l.advertise
+			l.advertise = nil
+			if publish == nil {
+				l.advertising = false
+				l.mu.Unlock()
+				return
+			}
+			l.mu.Unlock()
+			start := time.Now()
+			publish(l.Position())
+			select {
+			case <-time.After(9 * time.Since(start)):
+			case <-l.done:
+			}
+		}
+	}()
 }
 
 // Export copies the journaled batch payloads of the current generation

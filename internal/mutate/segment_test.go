@@ -2,7 +2,11 @@ package mutate
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/graph"
 )
 
 // openPair opens two logs over the same base graph in separate directories —
@@ -201,5 +205,77 @@ func TestSegmentPaged(t *testing.T) {
 	}
 	if got := replica.Position(); got != pos {
 		t.Fatalf("paged pull converged to %+v, want %+v", got, pos)
+	}
+}
+
+// TestDigestOffTheLock pins the ack path: with a digest held up mid-flight,
+// Apply, Head and Stats go on — no Overlay.Fingerprint runs under Log.mu —
+// and the latest-wins digester then advertises the newest overlay only: one
+// Position for the six batches applied meanwhile, its triple that of a single
+// overlay, with no digest of the epochs in between.
+func TestDigestOffTheLock(t *testing.T) {
+	g := testGraph(t, 80, 21)
+	l := mustOpen(t, t.TempDir(), g, Config{})
+	batches := genBatches(t, g, 7, 22)
+	applyAll(t, l, batches[:1])
+
+	entered, release := make(chan uint64, 8), make(chan struct{})
+	l.digest = func(ov *graph.Overlay) uint64 {
+		entered <- ov.Epoch()
+		<-release
+		return ov.Fingerprint()
+	}
+	published := make(chan Position, 8)
+	advertise := func() { l.Advertise(func(p Position) { published <- p }) }
+
+	advertise()
+	if epoch := <-entered; epoch != 1 {
+		t.Fatalf("first digest is of epoch %d, want 1", epoch)
+	}
+	// The digest of epoch 1 is blocked. Applies must make progress, and every
+	// one of them asks for an advertisement, as the serving layer does.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, ops := range batches[1:] {
+			if _, err := l.Apply(ops); err != nil {
+				t.Errorf("apply under a blocked digest: %v", err)
+			}
+			advertise()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		close(release) // or the deferred Close waits for the lock as well
+		t.Fatal("Apply waits for a digest: Overlay.Fingerprint runs under Log.mu")
+	}
+	if h := l.Head(); h.Seq != 7 || h.Epoch != 7 || h.LiveFP != "" {
+		t.Fatalf("Head under a blocked digest = %+v, want seq 7, epoch 7, no fingerprint", h)
+	}
+	if st := l.Stats(); st.Batches != 7 {
+		t.Fatalf("Stats under a blocked digest: %d batches, want 7", st.Batches)
+	}
+
+	close(release)
+	if p := <-published; p.Epoch != 1 || p.Seq != 1 {
+		t.Fatalf("first advertisement %+v, want the overlay of epoch 1", p)
+	}
+	want := l.Position()
+	if p := <-published; p != want {
+		t.Fatalf("second advertisement %+v, want the newest position %+v", p, want)
+	}
+	if err := l.Close(); err != nil { // waits for the digester to go idle
+		t.Fatal(err)
+	}
+	close(entered)
+	var digested []uint64
+	for epoch := range entered {
+		digested = append(digested, epoch)
+	}
+	// Epoch 7 twice: the digester's and this test's own Position call.
+	if len(published) != 0 || !reflect.DeepEqual(digested, []uint64{7, 7}) {
+		t.Fatalf("after the blocked digest: %d more advertisements, digests of epochs %v; want none and [7 7]",
+			len(published), digested)
 	}
 }

@@ -251,12 +251,12 @@ type ReplicateResponse struct {
 	// Applied counts the batches this request newly journaled and published
 	// (already-held batches are verified and skipped).
 	Applied int `json:"applied"`
-	// Position is the receiver's post-import coordinate; Position.Seq is
-	// where the next shipped segment must start.
+	// Position is the receiver's post-import journal coordinate, without the
+	// live fingerprint (mutate.Log.Head); Position.Seq is where the next
+	// shipped segment must start.
 	Position mutate.Position `json:"position"`
-	// Self is the receiver's peer identity with its live fields refreshed,
-	// so the pusher's membership learns the new position without waiting for
-	// the next gossip round.
+	// Self is the receiver's peer identity as it last advertised it; its live
+	// fields trail an import by one digest (mutate.Log.Advertise).
 	Self cluster.Peer `json:"self"`
 }
 
@@ -277,7 +277,7 @@ type SegmentRequest struct {
 }
 
 // SegmentResponse carries the pulled journal range and the responder's
-// position, so the puller knows whether another round is needed.
+// journal coordinate, so the puller knows whether another round is needed.
 type SegmentResponse struct {
 	Graph    string          `json:"graph"`
 	Segment  mutate.Segment  `json:"segment"`

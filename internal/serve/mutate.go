@@ -196,13 +196,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.publishLive()
 	s.mutations.Add(1)
-	if s.clusterNode != nil {
-		// The ack contract is local durability (the fsynced journal append
-		// above); shipping to replicas happens after the response, and a
-		// replica the push misses is healed by anti-entropy.
-		s.updateSelfLive()
-		go s.shipToReplicas(app.Seq)
-	}
 	logger.Debug("mutate applied", "graph", name, "ops", len(req.Ops),
 		"generation", app.Generation, "seq", app.Seq, "epoch", app.Epoch)
 	writeJSON(w, http.StatusOK, MutateResponse{
@@ -213,6 +206,15 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		Assigned:   app.Assigned,
 		ElapsedMs:  float64(time.Since(start).Nanoseconds()) / 1e6,
 	})
+	if s.clusterNode != nil {
+		// The ack contract is local durability (the fsynced journal append
+		// above), and the ack is O(batch): advertising the new position and
+		// shipping to replicas start after the response is written, on
+		// goroutines of their own, and a replica the push misses is healed by
+		// anti-entropy.
+		s.updateSelfLive()
+		go s.shipToReplicas(app.Seq)
+	}
 }
 
 // readyLive fills the live-overlay section of a ReadyGraph when the named

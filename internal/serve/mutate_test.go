@@ -18,7 +18,7 @@ import (
 
 // liveServer builds a Server with a mutation log driving the default slot,
 // wired the way cmd/smallworldd wires it (OnCompact → InstallCompacted).
-func liveServer(t *testing.T, n float64, seed uint64, cfg mutate.Config) (*Server, *mutate.Log, *httptest.Server) {
+func liveServer(t testing.TB, n float64, seed uint64, cfg mutate.Config) (*Server, *mutate.Log, *httptest.Server) {
 	t.Helper()
 	s := New(Config{})
 	nw := testNetwork(t, n, seed)
@@ -40,7 +40,7 @@ func liveServer(t *testing.T, n float64, seed uint64, cfg mutate.Config) (*Serve
 
 // postMutate marshals req against /admin/mutate and decodes whichever body
 // the status implies.
-func postMutate(t *testing.T, url string, req MutateRequest) (*http.Response, MutateResponse, ErrorResponse) {
+func postMutate(t testing.TB, url string, req MutateRequest) (*http.Response, MutateResponse, ErrorResponse) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/admin/mutate", "application/json", bytes.NewReader(body))

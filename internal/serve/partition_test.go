@@ -153,6 +153,7 @@ func TestPartitionNoSplitBrain(t *testing.T) {
 	}
 
 	bh.Heal(primary.addr, replica.addr)
+	waitAdvertised(t, primary)
 
 	// One direct gossip exchange heals membership in both directions — the
 	// replica contacts the primary (direct revival on the primary's side) and

@@ -45,24 +45,30 @@ func (s *Server) replicationLog() (*mutate.Log, string, *cluster.Node) {
 	return log, name, node
 }
 
-// updateSelfLive publishes the local log position into the membership's
-// self entry, so the next gossip exchange advertises it and peers' anti-
+// updateSelfLive asks the log to publish its position into the membership's
+// self entry, so a later gossip exchange advertises it and peers' anti-
 // entropy can see who is ahead. Called after every applied or imported
-// batch.
+// batch, it costs O(1) here: the live fingerprint is digested on the log's
+// latest-wins digester (mutate.Log.Advertise), so under a write stream the
+// advertised triple lags by a digest and skips epochs, but is always the
+// (epoch, generation, fingerprint) of one overlay.
 func (s *Server) updateSelfLive() {
 	log, _, node := s.replicationLog()
 	if log == nil {
 		return
 	}
-	pos := log.Position()
-	node.SetLive(pos.Epoch, pos.Generation, pos.LiveFP)
+	log.Advertise(func(pos mutate.Position) {
+		node.SetLive(pos.Epoch, pos.Generation, pos.LiveFP)
+	})
 }
 
 // handleClusterReplicate serves POST /cluster/replicate — the push half of
 // replication: import a shipped journal segment through the same
 // validate→journal→publish pipeline /admin/mutate uses, byte for byte. The
-// response always carries the local position and refreshed identity, so a
-// pusher that raced ahead (409 gap) learns exactly where to re-ship from.
+// response always carries the local journal coordinates (mutate.Log.Head: no
+// live fingerprint, which would cost a digest per push) and refreshed
+// identity, so a pusher that raced ahead (409 gap) learns exactly where to
+// re-ship from.
 // Like gossip, imports stay up while draining: repair traffic is what lets
 // the rest of the shard release a draining primary.
 func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) {
@@ -107,7 +113,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 			logger.Info("replicate refused", "graph", name, "from", req.Segment.From,
 				"batches", len(req.Segment.Batches), "err", err)
 			writeJSON(w, http.StatusConflict, ReplicateResponse{
-				Graph: name, Applied: applied, Position: log.Position(), Self: node.Self(),
+				Graph: name, Applied: applied, Position: log.Head(), Self: node.Self(),
 			})
 		case errors.As(err, &corrupt):
 			logger.Warn("replicate rejected corrupt batch", "graph", name, "err", err)
@@ -121,7 +127,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	logger.Debug("replicate applied", "graph", name, "from", req.Segment.From,
 		"batches", len(req.Segment.Batches), "applied", applied)
 	writeJSON(w, http.StatusOK, ReplicateResponse{
-		Graph: name, Applied: applied, Position: log.Position(), Self: node.Self(),
+		Graph: name, Applied: applied, Position: log.Head(), Self: node.Self(),
 	})
 }
 
@@ -164,7 +170,7 @@ func (s *Server) handleClusterSegment(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &syncErr) {
 			logger.Info("segment refused", "graph", name, "from", req.From, "err", err)
 			writeJSON(w, http.StatusConflict, SegmentResponse{
-				Graph: name, Position: log.Position(), Self: node.Self(),
+				Graph: name, Position: log.Head(), Self: node.Self(),
 			})
 			return
 		}
@@ -173,7 +179,7 @@ func (s *Server) handleClusterSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SegmentResponse{
-		Graph: name, Segment: seg, Position: log.Position(), Self: node.Self(),
+		Graph: name, Segment: seg, Position: log.Head(), Self: node.Self(),
 	})
 }
 
@@ -192,7 +198,7 @@ func (s *Server) shipToReplicas(fromSeq int) {
 	if len(replicas) == 0 {
 		return
 	}
-	pos := log.Position()
+	pos := log.Head()
 	seg, err := log.Export(pos.BaseFP, pos.Generation, fromSeq, 0)
 	if err != nil {
 		// The range moved under us (e.g. a generation bump); anti-entropy
@@ -274,7 +280,7 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 		return 0
 	}
 	s.aeRounds.Add(1)
-	pos := log.Position()
+	pos := log.Head()
 	var target cluster.Peer
 	found := false
 	for _, p := range node.ReplicaSet() {
@@ -305,7 +311,7 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 	}()
 	pulled := 0
 	for {
-		pos = log.Position()
+		pos = log.Head()
 		var resp SegmentResponse
 		spanID := rt.allocID()
 		pullStart := time.Now()
@@ -347,7 +353,7 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 			s.logger.Warn("anti-entropy import failed", "peer", target.ID, "from", resp.Segment.From, "err", err)
 			return pulled
 		}
-		if log.Position().Seq >= resp.Position.Seq {
+		if log.Head().Seq >= resp.Position.Seq {
 			return pulled
 		}
 	}
@@ -480,7 +486,7 @@ func (s *Server) writeReplicationMetrics(p *obs.PromWriter) {
 	if log == nil {
 		return
 	}
-	pos := log.Position()
+	pos := log.Head()
 	primary := int64(0)
 	if node.Replica() == 0 {
 		primary = 1

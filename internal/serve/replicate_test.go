@@ -33,7 +33,7 @@ type replicaDaemon struct {
 // 0..k-1, each with an empty mutation log on the "live" slot, with full
 // static membership. clientFor may inject a per-daemon cluster HTTP client
 // (nil for the default).
-func newReplicaSet(t *testing.T, nw *core.Network, k int, cfg Config, clientFor func(addr string) *http.Client) []*replicaDaemon {
+func newReplicaSet(t testing.TB, nw *core.Network, k int, cfg Config, clientFor func(addr string) *http.Client) []*replicaDaemon {
 	t.Helper()
 	prefix, err := torus.ParsePrefix("0")
 	if err != nil {
@@ -91,7 +91,7 @@ func addVertexOps(nw *core.Network, next int) []mutate.Op {
 }
 
 // waitPosition polls until the daemon's log reaches want (or the deadline).
-func waitPosition(t *testing.T, d *replicaDaemon, want mutate.Position) {
+func waitPosition(t testing.TB, d *replicaDaemon, want mutate.Position) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -102,6 +102,20 @@ func waitPosition(t *testing.T, d *replicaDaemon, want mutate.Position) {
 			t.Fatalf("%s never converged: at %+v, want %+v", d.addr, d.log.Position(), want)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitAdvertised polls until the daemon's gossip identity carries its log's
+// current epoch: the advertised triple is digested off the ack path, so it
+// trails a 200 (or an updateSelfLive) by one digest.
+func waitAdvertised(t *testing.T, d *replicaDaemon) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for d.node.Self().Epoch != d.log.Head().Epoch {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never advertised epoch %d: self %+v", d.addr, d.log.Head().Epoch, d.node.Self())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -292,6 +306,7 @@ func TestAntiEntropyPull(t *testing.T) {
 	}
 	primary.srv.publishLive()
 	primary.srv.updateSelfLive()
+	waitAdvertised(t, primary)
 
 	// Before the replica hears the primary's live position, a round finds no
 	// one ahead and pulls nothing.

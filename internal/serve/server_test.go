@@ -65,7 +65,7 @@ func (switchableProto) Route(g route.Graph, obj route.Objective, s int) route.Re
 
 var registerTestProtos sync.Once
 
-func testNetwork(t *testing.T, n float64, seed uint64) *core.Network {
+func testNetwork(t testing.TB, n float64, seed uint64) *core.Network {
 	t.Helper()
 	registerTestProtos.Do(func() {
 		route.Register(gatedProto{})
