@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check vuln build test race vet cover bench bench-full perf-smoke experiments examples clean
+.PHONY: all check vuln build test race vet cover loc bench bench-full perf-smoke experiments examples clean
 
 all: check
 
@@ -37,6 +37,14 @@ vet:
 cover:
 	$(GO) test -cover ./...
 
+# The size figure ROADMAP quotes: non-test Go lines per package and in total,
+# outside ledger/ (its own module) and the benchmark's build cache.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './ledger/*' ! -path './.bench_build/*' -print0 \
+	  | xargs -0 wc -l \
+	  | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+	      END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
 # The repo benchmark (BENCHMARK.json): one traced 8-second run of the
 # library workload, end-to-end metrics plus the per-layer ladder as one JSON
 # line. ledger/README.md names every metric and the other workloads.
@@ -62,7 +70,6 @@ examples:
 	$(GO) run ./examples/milgram
 	$(GO) run ./examples/internet
 	$(GO) run ./examples/trajectory
-	$(GO) run ./examples/distributed
 
 clean:
 	$(GO) clean ./...

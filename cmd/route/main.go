@@ -130,7 +130,7 @@ func runCtx(ctx context.Context, args []string) (int, error) {
 	}
 	// Resolve through the registry: the error for an unknown name lists
 	// every registered protocol.
-	p, err := core.Lookup(*proto)
+	p, err := route.Lookup(*proto)
 	if err != nil {
 		return 1, err
 	}
@@ -205,7 +205,7 @@ func runCtx(ctx context.Context, args []string) (int, error) {
 				continue
 			}
 			eg, eobj := bound.View(g, route.NewStandard(g, dst), i)
-			res = p.Route(eg, eobj, src)
+			res = route.Route(p, eg, eobj, src)
 			if *trace {
 				// Replay over the fault-free graph: the path is what the
 				// faulty view routed, the scores are the true objective.

@@ -28,7 +28,7 @@ func main() {
 	// the neighbor most likely to know the target.
 	giant := nw.Giant()
 	s, t := giant[0], giant[len(giant)-1]
-	res, err := nw.Route(core.ProtoGreedy, s, t)
+	res, err := nw.Route("greedy", s, t)
 	if err != nil {
 		log.Fatal(err)
 	}

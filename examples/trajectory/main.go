@@ -50,7 +50,7 @@ func main() {
 		// The observer receives one MoveEvent per hop: the vertex, its
 		// model weight and its objective value — the Figure 1 data.
 		var events []route.MoveEvent
-		res, err := nw.Route(core.ProtoGreedy, 0, 1, route.ObserverFunc(func(ev route.MoveEvent) {
+		res, err := nw.Route("greedy", 0, 1, route.ObserverFunc(func(ev route.MoveEvent) {
 			events = append(events, ev)
 		}))
 		if err != nil {

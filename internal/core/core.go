@@ -6,7 +6,7 @@
 // a chosen protocol, and report success rates, hop counts and stretch.
 //
 // Protocols are route.Protocol values addressed by registered name; the
-// five built-ins self-register and new ones plug in via Register without
+// five built-ins self-register and new ones plug in via route.Register without
 // touching this package. Every episode feeds process-wide atomic counters
 // (exported via expvar as "smallworld.engine", snapshotted by Stats), an
 // optional route.Observer streams per-move trajectories, and RunMilgramCtx
@@ -242,7 +242,7 @@ func runEpisodeInto(g route.Graph, p route.Protocol, obj route.Objective, s int,
 		recordPanic()
 		err = fmt.Errorf("core: protocol %q panicked routing from %d: %v", p.Name(), s, r)
 	}()
-	route.RouteInto(p, g, obj, s, sc, out)
+	p.RouteInto(g, obj, s, sc, out)
 	recordEpisode(*out, time.Since(start))
 	return nil
 }

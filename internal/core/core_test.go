@@ -80,17 +80,8 @@ func TestNewKleinbergNetworks(t *testing.T) {
 }
 
 func TestProtocolString(t *testing.T) {
-	names := map[Protocol]string{
-		ProtoGreedy:          "greedy",
-		ProtoPhiDFS:          "phi-dfs",
-		ProtoHistory:         "history",
-		ProtoGravityPressure: "gravity-pressure",
-		ProtoLookahead:       "greedy+lookahead",
-	}
-	for p, want := range names {
-		if p.String() != want {
-			t.Errorf("%q.String() = %q", string(p), p.String())
-		}
+	if p := Protocol("phi-dfs"); p.String() != "phi-dfs" {
+		t.Errorf("%q.String() = %q", string(p), p.String())
 	}
 	if Protocol("").String() != "greedy" {
 		t.Error("zero-value protocol must print as the greedy default")
@@ -101,7 +92,7 @@ func TestProtocolString(t *testing.T) {
 	if len(ps) < 5 {
 		t.Fatalf("Protocols() = %v, missing built-ins", ps)
 	}
-	for i, want := range []Protocol{ProtoGreedy, ProtoLookahead, ProtoPhiDFS, ProtoHistory, ProtoGravityPressure} {
+	for i, want := range []Protocol{"greedy", "greedy+lookahead", "phi-dfs", "history", "gravity-pressure"} {
 		if ps[i] != want {
 			t.Errorf("Protocols()[%d] = %q, want %q", i, ps[i], want)
 		}
@@ -124,7 +115,7 @@ func TestRouteDispatch(t *testing.T) {
 	if _, err := nw.Route(Protocol("no-such-protocol"), s, tgt); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
-	if _, err := nw.Route(ProtoGreedy, -1, s); err == nil {
+	if _, err := nw.Route("greedy", -1, s); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 }
@@ -156,7 +147,7 @@ func TestRunMilgramGreedy(t *testing.T) {
 
 func TestRunMilgramPatchedAlwaysSucceeds(t *testing.T) {
 	nw := girgNet(t, 1500, 8)
-	for _, proto := range []Protocol{ProtoPhiDFS, ProtoHistory} {
+	for _, proto := range []Protocol{"phi-dfs", "history"} {
 		rep, err := RunMilgram(nw, MilgramConfig{Pairs: 40, Protocol: proto, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +219,7 @@ func TestRunMilgramParallelMatchesSequential(t *testing.T) {
 	// The report must be bit-identical whether episodes run on one core or
 	// many (pairs are drawn sequentially; episodes are pure).
 	nw := girgNet(t, 1500, 17)
-	cfg := MilgramConfig{Pairs: 80, Seed: 18, ComputeStretch: true, Protocol: ProtoPhiDFS}
+	cfg := MilgramConfig{Pairs: 80, Seed: 18, ComputeStretch: true, Protocol: "phi-dfs"}
 	prev := runtime.GOMAXPROCS(1)
 	seq, err := RunMilgram(nw, cfg)
 	runtime.GOMAXPROCS(prev)

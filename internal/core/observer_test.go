@@ -44,7 +44,7 @@ func TestObserverFigure1Trajectory(t *testing.T) {
 			},
 		}
 		var evs []route.MoveEvent
-		r, err := cand.Route(ProtoGreedy, 0, 1, route.ObserverFunc(func(ev route.MoveEvent) {
+		r, err := cand.Route("greedy", 0, 1, route.ObserverFunc(func(ev route.MoveEvent) {
 			evs = append(evs, ev)
 		}))
 		if err != nil {

@@ -1,67 +1,26 @@
 package core
 
-import (
-	"repro/internal/route"
-)
+import "repro/internal/route"
 
-// Protocol names a routing protocol in the registry. The value is the
-// protocol's registered name ("greedy", "phi-dfs", ...); the zero value ""
-// selects the default protocol, greedy. Because Protocol is a string type,
-// registry names convert directly: nw.Route("phi-dfs", s, t) works as well
-// as nw.Route(core.ProtoPhiDFS, s, t).
+// Protocol names a routing protocol by its route registry name ("greedy",
+// "phi-dfs", ...); the zero value "" selects the default protocol, greedy.
+// It is a string type, so registry names convert directly:
+// nw.Route("phi-dfs", s, t). Implementations register with route.Register.
 type Protocol string
 
-// Deprecated protocol constants. They predate the registry, when Protocol
-// was an int enum dispatched by a switch; they now resolve through the
-// registry by name and exist only so pre-registry callers keep compiling.
-// New code should use registry names directly (or route.Lookup for the
-// implementation).
-const (
-	// ProtoGreedy is the pure greedy protocol of Algorithm 1.
-	//
-	// Deprecated: use the registry name "greedy".
-	ProtoGreedy Protocol = "greedy"
-	// ProtoPhiDFS is the paper's Algorithm 2 patching protocol.
-	//
-	// Deprecated: use the registry name "phi-dfs".
-	ProtoPhiDFS Protocol = "phi-dfs"
-	// ProtoHistory is the message-history patching protocol (Section 5,
-	// first example).
-	//
-	// Deprecated: use the registry name "history".
-	ProtoHistory Protocol = "history"
-	// ProtoGravityPressure is the gravity-pressure heuristic (violates P3).
-	//
-	// Deprecated: use the registry name "gravity-pressure".
-	ProtoGravityPressure Protocol = "gravity-pressure"
-	// ProtoLookahead is greedy routing on the one-hop lookahead objective
-	// ("know thy neighbor's neighbor", related work of Section 1.1).
-	//
-	// Deprecated: use the registry name "greedy+lookahead".
-	ProtoLookahead Protocol = "greedy+lookahead"
-)
-
-// String names the protocol for reports.
+// String names the protocol for reports and lookups: the zero value is
+// greedy.
 func (p Protocol) String() string {
 	if p == "" {
-		return string(ProtoGreedy)
+		return "greedy"
 	}
 	return string(p)
 }
 
-// Register adds a protocol to the engine's registry. Protocols register by
-// value; the same registry backs route.Lookup, core.Lookup and every place
-// a protocol name is accepted. It panics on duplicate or empty names.
-func Register(p route.Protocol) { route.Register(p) }
-
-// Lookup resolves a registered protocol by name. The error for an unknown
-// name lists every registered protocol.
-func Lookup(name string) (route.Protocol, error) { return route.Lookup(string(name)) }
-
 // reportOrder fixes the display order of the built-in protocols in tables
 // and sweeps (pure greedy and its lookahead variant first, then the
 // patchers). Externally registered protocols follow in registration order.
-var reportOrder = []Protocol{ProtoGreedy, ProtoLookahead, ProtoPhiDFS, ProtoHistory, ProtoGravityPressure}
+var reportOrder = []Protocol{"greedy", "greedy+lookahead", "phi-dfs", "history", "gravity-pressure"}
 
 // Protocols lists all registered protocols: the built-ins in report order,
 // then any externally registered protocols in registration order.
@@ -84,8 +43,5 @@ func Protocols() []Protocol {
 // resolve maps a config-level Protocol to its implementation; the zero value
 // selects greedy.
 func resolve(p Protocol) (route.Protocol, error) {
-	if p == "" {
-		p = ProtoGreedy
-	}
-	return route.Lookup(string(p))
+	return route.Lookup(p.String())
 }

@@ -21,28 +21,27 @@ func reportsEqual(a, b MilgramReport) bool {
 		reflect.DeepEqual(a.Hops, b.Hops) && reflect.DeepEqual(a.Stretches, b.Stretches)
 }
 
-// TestGoldenShimEquivalence pins the API redesign to the pre-registry
-// behavior: each deprecated Proto* constant, resolved through the registry,
-// must produce a Result bit-identical to the enum switch it replaced. The
-// right-hand sides below are the old switch arms, inlined.
+// TestGoldenShimEquivalence pins name dispatch to the pre-registry behavior:
+// each built-in's registry name, resolved through Network.Route, must produce
+// a Result bit-identical to the enum switch arm it replaced, inlined below.
 func TestGoldenShimEquivalence(t *testing.T) {
 	nw := girgNet(t, 1200, 31)
 	giant := nw.Giant()
 	golden := map[Protocol]func(obj route.Objective, s int) route.Result{
-		ProtoGreedy: func(obj route.Objective, s int) route.Result {
+		"greedy": func(obj route.Objective, s int) route.Result {
 			return route.Greedy(nw.Graph, obj, s)
 		},
-		ProtoLookahead: func(obj route.Objective, s int) route.Result {
+		"greedy+lookahead": func(obj route.Objective, s int) route.Result {
 			return route.Greedy(nw.Graph, route.NewLookahead(nw.Graph, obj), s)
 		},
-		ProtoPhiDFS: func(obj route.Objective, s int) route.Result {
-			return route.PhiDFS{}.Route(nw.Graph, obj, s)
+		"phi-dfs": func(obj route.Objective, s int) route.Result {
+			return route.Route(route.PhiDFS{}, nw.Graph, obj, s)
 		},
-		ProtoHistory: func(obj route.Objective, s int) route.Result {
-			return route.HistoryPatch{}.Route(nw.Graph, obj, s)
+		"history": func(obj route.Objective, s int) route.Result {
+			return route.Route(route.HistoryPatch{}, nw.Graph, obj, s)
 		},
-		ProtoGravityPressure: func(obj route.Objective, s int) route.Result {
-			return route.GravityPressure{}.Route(nw.Graph, obj, s)
+		"gravity-pressure": func(obj route.Objective, s int) route.Result {
+			return route.Route(route.GravityPressure{}, nw.Graph, obj, s)
 		},
 	}
 	// Several pairs across the giant component, fixed by the graph seed.
@@ -68,33 +67,33 @@ func TestGoldenShimEquivalence(t *testing.T) {
 }
 
 func TestLookupErrorListsProtocols(t *testing.T) {
-	_, err := Lookup("bogus")
+	_, err := resolve("bogus")
 	if err == nil {
-		t.Fatal("Lookup of unknown name succeeded")
+		t.Fatal("resolve of unknown name succeeded")
 	}
-	for _, p := range []Protocol{ProtoGreedy, ProtoPhiDFS, ProtoGravityPressure} {
+	for _, p := range []Protocol{"greedy", "phi-dfs", "gravity-pressure"} {
 		if !strings.Contains(err.Error(), string(p)) {
 			t.Fatalf("error %q does not list %q", err, p)
 		}
 	}
-	p, err := Lookup("greedy")
+	p, err := resolve("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Name() != "greedy" {
-		t.Fatalf("Lookup(greedy).Name() = %q", p.Name())
+		t.Fatalf("resolve(\"\").Name() = %q", p.Name())
 	}
 }
 
 func TestZeroValueProtocolIsGreedy(t *testing.T) {
 	// A zero-valued MilgramConfig.Protocol must route greedily — identical
-	// report to an explicit ProtoGreedy, not an error.
+	// report to an explicit "greedy", not an error.
 	nw := girgNet(t, 900, 32)
 	def, err := RunMilgram(nw, MilgramConfig{Pairs: 40, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := RunMilgram(nw, MilgramConfig{Pairs: 40, Seed: 33, Protocol: ProtoGreedy})
+	explicit, err := RunMilgram(nw, MilgramConfig{Pairs: 40, Seed: 33, Protocol: "greedy"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,20 +106,20 @@ func TestZeroValueProtocolIsGreedy(t *testing.T) {
 type constProtocol struct{}
 
 func (constProtocol) Name() string { return "test-stay-put" }
-func (constProtocol) Route(g route.Graph, obj route.Objective, s int) route.Result {
-	return route.Result{Path: []int{s}, Stuck: s, Unique: 1}
+func (constProtocol) RouteInto(_ route.Graph, _ route.Objective, s int, _ *route.Scratch, out *route.Result) {
+	*out = route.Result{Path: []int{s}, Stuck: s, Unique: 1}
 }
 
 // panicProtocol panics on every episode, as a buggy plug-in would.
 type panicProtocol struct{}
 
 func (panicProtocol) Name() string { return "test-panic" }
-func (panicProtocol) Route(g route.Graph, obj route.Objective, s int) route.Result {
+func (panicProtocol) RouteInto(route.Graph, route.Objective, int, *route.Scratch, *route.Result) {
 	panic("buggy plug-in protocol")
 }
 
 func TestExternalProtocolPlugsIn(t *testing.T) {
-	Register(constProtocol{})
+	route.Register(constProtocol{})
 	nw := girgNet(t, 600, 34)
 
 	// Addressable everywhere a protocol name is accepted.
@@ -152,7 +151,7 @@ func TestExternalProtocolPlugsIn(t *testing.T) {
 }
 
 func TestProtocolPanicBecomesError(t *testing.T) {
-	Register(panicProtocol{})
+	route.Register(panicProtocol{})
 	nw := girgNet(t, 600, 36)
 
 	before := Stats()

@@ -56,7 +56,7 @@ func TestRunMilgramMaxHopsClassifiesDeadline(t *testing.T) {
 type slowProtocol struct{}
 
 func (slowProtocol) Name() string { return "test-slow" }
-func (slowProtocol) Route(g route.Graph, obj route.Objective, s int) route.Result {
+func (slowProtocol) RouteInto(g route.Graph, _ route.Objective, s int, _ *route.Scratch, _ *route.Result) {
 	for {
 		g.Neighbors(s)
 		time.Sleep(100 * time.Microsecond)
@@ -64,7 +64,7 @@ func (slowProtocol) Route(g route.Graph, obj route.Objective, s int) route.Resul
 }
 
 func TestRunMilgramEpisodeTimeoutTurnsHangIntoFailure(t *testing.T) {
-	Register(slowProtocol{})
+	route.Register(slowProtocol{})
 	nw := girgNet(t, 600, 52)
 	start := time.Now()
 	rep, err := RunMilgram(nw, MilgramConfig{
@@ -145,7 +145,7 @@ func TestFaultyBatchDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := MilgramConfig{
-		Pairs: 80, Seed: 59, Protocol: ProtoPhiDFS, ComputeStretch: true,
+		Pairs: 80, Seed: 59, Protocol: "phi-dfs", ComputeStretch: true,
 		MaxHops: 50000, Faults: plan,
 	}
 	prev := runtime.GOMAXPROCS(1)
@@ -254,8 +254,8 @@ func TestFaultModelPanicFailsOnlyBatch(t *testing.T) {
 type stuckProtocol struct{}
 
 func (stuckProtocol) Name() string { return "test-stuck" }
-func (stuckProtocol) Route(g route.Graph, obj route.Objective, s int) route.Result {
-	return route.Result{Path: []int{s}, Stuck: s, Unique: 1}
+func (stuckProtocol) RouteInto(_ route.Graph, _ route.Objective, s int, _ *route.Scratch, out *route.Result) {
+	*out = route.Result{Path: []int{s}, Stuck: s, Unique: 1}
 }
 
 func TestEngineStatsTaxonomyKeysAlwaysPresent(t *testing.T) {
@@ -267,7 +267,7 @@ func TestEngineStatsTaxonomyKeysAlwaysPresent(t *testing.T) {
 	}
 	// An unclassified failure from an external protocol must be folded into
 	// the taxonomy as a dead end, in the report and the engine counters alike.
-	Register(stuckProtocol{})
+	route.Register(stuckProtocol{})
 	nw := girgNet(t, 900, 64)
 	before := Stats()
 	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 60, Seed: 65, Protocol: "test-stuck"})

@@ -51,7 +51,7 @@ func runE16(cfg Config) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	protocols := []core.Protocol{core.ProtoGreedy, core.ProtoPhiDFS}
+	protocols := []core.Protocol{"greedy", "phi-dfs"}
 	// Patching under heavy faults can wander; the engine's deterministic
 	// query budget classifies runaways as deadline failures instead of
 	// letting one episode dominate the table's wall time.
@@ -116,21 +116,21 @@ func runE16(cfg Config) (Table, error) {
 		}
 		return false
 	}
-	if base, ok := get("none", 0, core.ProtoGreedy); ok && swept("edge-drop") {
-		if drop, ok := get("edge-drop", 0.3, core.ProtoGreedy); ok && base > 0 {
+	if base, ok := get("none", 0, "greedy"); ok && swept("edge-drop") {
+		if drop, ok := get("edge-drop", 0.3, "greedy"); ok && base > 0 {
 			t.AddNote("greedy keeps %.0f%% of fault-free deliveries under 30%% transient edge drop — degradation is smooth, as the remark after Theorem 3.5 predicts", 100*drop/base)
 		}
 	}
 	if swept("crash-uniform") {
-		gd, ok1 := get("crash-uniform", 0.3, core.ProtoGreedy)
-		pd, ok2 := get("crash-uniform", 0.3, core.ProtoPhiDFS)
+		gd, ok1 := get("crash-uniform", 0.3, "greedy")
+		pd, ok2 := get("crash-uniform", 0.3, "phi-dfs")
 		if ok1 && ok2 {
 			t.AddNote("under 30%% uniform crashes patching delivers %.1f%% vs greedy's %.1f%%: Theorem 3.4's promise holds within the surviving component (crashed endpoints are unreachable for both)", 100*pd, 100*gd)
 		}
 	}
 	if swept("crash-uniform") && swept("crash-core") {
-		u, ok1 := get("crash-uniform", 0.1, core.ProtoGreedy)
-		c, ok2 := get("crash-core", 0.1, core.ProtoGreedy)
+		u, ok1 := get("crash-uniform", 0.1, "greedy")
+		c, ok2 := get("crash-core", 0.1, "greedy")
 		if ok1 && ok2 {
 			t.AddNote("crashing the top-10%% weight core leaves greedy at %.1f%% vs %.1f%% under equal-rate uniform churn: the core Figure 1 routes through is the structural bottleneck", 100*c, 100*u)
 		}

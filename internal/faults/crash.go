@@ -104,12 +104,10 @@ func (b *boundCrash) View(g route.Graph, obj route.Objective, episode int) (rout
 	return &crashGraph{inner: g, bound: b}, obj
 }
 
-// crashGraph filters crashed vertices out of adjacency lists. One instance
-// serves one episode so the neighbor buffer is goroutine-local.
+// crashGraph filters crashed vertices out of adjacency lists.
 type crashGraph struct {
 	inner route.Graph
 	bound *boundCrash
-	buf   []int32
 }
 
 // N returns the number of vertices (crashed vertices keep their ids; they
@@ -119,17 +117,18 @@ func (c *crashGraph) N() int { return c.inner.N() }
 // Weight returns the vertex weight of the wrapped graph.
 func (c *crashGraph) Weight(v int) float64 { return c.inner.Weight(v) }
 
-// Neighbors returns v's surviving neighbors. The returned slice is reused
-// across calls.
+// Neighbors returns v's surviving neighbors in a slice of their own: a
+// protocol may still be walking one list when it asks for the next
+// (greedy+lookahead scores a neighbor by listing that neighbor's).
 func (c *crashGraph) Neighbors(v int) []int32 {
 	all := c.inner.Neighbors(v)
-	c.buf = c.buf[:0]
+	alive := make([]int32, 0, len(all))
 	for _, u := range all {
 		if !c.bound.Crashed(int(u)) {
-			c.buf = append(c.buf, u)
+			alive = append(alive, u)
 		}
 	}
-	return c.buf
+	return alive
 }
 
 var _ route.Graph = (*crashGraph)(nil)

@@ -80,16 +80,14 @@ func (b boundDrop) View(g route.Graph, obj route.Objective, episode int) (route.
 }
 
 // dropGraph drops each incident edge independently per adjacency query. One
-// instance serves one episode: the query counter and the reused neighbor
-// buffer are goroutine-local by construction, which is what made the model
-// safe where the removed route.FlakyGraph's shared buffer was not.
+// instance serves one episode, so the query counter is goroutine-local by
+// construction.
 type dropGraph struct {
 	inner    route.Graph
 	seed     uint64
 	episode  uint64
 	dropProb float64
 	queries  uint64
-	buf      []int32
 }
 
 // N returns the number of vertices.
@@ -100,19 +98,19 @@ func (d *dropGraph) Weight(v int) float64 { return d.inner.Weight(v) }
 
 // Neighbors returns the neighbors of v that survive this query's coin flips.
 // Each call advances the episode's query counter, so repeated queries see
-// independent (but fully deterministic) failure patterns. The returned slice
-// is reused across calls, matching the route.Graph convention.
+// independent (but fully deterministic) failure patterns. The slice is the
+// caller's to keep, as crashGraph's is.
 func (d *dropGraph) Neighbors(v int) []int32 {
 	all := d.inner.Neighbors(v)
 	q := d.queries
 	d.queries++
-	d.buf = d.buf[:0]
+	kept := make([]int32, 0, len(all))
 	for _, u := range all {
 		if hashFloat(d.seed, d.episode, q, uint64(v)<<32^uint64(uint32(u))) >= d.dropProb {
-			d.buf = append(d.buf, u)
+			kept = append(kept, u)
 		}
 	}
-	return d.buf
+	return kept
 }
 
 var _ route.Graph = (*dropGraph)(nil)

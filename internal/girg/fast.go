@@ -281,7 +281,7 @@ func (s *fastState) sampleLevel(li, lj *fastLayer, level int, separated bool) {
 				continue
 			}
 			minDist := float64(s.gaps[k]) / side
-			if pbar := s.prob(li.wUpper, lj.wUpper, ipow(minDist, s.dim)); pbar > 0 {
+			if pbar := s.prob(li.wUpper, lj.wUpper, torus.IPow(minDist, s.dim)); pbar > 0 {
 				s.skipSampling(li, aLo, aHi, lj, bLo, bHi, pbar)
 			}
 		}
@@ -296,22 +296,13 @@ func (s *fastState) prob(wu, wv, distPow float64) float64 {
 	return s.kernel.Prob(wu, wv, distPow)
 }
 
-// distPow is space.DistPow of the positions of u and v. The certified case
-// is route's unitDistPow2: the max builtin is the compare-and-branch of
-// Space.Dist wherever no NaN can reach it.
+// distPow is space.DistPow of the positions of u and v, through the unit
+// kernel where the coordinates are certified.
 func (s *fastState) distPow(u, v int) float64 {
 	if !s.unit2 {
 		return s.space.DistPow(s.raw[u*s.dim:(u+1)*s.dim], s.raw[v*s.dim:(v+1)*s.dim])
 	}
-	d0, d1 := math.Abs(s.raw[2*u]-s.raw[2*v]), math.Abs(s.raw[2*u+1]-s.raw[2*v+1])
-	if d0 > 0.5 {
-		d0 = 1 - d0
-	}
-	if d1 > 0.5 {
-		d1 = 1 - d1
-	}
-	m := max(d0, d1)
-	return m * m
+	return torus.UnitDistPow2(s.raw[2*u], s.raw[2*u+1], s.raw[2*v], s.raw[2*v+1])
 }
 
 // exactPairs flips exact per-pair coins for all cross pairs between two
@@ -348,16 +339,4 @@ func (s *fastState) skipSampling(li *fastLayer, aLo, aHi int, lj *fastLayer, bLo
 			s.b.AddEdge(u, v)
 		}
 	}
-}
-
-// ipow computes x^k for small non-negative integer k.
-func ipow(x float64, k int) float64 {
-	r := 1.0
-	for ; k > 0; k >>= 1 {
-		if k&1 == 1 {
-			r *= x
-		}
-		x *= x
-	}
-	return r
 }

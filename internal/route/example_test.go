@@ -40,7 +40,7 @@ func ExamplePhiDFS() {
 	}
 	giant := graph.GiantComponent(g)
 	s, t := giant[0], giant[len(giant)-1]
-	res := route.PhiDFS{}.Route(g, route.NewStandard(g, t), s)
+	res := route.Route(route.PhiDFS{}, g, route.NewStandard(g, t), s)
 	fmt.Println("delivered:", res.Success)
 	// Output:
 	// delivered: true

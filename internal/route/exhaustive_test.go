@@ -1,6 +1,7 @@
 package route
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/xrand"
@@ -52,8 +53,8 @@ func TestPatchersExhaustComponentOnFailure(t *testing.T) {
 		comp := componentOf(g, s)
 
 		for name, routeFn := range map[string]func() Result{
-			"phidfs":  func() Result { return PhiDFS{}.Route(g, obj, s) },
-			"history": func() Result { return HistoryPatch{}.Route(g, obj, s) },
+			"phidfs":  func() Result { return Route(PhiDFS{}, g, obj, s) },
+			"history": func() Result { return Route(HistoryPatch{}, g, obj, s) },
 		} {
 			res := routeFn()
 			if res.Success {
@@ -122,7 +123,7 @@ func TestPhiDFSAdversarialTopologies(t *testing.T) {
 			}
 			s, tgt := rng.IntN(n), rng.IntN(n)
 			obj := scoreObjective(scores, tgt)
-			res := PhiDFS{}.Route(g, obj, s)
+			res := Route(PhiDFS{}, g, obj, s)
 			if !res.Success {
 				t.Fatalf("%s trial %d: failed on connected graph (%+v)", name, trial, res)
 			}
@@ -146,7 +147,7 @@ func TestPhiDFSWorstCaseDescendingPath(t *testing.T) {
 		scores[i] = float64(n - i) // descending toward the target end
 	}
 	obj := scoreObjective(scores, n-1)
-	res := PhiDFS{}.Route(g, obj, 0)
+	res := Route(PhiDFS{}, g, obj, 0)
 	if !res.Success {
 		t.Fatalf("failed: %+v", res)
 	}
@@ -164,7 +165,7 @@ func TestHistoryPatchMoveAccounting(t *testing.T) {
 	// frontier in score order, walking back through the hub each time.
 	g := newTestGraph(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {4, 5}})
 	obj := scoreObjective([]float64{1, 5, 4, 3, 2, 0}, 5)
-	res := HistoryPatch{}.Route(g, obj, 0)
+	res := Route(HistoryPatch{}, g, obj, 0)
 	if !res.Success {
 		t.Fatalf("%+v", res)
 	}
@@ -175,6 +176,41 @@ func TestHistoryPatchMoveAccounting(t *testing.T) {
 	// walks), then 4->5 (target is 4's best neighbor): 8 moves.
 	if res.Moves != 8 {
 		t.Fatalf("moves = %d, want 8 (path %v)", res.Moves, res.Path)
+	}
+}
+
+// TestHistoryKeepsNoPerVertexState: history's memory travels in the message
+// (TestHistoryProgramStateless of the deleted internal/dist). What an episode
+// allocates must therefore not grow with the graph around it, where Phi-DFS —
+// whose per-vertex fields are the paper's node memory — pays for every vertex.
+func TestHistoryKeepsNoPerVertexState(t *testing.T) {
+	const pad = 100000
+	bytesPerEpisode := func(p Protocol, n int) uint64 {
+		// The star with a tail of TestHistoryPatchMoveAccounting, among
+		// n-6 isolated vertices.
+		g := newTestGraph(n, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {4, 5}})
+		obj := scoreObjective(append([]float64{1, 5, 4, 3, 2, 0}, make([]float64, n-6)...), 5)
+		var sc Scratch
+		var out Result
+		p.RouteInto(g, obj, 0, &sc, &out) // grow the caller's buffers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const episodes = 8
+		for i := 0; i < episodes; i++ {
+			if p.RouteInto(g, obj, 0, &sc, &out); !out.Success || out.Unique != 6 {
+				t.Fatalf("%s: %+v", p.Name(), out)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / episodes
+	}
+	// Under a bit per added vertex: the runtime's own allocations put a few
+	// hundred bytes of noise on the reading.
+	if small, big := bytesPerEpisode(HistoryPatch{}, 6), bytesPerEpisode(HistoryPatch{}, 6+pad); big > small+pad/8 {
+		t.Fatalf("history allocates %d bytes an episode on 6 vertices and %d among %d more: state per vertex", small, big, pad)
+	}
+	if small, big := bytesPerEpisode(PhiDFS{}, 6), bytesPerEpisode(PhiDFS{}, 6+pad); big < small+8*pad {
+		t.Fatalf("control: Phi-DFS allocates %d and %d bytes an episode; the measure does not see node memory", small, big)
 	}
 }
 
@@ -196,7 +232,7 @@ func TestGravityPressureEscapesLocalOptimum(t *testing.T) {
 	if gres.Success {
 		t.Fatal("greedy should die in clique A")
 	}
-	pres := GravityPressure{}.Route(g, obj, 0)
+	pres := Route(GravityPressure{}, g, obj, 0)
 	if !pres.Success {
 		t.Fatalf("gravity-pressure failed: %+v", pres)
 	}

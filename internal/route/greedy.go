@@ -8,22 +8,18 @@ type GreedyRouter struct{}
 // Name returns "greedy".
 func (GreedyRouter) Name() string { return "greedy" }
 
-// Route runs Algorithm 1 from s toward obj.Target.
-func (GreedyRouter) Route(g Graph, obj Objective, s int) Result {
-	return Greedy(g, obj, s)
-}
-
-// RouteInto is the zero-alloc v2 path: it routes into out, reusing out's
-// Path backing array (sc is not needed — greedy keeps no aux state and
-// never revisits a vertex, so Unique is the path length).
-func (GreedyRouter) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
+// RouteInto runs Algorithm 1 from s toward obj.Target into out without
+// allocating (sc is not needed — greedy keeps no aux state and never
+// revisits a vertex, so Unique is the path length).
+func (GreedyRouter) RouteInto(g Graph, obj Objective, s int, _ *Scratch, out *Result) {
 	greedyInto(g, obj, s, out)
 }
 
 func init() { Register(GreedyRouter{}) }
 
 // Graph is the read-only view routing protocols need. *graph.Graph
-// satisfies it.
+// satisfies it. A list Neighbors returned stays valid while others are
+// asked for.
 type Graph interface {
 	N() int
 	Neighbors(v int) []int32
@@ -31,11 +27,8 @@ type Graph interface {
 }
 
 // Greedy runs Algorithm 1 from s toward obj.Target and returns the episode.
-// It is a one-line adapter over the RouteInto convention.
 func Greedy(g Graph, obj Objective, s int) Result {
-	var res Result
-	greedyInto(g, obj, s, &res)
-	return res
+	return Route(GreedyRouter{}, g, obj, s)
 }
 
 // greedyInto is Algorithm 1 building into out. A greedy path visits every

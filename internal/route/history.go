@@ -55,16 +55,8 @@ func (h *frontierHeap) Pop() interface{} {
 	return x
 }
 
-// Route runs the history-patched protocol from s toward obj.Target. It is a
-// one-line adapter over the RouteInto convention.
-func (a HistoryPatch) Route(g Graph, obj Objective, s int) Result {
-	var res Result
-	a.RouteInto(g, obj, s, nil, &res)
-	return res
-}
-
-// RouteInto routes into out, reusing out's Path backing array and sc's
-// unique-count marks. The protocol's own exploration state (visited set,
+// RouteInto runs the history-patched protocol from s toward obj.Target into
+// out, reusing out's Path backing array and sc's unique-count marks. The protocol's own exploration state (visited set,
 // frontier heap) is still allocated per episode — history carries
 // per-episode message state by design; only greedy is the zero-alloc path.
 func (a HistoryPatch) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
@@ -193,16 +185,8 @@ func (GravityPressure) Name() string { return "gravity-pressure" }
 
 func init() { Register(GravityPressure{}) }
 
-// Route runs gravity-pressure from s toward obj.Target. It is a one-line
-// adapter over the RouteInto convention.
-func (a GravityPressure) Route(g Graph, obj Objective, s int) Result {
-	var res Result
-	a.RouteInto(g, obj, s, nil, &res)
-	return res
-}
-
-// RouteInto routes into out, reusing out's Path backing array and sc's
-// unique-count marks (the per-episode visit counts stay a map).
+// RouteInto runs gravity-pressure from s toward obj.Target into out, reusing
+// out's Path backing array and sc's unique-count marks (the per-episode visit counts stay a map).
 func (a GravityPressure) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
 	maxMoves := a.MaxMoves
 	if maxMoves == 0 {

@@ -24,9 +24,9 @@ func sameEpisode(t *testing.T, label string, want, got Result) {
 }
 
 // TestRouteIntoMatchesRouteAllProtocols drives every registered built-in
-// through both API generations on random GIRG pairs and demands bit-identical
-// episodes, with the scratch-backed Results reused across episodes to expose
-// stale-state bugs.
+// through Route (fresh Result, no scratch) and through RouteInto on one
+// reused Scratch and Result on random GIRG pairs and demands bit-identical
+// episodes, to expose stale-state bugs.
 func TestRouteIntoMatchesRouteAllProtocols(t *testing.T) {
 	g := girgForRouting(t, 3000, 11)
 	rng := xrand.New(99)
@@ -41,36 +41,13 @@ func TestRouteIntoMatchesRouteAllProtocols(t *testing.T) {
 			s := rng.IntN(g.N())
 			tgt := rng.IntN(g.N())
 			obj := NewStandard(g, tgt)
-			want := p.Route(g, obj, s)
+			want := Route(p, g, obj, s)
 			// Fresh objective: memoizing objectives (lookahead) must not
 			// leak one episode's cache into the next comparison.
-			RouteInto(p, g, NewStandard(g, tgt), s, &sc, &out)
+			p.RouteInto(g, NewStandard(g, tgt), s, &sc, &out)
 			sameEpisode(t, name, want, out)
 		}
 	}
-}
-
-// TestRouteIntoAdapterForLegacyProtocols checks that a Protocol implementing
-// only the v1 surface still works through RouteInto, with the result copied
-// into the caller's Result.
-func TestRouteIntoAdapterForLegacyProtocols(t *testing.T) {
-	g := newTestGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	obj := scoreObjective([]float64{0.1, 0.2, 0.3, 0}, 3)
-	legacy := legacyOnly{}
-	var out Result
-	out.Path = append(out.Path, 7, 7, 7, 7, 7, 7) // dirty reusable buffer
-	RouteInto(legacy, g, obj, 0, nil, &out)
-	want := legacy.Route(g, obj, 0)
-	sameEpisode(t, "legacy adapter", want, out)
-}
-
-// legacyOnly is a v1-only Protocol (no RouteInto): the adapter
-// path must carry it unmodified.
-type legacyOnly struct{}
-
-func (legacyOnly) Name() string { return "test-legacy-only" }
-func (legacyOnly) Route(g Graph, obj Objective, s int) Result {
-	return Greedy(g, obj, s)
 }
 
 // stitchWalk runs greedyWalk to termination. Without masks that is one
@@ -306,8 +283,8 @@ func TestGreedyCSRZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGreedyRouterRouteIntoZeroAllocOnCustomObjective verifies the generic
-// IntoRouter path at least reuses the Result: with a closure objective that
+// TestGreedyRouterRouteIntoZeroAllocOnCustomObjective verifies the interface
+// path at least reuses the Result: with a closure objective that
 // does not itself allocate, steady-state episodes are allocation-free.
 func TestGreedyRouterRouteIntoZeroAllocOnCustomObjective(t *testing.T) {
 	g := newTestGraph(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}})

@@ -18,16 +18,11 @@ type LookaheadGreedy struct{}
 // Name returns "greedy+lookahead".
 func (LookaheadGreedy) Name() string { return "greedy+lookahead" }
 
-// Route runs greedy routing under the lookahead-wrapped objective.
-func (LookaheadGreedy) Route(g Graph, obj Objective, s int) Result {
-	return Greedy(g, NewLookahead(g, obj), s)
-}
-
-// RouteInto routes into out, reusing out's Path backing array. The lookahead
-// score cache is built per episode (it memoizes the wrapped objective, which
-// changes with the target), so this path reuses the Result but is not
-// zero-alloc.
-func (LookaheadGreedy) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
+// RouteInto runs greedy routing under the lookahead-wrapped objective. The
+// lookahead score cache is built per episode (it memoizes the wrapped
+// objective, which changes with the target), so this reuses the Result but
+// is not zero-alloc.
+func (LookaheadGreedy) RouteInto(g Graph, obj Objective, s int, _ *Scratch, out *Result) {
 	greedyInto(g, NewLookahead(g, obj), s, out)
 }
 

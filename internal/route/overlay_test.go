@@ -128,8 +128,8 @@ func TestAllProtocolsOverlayMatchMaterialized(t *testing.T) {
 		var out1, out2 Result
 		for i := 0; i < 25; i++ {
 			s, tgt := rng.IntN(o.N()), rng.IntN(o.N())
-			RouteInto(p, mg, NewStandard(mg, tgt), s, &sc1, &out1)
-			RouteInto(p, o, NewStandard(o, tgt), s, &sc2, &out2)
+			p.RouteInto(mg, NewStandard(mg, tgt), s, &sc1, &out1)
+			p.RouteInto(o, NewStandard(o, tgt), s, &sc2, &out2)
 			sameEpisode(t, name, out1, out2)
 		}
 	}

@@ -37,16 +37,8 @@ const (
 	actBacktrack
 )
 
-// Route runs Algorithm 2 from s toward obj.Target. It is a one-line adapter
-// over the RouteInto convention.
-func (a PhiDFS) Route(g Graph, obj Objective, s int) Result {
-	var res Result
-	a.RouteInto(g, obj, s, nil, &res)
-	return res
-}
-
-// RouteInto routes into out, reusing out's Path backing array and sc's
-// unique-count marks. The per-vertex DFS state arrays are still allocated
+// RouteInto runs Algorithm 2 from s toward obj.Target into out, reusing
+// out's Path backing array and sc's unique-count marks. The per-vertex DFS state arrays are still allocated
 // per episode — they are the protocol's distributed per-vertex memory, not
 // scratch the caller owns.
 func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {

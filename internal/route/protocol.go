@@ -9,17 +9,31 @@ import (
 
 // Protocol is a pluggable routing protocol: one algorithm that moves a
 // message from a source toward an objective's target. Implementations must
-// be stateless values (any per-episode state lives inside Route) so a single
-// Protocol can serve concurrent episodes. The built-in protocols register
-// themselves at init time; external protocols join the same registry through
-// Register and are then addressable by name everywhere a protocol name is
-// accepted (core.MilgramConfig, cmd/route -proto, ...).
+// be stateless values (any per-episode state lives inside RouteInto) so a
+// single Protocol can serve concurrent episodes. The built-in protocols
+// register themselves at init time; external protocols join the same registry
+// through Register and are then addressable by name everywhere a protocol
+// name is accepted (core.MilgramConfig, cmd/route -proto, ...).
 type Protocol interface {
 	// Name is the registry key and the report label, e.g. "greedy" or
 	// "phi-dfs". Names must be non-empty and unique across the registry.
 	Name() string
-	// Route runs one episode from s toward obj.Target on g.
-	Route(g Graph, obj Objective, s int) Result
+	// RouteInto routes one episode from s toward obj.Target on g into out,
+	// reusing out's Path backing array and sc's buffers, so a worker that
+	// threads one Scratch and one Result through its episodes allocates
+	// nothing for them. Implementations must not retain sc or out, and
+	// out.Path is only valid until out's next reuse — callers that keep
+	// paths across episodes copy them (Result.CopyInto). sc may be nil, at
+	// the cost of per-episode allocations.
+	RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result)
+}
+
+// Route runs one episode of p from s toward obj.Target on g and returns it
+// in a fresh Result, for callers that keep no buffers between episodes.
+func Route(p Protocol, g Graph, obj Objective, s int) Result {
+	var res Result
+	p.RouteInto(g, obj, s, nil, &res)
+	return res
 }
 
 // The protocol registry. Built-ins self-register from their files' init

@@ -8,8 +8,10 @@ import (
 // stubProtocol is a registrable test protocol.
 type stubProtocol struct{ name string }
 
-func (p stubProtocol) Name() string                               { return p.name }
-func (p stubProtocol) Route(g Graph, obj Objective, s int) Result { return Result{Path: []int{s}} }
+func (p stubProtocol) Name() string { return p.name }
+func (p stubProtocol) RouteInto(_ Graph, _ Objective, s int, _ *Scratch, out *Result) {
+	*out = Result{Path: []int{s}}
+}
 
 func TestRegisterBuiltins(t *testing.T) {
 	for _, name := range []string{"greedy", "greedy+lookahead", "phi-dfs", "history", "gravity-pressure"} {
@@ -125,16 +127,16 @@ func TestProtocolRouteMatchesFunctions(t *testing.T) {
 	obj := scoreObjective([]float64{1, 2, 3, 4, 0}, 4)
 
 	direct := Greedy(g, obj, 0)
-	viaIface := GreedyRouter{}.Route(g, obj, 0)
+	viaIface := Route(GreedyRouter{}, g, obj, 0)
 	if !pathsEqual(direct.Path, viaIface.Path) || direct.Success != viaIface.Success {
-		t.Fatalf("GreedyRouter.Route = %+v, Greedy = %+v", viaIface, direct)
+		t.Fatalf("Route(GreedyRouter{}) = %+v, Greedy = %+v", viaIface, direct)
 	}
 
 	reg, err := Lookup("greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaReg := reg.Route(g, obj, 0)
+	viaReg := Route(reg, g, obj, 0)
 	if !pathsEqual(direct.Path, viaReg.Path) {
 		t.Fatalf("registry greedy path %v, direct %v", viaReg.Path, direct.Path)
 	}

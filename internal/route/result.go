@@ -66,8 +66,7 @@ type Result struct {
 
 // reset readies r for a fresh episode starting at s, reusing the Path
 // backing array. Every protocol builds into a *Result through this
-// convention (the RouteInto surface); the legacy value-returning Route entry
-// points are one-line adapters over it.
+// convention; Route is the one adapter for callers that want a fresh Result.
 func (r *Result) reset(s int) {
 	r.Path = append(r.Path[:0], s)
 	r.Moves = 0

@@ -189,7 +189,7 @@ func TestPhiDFSAlwaysSucceedsConnected(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		g, obj, _ := randomConnectedCase(rng)
 		s := rng.IntN(g.N())
-		res := PhiDFS{}.Route(g, obj, s)
+		res := Route(PhiDFS{}, g, obj, s)
 		if !res.Success {
 			t.Fatalf("trial %d: PhiDFS failed on connected graph: %+v", trial, res)
 		}
@@ -202,7 +202,7 @@ func TestHistoryPatchAlwaysSucceedsConnected(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		g, obj, _ := randomConnectedCase(rng)
 		s := rng.IntN(g.N())
-		res := HistoryPatch{}.Route(g, obj, s)
+		res := Route(HistoryPatch{}, g, obj, s)
 		if !res.Success {
 			t.Fatalf("trial %d: HistoryPatch failed on connected graph: %+v", trial, res)
 		}
@@ -215,7 +215,7 @@ func TestGravityPressureSucceedsConnected(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g, obj, _ := randomConnectedCase(rng)
 		s := rng.IntN(g.N())
-		res := GravityPressure{}.Route(g, obj, s)
+		res := Route(GravityPressure{}, g, obj, s)
 		if !res.Success {
 			t.Fatalf("trial %d: gravity-pressure failed: %+v", trial, res)
 		}
@@ -228,8 +228,8 @@ func TestPatchersFailCleanlyWhenDisconnected(t *testing.T) {
 	g := newTestGraph(5, [][2]int{{0, 1}, {1, 2}, {3, 4}})
 	obj := scoreObjective([]float64{1, 2, 3, 4, 0}, 4)
 	for name, route := range map[string]func() Result{
-		"phidfs":  func() Result { return PhiDFS{}.Route(g, obj, 0) },
-		"history": func() Result { return HistoryPatch{}.Route(g, obj, 0) },
+		"phidfs":  func() Result { return Route(PhiDFS{}, g, obj, 0) },
+		"history": func() Result { return Route(HistoryPatch{}, g, obj, 0) },
 	} {
 		res := route()
 		if res.Success {
@@ -247,7 +247,7 @@ func TestPatchersFailCleanlyWhenDisconnected(t *testing.T) {
 func TestPhiDFSIsolatedSource(t *testing.T) {
 	g := newTestGraph(2, nil)
 	obj := scoreObjective([]float64{1, 0}, 1)
-	res := PhiDFS{}.Route(g, obj, 0)
+	res := Route(PhiDFS{}, g, obj, 0)
 	if res.Success || res.Truncated {
 		t.Fatalf("%+v", res)
 	}
@@ -256,7 +256,7 @@ func TestPhiDFSIsolatedSource(t *testing.T) {
 func TestPhiDFSStartAtTarget(t *testing.T) {
 	g := newTestGraph(2, [][2]int{{0, 1}})
 	obj := scoreObjective([]float64{1, 0}, 0)
-	res := PhiDFS{}.Route(g, obj, 0)
+	res := Route(PhiDFS{}, g, obj, 0)
 	if !res.Success || res.Moves != 0 {
 		t.Fatalf("%+v", res)
 	}
@@ -270,7 +270,7 @@ func TestPhiDFSGreedyChoicesP1(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g, obj, _ := randomConnectedCase(rng)
 		s := rng.IntN(g.N())
-		res := PhiDFS{}.Route(g, obj, s)
+		res := Route(PhiDFS{}, g, obj, s)
 		seen := map[int]bool{}
 		for i, v := range res.Path {
 			first := !seen[v]
@@ -294,7 +294,7 @@ func TestHistoryPatchGreedyChoicesP1(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g, obj, _ := randomConnectedCase(rng)
 		s := rng.IntN(g.N())
-		res := HistoryPatch{}.Route(g, obj, s)
+		res := Route(HistoryPatch{}, g, obj, s)
 		seen := map[int]bool{}
 		for i, v := range res.Path {
 			first := !seen[v]
@@ -320,7 +320,7 @@ func TestPhiDFSExhaustiveSearchP3(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g, obj, _ := randomConnectedCase(rng)
 		s := rng.IntN(g.N())
-		res := PhiDFS{}.Route(g, obj, s)
+		res := Route(PhiDFS{}, g, obj, s)
 		bound := 10 * res.Unique * res.Unique * res.Unique
 		if res.Moves > bound {
 			t.Fatalf("trial %d: %d moves for %d unique vertices", trial, res.Moves, res.Unique)
@@ -330,7 +330,7 @@ func TestPhiDFSExhaustiveSearchP3(t *testing.T) {
 
 func TestPhiDFSMoveCap(t *testing.T) {
 	g, obj, _ := randomConnectedCase(xrand.New(29))
-	res := PhiDFS{MaxMoves: 1}.Route(g, obj, 0)
+	res := Route(PhiDFS{MaxMoves: 1}, g, obj, 0)
 	if !res.Success && !res.Truncated && res.Stuck < 0 {
 		t.Fatalf("capped run neither succeeded nor reported: %+v", res)
 	}
@@ -478,10 +478,10 @@ func TestPatchingOnGIRGAlwaysSucceedsInGiant(t *testing.T) {
 			continue
 		}
 		obj := NewStandard(g, tgt)
-		if res := (PhiDFS{}).Route(g, obj, s); !res.Success {
+		if res := Route(PhiDFS{}, g, obj, s); !res.Success {
 			t.Fatalf("PhiDFS failed within giant: %+v", res)
 		}
-		if res := (HistoryPatch{}).Route(g, obj, s); !res.Success {
+		if res := Route(HistoryPatch{}, g, obj, s); !res.Success {
 			t.Fatalf("HistoryPatch failed within giant: %+v", res)
 		}
 	}
@@ -504,12 +504,12 @@ func TestPatchedNotSlowerThanGreedyWhenGreedyWins(t *testing.T) {
 		if !gres.Success {
 			continue
 		}
-		pres := PhiDFS{}.Route(g, obj, s)
+		pres := Route(PhiDFS{}, g, obj, s)
 		if pres.Moves != gres.Moves {
 			t.Fatalf("patched path (%d moves) differs from greedy (%d) despite greedy success",
 				pres.Moves, gres.Moves)
 		}
-		hres := HistoryPatch{}.Route(g, obj, s)
+		hres := Route(HistoryPatch{}, g, obj, s)
 		if hres.Moves != gres.Moves {
 			t.Fatalf("history path (%d moves) differs from greedy (%d)", hres.Moves, gres.Moves)
 		}
@@ -559,6 +559,6 @@ func BenchmarkPhiDFSOnGIRG(b *testing.B) {
 		if s == tgt {
 			continue
 		}
-		_ = PhiDFS{}.Route(g, NewStandard(g, tgt), s)
+		_ = Route(PhiDFS{}, g, NewStandard(g, tgt), s)
 	}
 }

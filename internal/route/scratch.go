@@ -1,20 +1,20 @@
 package route
 
-// Scratch is the reusable per-worker state of the v2 routing surface: the
+// Scratch is the reusable per-worker state of Protocol.RouteInto: the
 // buffers an interface-path episode needs that would otherwise be allocated
 // fresh per call. One Scratch serves one goroutine at a time; engines keep
 // one per worker (core.RunMilgram) or pool them per request (internal/serve)
-// and thread the same value through every episode that worker runs (see
-// RouteInto). The CSR fast path takes one for the same call shape and leaves
-// it alone: GreedyCSR keeps no state between episodes.
+// and thread the same value through every episode that worker runs. The CSR
+// fast path takes one for the same call shape and leaves it alone: GreedyCSR
+// keeps no state between episodes.
 //
 // The zero value is ready to use: buffers grow on first use and are retained
 // across episodes. A Scratch never shrinks; sizing is bounded by the largest
 // graph it has routed on.
 type Scratch struct {
-	// seen/seenEpoch marks visited vertices (unique-count, adapter paths):
-	// seen[v] is set iff it equals seenEpoch, so clearing every mark between
-	// episodes is one increment instead of an O(n) refill.
+	// seen/seenEpoch marks visited vertices (unique-count): seen[v] is set
+	// iff it equals seenEpoch, so clearing every mark between episodes is
+	// one increment instead of an O(n) refill.
 	seen      []uint32
 	seenEpoch uint32
 }
@@ -34,7 +34,7 @@ func (sc *Scratch) beginSeen(n int) {
 
 // uniqueCount returns the number of distinct vertices in path. With a
 // Scratch it runs allocation-free over the epoch-stamped marks; without one
-// it falls back to a throwaway map (the legacy Route entry points).
+// it falls back to a throwaway map (the package-level Route).
 func uniqueCount(path []int, sc *Scratch, n int) int {
 	if sc == nil {
 		seen := make(map[int]struct{}, len(path))

@@ -9,7 +9,7 @@ import (
 	"repro/internal/torus"
 )
 
-// This file is the concrete fast path of the v2 surface: Algorithm 1 under
+// This file is the concrete fast path beside Protocol: Algorithm 1 under
 // the standard objective, written once. greedyWalk is the only loop; the
 // three exported entry points — GreedyCSR (immutable graph), GreedyCSRPartial
 // (one shard of it) and GreedyCSROverlay (live overlay) — are one-line
@@ -50,10 +50,11 @@ type scorer struct {
 	norm    float64
 	baseN   int
 	o       *graph.Overlay // nil on an immutable graph
-	// unit selects the unit-coordinate distance kernel (unitDistPow): max
-	// norm on the torus over a graph certified by UnitCoords. Added vertices are wrapped and
-	// finite by construction (OverlayEdit.AddVertex), so the base graph's
-	// certificate covers the overlay.
+	// unit selects the unit-coordinate distance kernel (torus.UnitDistPow):
+	// max norm on the torus over a graph certified by UnitCoords. Added
+	// vertices are wrapped and finite by construction
+	// (OverlayEdit.AddVertex), so the base graph's certificate covers the
+	// overlay.
 	unit bool
 	// unit2 is unit on dim 2, the model's default and score's hot case.
 	unit2 bool
@@ -80,51 +81,6 @@ func newScorer(g *graph.Graph, o *graph.Overlay, t int) scorer {
 	return s
 }
 
-// unitDistPow is Space.DistPow for the max norm on the torus with the norm
-// taken by the max builtin instead of Dist's "if d > maxd" — a coin flip per
-// coordinate on random positions, and the dearest thing a scan did (one
-// 18 972-neighbor hub scan: 265 us with it, 185 without). max equals that
-// loop only when every coordinate is a number in [0, 1) — a NaN would poison
-// max where the loop skips it — which is what Graph.UnitCoords certifies.
-// The wrap stays Dist's own compare on purpose: min(d, 1-d) is bit-identical
-// and takes the scan to 95 us on a quiet core, but that loop is issue-bound
-// and halves its speed whenever the host runs something on the sibling
-// hyperthread, where a loop that waits on the wrap branches loses a quarter,
-// like the rest of the program (DESIGN 7.1). The power is torus.ipow's exact
-// multiplication order, so the result is bit-identical to DistPow.
-func unitDistPow(x, xt []float64) float64 {
-	m := 0.0
-	for k, a := range x {
-		d := math.Abs(a - xt[k])
-		if d > 0.5 {
-			d = 1 - d
-		}
-		m = max(m, d)
-	}
-	r := 1.0
-	for k := len(x); k > 0; k >>= 1 {
-		if k&1 == 1 {
-			r *= m
-		}
-		m *= m
-	}
-	return r
-}
-
-// unitDistPow2 is unitDistPow unrolled for dim 2, the model's default: the
-// two loops above cost as much again as the arithmetic.
-func unitDistPow2(x0, x1, t0, t1 float64) float64 {
-	d0, d1 := math.Abs(x0-t0), math.Abs(x1-t1)
-	if d0 > 0.5 {
-		d0 = 1 - d0
-	}
-	if d1 > 0.5 {
-		d1 = 1 - d1
-	}
-	m := max(d0, d1)
-	return m * m
-}
-
 // score is phi(v): the target scores +Inf and every other vertex
 // w_v * norm / dist^dim, exactly as NewStandard spells it, so the float
 // sequence is bit-identical to the interface path. The body is the hot case
@@ -141,7 +97,7 @@ func (s *scorer) score(v int) float64 {
 	if s.weights != nil {
 		w = s.weights[v]
 	}
-	return w * s.norm / unitDistPow2(s.raw[2*v], s.raw[2*v+1], s.xt[0], s.xt[1])
+	return w * s.norm / torus.UnitDistPow2(s.raw[2*v], s.raw[2*v+1], s.xt[0], s.xt[1])
 }
 
 // scoreAny is score for every other case: a vertex added by the overlay,
@@ -159,7 +115,7 @@ func (s *scorer) scoreAny(v int) float64 {
 		}
 	}
 	if s.unit {
-		return w * s.norm / unitDistPow(x, s.xt)
+		return w * s.norm / torus.UnitDistPow(x, s.xt)
 	}
 	return w * s.norm / s.space.DistPow(x, s.xt)
 }
@@ -246,7 +202,7 @@ func (s *scorer) bestUnit2(run []int32, best int, bestScore float64) (int, float
 		if ws != nil {
 			w = ws[u]
 		}
-		su := w * norm / unitDistPow2(raw[2*u], raw[2*u+1], t0, t1)
+		su := w * norm / torus.UnitDistPow2(raw[2*u], raw[2*u+1], t0, t1)
 		if best == -1 || su > bestScore {
 			best, bestScore = u, su
 		}
@@ -326,8 +282,8 @@ func (r *Result) cutDeadline(s int) {
 	r.Failure = FailDeadline
 }
 
-// GreedyCSR is the concrete-type fast path of the v2 surface: Algorithm 1
-// from s toward t on a *graph.Graph under the standard objective
+// GreedyCSR is the concrete-type fast path: Algorithm 1 from s toward t on a
+// *graph.Graph under the standard objective
 //
 //	phi(v) = w_v / (wmin * intensity * ||x_v - x_t||^dim),
 //

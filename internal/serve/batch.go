@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -267,7 +266,7 @@ func spanErr(err error, res *route.Result) string {
 // request-level validation of POST /route; a non-empty result is the item's
 // rejection message with its status.
 func validateItem(nw *core.Network, protoName string, s, t int, specs []faults.Spec) (int, string) {
-	if _, err := core.Lookup(protoName); err != nil {
+	if _, err := route.Lookup(protoName); err != nil {
 		return http.StatusNotFound, err.Error()
 	}
 	if n := nw.LiveN(); s < 0 || s >= n || t < 0 || t >= n {
@@ -298,8 +297,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	var req BatchRouteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+	if !decodeBody(w, r, maxRouteBody+int64(s.cfg.MaxBatch)*maxBatchItemBody, &req) {
 		return
 	}
 	graphName := req.Graph
@@ -358,10 +356,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]BatchItemResult, len(req.Items))
 	clientGone := false
 	for i, item := range req.Items {
-		protoName := item.Protocol
-		if protoName == "" {
-			protoName = string(core.ProtoGreedy)
-		}
+		protoName := core.Protocol(item.Protocol).String() // "" = greedy
 		results[i].S, results[i].T = item.S, item.T
 		if clientGone {
 			results[i].Status = http.StatusServiceUnavailable

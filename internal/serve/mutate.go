@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -158,8 +157,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+	if !decodeBody(w, r, maxReplicateBody, &req) {
 		return
 	}
 	name := req.Graph

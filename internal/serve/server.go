@@ -342,10 +342,7 @@ func (s *Server) Breaker(graph, proto string) *Breaker {
 	if graph == "" {
 		graph = DefaultGraph
 	}
-	if proto == "" {
-		proto = string(core.ProtoGreedy)
-	}
-	return s.breaker(graph, proto)
+	return s.breaker(graph, core.Protocol(proto).String())
 }
 
 // Draining reports whether Drain has been called.
@@ -540,6 +537,30 @@ func writeError(w http.ResponseWriter, status int, retryAfter time.Duration, for
 	writeJSON(w, status, resp)
 }
 
+// maxRouteBody bounds the body of a client request that carries one query
+// (POST /route) or one swap; maxBatchItemBody is what each item a batch may
+// hold adds to that for POST /route/batch.
+const (
+	maxRouteBody     = 64 << 10
+	maxBatchItemBody = 1 << 10
+)
+
+// decodeBody decodes a client's JSON request body of at most limit bytes into
+// v. On failure it has answered — 413 past the limit, 400 for anything else —
+// and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, 0, "bad request body: %v", err)
+	return false
+}
+
 // handleRoute serves POST /route: admission, breaker, then budgeted engine
 // episodes with transient-failure retries.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
@@ -558,8 +579,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	var req RouteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+	if !decodeBody(w, r, maxRouteBody, &req) {
 		return
 	}
 	graphName := req.Graph
@@ -572,11 +592,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			graphName, strings.Join(s.GraphNames(), ", "))
 		return
 	}
-	protoName := req.Protocol
-	if protoName == "" {
-		protoName = string(core.ProtoGreedy)
-	}
-	if _, err := core.Lookup(protoName); err != nil {
+	protoName := core.Protocol(req.Protocol).String() // "" = greedy
+	if _, err := route.Lookup(protoName); err != nil {
 		writeError(w, http.StatusNotFound, 0, "%v", err)
 		return
 	}
@@ -646,8 +663,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+	if !decodeBody(w, r, maxRouteBody, &req) {
 		return
 	}
 	name := req.Graph
@@ -803,8 +819,8 @@ func (s *Server) Stats() ServeStats {
 
 // activeServer backs the process-wide expvar export: expvar names are
 // global and publish-once, so the most recently constructed Server is the
-// one /debug/vars reflects (exactly one Server exists in the daemon; tests
-// construct more and read Stats directly).
+// one /debug/vars reflects until it is closed (exactly one Server exists in
+// the daemon; tests construct more and read Stats directly).
 var activeServer atomic.Pointer[Server]
 
 func init() {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/girg"
+	"repro/internal/mutate"
 	"repro/internal/route"
 )
 
@@ -32,11 +35,11 @@ var gate atomic.Pointer[chan struct{}]
 type gatedProto struct{}
 
 func (gatedProto) Name() string { return "test-gated" }
-func (gatedProto) Route(g route.Graph, obj route.Objective, s int) route.Result {
+func (gatedProto) RouteInto(_ route.Graph, _ route.Objective, s int, _ *route.Scratch, out *route.Result) {
 	if ch := gate.Load(); ch != nil {
 		<-*ch
 	}
-	return route.Result{Success: false, Path: []int{s}, Unique: 1, Stuck: s, Failure: route.FailDeadEnd}
+	*out = route.Result{Success: false, Path: []int{s}, Unique: 1, Stuck: s, Failure: route.FailDeadEnd}
 }
 
 // slowMode makes "test-switchable" spin on adjacency queries until the
@@ -47,7 +50,7 @@ var slowMode atomic.Bool
 type switchableProto struct{}
 
 func (switchableProto) Name() string { return "test-switchable" }
-func (switchableProto) Route(g route.Graph, obj route.Objective, s int) route.Result {
+func (switchableProto) RouteInto(g route.Graph, obj route.Objective, s int, sc *route.Scratch, out *route.Result) {
 	if slowMode.Load() {
 		for {
 			// The engine enforces budgets at adjacency queries; keep
@@ -56,11 +59,7 @@ func (switchableProto) Route(g route.Graph, obj route.Objective, s int) route.Re
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	p, err := route.Lookup("greedy")
-	if err != nil {
-		panic(err)
-	}
-	return p.Route(g, obj, s)
+	route.GreedyRouter{}.RouteInto(g, obj, s, sc, out)
 }
 
 var registerTestProtos sync.Once
@@ -558,5 +557,77 @@ func TestStatsBreakerExport(t *testing.T) {
 	}
 	if got != fmt.Sprintf("%s (opens=0)", BreakerClosed) {
 		t.Fatalf("breaker export = %q", got)
+	}
+}
+
+// TestRequestBodyLimits: each client-facing POST body is bounded before it is
+// decoded. One byte past the bound answers 413; the same shape within it is
+// decoded and judged on its content (no such graph, or nothing to swap in).
+func TestRequestBodyLimits(t *testing.T) {
+	s, _, ts := liveServer(t, 300, 5, mutate.Config{})
+	for _, c := range []struct {
+		path   string
+		limit  int
+		within int // the status of a body exactly at the limit
+	}{
+		{"/route", maxRouteBody, http.StatusNotFound},
+		{"/admin/swap", maxRouteBody, http.StatusBadRequest},
+		{"/route/batch", maxRouteBody + s.cfg.MaxBatch*maxBatchItemBody, http.StatusNotFound},
+		{"/admin/mutate", maxReplicateBody, http.StatusNotFound},
+	} {
+		const head, tail = `{"graph":"nope",`, `"items":[{"s":0,"t":1}]}`
+		for _, over := range []int{0, 1} {
+			pad := c.limit + over - len(head) - len(tail)
+			body := io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, int64(pad)), strings.NewReader(tail))
+			resp, err := http.Post(ts.URL+c.path, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if want := []int{c.within, http.StatusRequestEntityTooLarge}[over]; resp.StatusCode != want {
+				t.Errorf("%s with a body of limit%+d bytes: status %d, want %d", c.path, over, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestCloseReleasesExpvar: the process-wide export must not pin a closed
+// server (and the graphs it served), and closing an older server must not
+// blank the export of the one that replaced it.
+func TestCloseReleasesExpvar(t *testing.T) {
+	first := New(Config{})
+	second := New(Config{})
+	ts := httptest.NewServer(second.Handler())
+	defer ts.Close()
+	exported := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/debug/vars")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var vars map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+			t.Fatal(err)
+		}
+		return string(vars["smallworld.serve"])
+	}
+	first.Close()
+	if got := exported(); got == "null" || got == "" {
+		t.Fatalf("closing an older server cleared the live one's export: smallworld.serve = %q", got)
+	}
+	second.Close()
+	if got := exported(); got != "null" {
+		t.Fatalf("smallworld.serve = %s after Close, want null", got)
 	}
 }

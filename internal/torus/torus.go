@@ -130,11 +130,11 @@ func (s Space) coordDist(a, b float64) float64 {
 // connection probability. Computed without calling math.Pow for the common
 // small dimensions.
 func (s Space) DistPow(x, y []float64) float64 {
-	return ipow(s.Dist(x, y), s.dim)
+	return IPow(s.Dist(x, y), s.dim)
 }
 
-// ipow computes x^k for small non-negative integer k.
-func ipow(x float64, k int) float64 {
+// IPow computes x^k for small non-negative integer k.
+func IPow(x float64, k int) float64 {
 	r := 1.0
 	for ; k > 0; k >>= 1 {
 		if k&1 == 1 {
@@ -143,6 +143,45 @@ func ipow(x float64, k int) float64 {
 		x *= x
 	}
 	return r
+}
+
+// UnitDistPow is Space.DistPow for the max norm on the torus with the norm
+// taken by the max builtin instead of Dist's "if d > maxd" — a coin flip per
+// coordinate on random positions, and the dearest thing a scan did (one
+// 18 972-neighbor hub scan: 265 us with it, 185 without). max equals that
+// loop only when every coordinate is a number in [0, 1) — a NaN would poison
+// max where the loop skips it — which is what Graph.UnitCoords certifies.
+// The wrap stays Dist's own compare on purpose: min(d, 1-d) is bit-identical
+// and takes the scan to 95 us on a quiet core, but that loop is issue-bound
+// and halves its speed whenever the host runs something on the sibling
+// hyperthread, where a loop that waits on the wrap branches loses a quarter,
+// like the rest of the program (DESIGN 7.1). The power is IPow's exact
+// multiplication order, so the result is bit-identical to DistPow.
+func UnitDistPow(x, y []float64) float64 {
+	m := 0.0
+	for k, a := range x {
+		d := math.Abs(a - y[k])
+		if d > 0.5 {
+			d = 1 - d
+		}
+		m = max(m, d)
+	}
+	return IPow(m, len(x))
+}
+
+// UnitDistPow2 is UnitDistPow unrolled for dim 2, the model's default: the
+// two loops above cost as much again as the arithmetic. It is the one copy
+// of the kernel route's scan and the GIRG sampler both inline.
+func UnitDistPow2(x0, x1, y0, y1 float64) float64 {
+	d0, d1 := math.Abs(x0-y0), math.Abs(x1-y1)
+	if d0 > 0.5 {
+		d0 = 1 - d0
+	}
+	if d1 > 0.5 {
+		d1 = 1 - d1
+	}
+	m := max(d0, d1)
+	return m * m
 }
 
 // Wrap maps an arbitrary real coordinate into [0, 1).
@@ -166,7 +205,7 @@ func (s Space) BallVolume(r float64) float64 {
 			r = 0.5 // beyond this the formula double counts; callers in the
 			// experiments never exceed it
 		}
-		v := unitBallVolume(s.dim) * ipow(r, s.dim)
+		v := unitBallVolume(s.dim) * IPow(r, s.dim)
 		if v > 1 {
 			v = 1
 		}
@@ -175,7 +214,7 @@ func (s Space) BallVolume(r float64) float64 {
 	if r >= 0.5 {
 		return 1
 	}
-	return ipow(2*r, s.dim)
+	return IPow(2*r, s.dim)
 }
 
 // unitBallVolume returns the volume of the d-dimensional Euclidean unit
