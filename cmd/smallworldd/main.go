@@ -17,7 +17,7 @@
 //	curl -s localhost:8080/route -d '{"s": 3, "t": 99, "faults": [{"model": "edge-drop", "rate": 0.2}]}'
 //	curl -s localhost:8080/route/batch -d '{"items": [{"s": 3, "t": 99}, {"s": 7, "t": 42}]}'
 //	curl -s localhost:8080/metrics                                 # Prometheus text exposition
-//	curl -s localhost:8080/debug/trace                             # sampled trajectories, JSONL
+//	curl -s localhost:8080/debug/trace                             # sampled phase spans and trajectories, JSONL
 //	curl -s localhost:8080/admin/swap -d '{"n": 50000, "seed": 7}'
 //	curl -s localhost:8080/admin/swap -d '{"path": "snap.girgb"}'   # checksum-verified; corrupt files get 422
 //
@@ -63,7 +63,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -108,9 +107,9 @@ func run(args []string, ready chan<- string) error {
 		maxHops = fs.Int("max-hops", 0, "per-attempt adjacency-query budget (0 = engine default, -1 = unlimited)")
 		retries = fs.Int("retries", 0, "total routing attempts per request (0 = 3)")
 		drainT  = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-		sample  = fs.Float64("trace-sample", 0, "deterministic trace sampling rate in [0, 1]: sampled requests record per-hop trajectories served on /debug/trace (0 = tracing off)")
-		traceN  = fs.Int("trace-capacity", 0, "completed traces kept for /debug/trace (0 = 64)")
-		traceO  = fs.String("trace-out", "", "write the held traces as JSONL to this file on shutdown")
+		sample  = fs.Float64("trace-sample", 0, "deterministic trace sampling rate in [0, 1]: sampled requests record phase spans, their local_route spans carrying the per-hop trajectory, served on /debug/trace (0 = tracing off)")
+		traceN  = fs.Int("trace-capacity", 0, "completed spans kept for /debug/trace (0 = 8192)")
+		traceO  = fs.String("trace-out", "", "write the held spans as JSONL to this file on shutdown")
 
 		mutateDir   = fs.String("mutate-dir", "", "enable live mutations: journal POST /admin/mutate batches under this directory")
 		resume      = fs.Bool("resume", false, "replay an existing mutation log in -mutate-dir instead of refusing to open it")
@@ -163,16 +162,8 @@ func run(args []string, ready chan<- string) error {
 		StandardPhi: true,
 	}
 
-	var tracer *obs.Tracer
 	var spans *obs.SpanLog
 	if *sample > 0 {
-		tracer = obs.NewTracer(obs.TracerConfig{
-			SampleRate: *sample,
-			Seed:       *seed,
-			Capacity:   *traceN,
-			Graph:      serve.DefaultGraph,
-			Now:        time.Now,
-		})
 		// The span service name must be chosen before the listener binds, so
 		// it is the advertised address when given and the listen flag
 		// otherwise — under port 0 (tests) the spelling differs from the
@@ -196,7 +187,6 @@ func run(args []string, ready chan<- string) error {
 		MaxHops:             *maxHops,
 		Retry:               serve.RetryPolicy{MaxAttempts: *retries, Seed: *seed},
 		Logger:              logger,
-		Tracer:              tracer,
 		Spans:               spans,
 		HedgeAfter:          *hedgeAfter,
 		AntiEntropyInterval: *aeInterval,
@@ -370,21 +360,12 @@ func run(args []string, ready chan<- string) error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if *traceO != "" && tracer != nil {
-		// One JSONL stream, two record shapes: episode traces ("id" key)
-		// then distributed phase spans ("trace" key) — the same layout
-		// GET /debug/trace serves, so tracestitch reads either source.
-		write := func(w io.Writer) error {
-			if err := tracer.WriteJSONL(w); err != nil {
-				return err
-			}
-			return spans.WriteJSONL(w)
-		}
-		if err := atomicio.WriteFile(*traceO, write); err != nil {
+	if *traceO != "" && spans != nil {
+		// The same JSONL GET /debug/trace serves, so tracestitch reads either.
+		if err := atomicio.WriteFile(*traceO, spans.WriteJSONL); err != nil {
 			return fmt.Errorf("trace-out: %w", err)
 		}
-		logger.Info("traces written", "path", *traceO,
-			"held", tracer.Stats().Held, "spans", spans.Stats().Buffered)
+		logger.Info("traces written", "path", *traceO, "spans", spans.Stats().Buffered)
 	}
 	logger.Info("shutdown clean")
 	return nil

@@ -144,17 +144,24 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("daemon did not exit on SIGTERM")
 	}
 
-	// -trace-out flushed the held traces as JSONL on shutdown.
+	// -trace-out flushed the held spans as JSONL on shutdown: every line is a
+	// phase span, and the routed walk's hops end at its target.
 	data, err := os.ReadFile(traceOut)
 	if err != nil {
 		t.Fatalf("trace-out file: %v", err)
 	}
-	var tr obs.Trace
-	if err := json.Unmarshal(bytes.Split(bytes.TrimSpace(data), []byte("\n"))[0], &tr); err != nil {
-		t.Fatalf("trace-out first line does not parse: %v", err)
+	reached := false
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var sp obs.PhaseSpan
+		if err := json.Unmarshal(line, &sp); err != nil || sp.Trace == "" || sp.ID == "" {
+			t.Fatalf("trace-out line is not a phase span (%v): %s", err, line)
+		}
+		if sp.Kind == obs.SpanLocalRoute && len(sp.Hops) > 0 && sp.Hops[len(sp.Hops)-1].V == 42 {
+			reached = true
+		}
 	}
-	if tr.ID == "" || len(tr.Spans) == 0 {
-		t.Fatalf("trace-out trace = %+v", tr)
+	if !reached {
+		t.Fatalf("no local_route span in trace-out walks to vertex 42:\n%s", data)
 	}
 }
 

@@ -3,10 +3,8 @@
 // path.
 //
 // Input files are the daemons' -trace-out dumps (or GET /debug/trace
-// captures). Each file mixes two record shapes on one stream: episode traces
-// from the per-hop tracer (an "id" key) and distributed phase spans (a
-// "trace" key). tracestitch reads only the spans; everything else is
-// skipped, so pointing it at a combined stream just works.
+// captures): one phase span per line, local_route spans carrying the hops of
+// their walk. A line that is not a span is counted as skipped.
 //
 // The critical path of a trace tiles the root span's interval: time covered
 // by a child span recurses into that child, gaps belong to the enclosing
@@ -15,10 +13,11 @@
 // redundant work, not latency. Per-phase sums over those segments therefore
 // add up to the end-to-end duration exactly.
 //
-// With -check, tracestitch is a CI gate: it exits nonzero when any span is
-// an orphan (its parent id is not in its trace), when a trace has no single
-// root, or when no trace spans at least two daemons (with 2+ input files) —
-// the signature of broken Traceparent propagation.
+// With -check, tracestitch is a CI gate: it exits nonzero when any line is
+// not a span (the stream is corrupt), when any span is an orphan (its parent
+// id is not in its trace), when a trace has no single root, or when no trace
+// spans at least two daemons (with 2+ input files) — the signature of broken
+// Traceparent propagation.
 //
 //	tracestitch -check -out report.json d1.jsonl d2.jsonl d3.jsonl
 //	tracestitch -top 3 d*.jsonl
@@ -86,7 +85,7 @@ type Report struct {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tracestitch", flag.ContinueOnError)
 	var (
-		check = fs.Bool("check", false, "gate mode: exit nonzero on orphan spans, multi-root traces, or (with 2+ files) zero multi-daemon traces")
+		check = fs.Bool("check", false, "gate mode: exit nonzero on non-span lines, orphan spans, multi-root traces, or (with 2+ files) zero multi-daemon traces")
 		top   = fs.Int("top", 5, "print the critical path of the N slowest traces")
 		outF  = fs.String("out", "", "write the aggregate report as JSON to this file")
 	)
@@ -164,6 +163,9 @@ func run(args []string, out io.Writer) error {
 
 	if *check {
 		var fails []string
+		if rep.Skipped > 0 {
+			fails = append(fails, fmt.Sprintf("%d line(s) are not phase spans: corrupt trace stream", rep.Skipped))
+		}
 		if rep.Orphans > 0 {
 			fails = append(fails, fmt.Sprintf("%d orphan span(s): parent id missing from trace", rep.Orphans))
 		}
@@ -190,8 +192,9 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// readSpans decodes the phase-span lines of one JSONL stream, counting and
-// skipping everything else (episode traces, blank lines).
+// readSpans decodes the phase spans of one JSONL stream, skipping blank
+// lines and counting every other line that is not a span — a daemon writes
+// nothing else, so -check reads a counted line as corruption.
 func readSpans(r io.Reader) ([]obs.PhaseSpan, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16<<20)
@@ -203,8 +206,7 @@ func readSpans(r io.Reader) ([]obs.PhaseSpan, int, error) {
 			continue
 		}
 		var sp obs.PhaseSpan
-		// A span line always carries trace and span ids; tracer episode
-		// lines have neither field and decode to zero values.
+		// A span line always carries trace and span ids.
 		if err := json.Unmarshal(line, &sp); err != nil || sp.Trace == "" || sp.ID == "" {
 			skipped++
 			continue

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -105,20 +108,34 @@ func TestStitchDetectsOrphans(t *testing.T) {
 	}
 }
 
-// readSpans skips tracer episode lines and decodes span lines from a mixed
-// stream — the /debug/trace layout.
+// readSpans decodes the span lines of a stream that also holds lines that
+// are not spans, and counts those; -check fails on any of them, because a
+// daemon writes spans only.
 func TestReadSpansMixedStream(t *testing.T) {
-	in := `{"id":"abc123","graph":"default","hops":[{"v":1}]}
-{"trace":"t1","span":"r","service":"d0","kind":"request","start_unix_ns":0,"dur_ns":5}
+	good := `{"trace":"t1","span":"r","service":"d0","kind":"request","start_unix_ns":0,"dur_ns":5}
 
-not json at all
-{"trace":"t1","span":"q","parent":"r","service":"d0","kind":"queue_wait","start_unix_ns":0,"dur_ns":1}
+{"trace":"t1","span":"q","parent":"r","service":"d0","kind":"local_route","start_unix_ns":0,"dur_ns":1,"hops":[{"step":0,"v":1,"w":2,"score":"+Inf"}]}
 `
+	in := `{"id":"abc123","graph":"default","spans":[{"v":1}]}
+not json at all
+` + good
 	spans, skipped, err := readSpans(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 2 || skipped != 2 {
-		t.Fatalf("spans %d skipped %d, want 2/2", len(spans), skipped)
+	if len(spans) != 2 || skipped != 2 || len(spans[1].Hops) != 1 {
+		t.Fatalf("spans %d skipped %d, want 2/2 with hops on the second", len(spans), skipped)
+	}
+
+	dir := t.TempDir()
+	for name, body := range map[string]string{"good.jsonl": good, "mixed.jsonl": in} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-check", path}, io.Discard)
+		if (err == nil) != (name == "good.jsonl") {
+			t.Fatalf("-check %s: err = %v", name, err)
+		}
 	}
 }

@@ -13,14 +13,15 @@
 //     it in an X-Request-ID header and threads it via WithRequestID /
 //     WithLogger so every slog line of the request carries the same id.
 //
-//   - trace recorder: Tracer captures bounded per-hop spans of routing
-//     episodes (hop index, vertex, model weight, objective value) with
-//     deterministic sampling, keeps a bounded ring of completed traces and
-//     exports them as JSONL (the daemon serves GET /debug/trace).
+//   - trace recorder: SpanLog samples requests deterministically and keeps a
+//     bounded ring of PhaseSpans — where the time went, across daemons —
+//     whose local_route spans carry the walk's hops (hop index, vertex,
+//     model weight, objective value), exported as JSONL (the daemon serves
+//     GET /debug/trace).
 //
-//   - phase analyzer: Analyze splits a trace at its maximum-weight hop into
-//     the weight-increasing and objective-increasing phases of Figure 1, so
-//     experiments and dashboards can report phase lengths.
+//   - phase analyzer: Analyze splits a trajectory at its maximum-weight hop
+//     into the weight-increasing and objective-increasing phases of Figure 1,
+//     so experiments and dashboards can report phase lengths.
 //
 //   - Prometheus exposition: PromWriter emits the text exposition format
 //     without any dependency; WriteEngineMetrics and WriteRuntimeMetrics

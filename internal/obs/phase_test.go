@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/girg"
@@ -53,8 +56,9 @@ func TestAnalyzeSumsToHops(t *testing.T) {
 
 // TestGIRGTraceTwoPhase is the Figure-1 acceptance check: a greedy episode on
 // a sparse GIRG between planted low-weight, far-apart endpoints, captured
-// through the Tracer, must decompose into a non-trivial weight phase followed
-// by a non-trivial objective phase (the paper's two-phase trajectory shape).
+// through a HopCollector, must decompose into a non-trivial weight phase
+// followed by a non-trivial objective phase (the paper's two-phase trajectory
+// shape).
 func TestGIRGTraceTwoPhase(t *testing.T) {
 	p := girg.DefaultParams(30000)
 	p.FixedN = true
@@ -75,27 +79,59 @@ func TestGIRGTraceTwoPhase(t *testing.T) {
 		if !res.Success || res.Moves < 4 {
 			continue
 		}
-		tr := NewTracer(TracerConfig{SampleRate: 1, Seed: seed, Protocol: "greedy"})
-		route.Observe(g, obj, res, 0, tr)
-		tr.Flush()
-		traces := tr.Traces()
-		if len(traces) != 1 {
-			t.Fatalf("seed %d: captured %d traces, want 1", seed, len(traces))
+		var hc HopCollector
+		route.Observe(g, obj, res, 0, &hc)
+		if len(hc.Hops) != len(res.Path) {
+			t.Fatalf("seed %d: collected %d hops for a %d-vertex path", seed, len(hc.Hops), len(res.Path))
 		}
-		ph := AnalyzeTrace(traces[0])
+		ph := Analyze(hc.Hops)
 		if !ph.TwoPhase {
 			continue // short paths can peak at an endpoint; try another draw
 		}
 		if ph.WeightHops < 1 || ph.ObjectiveHops < 1 {
 			t.Fatalf("seed %d: TwoPhase with empty phase: %+v", seed, ph)
 		}
-		if ph.PeakW <= traces[0].Spans[0].W {
+		if ph.PeakW <= hc.Hops[0].W {
 			t.Fatalf("seed %d: peak weight %.2f does not rise above the planted start %.2f",
-				seed, ph.PeakW, traces[0].Spans[0].W)
+				seed, ph.PeakW, hc.Hops[0].W)
 		}
 		t.Logf("seed %d: %d hops = %d weight-phase + %d objective-phase, peak w %.1f",
 			seed, ph.Hops, ph.WeightHops, ph.ObjectiveHops, ph.PeakW)
 		return
 	}
 	t.Fatal("no two-phase greedy trajectory found in 30 graph draws")
+}
+
+// TestHopCollectorCap checks a walk longer than MaxHops keeps its first
+// MaxHops hops and counts the rest instead of growing without bound.
+func TestHopCollectorCap(t *testing.T) {
+	var hc HopCollector
+	for s := 0; s < MaxHops+2; s++ {
+		hc.Move(route.MoveEvent{Step: s, V: s})
+	}
+	if len(hc.Hops) != MaxHops || hc.Cut != 2 || hc.Hops[MaxHops-1].Step != MaxHops-1 {
+		t.Fatalf("collected %d hops (last step %d), cut %d; want %d, %d, 2",
+			len(hc.Hops), hc.Hops[len(hc.Hops)-1].Step, hc.Cut, MaxHops, MaxHops-1)
+	}
+}
+
+// TestSpanJSONNonFinite round-trips the +Inf score the standard objective
+// assigns the target vertex — bare JSON numbers cannot carry it, so the wire
+// form spells it as a string.
+func TestSpanJSONNonFinite(t *testing.T) {
+	in := Span{Step: 2, V: 7, W: 1.5, Score: math.Inf(1)}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"score":"+Inf"`)) {
+		t.Fatalf("wire form = %s", b)
+	}
+	var out Span
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Fatalf("round trip = %+v, want %+v", out, in)
+	}
 }

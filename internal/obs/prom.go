@@ -40,8 +40,15 @@ func (p *PromWriter) Family(name, mtype, help string) {
 
 // Sample emits one sample line. Labels may be nil.
 func (p *PromWriter) Sample(name string, labels []Label, v float64) {
+	p.RawSample(name, labels, formatPromValue(v))
+}
+
+// RawSample emits one sample line with a pre-formatted value, so federated
+// re-emission reproduces peer values byte-for-byte instead of round-tripping
+// them through float formatting.
+func (p *PromWriter) RawSample(name string, labels []Label, raw string) {
 	if len(labels) == 0 {
-		p.printf("%s %s\n", name, formatPromValue(v))
+		p.printf("%s %s\n", name, raw)
 		return
 	}
 	var b strings.Builder
@@ -49,12 +56,25 @@ func (p *PromWriter) Sample(name string, labels []Label, v float64) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		// %q covers the exposition format's three label escapes (\\, \" and
-		// \n); label values here are registry names and failure classes, so
-		// no other control characters can appear.
-		fmt.Fprintf(&b, "%s=%q", l.Name, l.Value)
+		b.WriteString(l.Name)
+		b.WriteString(`="`)
+		// The exposition format defines exactly three label escapes; every
+		// other byte is written verbatim, as parseQuoted reads it back.
+		for j := 0; j < len(l.Value); j++ {
+			switch c := l.Value[j]; c {
+			case '\\':
+				b.WriteString(`\\`)
+			case '"':
+				b.WriteString(`\"`)
+			case '\n':
+				b.WriteString(`\n`)
+			default:
+				b.WriteByte(c)
+			}
+		}
+		b.WriteByte('"')
 	}
-	p.printf("%s{%s} %s\n", name, b.String(), formatPromValue(v))
+	p.printf("%s{%s} %s\n", name, b.String(), raw)
 }
 
 // SampleInt is Sample for integer-valued counters and gauges.
@@ -131,19 +151,6 @@ func WriteEngineMetrics(p *PromWriter, s core.EngineStats) {
 	}
 	p.Sample("smallworld_engine_episode_duration_seconds_sum", nil, s.WallTimeTotal.Seconds())
 	p.SampleInt("smallworld_engine_episode_duration_seconds_count", nil, cum)
-}
-
-// WriteTracerMetrics exposes the tracer's own health (nil t exports zeros).
-func WriteTracerMetrics(p *PromWriter, t *Tracer) {
-	s := t.Stats()
-	p.Family("smallworld_trace_sampled_total", "counter", "Routing episodes selected by trace sampling.")
-	p.SampleInt("smallworld_trace_sampled_total", nil, s.Sampled)
-	p.Family("smallworld_trace_published_total", "counter", "Completed traces added to the trace ring.")
-	p.SampleInt("smallworld_trace_published_total", nil, s.Published)
-	p.Family("smallworld_trace_spans_dropped_total", "counter", "Spans dropped by the per-trace span cap.")
-	p.SampleInt("smallworld_trace_spans_dropped_total", nil, s.Dropped)
-	p.Family("smallworld_trace_held", "gauge", "Completed traces currently held in the ring.")
-	p.SampleInt("smallworld_trace_held", nil, int64(s.Held))
 }
 
 // WriteRuntimeMetrics exposes the Go runtime: goroutines, heap and GC — the

@@ -10,20 +10,21 @@ import (
 	"repro/internal/core"
 )
 
-// TestPromWriterEscaping pins the exposition escapes: label values via %q,
-// HELP via backslash/newline replacement, infinities via +Inf/-Inf.
+// TestPromWriterEscaping pins the exposition escapes: label values escape
+// only \\, \" and \n (a tab or a non-UTF-8 byte is written verbatim), HELP
+// escapes backslash and newline, infinities spell +Inf/-Inf.
 func TestPromWriterEscaping(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
 	p.Family("m", "gauge", "line one\nback\\slash")
-	p.Sample("m", []Label{{Name: "l", Value: `a"b\c`}}, math.Inf(1))
+	p.Sample("m", []Label{{Name: "l", Value: "a\"b\\c\n\t\xff"}}, math.Inf(1))
 	p.SampleInt("m", nil, -3)
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	want := "# HELP m line one\\nback\\\\slash\n" +
 		"# TYPE m gauge\n" +
-		"m{l=\"a\\\"b\\\\c\"} +Inf\n" +
+		"m{l=\"a\\\"b\\\\c\\n\t\xff\"} +Inf\n" +
 		"m -3\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("exposition:\n%q\nwant:\n%q", got, want)
@@ -50,29 +51,9 @@ func TestPromWriterStickyError(t *testing.T) {
 	}
 }
 
-// TestWriteEngineMetricsGolden pins the full engine translation — names,
-// labels, cumulative histogram buckets, +Inf bound — against a fabricated
-// snapshot, so a format regression is a visible diff, not a broken scrape.
-func TestWriteEngineMetricsGolden(t *testing.T) {
-	s := core.EngineStats{
-		Episodes: 10, Moves: 55, Truncations: 2, Failures: 3, Panics: 1, Batches: 4,
-		FailureTaxonomy: map[string]int64{
-			"dead-end": 1, "truncated": 2, "deadline": 0, "crashed-target": 0, "cancelled": 0,
-		},
-		WallTimeHist: []core.DurationBucket{
-			{UpperSeconds: 1e-6, Count: 4},
-			{UpperSeconds: 2e-6, Count: 0},
-			{UpperSeconds: math.Inf(1), Count: 6},
-		},
-		WallTimeTotal: 1500 * time.Microsecond,
-	}
-	var buf bytes.Buffer
-	p := NewPromWriter(&buf)
-	WriteEngineMetrics(p, s)
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP smallworld_engine_episodes_total Routing episodes finished by the engine.
+// goldenEngineExposition is WriteEngineMetrics of the fabricated snapshot in
+// TestWriteEngineMetricsGolden; FuzzParseExposition seeds from it too.
+const goldenEngineExposition = `# HELP smallworld_engine_episodes_total Routing episodes finished by the engine.
 # TYPE smallworld_engine_episodes_total counter
 smallworld_engine_episodes_total 10
 # HELP smallworld_engine_moves_total Message transmissions across all episodes.
@@ -106,7 +87,30 @@ smallworld_engine_episode_duration_seconds_bucket{le="+Inf"} 10
 smallworld_engine_episode_duration_seconds_sum 0.0015
 smallworld_engine_episode_duration_seconds_count 10
 `
-	if got := buf.String(); got != want {
+
+// TestWriteEngineMetricsGolden pins the full engine translation — names,
+// labels, cumulative histogram buckets, +Inf bound — against a fabricated
+// snapshot, so a format regression is a visible diff, not a broken scrape.
+func TestWriteEngineMetricsGolden(t *testing.T) {
+	s := core.EngineStats{
+		Episodes: 10, Moves: 55, Truncations: 2, Failures: 3, Panics: 1, Batches: 4,
+		FailureTaxonomy: map[string]int64{
+			"dead-end": 1, "truncated": 2, "deadline": 0, "crashed-target": 0, "cancelled": 0,
+		},
+		WallTimeHist: []core.DurationBucket{
+			{UpperSeconds: 1e-6, Count: 4},
+			{UpperSeconds: 2e-6, Count: 0},
+			{UpperSeconds: math.Inf(1), Count: 6},
+		},
+		WallTimeTotal: 1500 * time.Microsecond,
+	}
+	var buf bytes.Buffer
+	p := NewPromWriter(&buf)
+	WriteEngineMetrics(p, s)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), goldenEngineExposition; got != want {
 		t.Fatalf("engine exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
@@ -130,33 +134,21 @@ func TestWriteEngineMetricsLiveStats(t *testing.T) {
 	}
 }
 
-// TestWriteTracerAndRuntimeMetrics smoke-tests the remaining writers,
-// including the nil-tracer path the daemon uses when tracing is off.
-func TestWriteTracerAndRuntimeMetrics(t *testing.T) {
+// TestWriteRuntimeMetrics smoke-tests the Go runtime writer.
+func TestWriteRuntimeMetrics(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	WriteTracerMetrics(p, nil)
 	WriteRuntimeMetrics(p)
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"smallworld_trace_sampled_total 0",
-		"smallworld_trace_held 0",
 		"smallworld_go_goroutines ",
 		"smallworld_go_heap_alloc_bytes ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
-	}
-
-	buf.Reset()
-	tr := NewTracer(TracerConfig{SampleRate: 1})
-	feed(tr, 3)
-	WriteTracerMetrics(NewPromWriter(&buf), tr)
-	if !strings.Contains(buf.String(), "smallworld_trace_published_total 3") {
-		t.Fatalf("tracer counters not exported:\n%s", buf.String())
 	}
 }

@@ -141,6 +141,9 @@ func parseLabels(text string) ([]Label, string, error) {
 			return nil, "", fmt.Errorf("malformed labels near %q", text)
 		}
 		name := strings.TrimSpace(text[:eq])
+		if name == "" {
+			return nil, "", fmt.Errorf("empty label name near %q", text)
+		}
 		value, tail, err := parseQuoted(text[eq+2:])
 		if err != nil {
 			return nil, "", err
@@ -183,24 +186,6 @@ func parseQuoted(text string) (string, string, error) {
 func unescapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\n`, "\n")
 	return strings.ReplaceAll(s, `\\`, `\`)
-}
-
-// RawSample emits one sample line with a pre-formatted value, so federated
-// re-emission reproduces peer values byte-for-byte instead of round-tripping
-// them through float formatting.
-func (p *PromWriter) RawSample(name string, labels []Label, raw string) {
-	if len(labels) == 0 {
-		p.printf("%s %s\n", name, raw)
-		return
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Name, l.Value)
-	}
-	p.printf("%s{%s} %s\n", name, b.String(), raw)
 }
 
 // Instance is one scraped daemon's parsed exposition, for MergeExpositions.

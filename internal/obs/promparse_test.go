@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +95,48 @@ escaped{name="a\nb\\c\"d"} +Inf
 	if esc == nil || esc.Samples[0].Labels[0].Value != "a\nb\\c\"d" {
 		t.Fatalf("escaped label parsed as %+v", esc)
 	}
+}
+
+// FuzzParseExposition pins federation's composability on arbitrary input:
+// whatever ParseExposition accepts survives MergeExpositions and parses
+// again to the same families, each sample keeping its name, its labels
+// behind one leading instance label, and its raw value. Label values are the
+// sharp edge: graph names reach breaker labels unvalidated from /admin/swap.
+func FuzzParseExposition(f *testing.F) {
+	f.Add(goldenEngineExposition)
+	f.Add("# some comment\nup 1 1700000000000\n# TYPE g gauge\ng{name=\"a\\nb\\\\c\\\"d\"} +Inf\n")
+	f.Add("0{0=\"\xff\"} 0\n")
+	f.Add("m{graph=\"a\tb\",protocol=\"greedy\"} 1\n")
+	f.Add("m{ =\"x\"} 1\n") // a label name that is all space trims to ""
+	f.Fuzz(func(t *testing.T, in string) {
+		fams, err := ParseExposition(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		MergeExpositions(NewPromWriter(&buf), []Instance{{Name: "i", Families: fams}})
+		again, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("merged exposition does not re-parse: %v\n%q", err, buf.String())
+		}
+		if len(again) != len(fams) {
+			t.Fatalf("%d families re-parse as %d:\n%q", len(fams), len(again), buf.String())
+		}
+		for i, f := range fams {
+			g := again[i]
+			if g.Name != f.Name || g.Type != f.Type || g.Help != f.Help || len(g.Samples) != len(f.Samples) {
+				t.Fatalf("family %q/%q/%q with %d samples re-parses as %q/%q/%q with %d",
+					f.Name, f.Type, f.Help, len(f.Samples), g.Name, g.Type, g.Help, len(g.Samples))
+			}
+			for j, s := range f.Samples {
+				r := g.Samples[j]
+				want := append([]Label{{Name: "instance", Value: "i"}}, s.Labels...)
+				if r.Name != s.Name || r.Raw != s.Raw || !reflect.DeepEqual(r.Labels, want) {
+					t.Fatalf("sample %q %v %q re-parses as %q %v %q", s.Name, want, s.Raw, r.Name, r.Labels, r.Raw)
+				}
+			}
+		}
+	})
 }
 
 // TestMergeExpositions pins federation: instances merge into one exposition

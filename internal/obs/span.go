@@ -5,18 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 )
 
-// This file is the distributed half of the trace recorder: where Tracer
-// captures the per-hop trajectory of one routing episode inside one process,
-// the span model here captures where a *request* spent its wall-clock time
-// across the fleet — queueing, breaker checks, backoff sleeps, the local CSR
-// segment, forward RPCs, hedge waits, anti-entropy pulls — with ids that are
-// pure hashes (bit-identical at any GOMAXPROCS, like request ids), so two
-// runs of the same workload produce the same trace and span ids and
-// cmd/tracestitch can merge the JSONL of every daemon into one tree per
-// request.
+// This file is the trace recorder: the span model captures where a *request*
+// spent its wall-clock time across the fleet — queueing, breaker checks,
+// backoff sleeps, the local CSR segment, forward RPCs, hedge waits,
+// anti-entropy pulls — and each local_route span carries the per-hop
+// trajectory its walk took (phase.go). Ids are pure hashes (bit-identical at
+// any GOMAXPROCS, like request ids), so two runs of the same workload produce
+// the same trace and span ids and cmd/tracestitch can merge the JSONL of
+// every daemon into one tree per request.
 
 // Span kinds emitted by the serving layer. Kind is an open string — these
 // constants are the vocabulary cmd/tracestitch and the per-phase histograms
@@ -39,7 +39,7 @@ const (
 	// SpanRetryBackoff is one backoff sleep between routing attempts.
 	SpanRetryBackoff = "retry_backoff"
 	// SpanLocalRoute is one engine episode (or partial CSR segment) executed
-	// on the local shard.
+	// on the local shard; its Hops are the vertices that walk visited.
 	SpanLocalRoute = "local_route"
 	// SpanForwardRPC is one hop-frame round trip on a hop stream (or one
 	// replicate/segment ship over HTTP) to a peer, named in Peer.
@@ -76,10 +76,14 @@ type PhaseSpan struct {
 	// Peer names the target of a forward_rpc span.
 	Peer string `json:"peer,omitempty"`
 	// Detail carries a small free-form annotation (breaker state, hedge
-	// index, segment id).
+	// index, segment id, the X-Request-ID on a request root, fault specs on
+	// a local_route).
 	Detail string `json:"detail,omitempty"`
 	// Err is the failure that ended the span, "" on success.
 	Err string `json:"err,omitempty"`
+	// Hops is the trajectory of a local_route span's walk, at most MaxHops
+	// long (a cut is noted in Detail).
+	Hops []Span `json:"hops,omitempty"`
 }
 
 // TraceHeader is the header that propagates trace context on the cluster's
@@ -96,14 +100,17 @@ func FormatTraceparent(trace, span string) string {
 
 // ParseTraceparent decodes a TraceHeader value. ok is false when the value
 // is absent or malformed — the receiving daemon then simply records no
-// spans for the request, it never fails the RPC over a bad header.
+// spans for the request, it never fails the RPC over a bad header. As W3C
+// trace-context requires, the flags are two hex digits and an all-zero trace
+// or span id is invalid.
 func ParseTraceparent(v string) (trace, span string, ok bool) {
-	// 00-{32 hex}-{16 hex}-01 → 2+1+32+1+16+1+2 = 55 bytes.
+	// 00-{32 hex}-{16 hex}-{2 hex} → 2+1+32+1+16+1+2 = 55 bytes.
 	if len(v) != 55 || v[:3] != "00-" || v[35] != '-' || v[52] != '-' {
 		return "", "", false
 	}
 	trace, span = v[3:35], v[36:52]
-	if !isHex(trace) || !isHex(span) {
+	if !isHex(trace) || !isHex(span) || !isHex(v[53:]) ||
+		strings.Trim(trace, "0") == "" || strings.Trim(span, "0") == "" {
 		return "", "", false
 	}
 	return trace, span, true
@@ -276,8 +283,8 @@ func (l *SpanLog) Snapshot() []PhaseSpan {
 }
 
 // WriteJSONL streams the buffered spans as one JSON object per line — the
-// format cmd/tracestitch consumes and GET /debug/trace appends after the
-// episode traces.
+// format GET /debug/trace serves, -trace-out writes and cmd/tracestitch
+// consumes.
 func (l *SpanLog) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil

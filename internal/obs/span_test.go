@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -22,16 +24,47 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-" + trace + "-" + span,        // missing flags
-		"00-" + trace + "-" + span + "-1", // short flags
-		"00-" + strings.ToUpper(trace) + "-" + span + "-01", // uppercase hex
-		"00-" + trace[:31] + "g-" + span + "-01",            // non-hex digit
+		"00-" + trace + "-" + span,         // missing flags
+		"00-" + trace + "-" + span + "-1",  // short flags
+		"00-" + trace + "-" + span + "-zz", // non-hex flags
+		"00-" + trace + "-" + span + "-0G",
+		"00-" + strings.ToUpper(trace) + "-" + span + "-01",   // uppercase hex
+		"00-" + trace[:31] + "g-" + span + "-01",              // non-hex digit
+		"00-" + strings.Repeat("0", 32) + "-" + span + "-01",  // all-zero trace id
+		"00-" + trace + "-" + strings.Repeat("0", 16) + "-01", // all-zero span id
 		strings.Replace(v, "-", "_", 1),
 	} {
 		if _, _, ok := ParseTraceparent(bad); ok {
 			t.Fatalf("ParseTraceparent accepted malformed %q", bad)
 		}
 	}
+}
+
+// FuzzTraceparent pins what ParseTraceparent accepts: ids of the right
+// length in lower-case hex, neither all zeros, and a value Format reproduces
+// up to the flags byte pair.
+func FuzzTraceparent(f *testing.F) {
+	trace := DistTraceID(7, 42)
+	f.Add(FormatTraceparent(trace, SpanID(trace, "d0", 3)))
+	f.Add("00-" + trace + "-" + SpanID(trace, "d0", 3) + "-10")
+	f.Add("00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16) + "-01")
+	f.Fuzz(func(t *testing.T, v string) {
+		tr, sp, ok := ParseTraceparent(v)
+		if !ok {
+			return
+		}
+		for _, id := range []struct {
+			s string
+			n int
+		}{{tr, 32}, {sp, 16}} {
+			if len(id.s) != id.n || !isHex(id.s) || strings.Trim(id.s, "0") == "" {
+				t.Fatalf("ParseTraceparent(%q) accepted id %q", v, id.s)
+			}
+		}
+		if got := FormatTraceparent(tr, sp); got[:53] != v[:53] || !isHex(v[53:]) {
+			t.Fatalf("ParseTraceparent(%q) formats back as %q", v, got)
+		}
+	})
 }
 
 // TestDistIDsDeterministic pins the pure-hash derivations: same inputs, same
@@ -127,7 +160,8 @@ func TestSpanLogNilSafe(t *testing.T) {
 func TestSpanLogJSONL(t *testing.T) {
 	l := NewSpanLog(SpanLogConfig{Service: "d0", Seed: 1, SampleRate: 1})
 	l.Publish(PhaseSpan{Trace: "t1", ID: "s1", Service: "d0", Kind: SpanRequest, Start: 100, Dur: 50})
-	l.Publish(PhaseSpan{Trace: "t1", ID: "s2", Parent: "s1", Service: "d0", Kind: SpanForwardRPC, Peer: "d1", Err: "boom"})
+	hops := []Span{{Step: 0, V: 5, W: 1.5, Score: 0.25}, {Step: 1, V: 7, W: 3, Score: math.Inf(1)}}
+	l.Publish(PhaseSpan{Trace: "t1", ID: "s2", Parent: "s1", Service: "d0", Kind: SpanLocalRoute, Peer: "d1", Err: "boom", Hops: hops})
 	var buf bytes.Buffer
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -149,7 +183,10 @@ func TestSpanLogJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &sp); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Parent != "s1" || sp.Peer != "d1" || sp.Err != "boom" {
+	if sp.Parent != "s1" || sp.Peer != "d1" || sp.Err != "boom" || !reflect.DeepEqual(sp.Hops, hops) {
 		t.Fatalf("decoded span %+v lost fields", sp)
+	}
+	if strings.Contains(lines[0], `"hops"`) {
+		t.Fatalf("hop-less span serialises a hops key: %s", lines[0])
 	}
 }

@@ -47,12 +47,10 @@ type routeOutcome struct {
 // budgeted engine episodes with transient-failure retries under the caller's
 // deadline. It is the shared core of POST /route and POST /route/batch; the
 // caller has resolved the graph, validated the query and acquired an
-// admission slot. traced enables deterministic trace sampling of the
-// per-hop episode tracer (the single-query path; batches are not traced);
-// rt carries the request's distributed phase trace (nil when untraced) and
-// queued the admission wait already measured by the caller, repeated into
-// this query's Timings.
-func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q RouteRequest, deadline time.Time, es *episodeState, traced bool, rt *reqTrace, queued time.Duration) routeOutcome {
+// admission slot. rt carries the request's distributed phase trace (nil when
+// untraced) and queued the admission wait already measured by the caller,
+// repeated into this query's Timings.
+func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q RouteRequest, deadline time.Time, es *episodeState, rt *reqTrace, queued time.Duration) routeOutcome {
 	logger := obs.Logger(r.Context())
 	protoName := q.Protocol
 	tm := &Timings{QueueUs: queued.Microseconds()}
@@ -77,19 +75,14 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 	}
 	start := time.Now()
 
-	// Deterministic trace sampling: the decision and the trace id are pure
-	// functions of (tracer seed, request sequence). The collector is reset
-	// per attempt so the published trace holds the final attempt's spans;
-	// earlier attempts survive as trace events.
-	var (
-		collector   *obs.SpanCollector
-		traceEvents []string
-	)
-	if traced && s.tracer.Sampled(int(requestID)) {
-		collector = &obs.SpanCollector{}
-		for _, f := range q.Faults {
-			traceEvents = append(traceEvents, fmt.Sprintf("fault %s rate=%g", f.Model, f.Rate))
+	// A traced query's local_route spans name the fault specs in effect.
+	var faultDetail string
+	if rt != nil {
+		specs := make([]string, len(q.Faults))
+		for i, f := range q.Faults {
+			specs[i] = fmt.Sprintf("fault %s rate=%g", f.Model, f.Rate)
 		}
+		faultDetail = strings.Join(specs, ", ")
 	}
 
 	var (
@@ -124,10 +117,6 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 			Faults:  plan,
 			Episode: attempt,
 		}
-		if collector != nil {
-			collector.Reset()
-			epCfg.Observer = collector
-		}
 		if clustered {
 			// Sharded path: partial greedy over the local shard, continuation
 			// forwarded to the owning peer, merged result recorded as one
@@ -136,22 +125,18 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 				time.Now().Add(remaining), es, rt, tm)
 			epErr = nil
 		} else {
+			// The engine replays a traced episode's walk into hc once it ends.
+			var hc *obs.HopCollector
+			if rt != nil {
+				hc = &obs.HopCollector{}
+				epCfg.Observer = hc
+			}
 			epStart := time.Now()
 			epErr = nw.RouteEpisodeInto(epCfg, &es.sc, res)
 			epDur := time.Since(epStart)
 			tm.RouteUs += epDur.Microseconds()
 			s.phaseLat[phaseRoute].Record(epDur)
-			rt.add(obs.SpanLocalRoute, epStart, epDur, "", "", spanErr(epErr, res))
-		}
-		if collector != nil {
-			switch {
-			case epErr != nil:
-				traceEvents = append(traceEvents, fmt.Sprintf("attempt %d: error", attempt))
-			case res.Success:
-				traceEvents = append(traceEvents, fmt.Sprintf("attempt %d: delivered", attempt))
-			default:
-				traceEvents = append(traceEvents, fmt.Sprintf("attempt %d: %s", attempt, res.Failure))
-			}
+			rt.localRoute(epStart, epDur, faultDetail, spanErr(epErr, res), hc)
 		}
 		if epErr != nil || res.Success || !Transient(res.Failure) {
 			break
@@ -200,20 +185,6 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 	if after := br.State(); after == BreakerOpen && stateBefore != BreakerOpen {
 		logger.Warn("circuit breaker opened", "graph", graphName, "protocol", protoName,
 			"opens", br.Opens())
-	}
-
-	if collector != nil && epErr == nil {
-		s.tracer.Publish(obs.Trace{
-			ID:        s.tracer.ID(int(requestID)),
-			Episode:   int(requestID),
-			Request:   obs.RequestID(r.Context()),
-			Protocol:  protoName,
-			Graph:     graphName,
-			Failure:   string(res.Failure),
-			Events:    traceEvents,
-			Spans:     collector.Spans,
-			Truncated: collector.Truncated,
-		})
 	}
 
 	if epErr != nil {
@@ -322,7 +293,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 
 	// One distributed trace covers the whole batch: the queue wait is shared
 	// (one admission slot), items contribute their own phase spans.
-	rt := s.startEntryTrace()
+	rt := s.startEntryTrace(r.Context())
 	defer func() { rt.finish("") }()
 
 	// Admission: the whole batch is one unit of work — one slot, shed as one.
@@ -374,7 +345,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 			Faults:      item.Faults,
 			FaultSeed:   item.FaultSeed,
 			IncludePath: item.IncludePath,
-		}, deadline, es, false, rt, queued)
+		}, deadline, es, rt, queued)
 		if out.errMsg != "" {
 			results[i].Status = out.status
 			results[i].Error = out.errMsg

@@ -128,7 +128,16 @@ func (s *Server) routeSegment(ctx context.Context, graphName string, from, t int
 	segDur := time.Since(start)
 	tm.RouteUs += segDur.Microseconds()
 	s.phaseLat[phaseRoute].Record(segDur)
-	rt.add(obs.SpanLocalRoute, start, segDur, "", "partial", "")
+	// A traced segment's span carries the hops of this daemon's part of the
+	// walk, replayed off the clock; es.out holds only the segment until the
+	// continuation is merged below.
+	var hc *obs.HopCollector
+	if rt != nil {
+		hc = &obs.HopCollector{}
+		g := node.Graph()
+		route.Observe(g, route.NewStandard(g, t), *res, 0, hc)
+	}
+	rt.localRoute(start, segDur, "partial", "", hc)
 	if exit < 0 {
 		return routeFwd{}
 	}

@@ -13,7 +13,7 @@ import (
 // handleMetrics serves GET /metrics: the Prometheus text exposition of the
 // whole process — engine counters (episodes, moves, failure taxonomy, the
 // wall-time histogram), the serving layer (pool, breakers, retries, swaps),
-// the tracer and the Go runtime. The translation is dependency-free
+// the span log and the Go runtime. The translation is dependency-free
 // (obs.PromWriter) and the metric names are stable; DESIGN.md §9 carries the
 // full name table.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -40,7 +40,6 @@ func (s *Server) writeMetricsTo(w io.Writer) error {
 		s.writeReplicationMetrics(p)
 	}
 	s.writeTraceMetrics(p)
-	obs.WriteTracerMetrics(p, s.tracer)
 	obs.WriteRuntimeMetrics(p)
 	return p.Err()
 }
@@ -154,27 +153,19 @@ func (s *Server) writeServeMetrics(p *obs.PromWriter) {
 	}
 }
 
-// handleTrace serves GET /debug/trace: the completed sampled episode traces
-// followed by the distributed phase spans, both as JSON Lines, oldest first.
-// The two record shapes share the stream — episode traces carry an "id" key,
-// phase spans a "trace" key — so consumers (and tracestitch) can split them
-// without a framing protocol. 404 when the daemon runs without either.
+// handleTrace serves GET /debug/trace: the buffered phase spans as JSON
+// Lines, oldest first — one obs.PhaseSpan per line, with the per-hop
+// trajectory on each local_route span. 404 when the daemon runs untraced.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, 0, "GET required")
 		return
 	}
-	if s.tracer == nil && s.spans == nil {
+	if s.spans == nil {
 		writeError(w, http.StatusNotFound, 0, "tracing disabled (start the daemon with -trace-sample > 0)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.tracer != nil {
-		if err := s.tracer.WriteJSONL(w); err != nil {
-			obs.Logger(r.Context()).Warn("trace write failed", "err", err)
-			return
-		}
-	}
 	if err := s.spans.WriteJSONL(w); err != nil {
 		obs.Logger(r.Context()).Warn("span write failed", "err", err)
 	}

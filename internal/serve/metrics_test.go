@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/route"
 )
 
 // parseExposition validates a Prometheus text exposition body: every sample
@@ -132,7 +134,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"smallworld_serve_quarantined_total",
 		"smallworld_serve_inflight",
 		"smallworld_serve_breaker_state",
-		"smallworld_trace_sampled_total",
 		"smallworld_go_goroutines",
 	} {
 		if _, ok := samples[name]; !ok {
@@ -180,7 +181,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // flight — the race detector turns any unsynchronized counter read into a
 // failure.
 func TestMetricsConcurrentScrape(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 8, Tracer: obs.NewTracer(obs.TracerConfig{SampleRate: 0.5, Seed: 3})})
+	s := New(Config{Workers: 4, QueueDepth: 8, Spans: obs.NewSpanLog(obs.SpanLogConfig{SampleRate: 0.5, Seed: 3})})
 	s.AddNetwork("", testNetwork(t, 400, 11))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -297,22 +298,21 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestTraceEndpoint routes with sampling at rate 1 and checks the captured
-// trace comes back on /debug/trace tied to the request's X-Request-ID.
+// TestTraceEndpoint routes one sampled request and reads /debug/trace the
+// way tracestitch does: every line is a phase span with trace and span ids,
+// the request root names the X-Request-ID, and its local_route span carries
+// the walk hop for hop — route.Moves of the response path, bit for bit.
 func TestTraceEndpoint(t *testing.T) {
-	tracer := obs.NewTracer(obs.TracerConfig{SampleRate: 1, Seed: 42})
-	s := New(Config{Tracer: tracer, RequestIDSalt: 7})
-	s.AddNetwork("", testNetwork(t, 400, 11))
+	nw := testNetwork(t, 400, 11)
+	s := New(Config{RequestIDSalt: 7, Spans: obs.NewSpanLog(obs.SpanLogConfig{Seed: 42, SampleRate: 1})})
+	s.AddNetwork("", nw)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body, _ := json.Marshal(RouteRequest{S: 1, T: 200})
-	post, err := http.Post(ts.URL+"/route", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	post, rr, er := postRoute(t, ts.URL, RouteRequest{S: 1, T: 200, IncludePath: true})
+	if post.StatusCode != http.StatusOK || !rr.Success {
+		t.Fatalf("route: status %d, success %v (%s)", post.StatusCode, rr.Success, er.Error)
 	}
-	io.Copy(io.Discard, post.Body)
-	post.Body.Close()
 	rid := post.Header.Get("X-Request-ID")
 
 	resp, err := http.Get(ts.URL + "/debug/trace")
@@ -326,41 +326,44 @@ func TestTraceEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content type = %q", ct)
 	}
-	var traces []obs.Trace
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var tr obs.Trace
-		if err := dec.Decode(&tr); err != nil {
-			t.Fatal(err)
+	var spans []obs.PhaseSpan
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var sp obs.PhaseSpan
+		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil || sp.Trace == "" || sp.ID == "" {
+			t.Fatalf("line is not a phase span (%v): %s", err, sc.Text())
 		}
-		traces = append(traces, tr)
+		spans = append(spans, sp)
 	}
-	var found *obs.Trace
-	for i := range traces {
-		if traces[i].Request == rid {
-			found = &traces[i]
+	var root *obs.PhaseSpan
+	for i := range spans {
+		if spans[i].Kind == obs.SpanRequest && spans[i].Detail == rid {
+			root = &spans[i]
 		}
 	}
-	if found == nil {
-		t.Fatalf("no trace carries request id %s (%d traces held)", rid, len(traces))
+	if root == nil {
+		t.Fatalf("no request span carries request id %s (%d spans held)", rid, len(spans))
 	}
-	if len(found.Spans) == 0 {
-		t.Fatal("trace has no spans")
+	var hops []obs.Span
+	for _, sp := range spans {
+		if sp.Kind == obs.SpanLocalRoute && sp.Parent == root.ID {
+			hops = sp.Hops
+		}
 	}
-	if found.Graph != DefaultGraph || found.Protocol != "greedy" {
-		t.Fatalf("trace labels = %q/%q", found.Graph, found.Protocol)
+	want := route.Moves(nw.Graph, nw.NewObjective(200), route.Result{Path: rr.Path}, 0)
+	if len(hops) != len(want) {
+		t.Fatalf("local_route carries %d hops, the response path %d", len(hops), len(want))
 	}
-	if found.ID != tracer.ID(found.Episode) {
-		t.Fatalf("trace id %q does not match the deterministic id %q", found.ID, tracer.ID(found.Episode))
-	}
-	for i, sp := range found.Spans {
-		if sp.Step != i {
-			t.Fatalf("span %d out of order: %+v", i, sp)
+	for i, h := range hops {
+		w := want[i]
+		if h.Step != w.Step || h.V != w.V ||
+			math.Float64bits(h.W) != math.Float64bits(w.W) || math.Float64bits(h.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("hop %d = %+v, route.Moves says %+v", i, h, w)
 		}
 	}
 }
 
-// TestTraceEndpointDisabled checks the tracer-less daemon answers 404 with a
+// TestTraceEndpointDisabled checks the untraced daemon answers 404 with a
 // hint, not a panic or an empty 200.
 func TestTraceEndpointDisabled(t *testing.T) {
 	s := New(Config{})
@@ -372,7 +375,7 @@ func TestTraceEndpointDisabled(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/trace without tracer = %d, want 404", resp.StatusCode)
+		t.Fatalf("/debug/trace without spans = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -427,4 +430,73 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 		}
 		seen[id] = true
 	}
+}
+
+// TestMetricsFamiliesDeclaredOnce scrapes a daemon with every optional
+// subsystem on — cluster, replicated mutation log, span log — and requires
+// each family's # TYPE line exactly once: Prometheus rejects a second one.
+func TestMetricsFamiliesDeclaredOnce(t *testing.T) {
+	spans := obs.NewSpanLog(obs.SpanLogConfig{Service: "d0", Seed: 1, SampleRate: 1})
+	d := newReplicaSet(t, testNetwork(t, 300, 5), 1, Config{Spans: spans}, nil)[0]
+	if r, _, er := postRoute(t, d.ts.URL, RouteRequest{S: 1, T: 42}); r.StatusCode != http.StatusOK {
+		t.Fatalf("route: status %d (%s)", r.StatusCode, er.Error)
+	}
+	var buf bytes.Buffer
+	if err := d.srv.writeMetricsTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			seen[f[2]]++
+		}
+	}
+	for _, want := range []string{"smallworld_cluster_forwards_total", "smallworld_serve_mutations_total", "smallworld_trace_spans_dropped_total"} {
+		if seen[want] == 0 {
+			t.Errorf("exposition lacks %s: a subsystem is off", want)
+		}
+	}
+	for name, n := range seen {
+		if n != 1 {
+			t.Errorf("# TYPE %s appears %d times", name, n)
+		}
+	}
+}
+
+// TestBreakerLabelVerbatim swaps in a graph whose name holds a tab — names
+// arrive unvalidated from /admin/swap bodies — and requires its breaker
+// label to survive /metrics and ParseExposition byte for byte.
+func TestBreakerLabelVerbatim(t *testing.T) {
+	s := New(Config{})
+	s.AddNetwork("", testNetwork(t, 300, 5))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const name = "a\tb"
+	if r, _, er := postSwap(t, ts.URL, SwapRequest{Graph: name, N: 300, Seed: 3}); r.StatusCode != http.StatusOK {
+		t.Fatalf("swap: status %d (%s)", r.StatusCode, er.Error)
+	}
+	if r, _, er := postRoute(t, ts.URL, RouteRequest{Graph: name, S: 1, T: 42}); r.StatusCode != http.StatusOK {
+		t.Fatalf("route: status %d (%s)", r.StatusCode, er.Error)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		if f.Name != "smallworld_serve_breaker_state" {
+			continue
+		}
+		for _, smp := range f.Samples {
+			if smp.Labels[0].Value == name {
+				return
+			}
+		}
+		t.Fatalf("no breaker sample labelled graph=%q: %+v", name, f.Samples)
+	}
+	t.Fatal("no smallworld_serve_breaker_state family")
 }

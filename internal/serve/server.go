@@ -81,15 +81,12 @@ type Config struct {
 	// Logger is the server's structured logger; every request gets a
 	// request-scoped child carrying the X-Request-ID. nil uses slog.Default.
 	Logger *slog.Logger
-	// Tracer, when non-nil, samples routing episodes into bounded per-hop
-	// traces, exported on GET /debug/trace (see package obs). The tracer's
-	// own SampleRate decides which requests are captured.
-	Tracer *obs.Tracer
 	// Spans, when non-nil, samples requests into distributed phase spans
 	// (queue wait, local route, forward RPCs, hedge waits, ...), propagated
 	// over cluster RPCs via the Traceparent header and exported on GET
-	// /debug/trace after the episode traces. The span log's own SampleRate
-	// and Seed decide which requests trace and with what ids.
+	// /debug/trace; a sampled request's local_route spans carry the hops its
+	// walk took. The span log's own SampleRate and Seed decide which requests
+	// trace and with what ids.
 	Spans *obs.SpanLog
 	// RequestIDSalt salts the generated request ids; 0 derives a salt from
 	// the process start time (tests pin it for reproducible ids).
@@ -197,7 +194,6 @@ type Server struct {
 	// past the draining check and Add to a WaitGroup that is already being
 	// waited on.
 	logger *slog.Logger
-	tracer *obs.Tracer
 	rids   *obs.RequestIDs
 
 	// Distributed tracing (nil spans = phase tracing off). traceSeq numbers
@@ -268,7 +264,6 @@ func New(cfg Config) *Server {
 		hopIdle:      map[string][]*hopStream{},
 		hopIn:        map[net.Conn]struct{}{},
 		logger:       logger,
-		tracer:       c.Tracer,
 		spans:        c.Spans,
 		rids:         obs.NewRequestIDs(salt),
 	}
@@ -390,9 +385,9 @@ func (s *Server) Drain(ctx context.Context) error {
 //	GET  /healthz      liveness (200 while the process runs)
 //	GET  /readyz       readiness (503 while draining or graphless)
 //	GET  /metrics      Prometheus text exposition (engine, pool, breakers,
-//	                   retries, swaps, tracer, Go runtime)
+//	                   retries, swaps, spans, Go runtime)
 //	GET  /debug/vars   expvar (smallworld.engine + smallworld.serve)
-//	GET  /debug/trace  sampled routing traces as JSONL (404 untraced)
+//	GET  /debug/trace  sampled phase spans as JSONL (404 untraced)
 //	GET  /debug/pprof  net/http/pprof profiles (heap, goroutine, cpu, ...)
 //	POST /admin/swap   generate + atomically install a graph snapshot
 //	POST /admin/mutate apply a journaled mutation batch to the live graph
@@ -611,7 +606,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// The distributed trace starts at admission: the queue wait is the first
 	// phase of the request, and the sampling decision made here rides every
 	// forwarded hop via the Traceparent header.
-	rt := s.startEntryTrace()
+	rt := s.startEntryTrace(r.Context())
 
 	// Admission: bounded concurrency, bounded queue, fast shedding.
 	qStart := time.Now()
@@ -641,7 +636,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	es := episodePool.Get().(*episodeState)
 	defer episodePool.Put(es)
 	req.Protocol = protoName
-	out := s.routeOne(r, nw, graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, true, rt, queued)
+	out := s.routeOne(r, nw, graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, rt, queued)
 	rt.finish(out.errMsg)
 	if out.errMsg != "" {
 		writeError(w, out.status, out.retryAfter, "%s", out.errMsg)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -9,9 +11,9 @@ import (
 // This file is the serving layer's half of distributed tracing: the phase
 // vocabulary of the per-phase latency histograms, and reqTrace — the nil-safe
 // per-request span builder that turns the request path's milestones (queue
-// wait, breaker verdicts, engine episodes, forward RPCs, hedge waits, backoff
-// sleeps) into obs.PhaseSpans with deterministic ids. Three entry points
-// start a trace:
+// wait, breaker verdicts, engine episodes with the hops they walked, forward
+// RPCs, hedge waits, backoff sleeps) into obs.PhaseSpans with deterministic
+// ids. Three entry points start a trace:
 //
 //	startEntryTrace  POST /route, /route/batch — the sampling decision and
 //	                 the trace id are pure hashes of (seed, sequence), so two
@@ -73,9 +75,9 @@ type reqTrace struct {
 }
 
 // startEntryTrace samples one entry request (POST /route or /route/batch)
-// into a new trace; nil when tracing is off or the request fell outside the
-// sample.
-func (s *Server) startEntryTrace() *reqTrace {
+// into a new trace whose root carries the request's X-Request-ID; nil when
+// tracing is off or the request fell outside the sample.
+func (s *Server) startEntryTrace(ctx context.Context) *reqTrace {
 	if s.spans == nil {
 		return nil
 	}
@@ -83,7 +85,7 @@ func (s *Server) startEntryTrace() *reqTrace {
 	if !s.spans.Sampled(seq) {
 		return nil
 	}
-	return s.newTrace(s.spans.TraceID(seq), "", obs.SpanRequest, "")
+	return s.newTrace(s.spans.TraceID(seq), "", obs.SpanRequest, obs.RequestID(ctx))
 }
 
 // startHopTrace adopts the trace context a cluster RPC arrived with; nil when
@@ -161,8 +163,25 @@ func (rt *reqTrace) add(kind string, start time.Time, d time.Duration, peer, det
 	rt.end(rt.allocID(), kind, start, d, peer, detail, errMsg)
 }
 
-// end records a completed phase span under a pre-allocated id.
-func (rt *reqTrace) end(id, kind string, start time.Time, d time.Duration, peer, detail, errMsg string) {
+// localRoute records one local_route span carrying the hops hc collected
+// from the walk (hc is nil exactly when rt is).
+func (rt *reqTrace) localRoute(start time.Time, d time.Duration, detail, errMsg string, hc *obs.HopCollector) {
+	if rt == nil {
+		return
+	}
+	if hc.Cut > 0 {
+		cut := fmt.Sprintf("hops cut at %d, %d dropped", obs.MaxHops, hc.Cut)
+		if detail != "" {
+			cut = detail + "; " + cut
+		}
+		detail = cut
+	}
+	rt.end(rt.allocID(), obs.SpanLocalRoute, start, d, "", detail, errMsg, hc.Hops...)
+}
+
+// end records a completed phase span under a pre-allocated id; only a
+// local_route span passes hops.
+func (rt *reqTrace) end(id, kind string, start time.Time, d time.Duration, peer, detail, errMsg string, hops ...obs.Span) {
 	if rt == nil {
 		return
 	}
@@ -177,6 +196,7 @@ func (rt *reqTrace) end(id, kind string, start time.Time, d time.Duration, peer,
 		Peer:    peer,
 		Detail:  detail,
 		Err:     errMsg,
+		Hops:    hops,
 	})
 }
 

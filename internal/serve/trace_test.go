@@ -108,10 +108,10 @@ func stitchSpans(daemons []*shardDaemon) map[string]*stitchedTrace {
 	return traces
 }
 
-// spanKey is the timing-free identity of one span — what must be
-// bit-identical across reruns of the same workload.
+// spanKey is the timing-free identity of one span, hops included — what must
+// be bit-identical across reruns of the same workload.
 func spanKey(sp obs.PhaseSpan) string {
-	return sp.Trace + "/" + sp.ID + "/" + sp.Parent + "/" + sp.Service + "/" + sp.Kind
+	return fmt.Sprint(sp.Trace, "/", sp.ID, "/", sp.Parent, "/", sp.Service, "/", sp.Kind, "/", sp.Hops)
 }
 
 // tracedWorkload drives the deterministic query mix of the propagation test
@@ -308,8 +308,8 @@ func TestHedgedTraceConnected(t *testing.T) {
 }
 
 // TestDebugTraceServesSpans pins the /debug/trace contract: with a span log
-// and no episode tracer, the endpoint answers 200 with one JSON line per
-// span (a "trace" key), and the per-phase histograms appear on /metrics.
+// the endpoint answers 200 with one JSON line per span (a "trace" key), and
+// the per-phase histograms appear on /metrics.
 func TestDebugTraceServesSpans(t *testing.T) {
 	nw := testNetwork(t, 300, 5)
 	srv := New(Config{
@@ -393,5 +393,126 @@ func TestSpanIDDeterminism(t *testing.T) {
 				t.Fatalf("lane %d diverged at %d: %s != %s", l, i, got[l][i], got[0][i])
 			}
 		}
+	}
+}
+
+// TestTraceHopsChain pins the trajectory across a hop chain: every daemon of
+// a 3-shard cluster puts its own segment's hops on its own local_route span,
+// and those spans, read in hop-depth order with each continuation's first
+// vertex dropped (as mergeHop drops it), spell the response path.
+func TestTraceHopsChain(t *testing.T) {
+	nw := testNetwork(t, 600, 1) // a graph with walks that cross two boundaries
+	daemons := newTracedCluster(t, nw, []replicaSpec{{"0", 0}, {"10", 0}, {"11", 0}},
+		Config{RequestTimeout: 5 * time.Second}, cluster.Config{Seed: 4})
+	n := nw.Graph.N()
+	checked, deepest := 0, 0
+	for i := 0; i < 6*n && deepest < 2; i++ {
+		s, tt := (i*7919)%n, (i*104729+13)%n
+		if s == tt {
+			continue
+		}
+		resp, rr, er := postRoute(t, daemons[i%len(daemons)].ts.URL, RouteRequest{S: s, T: tt, IncludePath: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pair (%d,%d): status %d (%s)", s, tt, resp.StatusCode, er.Error)
+		}
+		if rr.Forwards == 0 {
+			continue
+		}
+		rid := resp.Header.Get("X-Request-ID")
+		var trace *stitchedTrace
+		for _, tr := range stitchSpans(daemons) {
+			for _, sp := range tr.spans {
+				if sp.Kind == obs.SpanRequest && sp.Detail == rid {
+					trace = tr
+				}
+			}
+		}
+		if trace == nil {
+			t.Fatalf("pair (%d,%d): no trace is rooted at request %s", s, tt, rid)
+		}
+		// A local_route span's depth is its root's: 0 under the entry request,
+		// N under the hop served at depth=N.
+		depthOf := map[string]int{}
+		for _, sp := range trace.spans {
+			if sp.Kind == obs.SpanHop {
+				var d int
+				if _, err := fmt.Sscanf(sp.Detail, "depth=%d", &d); err != nil {
+					t.Fatalf("hop span detail %q: %v", sp.Detail, err)
+				}
+				depthOf[sp.ID] = d
+			}
+		}
+		segments := map[int][]obs.Span{}
+		for _, sp := range trace.spans {
+			if sp.Kind == obs.SpanLocalRoute {
+				segments[depthOf[sp.Parent]] = sp.Hops
+			}
+		}
+		if len(segments) != rr.Forwards+1 {
+			t.Fatalf("pair (%d,%d): %d local_route spans for %d forwards", s, tt, len(segments), rr.Forwards)
+		}
+		var path []int
+		for d := 0; d < len(segments); d++ {
+			hops := segments[d]
+			if d > 0 {
+				hops = hops[1:]
+			}
+			for _, h := range hops {
+				path = append(path, h.V)
+			}
+		}
+		if fmt.Sprint(path) != fmt.Sprint(rr.Path) {
+			t.Fatalf("pair (%d,%d): stitched hops %v, response path %v", s, tt, path, rr.Path)
+		}
+		checked++
+		deepest = max(deepest, rr.Forwards)
+	}
+	if deepest < 2 {
+		t.Fatalf("%d forwarded queries, none crossed two boundaries — no chain was exercised", checked)
+	}
+}
+
+// TestTraceHopsDeterminism routes one request sequence at sample rate 0.5 on
+// a fresh daemon under GOMAXPROCS 1 and 8: the sampled requests, their trace
+// and span ids and every hop must match, and each sampled request has its
+// phase spans and its hops together.
+func TestTraceHopsDeterminism(t *testing.T) {
+	nw := testNetwork(t, 400, 11)
+	run := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		srv := New(Config{RequestIDSalt: 3, Spans: obs.NewSpanLog(obs.SpanLogConfig{Service: "solo", Seed: 9, SampleRate: 0.5})})
+		srv.AddNetwork(DefaultGraph, nw)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		const requests = 40
+		for i := 0; i < requests; i++ {
+			if r, _, er := postRoute(t, ts.URL, RouteRequest{S: i, T: 200 + i}); r.StatusCode != http.StatusOK {
+				t.Fatalf("route %d: status %d (%s)", i, r.StatusCode, er.Error)
+			}
+		}
+		spans := srv.spans.Snapshot()
+		roots, routed := map[string]bool{}, map[string]bool{}
+		var keys []string
+		for _, sp := range spans {
+			switch sp.Kind {
+			case obs.SpanRequest:
+				roots[sp.ID] = true
+			case obs.SpanLocalRoute:
+				if len(sp.Hops) == 0 {
+					t.Fatalf("local_route span %s carries no hops", sp.ID)
+				}
+				routed[sp.Parent] = true
+			}
+			keys = append(keys, spanKey(sp))
+		}
+		if len(roots) == 0 || len(roots) == requests || len(routed) != len(roots) {
+			t.Fatalf("%d of %d requests sampled, %d with hops", len(roots), requests, len(routed))
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	one, eight := run(1), run(8)
+	if fmt.Sprint(one) != fmt.Sprint(eight) {
+		t.Fatalf("traces differ across GOMAXPROCS:\n1: %v\n8: %v", one, eight)
 	}
 }
