@@ -61,7 +61,7 @@ func runCtx(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := logCfg.Setup(os.Stderr)
+	logger, err := logCfg.NewLogger(os.Stderr)
 	if err != nil {
 		return err
 	}

@@ -130,7 +130,7 @@ func run(args []string, ready chan<- string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := logCfg.Setup(os.Stderr)
+	logger, err := logCfg.NewLogger(os.Stderr)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,14 @@ package repro
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/expt"
 )
 
 // TestDocsNameWhatExists keeps README.md and DESIGN.md from going stale in the
@@ -13,7 +17,9 @@ import (
 // mention — backticked, in a layout listing, anywhere — and every backticked
 // .go file must exist (a file may be cited relative to internal/, as in
 // `route/walk.go`). Every backticked `layer.rung` must be a metric
-// BENCHMARK.json declares.
+// BENCHMARK.json declares. Every TestX, BenchmarkX or FuzzX inside backticks
+// must be declared in some _test.go (or be the prefix of one, as a -run
+// pattern is), and every experiment id E<n> must be registered.
 func TestDocsNameWhatExists(t *testing.T) {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -43,6 +49,17 @@ func TestDocsNameWhatExists(t *testing.T) {
 	treePath := regexp.MustCompile(`(^|[^\w./-])((?:internal|cmd|examples)/[\w./-]*)`)
 	backticked := regexp.MustCompile("`([^`\n]+)`")
 	rung := regexp.MustCompile(`^([a-z]+)\.[a-z0-9_]+$`)
+	testName := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	experimentID := regexp.MustCompile(`\bE[0-9]+\b`)
+	declared := declaredTests(t)
+	isDeclared := func(name string) bool {
+		for _, d := range declared {
+			if strings.HasPrefix(d, name) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -64,6 +81,43 @@ func TestDocsNameWhatExists(t *testing.T) {
 			} else if r := rung.FindStringSubmatch(word); r != nil && layers[r[1]] && !rungs[word] {
 				t.Errorf("%s cites `%s`, which BENCHMARK.json does not declare", doc, m[1])
 			}
+			for _, name := range testName.FindAllString(m[1], -1) {
+				if !isDeclared(name) {
+					t.Errorf("%s cites %s, which no _test.go declares", doc, name)
+				}
+			}
+		}
+		for _, id := range experimentID.FindAllString(string(text), -1) {
+			if _, ok := expt.ByID(id); !ok {
+				t.Errorf("%s names experiment %s, which internal/expt does not register", doc, id)
+			}
 		}
 	}
+}
+
+// declaredTests lists every Test, Benchmark and Fuzz function declared in a
+// _test.go file of the repository, the ledger module's included.
+func declaredTests(t *testing.T) []string {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	var names []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, the benchmark's build cache
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }

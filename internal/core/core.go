@@ -7,9 +7,9 @@
 //
 // Protocols are route.Protocol values addressed by registered name; the
 // five built-ins self-register and new ones plug in via route.Register without
-// touching this package. Every episode feeds process-wide atomic counters
-// (exported via expvar as "smallworld.engine", snapshotted by Stats), an
-// optional route.Observer streams per-move trajectories, and RunMilgramCtx
+// touching this package. Every episode feeds the caller's atomic Counters
+// when it passes a set (a daemon renders them on /metrics and /debug/vars),
+// an optional route.Observer streams per-move trajectories, and RunMilgramCtx
 // threads context cancellation through the parallel batch runner.
 //
 // The engine is resilient by construction: per-episode hop and wall-time
@@ -160,7 +160,7 @@ func (nw *Network) Route(proto Protocol, s, t int, obs ...route.Observer) (route
 		return route.Result{}, err
 	}
 	if len(obs) > 0 {
-		obj := vw.objective(t)
+		obj := vw.replayObjective(t)
 		for _, o := range obs {
 			if o != nil {
 				route.Observe(vw.g, obj, res, 0, o)
@@ -212,14 +212,14 @@ type workerState struct {
 }
 
 // runEpisodeInto runs one protocol episode into the caller-owned out
-// (reusing its Path backing array) over the caller's scratch, feeding the
-// engine counters, enforcing the optional hop and wall-time budgets, and
-// converting a protocol panic (possible with externally registered
-// protocols) into an error instead of tearing down the whole batch. A
-// budget cut is not an error: out becomes a failed Result classified
-// route.FailDeadline whose path is just the source (the protocol's internal
-// state is opaque, so the partial trajectory is not recoverable).
-func runEpisodeInto(g route.Graph, p route.Protocol, obj route.Objective, s int, maxHops int, timeout time.Duration, sc *route.Scratch, out *route.Result) (err error) {
+// (reusing its Path backing array) over the caller's scratch, feeding c,
+// enforcing the optional hop and wall-time budgets, and converting a
+// protocol panic (possible with externally registered protocols) into an
+// error instead of tearing down the whole batch. A budget cut is not an
+// error: out becomes a failed Result classified route.FailDeadline whose
+// path is just the source (the protocol's internal state is opaque, so the
+// partial trajectory is not recoverable).
+func runEpisodeInto(c *Counters, g route.Graph, p route.Protocol, obj route.Objective, s int, maxHops int, timeout time.Duration, sc *route.Scratch, out *route.Result) (err error) {
 	start := time.Now()
 	if maxHops > 0 || timeout > 0 {
 		bg := &budgetGraph{inner: g, maxQueries: maxHops}
@@ -235,15 +235,15 @@ func runEpisodeInto(g route.Graph, p route.Protocol, obj route.Objective, s int,
 		}
 		if _, ok := r.(budgetStop); ok {
 			*out = route.Result{Path: append(out.Path[:0], s), Unique: 1, Stuck: -1, Failure: route.FailDeadline}
-			recordEpisode(*out, time.Since(start))
+			c.Record(*out, time.Since(start))
 			err = nil
 			return
 		}
-		recordPanic()
+		c.recordPanic()
 		err = fmt.Errorf("core: protocol %q panicked routing from %d: %v", p.Name(), s, r)
 	}()
 	p.RouteInto(g, obj, s, sc, out)
-	recordEpisode(*out, time.Since(start))
+	c.Record(*out, time.Since(start))
 	return nil
 }
 
@@ -309,6 +309,9 @@ type MilgramConfig struct {
 	// (default 64): the most work a crash can lose per run, and the
 	// granularity at which a resume skips ahead.
 	CheckpointBatch int
+	// Counters, when non-nil, count every episode of the batch (and the
+	// batch itself). nil counts nothing.
+	Counters *Counters
 }
 
 // MilgramReport aggregates a batch routing experiment.
@@ -369,7 +372,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 	}
 	// Resolve the view once per batch: every episode of this run sees the
 	// same overlay epoch, whatever the mutation log publishes meanwhile.
-	vw, err := nw.view(cfg.Protocol, cfg.Objective)
+	vw, err := nw.view(cfg.Protocol, cfg.Objective, cfg.Counters)
 	if err != nil {
 		return MilgramReport{}, err
 	}
@@ -384,7 +387,9 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 	if cfg.WholeGraph && n < 2 {
 		return MilgramReport{}, fmt.Errorf("core: graph too small")
 	}
-	engine.batches.Add(1)
+	if cfg.Counters != nil {
+		cfg.Counters.batches.Add(1)
+	}
 
 	// Draw all pairs from one sequential stream.
 	rng := xrand.New(cfg.Seed)
@@ -424,7 +429,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 		if !bound.Empty() && (bound.Crashed(p.s) || bound.Crashed(p.t)) {
 			// Delivery from/to a crashed vertex is impossible; classify
 			// without running the protocol (the episode still counts).
-			recordEpisode(route.Result{Path: []int{p.s}, Unique: 1, Stuck: -1,
+			cfg.Counters.Record(route.Result{Path: []int{p.s}, Unique: 1, Stuck: -1,
 				Failure: route.FailCrashedTarget}, 0)
 			episodes[i] = episode{done: true, failure: route.FailCrashedTarget}
 			return
@@ -485,7 +490,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 			if !episodes[i].done {
 				continue
 			}
-			route.Observe(vw.g, vw.objective(p.t), route.Result{Path: episodes[i].path}, i, cfg.Observer)
+			route.Observe(vw.g, vw.replayObjective(p.t), route.Result{Path: episodes[i].path}, i, cfg.Observer)
 		}
 	}
 
@@ -523,7 +528,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 	if batchErr != nil {
 		// Cancelled mid-run: hand back what completed instead of dropping it.
 		rep.Partial = true
-		recordCancelled(rep.Cancelled)
+		cfg.Counters.recordCancelled(rep.Cancelled)
 		return rep, batchErr
 	}
 	return rep, nil

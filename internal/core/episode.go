@@ -37,14 +37,16 @@ type EpisodeConfig struct {
 	// Observer, when non-nil, receives the episode's per-move events after it
 	// finishes (replayed over the fault-free graph and objective).
 	Observer route.Observer
+	// Counters, when non-nil, count the episode. nil counts nothing.
+	Counters *Counters
 }
 
 // RouteEpisode runs one budgeted routing episode under cfg. Episodes whose
 // source or target a fault plan crashed are classified
 // route.FailCrashedTarget without running the protocol; budget cuts come
-// back as route.FailDeadline results, not errors. Every episode feeds the
-// process-wide engine counters, so services built on this entry point get
-// the expvar taxonomy for free.
+// back as route.FailDeadline results, not errors. Every episode feeds
+// cfg.Counters, so services built on this entry point get the failure
+// taxonomy for free.
 func (nw *Network) RouteEpisode(cfg EpisodeConfig) (route.Result, error) {
 	var res route.Result
 	if err := nw.RouteEpisodeInto(cfg, nil, &res); err != nil {
@@ -70,7 +72,7 @@ func (nw *Network) RouteEpisodeInto(cfg EpisodeConfig, sc *route.Scratch, out *r
 // view the episode routed over, so a caller replaying further observers
 // scores them on the same epoch.
 func (nw *Network) routeEpisode(cfg EpisodeConfig, sc *route.Scratch, out *route.Result) (routeView, error) {
-	vw, err := nw.view(cfg.Protocol, nil)
+	vw, err := nw.view(cfg.Protocol, nil, cfg.Counters)
 	if err != nil {
 		return vw, err
 	}
@@ -80,14 +82,14 @@ func (nw *Network) routeEpisode(cfg EpisodeConfig, sc *route.Scratch, out *route
 	bound := cfg.Faults.Bind(vw.g)
 	if !bound.Empty() && (bound.Crashed(cfg.S) || bound.Crashed(cfg.T)) {
 		*out = route.Result{Path: append(out.Path[:0], cfg.S), Unique: 1, Stuck: -1, Failure: route.FailCrashedTarget}
-		recordEpisode(*out, 0)
+		vw.counters.Record(*out, 0)
 		return vw, nil
 	}
 	if err := vw.routeOne(bound, cfg.Episode, cfg.S, cfg.T, cfg.MaxHops, cfg.Timeout, sc, out); err != nil {
 		return vw, err
 	}
 	if cfg.Observer != nil {
-		route.Observe(vw.g, vw.objective(cfg.T), *out, cfg.Episode, cfg.Observer)
+		route.Observe(vw.g, vw.replayObjective(cfg.T), *out, cfg.Episode, cfg.Observer)
 	}
 	return vw, nil
 }
@@ -103,26 +105,33 @@ type routeView struct {
 	// factory is the network's objective factory or the caller's override;
 	// it scores base vertices only (see objective).
 	factory func(t int) route.Objective
-	// csr reports that episodes are greedy under exactly the standard phi,
-	// so the concrete fast path computes the same episode.
-	csr bool
+	// std reports that factory is exactly the standard phi; csr that
+	// episodes are also greedy, so the concrete fast path computes the same
+	// episode.
+	std, csr bool
+	// counters count every episode routed over the view (nil = off).
+	counters *Counters
 }
 
 // view resolves proto and the graph to route over. override optionally
 // replaces the network's objective factory; live overlays reject it (and
 // non-standard networks) instead of silently scoring added vertices wrong.
-func (nw *Network) view(proto Protocol, override func(t int) route.Objective) (routeView, error) {
+// c counts the view's episodes.
+func (nw *Network) view(proto Protocol, override func(t int) route.Objective, c *Counters) (routeView, error) {
 	p, err := resolve(proto)
 	if err != nil {
 		return routeView{}, err
 	}
 	_, greedy := p.(route.GreedyRouter)
+	std := nw.StandardPhi && override == nil
 	vw := routeView{
-		proto:   p,
-		base:    nw.Graph,
-		g:       nw.Graph,
-		factory: nw.NewObjective,
-		csr:     greedy && nw.StandardPhi && override == nil,
+		proto:    p,
+		base:     nw.Graph,
+		g:        nw.Graph,
+		factory:  nw.NewObjective,
+		std:      std,
+		csr:      greedy && std,
+		counters: c,
 	}
 	if override != nil {
 		vw.factory = override
@@ -151,7 +160,20 @@ func (vw *routeView) objective(t int) route.Objective {
 	return vw.factory(t)
 }
 
-// routeOne routes one episode from s toward t into out and feeds the engine
+// replayObjective scores a finished path for an observer: the same values
+// as objective, but the standard phi skips its n-float cache, so a replay
+// costs O(path) instead of O(n).
+func (vw *routeView) replayObjective(t int) route.Objective {
+	switch {
+	case vw.ov != nil:
+		return route.NewStandardUncached(vw.ov, t)
+	case vw.std:
+		return route.NewStandardUncached(vw.base, t)
+	}
+	return vw.factory(t)
+}
+
+// routeOne routes one episode from s toward t into out and feeds the view's
 // counters. This is the one place the fast-path decision is made: a greedy
 // episode under the standard phi with no fault plan and a scratch to build
 // on runs the concrete walk (over the overlay when live); everything else
@@ -169,12 +191,12 @@ func (vw *routeView) routeOne(bound *faults.BoundPlan, episode, s, t, maxHops in
 		} else {
 			route.GreedyCSR(vw.base, t, s, b, sc, out)
 		}
-		recordEpisode(*out, time.Since(start))
+		vw.counters.Record(*out, time.Since(start))
 		return nil
 	}
 	eg, eobj := vw.g, vw.objective(t)
 	if !bound.Empty() {
 		eg, eobj = bound.View(eg, eobj, episode)
 	}
-	return runEpisodeInto(eg, vw.proto, eobj, s, maxHops, timeout, sc, out)
+	return runEpisodeInto(vw.counters, eg, vw.proto, eobj, s, maxHops, timeout, sc, out)
 }

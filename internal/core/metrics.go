@@ -1,7 +1,6 @@
 package core
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"math/bits"
@@ -11,42 +10,18 @@ import (
 	"repro/internal/route"
 )
 
-// Process-wide engine counters. Every routing episode that passes through
-// the engine (Route, RunMilgram, RunMilgramCtx) is counted here with atomic
-// increments; the aggregate is exported through expvar under
-// "smallworld.engine" (visible on /debug/vars when the process serves HTTP)
-// and snapshotted by Stats for tests and CLIs.
-var engine = engineVars{taxonomy: make([]atomic.Int64, len(failureOrder))}
-
-// failureOrder fixes the reporting order of the failure-taxonomy counters.
-var failureOrder = route.Failures()
-
-// failureIdx maps each classification to its taxonomy counter. Built once at
-// init: failureIndex runs on every failed episode on the hot path, and a map
-// probe is O(1) where the previous linear scan was O(taxonomy).
-var failureIdx = func() map[route.Failure]int {
-	m := make(map[route.Failure]int, len(failureOrder))
-	for i, g := range failureOrder {
-		m[g] = i
-	}
-	return m
-}()
-
-// failureIndex maps a classification to its taxonomy counter (-1 for
-// FailNone or an unknown classification).
-func failureIndex(f route.Failure) int {
-	if i, ok := failureIdx[f]; ok {
-		return i
-	}
-	return -1
-}
-
 // durBuckets is the number of log2 wall-time buckets: bucket b counts
 // episodes with wall time in [2^(b-1), 2^b) microseconds (bucket 0 is
 // < 1µs); the last bucket collects everything at or above 2^20 µs (~1 s).
 const durBuckets = 22
 
-type engineVars struct {
+// Counters are the engine's episode counters: atomic increments around every
+// episode routed with them (EpisodeConfig.Counters, MilgramConfig.Counters),
+// snapshotted by Stats. The caller owns them — a daemon keeps one set per
+// server, so an in-process fleet counts each episode once — and a nil
+// *Counters is off: every method is then a no-op and an episode does no
+// atomic work.
+type Counters struct {
 	episodes    atomic.Int64
 	moves       atomic.Int64
 	truncations atomic.Int64
@@ -54,8 +29,18 @@ type engineVars struct {
 	panics      atomic.Int64
 	batches     atomic.Int64
 	durations   [durBuckets]atomic.Int64
-	durTotalUs  atomic.Int64   // summed episode wall time, microseconds
-	taxonomy    []atomic.Int64 // indexed like failureOrder
+	durTotalUs  atomic.Int64 // summed episode wall time, microseconds
+	taxonomy    map[route.Failure]*atomic.Int64
+}
+
+// NewCounters returns a zeroed set of engine counters, one taxonomy counter
+// per route.Failures class.
+func NewCounters() *Counters {
+	c := &Counters{taxonomy: map[route.Failure]*atomic.Int64{}}
+	for _, f := range route.Failures() {
+		c.taxonomy[f] = new(atomic.Int64)
+	}
+	return c
 }
 
 func durBucket(d time.Duration) int {
@@ -75,15 +60,21 @@ func durBucketLabel(b int) string {
 	return fmt.Sprintf("<%v", time.Duration(1<<b)*time.Microsecond)
 }
 
-// recordEpisode folds one finished episode into the engine counters.
-func recordEpisode(res route.Result, d time.Duration) {
-	engine.episodes.Add(1)
-	engine.moves.Add(int64(res.Moves))
+// Record folds one finished episode into the counters — the engine calls it
+// for every episode it routes; serving layers that route outside
+// RouteEpisodeInto (the cluster hop path stitches per-shard segments itself)
+// call it with the merged result. res must be a terminal, classified result.
+func (c *Counters) Record(res route.Result, d time.Duration) {
+	if c == nil {
+		return
+	}
+	c.episodes.Add(1)
+	c.moves.Add(int64(res.Moves))
 	if res.Truncated {
-		engine.truncations.Add(1)
+		c.truncations.Add(1)
 	}
 	if !res.Success {
-		engine.failures.Add(1)
+		c.failures.Add(1)
 	}
 	// Classify the failure for the taxonomy counters. Hand-rolled external
 	// protocols may fail without setting Failure; count those as dead ends so
@@ -92,40 +83,33 @@ func recordEpisode(res route.Result, d time.Duration) {
 	if !res.Success && f == route.FailNone {
 		f = route.FailDeadEnd
 	}
-	if i := failureIndex(f); i >= 0 {
-		engine.taxonomy[i].Add(1)
+	if n := c.taxonomy[f]; n != nil {
+		n.Add(1)
 	}
-	engine.durations[durBucket(d)].Add(1)
-	engine.durTotalUs.Add(int64(d / time.Microsecond))
-}
-
-// RecordEpisode folds an externally routed episode into the process-wide
-// engine counters — the entry point for serving layers that route outside
-// RouteEpisodeInto (the cluster hop path stitches per-shard segments itself)
-// but still owe the expvar/Prometheus taxonomy an episode. res must be a
-// terminal, classified result.
-func RecordEpisode(res route.Result, d time.Duration) {
-	recordEpisode(res, d)
+	c.durations[durBucket(d)].Add(1)
+	c.durTotalUs.Add(int64(d / time.Microsecond))
 }
 
 // recordCancelled counts episodes a cancelled batch never ran. They appear
 // only under the "cancelled" taxonomy counter — not in Episodes, Failures or
 // the wall-time histogram, which all count episodes that actually routed.
-func recordCancelled(n int) {
-	if n > 0 {
-		engine.taxonomy[failureIndex(route.FailCancelled)].Add(int64(n))
+func (c *Counters) recordCancelled(n int) {
+	if c != nil && n > 0 {
+		c.taxonomy[route.FailCancelled].Add(int64(n))
 	}
 }
 
 // recordPanic counts an episode whose protocol panicked (the engine converts
-// the panic to an error; see runEpisode).
-func recordPanic() {
-	engine.episodes.Add(1)
-	engine.failures.Add(1)
-	engine.panics.Add(1)
+// the panic to an error; see runEpisodeInto).
+func (c *Counters) recordPanic() {
+	if c != nil {
+		c.episodes.Add(1)
+		c.failures.Add(1)
+		c.panics.Add(1)
+	}
 }
 
-// EngineStats is a snapshot of the process-wide engine counters.
+// EngineStats is a snapshot of one set of engine Counters.
 type EngineStats struct {
 	// Episodes is the number of routing episodes finished by the engine.
 	Episodes int64
@@ -153,7 +137,7 @@ type EngineStats struct {
 	EpisodeWallTime map[string]int64
 	// WallTimeHist is the same histogram in exposition order with numeric
 	// bounds — the form the Prometheus translation consumes (counts are
-	// per-bucket, not cumulative). Excluded from the expvar JSON: the
+	// per-bucket, not cumulative). Excluded from the JSON (/debug/vars): the
 	// overflow bound is +Inf, which encoding/json cannot represent (the
 	// labelled map above is the JSON face of the histogram).
 	WallTimeHist []DurationBucket `json:"-"`
@@ -180,32 +164,28 @@ func durBucketUpperSeconds(b int) float64 {
 	return float64(uint64(1)<<b) * 1e-6
 }
 
-// Stats snapshots the engine counters. Counters are process-wide and only
-// ever grow; to meter one workload, diff two snapshots.
-func Stats() EngineStats {
+// Stats snapshots the counters. They only ever grow; to meter one workload,
+// diff two snapshots.
+func (c *Counters) Stats() EngineStats {
 	s := EngineStats{
-		Episodes:        engine.episodes.Load(),
-		Moves:           engine.moves.Load(),
-		Truncations:     engine.truncations.Load(),
-		Failures:        engine.failures.Load(),
-		Panics:          engine.panics.Load(),
-		Batches:         engine.batches.Load(),
+		Episodes:        c.episodes.Load(),
+		Moves:           c.moves.Load(),
+		Truncations:     c.truncations.Load(),
+		Failures:        c.failures.Load(),
+		Panics:          c.panics.Load(),
+		Batches:         c.batches.Load(),
 		FailureTaxonomy: map[string]int64{},
 		EpisodeWallTime: map[string]int64{},
 	}
-	for i, f := range failureOrder {
-		s.FailureTaxonomy[string(f)] = engine.taxonomy[i].Load()
+	for f, n := range c.taxonomy {
+		s.FailureTaxonomy[string(f)] = n.Load()
 	}
 	s.WallTimeHist = make([]DurationBucket, durBuckets)
 	for b := 0; b < durBuckets; b++ {
-		c := engine.durations[b].Load()
-		s.EpisodeWallTime[durBucketLabel(b)] = c
-		s.WallTimeHist[b] = DurationBucket{UpperSeconds: durBucketUpperSeconds(b), Count: c}
+		n := c.durations[b].Load()
+		s.EpisodeWallTime[durBucketLabel(b)] = n
+		s.WallTimeHist[b] = DurationBucket{UpperSeconds: durBucketUpperSeconds(b), Count: n}
 	}
-	s.WallTimeTotal = time.Duration(engine.durTotalUs.Load()) * time.Microsecond
+	s.WallTimeTotal = time.Duration(c.durTotalUs.Load()) * time.Microsecond
 	return s
-}
-
-func init() {
-	expvar.Publish("smallworld.engine", expvar.Func(func() interface{} { return Stats() }))
 }

@@ -9,20 +9,34 @@ import (
 	"repro/internal/route"
 )
 
-// TestFailureIndexMap checks the init-built index agrees with the taxonomy
-// order and rejects non-taxonomy classifications.
+// TestFailureIndexMap checks the taxonomy counters: every failure class
+// lands under its own key, and neither a delivered episode nor an unknown
+// classification moves any.
 func TestFailureIndexMap(t *testing.T) {
-	for want, f := range route.Failures() {
-		if got := failureIndex(f); got != want {
-			t.Errorf("failureIndex(%s) = %d, want %d", f, got, want)
+	c := NewCounters()
+	c.Record(route.Result{Success: true}, 0)
+	c.Record(route.Result{Success: true, Failure: route.Failure("no-such-class")}, 0)
+	for _, f := range route.Failures() {
+		c.Record(route.Result{Failure: f}, 0)
+	}
+	tax := c.Stats().FailureTaxonomy
+	if len(tax) != len(route.Failures()) {
+		t.Fatalf("taxonomy has %d keys, want %d: %v", len(tax), len(route.Failures()), tax)
+	}
+	for _, f := range route.Failures() {
+		if tax[string(f)] != 1 {
+			t.Errorf("class %s counted %d times, want 1", f, tax[string(f)])
 		}
 	}
-	if got := failureIndex(route.FailNone); got != -1 {
-		t.Errorf("failureIndex(FailNone) = %d, want -1", got)
-	}
-	if got := failureIndex(route.Failure("no-such-class")); got != -1 {
-		t.Errorf("failureIndex(unknown) = %d, want -1", got)
-	}
+}
+
+// TestNilCountersAreOff: every method of a nil *Counters is a no-op, so
+// library callers that pass none pay no atomic work.
+func TestNilCountersAreOff(t *testing.T) {
+	var c *Counters
+	c.Record(route.Result{}, time.Millisecond)
+	c.recordCancelled(3)
+	c.recordPanic()
 }
 
 // TestStatsWallTimeBuckets checks the histogram's stable shape: every one of
@@ -30,7 +44,8 @@ func TestFailureIndexMap(t *testing.T) {
 // matching counts, a +Inf overflow bound, and a sum that moves with recorded
 // episodes.
 func TestStatsWallTimeBuckets(t *testing.T) {
-	before := Stats()
+	c := NewCounters()
+	before := c.Stats()
 	if len(before.EpisodeWallTime) != durBuckets {
 		t.Fatalf("EpisodeWallTime has %d keys, want %d", len(before.EpisodeWallTime), durBuckets)
 	}
@@ -52,8 +67,8 @@ func TestStatsWallTimeBuckets(t *testing.T) {
 	}
 
 	// 3ms lands in [2^11, 2^12) µs: bucket 12 (upper bound 2^12 µs).
-	recordEpisode(route.Result{Success: true}, 3*time.Millisecond)
-	after := Stats()
+	c.Record(route.Result{Success: true}, 3*time.Millisecond)
+	after := c.Stats()
 	if d := after.WallTimeHist[12].Count - before.WallTimeHist[12].Count; d != 1 {
 		t.Errorf("3ms episode moved bucket 12 by %d, want 1", d)
 	}
@@ -62,11 +77,12 @@ func TestStatsWallTimeBuckets(t *testing.T) {
 	}
 }
 
-// TestStatsExpvarJSON guards the expvar face of the snapshot: the engine
-// stats are published on /debug/vars via json.Marshal, and the histogram's
-// +Inf bound must never leak into it (encoding/json rejects infinities).
+// TestStatsExpvarJSON guards the JSON face of the snapshot: a daemon
+// renders the engine stats on /debug/vars via encoding/json, and the
+// histogram's +Inf bound must never leak into it (encoding/json rejects
+// infinities).
 func TestStatsExpvarJSON(t *testing.T) {
-	b, err := json.Marshal(Stats())
+	b, err := json.Marshal(NewCounters().Stats())
 	if err != nil {
 		t.Fatalf("Stats() is not JSON-marshalable: %v", err)
 	}
@@ -75,7 +91,7 @@ func TestStatsExpvarJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, leaked := decoded["WallTimeHist"]; leaked {
-		t.Error("WallTimeHist leaked into the expvar JSON")
+		t.Error("WallTimeHist leaked into the JSON")
 	}
 	wt, ok := decoded["EpisodeWallTime"].(map[string]any)
 	if !ok || len(wt) != durBuckets {

@@ -154,7 +154,8 @@ func TestProtocolPanicBecomesError(t *testing.T) {
 	route.Register(panicProtocol{})
 	nw := girgNet(t, 600, 36)
 
-	before := Stats()
+	c := NewCounters()
+	before := c.Stats()
 	if _, err := nw.Route("test-panic", 0, 1); err == nil {
 		t.Fatal("panicking protocol returned no error from Route")
 	} else if !strings.Contains(err.Error(), "test-panic") {
@@ -162,10 +163,10 @@ func TestProtocolPanicBecomesError(t *testing.T) {
 	}
 	// Batch runs must surface the error too — episode errors are propagated,
 	// not swallowed.
-	if _, err := RunMilgram(nw, MilgramConfig{Pairs: 10, Seed: 37, Protocol: "test-panic"}); err == nil {
+	if _, err := RunMilgram(nw, MilgramConfig{Pairs: 10, Seed: 37, Protocol: "test-panic", Counters: c}); err == nil {
 		t.Fatal("panicking protocol returned no error from RunMilgram")
 	}
-	after := Stats()
+	after := c.Stats()
 	if after.Panics <= before.Panics {
 		t.Fatalf("panic counter did not advance: %d -> %d", before.Panics, after.Panics)
 	}
@@ -176,15 +177,16 @@ func TestRunMilgramCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	before := Stats()
-	rep, err := RunMilgramCtx(ctx, nw, MilgramConfig{Pairs: 500, Seed: 39})
+	c := NewCounters()
+	before := c.Stats()
+	rep, err := RunMilgramCtx(ctx, nw, MilgramConfig{Pairs: 500, Seed: 39, Counters: c})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if rep.Attempts != 0 || rep.Hops != nil {
 		t.Fatalf("cancelled batch returned a partial report: %+v", rep)
 	}
-	after := Stats()
+	after := c.Stats()
 	if after.Episodes != before.Episodes {
 		t.Fatalf("cancelled batch routed %d pairs", after.Episodes-before.Episodes)
 	}
@@ -211,12 +213,13 @@ func TestRunMilgramCtxBackground(t *testing.T) {
 
 func TestEngineStatsCount(t *testing.T) {
 	nw := girgNet(t, 700, 42)
-	before := Stats()
-	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 25, Seed: 43})
+	c := NewCounters()
+	before := c.Stats()
+	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 25, Seed: 43, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := Stats()
+	after := c.Stats()
 	if d := after.Episodes - before.Episodes; d != 25 {
 		t.Fatalf("episode counter advanced by %d, want 25", d)
 	}
@@ -231,8 +234,8 @@ func TestEngineStatsCount(t *testing.T) {
 		t.Fatalf("failure counter advanced by %d, report shows %d failures", d, failed)
 	}
 	var histTotal int64
-	for _, c := range after.EpisodeWallTime {
-		histTotal += c
+	for _, n := range after.EpisodeWallTime {
+		histTotal += n
 	}
 	if histTotal != after.Episodes-after.Panics {
 		t.Fatalf("wall-time histogram holds %d episodes, counters say %d",

@@ -90,8 +90,9 @@ func TestRunMilgramFaultPlanCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := Stats()
-	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 200, Seed: 55, Faults: plan})
+	c := NewCounters()
+	before := c.Stats()
+	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 200, Seed: 55, Faults: plan, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestRunMilgramFaultPlanCrash(t *testing.T) {
 	if crashed < 50 || crashed > 150 {
 		t.Fatalf("crashed-endpoint episodes %d, want roughly 0.51*200", crashed)
 	}
-	after := Stats()
+	after := c.Stats()
 	if d := after.FailureTaxonomy[string(route.FailCrashedTarget)] -
 		before.FailureTaxonomy[string(route.FailCrashedTarget)]; d != int64(crashed) {
 		t.Fatalf("engine crashed-target counter advanced by %d, report shows %d", d, crashed)
@@ -179,10 +180,12 @@ func TestRunMilgramCtxPartialReportOnMidRunCancel(t *testing.T) {
 	defer cancel()
 	var calls atomic.Int64
 	const pairs = 3000
-	before := Stats()
+	c := NewCounters()
+	before := c.Stats()
 	rep, err := RunMilgramCtx(ctx, nw, MilgramConfig{
-		Pairs: pairs,
-		Seed:  61,
+		Pairs:    pairs,
+		Seed:     61,
+		Counters: c,
 		Objective: func(tgt int) route.Objective {
 			if calls.Add(1) == 64 {
 				cancel()
@@ -205,7 +208,7 @@ func TestRunMilgramCtxPartialReportOnMidRunCancel(t *testing.T) {
 	if rep.Attempts+rep.Cancelled != pairs {
 		t.Fatalf("attempts %d + cancelled %d != %d pairs", rep.Attempts, rep.Cancelled, pairs)
 	}
-	after := Stats()
+	after := c.Stats()
 	if d := after.FailureTaxonomy[string(route.FailCancelled)] -
 		before.FailureTaxonomy[string(route.FailCancelled)]; d != int64(rep.Cancelled) {
 		t.Fatalf("engine cancelled counter advanced by %d, report shows %d", d, rep.Cancelled)
@@ -259,7 +262,8 @@ func (stuckProtocol) RouteInto(_ route.Graph, _ route.Objective, s int, _ *route
 }
 
 func TestEngineStatsTaxonomyKeysAlwaysPresent(t *testing.T) {
-	s := Stats()
+	c := NewCounters()
+	s := c.Stats()
 	for _, f := range route.Failures() {
 		if _, ok := s.FailureTaxonomy[string(f)]; !ok {
 			t.Fatalf("taxonomy key %q missing from EngineStats: %v", f, s.FailureTaxonomy)
@@ -269,15 +273,15 @@ func TestEngineStatsTaxonomyKeysAlwaysPresent(t *testing.T) {
 	// the taxonomy as a dead end, in the report and the engine counters alike.
 	route.Register(stuckProtocol{})
 	nw := girgNet(t, 900, 64)
-	before := Stats()
-	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 60, Seed: 65, Protocol: "test-stuck"})
+	before := c.Stats()
+	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 60, Seed: 65, Protocol: "test-stuck", Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Failures[route.FailDeadEnd]; got != 60 {
 		t.Fatalf("unclassified failures counted as %v, want 60 dead ends (map %v)", got, rep.Failures)
 	}
-	after := Stats()
+	after := c.Stats()
 	if d := after.FailureTaxonomy[string(route.FailDeadEnd)] -
 		before.FailureTaxonomy[string(route.FailDeadEnd)]; d != 60 {
 		t.Fatalf("dead-end counter advanced by %d, want 60", d)

@@ -172,8 +172,8 @@ func (l *Log) Export(baseFP string, generation, from, max int) (Segment, error) 
 // bit-identical. Batches below the log's seq are verified byte-equal
 // against the local journal and skipped (idempotent re-ship); a segment
 // starting past the log's seq is a gap and refused with a *SyncError whose
-// Got carries the seq to re-pull from. A batch that fails to decode is a
-// *CorruptError; one that decodes but does not apply means the histories
+// Got carries the seq to re-pull from. A negative From or a batch that fails
+// to decode is a *CorruptError; one that decodes but does not apply means the histories
 // diverged and is a *SyncError — in both cases nothing past the failing
 // batch is applied.
 func (l *Log) Import(seg Segment) (applied int, err error) {
@@ -189,7 +189,7 @@ func (l *Log) Import(seg Segment) (applied int, err error) {
 		return 0, &SyncError{Field: "generation", Want: fmt.Sprint(seg.Generation), Got: fmt.Sprint(l.gen)}
 	}
 	if seg.From < 0 {
-		return 0, fmt.Errorf("mutate: segment from %d out of range", seg.From)
+		return 0, corruptf(0, "segment from %d out of range", seg.From)
 	}
 	if seg.From > l.seq {
 		return 0, &SyncError{Field: "gap", Want: fmt.Sprint(seg.From), Got: fmt.Sprint(l.seq)}

@@ -7,11 +7,13 @@
 //
 // Four pillars:
 //
-//   - structured logging: a process-wide log/slog setup (LogConfig flags,
-//     text or JSON handler, level) plus request-scoped loggers carried in a
-//     context. The daemon edge generates a request id (RequestIDs), returns
-//     it in an X-Request-ID header and threads it via WithRequestID /
-//     WithLogger so every slog line of the request carries the same id.
+//   - structured logging: one log/slog configuration (LogConfig flags,
+//     text or JSON handler, level) whose logger is passed explicitly —
+//     never installed as the slog default — plus request-scoped loggers
+//     carried in a context. The daemon edge generates a request id
+//     (RequestIDs), returns it in an X-Request-ID header and threads it via
+//     WithRequestID / WithLogger so every slog line of the request carries
+//     the same id.
 //
 //   - trace recorder: SpanLog samples requests deterministically and keeps a
 //     bounded ring of PhaseSpans — where the time went, across daemons —
@@ -82,18 +84,6 @@ func (c *LogConfig) NewLogger(w io.Writer) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("obs: unknown log format %q (text | json)", c.Format)
 	}
-}
-
-// Setup builds the configured logger writing to w and installs it as the
-// process-wide slog default, so package-level slog calls anywhere in the
-// binary inherit the format and level.
-func (c *LogConfig) Setup(w io.Writer) (*slog.Logger, error) {
-	l, err := c.NewLogger(w)
-	if err != nil {
-		return nil, err
-	}
-	slog.SetDefault(l)
-	return l, nil
 }
 
 // RequestIDs generates the request ids handed out at the daemon edge: a

@@ -116,12 +116,12 @@ func TestWriteEngineMetricsGolden(t *testing.T) {
 }
 
 // TestWriteEngineMetricsLiveStats checks the translation accepts a real
-// Stats() snapshot: all 22 histogram buckets emit and the +Inf bucket equals
+// Counters.Stats() snapshot: all 22 histogram buckets emit and the +Inf bucket equals
 // the count.
 func TestWriteEngineMetricsLiveStats(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	WriteEngineMetrics(p, core.Stats())
+	WriteEngineMetrics(p, core.NewCounters().Stats())
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}

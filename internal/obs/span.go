@@ -299,7 +299,7 @@ func (l *SpanLog) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SpanLogStats counts the log's activity for /metrics and expvar.
+// SpanLogStats counts the log's activity for /metrics.
 type SpanLogStats struct {
 	Published int64 `json:"published"`
 	Dropped   int64 `json:"dropped"`

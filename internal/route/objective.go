@@ -48,20 +48,32 @@ type GeoGraph interface {
 // NewStandard returns the paper's objective phi for target t on g, with
 // per-vertex caching (patching protocols re-score vertices many times).
 func NewStandard(g GeoGraph, t int) Objective {
+	phi := NewStandardUncached(g, t).Score
+	cache := newScoreCache(g.N())
+	score := func(v int) float64 {
+		if s, ok := cache.get(v); ok {
+			return s
+		}
+		s := phi(v)
+		cache.put(v, s)
+		return s
+	}
+	return Objective{Target: t, Score: score}
+}
+
+// NewStandardUncached is NewStandard without the n-float score cache: the
+// same scores, bit for bit, at O(1) setup. It suits scoring a few vertices —
+// replaying a finished path to an observer — where the cache would cost
+// more than the walk.
+func NewStandardUncached(g GeoGraph, t int) Objective {
 	space := g.Space()
 	xt := g.Pos(t)
 	norm := 1 / (g.WMin() * g.Intensity())
-	cache := newScoreCache(g.N())
 	score := func(v int) float64 {
 		if v == t {
 			return math.Inf(1)
 		}
-		if s, ok := cache.get(v); ok {
-			return s
-		}
-		s := g.Weight(v) * norm / space.DistPow(g.Pos(v), xt)
-		cache.put(v, s)
-		return s
+		return g.Weight(v) * norm / space.DistPow(g.Pos(v), xt)
 	}
 	return Objective{Target: t, Score: score}
 }

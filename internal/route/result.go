@@ -2,7 +2,7 @@ package route
 
 // Failure classifies why a routing episode did not deliver its message. The
 // taxonomy is shared by protocols, the fault-injection subsystem and the
-// engine's expvar counters, so chaos experiments can report *how* routing
+// engine's episode counters, so chaos experiments can report *how* routing
 // degrades, not just that it does.
 type Failure string
 

@@ -112,10 +112,11 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		epCfg := core.EpisodeConfig{
 			Protocol: core.Protocol(protoName),
 			S:        q.S, T: q.T,
-			MaxHops: s.cfg.MaxHops,
-			Timeout: remaining,
-			Faults:  plan,
-			Episode: attempt,
+			MaxHops:  s.cfg.MaxHops,
+			Timeout:  remaining,
+			Faults:   plan,
+			Episode:  attempt,
+			Counters: s.counters,
 		}
 		if clustered {
 			// Sharded path: partial greedy over the local shard, continuation

@@ -25,7 +25,7 @@ const (
 	BreakerHalfOpen
 )
 
-// String names the state for expvar and logs.
+// String names the state for /debug/vars and logs.
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerClosed:

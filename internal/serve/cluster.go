@@ -109,7 +109,7 @@ type routeFwd struct {
 func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int, deadline time.Time, es *episodeState, rt *reqTrace, tm *Timings) routeFwd {
 	start := time.Now()
 	fwd := s.routeSegment(ctx, graphName, sv, tv, deadline, 1, es, rt, tm)
-	core.RecordEpisode(es.out, time.Since(start))
+	s.counters.Record(es.out, time.Since(start))
 	return fwd
 }
 
@@ -135,7 +135,7 @@ func (s *Server) routeSegment(ctx context.Context, graphName string, from, t int
 	if rt != nil {
 		hc = &obs.HopCollector{}
 		g := node.Graph()
-		route.Observe(g, route.NewStandard(g, t), *res, 0, hc)
+		route.Observe(g, route.NewStandardUncached(g, t), *res, 0, hc)
 	}
 	rt.localRoute(start, segDur, "partial", "", hc)
 	if exit < 0 {
@@ -640,7 +640,7 @@ func (s *Server) clusterStats(st *ServeStats) {
 	st.Cluster.Replication = s.replicationStats()
 }
 
-// ClusterStats is the cluster slice of the "smallworld.serve" expvar export.
+// ClusterStats is the cluster slice of ServeStats ("smallworld.serve").
 type ClusterStats struct {
 	Self             string
 	Shard            string

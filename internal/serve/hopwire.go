@@ -348,11 +348,8 @@ func (s *Server) serveHopStream(w http.ResponseWriter, r *http.Request) {
 
 // Close severs every hop stream this server accepted and every idle stream
 // it dialled, for good: later upgrades are hung up on, later forwards dial a
-// stream each. http.Server.Shutdown calls it (see serveHopStream). A closed
-// server also lets go of the expvar export if it still holds it, so the
-// graphs it served can be collected.
+// stream each. http.Server.Shutdown calls it (see serveHopStream).
 func (s *Server) Close() {
-	activeServer.CompareAndSwap(s, nil)
 	s.hopMu.Lock()
 	defer s.hopMu.Unlock()
 	s.hopClosed = true

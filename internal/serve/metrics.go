@@ -3,15 +3,16 @@ package serve
 import (
 	"io"
 	"net/http"
+	"os"
+	"runtime"
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// handleMetrics serves GET /metrics: the Prometheus text exposition of the
-// whole process — engine counters (episodes, moves, failure taxonomy, the
+// handleMetrics serves GET /metrics: the Prometheus text exposition of this
+// server — its engine counters (episodes, moves, failure taxonomy, the
 // wall-time histogram), the serving layer (pool, breakers, retries, swaps),
 // the span log and the Go runtime. The translation is dependency-free
 // (obs.PromWriter) and the metric names are stable; DESIGN.md §9 carries the
@@ -32,7 +33,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // in-process — no loopback HTTP round-trip.
 func (s *Server) writeMetricsTo(w io.Writer) error {
 	p := obs.NewPromWriter(w)
-	obs.WriteEngineMetrics(p, core.Stats())
+	obs.WriteEngineMetrics(p, s.counters.Stats())
 	s.writeServeMetrics(p)
 	s.writeMutateMetrics(p)
 	if s.clusterNode != nil {
@@ -42,6 +43,20 @@ func (s *Server) writeMetricsTo(w io.Writer) error {
 	s.writeTraceMetrics(p)
 	obs.WriteRuntimeMetrics(p)
 	return p.Err()
+}
+
+// handleVars serves GET /debug/vars in expvar's JSON shape: the command
+// line, the Go memory statistics, and this server's engine counters and
+// serving-layer snapshot.
+func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"cmdline":           os.Args,
+		"memstats":          &ms,
+		"smallworld.engine": s.counters.Stats(),
+		"smallworld.serve":  s.Stats(),
+	})
 }
 
 // writeTraceMetrics emits the per-phase request-time histograms, the span-log

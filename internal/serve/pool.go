@@ -22,7 +22,7 @@ type Pool struct {
 	admitted atomic.Int64  // holding or waiting for a slot
 	capacity int64         // workers + queue
 
-	// Monotonic counters, exported through the serve expvar map.
+	// Monotonic counters, exported on /metrics and /debug/vars.
 	shed     atomic.Int64 // rejected with ErrOverloaded
 	acquired atomic.Int64 // successfully admitted and run
 }

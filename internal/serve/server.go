@@ -19,16 +19,15 @@
 // classes (deadline, crashed-target) are retried with capped exponential
 // backoff and deterministic jitter. Graph snapshots hot-swap atomically
 // (POST /admin/swap) without dropping in-flight requests, and Drain lets
-// SIGTERM wait for in-flight episodes before exit. Breaker and pool state
-// are exported through expvar ("smallworld.serve", next to the engine's
-// "smallworld.engine") for /debug/vars scraping.
+// SIGTERM wait for in-flight episodes before exit. Each Server owns its
+// engine counters, and /metrics and /debug/vars render that server's state
+// only, so an in-process fleet counts every episode once.
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net"
@@ -138,6 +137,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg  Config
 	pool *Pool
+	// counters count every engine episode this server routes as entry.
+	counters *core.Counters
 
 	// graphs is a copy-on-write name→network map: readers load the pointer
 	// once and keep routing on that snapshot even while a swap installs a
@@ -259,6 +260,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:          c,
 		pool:         NewPool(c.Workers, c.QueueDepth),
+		counters:     core.NewCounters(),
 		breakers:     map[string]*Breaker{},
 		peerBreakers: map[peerKey]*Breaker{},
 		hopIdle:      map[string][]*hopStream{},
@@ -273,7 +275,6 @@ func New(cfg Config) *Server {
 	}
 	empty := map[string]*core.Network{}
 	s.graphs.Store(&empty)
-	activeServer.Store(s)
 	return s
 }
 
@@ -386,7 +387,7 @@ func (s *Server) Drain(ctx context.Context) error {
 //	GET  /readyz       readiness (503 while draining or graphless)
 //	GET  /metrics      Prometheus text exposition (engine, pool, breakers,
 //	                   retries, swaps, spans, Go runtime)
-//	GET  /debug/vars   expvar (smallworld.engine + smallworld.serve)
+//	GET  /debug/vars   this server's engine and serving stats, expvar-shaped
 //	GET  /debug/trace  sampled phase spans as JSONL (404 untraced)
 //	GET  /debug/pprof  net/http/pprof profiles (heap, goroutine, cpu, ...)
 //	POST /admin/swap   generate + atomically install a graph snapshot
@@ -404,7 +405,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/readyz", s.handleReady)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", s.handleVars)
 	mux.HandleFunc("/debug/trace", s.handleTrace)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -748,8 +749,8 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ServeStats is the expvar snapshot of the serving layer, published as
-// "smallworld.serve" next to the engine's "smallworld.engine".
+// ServeStats is the snapshot of the serving layer, rendered on /debug/vars
+// as "smallworld.serve" next to the engine's "smallworld.engine".
 type ServeStats struct {
 	// Draining reports drain mode.
 	Draining bool
@@ -810,20 +811,4 @@ func (s *Server) Stats() ServeStats {
 	s.breakerMu.Unlock()
 	s.clusterStats(&st)
 	return st
-}
-
-// activeServer backs the process-wide expvar export: expvar names are
-// global and publish-once, so the most recently constructed Server is the
-// one /debug/vars reflects until it is closed (exactly one Server exists in
-// the daemon; tests construct more and read Stats directly).
-var activeServer atomic.Pointer[Server]
-
-func init() {
-	expvar.Publish("smallworld.serve", expvar.Func(func() interface{} {
-		s := activeServer.Load()
-		if s == nil {
-			return nil
-		}
-		return s.Stats()
-	}))
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -601,33 +603,57 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCloseReleasesExpvar: the process-wide export must not pin a closed
-// server (and the graphs it served), and closing an older server must not
-// blank the export of the one that replaced it.
-func TestCloseReleasesExpvar(t *testing.T) {
-	first := New(Config{})
-	second := New(Config{})
-	ts := httptest.NewServer(second.Handler())
-	defer ts.Close()
-	exported := func() string {
+// TestDebugVarsPerServer: /debug/vars keeps expvar's key set and shape, but
+// every value is the serving server's own — two servers in one process do
+// not see each other's graphs or episodes.
+func TestDebugVarsPerServer(t *testing.T) {
+	busy, idle := New(Config{}), New(Config{})
+	busy.AddNetwork("", testNetwork(t, 300, 5))
+	idle.AddNetwork("other", testNetwork(t, 300, 6))
+	busyTS, idleTS := httptest.NewServer(busy.Handler()), httptest.NewServer(idle.Handler())
+	defer busyTS.Close()
+	defer idleTS.Close()
+	if resp, _, er := postRoute(t, busyTS.URL, RouteRequest{S: 3, T: 99}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("route: %d %s", resp.StatusCode, er.Error)
+	}
+	vars := func(url string) (core.EngineStats, ServeStats) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/debug/vars")
+		resp, err := http.Get(url + "/debug/vars")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var vars map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		var raw map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 			t.Fatal(err)
 		}
-		return string(vars["smallworld.serve"])
+		var keys []string
+		for k := range raw {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if want := []string{"cmdline", "memstats", "smallworld.engine", "smallworld.serve"}; !reflect.DeepEqual(keys, want) {
+			t.Fatalf("/debug/vars keys %v, want %v", keys, want)
+		}
+		var es core.EngineStats
+		var ss ServeStats
+		if err := json.Unmarshal(raw["smallworld.engine"], &es); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw["smallworld.serve"], &ss); err != nil {
+			t.Fatal(err)
+		}
+		return es, ss
 	}
-	first.Close()
-	if got := exported(); got == "null" || got == "" {
-		t.Fatalf("closing an older server cleared the live one's export: smallworld.serve = %q", got)
+	busyEng, busySrv := vars(busyTS.URL)
+	idleEng, idleSrv := vars(idleTS.URL)
+	if busyEng.Episodes != 1 || idleEng.Episodes != 0 {
+		t.Fatalf("engine episodes busy=%d idle=%d, want 1 and 0", busyEng.Episodes, idleEng.Episodes)
 	}
-	second.Close()
-	if got := exported(); got != "null" {
-		t.Fatalf("smallworld.serve = %s after Close, want null", got)
+	if len(busyEng.FailureTaxonomy) != len(route.Failures()) {
+		t.Fatalf("engine taxonomy %v lacks keys", busyEng.FailureTaxonomy)
+	}
+	if !reflect.DeepEqual(busySrv.Graphs, []string{DefaultGraph}) || !reflect.DeepEqual(idleSrv.Graphs, []string{"other"}) {
+		t.Fatalf("serve graphs busy=%v idle=%v", busySrv.Graphs, idleSrv.Graphs)
 	}
 }

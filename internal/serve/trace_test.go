@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -514,5 +515,53 @@ func TestTraceHopsDeterminism(t *testing.T) {
 	one, eight := run(1), run(8)
 	if fmt.Sprint(one) != fmt.Sprint(eight) {
 		t.Fatalf("traces differ across GOMAXPROCS:\n1: %v\n8: %v", one, eight)
+	}
+}
+
+// TestTracedRouteBytesFlatInN: replaying a sampled request's hops onto its
+// local_route span costs O(path), not O(n) — a traced /route allocates about
+// the same bytes on a 20 000-vertex graph as on a 2 000-vertex one, where a
+// per-request score cache would add 8 bytes per vertex (~144 KB).
+func TestTracedRouteBytesFlatInN(t *testing.T) {
+	perRequest := func(n float64) float64 {
+		nw := testNetwork(t, n, 3)
+		srv := New(Config{Spans: obs.NewSpanLog(obs.SpanLogConfig{Service: "solo", Seed: 1, SampleRate: 1})})
+		srv.AddNetwork(DefaultGraph, nw)
+		h := srv.Handler()
+		giant := nw.Giant()
+		post := func(i int) {
+			s, tt := giant[(i*7919)%len(giant)], giant[(i*104729+13)%len(giant)]
+			body := fmt.Sprintf(`{"s":%d,"t":%d}`, s, tt)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/route", strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("route %s: status %d", body, rec.Code)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			post(i)
+		}
+		// TotalAlloc is process-wide: the least of three rounds is the one
+		// other goroutines disturbed least.
+		const requests = 64
+		least := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < requests; i++ {
+				post(i)
+			}
+			runtime.ReadMemStats(&after)
+			least = math.Min(least, float64(after.TotalAlloc-before.TotalAlloc)/requests)
+		}
+		if st := srv.spans.Stats(); st.Published == 0 {
+			t.Fatal("no spans published — the requests were not traced")
+		}
+		return least
+	}
+	small, large := perRequest(2000), perRequest(20000)
+	t.Logf("traced /route: %.0f B at n=2000, %.0f B at n=20000", small, large)
+	if large-small > 4<<10 {
+		t.Fatalf("a traced /route allocates %.0f B at n=2000 and %.0f B at n=20000: replay grows with n", small, large)
 	}
 }
