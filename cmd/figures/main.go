@@ -1,9 +1,11 @@
-// figures renders the reproduction's figures as standalone SVG files:
+// figures renders the reproduction's figures as standalone SVG files. Each
+// one plots the run its experiment's table reports (internal/expt), so with
+// the default -scale 1 -seed 1 the points are the numbers in EXPERIMENTS.md:
 //
-//	fig_f1_trajectory.svg  — Figure 1: weight and objective along one greedy path
-//	fig_e4_hops.svg        — Theorem 3.3: mean hops vs log log n per beta
-//	fig_e2_failure.svg     — Theorem 3.2(i): failure decay in wmin (log scale)
-//	fig_e12_failures.svg   — robustness: delivery vs per-hop edge failure rate
+//	fig_f1_trajectory.svg  — F1, Figure 1: weight and objective along one greedy path
+//	fig_e4_hops.svg        — E4, Theorem 3.3: mean hops vs log log n per beta
+//	fig_e2_failure.svg     — E2, Theorem 3.2(i): failure decay in wmin (log scale)
+//	fig_e12_failures.svg   — E12, robustness: delivery vs per-hop edge failure rate
 //
 // Usage: figures [-out figures/] [-scale 1] [-seed 1]
 package main
@@ -12,19 +14,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
 
-	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/girg"
-	"repro/internal/graph"
-	"repro/internal/plot"
-	"repro/internal/route"
-	"repro/internal/stats"
-	"repro/internal/xrand"
+	"repro/internal/expt"
 )
 
 func main() {
@@ -51,244 +45,32 @@ func runCtx(ctx context.Context, args []string) error {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
-	type job struct {
-		name string
-		make func(ctx context.Context, scale float64, seed uint64) (*plot.Plot, error)
-	}
-	for _, j := range []job{
-		{"fig_f1_trajectory.svg", figTrajectory},
-		{"fig_e4_hops.svg", figHops},
-		{"fig_e2_failure.svg", figFailure},
-		{"fig_e12_failures.svg", figRobustness},
+	for _, f := range []struct{ id, file string }{
+		{"F1", "fig_f1_trajectory.svg"},
+		{"E4", "fig_e4_hops.svg"},
+		{"E2", "fig_e2_failure.svg"},
+		{"E12", "fig_e12_failures.svg"},
 	} {
-		p, err := j.make(ctx, *scale, *seed)
-		if err != nil {
-			return fmt.Errorf("%s: %w", j.name, err)
+		e, ok := expt.ByID(f.id)
+		if !ok {
+			return fmt.Errorf("%s: experiment %s is not registered", f.file, f.id)
 		}
-		svg, err := p.SVG()
+		t, err := e.Run(expt.Config{Seed: *seed, Scale: *scale, Ctx: ctx})
 		if err != nil {
-			return fmt.Errorf("%s: %w", j.name, err)
+			return fmt.Errorf("%s: %w", f.file, err)
 		}
-		path := filepath.Join(*out, j.name)
+		if t.Figure == nil {
+			return fmt.Errorf("%s: %s returned no figure", f.file, f.id)
+		}
+		svg, err := t.Figure.SVG()
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.file, err)
+		}
+		path := filepath.Join(*out, f.file)
 		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 			return err
 		}
 		fmt.Println("wrote", path)
 	}
 	return nil
-}
-
-func scaledN(base int, scale float64) int {
-	n := int(float64(base) * scale)
-	if n < 500 {
-		n = 500
-	}
-	return n
-}
-
-// figTrajectory reproduces Figure 1: weight and objective per hop of one
-// successful greedy path between planted low-weight endpoints.
-func figTrajectory(ctx context.Context, scale float64, seed uint64) (*plot.Plot, error) {
-	p := girg.DefaultParams(float64(scaledN(200000, scale)))
-	p.Lambda = 0.02
-	p.FixedN = true
-	planted := []girg.Plant{
-		{Pos: []float64{0.1, 0.1}, W: p.WMin},
-		{Pos: []float64{0.6, 0.6}, W: p.WMin},
-	}
-	var hops []route.MoveEvent
-	for attempt := uint64(0); attempt < 50; attempt++ {
-		g, err := girg.Generate(p, seed+attempt, girg.Options{Planted: planted})
-		if err != nil {
-			return nil, err
-		}
-		obj := route.NewStandard(g, 1)
-		res := route.Greedy(g, obj, 0)
-		if res.Success && len(res.Path) > len(hops) {
-			hops = route.Moves(g, obj, res, 0)
-			if res.Moves >= 6 {
-				break
-			}
-		}
-	}
-	if hops == nil {
-		return nil, fmt.Errorf("no successful trajectory found")
-	}
-	var xs, ws, phis []float64
-	for i, h := range hops {
-		xs = append(xs, float64(i))
-		ws = append(ws, h.W)
-		phi := h.Score
-		if math.IsInf(phi, 1) { // target: clamp for plotting
-			phi = 10 * phis[len(phis)-1]
-		}
-		phis = append(phis, phi)
-	}
-	return &plot.Plot{
-		Title:  "Figure 1: typical greedy trajectory (log scale)",
-		XLabel: "hop",
-		YLabel: "value (log10)",
-		LogY:   true,
-		Series: []plot.Series{
-			{Name: "weight w_v", X: xs, Y: ws, Markers: true},
-			{Name: "objective phi(v)", X: xs, Y: phis, Markers: true, Dashed: true},
-		},
-	}, nil
-}
-
-// figHops reproduces E4: mean greedy hops against ln ln n per beta, with
-// the theory slope as dashed reference lines.
-func figHops(ctx context.Context, scale float64, seed uint64) (*plot.Plot, error) {
-	baseNs := []int{1000, 3162, 10000, 31623, 100000}
-	betas := []float64{2.3, 2.5, 2.7}
-	pairs := int(300 * scale)
-	if pairs < 40 {
-		pairs = 40
-	}
-	var series []plot.Series
-	for bi, beta := range betas {
-		var xs, ys []float64
-		for ni, baseN := range baseNs {
-			n := scaledN(baseN, scale)
-			p := girg.DefaultParams(float64(n))
-			p.Beta = beta
-			p.Lambda = 0.02
-			p.FixedN = true
-			nw, err := core.NewGIRG(p, seed+uint64(bi*10+ni), girg.Options{})
-			if err != nil {
-				return nil, err
-			}
-			rep, err := core.RunMilgramCtx(ctx, nw, core.MilgramConfig{Pairs: pairs, Seed: seed + 99})
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, math.Log(math.Log(float64(n))))
-			ys = append(ys, rep.MeanHops)
-		}
-		series = append(series, plot.Series{
-			Name: fmt.Sprintf("beta=%.1f", beta), X: xs, Y: ys, Markers: true,
-		})
-		// Fitted line for reference.
-		fit := stats.FitLine(xs, ys)
-		series = append(series, plot.Series{
-			Name:   fmt.Sprintf("fit %.2f*lnln n", fit.Slope),
-			X:      []float64{xs[0], xs[len(xs)-1]},
-			Y:      []float64{fit.Intercept + fit.Slope*xs[0], fit.Intercept + fit.Slope*xs[len(xs)-1]},
-			Dashed: true,
-		})
-	}
-	return &plot.Plot{
-		Title:  "Theorem 3.3: greedy hops scale with log log n",
-		XLabel: "ln ln n",
-		YLabel: "mean hops (successful routings)",
-		Series: series,
-	}, nil
-}
-
-// figFailure reproduces E2: failure probability against wmin on a log
-// scale — a straight line means exponential decay.
-func figFailure(ctx context.Context, scale float64, seed uint64) (*plot.Plot, error) {
-	n := scaledN(30000, scale)
-	pairs := int(1500 * scale)
-	if pairs < 150 {
-		pairs = 150
-	}
-	wmins := []float64{0.5, 0.75, 1, 1.5, 2, 3, 4}
-	var xs, ys []float64
-	for i, wmin := range wmins {
-		p := girg.DefaultParams(float64(n))
-		p.WMin = wmin
-		p.Lambda = 0.005
-		p.FixedN = true
-		nw, err := core.NewGIRG(p, seed+uint64(100+i), girg.Options{})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := core.RunMilgramCtx(ctx, nw, core.MilgramConfig{
-			Pairs: pairs, Seed: seed + 77, WholeGraph: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if fail := 1 - rep.Success.P; fail > 0 {
-			xs = append(xs, wmin)
-			ys = append(ys, fail)
-		}
-	}
-	rate, pre, _ := stats.FitExpDecay(xs, ys)
-	var fx, fy []float64
-	for _, x := range xs {
-		fx = append(fx, x)
-		fy = append(fy, pre*math.Exp(-rate*x))
-	}
-	return &plot.Plot{
-		Title:  "Theorem 3.2(i): failure decays exponentially in wmin",
-		XLabel: "wmin",
-		YLabel: "failure probability (log10)",
-		LogY:   true,
-		Series: []plot.Series{
-			{Name: "measured", X: xs, Y: ys, Markers: true},
-			{Name: fmt.Sprintf("fit e^(-%.2f wmin)", rate), X: fx, Y: fy, Dashed: true},
-		},
-	}, nil
-}
-
-// figRobustness reproduces E12: delivery rate against per-hop edge failure
-// probability.
-func figRobustness(ctx context.Context, scale float64, seed uint64) (*plot.Plot, error) {
-	n := scaledN(20000, scale)
-	pairs := int(400 * scale)
-	if pairs < 50 {
-		pairs = 50
-	}
-	p := girg.DefaultParams(float64(n))
-	p.Lambda = 0.02
-	p.FixedN = true
-	g, err := girg.Generate(p, seed+1200, girg.Options{})
-	if err != nil {
-		return nil, err
-	}
-	giant := graph.GiantComponent(g)
-	rng := xrand.New(seed + 1201)
-	type pair struct{ s, t int }
-	var ps []pair
-	for len(ps) < pairs {
-		s := giant[rng.IntN(len(giant))]
-		tgt := giant[rng.IntN(len(giant))]
-		if s != tgt {
-			ps = append(ps, pair{s, tgt})
-		}
-	}
-	var xs, ys []float64
-	for _, failP := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7} {
-		// Inject transient link failures through the faults registry: one
-		// bound edge-drop plan per failure rate, one per-episode view per
-		// pair, deterministic at any worker count.
-		var bound *faults.BoundPlan
-		if failP > 0 {
-			plan, err := faults.NewPlan(seed+1300, faults.Spec{Model: "edge-drop", Rate: failP})
-			if err != nil {
-				return nil, err
-			}
-			bound = plan.Bind(g)
-		}
-		succ := 0
-		for i, pr := range ps {
-			eg, eobj := route.Graph(g), route.Objective(route.NewStandard(g, pr.t))
-			if bound != nil {
-				eg, eobj = bound.View(eg, eobj, i)
-			}
-			if route.Greedy(eg, eobj, pr.s).Success {
-				succ++
-			}
-		}
-		xs = append(xs, failP)
-		ys = append(ys, float64(succ)/float64(len(ps)))
-	}
-	return &plot.Plot{
-		Title:  "Robustness: delivery under transient edge failures",
-		XLabel: "per-hop edge failure probability",
-		YLabel: "delivery rate",
-		Series: []plot.Series{{Name: "greedy", X: xs, Y: ys, Markers: true}},
-	}, nil
 }

@@ -315,7 +315,7 @@ func run(args []string, out *os.File) (int, error) {
 		bodies[i] = body
 		// The first pair keys the endpoint choice, so a request is pinned to
 		// its daemon across runs regardless of the survivor set's order.
-		endpoints[i] = "http://" + ring.Pick(obs.Hash64(uint64(s0), uint64(t0))) + path
+		endpoints[i] = "http://" + ring.Pick(xrand.Hash64(uint64(s0), uint64(t0))) + path
 	}
 
 	// The open loop: request i fires at start + i·interval, on its own

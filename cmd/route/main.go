@@ -34,7 +34,6 @@ import (
 	"repro/internal/girg"
 	"repro/internal/graph"
 	"repro/internal/graphio"
-	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/xrand"
@@ -288,7 +287,7 @@ func runRemote(ctx context.Context, addr, proto string, s, t int, faultModel str
 	if err != nil {
 		return 1, err
 	}
-	endpoints := ring.Sequence(obs.Hash64(uint64(s), uint64(t)))
+	endpoints := ring.Sequence(xrand.Hash64(uint64(s), uint64(t)))
 	if len(endpoints) > 2 {
 		endpoints = endpoints[:2] // one failover, not a cluster-wide sweep
 	}

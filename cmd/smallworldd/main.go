@@ -118,7 +118,6 @@ func run(args []string, ready chan<- string) error {
 
 		shard      = fs.String("shard", "", "cluster mode: binary Morton prefix this daemon owns (e.g. 0, 10, 11; empty = single-node)")
 		peers      = fs.String("peers", "", "cluster mode: comma-separated peer addresses (host:port) to seed membership")
-		join       = fs.String("join", "", "cluster mode: alias for -peers (addresses to gossip with)")
 		advertise  = fs.String("advertise", "", "cluster mode: address peers reach this daemon at (default: the bound listen address)")
 		gossipInt  = fs.Duration("gossip-interval", time.Second, "cluster mode: gossip round interval")
 		replica    = fs.Int("replica", 0, "cluster mode: replica id within the shard (0 = the shard's write primary)")
@@ -286,8 +285,7 @@ func run(args []string, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		seeds := strings.Split(*peers+","+*join, ",")
-		for _, p := range seeds {
+		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				node.Members().Add(cluster.Peer{ID: p, Fingerprint: node.Self().Fingerprint})
 			}
@@ -323,12 +321,12 @@ func run(args []string, ready chan<- string) error {
 			if err := enableMutation(slot); err != nil {
 				return err
 			}
-			go srv.RunAntiEntropy(ctx, *aeInterval)
+			go srv.RunAntiEntropy(ctx)
 			logger.Info("replication on", "graph", slot, "replica", *replica,
 				"anti_entropy", *aeInterval, "replica_seeds", len(strings.Split(*replicas, ",")))
 		}
-	} else if *peers != "" || *join != "" || *advertise != "" {
-		return fmt.Errorf("-peers/-join/-advertise require -shard")
+	} else if *peers != "" || *advertise != "" {
+		return fmt.Errorf("-peers/-advertise require -shard")
 	} else if *replicas != "" || *replica != 0 || *hedgeAfter != 0 {
 		return fmt.Errorf("-replica/-replicas/-hedge-after require -shard")
 	}

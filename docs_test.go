@@ -12,8 +12,9 @@ import (
 	"repro/internal/expt"
 )
 
-// TestDocsNameWhatExists keeps README.md and DESIGN.md from going stale in the
-// two ways they have. Every path under internal/, cmd/ or examples/ they
+// TestDocsNameWhatExists keeps the documents a reader follows — README.md,
+// DESIGN.md, EXPERIMENTS.md and the verify skill's SKILL.md — from going
+// stale in the two ways they have. Every path under internal/, cmd/ or examples/ they
 // mention — backticked, in a layout listing, anywhere — and every backticked
 // .go file must exist (a file may be cited relative to internal/, as in
 // `route/walk.go`). Every backticked `layer.rung` must be a metric
@@ -60,7 +61,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		return false
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -19,8 +19,8 @@
 //     a dead shard.
 //
 //   - Node: the shard map — the deep Morton code of every vertex, the
-//     ownership mask of the local prefix, and OwnerOf, which resolves the
-//     peer responsible for a vertex among the currently routable members
+//     ownership mask of the local prefix, and OwnersOf, which resolves the
+//     peers responsible for a vertex among the currently routable members
 //     (alive or merely suspect, serving the same snapshot fingerprint).
 //
 //   - Ring: a consistent-hash multi-endpoint picker for clients

@@ -3,7 +3,7 @@ package cluster
 import (
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/xrand"
 )
 
 // HedgePolicy decides when a cross-shard hop fires a second, concurrent
@@ -37,5 +37,5 @@ func (h HedgePolicy) Delay(key uint64) time.Duration {
 	if span == 0 {
 		return h.After
 	}
-	return h.After + time.Duration(obs.Hash64(h.Seed, key)%span)
+	return h.After + time.Duration(xrand.Hash64(h.Seed, key)%span)
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/xrand"
 )
 
 // PeerState is the failure detector's verdict on one peer.
@@ -134,7 +134,7 @@ func (m *Membership) SetSelfLive(epoch uint64, generation int, liveFP string) {
 	m.self.LiveFP = liveFP
 }
 
-// Add introduces a statically configured peer (the -peers/-join flags). It
+// Add introduces a statically configured peer (the -peers flag). It
 // starts alive with a full grace period, exactly as if it had just
 // answered.
 func (m *Membership) Add(p Peer) {
@@ -331,8 +331,8 @@ func (m *Membership) Round() uint64 {
 // and never consults a shared RNG. Callers hold m.mu.
 func (m *Membership) sample(candidates []Peer, k int, round uint64) []Peer {
 	sort.Slice(candidates, func(i, j int) bool {
-		hi := obs.Hash64(m.cfg.Seed, round, idHash(candidates[i].ID))
-		hj := obs.Hash64(m.cfg.Seed, round, idHash(candidates[j].ID))
+		hi := xrand.Hash64(m.cfg.Seed, round, xrand.HashString(candidates[i].ID))
+		hj := xrand.Hash64(m.cfg.Seed, round, xrand.HashString(candidates[j].ID))
 		if hi != hj {
 			return hi < hj
 		}
@@ -342,24 +342,6 @@ func (m *Membership) sample(candidates []Peer, k int, round uint64) []Peer {
 		candidates = candidates[:k]
 	}
 	return candidates
-}
-
-// idHash folds a peer id into the word-based mixer: 8 bytes per word,
-// length-salted so "ab"+"c" and "a"+"bc" differ.
-func idHash(id string) uint64 {
-	x := uint64(len(id))
-	var word uint64
-	for i := 0; i < len(id); i++ {
-		word = word<<8 | uint64(id[i])
-		if (i+1)%8 == 0 {
-			x = obs.Hash64(x, word)
-			word = 0
-		}
-	}
-	if len(id)%8 != 0 {
-		x = obs.Hash64(x, word)
-	}
-	return x
 }
 
 // CountByState tallies the membership for metrics gauges.

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/torus"
+	"repro/internal/xrand"
 )
 
 // Node is one daemon's shard map: the graph it serves, the deep Morton code
@@ -98,17 +98,6 @@ func (n *Node) OwnedMask() []bool { return n.owned }
 
 // OwnedCount returns the number of vertices the local shard owns.
 func (n *Node) OwnedCount() int { return n.ownedN }
-
-// OwnerOf resolves the first peer responsible for vertex v — the head of
-// OwnersOf. ok is false when no routable peer covers the vertex — the
-// shard-unreachable case.
-func (n *Node) OwnerOf(v int) (Peer, bool) {
-	owners := n.OwnersOf(v)
-	if len(owners) == 0 {
-		return Peer{}, false
-	}
-	return owners[0], true
-}
 
 // OwnersOf resolves every routable replica of the shard owning vertex v:
 // each peer's shard prefix must match v's Morton code and it must serve the
@@ -237,7 +226,7 @@ func GossipPhase(id string, interval time.Duration) time.Duration {
 	if interval <= 0 {
 		return 0
 	}
-	return time.Duration(obs.Hash64(idHash(id), uint64(interval)) % uint64(interval))
+	return time.Duration(xrand.Hash64(xrand.HashString(id), uint64(interval)) % uint64(interval))
 }
 
 // RunGossip drives the push/pull loop until ctx is done: after a

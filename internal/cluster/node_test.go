@@ -48,8 +48,8 @@ func mustPrefix(t *testing.T, s string) torus.Prefix {
 }
 
 // TestNodePartition builds the 3-shard node set over one graph and checks
-// the ownership masks partition the vertex set and OwnerOf resolves every
-// foreign vertex to the peer whose mask owns it.
+// the ownership masks partition the vertex set and OwnersOf resolves every
+// foreign vertex to the peers whose masks own it.
 func TestNodePartition(t *testing.T) {
 	g := testGraph(t, 300)
 	clk := newFakeClock()
@@ -86,15 +86,17 @@ func TestNodePartition(t *testing.T) {
 				owners++
 				continue
 			}
-			peer, ok := n.OwnerOf(v)
-			if !ok {
+			peers := n.OwnersOf(v)
+			if len(peers) == 0 {
 				t.Fatalf("node %s: no owner for foreign vertex %d", n.Self().ID, v)
 			}
-			// The resolved peer's node must actually own v.
-			for _, o := range nodes {
-				if o.Self().ID == peer.ID && !o.Owned(v) {
-					t.Fatalf("node %s resolved vertex %d to %s, which does not own it",
-						n.Self().ID, v, peer.ID)
+			// Every resolved peer's node must actually own v.
+			for _, peer := range peers {
+				for _, o := range nodes {
+					if o.Self().ID == peer.ID && !o.Owned(v) {
+						t.Fatalf("node %s resolved vertex %d to %s, which does not own it",
+							n.Self().ID, v, peer.ID)
+					}
 				}
 			}
 		}
@@ -104,9 +106,9 @@ func TestNodePartition(t *testing.T) {
 	}
 }
 
-// TestOwnerOfExcludesMismatchedFingerprint checks a peer serving a different
-// snapshot is never resolved as an owner.
-func TestOwnerOfExcludesMismatchedFingerprint(t *testing.T) {
+// TestOwnersOfExcludesMismatchedFingerprint checks a peer serving a
+// different snapshot is never resolved as an owner.
+func TestOwnersOfExcludesMismatchedFingerprint(t *testing.T) {
 	g := testGraph(t, 100)
 	clk := newFakeClock()
 	n, err := NewNode(g, mustPrefix(t, "0"), "a:1", Config{Now: clk.now})
@@ -118,15 +120,15 @@ func TestOwnerOfExcludesMismatchedFingerprint(t *testing.T) {
 		if n.Owned(v) {
 			continue
 		}
-		if peer, ok := n.OwnerOf(v); ok {
-			t.Fatalf("vertex %d resolved to mismatched-snapshot peer %s", v, peer.ID)
+		if peers := n.OwnersOf(v); len(peers) > 0 {
+			t.Fatalf("vertex %d resolved to mismatched-snapshot peer %s", v, peers[0].ID)
 		}
 	}
 }
 
-// TestOwnerOfExcludesDown checks a down peer is never resolved, the
+// TestOwnersOfExcludesDown checks a down peer is never resolved, the
 // shard-unreachable precondition.
-func TestOwnerOfExcludesDown(t *testing.T) {
+func TestOwnersOfExcludesDown(t *testing.T) {
 	g := testGraph(t, 100)
 	clk := newFakeClock()
 	n, err := NewNode(g, mustPrefix(t, "0"), "a:1", Config{Now: clk.now, DownAfter: 10e9})
@@ -146,12 +148,12 @@ func TestOwnerOfExcludesDown(t *testing.T) {
 	if foreign < 0 {
 		t.Skip("prefix 0 owns everything in this draw")
 	}
-	if _, ok := n.OwnerOf(foreign); !ok {
-		t.Fatal("live peer not resolved")
+	if peers := n.OwnersOf(foreign); len(peers) != 1 || peers[0].ID != "b:1" {
+		t.Fatalf("live peer not resolved: %v", peers)
 	}
 	clk.advance(11e9)
-	if peer, ok := n.OwnerOf(foreign); ok {
-		t.Fatalf("down peer %s still resolved", peer.ID)
+	if peers := n.OwnersOf(foreign); len(peers) > 0 {
+		t.Fatalf("down peer %s still resolved", peers[0].ID)
 	}
 }
 

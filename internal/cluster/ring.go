@@ -3,7 +3,7 @@ package cluster
 import (
 	"sort"
 
-	"repro/internal/obs"
+	"repro/internal/xrand"
 )
 
 // Ring is a consistent-hash endpoint picker for multi-daemon clients
@@ -43,9 +43,9 @@ func NewRing(addrs []string) *Ring {
 	sort.Strings(r.addrs)
 	r.points = make([]ringPoint, 0, len(r.addrs)*ringVnodes)
 	for i, a := range r.addrs {
-		h := idHash(a)
+		h := xrand.HashString(a)
 		for v := 0; v < ringVnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: obs.Hash64(h, uint64(v)), addr: i})
+			r.points = append(r.points, ringPoint{hash: xrand.Hash64(h, uint64(v)), addr: i})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -60,7 +60,7 @@ func NewRing(addrs []string) *Ring {
 // Pick returns the endpoint owning key: the first ring point at or after
 // the key's hash, wrapping around.
 func (r *Ring) Pick(key uint64) string {
-	h := obs.Hash64(key)
+	h := xrand.Hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -68,16 +68,13 @@ func (r *Ring) Pick(key uint64) string {
 	return r.addrs[r.points[i].addr]
 }
 
-// Addrs lists the ring's endpoints, sorted.
-func (r *Ring) Addrs() []string { return append([]string(nil), r.addrs...) }
-
 // Sequence returns every endpoint in the key's ring order: the Pick winner
 // first, then each remaining distinct endpoint as the ring is walked
 // onward. Clients use it as a deterministic failover order — when the
 // primary endpoint answers shard-unreachable or is down, the episode
 // retries against Sequence(key)[1].
 func (r *Ring) Sequence(key uint64) []string {
-	h := obs.Hash64(key)
+	h := xrand.Hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	seen := make([]bool, len(r.addrs))
 	out := make([]string, 0, len(r.addrs))

@@ -48,8 +48,8 @@ func TestRingEdgeCases(t *testing.T) {
 		t.Fatal("all-empty ring not nil")
 	}
 	r := NewRing([]string{"only:1", "only:1", ""})
-	if got := r.Addrs(); len(got) != 1 || got[0] != "only:1" {
-		t.Fatalf("addrs %v, want [only:1]", got)
+	if got := r.Sequence(0); len(got) != 1 || got[0] != "only:1" {
+		t.Fatalf("endpoints %v, want [only:1]", got)
 	}
 	for k := uint64(0); k < 10; k++ {
 		if r.Pick(k) != "only:1" {

@@ -160,7 +160,7 @@ func (nw *Network) Route(proto Protocol, s, t int, obs ...route.Observer) (route
 		return route.Result{}, err
 	}
 	if len(obs) > 0 {
-		obj := vw.replayObjective(t)
+		obj := vw.objective(t)
 		for _, o := range obs {
 			if o != nil {
 				route.Observe(vw.g, obj, res, 0, o)
@@ -490,7 +490,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 			if !episodes[i].done {
 				continue
 			}
-			route.Observe(vw.g, vw.replayObjective(p.t), route.Result{Path: episodes[i].path}, i, cfg.Observer)
+			route.Observe(vw.g, vw.objective(p.t), route.Result{Path: episodes[i].path}, i, cfg.Observer)
 		}
 	}
 

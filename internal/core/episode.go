@@ -89,7 +89,7 @@ func (nw *Network) routeEpisode(cfg EpisodeConfig, sc *route.Scratch, out *route
 		return vw, err
 	}
 	if cfg.Observer != nil {
-		route.Observe(vw.g, vw.replayObjective(cfg.T), *out, cfg.Episode, cfg.Observer)
+		route.Observe(vw.g, vw.objective(cfg.T), *out, cfg.Episode, cfg.Observer)
 	}
 	return vw, nil
 }
@@ -105,10 +105,9 @@ type routeView struct {
 	// factory is the network's objective factory or the caller's override;
 	// it scores base vertices only (see objective).
 	factory func(t int) route.Objective
-	// std reports that factory is exactly the standard phi; csr that
-	// episodes are also greedy, so the concrete fast path computes the same
-	// episode.
-	std, csr bool
+	// csr reports that factory is exactly the standard phi and episodes are
+	// greedy, so the concrete fast path computes the same episode.
+	csr bool
 	// counters count every episode routed over the view (nil = off).
 	counters *Counters
 }
@@ -129,7 +128,6 @@ func (nw *Network) view(proto Protocol, override func(t int) route.Objective, c 
 		base:     nw.Graph,
 		g:        nw.Graph,
 		factory:  nw.NewObjective,
-		std:      std,
 		csr:      greedy && std,
 		counters: c,
 	}
@@ -156,19 +154,6 @@ func (nw *Network) view(proto Protocol, override func(t int) route.Objective, c 
 func (vw *routeView) objective(t int) route.Objective {
 	if vw.ov != nil {
 		return route.NewStandard(vw.ov, t)
-	}
-	return vw.factory(t)
-}
-
-// replayObjective scores a finished path for an observer: the same values
-// as objective, but the standard phi skips its n-float cache, so a replay
-// costs O(path) instead of O(n).
-func (vw *routeView) replayObjective(t int) route.Objective {
-	switch {
-	case vw.ov != nil:
-		return route.NewStandardUncached(vw.ov, t)
-	case vw.std:
-		return route.NewStandardUncached(vw.base, t)
 	}
 	return vw.factory(t)
 }

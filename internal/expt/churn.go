@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/girg"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // E17 is the churn sweep: it layers deterministic join/leave churn over one
@@ -23,7 +23,7 @@ import (
 // degrading smoothly in the leave rate rather than collapsing.
 //
 // Churn streams are pure-hash Poisson: every random choice is a function of
-// (seed, tick, kind, index) through obs.Hash64, so the stream — and with it
+// (seed, tick, kind, index) through xrand.Hash64, so the stream — and with it
 // the overlay fingerprint and the whole table — is bit-identical across
 // runs, worker counts and GOMAXPROCS.
 
@@ -131,7 +131,7 @@ func runE17(cfg Config) (Table, error) {
 // one hub contact — the probed candidate maximizing the GIRG connection
 // propensity w_u/dist^d — so new vertices get both the local links greedy
 // descends and a long-range link into the weight core. A leave tombstones a
-// hash-chosen live vertex. All randomness is obs.Hash64 of (seed, tick,
+// hash-chosen live vertex. All randomness is xrand.Hash64 of (seed, tick,
 // kind, index): the stream is a pure function of its arguments.
 func churnOverlay(g *graph.Graph, seed uint64, joinRate, leaveRate float64) (*graph.Overlay, error) {
 	const (
@@ -156,11 +156,11 @@ func churnOverlay(g *graph.Graph, seed uint64, joinRate, leaveRate float64) (*gr
 		for j := uint64(0); j < uint64(joins); j++ {
 			pos := make([]float64, dim)
 			for d := range pos {
-				pos[d] = hashU(seed, tick, kindPos, j, uint64(d))
+				pos[d] = xrand.HashFloat(seed, tick, kindPos, j, uint64(d))
 			}
 			// Pareto(tau = 2.5) weight, capped at the natural GIRG cutoff
 			// sqrt(n) so one hash draw cannot dominate the weight core.
-			w := g.WMin() * math.Pow(1-hashU(seed, tick, kindWeight, j), -1/1.5)
+			w := g.WMin() * math.Pow(1-xrand.HashFloat(seed, tick, kindWeight, j), -1/1.5)
 			if wcap := g.WMin() * math.Sqrt(n); w > wcap {
 				w = wcap
 			}
@@ -178,7 +178,7 @@ func churnOverlay(g *graph.Graph, seed uint64, joinRate, leaveRate float64) (*gr
 			}
 		}
 		for l, picked := uint64(0), 0; picked < leaves && l < uint64(leaves)*32; l++ {
-			v := int(obs.Hash64(seed, tick, kindLeavePick, l) % uint64(ov.N()))
+			v := int(xrand.Hash64(seed, tick, kindLeavePick, l) % uint64(ov.N()))
 			if e.Tombstoned(v) {
 				continue
 			}
@@ -233,7 +233,7 @@ func joinContacts(ov *graph.Overlay, space torusSpace, pos []float64, seed, tick
 	hub, best := -1, math.Inf(-1)
 	dim := float64(space.Dim())
 	for p := uint64(0); p < probes; p++ {
-		v := int(obs.Hash64(seed, tick, uint64(kindProbe), j, p) % uint64(ov.N()))
+		v := int(xrand.Hash64(seed, tick, uint64(kindProbe), j, p) % uint64(ov.N()))
 		if ov.Tombstoned(v) {
 			continue
 		}
@@ -258,11 +258,6 @@ type torusSpace interface {
 	Dist(x, y []float64) float64
 }
 
-// hashU maps a hash tuple to a uniform in [0, 1) with 53 bits of precision.
-func hashU(vals ...uint64) float64 {
-	return float64(obs.Hash64(vals...)>>11) / float64(1<<53)
-}
-
 // poissonHash draws Poisson(lambda) by Knuth inversion over the pure-hash
 // uniform stream keyed by (seed, tick, kind) — deterministic and
 // allocation-free, adequate for the per-tick lambdas the sweep uses.
@@ -273,7 +268,7 @@ func poissonHash(lambda float64, seed, tick uint64, kind int) int {
 	limit := math.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
-		p *= hashU(seed, tick, uint64(kind), uint64(k), 0xBD)
+		p *= xrand.HashFloat(seed, tick, uint64(kind), uint64(k), 0xBD)
 		if p <= limit {
 			return k
 		}

@@ -1,8 +1,9 @@
 // Package expt defines one registered experiment per table/figure of the
 // reproduction (DESIGN.md Section 4): the workload, the parameter sweep, any
 // baselines, and a text table matching what the paper's claims predict.
-// Experiments are run by cmd/smallworld and wrapped by the root-level
-// benchmarks.
+// F1, E2, E4 and E12 also draw their figure from the same run. Experiments
+// are run by cmd/smallworld, drawn by cmd/figures and wrapped by the
+// root-level benchmarks.
 package expt
 
 import (
@@ -12,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/ckpt"
+	"repro/internal/plot"
 )
 
 // Config controls the cost of an experiment run.
@@ -76,6 +78,9 @@ type Table struct {
 	Notes []string
 	// Metrics exposes headline numbers for benchmarks (name -> value).
 	Metrics map[string]float64
+	// Figure, when non-nil, plots the values the rows print (cmd/figures
+	// renders it). Format, FormatCSV and FormatJSON leave it out.
+	Figure *plot.Plot
 }
 
 // AddRow appends a formatted row.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/girg"
 	"repro/internal/obs"
+	"repro/internal/plot"
 	"repro/internal/route"
 	"repro/internal/stats"
 )
@@ -42,6 +43,11 @@ func runE4(cfg Config) (Table, error) {
 	betas := []float64{2.3, 2.5, 2.7}
 	pairs := cfg.scaled(300, 40)
 	seed := cfg.Seed + 300
+	t.Figure = &plot.Plot{
+		Title:  "Theorem 3.3: greedy hops scale with log log n",
+		XLabel: "ln ln n",
+		YLabel: "mean hops (successful routings)",
+	}
 	for _, beta := range betas {
 		var xs, ys []float64
 		for _, baseN := range baseNs {
@@ -67,6 +73,15 @@ func runE4(cfg Config) (Table, error) {
 			ys = append(ys, rep.MeanHops)
 		}
 		fit := stats.FitLine(xs, ys)
+		ends := []float64{xs[0], xs[len(xs)-1]}
+		t.Figure.Series = append(t.Figure.Series,
+			plot.Series{Name: fmt.Sprintf("beta=%.1f", beta), X: xs, Y: ys, Markers: true},
+			plot.Series{
+				Name:   fmt.Sprintf("fit %.2f*lnln n", fit.Slope),
+				X:      ends,
+				Y:      []float64{fit.Intercept + fit.Slope*ends[0], fit.Intercept + fit.Slope*ends[1]},
+				Dashed: true,
+			})
 		t.SetMetric("slope_beta_"+fmtF2(beta), fit.Slope)
 		t.AddNote("beta=%.2f: hops ~ %.2f * lnln n + %.2f (R^2 %.3f); theory slope 2/|ln(beta-2)| = %.2f",
 			beta, fit.Slope, fit.Intercept, fit.R2, stats.TheoryHopConstant(beta))
@@ -161,7 +176,13 @@ func runF1(cfg Config) (Table, error) {
 		return t, nil
 	}
 	maxWHop, maxW := 0, 0.0
+	var xs, ws, phis []float64
 	for i, h := range hops {
+		phi := h.Score
+		if math.IsInf(phi, 1) { // the target: plot it a decade above its predecessor
+			phi = 10 * phis[i-1]
+		}
+		xs, ws, phis = append(xs, float64(i)), append(ws, h.W), append(phis, phi)
 		phase := "1 (weight climb)"
 		if h.Score > math.Pow(h.W, -gamma) {
 			phase = "2 (objective climb)"
@@ -174,6 +195,16 @@ func runF1(cfg Config) (Table, error) {
 		if h.W > maxW && i < len(hops)-1 {
 			maxW, maxWHop = h.W, i
 		}
+	}
+	t.Figure = &plot.Plot{
+		Title:  "Figure 1: typical greedy trajectory (log scale)",
+		XLabel: "hop",
+		YLabel: "value (log10)",
+		LogY:   true,
+		Series: []plot.Series{
+			{Name: "weight w_v", X: xs, Y: ws, Markers: true},
+			{Name: "objective phi(v)", X: xs, Y: phis, Markers: true, Dashed: true},
+		},
 	}
 	t.SetMetric("hops", float64(len(hops)-1))
 	t.SetMetric("peak_weight", maxW)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/girg"
 	"repro/internal/par"
+	"repro/internal/plot"
 	"repro/internal/route"
 	"repro/internal/stats"
 )
@@ -145,8 +146,21 @@ func runE2(cfg Config) (Table, error) {
 		}
 		t.AddRow(fmtF2(wmin), fmtF2(avgDeg), fmtProp(prop.P, prop.Lo, prop.Hi), lnf)
 	}
+	t.Figure = &plot.Plot{
+		Title:  "Theorem 3.2(i): failure decays exponentially in wmin",
+		XLabel: "wmin",
+		YLabel: "failure probability (log10)",
+		LogY:   true,
+		Series: []plot.Series{{Name: "measured", X: xs, Y: fails, Markers: true}},
+	}
 	if len(xs) >= 3 {
 		rate, pre, r2 := stats.FitExpDecay(xs, fails)
+		fit := make([]float64, len(xs))
+		for i, x := range xs {
+			fit[i] = pre * math.Exp(-rate*x)
+		}
+		t.Figure.Series = append(t.Figure.Series,
+			plot.Series{Name: fmt.Sprintf("fit e^(-%.2f wmin)", rate), X: xs, Y: fit, Dashed: true})
 		t.SetMetric("decay_rate", rate)
 		t.AddNote("exponential fit: failure ~ %.2f * exp(-%.2f * wmin), R^2(log) = %.3f", pre, rate, r2)
 		if rate > 0 {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // The two permanent-failure models. A crashed vertex disappears from every
@@ -90,7 +91,7 @@ func (b *boundCrash) Crashed(v int) bool {
 	if b.rate <= 0 {
 		return false
 	}
-	return hashFloat(b.seed, uint64(v)) < b.rate
+	return xrand.HashFloat(b.seed, uint64(v)) < b.rate
 }
 
 // View hides crashed vertices from the episode's adjacency lists. The

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // The two link-level fault models. Both reuse dropGraph, an episode-scoped
@@ -106,7 +107,7 @@ func (d *dropGraph) Neighbors(v int) []int32 {
 	d.queries++
 	kept := make([]int32, 0, len(all))
 	for _, u := range all {
-		if hashFloat(d.seed, d.episode, q, uint64(v)<<32^uint64(uint32(u))) >= d.dropProb {
+		if xrand.HashFloat(d.seed, d.episode, q, uint64(v)<<32^uint64(uint32(u))) >= d.dropProb {
 			kept = append(kept, u)
 		}
 	}

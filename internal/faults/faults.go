@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // Spec selects and parameterizes one fault model by registered name. It is
@@ -181,7 +182,7 @@ func (p *Plan) Bind(g route.Graph) *BoundPlan {
 	for i, m := range p.Models {
 		// Each layer gets a decorrelated seed so stacking a model twice, or
 		// reordering layers, changes the fault stream.
-		b.layers = append(b.layers, m.Bind(g, hash64(p.Seed, uint64(i)+1, stringHash(m.Name()))))
+		b.layers = append(b.layers, m.Bind(g, xrand.Hash64(p.Seed, uint64(i)+1, stringHash(m.Name()))))
 	}
 	return b
 }
@@ -226,25 +227,6 @@ type noCrash struct{}
 
 // Crashed always reports false: the model fails no vertex permanently.
 func (noCrash) Crashed(int) bool { return false }
-
-// hash64 mixes any number of words into one well-distributed 64-bit value
-// with splitmix64 finalization — the pure function behind every fault
-// decision.
-func hash64(vals ...uint64) uint64 {
-	x := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		x ^= v + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
-	}
-	return x
-}
-
-// hashFloat maps the mixed words to a uniform value in [0, 1).
-func hashFloat(vals ...uint64) float64 {
-	return float64(hash64(vals...)>>11) * 0x1p-53
-}
 
 // stringHash folds a model name into the seed derivation (FNV-1a).
 func stringHash(s string) uint64 {

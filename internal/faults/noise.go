@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // objective-noise recasts Theorem 3.5's relaxation as an injectable fault:
@@ -60,7 +61,7 @@ func (b boundNoise) View(g route.Graph, obj route.Objective, episode int) (route
 		if m < 1 {
 			m = 1 // the noise exponent is only meaningful on the >= 1 scale
 		}
-		delta := (2*hashFloat(b.seed, uint64(v)) - 1) * b.eps
+		delta := (2*xrand.HashFloat(b.seed, uint64(v)) - 1) * b.eps
 		return phi * math.Pow(m, delta)
 	}
 	return g, route.Objective{Target: target, Score: noisy}

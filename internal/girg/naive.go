@@ -5,15 +5,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// NaiveSampler draws every edge by flipping an explicit coin for each of the
-// n(n-1)/2 vertex pairs. It is the reference implementation: trivially
-// correct, quadratic, and used to cross-validate the fast sampler. Keep it
-// for n up to a few tens of thousands.
-func NaiveSampler(p Params, vs *Vertices, rng *xrand.RNG, b *graph.Builder) {
-	NaiveSamplerKernel(p, NewKernel(p), vs, rng, b)
-}
-
-// NaiveSamplerKernel is NaiveSampler with a custom edge kernel.
+// NaiveSamplerKernel draws every edge by flipping an explicit coin, with
+// the given kernel, for each of the n(n-1)/2 vertex pairs. It is the
+// reference implementation: trivially correct, quadratic, and used to
+// cross-validate the fast sampler. Keep it for n up to a few tens of
+// thousands.
 func NaiveSamplerKernel(p Params, kernel EdgeKernel, vs *Vertices, rng *xrand.RNG, b *graph.Builder) {
 	space := vs.Pos.Space()
 	n := vs.N()

@@ -14,7 +14,7 @@
 // saturates at 1 for close pairs, which is exactly condition (EP3) with
 // c1 = lambda^(1/alpha); Theorem 3.2 assumes this.
 //
-// Two edge samplers are provided: a quadratic-time reference (NaiveSampler)
+// Two edge samplers are provided: a quadratic-time reference (NaiveSamplerKernel)
 // and an expected-linear-time layered sampler (FastSampler) in the style of
 // Bringmann–Keusch–Lengler. They draw from the same distribution and are
 // cross-validated in the tests.

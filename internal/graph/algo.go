@@ -124,63 +124,3 @@ func GiantComponent(g *Graph) []int {
 	}
 	return out
 }
-
-// UnionFind is a classic disjoint-set structure with path halving and union
-// by size; exposed so generators can maintain components incrementally.
-type UnionFind struct {
-	parent []int32
-	size   []int32
-	sets   int
-}
-
-// NewUnionFind creates n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
-		parent: make([]int32, n),
-		size:   make([]int32, n),
-		sets:   n,
-	}
-	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-// Find returns the representative of x's set.
-func (uf *UnionFind) Find(x int) int {
-	p := int32(x)
-	for uf.parent[p] != p {
-		uf.parent[p] = uf.parent[uf.parent[p]]
-		p = uf.parent[p]
-	}
-	return int(p)
-}
-
-// Union merges the sets of a and b; it reports whether a merge happened.
-func (uf *UnionFind) Union(a, b int) bool {
-	ra, rb := uf.Find(a), uf.Find(b)
-	if ra == rb {
-		return false
-	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = int32(ra)
-	uf.size[ra] += uf.size[rb]
-	uf.sets--
-	return true
-}
-
-// Connected reports whether a and b are in the same set.
-func (uf *UnionFind) Connected(a, b int) bool {
-	return uf.Find(a) == uf.Find(b)
-}
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// SetSize returns the size of x's set.
-func (uf *UnionFind) SetSize(x int) int {
-	return int(uf.size[uf.Find(x)])
-}

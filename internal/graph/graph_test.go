@@ -254,58 +254,37 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestUnionFindMatchesComponents(t *testing.T) {
+// TestComponentsMatchReachability checks Components against BFS: two
+// vertices share a label exactly when one reaches the other.
+func TestComponentsMatchReachability(t *testing.T) {
 	rng := xrand.New(7)
 	for trial := 0; trial < 50; trial++ {
 		n := 5 + rng.IntN(30)
 		var edges [][2]int
-		uf := NewUnionFind(n)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if rng.Bernoulli(0.1) {
 					edges = append(edges, [2]int{u, v})
-					uf.Union(u, v)
 				}
 			}
 		}
 		g := buildGraph(t, n, edges)
 		labels, sizes, _ := Components(g)
-		if len(sizes) != uf.Sets() {
-			t.Fatalf("component count %d vs union-find %d", len(sizes), uf.Sets())
-		}
 		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if (labels[u] == labels[v]) != uf.Connected(u, v) {
+			dist := BFS(g, u)
+			reached := 0
+			for v := 0; v < n; v++ {
+				if dist[v] >= 0 {
+					reached++
+				}
+				if (labels[u] == labels[v]) != (dist[v] >= 0) {
 					t.Fatalf("connectivity disagreement for %d,%d", u, v)
 				}
 			}
+			if sizes[labels[u]] != reached {
+				t.Fatalf("component of %d has size %d, BFS reaches %d", u, sizes[labels[u]], reached)
+			}
 		}
-	}
-}
-
-func TestUnionFindSizes(t *testing.T) {
-	uf := NewUnionFind(5)
-	if !uf.Union(0, 1) {
-		t.Fatal("first union failed")
-	}
-	if uf.Union(1, 0) {
-		t.Fatal("repeat union succeeded")
-	}
-	uf.Union(1, 2)
-	if uf.SetSize(0) != 3 {
-		t.Fatalf("SetSize = %d", uf.SetSize(0))
-	}
-	if uf.Sets() != 3 {
-		t.Fatalf("Sets = %d", uf.Sets())
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := buildGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	h := DegreeHistogram(g)
-	// star: one deg-3 vertex, three deg-1 vertices.
-	if h[3] != 1 || h[1] != 3 || h[0] != 0 {
-		t.Fatalf("histogram %v", h)
 	}
 }
 
@@ -437,18 +416,6 @@ func TestDegreeWeightCorrelation(t *testing.T) {
 	}
 	if md[len(md)-1] <= md[0] {
 		t.Fatalf("degree should grow with weight: %v", md)
-	}
-}
-
-func TestDistanceQuantiles(t *testing.T) {
-	ds := []int{5, 1, 3, 2, 4}
-	qs := DistanceQuantiles(ds, []float64{0, 0.5, 1})
-	if qs[0] != 1 || qs[1] != 3 || qs[2] != 5 {
-		t.Fatalf("quantiles %v", qs)
-	}
-	empty := DistanceQuantiles(nil, []float64{0.5})
-	if !math.IsNaN(empty[0]) {
-		t.Fatal("expected NaN for empty sample")
 	}
 }
 

@@ -7,40 +7,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestQuickUnionFindReflexiveSymmetric checks union-find invariants over
-// random merge sequences.
-func TestQuickUnionFindReflexiveSymmetric(t *testing.T) {
-	f := func(seed uint32, merges []uint16) bool {
-		const n = 40
-		uf := NewUnionFind(n)
-		for _, m := range merges {
-			a := int(m) % n
-			b := int(m>>8) % n
-			uf.Union(a, b)
-			// Merged elements must be connected, symmetrically.
-			if !uf.Connected(a, b) || !uf.Connected(b, a) {
-				return false
-			}
-		}
-		// Set sizes sum to n; sets count matches distinct roots.
-		roots := map[int]bool{}
-		total := 0
-		counted := map[int]bool{}
-		for v := 0; v < n; v++ {
-			r := uf.Find(v)
-			roots[r] = true
-			if !counted[r] {
-				total += uf.SetSize(v)
-				counted[r] = true
-			}
-		}
-		return len(roots) == uf.Sets() && total == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickBFSTriangleInequality: BFS distances satisfy the triangle
 // inequality through any intermediate vertex.
 func TestQuickBFSTriangleInequality(t *testing.T) {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/xrand"
 )
@@ -11,21 +10,6 @@ import (
 // substrate against the theory quoted in the paper (Lemmas 7.2/7.3):
 // expected degree Θ(w), power-law degree sequence, a unique giant component,
 // ultra-small distances in the giant, and constant clustering.
-
-// DegreeHistogram returns counts[k] = number of vertices of degree k.
-func DegreeHistogram(g *Graph) []int {
-	maxDeg := 0
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for v := 0; v < g.N(); v++ {
-		counts[g.Degree(v)]++
-	}
-	return counts
-}
 
 // AverageDegree returns 2m/n.
 func AverageDegree(g *Graph) float64 {
@@ -210,25 +194,4 @@ func Summarize(g *Graph, clusteringSample int, rng *xrand.RNG) Summary {
 		GiantFraction: giantFrac,
 		Clustering:    MeanClustering(g, clusteringSample, rng),
 	}
-}
-
-// DistanceQuantiles returns the q-quantiles (q in [0,1]) of a distance
-// sample, for reporting distance distributions compactly.
-func DistanceQuantiles(ds []int, qs []float64) []float64 {
-	if len(ds) == 0 {
-		out := make([]float64, len(qs))
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	sorted := make([]int, len(ds))
-	copy(sorted, ds)
-	sort.Ints(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(len(sorted)-1))
-		out[i] = float64(sorted[idx])
-	}
-	return out
 }

@@ -38,6 +38,8 @@ import (
 	"io"
 	"log/slog"
 	"sync/atomic"
+
+	"repro/internal/xrand"
 )
 
 // LogConfig is the shared logging configuration of the binaries; register
@@ -107,7 +109,7 @@ func NewRequestIDs(salt uint64) *RequestIDs {
 // logs.
 func (r *RequestIDs) Next() (seq uint64, id string) {
 	seq = r.seq.Add(1)
-	return seq, fmt.Sprintf("%016x", Hash64(r.salt, seq))
+	return seq, fmt.Sprintf("%016x", xrand.Hash64(r.salt, seq))
 }
 
 // ctxKey keys the obs values stored in a request context.
@@ -142,24 +144,4 @@ func Logger(ctx context.Context) *slog.Logger {
 		return l
 	}
 	return slog.Default()
-}
-
-// Hash64 mixes words into one well-distributed 64-bit value (splitmix64
-// finalization) — the pure-hash determinism idiom shared with packages
-// faults and serve, exported here so observability consumers (sampling,
-// trace ids, request ids) agree on one mixer.
-func Hash64(vals ...uint64) uint64 {
-	x := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		x ^= v + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
-	}
-	return x
-}
-
-// hashFloat maps the mixed words to a uniform value in [0, 1).
-func hashFloat(vals ...uint64) float64 {
-	return float64(Hash64(vals...)>>11) * 0x1p-53
 }

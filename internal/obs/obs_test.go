@@ -115,21 +115,3 @@ func TestContextHelpers(t *testing.T) {
 		t.Fatal("Logger did not return the scoped logger")
 	}
 }
-
-// TestHash64 pins the mixer's basic properties: deterministic, argument-order
-// sensitive, and length sensitive (so (a, b) never collides with (a) by
-// construction of the fold).
-func TestHash64(t *testing.T) {
-	if Hash64(1, 2) != Hash64(1, 2) {
-		t.Fatal("Hash64 not deterministic")
-	}
-	if Hash64(1, 2) == Hash64(2, 1) {
-		t.Fatal("Hash64 ignores argument order")
-	}
-	if Hash64(1) == Hash64(1, 0) {
-		t.Fatal("Hash64 ignores argument count")
-	}
-	if f := hashFloat(3, 4); f < 0 || f >= 1 {
-		t.Fatalf("hashFloat out of [0,1): %v", f)
-	}
-}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"repro/internal/xrand"
 )
 
 // This file is the trace recorder: the span model captures where a *request*
@@ -126,31 +128,12 @@ func isHex(s string) bool {
 	return true
 }
 
-// HashString folds a string into the word-based mixer (8 bytes per word,
-// length-salted), so span-id derivation can mix service names and trace ids
-// without allocating.
-func HashString(s string) uint64 {
-	x := uint64(len(s))
-	var word uint64
-	for i := 0; i < len(s); i++ {
-		word = word<<8 | uint64(s[i])
-		if (i+1)%8 == 0 {
-			x = Hash64(x, word)
-			word = 0
-		}
-	}
-	if len(s)%8 != 0 {
-		x = Hash64(x, word)
-	}
-	return x
-}
-
 // DistTraceID derives the 128-bit (32 hex digit) trace id of the seq-th
 // sampled request of a process salted with salt — two independent Hash64
 // lanes, so the id is a pure function of (salt, seq) and bit-identical
 // across runs and GOMAXPROCS settings.
 func DistTraceID(salt, seq uint64) string {
-	return fmt.Sprintf("%016x%016x", Hash64(salt, seq, 0xd15c), Hash64(salt, seq, 0xd15d))
+	return fmt.Sprintf("%016x%016x", xrand.Hash64(salt, seq, 0xd15c), xrand.Hash64(salt, seq, 0xd15d))
 }
 
 // SpanID derives the 64-bit (16 hex digit) id of the n-th span a service
@@ -159,7 +142,7 @@ func DistTraceID(salt, seq uint64) string {
 // service, n) triple always yields the same id — the determinism the
 // trace-propagation tests assert.
 func SpanID(trace, service string, n uint64) string {
-	return fmt.Sprintf("%016x", Hash64(HashString(trace), HashString(service), n))
+	return fmt.Sprintf("%016x", xrand.Hash64(xrand.HashString(trace), xrand.HashString(service), n))
 }
 
 // SpanLogConfig tunes a SpanLog.
@@ -205,7 +188,7 @@ func NewSpanLog(cfg SpanLogConfig) *SpanLog {
 	// A fleet commonly shares one -seed (same snapshot, same salt), but two
 	// daemons at the same request sequence must not mint the same trace id —
 	// the service name folds into the salt so each daemon ids its own lane.
-	cfg.Seed = Hash64(cfg.Seed, HashString(cfg.Service))
+	cfg.Seed = xrand.Hash64(cfg.Seed, xrand.HashString(cfg.Service))
 	return &SpanLog{cfg: cfg, ring: make([]PhaseSpan, cfg.Capacity)}
 }
 
@@ -226,7 +209,7 @@ func (l *SpanLog) Sampled(seq uint64) bool {
 	if l.cfg.SampleRate >= 1 {
 		return true
 	}
-	return hashFloat(l.cfg.Seed, seq, 0x5a30) < l.cfg.SampleRate
+	return xrand.HashFloat(l.cfg.Seed, seq, 0x5a30) < l.cfg.SampleRate
 }
 
 // TraceID derives the trace id of the seq-th entry request.
@@ -245,7 +228,7 @@ func (l *SpanLog) InternalTraceID(seq uint64) string {
 	if l == nil {
 		return ""
 	}
-	return DistTraceID(Hash64(l.cfg.Seed, 0xae17), seq)
+	return DistTraceID(xrand.Hash64(l.cfg.Seed, 0xae17), seq)
 }
 
 // Publish appends one completed span to the ring.

@@ -1,7 +1,8 @@
-// Package plot renders simple line/scatter charts as standalone SVG, used
-// by cmd/figures to draw the reproduced figures (the Figure-1 trajectory,
-// the hop-scaling and failure-decay curves) without any dependency beyond
-// the standard library.
+// Package plot renders simple line/scatter charts as standalone SVG without
+// any dependency beyond the standard library. Its user is internal/expt:
+// an experiment that reproduces a figure (the Figure-1 trajectory, the
+// hop-scaling, failure-decay and robustness curves) attaches a Plot of its
+// own run to its table, and cmd/figures writes that Plot's SVG.
 package plot
 
 import (

@@ -45,27 +45,10 @@ type GeoGraph interface {
 	WMin() float64
 }
 
-// NewStandard returns the paper's objective phi for target t on g, with
-// per-vertex caching (patching protocols re-score vertices many times).
+// NewStandard returns the paper's objective phi for target t on g. Scores
+// are computed on demand, not memoized: one costs a distance and a divide,
+// so setup stays O(1) however few vertices an episode scores.
 func NewStandard(g GeoGraph, t int) Objective {
-	phi := NewStandardUncached(g, t).Score
-	cache := newScoreCache(g.N())
-	score := func(v int) float64 {
-		if s, ok := cache.get(v); ok {
-			return s
-		}
-		s := phi(v)
-		cache.put(v, s)
-		return s
-	}
-	return Objective{Target: t, Score: score}
-}
-
-// NewStandardUncached is NewStandard without the n-float score cache: the
-// same scores, bit for bit, at O(1) setup. It suits scoring a few vertices —
-// replaying a finished path to an observer — where the cache would cost
-// more than the walk.
-func NewStandardUncached(g GeoGraph, t int) Objective {
 	space := g.Space()
 	xt := g.Pos(t)
 	norm := 1 / (g.WMin() * g.Intensity())

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // This file is the batch half of the routing API: POST /route/batch answers
@@ -71,7 +72,7 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 	requestID := s.reqID.Add(1)
 	faultSeed := q.FaultSeed
 	if faultSeed == 0 {
-		faultSeed = hash64(requestID, uint64(q.S)<<32|uint64(uint32(q.T)))
+		faultSeed = xrand.Hash64(requestID, uint64(q.S)<<32|uint64(uint32(q.T)))
 	}
 	start := time.Now()
 
@@ -104,7 +105,7 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 			// Salt the plan seed per attempt: transient fault draws (and the
 			// crash sets of churn models) re-roll on retry, which is what
 			// makes crashed-target a retryable class at all.
-			plan, epErr = faults.NewPlan(hash64(faultSeed, uint64(attempt)), q.Faults...)
+			plan, epErr = faults.NewPlan(xrand.Hash64(faultSeed, uint64(attempt)), q.Faults...)
 			if epErr != nil {
 				break
 			}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // This file is the cluster half of the serving layer: when EnableCluster
@@ -50,10 +51,6 @@ func (s *Server) EnableCluster(node *cluster.Node, client *http.Client) {
 	s.clusterNode = node
 	s.clusterClient = client
 }
-
-// ClusterNode returns the installed shard map (nil on a single-node
-// daemon).
-func (s *Server) ClusterNode() *cluster.Node { return s.clusterNode }
 
 // PeerBreaker exposes the (peer, graph) forward breaker, creating it on
 // first use like the forward path does.
@@ -135,7 +132,7 @@ func (s *Server) routeSegment(ctx context.Context, graphName string, from, t int
 	if rt != nil {
 		hc = &obs.HopCollector{}
 		g := node.Graph()
-		route.Observe(g, route.NewStandardUncached(g, t), *res, 0, hc)
+		route.Observe(g, route.NewStandard(g, t), *res, 0, hc)
 	}
 	rt.localRoute(start, segDur, "partial", "", hc)
 	if exit < 0 {
@@ -233,7 +230,7 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 		if !retryable || attempt >= s.cfg.Retry.MaxAttempts {
 			return HopResponse{}, stats, false
 		}
-		wait := s.cfg.Retry.Backoff(hash64(uint64(from), uint64(t)), attempt)
+		wait := s.cfg.Retry.Backoff(xrand.Hash64(uint64(from), uint64(t)), attempt)
 		if rem := time.Until(deadline); wait > rem {
 			wait = rem
 		}
@@ -336,7 +333,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 	var hedgeC <-chan time.Time
 	hedge := cluster.HedgePolicy{After: s.cfg.HedgeAfter, Seed: s.cfg.Retry.Seed}
 	if hedge.Enabled() && next < len(cands) {
-		c, stop := s.hedgeTimer(hedge.Delay(hash64(uint64(from), uint64(t), uint64(depth))))
+		c, stop := s.hedgeTimer(hedge.Delay(xrand.Hash64(uint64(from), uint64(t), uint64(depth))))
 		defer stop()
 		hedgeC = c
 	}

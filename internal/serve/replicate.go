@@ -359,18 +359,16 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 	}
 }
 
-// RunAntiEntropy drives AntiEntropyRound every interval until ctx is done,
-// after the same deterministic per-peer phase offset gossip uses, so a
-// co-started replica set spreads its repair traffic instead of pulling in
-// lockstep. interval <= 0 selects Config.AntiEntropyInterval.
-func (s *Server) RunAntiEntropy(ctx context.Context, interval time.Duration) {
+// RunAntiEntropy drives AntiEntropyRound every Config.AntiEntropyInterval
+// until ctx is done, after the same deterministic per-peer phase offset
+// gossip uses, so a co-started replica set spreads its repair traffic
+// instead of pulling in lockstep.
+func (s *Server) RunAntiEntropy(ctx context.Context) {
 	node := s.clusterNode
 	if node == nil {
 		return
 	}
-	if interval <= 0 {
-		interval = s.cfg.AntiEntropyInterval
-	}
+	interval := s.cfg.AntiEntropyInterval
 	if phase := cluster.GossipPhase(node.Self().ID, interval); phase > 0 {
 		timer := time.NewTimer(phase)
 		select {

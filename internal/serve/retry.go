@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/route"
+	"repro/internal/xrand"
 )
 
 // RetryPolicy is the per-request retry/backoff policy of the daemon.
@@ -69,25 +70,6 @@ func (p RetryPolicy) Backoff(requestID uint64, attempt int) time.Duration {
 	}
 	// Uniform in [d/2, d): half the spread of classic full jitter, keeping a
 	// floor so a burst of retriers cannot synchronize at zero delay.
-	u := hashFloat(p.Seed, requestID, uint64(attempt))
+	u := xrand.HashFloat(p.Seed, requestID, uint64(attempt))
 	return d/2 + time.Duration(u*float64(d/2))
-}
-
-// hash64 mixes words into one well-distributed 64-bit value (splitmix64
-// finalization), mirroring the pure-hash determinism idiom of package
-// faults.
-func hash64(vals ...uint64) uint64 {
-	x := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		x ^= v + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
-	}
-	return x
-}
-
-// hashFloat maps the mixed words to a uniform value in [0, 1).
-func hashFloat(vals ...uint64) float64 {
-	return float64(hash64(vals...)>>11) * 0x1p-53
 }

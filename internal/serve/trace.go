@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/xrand"
 )
 
 // This file is the serving layer's half of distributed tracing: the phase
@@ -131,7 +132,7 @@ func (s *Server) newTrace(trace, parent, kind, detail string) *reqTrace {
 	// first's ids and corrupt the trace tree. The adopted parent span id is
 	// unique per visit, so it seeds the lane; the entry visit keeps lane 0.
 	if parent != "" {
-		rt.n = obs.HashString(parent)
+		rt.n = xrand.HashString(parent)
 	}
 	rt.rootID = rt.allocID()
 	return rt

@@ -57,11 +57,6 @@ func NewSpace(dim int) (Space, error) {
 	return NewSpaceFull(dim, MaxNorm, Torus)
 }
 
-// NewSpaceNorm returns the torus of the given dimension and norm.
-func NewSpaceNorm(dim int, norm Norm) (Space, error) {
-	return NewSpaceFull(dim, norm, Torus)
-}
-
 // NewSpaceFull returns the space with every knob explicit.
 func NewSpaceFull(dim int, norm Norm, geo Geometry) (Space, error) {
 	if dim < 1 || dim > MaxDim {

@@ -353,25 +353,6 @@ func (r *RNG) GeometricSkipLog(p, log1mp float64) int {
 	return int(skip)
 }
 
-// Perm fills out with a uniformly random permutation of [0, len(out)).
-func (r *RNG) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
-// Shuffle permutes the given slice of ints in place.
-func (r *RNG) Shuffle(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Sample returns k distinct uniform indices from [0, n) in increasing order
 // using Floyd's algorithm. It panics if k > n.
 func (r *RNG) Sample(n, k int) []int {

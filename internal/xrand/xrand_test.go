@@ -403,19 +403,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(79)
-	out := make([]int, 100)
-	r.Perm(out)
-	seen := make([]bool, 100)
-	for _, v := range out {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", out)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSampleDistinctSorted(t *testing.T) {
 	r := New(83)
 	for trial := 0; trial < 200; trial++ {
