@@ -16,13 +16,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/expt"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -52,14 +50,17 @@ func runCtx(ctx context.Context, args []string) error {
 		// Usage text derives from the fault-model registry, like -proto on
 		// cmd/route derives from the protocol registry.
 		models = fs.String("fault-models", "", "comma-separated fault models for the E16 chaos sweep (default: its built-in set); registered: "+strings.Join(faults.RegisteredSorted(), " | "))
-		ckdir  = fs.String("checkpoint", "", "checkpoint directory: journal completed sweep batches there so a crashed run can -resume (checkpoint-aware experiments only)")
-		resume = fs.Bool("resume", false, "resume from the journal in -checkpoint, skipping finished batches; the resumed table is bit-identical to an uninterrupted run")
 		cpuOut = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memOut = fs.String("memprofile", "", "write a heap profile to this file after the sweep")
 	)
 	logCfg := obs.RegisterLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		return fmt.Errorf("unknown format %q", *format)
 	}
 	logger, err := logCfg.NewLogger(os.Stderr)
 	if err != nil {
@@ -90,9 +91,6 @@ func runCtx(ctx context.Context, args []string) error {
 			}
 		}()
 	}
-	if *resume && *ckdir == "" {
-		return fmt.Errorf("-resume requires -checkpoint DIR")
-	}
 	var faultModels []string
 	if *models != "" {
 		for _, m := range strings.Split(*models, ",") {
@@ -122,32 +120,7 @@ func runCtx(ctx context.Context, args []string) error {
 	}
 	for _, e := range selected {
 		start := time.Now()
-		// One journal per experiment, its manifest key bound to everything
-		// that shapes the sweep's results: resuming with different
-		// parameters fails loudly instead of mixing incompatible batches.
-		if *ckdir != "" {
-			dir := filepath.Join(*ckdir, e.ID)
-			if !*resume && ckpt.Exists(dir) {
-				return fmt.Errorf("%s: checkpoint journal already exists in %s; pass -resume to continue it or remove the directory", e.ID, dir)
-			}
-			key := fmt.Sprintf("repro-ckpt-v1 e=%s seed=%d scale=%g fault-models=%s",
-				e.ID, *seed, *scale, strings.Join(faultModels, ","))
-			j, err := ckpt.Open(dir, key)
-			if err != nil {
-				return fmt.Errorf("%s: %w", e.ID, err)
-			}
-			if *resume && j.Reused() > 0 {
-				logger.Info("resuming from checkpoint", "experiment", e.ID, "reused_batches", j.Reused())
-			}
-			cfg.Checkpoint = j
-		}
 		table, err := e.Run(cfg)
-		if cfg.Checkpoint != nil {
-			if cerr := cfg.Checkpoint.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-			cfg.Checkpoint = nil
-		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
@@ -168,8 +141,6 @@ func runCtx(ctx context.Context, args []string) error {
 				return err
 			}
 			fmt.Print(out)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -51,6 +52,19 @@ func TestRunFormats(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFormatBeforeRunning: an unknown -format fails before any
+// experiment runs, so a bad flag on a long sweep costs nothing. The context
+// is already cancelled: were the format checked only after a table, the
+// error would be the experiment's cancellation instead.
+func TestRunRejectsFormatBeforeRunning(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := runCtx(ctx, []string{"-e", "E4", "-scale", "0.02", "-format", "xml"})
+	if err == nil || !strings.Contains(err.Error(), "unknown format") {
+		t.Fatalf("err = %v, want unknown format", err)
+	}
+}
+
 func TestRunFaultModelsFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the chaos sweep")
@@ -91,61 +105,6 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	w.Close()
 	os.Stdout = old
 	return <-done, runErr
-}
-
-func TestResumeRequiresCheckpoint(t *testing.T) {
-	if err := run([]string{"-resume", "-e", "E5"}); err == nil {
-		t.Fatal("-resume accepted without -checkpoint")
-	}
-}
-
-// TestRunCheckpointResume drives the full CLI contract: a checkpointed run
-// leaves a journal, rerunning without -resume refuses to touch it, resuming
-// replays it, and every variant prints the same table (JSON output carries
-// no timing, so byte equality is meaningful).
-func TestRunCheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the chaos sweep")
-	}
-	dir := t.TempDir()
-	base := []string{"-e", "E16", "-scale", "0.02", "-seed", "3", "-fault-models", "edge-drop", "-format", "json"}
-
-	plain, err := captureStdout(t, func() error { return run(base) })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	first, err := captureStdout(t, func() error { return run(append([]string{"-checkpoint", dir}, base...)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != plain {
-		t.Fatal("checkpointed run output differs from plain run")
-	}
-
-	// The journal now exists: a second run must refuse without -resume.
-	if _, err := captureStdout(t, func() error { return run(append([]string{"-checkpoint", dir}, base...)) }); err == nil {
-		t.Fatal("existing journal overwritten without -resume")
-	}
-
-	resumed, err := captureStdout(t, func() error {
-		return run(append([]string{"-checkpoint", dir, "-resume"}, base...))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != plain {
-		t.Fatal("resumed run output differs from plain run")
-	}
-
-	// A journal is bound to its parameters: resuming under a different seed
-	// must fail instead of mixing incompatible batches.
-	other := []string{"-e", "E16", "-scale", "0.02", "-seed", "4", "-fault-models", "edge-drop", "-format", "json"}
-	if _, err := captureStdout(t, func() error {
-		return run(append([]string{"-checkpoint", dir, "-resume"}, other...))
-	}); err == nil {
-		t.Fatal("journal from a different seed accepted")
-	}
 }
 
 // TestSweepGolden is the bit-identity check every engine change used to run

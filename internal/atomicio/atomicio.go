@@ -2,7 +2,7 @@
 // to a temporary file in the destination directory, fsynced, and renamed
 // over the destination, so a crash, SIGKILL, or full disk at any point
 // leaves either the old file or the new one — never a truncated hybrid.
-// The durability layer (graph snapshots, checkpoint manifests) and every
+// The durability layer (graph snapshots, journal manifests) and every
 // CLI that writes outputs worth keeping route their writes through here.
 package atomicio
 

@@ -1,16 +1,12 @@
-// Package ckpt gives long-running sweeps crash-safe progress: a
-// write-ahead journal of completed work units that a restarted run replays
-// to skip everything already done. Because the routing engine's batches
-// are pure functions of their configuration (pure-hash fault determinism,
-// sequential pair draws), a resumed sweep that replays its journal
-// produces a final report bit-identical to an uninterrupted run — the
-// journal stores results, not side effects.
+// Package ckpt is the record layer of the mutation journal
+// (internal/mutate): a write-ahead journal of (key, payload) records that a
+// restarted daemon replays, so every acknowledged batch survives a crash.
 //
-// A checkpoint directory holds two files:
+// A journal directory holds two files:
 //
 //	MANIFEST     json {version, key}, written atomically; the key binds the
-//	             journal to one sweep configuration, so resuming with
-//	             different parameters fails loudly instead of mixing results
+//	             journal to one base snapshot and generation, so replaying
+//	             it over anything else fails loudly instead of mixing graphs
 //	journal.wal  append-only records: u32 keyLen | u32 payloadLen | key |
 //	             payload | u32 crc  (CRC32 over lengths + key + payload)
 //
@@ -65,7 +61,7 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("ckpt: corrupt journal %s: %s (offset %d)", e.Path, e.Reason, e.Offset)
 }
 
-// manifest is the persisted identity of a checkpoint directory.
+// manifest is the persisted identity of a journal directory.
 type manifest struct {
 	Version int    `json:"version"`
 	Key     string `json:"key"`
@@ -74,41 +70,29 @@ type manifest struct {
 // Options tunes a Journal.
 type Options struct {
 	// SyncEvery fsyncs the journal file after every k appended records.
-	// The default 1 makes every completed record durable before the next
-	// unit of work starts; raise it to trade durability of the last few
-	// records for fewer fsyncs on sweeps with very cheap cells.
+	// The default 1 makes every record durable before Put returns, so an
+	// acknowledged batch survives a crash; raise it to trade durability of
+	// the last few records for fewer fsyncs on write-heavy logs.
 	SyncEvery int
 }
 
-// Journal is an append-only record of completed (key, payload) work units.
-// It is safe for concurrent use.
+// Journal is an append-only record of (key, payload) pairs. It is safe for
+// concurrent use.
 type Journal struct {
 	dir string
-	key string
 
-	mu       sync.Mutex
-	f        *os.File
-	bw       *bufio.Writer
-	done     map[string][]byte
-	reused   int
-	appended int
-	synced   int // appends since last fsync
-	every    int
+	mu     sync.Mutex
+	f      *os.File
+	bw     *bufio.Writer
+	done   map[string][]byte
+	synced int // appends since last fsync
+	every  int
 }
 
-// Exists reports whether dir already holds a journal with at least one
-// durable byte — the condition under which a fresh run should demand an
-// explicit resume decision instead of silently appending.
-func Exists(dir string) bool {
-	st, err := os.Stat(filepath.Join(dir, journalName))
-	return err == nil && st.Size() > 0
-}
-
-// Open opens (creating if necessary) the checkpoint directory and replays
-// its journal. key is the sweep identity — typically experiment id, seed,
-// scale and any sweep-shaping flags rendered into a string; opening an
-// existing directory with a different key fails, because its records were
-// computed under a different configuration.
+// Open opens (creating if necessary) the journal directory and replays its
+// journal. key names what the records are written against (the mutation log
+// uses its base fingerprint and generation); opening an existing directory
+// with a different key fails.
 func Open(dir, key string, opts ...Options) (*Journal, error) {
 	opt := Options{}
 	if len(opts) > 0 {
@@ -132,7 +116,7 @@ func Open(dir, key string, opts ...Options) (*Journal, error) {
 			return nil, fmt.Errorf("ckpt: manifest %s has version %d, this build writes %d", mpath, m.Version, manifestVersion)
 		}
 		if m.Key != key {
-			return nil, fmt.Errorf("ckpt: checkpoint %s belongs to a different sweep:\n  journal: %s\n  this run: %s\nresume with matching parameters or choose a fresh directory", dir, m.Key, key)
+			return nil, fmt.Errorf("ckpt: journal %s is bound to key %q, not %q", dir, m.Key, key)
 		}
 	case os.IsNotExist(err):
 		if err := atomicio.WriteFile(mpath, func(w io.Writer) error {
@@ -149,7 +133,7 @@ func Open(dir, key string, opts ...Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	j := &Journal{dir: dir, key: key, f: f, done: map[string][]byte{}, every: opt.SyncEvery}
+	j := &Journal{dir: dir, f: f, done: map[string][]byte{}, every: opt.SyncEvery}
 	if err := j.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -212,7 +196,6 @@ func (j *Journal) replay() error {
 		payload := make([]byte, payloadLen)
 		copy(payload, body[keyLen:keyLen+payloadLen])
 		j.done[key] = payload
-		j.reused++
 	}
 	if truncateAt >= 0 {
 		if err := j.f.Truncate(truncateAt); err != nil {
@@ -233,24 +216,6 @@ func (j *Journal) replay() error {
 }
 
 func (j *Journal) path() string { return filepath.Join(j.dir, journalName) }
-
-// Key returns the sweep identity the journal is bound to.
-func (j *Journal) Key() string { return j.key }
-
-// Reused returns how many intact records Open replayed — the work a
-// resumed sweep gets to skip.
-func (j *Journal) Reused() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.reused
-}
-
-// Len returns the number of distinct completed keys.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
 
 // Get returns the journaled payload of key, if present. The returned slice
 // must not be modified.
@@ -303,7 +268,6 @@ func (j *Journal) Put(key string, payload []byte) error {
 	stored := make([]byte, len(payload))
 	copy(stored, payload)
 	j.done[key] = stored
-	j.appended++
 	return nil
 }
 
@@ -341,30 +305,4 @@ func (j *Journal) Close() error {
 	j.f = nil
 	j.bw = nil
 	return err
-}
-
-// Run is the journal-or-compute helper sweeps are written in terms of: if
-// j already holds key, the journaled value is decoded and returned without
-// computing; otherwise compute runs and, on success, its JSON-encoded
-// result is journaled under key before being returned. A nil j always
-// computes — callers need no branching for the checkpoint-less path.
-func Run[T any](j *Journal, key string, compute func() (T, error)) (T, error) {
-	if j != nil {
-		if payload, ok := j.Get(key); ok {
-			var v T
-			if err := json.Unmarshal(payload, &v); err != nil {
-				return v, fmt.Errorf("ckpt: journaled record %q does not decode (journal from an incompatible build?): %w", key, err)
-			}
-			return v, nil
-		}
-	}
-	v, err := compute()
-	if err != nil || j == nil {
-		return v, err
-	}
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return v, fmt.Errorf("ckpt: encoding record %q: %w", key, err)
-	}
-	return v, j.Put(key, payload)
 }

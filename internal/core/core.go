@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/faults"
 	"repro/internal/girg"
 	"repro/internal/graph"
@@ -211,6 +210,18 @@ type workerState struct {
 	out route.Result
 }
 
+// episode is the engine's per-routing outcome slot.
+type episode struct {
+	done      bool // routed (false only when the batch was cancelled first)
+	success   bool
+	truncated bool
+	failure   route.Failure
+	moves     int
+	stretch   float64 // 0 when not computed or failed
+	path      []int   // retained only for observer replay
+	err       error
+}
+
 // runEpisodeInto runs one protocol episode into the caller-owned out
 // (reusing its Path backing array) over the caller's scratch, feeding c,
 // enforcing the optional hop and wall-time budgets, and converting a
@@ -293,22 +304,6 @@ type MilgramConfig struct {
 	// Observer retains every episode's path until replay — use it for
 	// analysis runs, not for the largest benchmark batches.
 	Observer route.Observer
-	// Checkpoint, when non-nil, makes the run crash-safe: episodes execute
-	// in fixed batches whose results are journaled as they complete, and
-	// batches the journal already holds are replayed instead of recomputed.
-	// Because episodes are pure functions of their index, a killed run that
-	// resumes with the same configuration and journal produces a report
-	// bit-identical to an uninterrupted one. Incompatible with Observer
-	// (episode paths are not journaled). See package ckpt.
-	Checkpoint *ckpt.Journal
-	// CheckpointKey namespaces this run's records inside the journal — set
-	// it to the sweep-cell id when many RunMilgram calls share one journal.
-	// Empty means "milgram".
-	CheckpointKey string
-	// CheckpointBatch is the number of episodes per journal record
-	// (default 64): the most work a crash can lose per run, and the
-	// granularity at which a resume skips ahead.
-	CheckpointBatch int
 	// Counters, when non-nil, count every episode of the batch (and the
 	// batch itself). nil counts nothing.
 	Counters *Counters
@@ -366,9 +361,6 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 	}
 	if cfg.Pairs <= 0 {
 		return MilgramReport{}, fmt.Errorf("core: non-positive pair count %d", cfg.Pairs)
-	}
-	if cfg.Checkpoint != nil && cfg.Observer != nil {
-		return MilgramReport{}, fmt.Errorf("core: checkpointed runs do not support observers (episode paths are not journaled)")
 	}
 	// Resolve the view once per batch: every episode of this run sees the
 	// same overlay epoch, whatever the mutation log publishes meanwhile.
@@ -455,16 +447,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 		}
 		episodes[i] = ep
 	}
-	var batchErr error
-	if cfg.Checkpoint == nil {
-		batchErr = par.ForEachWorkerCtx(ctx, len(pairs), workers, runOne)
-	} else {
-		var fatal error
-		batchErr, fatal = runCheckpointedBatches(ctx, cfg, episodes, runOne)
-		if fatal != nil {
-			return MilgramReport{}, fatal
-		}
-	}
+	batchErr := par.ForEachWorkerCtx(ctx, len(pairs), workers, runOne)
 	// A panic that escaped an episode (a buggy fault model or objective
 	// factory; protocol panics are already converted to episode errors) was
 	// contained by par: fail only this batch, with the episode named.

@@ -60,11 +60,6 @@ func runE16(cfg Config) (Table, error) {
 	runCell := func(model string, rate float64, proto core.Protocol) error {
 		mc := core.MilgramConfig{
 			Pairs: pairs, Seed: cfg.Seed + 1601, Protocol: proto, MaxHops: maxHops,
-			// With a checkpoint journal, each cell journals its episode
-			// batches under its own namespace: a killed sweep resumes at
-			// the first unfinished batch of the first unfinished cell.
-			Checkpoint:    cfg.Checkpoint,
-			CheckpointKey: fmt.Sprintf("E16/%s/%s/%s", model, fmtF2(rate), proto),
 		}
 		if model != "none" {
 			plan, err := faults.NewPlan(cfg.Seed+1602, faults.Spec{Model: model, Rate: rate})

@@ -1,14 +1,10 @@
 package expt
 
 import (
-	"context"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/ckpt"
 )
 
 // TestE16Deterministic is the table-level golden determinism check: the
@@ -79,75 +75,5 @@ func TestE16RestrictedSweep(t *testing.T) {
 		if row[0] != "none" && row[0] != "edge-drop" {
 			t.Fatalf("restricted sweep ran model %q: %v", row[0], row)
 		}
-	}
-}
-
-// TestE16CheckpointResume is the sweep-level crash contract: cancel a
-// checkpointed E16 mid-sweep, resume with the same journal, and the final
-// table renders bit-identically to an uninterrupted run.
-func TestE16CheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the chaos sweep twice")
-	}
-	e, ok := ByID("E16")
-	if !ok {
-		t.Fatal("E16 not registered")
-	}
-	base := Config{Seed: 4, Scale: 0.02, FaultModels: []string{"edge-drop"}}
-	want, err := e.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	open := func() *ckpt.Journal {
-		j, err := ckpt.Open(dir, "e16-test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-
-	// Interrupted attempt: cancel as soon as the first cells have journaled
-	// batches. The sweep aborts with the context error, leaving a part-full
-	// journal behind.
-	j := open()
-	ctx, cancel := context.WithCancel(context.Background())
-	interrupted := base
-	interrupted.Ctx = ctx
-	interrupted.Checkpoint = j
-	go func() {
-		for j.Len() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-	}()
-	if _, err := e.Run(interrupted); err == nil {
-		t.Log("cancellation landed after the sweep finished; resume degenerates to full replay")
-	}
-	journaled := j.Len()
-	j.Close()
-	cancel()
-	if journaled == 0 {
-		t.Fatal("nothing journaled before cancellation")
-	}
-
-	j2 := open()
-	defer j2.Close()
-	resumed := base
-	resumed.Checkpoint = j2
-	got, err := e.Run(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Format() != want.Format() {
-		t.Fatalf("resumed E16 table differs from uninterrupted run:\n--- want ---\n%s--- got ---\n%s",
-			want.Format(), got.Format())
-	}
-	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-		t.Fatalf("resumed E16 metrics differ: %v vs %v", want.Metrics, got.Metrics)
-	}
-	if j2.Reused() < journaled {
-		t.Fatalf("resume replayed %d records, journal held %d", j2.Reused(), journaled)
 	}
 }

@@ -88,8 +88,6 @@ func runE17(cfg Config) (Table, error) {
 			rep, err := core.RunMilgramCtx(cfg.Context(), nw, core.MilgramConfig{
 				Pairs: pairs, Seed: cfg.Seed + 1702, Protocol: proto,
 				MaxHops: maxHops, ComputeStretch: true,
-				Checkpoint:    cfg.Checkpoint,
-				CheckpointKey: fmt.Sprintf("E17/j%s-l%s/%s", fmtF2(cell.join), fmtF2(cell.leave), proto),
 			})
 			if err != nil {
 				return t, err

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/ckpt"
 	"repro/internal/plot"
 )
 
@@ -34,14 +33,6 @@ type Config struct {
 	// validated against the faults registry when the sweep builds its plans,
 	// so an unknown name fails with the registered list.
 	FaultModels []string
-	// Checkpoint, when non-nil, makes checkpoint-aware experiments (the
-	// long sweeps: E16) crash-safe: each sweep cell journals its completed
-	// episode batches through the engine, and a resumed run replays them
-	// to produce a table bit-identical to an uninterrupted run. The journal
-	// must be bound (via its manifest key) to this run's id, seed, scale
-	// and fault-model set — cmd/smallworld takes care of that. Experiments
-	// that do not checkpoint ignore it.
-	Checkpoint *ckpt.Journal
 }
 
 // Context returns the run's context, defaulting to context.Background().

@@ -49,7 +49,8 @@ type Spec struct {
 	// probability, or the noise amplitude eps of Theorem 3.5.
 	Rate float64 `json:"rate"`
 	// Retries bounds the per-forward retry budget of "msg-loss" (ignored by
-	// the other models); 0 means the model default of 1 retry.
+	// the other models); 0 means the model default of 1 retry, and at most
+	// 1024 are accepted.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -108,6 +109,11 @@ func Register(name string, b Builder) {
 	regOrder = append(regOrder, name)
 }
 
+// maxRetries caps Spec.Retries: msg-loss folds its budget into one drop
+// probability with a loop of that many steps at Bind, so a budget from a
+// request body must not be able to stall the request that carries it.
+const maxRetries = 1 << 10
+
 // New builds a fault model from its spec. The error for an unknown model
 // name lists every registered model.
 func New(spec Spec) (Model, error) {
@@ -121,8 +127,8 @@ func New(spec Spec) (Model, error) {
 	if spec.Rate < 0 || spec.Rate > 1 {
 		return nil, fmt.Errorf("faults: %s rate %g outside [0, 1]", spec.Model, spec.Rate)
 	}
-	if spec.Retries < 0 {
-		return nil, fmt.Errorf("faults: %s with negative retry budget %d", spec.Model, spec.Retries)
+	if spec.Retries < 0 || spec.Retries > maxRetries {
+		return nil, fmt.Errorf("faults: %s retry budget %d outside [0, %d]", spec.Model, spec.Retries, maxRetries)
 	}
 	return b(spec)
 }

@@ -84,6 +84,12 @@ func TestNewValidatesSpec(t *testing.T) {
 	if _, err := New(Spec{Model: "msg-loss", Rate: 0.5, Retries: -1}); err == nil {
 		t.Fatal("negative retry budget accepted")
 	}
+	if _, err := New(Spec{Model: "msg-loss", Rate: 0.5, Retries: maxRetries + 1}); err == nil {
+		t.Fatal("retry budget above the cap accepted")
+	}
+	if _, err := New(Spec{Model: "msg-loss", Rate: 0.5, Retries: maxRetries}); err != nil {
+		t.Fatalf("retry budget at the cap rejected: %v", err)
+	}
 }
 
 // collectQueries replays a fixed query sequence against a fresh episode view

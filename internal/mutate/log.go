@@ -20,7 +20,7 @@ import (
 type Config struct {
 	// Resume permits opening a directory that already holds a mutation log
 	// (the journal is replayed). Without it, an existing log refuses to
-	// open — the same explicit-resume contract as the experiment checkpoints.
+	// open, so a restart never appends to a log it did not mean to resume.
 	Resume bool
 	// CompactAt folds the overlay into a fresh snapshot once its DeltaSize
 	// (dirty + added + tombstoned vertices) reaches this threshold; 0

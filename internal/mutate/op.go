@@ -5,11 +5,11 @@
 // with a compactor that folds a grown delta into a fresh checksummed girgb
 // snapshot and starts the next journal generation atomically.
 //
-// The durability contract mirrors PR 4's checkpointing: every applied batch
-// is fsynced into the write-ahead journal before the caller sees success,
-// so a SIGKILL'd daemon replays to a bit-identical graph fingerprint on
-// restart; a torn journal tail (the crash-interrupted batch) is truncated
-// away and mid-journal bit-rot fails loudly as a classified *CorruptError.
+// The durability contract: every applied batch is fsynced into the
+// write-ahead journal before the caller sees success, so a SIGKILL'd daemon
+// replays to a bit-identical graph fingerprint on restart; a torn journal
+// tail (the crash-interrupted batch) is truncated away and mid-journal
+// bit-rot fails loudly as a classified *CorruptError.
 package mutate
 
 import (

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -325,4 +327,63 @@ func TestBatchHammerWithSwaps(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// FuzzRouteBatch feeds raw bodies to POST /route/batch: the handler never
+// panics, answers only 200, 400, 404 or 413, and a 200 carries one item per
+// request item, each with a status and, unless it delivered, a reason.
+func FuzzRouteBatch(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"items":[]}`,
+		`{"items":[{"s":0,"t":1},{"s":0,"t":1},{"s":0,"t":1},{"s":0,"t":1},{"s":0,"t":1}]}`,
+		`{"graph":"nope","items":[{"s":0,"t":1}]}`,
+		`{"items":[{"s":3,"t":99,"include_path":true},{"protocol":"phi-dfs","s":7,"t":42}]}`,
+		`{"items":[{"s":-1,"t":1},{"s":0,"t":300},{"s":1,"t":1}]}`,
+		`{"items":[{"protocol":"nope","s":0,"t":1},{"protocol":"greedy+lookahead","s":0,"t":1}]}`,
+		`{"items":[{"s":0,"t":1,"faults":[{"model":"nope","rate":0.5}]}]}`,
+		`{"items":[{"s":0,"t":1,"faults":[{"model":"edge-drop","rate":1.5}]},{"s":0,"t":1,"faults":[{"model":"edge-drop","rate":-1}]}]}`,
+		`{"items":[{"s":0,"t":1,"faults":[{"model":"crash-uniform","rate":1}]}]}`,
+		`{"items":[{"s":0,"t":1,"faults":[{"model":"msg-loss","rate":0.9,"retries":-1}]}]}`,
+		`{"items":[{"s":0,"t":1,"faults":[{"model":"msg-loss","rate":0.9,"retries":9000000000000000000}]}]}`,
+		`{"items":[{"s":0,"t":1,"faults":"edge-drop"}]}`,
+		`{"items":[{"s":1e30,"t":1}]}`,
+		`{"items":[{"s":0,"t":1}]`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := New(Config{MaxBatch: 4, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s.AddNetwork("", testNetwork(f, 300, 5))
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/route/batch", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+		var req BatchRouteRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
+		}
+		var resp BatchRouteResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 body does not decode: %v: %s", err, rec.Body)
+		}
+		if len(resp.Items) != len(req.Items) {
+			t.Fatalf("%d items answered for %d asked: %q", len(resp.Items), len(req.Items), body)
+		}
+		for i, it := range resp.Items {
+			if it.Status == 0 {
+				t.Fatalf("item %d has no status: %+v", i, it)
+			}
+			if !it.Success && it.Error == "" && it.Failure == "" {
+				t.Fatalf("item %d failed without a reason: %+v", i, it)
+			}
+		}
+	})
 }
