@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // corpusBatch is the deterministic batch every fuzz seed derives from: one
@@ -156,6 +160,78 @@ func FuzzSegmentImport(f *testing.F) {
 		defer resumed.Close()
 		if got := resumed.Fingerprint(); got != live {
 			t.Fatalf("resumed fingerprint %016x, live log %016x", got, live)
+		}
+	})
+}
+
+// FuzzJournal is the journal file's contract: arbitrary bytes as
+// journal.wal, then open. Opening must not panic, and must allocate no more
+// than the file, its per-record index and one growth step, whatever the
+// length words claim; its error must be nil, a *CorruptError or an I/O
+// error; the file it leaves is a prefix of the input (a torn tail cut off);
+// and every record it accepts re-encodes to bytes of that prefix.
+func FuzzJournal(f *testing.F) {
+	dir := f.TempDir()
+	j, err := openJournal(dir, "fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := EncodeBatch(corpusBatch())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for seq, p := range [][]byte{valid, valid[:5], valid} {
+		if err := j.put(seq, p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	j.close()
+	journal, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(journal)
+	f.Add(journal[:len(journal)-7])
+	flipped := bytes.Clone(journal)
+	flipped[6] ^= 0x10 // the first record's payload length
+	f.Add(flipped)
+
+	// Each fuzz process runs the inputs one at a time, so they can share the
+	// directory and its MANIFEST.
+	path := filepath.Join(dir, journalName)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		j, err := openJournal(dir, "fuzz")
+		runtime.ReadMemStats(&after)
+		// A record is at least 22 bytes (two length words, a 10-byte key, a
+		// CRC); the index spends a few words per record on it.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(data))+64<<10 {
+			t.Fatalf("opening a %d-byte journal allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			var ce *CorruptError
+			var pe *fs.PathError
+			if !errors.As(err, &ce) && !errors.As(err, &pe) {
+				t.Fatalf("open error is neither a *CorruptError nor an I/O error: %v", err)
+			}
+			return
+		}
+		j.close()
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("open left %x, not a prefix of %x", kept, data)
+		}
+		for seq, p := range j.payloads {
+			if rec := frame.Append(nil, []byte(batchKey(seq)), p); !bytes.Contains(kept, rec) {
+				t.Fatalf("batch %d re-encodes to %x, which the journal does not hold", seq, rec)
+			}
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/atomicio"
-	"repro/internal/ckpt"
 	"repro/internal/graph"
 	"repro/internal/graphio"
 )
@@ -26,9 +25,6 @@ type Config struct {
 	// (dirty + added + tombstoned vertices) reaches this threshold; 0
 	// disables automatic compaction (Compact can still be called directly).
 	CompactAt int
-	// SyncEvery is passed to the journal: fsync after every k batches
-	// (default 1 — every acknowledged batch is durable).
-	SyncEvery int
 	// OnApply, if set, is called with each newly published overlay, under
 	// the log's lock — it must publish-and-return, not call back into the
 	// Log.
@@ -78,7 +74,7 @@ type Log struct {
 	ov      *graph.Overlay
 	gen     int
 	seq     int // next batch sequence number in this generation
-	journal *ckpt.Journal
+	journal *journal
 
 	batches     uint64
 	opsApplied  uint64
@@ -187,16 +183,12 @@ func Open(dir string, base *graph.Graph, cfg Config) (*Log, error) {
 		return nil, fmt.Errorf("mutate: %w", err)
 	}
 
-	l.journal, err = ckpt.Open(
-		filepath.Join(dir, genDirName(l.gen)),
-		journalKey(l.base.Fingerprint(), l.gen),
-		ckpt.Options{SyncEvery: cfg.SyncEvery},
-	)
+	l.journal, err = openJournal(filepath.Join(dir, genDirName(l.gen)), journalKey(l.base.Fingerprint(), l.gen))
 	if err != nil {
 		return nil, err
 	}
 	if err := l.replay(); err != nil {
-		l.journal.Close()
+		l.journal.close()
 		return nil, err
 	}
 	l.sweepStale()
@@ -235,12 +227,7 @@ func writeCurrent(dir string, cur current) error {
 // serving a silently different graph.
 func (l *Log) replay() error {
 	l.ov = graph.NewOverlay(l.base)
-	for seq := 0; ; seq++ {
-		payload, ok := l.journal.Get(batchKey(seq))
-		if !ok {
-			l.seq = seq
-			return nil
-		}
+	for seq, payload := range l.journal.payloads {
 		ops, err := DecodeBatch(payload)
 		if err != nil {
 			return fmt.Errorf("mutate: generation %d batch %d: %w", l.gen, seq, err)
@@ -252,6 +239,8 @@ func (l *Log) replay() error {
 		l.ov = e.Finish()
 		l.replayed++
 	}
+	l.seq = len(l.journal.payloads)
+	return nil
 }
 
 // sweepStale removes generation directories and snapshots other than the
@@ -322,10 +311,10 @@ func (l *Log) Stats() Stats {
 }
 
 // Apply validates, journals and publishes one batch, in that order: a batch
-// is acknowledged only after its canonical encoding is in the write-ahead
-// journal (fsynced under the default SyncEvery), and it becomes visible to
-// routing only after that — all-or-nothing. Validation failures return an
-// *OpError (the serving layer's 422) with the live graph untouched.
+// is acknowledged only after its canonical encoding is fsynced into the
+// write-ahead journal, and it becomes visible to routing only after that —
+// all-or-nothing. Validation failures return an *OpError (the serving
+// layer's 422) with the live graph untouched.
 func (l *Log) Apply(ops []Op) (Applied, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -353,7 +342,7 @@ func (l *Log) Apply(ops []Op) (Applied, error) {
 		l.rejected++
 		return Applied{}, err
 	}
-	if err := l.journal.Put(batchKey(l.seq), payload); err != nil {
+	if err := l.journal.put(l.seq, payload); err != nil {
 		return Applied{}, fmt.Errorf("mutate: journal append: %w", err)
 	}
 	l.ov = e.Finish()
@@ -448,9 +437,9 @@ func (l *Log) compact() error {
 	// Phase 3: commit.
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	abort := func(nj *ckpt.Journal, err error) error {
+	abort := func(nj *journal, err error) error {
 		if nj != nil {
-			nj.Close()
+			nj.close()
 		}
 		os.RemoveAll(filepath.Join(l.dir, genDirName(newGen)))
 		os.Remove(snapPath)
@@ -458,7 +447,7 @@ func (l *Log) compact() error {
 	}
 	gdir := filepath.Join(l.dir, genDirName(newGen))
 	os.RemoveAll(gdir) // leftovers of an earlier failed compaction
-	nj, err := ckpt.Open(gdir, journalKey(newBase.Fingerprint(), newGen), ckpt.Options{SyncEvery: l.cfg.SyncEvery})
+	nj, err := openJournal(gdir, journalKey(newBase.Fingerprint(), newGen))
 	if err != nil {
 		return abort(nil, fmt.Errorf("mutate: compact: %w", err))
 	}
@@ -468,11 +457,11 @@ func (l *Log) compact() error {
 	// edge set the tail was validated against, with stable vertex ids.
 	nov := graph.NewOverlay(newBase)
 	for seq := upTo; seq < l.seq; seq++ {
-		payload, ok := l.journal.Get(batchKey(seq))
+		payload, ok := l.journal.get(seq)
 		if !ok {
 			return abort(nj, fmt.Errorf("mutate: compact: batch %d missing from generation %d", seq, oldGen))
 		}
-		if err := nj.Put(batchKey(seq-upTo), payload); err != nil {
+		if err := nj.put(seq-upTo, payload); err != nil {
 			return abort(nj, fmt.Errorf("mutate: compact: %w", err))
 		}
 		ops, err := DecodeBatch(payload)
@@ -485,9 +474,6 @@ func (l *Log) compact() error {
 		}
 		nov = e.Finish()
 	}
-	if err := nj.Sync(); err != nil {
-		return abort(nj, fmt.Errorf("mutate: compact: %w", err))
-	}
 	if err := writeCurrent(l.dir, current{
 		Version:    currentVersion,
 		Generation: newGen,
@@ -498,7 +484,7 @@ func (l *Log) compact() error {
 	}
 	// Committed. Retirement of the old generation is best-effort — sweepStale
 	// finishes the job on the next open if anything below fails.
-	l.journal.Close()
+	l.journal.close()
 	os.RemoveAll(filepath.Join(l.dir, genDirName(oldGen)))
 	os.Remove(filepath.Join(l.dir, snapName(oldGen)))
 	tail := l.seq - upTo
@@ -529,5 +515,5 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	j := l.journal
 	l.mu.Unlock()
-	return j.Close()
+	return j.close()
 }

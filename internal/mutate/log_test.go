@@ -285,7 +285,7 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated mirrors the ckpt contract at this layer: a crash
+// TestTornTailTruncated mirrors the journal contract at this layer: a crash
 // mid-append leaves a torn final record, and resume must serve the longest
 // intact prefix rather than refuse or mis-apply.
 func TestTornTailTruncated(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package mutate turns the frozen snapshot store into a living graph: a
 // batched mutation log (add/remove vertex, add/remove edge) journaled
-// through internal/ckpt before a batch becomes visible, applied as
+// as internal/frame records before a batch becomes visible, applied as
 // copy-on-write graph.Overlay generations over the immutable base snapshot,
 // with a compactor that folds a grown delta into a fresh checksummed girgb
 // snapshot and starts the next journal generation atomically.
@@ -61,17 +61,24 @@ func (e *OpError) Error() string {
 
 func (e *OpError) Unwrap() error { return e.Err }
 
-// CorruptError reports undecodable journal bytes: record payloads that are
-// not a well-formed mutation batch. Offset is the byte offset inside the
-// payload. The decoder returns it for every malformed input — arbitrary
-// bytes never panic it and never make it allocate unboundedly (FuzzMutationLog
-// enforces both).
+// CorruptError reports journal bytes that are not what was written. With a
+// Path it is a damaged journal file — a record that is cut short or fails
+// its checksum while an intact record follows it (bit rot, not a crash), or
+// one whose key is out of sequence — and Offset is the record's byte offset
+// in the file (FuzzJournal). Without one it is a record payload that is not
+// a well-formed mutation batch, and Offset is the byte offset inside the
+// payload: the decoder returns it for every malformed input, never panics
+// and never allocates unboundedly (FuzzMutationLog).
 type CorruptError struct {
+	Path   string
 	Offset int64
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
+	if e.Path != "" {
+		return fmt.Sprintf("mutate: corrupt journal %s: %s (offset %d)", e.Path, e.Reason, e.Offset)
+	}
 	return fmt.Sprintf("mutate: corrupt batch at offset %d: %s", e.Offset, e.Reason)
 }
 
@@ -79,7 +86,7 @@ func corruptf(off int64, format string, args ...interface{}) error {
 	return &CorruptError{Offset: off, Reason: fmt.Sprintf(format, args...)}
 }
 
-// Binary batch layout (inside one ckpt record payload, which already
+// Binary batch layout (inside one journal record's payload, which already
 // carries its own length prefix and CRC):
 //
 //	u8  version (1)

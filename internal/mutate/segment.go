@@ -156,7 +156,7 @@ func (l *Log) Export(baseFP string, generation, from, max int) (Segment, error) 
 	}
 	seg := Segment{BaseFP: baseFP, Generation: l.gen, From: from}
 	for seq := from; seq < l.seq && len(seg.Batches) < max; seq++ {
-		payload, ok := l.journal.Get(batchKey(seq))
+		payload, ok := l.journal.get(seq)
 		if !ok {
 			return Segment{}, fmt.Errorf("mutate: batch %d missing from generation %d", seq, l.gen)
 		}
@@ -197,7 +197,7 @@ func (l *Log) Import(seg Segment) (applied int, err error) {
 	for i, payload := range seg.Batches {
 		seq := seg.From + i
 		if seq < l.seq {
-			if held, ok := l.journal.Get(batchKey(seq)); !ok || !bytes.Equal(held, payload) {
+			if held, ok := l.journal.get(seq); !ok || !bytes.Equal(held, payload) {
 				return applied, &SyncError{Field: "batch", Want: fmt.Sprintf("batch %d as journaled here", seq), Got: "divergent payload"}
 			}
 			continue
@@ -212,7 +212,7 @@ func (l *Log) Import(seg Segment) (applied int, err error) {
 			// apply here means the two logs do not share a history.
 			return applied, &SyncError{Field: "batch", Want: fmt.Sprintf("batch %d to apply", seq), Got: err.Error()}
 		}
-		if err := l.journal.Put(batchKey(seq), payload); err != nil {
+		if err := l.journal.put(seq, payload); err != nil {
 			return applied, fmt.Errorf("mutate: journal append: %w", err)
 		}
 		l.ov = e.Finish()

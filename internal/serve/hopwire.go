@@ -6,20 +6,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
 // This file is the hop wire (DESIGN §10): a forward is one frame each way on a
 // persistent stream upgraded from POST /cluster/hop on the peer's own
-// listener. A frame is `u32 length | payload | u32 CRC-32 (IEEE, of both)`,
-// little-endian — a ckpt journal record without the key — and a payload is
-// `i64… | str… | u32 path vertex…`, a str being a u16 length and its bytes:
+// listener. A frame is an internal/frame record of one part (`u32 length |
+// payload | u32 CRC-32`, little-endian), and a payload is `i64… | str… | u32
+// path vertex…`, a str being a u16 length and its bytes:
 //
 //	request  s, t, budget µs, depth | graph, request id, traceparent
 //	reply    status, success, stuck, moves, forwards, hedges, failovers |
@@ -34,45 +35,33 @@ const (
 var errHopFrame = errors.New("serve: malformed hop frame")
 
 // readFrame reads one frame into *buf and returns its payload, a view into
-// it. The buffer grows as bytes arrive, never from the claimed length. Any
-// error (a length over limit, a checksum mismatch) means framing is lost:
-// close the stream.
+// it. Any error (a length over limit, a checksum mismatch) means framing is
+// lost: close the stream.
 func readFrame(r io.Reader, buf *[]byte, limit int) ([]byte, error) {
-	b := append((*buf)[:0], 0, 0, 0, 0)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if n > limit {
-		return nil, fmt.Errorf("serve: hop frame of %d bytes exceeds the %d-byte cap", n, limit)
-	}
-	for len(b) < n+8 {
-		off := len(b)
-		b = append(b, make([]byte, min(n+8-off, 64<<10))...)
-		if _, err := io.ReadFull(r, b[off:]); err != nil {
-			return nil, err
-		}
-	}
-	if *buf = b; crc32.ChecksumIEEE(b[:n+4]) != binary.LittleEndian.Uint32(b[n+4:]) {
-		return nil, errors.New("serve: hop frame checksum mismatch")
-	}
-	return b[4 : n+4], nil
+	var p [1][]byte
+	err := frame.Read(r, buf, p[:], limit)
+	return p[0], err
 }
 
-// appendFrame encodes one frame into b[:0].
+// appendFrame encodes one frame into b[:0]. The payload is built in b and
+// framed behind itself, then the frame moves to the front: a stream's one
+// buffer serves both, and grows at most once per call.
 func appendFrame(b []byte, ints []int64, strs []string, path []int) []byte {
-	b = append(b[:0], 0, 0, 0, 0)
+	n := 8*len(ints) + 4*len(path)
+	for _, s := range strs {
+		n += 2 + len(s)
+	}
+	p := slices.Grow(b[:0], 2*n+8)
 	for _, v := range ints {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		p = binary.LittleEndian.AppendUint64(p, uint64(v))
 	}
 	for _, s := range strs {
-		b = append(binary.LittleEndian.AppendUint16(b, uint16(len(s))), s...)
+		p = append(binary.LittleEndian.AppendUint16(p, uint16(len(s))), s...)
 	}
 	for _, v := range path {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		p = binary.LittleEndian.AppendUint32(p, uint32(v))
 	}
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return append(p[:0], frame.Append(p[len(p):], p)...)
 }
 
 // decodeFrame fills ints and strs from a payload and returns the rest, the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -670,5 +671,38 @@ func TestHopStreamsReleased(t *testing.T) {
 				open, now, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestHopFrameGoldenBytes pins one request frame and one reply frame byte for
+// byte (`u32 payload length | payload | u32 CRC-32`, payloads as the hop
+// wire's header comment lays them out). The codec tests above are round
+// trips and cannot see a format change; this can. It must pass unedited
+// across refactors.
+func TestHopFrameGoldenBytes(t *testing.T) {
+	for name, c := range map[string]struct {
+		frame  []byte
+		golden string
+	}{
+		"request": {
+			appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99, Depth: 1}, 300, "rid-1", ""),
+			"32000000" + // payload length
+				"0300000000000000" + "6300000000000000" + "2c01000000000000" + "0100000000000000" + // s, t, budget µs, depth
+				"0700" + "64656661756c74" + "0500" + "7269642d31" + "0000" + // graph, request id, traceparent
+				"d85e822c", // CRC-32
+		},
+		"reply": {
+			appendHopReply(nil, 200, &HopResponse{Success: true, Path: []int{3, 17, 99}, Moves: 2, Forwards: 1}, ""),
+			"46000000" + // payload length
+				"c800000000000000" + "0100000000000000" + "0000000000000000" + "0200000000000000" + // status, success, stuck, moves
+				"0100000000000000" + "0000000000000000" + "0000000000000000" + // forwards, hedges, failovers
+				"0000" + // failure
+				"03000000" + "11000000" + "63000000" + // path
+				"7328e2a8", // CRC-32
+		},
+	} {
+		if got := hex.EncodeToString(c.frame); got != c.golden {
+			t.Errorf("%s frame bytes changed:\n got %s\nwant %s", name, got, c.golden)
+		}
 	}
 }
