@@ -13,8 +13,9 @@ import (
 )
 
 // Node is one daemon's shard map: the graph it serves, the deep Morton code
-// of every vertex, the ownership mask of the local prefix, and the
-// membership view that resolves which peer owns a foreign vertex.
+// of every vertex, the mask of vertices it routes locally (the local
+// prefix's Morton share ∪ the graph's core), and the membership view that
+// resolves which peer owns a foreign vertex.
 type Node struct {
 	self    Peer
 	prefix  torus.Prefix
@@ -59,6 +60,13 @@ func NewNode(g *graph.Graph, prefix torus.Prefix, id string, cfg Config) (*Node,
 	if n.ownedN == 0 {
 		return nil, fmt.Errorf("cluster: shard %q owns no vertices of this snapshot", prefix.String())
 	}
+	// Every shard holds the whole snapshot and walks it with the same
+	// scores, so routing the core locally everywhere keeps stitched paths
+	// bit-identical; a walk exits only at a vertex outside owned, so
+	// OwnersOf is never asked about a core vertex.
+	for _, v := range graph.Core(g) {
+		owned[v] = true
+	}
 	cfg.Self = n.self
 	n.members = NewMembership(cfg)
 	return n, nil
@@ -89,14 +97,16 @@ func (n *Node) Graph() *graph.Graph { return n.g }
 // Members returns the membership view.
 func (n *Node) Members() *Membership { return n.members }
 
-// Owned reports whether vertex v belongs to the local shard.
+// Owned reports whether the local shard routes vertex v locally (Morton
+// share ∪ core).
 func (n *Node) Owned(v int) bool { return n.owned[v] }
 
-// OwnedMask exposes the ownership mask for the partial router; callers must
-// not modify it.
+// OwnedMask exposes the mask of vertices the local shard routes locally
+// (Morton share ∪ core) for the partial router; callers must not modify it.
 func (n *Node) OwnedMask() []bool { return n.owned }
 
-// OwnedCount returns the number of vertices the local shard owns.
+// OwnedCount returns the number of vertices in the local shard's Morton
+// share; over the shards of a partition the counts sum to n.
 func (n *Node) OwnedCount() int { return n.ownedN }
 
 // OwnersOf resolves every routable replica of the shard owning vertex v:

@@ -106,6 +106,78 @@ func TestNodePartition(t *testing.T) {
 	}
 }
 
+// TestNodeRoutesCore checks every shard routes the core locally while
+// OwnedCount stays the Morton share: the counts still sum to n, a vertex
+// outside the core is routed by its Morton owner alone, and OwnersOf still
+// resolves a core vertex to the one shard whose prefix matches it.
+func TestNodeRoutesCore(t *testing.T) {
+	base := testGraph(t, 300)
+	// Vertices 0..4 are the heavy clique; 5 is next in order and misses 0.
+	w := make([]float64, base.N())
+	for v := range w {
+		w[v] = 1
+		if v < 5 {
+			w[v] = float64(100 - v)
+		}
+	}
+	b, err := graph.NewBuilder(base.N(), base.Positions(), w, float64(base.N()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 5; v++ {
+		for u := 0; u < v; u++ {
+			b.AddEdge(u, v)
+		}
+	}
+	for v := 5; v < base.N(); v++ {
+		b.AddEdge(v-1, v)
+	}
+	g := b.Finish()
+	if core := graph.Core(g); len(core) != 5 {
+		t.Fatalf("core %v, want vertices 0..4", core)
+	}
+
+	clk := newFakeClock()
+	specs := []string{"0", "10", "11"}
+	nodes := make([]*Node, len(specs))
+	total := 0
+	for i, spec := range specs {
+		n, err := NewNode(g, mustPrefix(t, spec), fmt.Sprintf("n%d:1", i), Config{Now: clk.now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		total += n.OwnedCount()
+	}
+	if total != g.N() {
+		t.Fatalf("shards own %d vertices total, want %d", total, g.N())
+	}
+	for _, n := range nodes {
+		for _, p := range nodes {
+			if p != n {
+				n.Members().Add(p.Self())
+			}
+		}
+	}
+	codes, bits, err := graph.MortonCodes(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < g.N(); v++ {
+		for _, n := range nodes {
+			morton := n.Shard().Matches(codes[v], bits)
+			if n.Owned(v) != (morton || v < 5) {
+				t.Fatalf("node %s: Owned(%d) = %v, Morton share %v", n.Self().ID, v, n.Owned(v), morton)
+			}
+			if v < 5 && !morton {
+				if peers := n.OwnersOf(v); len(peers) != 1 || !mustPrefix(t, peers[0].Shard).Matches(codes[v], bits) {
+					t.Fatalf("node %s resolved core vertex %d to %v", n.Self().ID, v, peers)
+				}
+			}
+		}
+	}
+}
+
 // TestOwnersOfExcludesMismatchedFingerprint checks a peer serving a
 // different snapshot is never resolved as an owner.
 func TestOwnersOfExcludesMismatchedFingerprint(t *testing.T) {

@@ -120,7 +120,9 @@ func spanKey(sp obs.PhaseSpan) string {
 // plus the stitched traces.
 func tracedWorkload(t *testing.T, seed uint64) ([]string, map[string]*stitchedTrace, int) {
 	t.Helper()
-	nw := testNetwork(t, 600, 11)
+	// The cluster-hop fixture: on it 5 of the 30 walks below cross a shard
+	// boundary after their climb into the core (on n = 600 none does).
+	nw := testNetwork(t, 2000, 11)
 	daemons := newTracedCluster(t, nw, []replicaSpec{{"0", 0}, {"10", 0}, {"11", 0}},
 		Config{RequestTimeout: 5 * time.Second}, cluster.Config{Seed: seed})
 
