@@ -302,9 +302,8 @@ func run(args []string, ready chan<- string) error {
 				})
 			}
 		}
-		srv.EnableCluster(node, &http.Client{})
-		transport := cluster.NewHTTPTransport(*gossipInt)
-		go node.RunGossip(ctx, *gossipInt, transport, logger)
+		srv.EnableCluster(node, nil)
+		go node.RunGossip(ctx, *gossipInt, srv, logger)
 		logger.Info("cluster mode", "shard", prefix.String(), "self", self,
 			"replica", *replica, "owned_vertices", node.OwnedCount(),
 			"seed_peers", len(node.Members().Snapshot()),

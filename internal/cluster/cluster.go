@@ -27,9 +27,10 @@
 //     (cmd/route -server a,b,c and cmd/loadgen), so query load spreads
 //     deterministically across entry daemons.
 //
-// The package is transport-agnostic: the serving layer (internal/serve)
-// supplies the HTTP transport and the hop-forwarding path with its per-peer
-// circuit breakers; tests drive Membership with a fake clock and an
+// The package is transport-agnostic and imports no net/http: the serving
+// layer (internal/serve) supplies the gossip Transport — the one peer call
+// its journal ships, segment pulls and metrics scrapes share — and the
+// hop-forwarding path with its per-peer circuit breakers; tests drive Membership with a fake clock and an
 // in-memory transport, bit-identical at any GOMAXPROCS.
 package cluster
 

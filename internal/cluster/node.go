@@ -222,6 +222,9 @@ func (n *Node) ReplicaLags(epoch uint64, generation int) []ReplicaLag {
 }
 
 // Transport carries one gossip exchange to a peer and returns its answer.
+// The serving layer's *serve.Server is the production transport: it posts
+// the exchange to the peer's /cluster/gossip on the cluster client every
+// other peer call uses.
 type Transport interface {
 	Exchange(ctx context.Context, peer Peer, req GossipRequest) (GossipResponse, error)
 }
@@ -239,16 +242,13 @@ func GossipPhase(id string, interval time.Duration) time.Duration {
 	return time.Duration(xrand.Hash64(xrand.HashString(id), uint64(interval)) % uint64(interval))
 }
 
-// RunGossip drives the push/pull loop until ctx is done: after a
-// deterministic per-peer phase offset (GossipPhase), every interval it
-// ticks the membership round, pushes the bounded view to that round's
-// deterministic peer sample, and merges each answer. Exchange failures
-// strike the peer; the failure detector does the rest.
-func (n *Node) RunGossip(ctx context.Context, interval time.Duration, t Transport, logger *slog.Logger) {
-	if logger == nil {
-		logger = slog.Default()
-	}
-	if phase := GossipPhase(n.self.ID, interval); phase > 0 {
+// Every runs fn every interval until ctx is done, the first time one
+// interval after id's GossipPhase offset. It is the cadence of every
+// background loop a daemon runs against its peers — gossip here, the serving
+// layer's anti-entropy — so a co-started fleet spreads each loop's traffic
+// instead of firing in lockstep.
+func Every(ctx context.Context, id string, interval time.Duration, fn func()) {
+	if phase := GossipPhase(id, interval); phase > 0 {
 		timer := time.NewTimer(phase)
 		select {
 		case <-ctx.Done():
@@ -264,11 +264,28 @@ func (n *Node) RunGossip(ctx context.Context, interval time.Duration, t Transpor
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
+			fn()
 		}
+	}
+}
+
+// RunGossip drives the push/pull loop until ctx is done: on the Every
+// cadence it ticks the membership round, pushes the bounded view to that
+// round's deterministic peer sample, and merges each answer. Each exchange
+// is bounded by the interval, so a peer that never answers costs one round,
+// not the loop. Exchange failures strike the peer; the failure detector
+// does the rest.
+func (n *Node) RunGossip(ctx context.Context, interval time.Duration, t Transport, logger *slog.Logger) {
+	if logger == nil {
+		logger = slog.Default()
+	}
+	Every(ctx, n.self.ID, interval, func() {
 		targets := n.members.Tick()
 		view := n.members.View()
 		for _, target := range targets {
-			resp, err := t.Exchange(ctx, target, GossipRequest{From: n.Self(), View: view})
+			ectx, cancel := context.WithTimeout(ctx, interval)
+			resp, err := t.Exchange(ectx, target, GossipRequest{From: n.Self(), View: view})
+			cancel()
 			if err != nil {
 				n.members.ReportFailure(target.ID)
 				logger.Debug("gossip exchange failed", "peer", target.ID, "err", err)
@@ -276,5 +293,5 @@ func (n *Node) RunGossip(ctx context.Context, interval time.Duration, t Transpor
 			}
 			n.members.Receive(resp.Self, resp.View)
 		}
-	}
+	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -40,16 +41,86 @@ const maxHopDepth = 16
 type peerKey struct{ peer, graph string }
 
 // EnableCluster installs the shard map and starts answering /cluster/hop
-// and /cluster/gossip. client carries the cluster's HTTP calls — journal
-// ships, segment pulls, metrics federation; hops ride their own streams —
-// and may be nil (a default client; deadlines bound every call). Call before
-// serving — the field is not synchronized against in-flight requests.
+// and /cluster/gossip. client carries every HTTP call this daemon makes to a
+// peer — gossip exchanges, journal ships, segment pulls, metrics scrapes,
+// all through peerCall; hops ride their own streams — and may be nil (a
+// default client; deadlines bound every call). Call before serving — the
+// field is not synchronized against in-flight requests.
 func (s *Server) EnableCluster(node *cluster.Node, client *http.Client) {
 	if client == nil {
 		client = &http.Client{}
 	}
 	s.clusterNode = node
 	s.clusterClient = client
+}
+
+// peerCall is the one HTTP exchange this daemon makes with a peer outside
+// the hop streams. It sends req as a JSON POST to http://<peer.ID><path> (a
+// GET when req is nil) on the cluster client, with the request id and, when
+// tp is non-empty, the sender's span in the Traceparent header. The call is
+// bounded by ctx's deadline, or by RequestTimeout when ctx has none. The body
+// of a 200 or 409 answer (409s carry positions on the replication endpoints)
+// is handed to read under a limit-byte cap; the rest of any body is drained
+// so the connection is reused. It returns the peer's status.
+func (s *Server) peerCall(ctx context.Context, peer cluster.Peer, path string, req any, tp string, limit int64, read func(io.Reader) error) (int, error) {
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	method, body := http.MethodGet, io.Reader(nil)
+	if req != nil {
+		b, err := json.Marshal(req)
+		if err != nil {
+			return 0, err
+		}
+		method, body = http.MethodPost, bytes.NewReader(b)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, "http://"+peer.ID+path, body)
+	if err != nil {
+		return 0, err
+	}
+	if req != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
+	if id := obs.RequestID(ctx); id != "" {
+		hreq.Header.Set("X-Request-ID", id)
+	}
+	if tp != "" {
+		hreq.Header.Set(obs.TraceHeader, tp)
+	}
+	hresp, err := s.clusterClient.Do(hreq)
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<16))
+		hresp.Body.Close()
+	}()
+	if hresp.StatusCode == http.StatusOK || hresp.StatusCode == http.StatusConflict {
+		return hresp.StatusCode, read(io.LimitReader(hresp.Body, limit))
+	}
+	return hresp.StatusCode, nil
+}
+
+// decodeInto is the peerCall reader of a JSON answer: it decodes into v.
+func decodeInto(v any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(v) }
+}
+
+// Exchange implements cluster.Transport over peerCall: one push/pull round
+// trip with peer's /cluster/gossip, bounded by ctx (RunGossip gives each
+// exchange its interval).
+func (s *Server) Exchange(ctx context.Context, peer cluster.Peer, req cluster.GossipRequest) (cluster.GossipResponse, error) {
+	var resp cluster.GossipResponse
+	status, err := s.peerCall(ctx, peer, "/cluster/gossip", req, "", 1<<20, decodeInto(&resp))
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("status %d", status)
+	}
+	if err != nil {
+		return resp, fmt.Errorf("gossip %s: %w", peer.ID, err)
+	}
+	return resp, nil
 }
 
 // PeerBreaker exposes the (peer, graph) forward breaker, creating it on
@@ -422,8 +493,7 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 		s.serveHopStream(w, r)
 	default:
 		var req HopRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+		if !decodeBody(w, r, 64<<10, &req) {
 			return
 		}
 		es := episodePool.Get().(*episodeState)
@@ -527,8 +597,7 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.GossipRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+	if !decodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	view := node.Members().Receive(req.From, req.View)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -93,40 +94,18 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// scrapePeer fetches and parses one peer's /metrics, bounded by the server's
-// request timeout.
+// scrapePeer fetches and parses one peer's /metrics over peerCall.
 func (s *Server) scrapePeer(ctx context.Context, peer cluster.Peer) fedScrape {
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet,
-		"http://"+peer.ID+"/metrics", nil)
-	if err != nil {
-		return fedScrape{err: err}
+	var fams []*obs.PromFamily
+	status, err := s.peerCall(ctx, peer, "/metrics", nil, "", 32<<20, func(r io.Reader) (err error) {
+		fams, err = obs.ParseExposition(r)
+		return err
+	})
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("peer %s answered /metrics with status %d", peer.ID, status)
 	}
-	resp, err := s.clusterClient.Do(req)
-	if err != nil {
-		return fedScrape{err: err}
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fedScrape{err: &scrapeStatusError{peer: peer.ID, status: resp.StatusCode}}
-	}
-	fams, err := obs.ParseExposition(io.LimitReader(resp.Body, 32<<20))
 	if err != nil {
 		return fedScrape{err: err}
 	}
 	return fedScrape{inst: obs.Instance{Name: peer.ID, Families: fams}}
-}
-
-// scrapeStatusError reports a peer that answered /metrics with a non-200.
-type scrapeStatusError struct {
-	peer   string
-	status int
-}
-
-func (e *scrapeStatusError) Error() string {
-	return "peer " + e.peer + " answered /metrics with status " + http.StatusText(e.status)
 }

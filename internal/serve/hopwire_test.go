@@ -299,8 +299,8 @@ func TestHopFrameBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversize JSON body: status %d, want 400", hresp.StatusCode)
+	if hresp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize JSON body: status %d, want 413", hresp.StatusCode)
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/torus"
 )
 
 // blackhole is a two-sided network partition for tests: every cluster call
@@ -159,7 +162,11 @@ func TestPartitionNoSplitBrain(t *testing.T) {
 	// replica contacts the primary (direct revival on the primary's side) and
 	// learns the primary's live position from the answer.
 	view := replica.node.Members().View()
-	gr := postGossip(t, replica, primary, view)
+	gr, err := replica.srv.Exchange(context.Background(), primary.node.Self(),
+		cluster.GossipRequest{From: replica.node.Self(), View: view})
+	if err != nil {
+		t.Fatalf("gossip %s -> %s: %v", replica.addr, primary.addr, err)
+	}
 	replica.node.Members().Receive(gr.Self, gr.View)
 	if st := primary.srv.Stats().Cluster.Peers[replica.addr]; st != "alive" {
 		t.Fatalf("direct contact did not revive the replica on the primary: %s", st)
@@ -182,17 +189,68 @@ func TestPartitionNoSplitBrain(t *testing.T) {
 	}
 }
 
-// postGossip performs one push/pull gossip exchange from d to peer over the
-// partition-aware transport, failing the test on a transport error.
-func postGossip(t *testing.T, d, peer *replicaDaemon, view []cluster.Peer) cluster.GossipResponse {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	var resp cluster.GossipResponse
-	status, err := d.srv.postPeerJSON(ctx, peer.node.Self(), "/cluster/gossip",
-		cluster.GossipRequest{From: d.node.Self(), View: view}, &resp, "")
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("gossip %s -> %s: status %d err %v", d.addr, peer.addr, status, err)
+// TestGossipOverPeerClient runs the gossip loop cmd/smallworldd runs: the
+// server is the transport, so exchanges ride the cluster client like every
+// other peer call. Daemon a is seeded with b's bare address, as the -peers
+// flag does, and b with nothing; a few rounds later each knows the other's
+// shard. Then the blackhole cuts them, every exchange fails, and the strikes
+// take each peer down on the other side.
+func TestGossipOverPeerClient(t *testing.T) {
+	nw := testNetwork(t, 100, 9)
+	bh := newBlackhole()
+	daemons := make([]*shardDaemon, 2)
+	for i, spec := range []string{"0", "1"} {
+		srv := New(Config{RequestIDSalt: uint64(i + 1)})
+		srv.AddNetwork(DefaultGraph, nw)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		addr := strings.TrimPrefix(ts.URL, "http://")
+		p, err := torus.ParsePrefix(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := cluster.NewNode(nw.Graph, p, addr, cluster.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.EnableCluster(node, &http.Client{Transport: &bhTransport{bh: bh, self: addr}})
+		daemons[i] = &shardDaemon{srv: srv, ts: ts, node: node, addr: addr}
 	}
-	return resp
+	a, b := daemons[0], daemons[1]
+	a.node.Members().Add(cluster.Peer{ID: b.addr, Fingerprint: b.node.Self().Fingerprint})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, d := range daemons {
+		wg.Add(1)
+		go func(d *shardDaemon) {
+			defer wg.Done()
+			d.node.RunGossip(ctx, 10*time.Millisecond, d.srv, nil)
+		}(d)
+	}
+	t.Cleanup(func() { cancel(); wg.Wait() })
+
+	// waitPeer polls d's membership until peer id is known in state with
+	// shard, or fails the test.
+	waitPeer := func(d *shardDaemon, id, shard, state string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			for _, ps := range d.node.Members().Snapshot() {
+				if ps.Peer.ID == id && ps.Peer.Shard == shard && ps.StateS == state {
+					return
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never saw %s on shard %q %s: %+v", d.addr, id, shard, state, d.node.Members().Snapshot())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitPeer(a, b.addr, "1", "alive")
+	waitPeer(b, a.addr, "0", "alive")
+
+	bh.Partition(a.addr, b.addr)
+	waitPeer(a, b.addr, "1", "down")
+	waitPeer(b, a.addr, "0", "down")
 }

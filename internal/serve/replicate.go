@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -87,8 +84,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	rt := s.startHopTrace(r.Header.Get(obs.TraceHeader), "replicate")
 	defer func() { rt.finish("") }()
 	var req ReplicateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxReplicateBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+	if !decodeBody(w, r, maxReplicateBody, &req) {
 		return
 	}
 	name := req.Graph
@@ -152,8 +148,7 @@ func (s *Server) handleClusterSegment(w http.ResponseWriter, r *http.Request) {
 	rt := s.startHopTrace(r.Header.Get(obs.TraceHeader), "segment")
 	defer func() { rt.finish("") }()
 	var req SegmentRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "bad request body: %v", err)
+	if !decodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	name := req.Graph
@@ -230,7 +225,8 @@ func (s *Server) shipSegment(ctx context.Context, node *cluster.Node, peer clust
 	var resp ReplicateResponse
 	spanID := rt.allocID()
 	shipStart := time.Now()
-	status, err := s.postPeerJSON(ctx, peer, "/cluster/replicate", ReplicateRequest{Graph: graphName, Segment: seg}, &resp, rt.traceparent(spanID))
+	status, err := s.peerCall(ctx, peer, "/cluster/replicate", ReplicateRequest{Graph: graphName, Segment: seg},
+		rt.traceparent(spanID), maxReplicateBody, decodeInto(&resp))
 	shipErr := ""
 	if err != nil {
 		shipErr = err.Error()
@@ -315,9 +311,9 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 		var resp SegmentResponse
 		spanID := rt.allocID()
 		pullStart := time.Now()
-		status, err := s.postPeerJSON(ctx, target, "/cluster/segment", SegmentRequest{
+		status, err := s.peerCall(ctx, target, "/cluster/segment", SegmentRequest{
 			Graph: mutGraph, BaseFP: pos.BaseFP, Generation: pos.Generation, From: pos.Seq,
-		}, &resp, rt.traceparent(spanID))
+		}, rt.traceparent(spanID), maxReplicateBody, decodeInto(&resp))
 		pullErr := ""
 		if err != nil {
 			pullErr = err.Error()
@@ -360,72 +356,16 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 }
 
 // RunAntiEntropy drives AntiEntropyRound every Config.AntiEntropyInterval
-// until ctx is done, after the same deterministic per-peer phase offset
-// gossip uses, so a co-started replica set spreads its repair traffic
-// instead of pulling in lockstep.
+// until ctx is done, on the same cluster.Every cadence gossip uses, so a
+// co-started replica set spreads its repair traffic instead of pulling in
+// lockstep. Each pull is bounded by RequestTimeout (peerCall's fallback), so
+// a target that accepts and never answers costs one round, not the loop.
 func (s *Server) RunAntiEntropy(ctx context.Context) {
 	node := s.clusterNode
 	if node == nil {
 		return
 	}
-	interval := s.cfg.AntiEntropyInterval
-	if phase := cluster.GossipPhase(node.Self().ID, interval); phase > 0 {
-		timer := time.NewTimer(phase)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		s.AntiEntropyRound(ctx)
-	}
-}
-
-// postPeerJSON is one bounded POST round trip to a peer daemon, decoding
-// the typed body of 200 and 409 answers into resp (409s carry positions on
-// the replication endpoints; an ErrorResponse body simply leaves resp
-// zero). The request id rides the hop like every other cluster call; tp,
-// when non-empty, carries the sender's span in the Traceparent header.
-func (s *Server) postPeerJSON(ctx context.Context, peer cluster.Peer, path string, req, resp interface{}, tp string) (int, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+peer.ID+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if id := obs.RequestID(ctx); id != "" {
-		hreq.Header.Set("X-Request-ID", id)
-	}
-	if tp != "" {
-		hreq.Header.Set(obs.TraceHeader, tp)
-	}
-	hresp, err := s.clusterClient.Do(hreq)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<16))
-		hresp.Body.Close()
-	}()
-	if hresp.StatusCode == http.StatusOK || hresp.StatusCode == http.StatusConflict {
-		if err := json.NewDecoder(io.LimitReader(hresp.Body, maxReplicateBody)).Decode(resp); err != nil {
-			return hresp.StatusCode, err
-		}
-	}
-	return hresp.StatusCode, nil
+	cluster.Every(ctx, node.Self().ID, s.cfg.AntiEntropyInterval, func() { s.AntiEntropyRound(ctx) })
 }
 
 // ReplicationStats is the replication slice of ClusterStats: the local

@@ -348,3 +348,49 @@ func TestReplicationUnconfigured(t *testing.T) {
 		}
 	}
 }
+
+// TestAntiEntropyPullBounded: a repair round run without a deadline of its
+// own still ends. The target accepts the segment pull and never answers; the
+// pull is bounded by RequestTimeout, the round returns having pulled nothing,
+// and the silent target takes a failure strike.
+func TestAntiEntropyPullBounded(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	nw := testNetwork(t, 100, 8)
+	d := newReplicaSet(t, nw, 1, Config{RequestTimeout: timeout}, nil)[0]
+
+	release := make(chan struct{})
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(target.Close)
+	t.Cleanup(func() { close(release) }) // runs before target.Close
+	self := d.node.Self()
+	ahead := cluster.Peer{
+		ID: strings.TrimPrefix(target.URL, "http://"), Shard: self.Shard, Fingerprint: self.Fingerprint,
+		Replica: 1, Epoch: 5, Generation: d.log.Head().Generation, LiveFP: "00000000000000ff",
+	}
+	d.node.Members().Add(ahead)
+
+	pulled := make(chan int, 1)
+	go func() { pulled <- d.srv.AntiEntropyRound(context.Background()) }()
+	select {
+	case got := <-pulled:
+		if got != 0 {
+			t.Fatalf("round against a silent target pulled %d batches, want 0", got)
+		}
+	case <-time.After(3 * timeout):
+		t.Fatalf("anti-entropy round still waiting on a silent target after %v", 3*timeout)
+	}
+	strikes := -1
+	for _, ps := range d.node.Members().Snapshot() {
+		if ps.Peer.ID == ahead.ID {
+			strikes = ps.Strikes
+		}
+	}
+	if strikes != 1 {
+		t.Fatalf("silent target has %d strikes after one failed pull, want 1", strikes)
+	}
+}

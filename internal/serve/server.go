@@ -393,6 +393,16 @@ func (s *Server) Drain(ctx context.Context) error {
 //	POST /admin/swap   generate + atomically install a graph snapshot
 //	POST /admin/mutate apply a journaled mutation batch to the live graph
 //
+// and the peer endpoints, which answer 404 until EnableCluster has run (and,
+// for replicate and segment, until a mutation log is attached too):
+//
+//	POST /cluster/hop        continue a peer's greedy walk (HopRequest, or
+//	                         a hop stream after Upgrade: smallworld-hop/1)
+//	POST /cluster/gossip     one push/pull membership exchange
+//	POST /cluster/replicate  import a shipped journal segment (replicas)
+//	POST /cluster/segment    export a journal range to a lagging replica
+//	GET  /cluster/metrics    every routable peer's /metrics, one exposition
+//
 // Every response carries an X-Request-ID header; the same id labels every
 // slog line of the request (admission, retries, breaker trips, episodes).
 func (s *Server) Handler() http.Handler {

@@ -562,26 +562,32 @@ func TestStatsBreakerExport(t *testing.T) {
 	}
 }
 
-// TestRequestBodyLimits: each client-facing POST body is bounded before it is
-// decoded. One byte past the bound answers 413; the same shape within it is
-// decoded and judged on its content (no such graph, or nothing to swap in).
+// TestRequestBodyLimits: each POST body — the client endpoints' and the peer
+// endpoints' — is bounded before it is decoded. One byte past the bound
+// answers 413; the same shape within it is decoded and judged on its content
+// (no such graph, nothing to swap in, or an empty gossip push).
 func TestRequestBodyLimits(t *testing.T) {
 	s, _, ts := liveServer(t, 300, 5, mutate.Config{})
+	peer := newReplicaSet(t, testNetwork(t, 100, 8), 1, Config{}, nil)[0].ts.URL
 	for _, c := range []struct {
-		path   string
-		limit  int
-		within int // the status of a body exactly at the limit
+		url, path string
+		limit     int
+		within    int // the status of a body exactly at the limit
 	}{
-		{"/route", maxRouteBody, http.StatusNotFound},
-		{"/admin/swap", maxRouteBody, http.StatusBadRequest},
-		{"/route/batch", maxRouteBody + s.cfg.MaxBatch*maxBatchItemBody, http.StatusNotFound},
-		{"/admin/mutate", maxReplicateBody, http.StatusNotFound},
+		{ts.URL, "/route", maxRouteBody, http.StatusNotFound},
+		{ts.URL, "/admin/swap", maxRouteBody, http.StatusBadRequest},
+		{ts.URL, "/route/batch", maxRouteBody + s.cfg.MaxBatch*maxBatchItemBody, http.StatusNotFound},
+		{ts.URL, "/admin/mutate", maxReplicateBody, http.StatusNotFound},
+		{peer, "/cluster/hop", 64 << 10, http.StatusNotFound},
+		{peer, "/cluster/gossip", 1 << 20, http.StatusOK},
+		{peer, "/cluster/replicate", maxReplicateBody, http.StatusNotFound},
+		{peer, "/cluster/segment", 1 << 20, http.StatusNotFound},
 	} {
 		const head, tail = `{"graph":"nope",`, `"items":[{"s":0,"t":1}]}`
 		for _, over := range []int{0, 1} {
 			pad := c.limit + over - len(head) - len(tail)
 			body := io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, int64(pad)), strings.NewReader(tail))
-			resp, err := http.Post(ts.URL+c.path, "application/json", body)
+			resp, err := http.Post(c.url+c.path, "application/json", body)
 			if err != nil {
 				t.Fatal(err)
 			}
