@@ -86,3 +86,30 @@ func TestRouteEpisodeObserver(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteEpisodeIntoZeroAlloc holds the library episode path to zero
+// allocations per episode: greedy under the standard phi with a nil fault
+// plan, warm scratch and result, on the immutable network and on one with
+// a live overlay attached.
+func TestRouteEpisodeIntoZeroAlloc(t *testing.T) {
+	live, frozen := liveNet(t, 600, 33, 8)
+	for _, tc := range []struct {
+		name string
+		nw   *Network
+	}{{"immutable", frozen}, {"overlay", live}} {
+		n := tc.nw.LiveN()
+		var sc route.Scratch
+		var res route.Result
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			i++
+			cfg := EpisodeConfig{S: i * 7919 % n, T: (i*104729 + 1) % n}
+			if err := tc.nw.RouteEpisodeInto(cfg, &sc, &res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: RouteEpisodeInto made %v allocations per episode, want 0", tc.name, allocs)
+		}
+	}
+}

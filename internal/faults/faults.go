@@ -178,11 +178,12 @@ func NewPlan(seed uint64, specs ...Spec) (*Plan, error) {
 
 // Bind precomputes the per-graph state of every layer (crash sets, weight
 // thresholds) and returns a bound plan. Binding is done once per batch; the
-// bound plan then serves concurrent episodes. Bind on a nil or empty plan
-// returns a no-op bound plan.
+// bound plan then serves concurrent episodes. Bind on a nil plan returns
+// nil, which every BoundPlan method treats as the no-op plan, so an episode
+// without faults allocates nothing here; an empty plan binds to an empty one.
 func (p *Plan) Bind(g route.Graph) *BoundPlan {
 	if p == nil {
-		return &BoundPlan{}
+		return nil
 	}
 	b := &BoundPlan{}
 	for i, m := range p.Models {

@@ -333,8 +333,11 @@ func TestNilAndEmptyPlans(t *testing.T) {
 	g := star(10)
 	var nilPlan *Plan
 	b := nilPlan.Bind(g)
-	if !b.Empty() {
-		t.Fatal("nil plan not empty")
+	if b != nil || !b.Empty() {
+		t.Fatalf("nil plan bound to %+v, want nil", b)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { nilPlan.Bind(g) }); allocs != 0 {
+		t.Fatalf("binding a nil plan made %v allocations, want 0", allocs)
 	}
 	fg, _ := b.View(g, constObjective(0), 0)
 	if fg != route.Graph(g) {

@@ -2,6 +2,7 @@ package girg_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/girg"
@@ -142,6 +143,7 @@ func BenchmarkGenerate(b *testing.B) {
 		}, 0x04642647192cf9da, 51390},
 	} {
 		b.Run(rung.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g, err := rung.gen()
 				if err != nil {
@@ -153,6 +155,37 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rung.m), "ns/edge")
 		})
+	}
+}
+
+// TestGenerateAllocBudget holds girg.Generate on the benchmark ledger's
+// fixture (n = 20 000, seed 5) to a byte budget read from
+// runtime.MemStats.TotalAlloc: the CSR adjacency (8 bytes an edge), the
+// builder's packed edge store (2*w bytes an edge, w = 2 here) and an O(n)
+// allowance of 96 bytes a vertex (positions 16, weights 8, the sampler's
+// layer and cell tables ~35, Finish's degree, fill and offset arrays 12),
+// plus one partly filled 32 KiB chunk and 64 KiB of slack. Two int32 edge
+// slices regrown by append took 40.8 MB here, four times the adjacency.
+func TestGenerateAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := girg.Generate(with(20000, nil), 5, girg.Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Fingerprint() != 0x23c930abf0935648 {
+		t.Fatalf("fixture fingerprint %#016x changed", g.Fingerprint())
+	}
+	n, m, w := uint64(g.N()), uint64(g.M()), uint64(1)
+	for max := n - 1; max > 0xff; max >>= 8 {
+		w++
+	}
+	budget := 8*m + 2*w*m + 96*n + 96<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("Generate allocated %d bytes for n = %d, m = %d; budget %d", got, n, m, budget)
+	} else {
+		t.Logf("Generate allocated %d bytes of a %d budget (n = %d, m = %d)", got, budget, n, m)
 	}
 }
 

@@ -42,23 +42,38 @@ type Graph struct {
 }
 
 // Builder accumulates edges before freezing them into a Graph. Edges may be
-// added in any order; duplicates and self-loops are rejected at Finish.
+// added in any order; duplicates are dropped at Finish. Each edge is stored
+// once, as two little-endian vertex ids packed at the byte width n-1 needs
+// (idWidth), in fixed-size chunks that are appended to and never regrown,
+// so the edge list costs 2*w bytes an edge and is never copied.
 type Builder struct {
 	n       int
 	pos     *torus.Positions
 	weights []float64
-	src     []int32
-	dst     []int32
+
+	w    int      // bytes per packed vertex id
+	full [][]byte // filled chunks
+	tail []byte   // the chunk being filled, cap chunkEdges*2*w; nil before the first edge and after Finish
+	m    int      // edges recorded
+	done bool
 
 	intensity float64
 	wmin      float64
 }
+
+// chunkEdges is the number of edges one chunk holds: 16-64 KiB by width,
+// small against any graph the store matters for and large enough that the
+// chunk list itself stays short.
+const chunkEdges = 1 << 13
 
 // NewBuilder creates a builder for a graph on n vertices with the given
 // attribute stores. intensity is the model's expected vertex count and wmin
 // the minimum weight (both used by routing objectives); pass float64(n) and
 // 1 for models without those notions.
 func NewBuilder(n int, pos *torus.Positions, weights []float64, intensity, wmin float64) (*Builder, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d vertices do not fit the int32 ids of the CSR form", n)
+	}
 	if pos != nil && pos.Len() != n {
 		return nil, fmt.Errorf("graph: positions store has %d points, want %d", pos.Len(), n)
 	}
@@ -75,13 +90,15 @@ func NewBuilder(n int, pos *torus.Positions, weights []float64, intensity, wmin 
 		n:         n,
 		pos:       pos,
 		weights:   weights,
+		w:         idWidth(n),
 		intensity: intensity,
 		wmin:      wmin,
 	}, nil
 }
 
 // AddEdge records the undirected edge {u, v}. It panics on out-of-range
-// vertices or self-loops; generators must not emit either.
+// vertices or self-loops, which generators must not emit, on the edge that
+// would overflow the CSR form's int32 offsets, and after Finish.
 func (b *Builder) AddEdge(u, v int) {
 	if u == v {
 		panic("graph: self-loop")
@@ -89,23 +106,32 @@ func (b *Builder) AddEdge(u, v int) {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		panic("graph: vertex out of range")
 	}
-	b.src = append(b.src, int32(u))
-	b.dst = append(b.dst, int32(v))
-}
-
-// Grow reserves room for m more edges, for a caller that knows the count up
-// front: AddEdge's append growth otherwise over-allocates and copies.
-func (b *Builder) Grow(m int) {
-	b.src = slices.Grow(b.src, m)
-	b.dst = slices.Grow(b.dst, m)
+	checkEdgeCount(b.m + 1)
+	if len(b.tail) == cap(b.tail) {
+		if b.done {
+			panic("graph: AddEdge after Finish")
+		}
+		if b.tail != nil {
+			b.full = append(b.full, b.tail)
+		}
+		b.tail = make([]byte, 0, chunkEdges*2*b.w)
+	}
+	b.tail = putID(putID(b.tail, uint32(u), b.w), uint32(v), b.w)
+	b.m++
 }
 
 // EdgeCount returns the number of edges recorded so far.
-func (b *Builder) EdgeCount() int { return len(b.src) }
+func (b *Builder) EdgeCount() int { return b.m }
 
-// Finish freezes the builder into a Graph, deduplicating parallel edges.
+// Finish freezes the builder into a Graph, deduplicating parallel edges. It
+// releases the edge store, so a builder finishes once; a second call panics.
 func (b *Builder) Finish() *Graph {
-	checkEdgeCount(len(b.src))
+	if b.done {
+		panic("graph: Builder.Finish called twice")
+	}
+	b.done = true
+	chunks := append(b.full, b.tail)
+	b.full, b.tail = nil, nil
 	g := &Graph{
 		n:         b.n,
 		pos:       b.pos,
@@ -114,32 +140,73 @@ func (b *Builder) Finish() *Graph {
 		wmin:      b.wmin,
 	}
 	// Degree counting pass (both directions).
+	w := b.w
 	deg := make([]int32, b.n+1)
-	for i := range b.src {
-		deg[b.src[i]+1]++
-		deg[b.dst[i]+1]++
+	for _, c := range chunks {
+		for i := 0; i < len(c); i += w {
+			deg[getID(c[i:], w)+1]++
+		}
 	}
 	for i := 0; i < b.n; i++ {
 		deg[i+1] += deg[i]
 	}
 	g.offsets = deg
-	adj := make([]int32, len(b.src)*2)
+	adj := make([]int32, 2*b.m)
 	fill := make([]int32, b.n)
-	for i := range b.src {
-		u, v := b.src[i], b.dst[i]
-		adj[g.offsets[u]+fill[u]] = v
-		fill[u]++
-		adj[g.offsets[v]+fill[v]] = u
-		fill[v]++
+	for _, c := range chunks {
+		for i := 0; i < len(c); i += 2 * w {
+			u, v := int32(getID(c[i:], w)), int32(getID(c[i+w:], w))
+			adj[g.offsets[u]+fill[u]] = v
+			fill[u]++
+			adj[g.offsets[v]+fill[v]] = u
+			fill[v]++
+		}
 	}
 	g.adj = adj
 	g.sortAndDedup()
 	return g
 }
 
+// idWidth is the number of bytes that hold every vertex id of an n-vertex
+// graph, 0..n-1: 1 up to n = 256, 2 up to 65 536, 3 up to 2^24, else 4.
+func idWidth(n int) int {
+	w := 1
+	for max := n - 1; max > 0xff; max >>= 8 {
+		w++
+	}
+	return w
+}
+
+// putID appends x to dst as w little-endian bytes; x must fit them.
+func putID(dst []byte, x uint32, w int) []byte {
+	switch w {
+	case 1:
+		return append(dst, byte(x))
+	case 2:
+		return append(dst, byte(x), byte(x>>8))
+	case 3:
+		return append(dst, byte(x), byte(x>>8), byte(x>>16))
+	default:
+		return append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
+	}
+}
+
+// getID reads the w little-endian bytes putID wrote at the start of p.
+func getID(p []byte, w int) uint32 {
+	switch w {
+	case 1:
+		return uint32(p[0])
+	case 2:
+		return uint32(p[0]) | uint32(p[1])<<8
+	case 3:
+		return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16
+	default:
+		return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+	}
+}
+
 // checkEdgeCount panics when m edges make more adjacency entries than the
-// CSR form's int32 offsets can index, before Finish allocates anything; the
-// offsets would wrap silently.
+// CSR form's int32 offsets can index; the offsets would wrap silently.
 func checkEdgeCount(m int) {
 	if 2*m > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d edges make %d adjacency entries, past the int32 offsets of the CSR form", m, 2*m))

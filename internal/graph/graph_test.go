@@ -64,7 +64,9 @@ func TestAddEdgePanics(t *testing.T) {
 	mustPanic(func() { b.AddEdge(0, 3) })
 }
 
-func TestFinishRefusesOffsetOverflow(t *testing.T) {
+// TestCheckEdgeCount pins the two boundary cases of the int32 offsets
+// check AddEdge makes before it stores an edge.
+func TestCheckEdgeCount(t *testing.T) {
 	checkEdgeCount(math.MaxInt32 / 2) // the last count whose offsets fit
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "int32 offsets") {
@@ -72,6 +74,103 @@ func TestFinishRefusesOffsetOverflow(t *testing.T) {
 		}
 	}()
 	checkEdgeCount(math.MaxInt32/2 + 1)
+}
+
+// TestBuilderPackedStore checks the packed edge store at every id-width
+// boundary: edges added in random order, with duplicates and reversed
+// duplicates, finish into the CSR a sort-and-dedup reference builds, the
+// ids at the top of each width survive, and an edge list long enough to
+// fill several chunks does too. The chunk codec round-trips the smallest
+// and largest id of every width, a second Finish panics, and two builders'
+// graphs share no backing array.
+func TestBuilderPackedStore(t *testing.T) {
+	r := xrand.New(43)
+	for _, tc := range []struct{ n, edges int }{
+		{1, 0}, {2, 3}, {255, 12}, {256, 12}, {257, 12},
+		{65535, 12}, {65536, 12}, {65537, 12}, {65537, 3*chunkEdges + 5},
+	} {
+		n := tc.n
+		var edges [][2]int
+		if n > 1 {
+			edges = append(edges, [2]int{0, n - 1}, [2]int{n - 1, n - 2})
+		}
+		for len(edges) < tc.edges {
+			if u, v := r.IntN(n), r.IntN(n); u != v {
+				edges = append(edges, [2]int{u, v})
+				switch r.IntN(4) {
+				case 0:
+					edges = append(edges, [2]int{u, v})
+				case 1:
+					edges = append(edges, [2]int{v, u})
+				}
+			}
+		}
+		for i := len(edges) - 1; i > 0; i-- {
+			j := r.IntN(i + 1)
+			edges[i], edges[j] = edges[j], edges[i]
+		}
+		b, err := NewBuilder(n, nil, nil, float64(n), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists := make([][]int32, n)
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+			lists[e[0]] = append(lists[e[0]], int32(e[1]))
+			lists[e[1]] = append(lists[e[1]], int32(e[0]))
+		}
+		wantOff, wantAdj := []int32{0}, []int32{}
+		for _, l := range lists {
+			slices.Sort(l)
+			wantAdj = append(wantAdj, slices.Compact(l)...)
+			wantOff = append(wantOff, int32(len(wantAdj)))
+		}
+		off, adj := b.Finish().CSR()
+		if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
+			t.Fatalf("n=%d, %d edges: CSR differs from the sort-and-dedup reference", n, len(edges))
+		}
+	}
+
+	for w := 1; w <= 4; w++ {
+		top := uint32(1<<(8*w) - 1)
+		for _, x := range []uint32{0, top, top / 3} {
+			p := putID(nil, x, w)
+			if len(p) != w || getID(p, w) != x {
+				t.Fatalf("width %d: %d packed to % x, read back %d", w, x, p, getID(p, w))
+			}
+		}
+	}
+	for n, w := range map[int]int{0: 1, 1: 1, 256: 1, 257: 2, 65536: 2, 65537: 3, 1 << 24: 3, 1<<24 + 1: 4, math.MaxInt32: 4} {
+		if got := idWidth(n); got != w {
+			t.Errorf("idWidth(%d) = %d, want %d", n, got, w)
+		}
+	}
+
+	edges := [][2]int{{0, 1}, {1, 2}, {2, 0}}
+	g1, g2 := buildGraph(t, 3, edges), buildGraph(t, 3, edges)
+	off2, adj2 := g2.CSR()
+	for i := range adj2 {
+		adj2[i] = -1
+	}
+	for i := range off2 {
+		off2[i] = -1
+	}
+	if off, adj := g1.CSR(); !slices.Equal(off, []int32{0, 2, 4, 6}) || !slices.Equal(adj, []int32{1, 2, 0, 2, 0, 1}) {
+		t.Fatalf("overwriting one builder's graph changed the other's: %v %v", off, adj)
+	}
+
+	b, err := NewBuilder(3, nil, nil, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddEdge(0, 1)
+	b.Finish()
+	defer func() {
+		if recover() == nil {
+			t.Error("second Finish did not panic")
+		}
+	}()
+	b.Finish()
 }
 
 // TestFinishMatchesReferenceSort compares Finish, which sorts each list

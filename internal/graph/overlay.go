@@ -339,7 +339,6 @@ func (o *Overlay) Materialize() (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: materialize: %w", err)
 	}
-	b.Grow(o.M())
 	var buf []int32
 	for v := 0; v < n; v++ {
 		buf = o.appendNeighbors(buf[:0], v)

@@ -35,11 +35,12 @@ const (
 	binPrelude = 4 + 2 + 36 + 4
 
 	// maxVertices and maxEdges bound what a header may claim. Vertex ids
-	// are int32 in the CSR representation and edge endpoints uint32 on the
-	// wire, so anything beyond these is structurally impossible and gets
-	// rejected before any allocation is sized from it.
+	// are int32 in the CSR representation and its int32 offsets index 2m
+	// arcs, so anything beyond these is structurally impossible and gets
+	// rejected before any allocation is sized from it (and before
+	// graph.Builder.AddEdge would panic at the edge that overflows).
 	maxVertices = 1 << 31
-	maxEdges    = 1 << 31
+	maxEdges    = 1 << 30
 )
 
 // WriteBinary serializes g in the checksummed binary format. Pair it with

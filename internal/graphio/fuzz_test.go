@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -82,6 +83,25 @@ func FuzzRead(f *testing.F) {
 	// Well-formed snapshots whose floats are not numbers a score survives.
 	f.Add([]byte("girg 2 1 1 2 1\nv 1 NaN\nv 1 0.5\ne 0 1\n"))
 	f.Add([]byte("girg 2 1 1 2 1\nv 0 0.25\nv -Inf 0.5\ne 0 1\n"))
+	// Snapshots at the vertex counts where the builder's packed ids widen
+	// from 1 to 2 and from 2 to 3 bytes, each with edges at the top id.
+	for _, n := range []int{255, 256, 257, 65535, 65536, 65537} {
+		b, err := graph.NewBuilder(n, nil, nil, float64(n), 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b.AddEdge(0, n-1)
+		b.AddEdge(n-1, n-2)
+		b.AddEdge(n/2, 1)
+		wg := b.Finish()
+		for _, enc := range []func(io.Writer, *graph.Graph) error{Write, WriteBinary} {
+			var buf bytes.Buffer
+			if err := enc(&buf, wg); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
