@@ -65,11 +65,13 @@ perf-smoke:
 experiments:
 	$(GO) run ./cmd/smallworld -e all -scale 1 -seed 1
 
+# Run each example and diff its stdout against the committed
+# examples/<name>/output.txt; every example is deterministic.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/milgram
-	$(GO) run ./examples/internet
-	$(GO) run ./examples/trajectory
+	@for e in quickstart milgram internet trajectory; do \
+		echo "examples/$$e"; \
+		$(GO) run ./examples/$$e | diff -u examples/$$e/output.txt - || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -253,10 +253,6 @@ func run(args []string, out *os.File) (int, error) {
 			srv.AddNetwork(serve.DefaultGraph, &core.Network{
 				Graph: g,
 				Label: fmt.Sprintf("loadgen-self(n=%d)", g.N()),
-				NewObjective: func(t int) route.Objective {
-					return route.NewStandard(g, t)
-				},
-				StandardPhi: true,
 			})
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -127,28 +127,27 @@ func runCtx(ctx context.Context, args []string) (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	// Resolve through the registry: the error for an unknown name lists
-	// every registered protocol.
-	p, err := route.Lookup(*proto)
-	if err != nil {
+	// Resolve through the registry before routing: the error for an unknown
+	// name lists every registered protocol.
+	if _, err := route.Lookup(*proto); err != nil {
 		return 1, err
 	}
 	protocol := core.Protocol(*proto)
 
 	// -fault-model resolves through the fault registry the same way: an
 	// unknown name errors with the valid list before any routing happens.
-	var bound *faults.BoundPlan
+	var plan *faults.Plan
 	if *faultModel != "" {
-		plan, err := faults.NewPlan(*seed+2, faults.Spec{
+		plan, err = faults.NewPlan(*seed+2, faults.Spec{
 			Model: *faultModel, Rate: *faultRate, Retries: *faultRetries,
 		})
 		if err != nil {
 			return 1, err
 		}
-		bound = plan.Bind(g)
 	}
 
-	giant := graph.GiantComponent(g)
+	nw := &core.Network{Graph: g, Label: "route"}
+	giant := nw.Giant()
 	if len(giant) < 2 {
 		return 1, fmt.Errorf("giant component too small")
 	}
@@ -156,14 +155,6 @@ func runCtx(ctx context.Context, args []string) (int, error) {
 	episodes := *pairs
 	if *s >= 0 && *t >= 0 {
 		episodes = 1
-	}
-	nw := &core.Network{
-		Graph: g,
-		Label: "route",
-		NewObjective: func(t int) route.Objective {
-			return route.NewStandard(g, t)
-		},
-		StandardPhi: true,
 	}
 	worst := 0
 	for i := 0; i < episodes; i++ {
@@ -183,42 +174,28 @@ func runCtx(ctx context.Context, args []string) (int, error) {
 		if src == dst {
 			continue
 		}
-		if src >= g.N() || dst >= g.N() {
-			return 1, fmt.Errorf("vertex out of range (n = %d)", g.N())
-		}
 		// The trace is streamed by an observer attached to the episode: one
 		// per-move event per hop, carrying the vertex, its weight and its
-		// objective value (the Figure-1 trajectory).
+		// objective value (the Figure-1 trajectory). Under faults the engine
+		// replays it over the fault-free graph: the path is what the faulty
+		// view routed, the scores are the true objective.
 		var hops []route.MoveEvent
-		traceObs := route.ObserverFunc(func(ev route.MoveEvent) {
-			hops = append(hops, ev)
-		})
-		var res route.Result
-		if bound != nil {
-			// Faulty episodes route on this episode's view of the graph and
-			// objective; crashed endpoints are classified without routing.
-			if bound.Crashed(src) || bound.Crashed(dst) {
-				fmt.Printf("%s %d -> %d: FAILED(%s) moves=0 unique=1 bfs=- stretch=-\n",
-					protocol, src, dst, route.FailCrashedTarget)
-				worst = maxCode(worst, serve.ExitCodeFor(route.FailCrashedTarget))
-				continue
-			}
-			eg, eobj := bound.View(g, route.NewStandard(g, dst), i)
-			res = route.Route(p, eg, eobj, src)
-			if *trace {
-				// Replay over the fault-free graph: the path is what the
-				// faulty view routed, the scores are the true objective.
-				route.Observe(g, route.NewStandard(g, dst), res, i, traceObs)
-			}
-		} else {
-			var obs []route.Observer
-			if *trace {
-				obs = append(obs, traceObs)
-			}
-			res, err = nw.Route(protocol, src, dst, obs...)
-			if err != nil {
-				return 1, err
-			}
+		cfg := core.EpisodeConfig{Protocol: protocol, S: src, T: dst, Faults: plan, Episode: i}
+		if *trace {
+			cfg.Observer = route.ObserverFunc(func(ev route.MoveEvent) {
+				hops = append(hops, ev)
+			})
+		}
+		res, err := nw.RouteEpisode(cfg)
+		if err != nil {
+			return 1, err
+		}
+		if res.Failure == route.FailCrashedTarget {
+			// A crashed endpoint is classified without routing.
+			fmt.Printf("%s %d -> %d: FAILED(%s) moves=0 unique=1 bfs=- stretch=-\n",
+				protocol, src, dst, res.Failure)
+			worst = maxCode(worst, serve.ExitCodeFor(res.Failure))
+			continue
 		}
 		status := "FAILED"
 		if res.Success {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,5 +176,57 @@ func TestRunUnknownFaultModelListsRegistered(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list registered model %q", err, name)
 		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected into a buffer.
+func captureStdout(t *testing.T, fn func() (int, error)) (string, int, error) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		var b strings.Builder
+		io.Copy(&b, r)
+		done <- b.String()
+	}()
+	code, runErr := fn()
+	w.Close()
+	os.Stdout = old
+	return <-done, code, runErr
+}
+
+// TestRunOutputGolden pins what the CLI prints, byte for byte, for a traced
+// greedy batch, a traced patching protocol under edge drops, a traced crash
+// model (whose crashed endpoints are classified without routing, exit 5) and
+// a patching protocol under message loss, all on one sampled n = 3000 graph.
+// Each case is written as "$ route <args>", its stdout and "exit <code>".
+func TestRunOutputGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/run_output.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, extra := range [][]string{
+		{"-trace"},
+		{"-proto", "phi-dfs", "-fault-model", "edge-drop", "-fault-rate", "0.3", "-trace"},
+		{"-fault-model", "crash-uniform", "-fault-rate", "0.4", "-trace"},
+		{"-proto", "history", "-fault-model", "msg-loss", "-fault-rate", "0.3"},
+	} {
+		args := append([]string{"-n", "3000", "-pairs", "8"}, extra...)
+		out, code, err := captureStdout(t, func() (int, error) {
+			return runCtx(context.Background(), args)
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		fmt.Fprintf(&b, "$ route %s\n%sexit %d\n", strings.Join(args, " "), out, code)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("output differs from testdata/run_output.golden:\n%s", got)
 	}
 }

@@ -79,7 +79,6 @@ import (
 	"repro/internal/graphio"
 	"repro/internal/mutate"
 	"repro/internal/obs"
-	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/torus"
 )
@@ -152,14 +151,7 @@ func run(args []string, ready chan<- string) error {
 			return err
 		}
 	}
-	nw := &core.Network{
-		Graph: g,
-		Label: fmt.Sprintf("smallworldd(n=%d)", g.N()),
-		NewObjective: func(t int) route.Objective {
-			return route.NewStandard(g, t)
-		},
-		StandardPhi: true,
-	}
+	nw := &core.Network{Graph: g, Label: fmt.Sprintf("smallworldd(n=%d)", g.N())}
 
 	var spans *obs.SpanLog
 	if *sample > 0 {

@@ -40,13 +40,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		nw := &core.Network{
-			Graph: g,
-			Label: "trajectory",
-			NewObjective: func(t int) route.Objective {
-				return route.NewStandard(g, t)
-			},
-		}
+		nw := &core.Network{Graph: g, Label: "trajectory"}
 		// The observer receives one MoveEvent per hop: the vertex, its
 		// model weight and its objective value — the Figure 1 data.
 		var events []route.MoveEvent

@@ -46,18 +46,13 @@ type Network struct {
 	Graph *graph.Graph
 	// Label describes the instance for reports.
 	Label string
-	// NewObjective builds the routing objective toward target t. The
-	// default models use the paper's phi; hyperbolic networks may use
-	// phi_H, Kleinberg grids use lattice distance.
+	// NewObjective builds the routing objective toward target t for
+	// models that route by something other than the paper's phi: phi_H on
+	// hyperbolic networks, lattice distance on Kleinberg grids. nil means
+	// phi (route.NewStandard over Graph), and only then do greedy episodes
+	// take the concrete zero-allocation walk (route.GreedyCSR) and does the
+	// network accept a live overlay.
 	NewObjective func(t int) route.Objective
-	// StandardPhi declares that NewObjective is exactly the standard GIRG
-	// objective route.NewStandard(Graph, t) — the promise that lets the
-	// engine take the concrete zero-allocation fast path (route.GreedyCSR)
-	// for greedy episodes instead of building an Objective closure per
-	// episode. Constructors that route by anything else (phi_H, lattice
-	// distance, custom factories) leave it false and routing falls back to
-	// the interface path; setting it untruthfully changes routing results.
-	StandardPhi bool
 
 	giant []int // lazily computed giant component
 
@@ -77,10 +72,6 @@ func NewGIRG(p girg.Params, seed uint64, opts girg.Options) (*Network, error) {
 	return &Network{
 		Graph: g,
 		Label: fmt.Sprintf("girg(n=%g,d=%d,beta=%g,alpha=%g)", p.N, p.Dim, p.Beta, p.Alpha),
-		NewObjective: func(t int) route.Objective {
-			return route.NewStandard(g, t)
-		},
-		StandardPhi: true,
 	}, nil
 }
 
@@ -98,13 +89,12 @@ func NewHRG(p hrg.Params, seed uint64, hyperbolicObjective bool) (*Network, erro
 	if err != nil {
 		return nil, err
 	}
-	obj := func(t int) route.Objective { return route.NewStandard(g, t) }
-	label := fmt.Sprintf("hrg(n=%d,alphaH=%g,T=%g,phi)", p.N, p.AlphaH, p.TH)
+	nw := &Network{Graph: g, Label: fmt.Sprintf("hrg(n=%d,alphaH=%g,T=%g,phi)", p.N, p.AlphaH, p.TH)}
 	if hyperbolicObjective {
-		obj = func(t int) route.Objective { return hrg.NewObjective(p, g, t) }
-		label = fmt.Sprintf("hrg(n=%d,alphaH=%g,T=%g,phiH)", p.N, p.AlphaH, p.TH)
+		nw.NewObjective = func(t int) route.Objective { return hrg.NewObjective(p, g, t) }
+		nw.Label = fmt.Sprintf("hrg(n=%d,alphaH=%g,T=%g,phiH)", p.N, p.AlphaH, p.TH)
 	}
-	return &Network{Graph: g, Label: label, NewObjective: obj, StandardPhi: !hyperbolicObjective}, nil
+	return nw, nil
 }
 
 // NewKleinbergGrid samples Kleinberg's lattice model routing by lattice

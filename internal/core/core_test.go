@@ -30,9 +30,8 @@ func TestNewGIRGNetwork(t *testing.T) {
 	if nw.Label == "" {
 		t.Fatal("empty label")
 	}
-	obj := nw.NewObjective(5)
-	if !math.IsInf(obj.Score(5), 1) {
-		t.Fatal("objective target score")
+	if nw.NewObjective != nil {
+		t.Fatal("GIRG network carries a custom objective; it routes by phi")
 	}
 	if len(nw.Giant()) < 100 {
 		t.Fatalf("giant size %d", len(nw.Giant()))

@@ -60,8 +60,8 @@ func (nw *Network) RouteEpisode(cfg EpisodeConfig) (route.Result, error) {
 // and pool their per-episode state (internal/serve). out's Path backing
 // array is reused; callers that keep paths past the next episode copy them
 // (route.Result.CopyInto). sc may be nil at the cost of per-episode
-// allocations. Greedy episodes on a standard-phi network without faults run
-// the concrete zero-allocation fast path (route.GreedyCSR, or
+// allocations. Greedy episodes on a phi network (nil NewObjective) without
+// faults run the concrete zero-allocation fast path (route.GreedyCSR, or
 // route.GreedyCSROverlay when a live overlay is attached).
 func (nw *Network) RouteEpisodeInto(cfg EpisodeConfig, sc *route.Scratch, out *route.Result) error {
 	_, err := nw.routeEpisode(cfg, sc, out)
@@ -102,11 +102,11 @@ type routeView struct {
 	base  *graph.Graph
 	ov    *graph.Overlay // the live overlay; nil when none (or an empty one) is attached
 	g     route.Graph    // ov when live, base otherwise
-	// factory is the network's objective factory or the caller's override;
-	// it scores base vertices only (see objective).
+	// factory is the caller's override or the network's objective factory;
+	// nil means phi. It scores base vertices only (see objective).
 	factory func(t int) route.Objective
-	// csr reports that factory is exactly the standard phi and episodes are
-	// greedy, so the concrete fast path computes the same episode.
+	// csr reports that episodes are greedy under phi, so the concrete fast
+	// path computes the same episode.
 	csr bool
 	// counters count every episode routed over the view (nil = off).
 	counters *Counters
@@ -114,29 +114,29 @@ type routeView struct {
 
 // view resolves proto and the graph to route over. override optionally
 // replaces the network's objective factory; live overlays reject it (and
-// non-standard networks) instead of silently scoring added vertices wrong.
-// c counts the view's episodes.
+// networks with a custom objective) instead of silently scoring added
+// vertices wrong. c counts the view's episodes.
 func (nw *Network) view(proto Protocol, override func(t int) route.Objective, c *Counters) (routeView, error) {
 	p, err := resolve(proto)
 	if err != nil {
 		return routeView{}, err
 	}
 	_, greedy := p.(route.GreedyRouter)
-	std := nw.StandardPhi && override == nil
+	factory := override
+	if factory == nil {
+		factory = nw.NewObjective
+	}
 	vw := routeView{
 		proto:    p,
 		base:     nw.Graph,
 		g:        nw.Graph,
-		factory:  nw.NewObjective,
-		csr:      greedy && std,
+		factory:  factory,
+		csr:      greedy && factory == nil,
 		counters: c,
-	}
-	if override != nil {
-		vw.factory = override
 	}
 	// An attached but empty overlay routes through the unchanged base paths.
 	if ov := nw.live.Load(); ov != nil && !ov.Empty() {
-		if !nw.StandardPhi {
+		if nw.NewObjective != nil {
 			return routeView{}, fmt.Errorf("core: live overlays require a standard-objective network (%s routes by a custom objective)", nw.Label)
 		}
 		if override != nil {
@@ -149,11 +149,14 @@ func (nw *Network) view(proto Protocol, override func(t int) route.Objective, c 
 
 // objective builds the episode objective toward t. Under a live overlay the
 // overlay's own geometry must drive scoring, or added vertices index past
-// the base objective's arrays (view already rejected overrides and
-// non-standard networks).
+// the base objective's arrays (view already rejected overrides and custom
+// objectives).
 func (vw *routeView) objective(t int) route.Objective {
-	if vw.ov != nil {
+	switch {
+	case vw.ov != nil:
 		return route.NewStandard(vw.ov, t)
+	case vw.factory == nil:
+		return route.NewStandard(vw.base, t)
 	}
 	return vw.factory(t)
 }

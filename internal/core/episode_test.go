@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -111,5 +112,44 @@ func TestRouteEpisodeIntoZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: RouteEpisodeInto made %v allocations per episode, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestNetworkDefaultsToPhi builds a Network from its graph alone: every
+// built-in protocol routes exactly as route.Route over route.NewStandard,
+// and a greedy RouteEpisodeInto allocates nothing, so the engine picked the
+// concrete walk from the nil objective without being told.
+func TestNetworkDefaultsToPhi(t *testing.T) {
+	g := girgNet(t, 600, 41).Graph
+	nw := &Network{Graph: g}
+	giant := nw.Giant()
+	var sc route.Scratch
+	var got route.Result
+	for _, proto := range Protocols()[:len(reportOrder)] {
+		p, err := resolve(proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			s, tgt := giant[i*37%len(giant)], giant[(i*101+5)%len(giant)]
+			if err := nw.RouteEpisodeInto(EpisodeConfig{Protocol: proto, S: s, T: tgt}, &sc, &got); err != nil {
+				t.Fatal(err)
+			}
+			want := route.Route(p, g, route.NewStandard(g, tgt), s)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (%d -> %d): %+v, want %+v", proto, s, tgt, got, want)
+			}
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		cfg := EpisodeConfig{S: giant[i*7919%len(giant)], T: giant[(i*104729+1)%len(giant)]}
+		if err := nw.RouteEpisodeInto(cfg, &sc, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("greedy RouteEpisodeInto made %v allocations per episode, want 0", allocs)
 	}
 }

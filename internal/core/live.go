@@ -10,10 +10,10 @@ import (
 // graph.Overlay published by the mutation log (internal/mutate): routing
 // entry points load it once per episode (or once per batch) and see either
 // the previous epoch or the next in full — never a half-applied batch.
-// Overlays are only meaningful on standard-phi networks: the overlay's own
-// geometry drives the objective, so added vertices score exactly like base
-// vertices, and routing over the overlay stays bit-identical to routing
-// over its materialization. Custom-objective networks (phi_H, lattice
+// Overlays are only meaningful on phi networks (nil NewObjective): the
+// overlay's own geometry drives the objective, so added vertices score
+// exactly like base vertices, and routing over the overlay stays
+// bit-identical to routing over its materialization. Custom-objective networks (phi_H, lattice
 // distance, relaxed sweeps) reject live overlays instead of silently
 // scoring added vertices wrong.
 //

@@ -54,12 +54,7 @@ func liveNet(t *testing.T, n float64, seed uint64, batches int) (*Network, *Netw
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := &Network{
-		Graph:        mg,
-		Label:        nw.Label + "+materialized",
-		NewObjective: func(tgt int) route.Objective { return route.NewStandard(mg, tgt) },
-		StandardPhi:  true,
-	}
+	frozen := &Network{Graph: mg, Label: nw.Label + "+materialized"}
 	return nw, frozen
 }
 
@@ -137,22 +132,22 @@ func TestLiveOverlayRejectsCustomObjectives(t *testing.T) {
 		t.Fatalf("custom objective over live overlay: %v", err)
 	}
 
-	nonStd := girgNet(t, 400, 36)
-	nonStd.StandardPhi = false
-	o := graph.NewOverlay(nonStd.Graph)
+	custom := girgNet(t, 400, 36)
+	custom.NewObjective = func(tgt int) route.Objective { return route.NewGeometric(custom.Graph, tgt) }
+	o := graph.NewOverlay(custom.Graph)
 	e := o.Edit()
 	if err := e.RemoveVertex(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := nonStd.SetOverlay(e.Finish()); err != nil {
+	if err := custom.SetOverlay(e.Finish()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunMilgram(nonStd, MilgramConfig{Pairs: 5, Seed: 1}); err == nil ||
+	if _, err := RunMilgram(custom, MilgramConfig{Pairs: 5, Seed: 1}); err == nil ||
 		!strings.Contains(err.Error(), "standard-objective") {
-		t.Fatalf("non-standard network with live overlay: %v", err)
+		t.Fatalf("custom-objective network with live overlay: %v", err)
 	}
-	if _, err := nonStd.Route("", 1, 2); err == nil {
-		t.Fatal("Route over live overlay on a non-standard network succeeded")
+	if _, err := custom.Route("", 1, 2); err == nil {
+		t.Fatal("Route over live overlay on a custom-objective network succeeded")
 	}
 }
 

@@ -36,13 +36,7 @@ func TestObserverFigure1Trajectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cand := &Network{
-			Graph: g,
-			Label: "figure1",
-			NewObjective: func(tgt int) route.Objective {
-				return route.NewStandard(g, tgt)
-			},
-		}
+		cand := &Network{Graph: g, Label: "figure1"}
 		var evs []route.MoveEvent
 		r, err := cand.Route("greedy", 0, 1, route.ObserverFunc(func(ev route.MoveEvent) {
 			evs = append(evs, ev)
@@ -71,7 +65,7 @@ func TestObserverFigure1Trajectory(t *testing.T) {
 		}
 	}
 	// And matches route.Moves, the library's own Figure 1 expansion.
-	traj := route.Moves(nw.Graph, nw.NewObjective(res.Path[len(res.Path)-1]), res, 0)
+	traj := route.Moves(nw.Graph, route.NewStandard(nw.Graph, res.Path[len(res.Path)-1]), res, 0)
 	for i, h := range traj {
 		if events[i] != h {
 			t.Fatalf("event %d = %+v differs from trajectory move %+v", i, events[i], h)

@@ -57,7 +57,7 @@ func TestGoldenShimEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", proto, err)
 			}
-			want := old(nw.NewObjective(tgt), s)
+			want := old(route.NewStandard(nw.Graph, tgt), s)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s on (%d, %d): registry result %+v differs from pre-redesign dispatch %+v",
 					proto, s, tgt, got, want)

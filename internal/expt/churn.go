@@ -76,10 +76,6 @@ func runE17(cfg Config) (Table, error) {
 		nw := &core.Network{
 			Graph: g,
 			Label: fmt.Sprintf("churn(j=%s,l=%s)", fmtF2(cell.join), fmtF2(cell.leave)),
-			NewObjective: func(t int) route.Objective {
-				return route.NewStandard(g, t)
-			},
-			StandardPhi: true,
 		}
 		if err := nw.SetOverlay(ov); err != nil {
 			return t, err

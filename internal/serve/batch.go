@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -14,11 +15,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file is the batch half of the routing API: POST /route/batch answers
-// many queries under one admission slot, and POST /route is a batch of one —
-// both run through routeOne, the single retry/breaker/budget core, over a
-// pooled episodeState whose buffers are reused across every attempt and
-// every item of a request.
+// This file is the routing API: POST /route/batch answers many queries under
+// one admission slot, and POST /route is a batch of one — both run through
+// one prelude (serveRouting) and routeOne, the single retry/breaker/budget
+// core, over a pooled episodeState whose buffers are reused across every
+// attempt and every item of a request.
 
 // episodeState is the pooled per-request routing state: the scratch buffers
 // and the Result every engine attempt builds into (core.RouteEpisodeInto).
@@ -235,9 +236,10 @@ func spanErr(err error, res *route.Result) string {
 	}
 }
 
-// validateItem checks one query against the resolved network, mirroring the
-// request-level validation of POST /route; a non-empty result is the item's
-// rejection message with its status.
+// validateItem is the one validation of a routing query against the resolved
+// network: POST /route runs it before the request takes a worker slot, POST
+// /route/batch on each item once the batch holds one. A non-zero status
+// rejects the query with the message.
 func validateItem(nw *core.Network, protoName string, s, t int, specs []faults.Spec) (int, string) {
 	if _, err := route.Lookup(protoName); err != nil {
 		return http.StatusNotFound, err.Error()
@@ -251,130 +253,209 @@ func validateItem(nw *core.Network, protoName string, s, t int, specs []faults.S
 	return 0, ""
 }
 
+// routingRequest is a decoded POST /route or POST /route/batch body, as the
+// prelude the two endpoints share sees it.
+type routingRequest interface {
+	// graphName is the graph slot the request routes on.
+	graphName() string
+	// check rejects what cannot be served on nw before it takes a worker
+	// slot: a non-zero status with its message.
+	check(nw *core.Network, maxBatch int) (int, string)
+	// logArgs are the attributes its shed and admitted log lines carry.
+	logArgs() []any
+}
+
+func (q *RouteRequest) graphName() string { return graphOrDefault(q.Graph) }
+
+func (q *RouteRequest) check(nw *core.Network, _ int) (int, string) {
+	return validateItem(nw, core.Protocol(q.Protocol).String(), q.S, q.T, q.Faults)
+}
+
+func (q *RouteRequest) logArgs() []any {
+	return []any{"protocol", core.Protocol(q.Protocol).String(), "s", q.S, "t", q.T}
+}
+
+func (b *BatchRouteRequest) graphName() string { return graphOrDefault(b.Graph) }
+
+func (b *BatchRouteRequest) check(_ *core.Network, maxBatch int) (int, string) {
+	if len(b.Items) == 0 {
+		return http.StatusBadRequest, "empty batch"
+	}
+	if len(b.Items) > maxBatch {
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d items exceeds the limit of %d",
+			len(b.Items), maxBatch)
+	}
+	return 0, ""
+}
+
+func (b *BatchRouteRequest) logArgs() []any { return []any{"items", len(b.Items)} }
+
+// admission is a routing request past the prelude: the network it routes on
+// and that slot's name, its distributed trace (nil when untraced) and the
+// time it waited for its worker slot.
+type admission struct {
+	nw        *core.Network
+	graphName string
+	rt        *reqTrace
+	queued    time.Duration
+}
+
+// serveRouting is the one prelude of POST /route and POST /route/batch:
+// method, drain gate, a body of at most limit bytes decoded into req, graph
+// lookup, req's own check, then admission — shed when the pool is full,
+// rejected when the client leaves while queued — and the queue span. kind
+// ("route" or "batch") opens its log lines. run serves the admitted request
+// on its worker slot over a pooled episode state; the request's trace
+// finishes clean when run returns unless run finished it first.
+func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind string, limit int64, req routingRequest, run func(a admission, es *episodeState)) {
+	logger := obs.Logger(r.Context())
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
+		return
+	}
+	// Count the request as in-flight from here: Drain waits for the whole
+	// handler, so an admitted episode always gets to write its response.
+	if !s.beginRequest() {
+		logger.Info(kind+" rejected", "reason", "draining")
+		writeError(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "server draining")
+		return
+	}
+	defer s.inflight.Done()
+
+	if !decodeBody(w, r, limit, req) {
+		return
+	}
+	a := admission{graphName: req.graphName()}
+	var ok bool
+	if a.nw, ok = s.Network(a.graphName); !ok {
+		writeError(w, http.StatusNotFound, 0, "unknown graph %q (installed: %s)",
+			a.graphName, strings.Join(s.GraphNames(), ", "))
+		return
+	}
+	if status, msg := req.check(a.nw, s.cfg.MaxBatch); status != 0 {
+		writeError(w, status, 0, "%s", msg)
+		return
+	}
+
+	// The distributed trace starts at admission: the queue wait is the first
+	// phase of the request, and the sampling decision made here rides every
+	// forwarded hop via the Traceparent header.
+	a.rt = s.startEntryTrace(r.Context())
+	defer a.rt.finish("")
+
+	// Admission: bounded concurrency, bounded queue, fast shedding. A batch
+	// is one unit of work — one slot, shed as one.
+	qStart := time.Now()
+	if err := s.pool.Acquire(r.Context()); err != nil {
+		if err == ErrOverloaded {
+			a.rt.finish("shed")
+			logger.Warn(kind+" shed", s.admissionArgs(req, "reason", "overloaded")...)
+			writeError(w, http.StatusTooManyRequests, s.cfg.RetryAfter, "overloaded: %d in flight, %d queued",
+				s.pool.InFlight(), s.pool.Waiting())
+			return
+		}
+		a.rt.finish("cancelled while queued")
+		logger.Info(kind+" rejected", "reason", "cancelled while queued", "err", err)
+		writeError(w, http.StatusServiceUnavailable, 0, "cancelled while queued: %v", err)
+		return
+	}
+	defer s.pool.Release()
+	a.queued = time.Since(qStart)
+	s.phaseLat[phaseQueue].Record(a.queued)
+	a.rt.add(obs.SpanQueueWait, qStart, a.queued, "", "", "")
+	if logger.Enabled(r.Context(), slog.LevelDebug) {
+		logger.Debug(kind+" admitted", s.admissionArgs(req, "graph", a.graphName)...)
+	}
+
+	es := episodePool.Get().(*episodeState)
+	defer episodePool.Put(es)
+	run(a, es)
+}
+
+// admissionArgs are the attributes of an admission log line: lead, the
+// request's own, then the pool's occupancy.
+func (s *Server) admissionArgs(req routingRequest, lead ...any) []any {
+	args := append(lead, req.logArgs()...)
+	return append(args, "inflight", s.pool.InFlight(), "waiting", s.pool.Waiting())
+}
+
+// handleRoute serves POST /route: a batch of one whose query the prelude
+// validates before it takes a worker slot; the item's status and body are
+// the response's.
+func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
+	var req RouteRequest
+	s.serveRouting(w, r, "route", maxRouteBody, &req, func(a admission, es *episodeState) {
+		req.Protocol = core.Protocol(req.Protocol).String() // "" = greedy
+		out := s.routeOne(r, a.nw, a.graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, a.rt, a.queued)
+		a.rt.finish(out.errMsg)
+		if out.errMsg != "" {
+			writeError(w, out.status, out.retryAfter, "%s", out.errMsg)
+			return
+		}
+		writeJSON(w, out.status, out.resp)
+	})
+}
+
 // handleRouteBatch serves POST /route/batch: one admission slot for the
 // whole batch, items answered sequentially on that worker under one shared
 // request deadline, per-item breaker and retry semantics. Item failures are
 // per-item statuses in the body; the envelope is 200 whenever the batch was
 // served at all.
 func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
-	logger := obs.Logger(r.Context())
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
-		return
-	}
-	if !s.beginRequest() {
-		logger.Info("batch rejected", "reason", "draining")
-		writeError(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "server draining")
-		return
-	}
-	defer s.inflight.Done()
-
 	var req BatchRouteRequest
-	if !decodeBody(w, r, maxRouteBody+int64(s.cfg.MaxBatch)*maxBatchItemBody, &req) {
-		return
-	}
-	graphName := req.Graph
-	if graphName == "" {
-		graphName = DefaultGraph
-	}
-	nw, ok := s.Network(graphName)
-	if !ok {
-		writeError(w, http.StatusNotFound, 0, "unknown graph %q (installed: %s)",
-			graphName, strings.Join(s.GraphNames(), ", "))
-		return
-	}
-	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, 0, "empty batch")
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, 0, "batch of %d items exceeds the limit of %d",
-			len(req.Items), s.cfg.MaxBatch)
-		return
-	}
-
-	// One distributed trace covers the whole batch: the queue wait is shared
-	// (one admission slot), items contribute their own phase spans.
-	rt := s.startEntryTrace(r.Context())
-	defer func() { rt.finish("") }()
-
-	// Admission: the whole batch is one unit of work — one slot, shed as one.
-	qStart := time.Now()
-	if err := s.pool.Acquire(r.Context()); err != nil {
-		if err == ErrOverloaded {
-			rt.finish("shed")
-			logger.Warn("batch shed", "reason", "overloaded",
-				"items", len(req.Items), "inflight", s.pool.InFlight(), "waiting", s.pool.Waiting())
-			writeError(w, http.StatusTooManyRequests, s.cfg.RetryAfter, "overloaded: %d in flight, %d queued",
-				s.pool.InFlight(), s.pool.Waiting())
-			return
+	s.serveRouting(w, r, "batch", maxRouteBody+int64(s.cfg.MaxBatch)*maxBatchItemBody, &req, func(a admission, es *episodeState) {
+		start := time.Now()
+		deadline := start.Add(s.cfg.RequestTimeout)
+		results := make([]BatchItemResult, len(req.Items))
+		clientGone := false
+		for i, item := range req.Items {
+			protoName := core.Protocol(item.Protocol).String() // "" = greedy
+			results[i].S, results[i].T = item.S, item.T
+			if clientGone {
+				results[i].Status = http.StatusServiceUnavailable
+				results[i].Error = "client gone, batch abandoned"
+				continue
+			}
+			if status, msg := validateItem(a.nw, protoName, item.S, item.T, item.Faults); status != 0 {
+				results[i].Status = status
+				results[i].Error = msg
+				continue
+			}
+			out := s.routeOne(r, a.nw, a.graphName, RouteRequest{
+				Protocol: protoName,
+				S:        item.S, T: item.T,
+				Faults:      item.Faults,
+				FaultSeed:   item.FaultSeed,
+				IncludePath: item.IncludePath,
+			}, deadline, es, a.rt, a.queued)
+			if out.errMsg != "" {
+				results[i].Status = out.status
+				results[i].Error = out.errMsg
+				results[i].RetryAfterMs = out.retryAfter.Milliseconds()
+				clientGone = out.clientGone
+				continue
+			}
+			results[i] = BatchItemResult{
+				Status:   out.status,
+				Protocol: out.resp.Protocol,
+				S:        out.resp.S, T: out.resp.T,
+				Success:   out.resp.Success,
+				Failure:   out.resp.Failure,
+				Moves:     out.resp.Moves,
+				Unique:    out.resp.Unique,
+				Path:      out.resp.Path,
+				Attempts:  out.resp.Attempts,
+				Forwards:  out.resp.Forwards,
+				Hedges:    out.resp.Hedges,
+				Failovers: out.resp.Failovers,
+				ElapsedMs: out.resp.ElapsedMs,
+				Timings:   out.resp.Timings,
+			}
 		}
-		rt.finish("cancelled while queued")
-		logger.Info("batch rejected", "reason", "cancelled while queued", "err", err)
-		writeError(w, http.StatusServiceUnavailable, 0, "cancelled while queued: %v", err)
-		return
-	}
-	defer s.pool.Release()
-	queued := time.Since(qStart)
-	s.phaseLat[phaseQueue].Record(queued)
-	rt.add(obs.SpanQueueWait, qStart, queued, "", "", "")
-	logger.Debug("batch admitted", "graph", graphName, "items", len(req.Items),
-		"inflight", s.pool.InFlight(), "waiting", s.pool.Waiting())
-
-	es := episodePool.Get().(*episodeState)
-	defer episodePool.Put(es)
-
-	start := time.Now()
-	deadline := start.Add(s.cfg.RequestTimeout)
-	results := make([]BatchItemResult, len(req.Items))
-	clientGone := false
-	for i, item := range req.Items {
-		protoName := core.Protocol(item.Protocol).String() // "" = greedy
-		results[i].S, results[i].T = item.S, item.T
-		if clientGone {
-			results[i].Status = http.StatusServiceUnavailable
-			results[i].Error = "client gone, batch abandoned"
-			continue
-		}
-		if status, msg := validateItem(nw, protoName, item.S, item.T, item.Faults); status != 0 {
-			results[i].Status = status
-			results[i].Error = msg
-			continue
-		}
-		out := s.routeOne(r, nw, graphName, RouteRequest{
-			Protocol: protoName,
-			S:        item.S, T: item.T,
-			Faults:      item.Faults,
-			FaultSeed:   item.FaultSeed,
-			IncludePath: item.IncludePath,
-		}, deadline, es, rt, queued)
-		if out.errMsg != "" {
-			results[i].Status = out.status
-			results[i].Error = out.errMsg
-			results[i].RetryAfterMs = out.retryAfter.Milliseconds()
-			clientGone = out.clientGone
-			continue
-		}
-		results[i] = BatchItemResult{
-			Status:   out.status,
-			Protocol: out.resp.Protocol,
-			S:        out.resp.S, T: out.resp.T,
-			Success:   out.resp.Success,
-			Failure:   out.resp.Failure,
-			Moves:     out.resp.Moves,
-			Unique:    out.resp.Unique,
-			Path:      out.resp.Path,
-			Attempts:  out.resp.Attempts,
-			Forwards:  out.resp.Forwards,
-			Hedges:    out.resp.Hedges,
-			Failovers: out.resp.Failovers,
-			ElapsedMs: out.resp.ElapsedMs,
-			Timings:   out.resp.Timings,
-		}
-	}
-	writeJSON(w, http.StatusOK, BatchRouteResponse{
-		Graph:     graphName,
-		Items:     results,
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
+		writeJSON(w, http.StatusOK, BatchRouteResponse{
+			Graph:     a.graphName,
+			Items:     results,
+			ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
+		})
 	})
 }

@@ -387,3 +387,43 @@ func FuzzRouteBatch(f *testing.F) {
 		}
 	})
 }
+
+// TestRouteHandlerAllocs pins the allocations of one in-process request
+// through Handler(): POST /route and a one-item POST /route/batch, each
+// delivering one greedy episode on the fast path. The bounds are what the
+// handlers made before they shared one prelude; the count includes the
+// test's own request and recorder.
+func TestRouteHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)), RequestIDSalt: 1})
+	s.AddNetwork("", testNetwork(t, 400, 11))
+	h := s.Handler()
+	for _, c := range []struct {
+		path string
+		req  any
+		max  float64
+	}{
+		{"/route", RouteRequest{S: 1, T: 200}, 54},
+		{"/route/batch", BatchRouteRequest{Items: []BatchItem{{S: 1, T: 200}}}, 60},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveOne := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(body)))
+			return rec
+		}
+		if rec := serveOne(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"success":true`)) {
+			t.Fatalf("%s: %d %s", c.path, rec.Code, rec.Body)
+		}
+		allocs := testing.AllocsPerRun(500, func() { serveOne() })
+		t.Logf("%s: %.0f allocs per request", c.path, allocs)
+		if allocs > c.max {
+			t.Errorf("%s: %.0f allocs per request, want <= %.0f", c.path, allocs, c.max)
+		}
+	}
+}

@@ -126,9 +126,7 @@ func (s *Server) Exchange(ctx context.Context, peer cluster.Peer, req cluster.Go
 // PeerBreaker exposes the (peer, graph) forward breaker, creating it on
 // first use like the forward path does.
 func (s *Server) PeerBreaker(peer, graph string) *Breaker {
-	if graph == "" {
-		graph = DefaultGraph
-	}
+	graph = graphOrDefault(graph)
 	return s.peerBreaker(peer, graph)
 }
 
@@ -155,7 +153,7 @@ func (s *Server) clusterEligible(nw *core.Network, protoName string, q RouteRequ
 	node := s.clusterNode
 	return node != nil &&
 		protoName == "greedy" &&
-		nw.StandardPhi &&
+		nw.NewObjective == nil &&
 		len(q.Faults) == 0 &&
 		nw.Graph == node.Graph() &&
 		nw.LiveOverlay() == nil
@@ -527,10 +525,7 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 		return resp, http.StatusServiceUnavailable, "server draining"
 	}
 	defer s.inflight.Done()
-	graphName := req.Graph
-	if graphName == "" {
-		graphName = DefaultGraph
-	}
+	graphName := graphOrDefault(req.Graph)
 	nw, ok := s.Network(graphName)
 	switch {
 	case !ok:

@@ -350,7 +350,7 @@ func TestTraceEndpoint(t *testing.T) {
 			hops = sp.Hops
 		}
 	}
-	want := route.Moves(nw.Graph, nw.NewObjective(200), route.Result{Path: rr.Path}, 0)
+	want := route.Moves(nw.Graph, route.NewStandard(nw.Graph, 200), route.Result{Path: rr.Path}, 0)
 	if len(hops) != len(want) {
 		t.Fatalf("local_route carries %d hops, the response path %d", len(hops), len(want))
 	}

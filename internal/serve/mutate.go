@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/obs"
-	"repro/internal/route"
 )
 
 // Live-graph serving. A daemon started with a mutation log (-mutate-dir)
@@ -24,7 +23,7 @@ import (
 // uses.
 
 // EnableMutation attaches a mutation log to a graph slot: it builds a
-// standard-phi Network over the log's base graph (which, after a resume
+// phi Network over the log's base graph (which, after a resume
 // from a compacted log, is the folded snapshot rather than the original
 // base), publishes the log's current overlay on it, and installs it under
 // graphName. At most one slot per server is mutable. In cluster mode the
@@ -36,9 +35,7 @@ func (s *Server) EnableMutation(log *mutate.Log, graphName string) error {
 	if log == nil {
 		return fmt.Errorf("serve: nil mutation log")
 	}
-	if graphName == "" {
-		graphName = DefaultGraph
-	}
+	graphName = graphOrDefault(graphName)
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 	if node := s.clusterNode; node != nil {
@@ -74,17 +71,10 @@ func (s *Server) MutationLog() (*mutate.Log, string) {
 	return s.mutLog, s.mutGraph
 }
 
-// liveNetwork builds the standard-phi Network a mutation log's base graph
-// is served as.
+// liveNetwork builds the phi Network a mutation log's base graph is served
+// as.
 func liveNetwork(g *graph.Graph) *core.Network {
-	return &core.Network{
-		Graph: g,
-		Label: fmt.Sprintf("live(n=%d,fp=%016x)", g.N(), g.Fingerprint()),
-		NewObjective: func(t int) route.Objective {
-			return route.NewStandard(g, t)
-		},
-		StandardPhi: true,
-	}
+	return &core.Network{Graph: g, Label: fmt.Sprintf("live(n=%d,fp=%016x)", g.N(), g.Fingerprint())}
 }
 
 // InstallCompacted hot-swaps a compacted snapshot into the mutable graph
@@ -160,10 +150,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxReplicateBody, &req) {
 		return
 	}
-	name := req.Graph
-	if name == "" {
-		name = DefaultGraph
-	}
+	name := graphOrDefault(req.Graph)
 	if name != mutGraph {
 		writeError(w, http.StatusNotFound, 0, "graph %q is not mutable (mutation log drives %q)", name, mutGraph)
 		return

@@ -36,19 +36,16 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/girg"
 	"repro/internal/graphio"
 	"repro/internal/mutate"
 	"repro/internal/obs"
-	"repro/internal/route"
 )
 
 // Config tunes a Server. The zero value serves with sensible defaults.
@@ -245,6 +242,14 @@ type Server struct {
 // DefaultGraph is the graph name "" resolves to.
 const DefaultGraph = "default"
 
+// graphOrDefault resolves a graph name: "" is DefaultGraph.
+func graphOrDefault(name string) string {
+	if name == "" {
+		return DefaultGraph
+	}
+	return name
+}
+
 // New builds a Server with cfg. Install at least one snapshot with
 // AddNetwork before serving, or /readyz stays 503.
 func New(cfg Config) *Server {
@@ -282,9 +287,7 @@ func New(cfg Config) *Server {
 // In-flight requests keep the snapshot they resolved; only new requests see
 // the replacement — hot-swap without a drop.
 func (s *Server) AddNetwork(name string, nw *core.Network) {
-	if name == "" {
-		name = DefaultGraph
-	}
+	name = graphOrDefault(name)
 	for {
 		old := s.graphs.Load()
 		next := make(map[string]*core.Network, len(*old)+1)
@@ -300,9 +303,7 @@ func (s *Server) AddNetwork(name string, nw *core.Network) {
 
 // Network resolves a named snapshot ("" = default).
 func (s *Server) Network(name string) (*core.Network, bool) {
-	if name == "" {
-		name = DefaultGraph
-	}
+	name = graphOrDefault(name)
 	nw, ok := (*s.graphs.Load())[name]
 	return nw, ok
 }
@@ -335,9 +336,7 @@ func (s *Server) breaker(graph, proto string) *Breaker {
 // Breaker exposes the (graph, protocol) breaker for tests and admin
 // tooling, creating it on first use like the request path does.
 func (s *Server) Breaker(graph, proto string) *Breaker {
-	if graph == "" {
-		graph = DefaultGraph
-	}
+	graph = graphOrDefault(graph)
 	return s.breaker(graph, core.Protocol(proto).String())
 }
 
@@ -567,95 +566,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return false
 }
 
-// handleRoute serves POST /route: admission, breaker, then budgeted engine
-// episodes with transient-failure retries.
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	logger := obs.Logger(r.Context())
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
-		return
-	}
-	// Count the request as in-flight from here: Drain waits for the whole
-	// handler, so an admitted episode always gets to write its response.
-	if !s.beginRequest() {
-		logger.Info("route rejected", "reason", "draining")
-		writeError(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "server draining")
-		return
-	}
-	defer s.inflight.Done()
-
-	var req RouteRequest
-	if !decodeBody(w, r, maxRouteBody, &req) {
-		return
-	}
-	graphName := req.Graph
-	if graphName == "" {
-		graphName = DefaultGraph
-	}
-	nw, ok := s.Network(graphName)
-	if !ok {
-		writeError(w, http.StatusNotFound, 0, "unknown graph %q (installed: %s)",
-			graphName, strings.Join(s.GraphNames(), ", "))
-		return
-	}
-	protoName := core.Protocol(req.Protocol).String() // "" = greedy
-	if _, err := route.Lookup(protoName); err != nil {
-		writeError(w, http.StatusNotFound, 0, "%v", err)
-		return
-	}
-	if n := nw.LiveN(); req.S < 0 || req.S >= n || req.T < 0 || req.T >= n {
-		writeError(w, http.StatusBadRequest, 0, "vertex pair (%d, %d) out of range (n = %d)",
-			req.S, req.T, n)
-		return
-	}
-	// Validate the fault specs before spending a worker slot on them.
-	if _, err := faults.NewPlan(0, req.Faults...); err != nil {
-		writeError(w, http.StatusBadRequest, 0, "%v", err)
-		return
-	}
-
-	// The distributed trace starts at admission: the queue wait is the first
-	// phase of the request, and the sampling decision made here rides every
-	// forwarded hop via the Traceparent header.
-	rt := s.startEntryTrace(r.Context())
-
-	// Admission: bounded concurrency, bounded queue, fast shedding.
-	qStart := time.Now()
-	if err := s.pool.Acquire(r.Context()); err != nil {
-		if err == ErrOverloaded {
-			rt.finish("shed")
-			logger.Warn("route shed", "reason", "overloaded",
-				"inflight", s.pool.InFlight(), "waiting", s.pool.Waiting())
-			writeError(w, http.StatusTooManyRequests, s.cfg.RetryAfter, "overloaded: %d in flight, %d queued",
-				s.pool.InFlight(), s.pool.Waiting())
-			return
-		}
-		rt.finish("cancelled while queued")
-		logger.Info("route rejected", "reason", "cancelled while queued", "err", err)
-		writeError(w, http.StatusServiceUnavailable, 0, "cancelled while queued: %v", err)
-		return
-	}
-	defer s.pool.Release()
-	queued := time.Since(qStart)
-	s.phaseLat[phaseQueue].Record(queued)
-	rt.add(obs.SpanQueueWait, qStart, queued, "", "", "")
-	logger.Debug("route admitted", "graph", graphName, "protocol", protoName,
-		"s", req.S, "t", req.T, "inflight", s.pool.InFlight(), "waiting", s.pool.Waiting())
-
-	// From here /route is a batch of one: breaker, budgeted episodes and
-	// retries all live in routeOne, shared with POST /route/batch.
-	es := episodePool.Get().(*episodeState)
-	defer episodePool.Put(es)
-	req.Protocol = protoName
-	out := s.routeOne(r, nw, graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, rt, queued)
-	rt.finish(out.errMsg)
-	if out.errMsg != "" {
-		writeError(w, out.status, out.retryAfter, "%s", out.errMsg)
-		return
-	}
-	writeJSON(w, out.status, out.resp)
-}
-
 // handleSwap serves POST /admin/swap: build a snapshot — generate a fresh
 // GIRG, or load a girgen file when Path is set — and atomically install it.
 // The snapshot is fully built and checksum-verified before the swap, so
@@ -672,10 +582,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxRouteBody, &req) {
 		return
 	}
-	name := req.Graph
-	if name == "" {
-		name = DefaultGraph
-	}
+	name := graphOrDefault(req.Graph)
 	// The mutable slot is owned by the mutation log: installing an unrelated
 	// snapshot under it would strand journaled mutations.
 	if log, mutGraph := s.MutationLog(); log != nil && name == mutGraph {
@@ -713,14 +620,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		nw = &core.Network{
-			Graph: g,
-			Label: fmt.Sprintf("file(%s,n=%d)", filepath.Base(req.Path), g.N()),
-			NewObjective: func(t int) route.Objective {
-				return route.NewStandard(g, t)
-			},
-			StandardPhi: true,
-		}
+		nw = &core.Network{Graph: g, Label: fmt.Sprintf("file(%s,n=%d)", filepath.Base(req.Path), g.N())}
 	} else {
 		if req.N < 2 {
 			writeError(w, http.StatusBadRequest, 0, "n must be >= 2 (got %g)", req.N)
