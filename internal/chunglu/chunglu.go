@@ -12,7 +12,6 @@ package chunglu
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -65,11 +64,7 @@ func Generate(p Params, seed uint64) (*graph.Graph, error) {
 	}
 	// Sort indices by decreasing weight; edges are sampled in sorted order
 	// and mapped back so vertex ids remain in sampling order.
-	order := make([]int, p.N)
-	for i := range order {
-		order[i] = i
-	}
-	sortByWeightDesc(order, weights)
+	order := graph.WeightOrder(p.N, func(v int) float64 { return weights[v] })
 	sorted := make([]float64, p.N)
 	for k, id := range order {
 		sorted[k] = weights[id]
@@ -79,13 +74,7 @@ func Generate(p Params, seed uint64) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	prob := func(i, j int) float64 {
-		q := sorted[i] * sorted[j] / total
-		if q > 1 {
-			return 1
-		}
-		return q
-	}
+	prob := func(i, j int) float64 { return min(1, sorted[i]*sorted[j]/total) }
 	for i := 0; i < p.N-1; i++ {
 		j := i + 1
 		pij := prob(i, j)
@@ -98,53 +87,11 @@ func Generate(p Params, seed uint64) (*graph.Graph, error) {
 			}
 			q := prob(i, j)
 			if rng.Bernoulli(q / pij) {
-				b.AddEdge(order[i], order[j])
+				b.AddEdge(int(order[i]), int(order[j]))
 			}
 			pij = q
 			j++
 		}
 	}
 	return b.Finish(), nil
-}
-
-// GenerateNaive is the quadratic reference sampler used to validate
-// Generate.
-func GenerateNaive(p Params, seed uint64) (*graph.Graph, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	rng := xrand.New(seed)
-	weights := make([]float64, p.N)
-	total := 0.0
-	for i := range weights {
-		weights[i] = rng.PowerLaw(p.WMin, p.Beta)
-		total += weights[i]
-	}
-	b, err := graph.NewBuilder(p.N, nil, weights, float64(p.N), p.WMin)
-	if err != nil {
-		return nil, err
-	}
-	for u := 0; u < p.N; u++ {
-		for v := u + 1; v < p.N; v++ {
-			q := weights[u] * weights[v] / total
-			if q > 1 {
-				q = 1
-			}
-			if rng.Bernoulli(q) {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Finish(), nil
-}
-
-// sortByWeightDesc sorts ids by decreasing weights[id], ties broken by id
-// for determinism.
-func sortByWeightDesc(ids []int, weights []float64) {
-	sort.Slice(ids, func(a, b int) bool {
-		if weights[ids[a]] != weights[ids[b]] {
-			return weights[ids[a]] > weights[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
 }

@@ -70,7 +70,7 @@ func TestFastMatchesNaive(t *testing.T) {
 		return sum / reps
 	}
 	fast := mean(Generate, 100)
-	naive := mean(GenerateNaive, 100) // same seeds -> same weights per rep
+	naive := mean(generateNaive, 100) // same seeds -> same weights per rep
 	// Means over the same weight draws; difference is only edge-coin noise.
 	if math.Abs(fast-naive)/naive > 0.05 {
 		t.Fatalf("fast mean edges %v vs naive %v", fast, naive)
@@ -139,4 +139,34 @@ func BenchmarkGenerate20k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// generateNaive is the quadratic reference sampler that validates Generate.
+func generateNaive(p Params, seed uint64) (*graph.Graph, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	rng := xrand.New(seed)
+	weights := make([]float64, p.N)
+	total := 0.0
+	for i := range weights {
+		weights[i] = rng.PowerLaw(p.WMin, p.Beta)
+		total += weights[i]
+	}
+	b, err := graph.NewBuilder(p.N, nil, weights, float64(p.N), p.WMin)
+	if err != nil {
+		return nil, err
+	}
+	for u := 0; u < p.N; u++ {
+		for v := u + 1; v < p.N; v++ {
+			q := weights[u] * weights[v] / total
+			if q > 1 {
+				q = 1
+			}
+			if rng.Bernoulli(q) {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	return b.Finish(), nil
 }

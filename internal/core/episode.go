@@ -26,9 +26,10 @@ type EpisodeConfig struct {
 	// classified route.FailDeadline instead of a stuck handler.
 	Timeout time.Duration
 	// Faults optionally layers a fault-injection plan over the episode. The
-	// plan binds to the graph per call, so per-request plans are cheap for the
-	// transient models and pay their per-graph setup only when a crash model
-	// is present. nil injects nothing.
+	// plan binds to the graph per call, which every built-in model does in
+	// O(1) on a snapshot (crash-core reads its memoized weight order); on a
+	// live overlay crash-core sorts the overlay's vertices per call. nil
+	// injects nothing.
 	Faults *faults.Plan
 	// Episode is the episode index handed to the fault plan's views; retrying
 	// services vary it per attempt so transient fault draws are independent

@@ -1,8 +1,9 @@
 package faults
 
 import (
-	"sort"
+	"cmp"
 
+	"repro/internal/graph"
 	"repro/internal/route"
 	"repro/internal/xrand"
 )
@@ -35,6 +36,10 @@ func (m crashUniform) Bind(g route.Graph, seed uint64) Bound {
 	return &boundCrash{seed: seed, rate: m.rate}
 }
 
+// SeededCrashes reports true: the crash set is a hash of the seed, so a
+// re-seeded plan draws a new one.
+func (crashUniform) SeededCrashes() bool { return true }
+
 // crashCore crashes the top fraction of vertices by model weight — an
 // adversarial attack on the network core. Figure 1's first phase routes
 // every message through exactly those doubly-exponentially heavier hubs, so
@@ -46,47 +51,45 @@ type crashCore struct{ fraction float64 }
 // Name returns "crash-core".
 func (crashCore) Name() string { return "crash-core" }
 
-// Bind ranks the graph's vertices by weight (ties broken by id, so the crash
-// set is deterministic) and marks the top fraction crashed.
+// Bind crashes the top fraction of the graph's weight order, whatever the
+// seed, keeping only the last crashed vertex p: v is crashed when it does
+// not come after p. O(1) on a *graph.Graph, which memoizes its order; any
+// other graph (a live overlay) is sorted per bind.
 func (m crashCore) Bind(g route.Graph, seed uint64) Bound {
 	n := g.N()
-	k := int(m.fraction * float64(n))
+	k := min(int(m.fraction*float64(n)), n)
 	if k <= 0 {
 		return &boundCrash{seed: seed}
 	}
-	if k > n {
-		k = n
+	var order []int32
+	if gg, ok := g.(*graph.Graph); ok {
+		order = gg.WeightOrder()
+	} else {
+		order = graph.WeightOrder(n, g.Weight)
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := g.Weight(int(order[i])), g.Weight(int(order[j]))
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
-	crashed := make([]bool, n)
-	for _, v := range order[:k] {
-		crashed[v] = true
-	}
-	return &boundCrash{seed: seed, set: crashed}
+	p := int(order[k-1])
+	return &boundCrash{seed: seed, g: g, pivot: p, pivotW: g.Weight(p)}
 }
 
-// boundCrash serves both crash models: a nil set means hash-based uniform
-// membership at the given rate, a non-nil set is an explicit crash list.
+// boundCrash serves both crash models: with g nil membership is a hash of
+// (seed, vertex) at rate, otherwise g's weight order up to pivot.
 type boundCrash struct {
-	seed uint64
-	rate float64
-	set  []bool
+	seed   uint64
+	rate   float64
+	g      route.Graph
+	pivot  int
+	pivotW float64
 }
 
 // Crashed reports whether v is permanently failed.
 func (b *boundCrash) Crashed(v int) bool {
-	if b.set != nil {
-		return v >= 0 && v < len(b.set) && b.set[v]
+	if b.g != nil {
+		if v < 0 || v >= b.g.N() {
+			return false
+		}
+		// The weight order's comparator, against the pivot.
+		c := cmp.Compare(b.g.Weight(v), b.pivotW)
+		return c > 0 || c == 0 && v <= b.pivot
 	}
 	if b.rate <= 0 {
 		return false
@@ -99,7 +102,7 @@ func (b *boundCrash) Crashed(v int) bool {
 // can no longer reach, which is exactly what a live node routing around a
 // dead neighbor experiences.
 func (b *boundCrash) View(g route.Graph, obj route.Objective, episode int) (route.Graph, route.Objective) {
-	if b.set == nil && b.rate <= 0 {
+	if b.g == nil && b.rate <= 0 {
 		return g, obj
 	}
 	return &crashGraph{inner: g, bound: b}, obj

@@ -54,9 +54,11 @@ type Spec struct {
 	Retries int `json:"retries,omitempty"`
 }
 
-// Model is one fault model. Bind precomputes any per-graph state (crash
-// sets, weight quantiles) once per plan; the returned Bound then instantiates
-// cheap episode-scoped faulty views.
+// Model is one fault model. Bind attaches it to a graph; the returned Bound
+// then instantiates cheap episode-scoped faulty views. Engines bind per
+// batch and per episode, and every built-in binds a *graph.Graph in O(1).
+// A model whose crash set depends on the bind seed says so with a
+// SeededCrashes() bool method (see Plan.SeededCrashes).
 type Model interface {
 	// Name is the registry key, e.g. "edge-drop".
 	Name() string
@@ -176,11 +178,12 @@ func NewPlan(seed uint64, specs ...Spec) (*Plan, error) {
 	return p, nil
 }
 
-// Bind precomputes the per-graph state of every layer (crash sets, weight
-// thresholds) and returns a bound plan. Binding is done once per batch; the
-// bound plan then serves concurrent episodes. Bind on a nil plan returns
-// nil, which every BoundPlan method treats as the no-op plan, so an episode
-// without faults allocates nothing here; an empty plan binds to an empty one.
+// Bind attaches every layer to g and returns a bound plan that serves
+// concurrent episodes. Engines bind once per batch and once per single
+// episode, which every built-in model affords (see Model). Bind on a nil
+// plan returns nil, which every BoundPlan method treats as the no-op plan,
+// so an episode without faults allocates nothing here; an empty plan binds
+// to an empty one.
 func (p *Plan) Bind(g route.Graph) *BoundPlan {
 	if p == nil {
 		return nil
@@ -192,6 +195,21 @@ func (p *Plan) Bind(g route.Graph) *BoundPlan {
 		b.layers = append(b.layers, m.Bind(g, xrand.Hash64(p.Seed, uint64(i)+1, stringHash(m.Name()))))
 	}
 	return b
+}
+
+// SeededCrashes reports whether some layer's crash set depends on the plan
+// seed (crash-uniform's does, crash-core's does not), so that a re-seeded
+// plan may revive a crashed endpoint.
+func (p *Plan) SeededCrashes() bool {
+	if p == nil {
+		return false
+	}
+	for _, m := range p.Models {
+		if s, ok := m.(interface{ SeededCrashes() bool }); ok && s.SeededCrashes() {
+			return true
+		}
+	}
+	return false
 }
 
 // BoundPlan is a plan bound to one graph, ready to instantiate episode views.

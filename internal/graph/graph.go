@@ -6,6 +6,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -39,6 +40,9 @@ type Graph struct {
 	// property of the content, not part of it, so it stays out of the digest.
 	unitOnce sync.Once
 	unit     bool
+	// orderOnce/order memoize WeightOrder, likewise outside the digest.
+	orderOnce sync.Once
+	order     []int32
 }
 
 // Builder accumulates edges before freezing them into a Graph. Edges may be
@@ -297,6 +301,33 @@ func (g *Graph) UnitCoords() bool {
 		g.unit = true
 	})
 	return g.unit
+}
+
+// WeightOrder returns the memoized WeightOrder of g's weights, the order
+// Figure 1's first phase climbs (identity when unweighted, as Weight is 1).
+// Core and crash-core's crash set are prefixes of it. Callers must not
+// modify the shared slice.
+func (g *Graph) WeightOrder() []int32 {
+	g.orderOnce.Do(func() { g.order = WeightOrder(g.n, g.Weight) })
+	return g.order
+}
+
+// WeightOrder sorts the vertices 0..n-1 by weight descending, ties by id
+// ascending: a strict total order, so a pure function of the weights. It is
+// the module's one weight sort; what has no memo (a live overlay, a
+// generator's weights) calls it directly.
+func WeightOrder(n int, weight func(v int) float64) []int32 {
+	order := make([]int32, n)
+	for v := range order {
+		order[v] = int32(v)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(weight(int(b)), weight(int(a))); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }
 
 // Positions returns the underlying position store (may be nil).

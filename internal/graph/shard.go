@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/torus"
 )
@@ -39,31 +37,21 @@ func OwnedMask(codes []uint64, bits int, p torus.Prefix) ([]bool, error) {
 	return owned, nil
 }
 
-// Core returns the routing core of g: the longest prefix of its vertices in
-// (weight descending, id ascending) order that forms a clique. Every greedy
-// path climbs into these hubs first (Figure 1's first phase), and above a
-// weight of about √W two vertices are adjacent wherever they sit, so
-// geometry gives no reason to put them on one shard: a cluster routes the
-// core locally on every shard. The result is a pure function of the
-// snapshot. A graph without weights has no hubs and an empty core.
-func Core(g *Graph) []int {
+// Core returns the routing core of g: the longest prefix of its WeightOrder
+// that forms a clique, shared with the memo (callers must not modify it).
+// Every greedy path climbs into these hubs first (Figure 1's first phase),
+// and above a weight of about √W two vertices are adjacent wherever they
+// sit, so a cluster routes the core locally on every shard. A graph without
+// weights has no hubs and an empty core.
+func Core(g *Graph) []int32 {
 	if g.weights == nil {
 		return nil
 	}
-	order := make([]int, g.n)
-	for v := range order {
-		order[v] = v
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(g.weights[b], g.weights[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	order := g.WeightOrder()
 	for k, v := range order {
 		for _, u := range order[:k] {
-			if !g.HasEdge(u, v) {
-				return slices.Clone(order[:k])
+			if !g.HasEdge(int(u), int(v)) {
+				return order[:k:k]
 			}
 		}
 	}

@@ -31,8 +31,9 @@ type RouteRequest struct {
 	// registry; unknown models fail the request with 400.
 	Faults []faults.Spec `json:"faults,omitempty"`
 	// FaultSeed seeds the per-request fault plan (0 = derive from the
-	// request). Retried attempts salt this seed so transient fault draws are
-	// independent across attempts.
+	// request). Retried attempts salt this seed so transient fault draws and
+	// seeded crash sets (crash-uniform) are independent across attempts;
+	// crash-core ignores it.
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// IncludePath asks for the full vertex path in the response (off by
 	// default: paths on poly-log graphs are short, but dashboards polling

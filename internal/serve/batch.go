@@ -58,15 +58,20 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 	tm := &Timings{QueueUs: queued.Microseconds()}
 
 	// Circuit breaker: fail fast while this (graph, protocol) is unhealthy.
-	br := s.breaker(graphName, protoName)
-	if retryIn, err := br.Allow(); err != nil {
-		rt.add(obs.SpanBreaker, time.Now(), 0, "", graphName+"/"+protoName, "open")
-		logger.Warn("route rejected", "reason", "breaker open",
-			"graph", graphName, "protocol", protoName, "retry_in_ms", retryIn.Milliseconds())
-		return routeOutcome{
-			status:     http.StatusServiceUnavailable,
-			errMsg:     fmt.Sprintf("circuit breaker open for %s/%s", graphName, protoName),
-			retryAfter: retryIn,
+	// A query with its own fault plan neither consults nor feeds it (br
+	// stays nil): what its plan inflicts says nothing of the service.
+	var br *Breaker
+	if len(q.Faults) == 0 {
+		br = s.breaker(graphName, protoName)
+		if retryIn, err := br.Allow(); err != nil {
+			rt.add(obs.SpanBreaker, time.Now(), 0, "", graphName+"/"+protoName, "open")
+			logger.Warn("route rejected", "reason", "breaker open",
+				"graph", graphName, "protocol", protoName, "retry_in_ms", retryIn.Milliseconds())
+			return routeOutcome{
+				status:     http.StatusServiceUnavailable,
+				errMsg:     fmt.Sprintf("circuit breaker open for %s/%s", graphName, protoName),
+				retryAfter: retryIn,
+			}
 		}
 	}
 
@@ -103,9 +108,9 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		}
 		var plan *faults.Plan
 		if len(q.Faults) > 0 {
-			// Salt the plan seed per attempt: transient fault draws (and the
-			// crash sets of churn models) re-roll on retry, which is what
-			// makes crashed-target a retryable class at all.
+			// Salt the plan seed per attempt: transient fault draws and
+			// seeded crash sets (crash-uniform) re-roll on retry, which is
+			// what makes crashed-target retryable under such a plan.
 			plan, epErr = faults.NewPlan(xrand.Hash64(faultSeed, uint64(attempt)), q.Faults...)
 			if epErr != nil {
 				break
@@ -141,7 +146,7 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 			s.phaseLat[phaseRoute].Record(epDur)
 			rt.localRoute(epStart, epDur, faultDetail, spanErr(epErr, res), hc)
 		}
-		if epErr != nil || res.Success || !Transient(res.Failure) {
+		if epErr != nil || res.Success || !Transient(res.Failure, plan) {
 			break
 		}
 		if attempt >= s.cfg.Retry.MaxAttempts {
@@ -169,7 +174,9 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 			case <-r.Context().Done():
 				t.Stop()
 				logger.Info("route abandoned", "reason", "client gone during backoff", "err", r.Context().Err())
-				br.Record(true)
+				if br != nil {
+					br.Record(true)
+				}
 				return routeOutcome{
 					status:     http.StatusServiceUnavailable,
 					errMsg:     fmt.Sprintf("client gone during backoff: %v", r.Context().Err()),
@@ -183,11 +190,13 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 	// and engine-inflicted failure classes count against it, while
 	// definitive protocol outcomes (delivered, dead-end, truncated) count
 	// as healthy service.
-	stateBefore := br.State()
-	br.Record(epErr != nil || Transient(res.Failure) || res.Failure == route.FailCancelled)
-	if after := br.State(); after == BreakerOpen && stateBefore != BreakerOpen {
-		logger.Warn("circuit breaker opened", "graph", graphName, "protocol", protoName,
-			"opens", br.Opens())
+	if br != nil {
+		stateBefore := br.State()
+		br.Record(epErr != nil || Transient(res.Failure, nil) || res.Failure == route.FailCancelled)
+		if after := br.State(); after == BreakerOpen && stateBefore != BreakerOpen {
+			logger.Warn("circuit breaker opened", "graph", graphName, "protocol", protoName,
+				"opens", br.Opens())
+		}
 	}
 
 	if epErr != nil {

@@ -344,6 +344,8 @@ func FuzzRouteBatch(f *testing.F) {
 		`{"items":[{"s":0,"t":1,"faults":[{"model":"nope","rate":0.5}]}]}`,
 		`{"items":[{"s":0,"t":1,"faults":[{"model":"edge-drop","rate":1.5}]},{"s":0,"t":1,"faults":[{"model":"edge-drop","rate":-1}]}]}`,
 		`{"items":[{"s":0,"t":1,"faults":[{"model":"crash-uniform","rate":1}]}]}`,
+		`{"items":[{"s":0,"t":1,"faults":[{"model":"crash-core","rate":1}]},{"s":0,"t":1,"faults":[{"model":"crash-core","rate":0.001}]}]}`,
+		`{"items":[{"s":0,"t":1,"faults":[{"model":"crash-core","rate":0.1}]},{"s":0,"t":1,"fault_seed":7,"faults":[{"model":"edge-drop","rate":0.2},{"model":"crash-core","rate":0.5}]}]}`,
 		`{"items":[{"s":0,"t":1,"faults":[{"model":"msg-loss","rate":0.9,"retries":-1}]}]}`,
 		`{"items":[{"s":0,"t":1,"faults":[{"model":"msg-loss","rate":0.9,"retries":9000000000000000000}]}]}`,
 		`{"items":[{"s":0,"t":1,"faults":"edge-drop"}]}`,

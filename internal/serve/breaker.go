@@ -84,8 +84,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // Breaker is one sliding-window circuit breaker, guarding one
 // (graph, protocol) pair in the daemon. What counts as a breaker failure is
 // the caller's choice — the daemon feeds it engine-inflicted failure
-// classes (deadline, crashed-target) and episode errors, not definitive
-// protocol outcomes like dead ends, which are healthy service behaviour.
+// classes (deadline cuts) and episode errors of fault-free queries, not
+// definitive protocol outcomes like dead ends, which are healthy service
+// behaviour, nor anything a query's own fault plan inflicted.
 // Breaker is safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig

@@ -212,7 +212,7 @@ func TestCoreSurvivesHubShard(t *testing.T) {
 	for _, v := range core {
 		inCore[v] = true
 	}
-	dead := mortonOwner(t, daemons, codes, bits, core[0])
+	dead := mortonOwner(t, daemons, codes, bits, int(core[0]))
 	daemons[dead].kill()
 	var live []*shardDaemon
 	for i, d := range daemons {

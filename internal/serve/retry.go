@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/route"
 	"repro/internal/xrand"
 )
@@ -39,14 +40,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Transient reports whether a failure class is worth retrying. Deadline
-// cuts (the budget may simply have been unlucky against a slow region) and
-// crashed targets under a fault plan (retries re-draw the plan under a
-// salted seed, modelling churned-but-recovering vertices) are transient;
-// dead ends and truncations are definitive protocol outcomes, and
-// cancellation means the server is draining.
-func Transient(f route.Failure) bool {
-	return f == route.FailDeadline || f == route.FailCrashedTarget
+// Transient reports whether a failure under the request's fault plan (nil
+// for none) is worth retrying: a deadline cut may have been unlucky, and a
+// crashed target recovers only if the salted retry seed re-draws the crash
+// set (faults.Plan.SeededCrashes). Dead ends and truncations are definitive
+// protocol outcomes, and cancellation means the server is draining.
+func Transient(f route.Failure, plan *faults.Plan) bool {
+	return f == route.FailDeadline || f == route.FailCrashedTarget && plan.SeededCrashes()
 }
 
 // Backoff returns the delay before retry attempt `attempt` (1-based: the

@@ -4,27 +4,42 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/route"
 )
 
 // TestTransientClassification pins down which failure classes are worth a
-// retry: engine-inflicted transient classes yes, definitive protocol
-// outcomes and drain-time cancellation no.
+// retry: deadline cuts yes, a crashed target only under a plan whose crash
+// set the per-attempt seed salt re-draws, definitive protocol outcomes and
+// drain-time cancellation no.
 func TestTransientClassification(t *testing.T) {
+	plan := func(model string) *faults.Plan {
+		p, err := faults.NewPlan(1, faults.Spec{Model: "edge-drop", Rate: 0.1}, faults.Spec{Model: model, Rate: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	uniform, core, drop := plan("crash-uniform"), plan("crash-core"), plan("msg-loss")
 	cases := []struct {
 		f    route.Failure
+		plan *faults.Plan
 		want bool
 	}{
-		{route.FailNone, false},
-		{route.FailDeadEnd, false},
-		{route.FailTruncated, false},
-		{route.FailDeadline, true},
-		{route.FailCrashedTarget, true},
-		{route.FailCancelled, false},
+		{route.FailNone, nil, false},
+		{route.FailDeadEnd, nil, false},
+		{route.FailTruncated, nil, false},
+		{route.FailDeadline, nil, true},
+		{route.FailDeadline, core, true},
+		{route.FailCrashedTarget, nil, false},
+		{route.FailCrashedTarget, drop, false},
+		{route.FailCrashedTarget, core, false},
+		{route.FailCrashedTarget, uniform, true},
+		{route.FailCancelled, nil, false},
 	}
 	for _, c := range cases {
-		if got := Transient(c.f); got != c.want {
-			t.Errorf("Transient(%q) = %v, want %v", c.f, got, c.want)
+		if got := Transient(c.f, c.plan); got != c.want {
+			t.Errorf("Transient(%q, %v) = %v, want %v", c.f, c.plan, got, c.want)
 		}
 	}
 }

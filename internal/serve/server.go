@@ -16,8 +16,8 @@
 // failure classes and fails fast while a pair is unhealthy, with half-open
 // probes to recover. Each admitted request routes under a server-side
 // deadline mapped onto the engine's episode budgets, and transient failure
-// classes (deadline, crashed-target) are retried with capped exponential
-// backoff and deterministic jitter. Graph snapshots hot-swap atomically
+// classes (deadline, and crashed-target under a seeded crash set) are
+// retried with capped exponential backoff and deterministic jitter. Graph snapshots hot-swap atomically
 // (POST /admin/swap) without dropping in-flight requests, and Drain lets
 // SIGTERM wait for in-flight episodes before exit. Each Server owns its
 // engine counters, and /metrics and /debug/vars render that server's state

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -302,6 +303,43 @@ func TestBreakerOverHTTP(t *testing.T) {
 	resp3, _, _ := postRoute(t, ts.URL, RouteRequest{Protocol: "test-switchable", S: 0, T: 1})
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery status = %d, want 200", resp3.StatusCode)
+	}
+}
+
+// TestFaultProbesSkipBreaker sends chaos probes whose own crash-core plan
+// crashes their source: each answers crashed-target on its first attempt
+// (the crash set ignores the retry salt), none of them counts against the
+// (graph, protocol) breaker, and fault-free traffic keeps being served.
+func TestFaultProbesSkipBreaker(t *testing.T) {
+	nw := testNetwork(t, 2000, 1)
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s.AddNetwork("", nw)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	heaviest := 0
+	for v := range nw.Graph.N() {
+		if nw.Graph.Weight(v) > nw.Graph.Weight(heaviest) {
+			heaviest = v
+		}
+	}
+	probe := RouteRequest{S: heaviest, T: (heaviest + 1) % nw.Graph.N(),
+		Faults: []faults.Spec{{Model: "crash-core", Rate: 0.1}}}
+	for i := 0; i < 100; i++ {
+		resp, ok, bad := postRoute(t, ts.URL, probe)
+		if resp.StatusCode != StatusFor(route.FailCrashedTarget) || ok.Failure != string(route.FailCrashedTarget) {
+			t.Fatalf("probe %d: status %d, failure %q, error %q; want crashed-target", i, resp.StatusCode, ok.Failure, bad.Error)
+		}
+		if ok.Attempts != 1 {
+			t.Fatalf("probe %d: %d attempts, want 1 (crash-core crashes the same vertices under every seed)", i, ok.Attempts)
+		}
+	}
+	if got := s.Breaker("", "greedy").State(); got != BreakerClosed {
+		t.Fatalf("breaker state after fault probes = %v, want closed", got)
+	}
+	probe.Faults = nil
+	if resp, _, bad := postRoute(t, ts.URL, probe); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fault-free request after the probes: status %d (%s), want 200", resp.StatusCode, bad.Error)
 	}
 }
 
