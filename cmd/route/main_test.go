@@ -84,6 +84,19 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunEmptyGraph: a snapshot with no vertex is a usage error (exit 1)
+// naming the empty giant component, not a panic.
+func TestRunEmptyGraph(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.girg")
+	if err := os.WriteFile(path, []byte("girg 0 0 2 1 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, err := runCtx(context.Background(), []string{"-in", path})
+	if code != 1 || err == nil || !strings.Contains(err.Error(), "giant component too small") {
+		t.Fatalf("empty graph: exit code %d, err %v; want 1 and \"giant component too small\"", code, err)
+	}
+}
+
 func TestRunWithFaultModels(t *testing.T) {
 	path := writeTestGraph(t)
 	for _, model := range []string{"edge-drop", "crash-uniform", "crash-core", "msg-loss", "objective-noise"} {

@@ -124,8 +124,8 @@ func (m *Membership) Self() Peer {
 }
 
 // SetSelfLive updates the live-log position advertised in every subsequent
-// gossip exchange: the serving layer calls it after each applied or imported
-// mutation batch, so peers learn who is ahead without a separate protocol.
+// gossip exchange: the serving layer sets it from the log whenever gossip is
+// about to read it, so peers learn who is ahead without a separate protocol.
 func (m *Membership) SetSelfLive(epoch uint64, generation int, liveFP string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -89,9 +89,9 @@ func (n *Node) SetLive(epoch uint64, generation int, liveFP string) {
 func (n *Node) Shard() torus.Prefix { return n.prefix }
 
 // Graph returns the snapshot the shard map was built over. The serving
-// layer compares it by pointer against the graph a request resolved: after
-// a hot swap the mask no longer applies and routing falls back to
-// single-node mode.
+// layer compares its fingerprint with that of the graph a request resolved:
+// after a hot swap to another graph the mask no longer applies and routing
+// falls back to single-node mode.
 func (n *Node) Graph() *graph.Graph { return n.g }
 
 // Members returns the membership view.

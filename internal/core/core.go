@@ -54,8 +54,6 @@ type Network struct {
 	// network accept a live overlay.
 	NewObjective func(t int) route.Objective
 
-	giant []int // lazily computed giant component
-
 	// live is the optionally attached copy-on-write overlay (see live.go);
 	// routing loads it atomically so mutation batches publish without
 	// tearing episodes. Networks are addressed by pointer — the atomic
@@ -127,17 +125,13 @@ func NewKleinbergContinuum(p kleinberg.ContinuumParams, seed uint64) (*Network, 
 	}, nil
 }
 
-// Giant returns the vertex ids of the largest component of the base graph
-// (cached). With a live overlay attached the membership is a snapshot of
-// the base: churn can tombstone pool vertices (their episodes fail as dead
-// ends, which is the measurement E17 wants) and added vertices join the
-// pool only after a compaction folds them into the base.
-func (nw *Network) Giant() []int {
-	if nw.giant == nil {
-		nw.giant = graph.GiantComponent(nw.Graph)
-	}
-	return nw.giant
-}
+// Giant returns the vertex ids of the largest component of the base graph,
+// memoized on the graph (graph.Graph.Giant; callers must not modify it).
+// With a live overlay attached the membership is a snapshot of the base:
+// churn can tombstone pool vertices (their episodes fail as dead ends, which
+// is the measurement E17 wants) and added vertices join the pool only after
+// a compaction folds them into the base.
+func (nw *Network) Giant() []int { return nw.Graph.Giant() }
 
 // Route runs one routing episode from s to t under the named protocol (the
 // zero value selects greedy). Observers, if any, receive the episode's

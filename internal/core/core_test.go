@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/girg"
@@ -39,6 +40,32 @@ func TestNewGIRGNetwork(t *testing.T) {
 	// Giant is cached: same slice.
 	if &nw.Giant()[0] != &nw.Giant()[0] {
 		t.Fatal("giant not cached")
+	}
+}
+
+// TestGiantConcurrentFirstCall: eight goroutines ask a fresh Network for
+// its giant component at once. The memo lives on the graph behind a
+// sync.Once, so -race sees no write to share, every caller gets the same
+// slice, and a later call allocates nothing — one component pass per graph.
+func TestGiantConcurrentFirstCall(t *testing.T) {
+	nw := girgNet(t, 1000, 3)
+	got := make([][]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = nw.Giant()
+		}(i)
+	}
+	wg.Wait()
+	for i, gc := range got {
+		if len(gc) < 100 || &gc[0] != &got[0][0] {
+			t.Fatalf("caller %d got a giant of %d vertices at %p, caller 0 one at %p", i, len(gc), gc, got[0])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { nw.Giant() }); allocs != 0 {
+		t.Fatalf("a memoized Giant call allocates %.0f times, want 0", allocs)
 	}
 }
 

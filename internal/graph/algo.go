@@ -113,9 +113,12 @@ func Components(g *Graph) (labels []int32, sizes []int, giant int) {
 }
 
 // GiantComponent returns the vertex ids of a largest connected component, in
-// increasing order.
+// increasing order; a graph with no vertex has an empty one.
 func GiantComponent(g *Graph) []int {
 	labels, sizes, giant := Components(g)
+	if len(sizes) == 0 {
+		return nil
+	}
 	out := make([]int, 0, sizes[giant])
 	for v, l := range labels {
 		if l == int32(giant) {

@@ -43,6 +43,9 @@ type Graph struct {
 	// orderOnce/order memoize WeightOrder, likewise outside the digest.
 	orderOnce sync.Once
 	order     []int32
+	// giantOnce/giant memoize Giant the same way.
+	giantOnce sync.Once
+	giant     []int
 }
 
 // Builder accumulates edges before freezing them into a Graph. Edges may be
@@ -310,6 +313,14 @@ func (g *Graph) UnitCoords() bool {
 func (g *Graph) WeightOrder() []int32 {
 	g.orderOnce.Do(func() { g.order = WeightOrder(g.n, g.Weight) })
 	return g.order
+}
+
+// Giant returns the memoized GiantComponent of g: one component pass per
+// graph, however many networks and batches draw pairs from it. Callers must
+// not modify the shared slice.
+func (g *Graph) Giant() []int {
+	g.giantOnce.Do(func() { g.giant = GiantComponent(g) })
+	return g.giant
 }
 
 // WeightOrder sorts the vertices 0..n-1 by weight descending, ties by id

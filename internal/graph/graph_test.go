@@ -353,6 +353,18 @@ func TestComponents(t *testing.T) {
 	}
 }
 
+// TestGiantOfEmptyGraph: a graph with no vertex has an empty giant
+// component, memoized like any other, instead of a panic.
+func TestGiantOfEmptyGraph(t *testing.T) {
+	g := buildGraph(t, 0, nil)
+	if gc := GiantComponent(g); len(gc) != 0 {
+		t.Fatalf("GiantComponent of the empty graph = %v", gc)
+	}
+	if gc := g.Giant(); len(gc) != 0 {
+		t.Fatalf("Giant of the empty graph = %v", gc)
+	}
+}
+
 // TestComponentsMatchReachability checks Components against BFS: two
 // vertices share a label exactly when one reaches the other.
 func TestComponentsMatchReachability(t *testing.T) {

@@ -84,14 +84,9 @@ type Log struct {
 
 	// digest is Overlay.Fingerprint; a field so a test can hold one up.
 	digest func(*graph.Overlay) uint64
-	// advertise is the sink of the pending Advertise request (nil: none);
-	// advertising is set while the digester goroutine runs.
-	advertise   func(Position)
-	advertising bool
-	done        chan struct{} // closed by Close
 
 	compacting atomic.Bool
-	wg         sync.WaitGroup // background compactions and the digester; Close waits
+	wg         sync.WaitGroup // compactions; Close waits
 }
 
 // Applied reports a committed batch.
@@ -145,7 +140,7 @@ func Open(dir string, base *graph.Graph, cfg Config) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("mutate: %w", err)
 	}
-	l := &Log{dir: dir, cfg: cfg, base: base, digest: (*graph.Overlay).Fingerprint, done: make(chan struct{})}
+	l := &Log{dir: dir, cfg: cfg, base: base, digest: (*graph.Overlay).Fingerprint}
 
 	cpath := filepath.Join(dir, currentName)
 	raw, err := os.ReadFile(cpath)
@@ -499,9 +494,10 @@ func (l *Log) compact() error {
 	return nil
 }
 
-// Close stops new applies, compactions and advertisements, waits for the
-// compaction and the digest in flight to finish, and then releases the
-// journal. The log is unusable afterwards.
+// Close stops new applies and compactions, waits for the compaction in
+// flight to finish, and then releases the journal. The log runs no other
+// goroutine: the live fingerprint is digested when gossip asks, on the
+// asker's goroutine (Position). The log is unusable afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -509,7 +505,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	close(l.done)
 	l.mu.Unlock()
 	l.wg.Wait()
 	l.mu.Lock()

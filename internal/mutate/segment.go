@@ -3,7 +3,6 @@ package mutate
 import (
 	"bytes"
 	"fmt"
-	"time"
 )
 
 // Journal-segment shipping: the replication layer moves mutation batches
@@ -78,56 +77,15 @@ func (l *Log) headLocked() Position {
 // Position returns the log's current replication coordinate. The live
 // fingerprint is an O(n+m) digest of the overlay (memoized per overlay): the
 // overlay is captured under the lock and digested after it is released, so
-// applies never wait for a digest.
+// applies never wait for a digest. Nothing on the apply, import or export
+// path calls it; the serving layer digests when gossip asks for the
+// position, at most once per exchange.
 func (l *Log) Position() Position {
 	l.mu.Lock()
 	pos, ov := l.headLocked(), l.ov
 	l.mu.Unlock()
 	pos.LiveFP = fpString(l.digest(ov))
 	return pos
-}
-
-// Advertise hands publish the log's Position, live fingerprint included, from
-// a goroutine of the log's own, so a caller on an acknowledgement path pays
-// O(1). Latest wins: at most one digest is in flight per log, a request made
-// meanwhile is served after it from the overlay published by then — the
-// epochs in between are never digested — and every Position handed out is
-// that of one overlay. The digester is background work: after a digest it
-// idles for nine times as long, so a write stream costs a tenth of one core
-// in digests whatever its rate. Close cuts the idling short and waits for
-// the digest in flight.
-func (l *Log) Advertise(publish func(Position)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.advertise = publish
-	if l.advertising {
-		return
-	}
-	l.advertising = true
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		for {
-			l.mu.Lock()
-			publish := l.advertise
-			l.advertise = nil
-			if publish == nil {
-				l.advertising = false
-				l.mu.Unlock()
-				return
-			}
-			l.mu.Unlock()
-			start := time.Now()
-			publish(l.Position())
-			select {
-			case <-time.After(9 * time.Since(start)):
-			case <-l.done:
-			}
-		}
-	}()
 }
 
 // Export copies the journaled batch payloads of the current generation

@@ -208,16 +208,16 @@ func TestSegmentPaged(t *testing.T) {
 	}
 }
 
-// TestDigestOffTheLock pins the ack path: with a digest held up mid-flight,
-// Apply, Head and Stats go on — no Overlay.Fingerprint runs under Log.mu —
-// and the latest-wins digester then advertises the newest overlay only: one
-// Position for the six batches applied meanwhile, its triple that of a single
-// overlay, with no digest of the epochs in between.
+// TestDigestOffTheLock pins the ack path: with a Position digest held up
+// mid-flight, Apply, Head and Stats go on — no Overlay.Fingerprint runs under
+// Log.mu — and the held Position, once released, is that of the one overlay
+// it captured, not a mix of it and the batches applied meanwhile.
 func TestDigestOffTheLock(t *testing.T) {
 	g := testGraph(t, 80, 21)
 	l := mustOpen(t, t.TempDir(), g, Config{})
 	batches := genBatches(t, g, 7, 22)
 	applyAll(t, l, batches[:1])
+	want := l.Position()
 
 	entered, release := make(chan uint64, 8), make(chan struct{})
 	l.digest = func(ov *graph.Overlay) uint64 {
@@ -225,15 +225,12 @@ func TestDigestOffTheLock(t *testing.T) {
 		<-release
 		return ov.Fingerprint()
 	}
-	published := make(chan Position, 8)
-	advertise := func() { l.Advertise(func(p Position) { published <- p }) }
-
-	advertise()
+	held := make(chan Position, 1)
+	go func() { held <- l.Position() }()
 	if epoch := <-entered; epoch != 1 {
-		t.Fatalf("first digest is of epoch %d, want 1", epoch)
+		t.Fatalf("held digest is of epoch %d, want 1", epoch)
 	}
-	// The digest of epoch 1 is blocked. Applies must make progress, and every
-	// one of them asks for an advertisement, as the serving layer does.
+	// The digest of epoch 1 is blocked. Applies must make progress.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -241,7 +238,6 @@ func TestDigestOffTheLock(t *testing.T) {
 			if _, err := l.Apply(ops); err != nil {
 				t.Errorf("apply under a blocked digest: %v", err)
 			}
-			advertise()
 		}
 	}()
 	select {
@@ -258,24 +254,18 @@ func TestDigestOffTheLock(t *testing.T) {
 	}
 
 	close(release)
-	if p := <-published; p.Epoch != 1 || p.Seq != 1 {
-		t.Fatalf("first advertisement %+v, want the overlay of epoch 1", p)
+	if p := <-held; p != want {
+		t.Fatalf("released Position %+v, want the overlay of epoch 1: %+v", p, want)
 	}
-	want := l.Position()
-	if p := <-published; p != want {
-		t.Fatalf("second advertisement %+v, want the newest position %+v", p, want)
-	}
-	if err := l.Close(); err != nil { // waits for the digester to go idle
-		t.Fatal(err)
+	if p := l.Position(); p.Epoch != 7 || p.Seq != 7 || p.LiveFP == want.LiveFP {
+		t.Fatalf("Position after the applies = %+v, want epoch 7 with a new fingerprint", p)
 	}
 	close(entered)
 	var digested []uint64
 	for epoch := range entered {
 		digested = append(digested, epoch)
 	}
-	// Epoch 7 twice: the digester's and this test's own Position call.
-	if len(published) != 0 || !reflect.DeepEqual(digested, []uint64{7, 7}) {
-		t.Fatalf("after the blocked digest: %d more advertisements, digests of epochs %v; want none and [7 7]",
-			len(published), digested)
+	if !reflect.DeepEqual(digested, []uint64{7}) {
+		t.Fatalf("after the held digest, digests of epochs %v; want [7]: one per Position, none from Apply", digested)
 	}
 }

@@ -110,8 +110,14 @@ func decodeInto(v any) func(io.Reader) error {
 
 // Exchange implements cluster.Transport over peerCall: one push/pull round
 // trip with peer's /cluster/gossip, bounded by ctx (RunGossip gives each
-// exchange its interval).
+// exchange its interval). With a replicated log attached, the sender's
+// identity is re-read after the log's current position is set on it, so the
+// request carries the newest epoch whatever the caller built it from.
 func (s *Server) Exchange(ctx context.Context, peer cluster.Peer, req cluster.GossipRequest) (cluster.GossipResponse, error) {
+	if log, _, node := s.replicationLog(); log != nil {
+		selfPosition(log, node)
+		req.From = node.Self()
+	}
 	var resp cluster.GossipResponse
 	status, err := s.peerCall(ctx, peer, "/cluster/gossip", req, "", 1<<20, decodeInto(&resp))
 	if err == nil && status != http.StatusOK {
@@ -145,17 +151,18 @@ func (s *Server) peerBreaker(peer, graph string) *Breaker {
 // clusterEligible reports whether one validated query can take the sharded
 // path: cluster mode on, pure greedy under the standard objective, no fault
 // plan, the resolved snapshot is the one the shard map was built over
-// (pointer equality — after a hot swap the mask no longer applies and the
-// query falls back to local full-graph routing), and the slot carries no
-// live overlay — the shard masks are bound to the immutable base, so a
-// replicated live slot routes locally over its full overlay instead.
+// (equal memoized fingerprints — after a hot swap to another graph the mask
+// no longer applies and the query falls back to local full-graph routing),
+// and the slot carries no live overlay — the shard masks are bound to the
+// immutable base, so a replicated live slot routes locally over its full
+// overlay instead.
 func (s *Server) clusterEligible(nw *core.Network, protoName string, q RouteRequest) bool {
 	node := s.clusterNode
 	return node != nil &&
 		protoName == "greedy" &&
 		nw.NewObjective == nil &&
 		len(q.Faults) == 0 &&
-		nw.Graph == node.Graph() &&
+		nw.Graph.Fingerprint() == node.Graph().Fingerprint() &&
 		nw.LiveOverlay() == nil
 }
 
@@ -530,7 +537,7 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 	switch {
 	case !ok:
 		return resp, http.StatusNotFound, fmt.Sprintf("unknown graph %q", graphName)
-	case nw.Graph != s.clusterNode.Graph():
+	case nw.Graph.Fingerprint() != s.clusterNode.Graph().Fingerprint():
 		return resp, http.StatusConflict, fmt.Sprintf("graph %q is not the clustered snapshot", graphName)
 	case nw.LiveOverlay() != nil:
 		return resp, http.StatusConflict, fmt.Sprintf("graph %q carries a live overlay; hops route over the immutable base only", graphName)
@@ -579,8 +586,9 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 
 // handleClusterGossip serves POST /cluster/gossip: merge the sender and its
 // relayed view into the membership and answer with ours — the pull half of
-// push/pull. Gossip stays up while draining so peers observe the shutdown
-// as liveness, not silence.
+// push/pull, with the self entry carrying the log's current position when a
+// replicated log is attached. Gossip stays up while draining so peers
+// observe the shutdown as liveness, not silence.
 func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 	node := s.clusterNode
 	if node == nil {
@@ -594,6 +602,9 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 	var req cluster.GossipRequest
 	if !decodeBody(w, r, 1<<20, &req) {
 		return
+	}
+	if log, _, _ := s.replicationLog(); log != nil {
+		selfPosition(log, node)
 	}
 	view := node.Members().Receive(req.From, req.View)
 	writeJSON(w, http.StatusOK, cluster.GossipResponse{Self: node.Self(), View: view})

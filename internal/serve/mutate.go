@@ -39,7 +39,7 @@ func (s *Server) EnableMutation(log *mutate.Log, graphName string) error {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 	if node := s.clusterNode; node != nil {
-		if nw, ok := s.Network(graphName); ok && nw.Graph == node.Graph() {
+		if nw, ok := s.Network(graphName); ok && nw.Graph.Fingerprint() == node.Graph().Fingerprint() {
 			return fmt.Errorf("serve: graph %q is the clustered routing slot; enable mutation on a separate slot", graphName)
 		}
 	}
@@ -57,9 +57,8 @@ func (s *Server) EnableMutation(log *mutate.Log, graphName string) error {
 	if node := s.clusterNode; node != nil {
 		// Advertise the starting log position right away, so a replica set
 		// that boots together starts anti-entropy from real coordinates
-		// instead of waiting for the first mutation.
-		pos := log.Position()
-		node.SetLive(pos.Epoch, pos.Generation, pos.LiveFP)
+		// instead of waiting for the first gossip exchange.
+		selfPosition(log, node)
 	}
 	return nil
 }
@@ -116,7 +115,7 @@ func (s *Server) publishLive() {
 	log, name := s.mutLog, s.mutGraph
 	s.mutMu.Unlock()
 	base, ov := log.Base(), log.Overlay()
-	if nw, ok := s.Network(name); ok && nw.Graph == base {
+	if nw, ok := s.Network(name); ok && nw.Graph.Fingerprint() == base.Fingerprint() {
 		if err := nw.SetOverlay(ov); err == nil {
 			return
 		}
@@ -193,11 +192,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	})
 	if s.clusterNode != nil {
 		// The ack contract is local durability (the fsynced journal append
-		// above), and the ack is O(batch): advertising the new position and
-		// shipping to replicas start after the response is written, on
-		// goroutines of their own, and a replica the push misses is healed by
-		// anti-entropy.
-		s.updateSelfLive()
+		// above), and the ack is O(batch): shipping to replicas starts after
+		// the response is written, on a goroutine of its own, and a replica
+		// the push misses is healed by anti-entropy. The new position reaches
+		// gossip when the next exchange asks for it.
 		go s.shipToReplicas(app.Seq)
 	}
 }

@@ -54,9 +54,8 @@ func prechurnOps(tb testing.TB, g *graph.Graph) ([][]mutate.Op, *graph.Overlay) 
 // live-churn fixture (n = 20 000 GIRG, pre-churned to a delta of 13 868) with
 // the live-churn batch: one join wired to three contacts, the previous join
 // leaving. single is a daemon with a mutation log; primary is replica 0 of a
-// two-replica shard, which also advertises each new position and ships each
-// batch to its replica — after the 200. The two must read alike: nothing
-// O(n+m) is on the ack path.
+// two-replica shard, which also ships each batch to its replica — after the
+// 200. The two must read alike: nothing O(n+m) is on the ack path.
 func BenchmarkMutateAck(b *testing.B) {
 	nw := testNetwork(b, 20000, 5)
 	batches, churned := prechurnOps(b, nw.Graph)

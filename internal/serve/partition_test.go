@@ -156,18 +156,11 @@ func TestPartitionNoSplitBrain(t *testing.T) {
 	}
 
 	bh.Heal(primary.addr, replica.addr)
-	waitAdvertised(t, primary)
 
 	// One direct gossip exchange heals membership in both directions — the
 	// replica contacts the primary (direct revival on the primary's side) and
 	// learns the primary's live position from the answer.
-	view := replica.node.Members().View()
-	gr, err := replica.srv.Exchange(context.Background(), primary.node.Self(),
-		cluster.GossipRequest{From: replica.node.Self(), View: view})
-	if err != nil {
-		t.Fatalf("gossip %s -> %s: %v", replica.addr, primary.addr, err)
-	}
-	replica.node.Members().Receive(gr.Self, gr.View)
+	gossipOnce(t, replica, primary)
 	if st := primary.srv.Stats().Cluster.Peers[replica.addr]; st != "alive" {
 		t.Fatalf("direct contact did not revive the replica on the primary: %s", st)
 	}

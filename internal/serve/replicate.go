@@ -42,21 +42,17 @@ func (s *Server) replicationLog() (*mutate.Log, string, *cluster.Node) {
 	return log, name, node
 }
 
-// updateSelfLive asks the log to publish its position into the membership's
-// self entry, so a later gossip exchange advertises it and peers' anti-
-// entropy can see who is ahead. Called after every applied or imported
-// batch, it costs O(1) here: the live fingerprint is digested on the log's
-// latest-wins digester (mutate.Log.Advertise), so under a write stream the
-// advertised triple lags by a digest and skips epochs, but is always the
-// (epoch, generation, fingerprint) of one overlay.
-func (s *Server) updateSelfLive() {
-	log, _, node := s.replicationLog()
-	if log == nil {
-		return
-	}
-	log.Advertise(func(pos mutate.Position) {
-		node.SetLive(pos.Epoch, pos.Generation, pos.LiveFP)
-	})
+// selfPosition reads the log's position into the membership's self entry
+// and returns it. Gossip is the only reader of the entry's live fields, so
+// they are set where it reads them — before an exchange goes out, before a
+// gossip answer, at the top of an anti-entropy round — and nowhere on the
+// ack, ship or import path: a write stream costs at most one O(n+m) digest
+// per exchange (Position is memoized per overlay), and every advertised
+// (epoch, generation, fingerprint) is that of one overlay.
+func selfPosition(log *mutate.Log, node *cluster.Node) mutate.Position {
+	pos := log.Position()
+	node.SetLive(pos.Epoch, pos.Generation, pos.LiveFP)
+	return pos
 }
 
 // handleClusterReplicate serves POST /cluster/replicate — the push half of
@@ -99,7 +95,6 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	if applied > 0 {
 		s.importedBatches.Add(int64(applied))
 		s.publishLive()
-		s.updateSelfLive()
 	}
 	if err != nil {
 		var syncErr *mutate.SyncError
@@ -276,7 +271,7 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 		return 0
 	}
 	s.aeRounds.Add(1)
-	pos := log.Head()
+	pos := selfPosition(log, node)
 	var target cluster.Peer
 	found := false
 	for _, p := range node.ReplicaSet() {
@@ -343,7 +338,6 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 			s.aePulled.Add(int64(applied))
 			s.importedBatches.Add(int64(applied))
 			s.publishLive()
-			s.updateSelfLive()
 		}
 		if err != nil {
 			s.logger.Warn("anti-entropy import failed", "peer", target.ID, "from", resp.Segment.From, "err", err)

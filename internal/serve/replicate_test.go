@@ -105,18 +105,42 @@ func waitPosition(t testing.TB, d *replicaDaemon, want mutate.Position) {
 	}
 }
 
-// waitAdvertised polls until the daemon's gossip identity carries its log's
-// current epoch: the advertised triple is digested off the ack path, so it
-// trails a 200 (or an updateSelfLive) by one digest.
-func waitAdvertised(t *testing.T, d *replicaDaemon) {
+// gossipOnce runs one push/pull exchange from d to peer the way RunGossip
+// does: d's identity and view go out, peer's answer is merged into d's
+// membership. Both sides set their self entry from their log first, so each
+// learns the other's current position.
+func gossipOnce(t *testing.T, d, peer *replicaDaemon) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for d.node.Self().Epoch != d.log.Head().Epoch {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never advertised epoch %d: self %+v", d.addr, d.log.Head().Epoch, d.node.Self())
-		}
-		time.Sleep(time.Millisecond)
+	gr, err := d.srv.Exchange(context.Background(), peer.node.Self(),
+		cluster.GossipRequest{From: d.node.Self(), View: d.node.Members().View()})
+	if err != nil {
+		t.Fatalf("gossip %s -> %s: %v", d.addr, peer.addr, err)
 	}
+	d.node.Members().Receive(gr.Self, gr.View)
+}
+
+// TestGossipCarriesAppliedEpoch: a gossip request sent right after a bare
+// Log.Apply — no HTTP ack, no serving-layer hook — carries the new epoch,
+// because the sender's live fields are set when the exchange goes out.
+func TestGossipCarriesAppliedEpoch(t *testing.T) {
+	nw := testNetwork(t, 100, 10)
+	daemons := newReplicaSet(t, nw, 2, Config{RequestTimeout: 5 * time.Second}, nil)
+	primary, replica := daemons[0], daemons[1]
+	if _, err := primary.log.Apply(addVertexOps(nw, nw.Graph.N())); err != nil {
+		t.Fatal(err)
+	}
+	gossipOnce(t, primary, replica)
+	want := primary.log.Position()
+	for _, ps := range replica.node.Members().Snapshot() {
+		if ps.Peer.ID == primary.addr {
+			if ps.Peer.Epoch != want.Epoch || ps.Peer.LiveFP != want.LiveFP {
+				t.Fatalf("replica heard the primary at (epoch %d, fp %s), want (%d, %s)",
+					ps.Peer.Epoch, ps.Peer.LiveFP, want.Epoch, want.LiveFP)
+			}
+			return
+		}
+	}
+	t.Fatalf("replica does not know the primary %s", primary.addr)
 }
 
 // readyLiveOf fetches the live section of the "live" slot from /readyz —
@@ -305,8 +329,6 @@ func TestAntiEntropyPull(t *testing.T) {
 		}
 	}
 	primary.srv.publishLive()
-	primary.srv.updateSelfLive()
-	waitAdvertised(t, primary)
 
 	// Before the replica hears the primary's live position, a round finds no
 	// one ahead and pulls nothing.
@@ -314,7 +336,7 @@ func TestAntiEntropyPull(t *testing.T) {
 		t.Fatalf("round with stale gossip pulled %d batches, want 0", got)
 	}
 	// One gossip exchange later, the round pulls everything.
-	replica.node.Members().Receive(primary.node.Self(), nil)
+	gossipOnce(t, replica, primary)
 	if got := replica.srv.AntiEntropyRound(context.Background()); got != 4 {
 		t.Fatalf("round pulled %d batches, want 4", got)
 	}
