@@ -34,8 +34,9 @@
 // Cluster mode (-shard) turns the daemon into one Morton shard of a
 // cluster: it owns the vertices whose deep Morton code starts with the
 // given binary prefix, answers shard-local greedy walks itself, and
-// forwards continuations to the owning peers as frames on persistent hop
-// streams (upgraded from POST /cluster/hop on the peer's own listener).
+// forwards each boundary crossing to the owning peer as a frame on a
+// persistent hop stream (upgraded from POST /cluster/hop on the peer's own
+// listener); the peer routes one segment and the entry stitches them.
 // Membership converges by gossip (-peers seeds it); a dead shard degrades
 // its own vertices to fast classified shard-unreachable failures while
 // every other route keeps working:

@@ -1,8 +1,8 @@
 // Package cluster turns the single-process routing daemon into a
 // Morton-sharded cluster: each daemon owns the vertices whose deep Morton
 // (Z-order) code starts with its shard prefix, routes greedily while the
-// walk stays local, and forwards the continuation to the owning peer when
-// it crosses a shard boundary. Because greedy routing under the GIRG
+// walk stays local, and hands the walk to the owning peer for one segment
+// when it crosses a shard boundary. Because greedy routing under the GIRG
 // objective is geometrically local — the paper's whole point — most hops
 // stay shard-local and a forward is rare.
 //

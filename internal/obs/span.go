@@ -27,7 +27,7 @@ const (
 	// SpanRequest is the root span of a trace on its entry daemon: the whole
 	// server-side handling of one routed query.
 	SpanRequest = "request"
-	// SpanHop is the root span a *forwarding* daemon records for each hop
+	// SpanHop is the root span a *receiving* daemon records for each hop
 	// (a frame on a hop stream, or a JSON POST /cluster/hop; likewise each
 	// /cluster/replicate and /cluster/segment) it serves; its parent is the
 	// caller's forward_rpc span on another daemon.

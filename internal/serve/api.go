@@ -61,12 +61,14 @@ type RouteResponse struct {
 	// Attempts counts routing attempts, >1 when transient failures were
 	// retried with backoff.
 	Attempts int `json:"attempts"`
-	// Forwards counts cluster hop forwards of the final attempt (0 on a
-	// single-node daemon and for walks that stayed shard-local).
+	// Forwards counts the boundary crossings of the final attempt: the times
+	// its path leaves the current shard's mask (0 on a single-node daemon and
+	// for walks that stayed shard-local). A crossing back into the entry
+	// daemon's shard continues there without an RPC, and still counts.
 	Forwards int `json:"forwards,omitempty"`
 	// Hedges counts hedged second attempts fired while forwarding the final
 	// attempt's hops; Failovers counts forwards that succeeded at a replica
-	// other than the first choice. Both cover the whole hop chain, so
+	// other than the first choice. The entry daemon makes every forward, so
 	// loadgen's accounting sums honestly across entry daemons.
 	Hedges    int `json:"hedges,omitempty"`
 	Failovers int `json:"failovers,omitempty"`
@@ -182,11 +184,10 @@ type BatchItemResult struct {
 }
 
 // HopRequest is one hop — the body of a JSON POST /cluster/hop, and what a
-// request frame on a hop stream carries (hopwire.go): a shard daemon hands the
-// continuation of a greedy walk to the peer owning the vertex the walk
-// stepped onto. The receiver routes its own segment and forwards again if
-// the walk crosses out of its shard, so the response always describes the
-// rest of the episode, not just one segment.
+// request frame on a hop stream carries (hopwire.go): the entry daemon of a
+// sharded greedy walk hands one segment of it to the peer owning the vertex
+// the walk stepped onto. The receiver routes that one segment over its own
+// shard and returns it; it never forwards onward.
 type HopRequest struct {
 	// Graph names the snapshot; it must be the receiver's clustered snapshot
 	// (fingerprints are pre-checked by membership, a mismatch is 409).
@@ -200,35 +201,25 @@ type HopRequest struct {
 	// frame carries the budget in µs instead, so a remainder under 1 ms
 	// cannot read as none.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// Depth counts hop forwards so far; past the cap the chain is cut off as
-	// a truncated episode instead of looping forever.
-	Depth int `json:"depth"`
 }
 
-// HopResponse is a classified continuation: the rest of the episode from
-// HopRequest.S on, with downstream failure classes (including
-// shard-unreachable) bubbled up. Any classified outcome is HTTP 200 — an
-// answer — so the sender only treats transport errors and 5xx as forward
-// failures.
+// HopResponse is one routed segment, from HopRequest.S on: either terminal
+// (delivered, dead-end, or a budget cut), or unclassified — Success false,
+// Failure "" — and ending at the exit vertex where the walk left the
+// receiver's shard, which the entry daemon forwards next. Any routed segment
+// is HTTP 200 — an answer — so the sender only treats transport errors and
+// 5xx as forward failures.
 type HopResponse struct {
-	// Success, Failure and Stuck classify the episode's remainder exactly
-	// like RouteResponse.
+	// Success, Failure and Stuck classify a terminal segment exactly like
+	// RouteResponse.
 	Success bool   `json:"success"`
 	Failure string `json:"failure,omitempty"`
 	Stuck   int    `json:"stuck"`
-	// Path is the continuation's vertex path, starting at HopRequest.S (the
+	// Path is the segment's vertex path, starting at HopRequest.S (the
 	// sender drops the duplicated first vertex when stitching).
 	Path []int `json:"path"`
 	// Moves is len(Path)-1.
 	Moves int `json:"moves"`
-	// Forwards counts the hop forwards downstream of the receiver, itself
-	// included once per boundary crossing.
-	Forwards int `json:"forwards"`
-	// Hedges and Failovers count the hedged second attempts and non-first-
-	// choice successes of the downstream chain, bubbled up so the entry
-	// daemon reports totals for the whole episode.
-	Hedges    int `json:"hedges,omitempty"`
-	Failovers int `json:"failovers,omitempty"`
 }
 
 // ReplicateRequest is the body of POST /cluster/replicate: the shard

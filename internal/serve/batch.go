@@ -126,9 +126,9 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 			Counters: s.counters,
 		}
 		if clustered {
-			// Sharded path: partial greedy over the local shard, continuation
-			// forwarded to the owning peer, merged result recorded as one
-			// engine episode. Budget mapping mirrors RouteEpisodeInto's.
+			// Sharded path: partial greedy over the local shard, each exit
+			// forwarded to the owning peer, the stitched result recorded as
+			// one engine episode. Budget mapping mirrors RouteEpisodeInto's.
 			fwd = s.clusterRoute(r.Context(), graphName, q.S, q.T,
 				time.Now().Add(remaining), es, rt, tm)
 			epErr = nil

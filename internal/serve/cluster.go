@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,20 +20,15 @@ import (
 
 // This file is the cluster half of the serving layer: when EnableCluster
 // installs a shard map, eligible /route queries run the partial greedy
-// router over the local shard and forward the continuation to the owning
+// router over the local shard and hand each exit of the walk to the owning
 // peer as one frame on a persistent hop stream (hopwire.go; the stream is an
-// upgrade of POST /cluster/hop). Forwarding reuses the daemon's resilience
-// vocabulary — a circuit breaker per (peer, graph), the RetryPolicy's
-// backoff, the request deadline — and a forward that cannot be completed
-// comes back as the classified shard-unreachable failure, never a hang:
-// the cluster degrades to "that shard's vertices are unreachable" while
+// upgrade of POST /cluster/hop); the peer routes one segment and returns it,
+// and the entry daemon stitches the segments. Forwarding reuses the daemon's
+// resilience vocabulary — a circuit breaker per (peer, graph), the
+// RetryPolicy's backoff, the request deadline — and a forward that cannot be
+// completed comes back as the classified shard-unreachable failure, never a
+// hang: the cluster degrades to "that shard's vertices are unreachable" while
 // every shard-local route keeps working.
-
-// maxHopDepth caps hop chaining. Greedy never revisits a shard (the walk is
-// strictly objective-increasing), so a legitimate chain is bounded by the
-// shard count; the cap only exists to turn a routing bug into a classified
-// truncated episode instead of a forwarding loop.
-const maxHopDepth = 16
 
 // peerKey identifies one per-(peer, graph) forward breaker. These are
 // deliberately separate from the (graph, protocol) request breakers: a dead
@@ -168,75 +164,126 @@ func (s *Server) clusterEligible(nw *core.Network, protoName string, q RouteRequ
 
 // routeFwd is the forwarding summary of one sharded episode attempt, as
 // reported in RouteResponse: boundary crossings, hedges fired and failovers
-// won across the whole hop chain.
+// won. The entry daemon makes every forward, so it counts all three itself.
 type routeFwd struct {
 	forwards  int
 	hedges    int
 	failovers int
 }
 
-// clusterRoute runs one attempt of a sharded greedy episode into es.out.
-// Exactly one engine episode is recorded here, at the entry daemon, with the
-// merged result — hop receivers record nothing, so cluster-wide counters sum
-// honestly. Returns the attempt's forwarding summary.
+// clusterRoute runs one attempt of a sharded greedy episode into es.out, and
+// the entry daemon drives every hop of it. It walks its own segment, hands
+// each exit to the peer owning it — the peer routes one segment and returns
+// it (serveHop) — and stitches the segments until the walk is classified. An
+// exit back inside the entry's own mask continues here, without an RPC. A
+// forward that cannot be completed classifies the episode shard-unreachable.
+// Greedy is strictly φ-increasing, so the walk never repeats a vertex and the
+// loop ends; the deadline bounds it regardless.
+//
+// forwards counts every exit, re-entries included: the times the path leaves
+// the current shard's mask, a pure function of (path, masks, entry shard).
+// Exactly one engine episode is recorded, here, with the merged result — hop
+// receivers record nothing, so cluster-wide counters sum honestly.
 func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int, deadline time.Time, es *episodeState, rt *reqTrace, tm *Timings) routeFwd {
 	start := time.Now()
-	fwd := s.routeSegment(ctx, graphName, sv, tv, deadline, 1, es, rt, tm)
+	res := &es.out
+	owned := s.clusterNode.OwnedMask()
+	var fwd routeFwd
+	for exit := s.localSegment(sv, tv, 0, deadline, res, rt, tm); exit >= 0; {
+		fwd.forwards++
+		var seg HopResponse
+		if owned[exit] {
+			var local route.Result
+			s.localSegment(exit, tv, fwd.forwards, deadline, &local, rt, tm)
+			seg = hopSegment(&local)
+		} else {
+			fwdStart := time.Now()
+			hop, ok := s.forwardHop(ctx, graphName, exit, tv, deadline, fwd.forwards, &fwd, rt, tm)
+			tm.ForwardUs += time.Since(fwdStart).Microseconds()
+			if !ok {
+				s.shardUnreachable.Add(1)
+				res.Success = false
+				res.Failure = route.FailShardUnreachable
+				res.Stuck = -1
+				res.Unique = len(res.Path)
+				obs.Logger(ctx).Warn("shard unreachable", "graph", graphName,
+					"exit_vertex", exit, "t", tv)
+				break
+			}
+			seg = hop
+		}
+		mergeHop(res, seg)
+		exit = seg.exit()
+	}
 	s.counters.Record(es.out, time.Since(start))
 	return fwd
 }
 
-// routeSegment is the step the entry daemon and every hop receiver share:
-// the local segment from `from` toward t via the partial router, then — if
-// the walk crossed the shard boundary — the continuation via forwardHop at
-// hop depth fwdDepth, stitched back into es.out. The merged result is
-// bit-identical to single-node GreedyCSR whenever the owning peers answered;
-// a failed forward classifies the episode as shard-unreachable.
-func (s *Server) routeSegment(ctx context.Context, graphName string, from, t int, deadline time.Time, fwdDepth int, es *episodeState, rt *reqTrace, tm *Timings) routeFwd {
+// localSegment is the step the entry daemon and a hop receiver share: the
+// partial router from `from` toward t over this daemon's mask, into out. It
+// returns the exit vertex the walk stepped onto, or -1 once the walk is
+// classified (route.GreedyCSRPartial's contract). k > 0 marks the entry
+// daemon's continuation after its k-th crossing, a re-entry into its shard;
+// the span label carries it as a forward's carries its crossing.
+func (s *Server) localSegment(from, t, k int, deadline time.Time, out *route.Result, rt *reqTrace, tm *Timings) int {
 	node := s.clusterNode
-	res := &es.out
 	b := route.Budget{MaxScans: s.cfg.MaxHops, Deadline: deadline}
 	start := time.Now()
-	exit := route.GreedyCSRPartial(node.Graph(), t, from, node.OwnedMask(), b, &es.sc, res)
+	exit := route.GreedyCSRPartial(node.Graph(), t, from, node.OwnedMask(), b, nil, out)
 	segDur := time.Since(start)
 	tm.RouteUs += segDur.Microseconds()
 	s.phaseLat[phaseRoute].Record(segDur)
 	// A traced segment's span carries the hops of this daemon's part of the
-	// walk, replayed off the clock; es.out holds only the segment until the
-	// continuation is merged below.
+	// walk, replayed off the clock.
 	var hc *obs.HopCollector
+	detail := "partial"
 	if rt != nil {
 		hc = &obs.HopCollector{}
 		g := node.Graph()
-		route.Observe(g, route.NewStandard(g, t), *res, 0, hc)
+		route.Observe(g, route.NewStandard(g, t), *out, 0, hc)
+		if k > 0 {
+			detail = fmt.Sprintf("partial depth=%d", k)
+		}
 	}
-	rt.localRoute(start, segDur, "partial", "", hc)
-	if exit < 0 {
-		return routeFwd{}
-	}
-	fwdStart := time.Now()
-	hop, hs, ok := s.forwardHop(ctx, graphName, exit, t, deadline, fwdDepth, rt, tm)
-	tm.ForwardUs += time.Since(fwdStart).Microseconds()
-	fwd := routeFwd{forwards: 1, hedges: hs.hedges + hop.Hedges, failovers: hs.failovers + hop.Failovers}
-	if ok {
-		mergeHop(res, hop)
-		fwd.forwards += hop.Forwards
-	} else {
-		s.shardUnreachable.Add(1)
-		res.Success = false
-		res.Failure = route.FailShardUnreachable
-		res.Stuck = -1
-		res.Unique = len(res.Path)
-		obs.Logger(ctx).Warn("shard unreachable", "graph", graphName,
-			"exit_vertex", exit, "t", t)
-	}
-	return fwd
+	rt.localRoute(start, segDur, detail, "", hc)
+	return exit
 }
 
-// mergeHop stitches a hop continuation onto the local segment. The
-// continuation starts at the exit vertex the segment already ends with, so
-// its first vertex is dropped; greedy is strictly objective-increasing, so
-// the merged path has no revisits and Unique stays len(Path).
+// hopSegment is the HopResponse of one routed segment; its path aliases res.
+func hopSegment(res *route.Result) HopResponse {
+	return HopResponse{Success: res.Success, Failure: string(res.Failure), Stuck: res.Stuck,
+		Path: res.Path, Moves: res.Moves}
+}
+
+// exit returns the vertex an unclassified segment ends at — where the walk
+// continues — or -1 when the segment classified the episode.
+func (h HopResponse) exit() int {
+	if h.Success || h.Failure != "" {
+		return -1
+	}
+	return h.Path[len(h.Path)-1]
+}
+
+var errBadSegment = errors.New("serve: hop segment does not continue the walk")
+
+// checkSegment vets a peer's segment before the entry daemon stitches it and
+// forwards its exit: it must start at the vertex forwarded, and an
+// unclassified one must move and end on the graph. A segment that fails is
+// the peer's failure, like a transport error.
+func checkSegment(seg HopResponse, from, n int) error {
+	if seg.Path[0] != from {
+		return errBadSegment
+	}
+	if x := seg.exit(); x >= 0 && (len(seg.Path) < 2 || x >= n) {
+		return errBadSegment
+	}
+	return nil
+}
+
+// mergeHop stitches a segment onto the path so far. The segment starts at the
+// exit vertex the path already ends with, so its first vertex is dropped;
+// greedy is strictly objective-increasing, so the merged path has no revisits
+// and Unique stays len(Path).
 func mergeHop(res *route.Result, hop HopResponse) {
 	if len(hop.Path) > 1 {
 		res.Path = append(res.Path, hop.Path[1:]...)
@@ -249,25 +296,17 @@ func mergeHop(res *route.Result, hop HopResponse) {
 	res.Truncated = hop.Failure == string(route.FailTruncated)
 }
 
-// hopStats counts the forwarding decisions made locally for one forward:
-// hedged second attempts fired and successes obtained at a replica other
-// than the first choice. Downstream hops report their own counts inside
-// HopResponse; the entry daemon sums both for the episode totals.
-type hopStats struct {
-	hedges    int
-	failovers int
-}
-
-// forwardHop hands the walk at vertex `from` to the replica set owning it
-// and returns the classified continuation. Candidates come from OwnersOf in
-// deterministic failover order (alive before suspect, then replica id);
-// open-breaker peers are skipped. The first candidate is posted immediately;
-// if a hedge policy is configured and the candidate has not answered after
-// the deterministic hedge delay, a second attempt fires at the next
-// candidate and the first 200 wins — the loser is cancelled via its context
-// and records nothing (slow is not a strike). A candidate that fails on its
-// own counts against its (peer, graph) breaker, strikes the membership
-// failure detector, and fails over to the next candidate immediately.
+// forwardHop hands the walk at vertex `from` — the episode's k-th boundary
+// crossing — to the replica set owning it and returns the segment it routed.
+// Candidates come from OwnersOf in deterministic failover order (alive before
+// suspect, then replica id); open-breaker peers are skipped. The first
+// candidate is posted immediately; if a hedge policy is configured and the
+// candidate has not answered after the deterministic hedge delay, a second
+// attempt fires at the next candidate and the first 200 wins — the loser is
+// cancelled via its context and records nothing (slow is not a strike). A
+// candidate that fails on its own counts against its (peer, graph) breaker,
+// strikes the membership failure detector, and fails over to the next
+// candidate immediately.
 //
 // When every candidate of a pass failed, retryable failures (transport
 // errors, 5xx) back off and retry under the request deadline with a fresh
@@ -275,19 +314,18 @@ type hopStats struct {
 // could be obtained — no routable owner, breakers open, candidates and
 // retries exhausted, deadline spent — and the caller classifies the episode
 // shard-unreachable.
-func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, deadline time.Time, depth int, rt *reqTrace, tm *Timings) (HopResponse, hopStats, bool) {
+func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, deadline time.Time, k int, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool) {
 	logger := obs.Logger(ctx)
 	node := s.clusterNode
-	var stats hopStats
 	for attempt := 1; ; attempt++ {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return HopResponse{}, stats, false
+			return HopResponse{}, false
 		}
 		owners := node.OwnersOf(from)
 		if len(owners) == 0 {
 			logger.Warn("forward failed", "reason", "no routable owner", "vertex", from)
-			return HopResponse{}, stats, false
+			return HopResponse{}, false
 		}
 		cands := owners[:0:0]
 		for _, p := range owners {
@@ -297,14 +335,14 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 		}
 		if len(cands) == 0 {
 			logger.Warn("forward failed", "reason", "peer breakers open", "vertex", from, "replicas", len(owners))
-			return HopResponse{}, stats, false
+			return HopResponse{}, false
 		}
-		resp, retryable, ok := s.tryReplicas(ctx, graphName, from, t, deadline, depth, cands, &stats, rt, tm)
+		resp, retryable, ok := s.tryReplicas(ctx, graphName, from, t, deadline, k, cands, fwd, rt, tm)
 		if ok {
-			return resp, stats, true
+			return resp, true
 		}
 		if !retryable || attempt >= s.cfg.Retry.MaxAttempts {
-			return HopResponse{}, stats, false
+			return HopResponse{}, false
 		}
 		wait := s.cfg.Retry.Backoff(xrand.Hash64(uint64(from), uint64(t)), attempt)
 		if rem := time.Until(deadline); wait > rem {
@@ -322,7 +360,7 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 					fmt.Sprintf("forward attempt %d", attempt), "")
 			case <-ctx.Done():
 				timer.Stop()
-				return HopResponse{}, stats, false
+				return HopResponse{}, false
 			}
 		}
 	}
@@ -345,9 +383,10 @@ type hopAttempt struct {
 
 // tryReplicas runs one failover pass over the candidate replicas: try the
 // first, hedge onto the second after the deterministic delay, fail over to
-// the next on observed failure, first 200 wins. retryable reports whether at
-// least one failure was transient (transport error or 5xx) — a pure-4xx pass
-// will not improve on retry.
+// the next on observed failure, first 200 wins; hedges and failovers are
+// counted into fwd. retryable reports whether at least one failure was
+// transient (transport error or 5xx) — a pure-4xx pass will not improve on
+// retry.
 //
 // Every attempt is one hopRPC on a goroutine and a context of its own, so
 // that a hedge can race it; the losers of a won race are cancelled and record
@@ -359,10 +398,10 @@ type hopAttempt struct {
 // parents onto it. A cancelled loser still publishes its span (err
 // "cancelled") — the peer may have served the hop and recorded children under
 // that id, and a published parent keeps stitched trees free of orphans.
-func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int, deadline time.Time, depth int, cands []cluster.Peer, stats *hopStats, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
+func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int, deadline time.Time, k int, cands []cluster.Peer, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
 	logger := obs.Logger(ctx)
 	node := s.clusterNode
-	req := HopRequest{Graph: graphName, S: from, T: t, Depth: depth}
+	req := HopRequest{Graph: graphName, S: from, T: t}
 
 	results := make(chan *hopAttempt, len(cands))
 	atts := make([]hopAttempt, len(cands))
@@ -371,7 +410,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 	// methods are nil-safe, but their arguments are evaluated before the call.
 	var label string
 	if rt != nil {
-		label = fmt.Sprintf("hop depth=%d", depth)
+		label = fmt.Sprintf("hop depth=%d", k)
 	}
 	defer func() {
 		// Cancel whatever is still in flight — the losers of a won race.
@@ -399,6 +438,9 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 		s.forwards.Add(1)
 		go func() {
 			a.resp, a.status, a.err = s.hopRPC(actx, cands[i].ID, req, deadline, tp)
+			if a.err == nil && a.status == http.StatusOK {
+				a.err = checkSegment(a.resp, from, node.Graph().N())
+			}
 			a.dur = time.Since(a.start)
 			results <- a
 		}()
@@ -409,7 +451,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 	var hedgeC <-chan time.Time
 	hedge := cluster.HedgePolicy{After: s.cfg.HedgeAfter, Seed: s.cfg.Retry.Seed}
 	if hedge.Enabled() && next < len(cands) {
-		c, stop := s.hedgeTimer(hedge.Delay(xrand.Hash64(uint64(from), uint64(t), uint64(depth))))
+		c, stop := s.hedgeTimer(hedge.Delay(xrand.Hash64(uint64(from), uint64(t), uint64(k))))
 		defer stop()
 		hedgeC = c
 	}
@@ -423,7 +465,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 			hedgeC = nil
 			if next < len(cands) {
 				hedgedIdx = next
-				stats.hedges++
+				fwd.hedges++
 				s.hedges.Add(1)
 				hedgeWait := time.Since(passStart)
 				tm.HedgeUs += hedgeWait.Microseconds()
@@ -451,7 +493,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 					s.hedgeWins.Add(1)
 					s.hedgeWinLat.Record(a.dur)
 				case a.idx > 0:
-					stats.failovers++
+					fwd.failovers++
 					s.failovers.Add(1)
 					s.failoverLat.Record(time.Since(passStart))
 				}
@@ -516,18 +558,20 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveHop answers one hop, whichever front-end it arrived on: route the
-// continuation of a peer's greedy walk over the local shard into es,
-// forwarding again if it crosses out. budget is the sender's remaining
-// request budget (0 = none; the hop routes under min(budget, RequestTimeout))
-// and tp its traceparent. Hops bypass the admission pool — they are the
-// continuation of a request already admitted at the entry daemon, and waiting
-// for a slot here could deadlock two shards forwarding into each other — but
-// they respect draining. Any classified outcome is 200, with resp.Path
-// aliasing es; any other status comes with its error text. The entry daemon
-// records the episode, so this touches no engine counters.
+// serveHop answers one hop, whichever front-end it arrived on: route one
+// segment of a peer's greedy walk over the local mask into es and return it.
+// The segment is terminal, or unclassified (Success false, Failure "") and
+// ending at the exit vertex the entry daemon forwards next. A hop makes no
+// outbound call; it is a pure function of (snapshot, s, t, budget). budget is
+// the sender's remaining request budget (0 = none; the hop routes under
+// min(budget, RequestTimeout)) and tp its traceparent. Hops bypass the
+// admission pool — they continue a request already admitted at the entry
+// daemon, and waiting for a slot here could deadlock two entry daemons
+// forwarding into each other's shards — but they respect draining. Any routed
+// segment is 200, with resp.Path aliasing es; any other status comes with its
+// error text. The entry daemon records the episode, so this touches no engine
+// counters.
 func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Duration, tp string, es *episodeState) (resp HopResponse, status int, msg string) {
-	logger := obs.Logger(ctx)
 	if !s.beginRequest() {
 		return resp, http.StatusServiceUnavailable, "server draining"
 	}
@@ -546,15 +590,12 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 	}
 	s.hopsServed.Add(1)
 
-	// The forwarding daemon records its own side of the trace: a hop root
+	// The receiving daemon records its own side of the trace: a hop root
 	// parented on the caller's forward_rpc span (adopted from the
-	// traceparent), with this shard's local segment and onward forwards as
-	// children — without it, stitched trees would show the entry daemon only.
+	// traceparent), with this shard's segment as its child — without it,
+	// stitched trees would show the entry daemon only.
 	rt := s.startHopTrace(tp, "")
-	if rt != nil {
-		rt.rootDetail = fmt.Sprintf("depth=%d", req.Depth)
-	}
-	defer func() { rt.finish("") }()
+	defer rt.finish("")
 
 	deadline := time.Now().Add(s.cfg.RequestTimeout)
 	if budget > 0 {
@@ -562,25 +603,13 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 			deadline = d
 		}
 	}
-	res := &es.out
-	if req.Depth > maxHopDepth {
-		rt.finish("truncated")
-		logger.Warn("hop chain truncated", "depth", req.Depth, "s", req.S, "t", req.T)
-		res.Path = append(res.Path[:0], req.S)
-		return HopResponse{Failure: string(route.FailTruncated), Stuck: -1, Path: res.Path}, http.StatusOK, ""
-	}
-
 	// The hop's Timings stay local: HopResponse carries no attribution (the
 	// entry daemon owns the merged episode), but the per-phase histograms and
 	// spans still need the accumulator the segment threads through.
-	fwd := s.routeSegment(ctx, graphName, req.S, req.T, deadline, req.Depth+1, es, rt, &Timings{})
-	resp = HopResponse{
-		Success: res.Success, Failure: string(res.Failure), Stuck: res.Stuck,
-		Path: res.Path, Moves: res.Moves,
-		Forwards: fwd.forwards, Hedges: fwd.hedges, Failovers: fwd.failovers,
-	}
-	logger.Debug("hop served", "s", req.S, "t", req.T, "depth", req.Depth,
-		"success", resp.Success, "failure", resp.Failure, "forwards", resp.Forwards)
+	s.localSegment(req.S, req.T, 0, deadline, &es.out, rt, &Timings{})
+	resp = hopSegment(&es.out)
+	obs.Logger(ctx).Debug("hop served", "s", req.S, "t", req.T,
+		"success", resp.Success, "failure", resp.Failure, "exit", resp.exit())
 	return resp, http.StatusOK, ""
 }
 
@@ -620,7 +649,7 @@ func (s *Server) writeClusterMetrics(p *obs.PromWriter) {
 	p.SampleInt("smallworld_cluster_forward_failures_total", nil, s.forwardFails.Load())
 	p.Family("smallworld_cluster_shard_unreachable_total", "counter", "Episodes classified shard-unreachable at this daemon.")
 	p.SampleInt("smallworld_cluster_shard_unreachable_total", nil, s.shardUnreachable.Load())
-	p.Family("smallworld_cluster_hops_served_total", "counter", "POST /cluster/hop continuations served.")
+	p.Family("smallworld_cluster_hops_served_total", "counter", "POST /cluster/hop segments served.")
 	p.SampleInt("smallworld_cluster_hops_served_total", nil, s.hopsServed.Load())
 	p.Family("smallworld_cluster_hedges_total", "counter", "Hedged second forward attempts fired.")
 	p.SampleInt("smallworld_cluster_hedges_total", nil, s.hedges.Load())

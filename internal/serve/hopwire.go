@@ -22,9 +22,9 @@ import (
 // payload | u32 CRC-32`, little-endian), and a payload is `i64… | str… | u32
 // path vertex…`, a str being a u16 length and its bytes:
 //
-//	request  s, t, budget µs, depth | graph, request id, traceparent
-//	reply    status, success, stuck, moves, forwards, hedges, failovers |
-//	         failure (200) or error text | the continuation's path (200 only)
+//	request  s, t, budget µs | graph, request id, traceparent
+//	reply    status, success, stuck, moves | failure (200) or error text |
+//	         the segment's path (200 only)
 
 const (
 	hopProto      = "smallworld-hop/1"
@@ -95,42 +95,41 @@ func budgetMicros(d time.Duration) int64 {
 // appendHopRequest encodes a request frame. The budget rides in µs;
 // req.DeadlineMs is the JSON contract's field and is not encoded.
 func appendHopRequest(b []byte, req HopRequest, budgetUs int64, rid, tp string) []byte {
-	return appendFrame(b, []int64{int64(req.S), int64(req.T), budgetUs, int64(req.Depth)}, []string{req.Graph, rid, tp}, nil)
+	return appendFrame(b, []int64{int64(req.S), int64(req.T), budgetUs}, []string{req.Graph, rid, tp}, nil)
 }
 
 func decodeHopRequest(p []byte) (req HopRequest, budgetUs int64, rid, tp string, err error) {
-	var ints [4]int64
+	var ints [3]int64
 	var strs [3]string
 	if rest, err := decodeFrame(p, ints[:], strs[:]); err != nil || len(rest) != 0 {
 		return req, 0, "", "", errHopFrame
 	}
-	return HopRequest{Graph: strs[0], S: int(ints[0]), T: int(ints[1]), Depth: int(ints[3])}, ints[2], strs[1], strs[2], nil
+	return HopRequest{Graph: strs[0], S: int(ints[0]), T: int(ints[1])}, ints[2], strs[1], strs[2], nil
 }
 
-// appendHopReply encodes a reply frame: for 200 the classified continuation,
-// straight from resp.Path; otherwise the error text.
+// appendHopReply encodes a reply frame: for 200 the routed segment, straight
+// from resp.Path; otherwise the error text.
 func appendHopReply(b []byte, status int, resp *HopResponse, msg string) []byte {
 	if status != http.StatusOK {
-		return appendFrame(b, []int64{int64(status), 0, 0, 0, 0, 0, 0}, []string{msg}, nil)
+		return appendFrame(b, []int64{int64(status), 0, 0, 0}, []string{msg}, nil)
 	}
 	var ok int64
 	if resp.Success {
 		ok = 1
 	}
-	return appendFrame(b, []int64{int64(status), ok, int64(resp.Stuck), int64(resp.Moves), int64(resp.Forwards),
-		int64(resp.Hedges), int64(resp.Failovers)}, []string{resp.Failure}, resp.Path)
+	return appendFrame(b, []int64{int64(status), ok, int64(resp.Stuck), int64(resp.Moves)}, []string{resp.Failure}, resp.Path)
 }
 
 // decodeHopReply decodes a reply payload.
 func decodeHopReply(p []byte) (resp HopResponse, status int, msg string, err error) {
-	var ints [7]int64
+	var ints [4]int64
 	var strs [1]string
 	p, err = decodeFrame(p, ints[:], strs[:])
 	status = int(ints[0])
 	switch {
 	case err != nil:
 		return resp, 0, "", err
-	case status != http.StatusOK && ints == [7]int64{ints[0]} && len(p) == 0:
+	case status != http.StatusOK && ints == [4]int64{ints[0]} && len(p) == 0:
 		return resp, status, strs[0], nil
 	case status != http.StatusOK || uint64(ints[1]) > 1 || len(p) == 0:
 		return resp, 0, "", errHopFrame
@@ -139,8 +138,7 @@ func decodeHopReply(p []byte) (resp HopResponse, status int, msg string, err err
 	for ; len(p) > 0; p = p[4:] {
 		path = append(path, int(binary.LittleEndian.Uint32(p)))
 	}
-	return HopResponse{Success: ints[1] == 1, Failure: strs[0], Stuck: int(ints[2]), Path: path, Moves: int(ints[3]),
-		Forwards: int(ints[4]), Hedges: int(ints[5]), Failovers: int(ints[6])}, status, "", nil
+	return HopResponse{Success: ints[1] == 1, Failure: strs[0], Stuck: int(ints[2]), Path: path, Moves: int(ints[3])}, status, "", nil
 }
 
 // hopStream is one dialled stream and the one buffer a round trip builds its
@@ -243,27 +241,13 @@ func (st *hopStream) roundTrip(ctx context.Context, peer string, req HopRequest,
 	return resp, status, true, err
 }
 
-// hopCall is one request frame, decoded, on its way from a stream's reader to
-// the goroutine that answers it.
-type hopCall struct {
-	req      HopRequest
-	budgetUs int64
-	rid, tp  string
-	err      error
-}
-
 // serveHopStream is the stream front-end of serveHop: it takes the upgraded
-// connection over from the HTTP server and answers frames on its goroutine,
-// each reply encoded straight from the episode's result. A well-framed payload
-// that does not decode is answered 400 and the stream stays usable; lost
-// framing ends it. Shutdown does not see a hijacked connection, so a
-// *http.Server's first upgrade registers Close with it.
-//
-// Frames are read by a second goroutine, which is therefore blocked in the
-// next read while a hop is served: a sender that hangs up mid-hop — its client
-// left, its hedge lost the race — cancels the hop and everything it forwarded
-// onward at once, as the closed connection of an HTTP request does, instead of
-// the chain running on for the rest of the budget.
+// connection over from the HTTP server and answers its frames in order, each
+// reply encoded straight from the segment's result. A well-framed payload that
+// does not decode is answered 400 and the stream stays usable; lost framing,
+// or a sender that hangs up, ends it. A hop makes no outbound call, so there
+// is nothing to cancel while one is served. Shutdown does not see a hijacked
+// connection, so a *http.Server's first upgrade registers Close with it.
 func (s *Server) serveHopStream(w http.ResponseWriter, r *http.Request) {
 	conn, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
@@ -292,40 +276,18 @@ func (s *Server) serveHopStream(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+hopProto+"\r\n\r\n"); err != nil {
 		return
 	}
-	sctx, hangUp := context.WithCancel(r.Context())
-	defer hangUp()
-	calls := make(chan hopCall)
-	go func() {
-		defer hangUp()
-		var buf []byte
-		for {
-			p, err := readFrame(brw.Reader, &buf, maxHopRequest)
-			if err != nil {
-				return
-			}
-			var c hopCall
-			c.req, c.budgetUs, c.rid, c.tp, c.err = decodeHopRequest(p)
-			select {
-			case calls <- c:
-			case <-sctx.Done():
-				return
-			}
-		}
-	}()
-	var buf []byte
+	var buf []byte // the request is decoded before the reply is encoded over it
 	for {
-		var c hopCall
-		select {
-		case c = <-calls:
-		case <-sctx.Done():
+		p, err := readFrame(brw.Reader, &buf, maxHopRequest)
+		if err != nil {
 			return
 		}
 		var resp HopResponse
 		status, msg := http.StatusBadRequest, "bad hop frame"
 		es := episodePool.Get().(*episodeState)
-		if c.err == nil {
-			ctx, _ := s.requestScope(sctx, c.rid)
-			resp, status, msg = s.serveHop(ctx, c.req, time.Duration(c.budgetUs)*time.Microsecond, c.tp, es)
+		if req, budgetUs, rid, tp, err := decodeHopRequest(p); err == nil {
+			ctx, _ := s.requestScope(r.Context(), rid)
+			resp, status, msg = s.serveHop(ctx, req, time.Duration(budgetUs)*time.Microsecond, tp, es)
 		}
 		buf = appendHopReply(buf, status, &resp, msg)
 		episodePool.Put(es)

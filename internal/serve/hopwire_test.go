@@ -108,7 +108,9 @@ func crossingPair(t *testing.T, nw *core.Network, d *shardDaemon) (s, tt int) {
 
 // TestHopFrontEndsEquivalent pins the codec against its reference: for every
 // outcome a hop can have, the frame front-end and the JSON front-end return
-// the same HopResponse, status and message for the same HopRequest.
+// the same HopResponse, status and message for the same HopRequest. A hop
+// makes no outbound call, so the segment that ends at the next exit is the
+// same with every peer down.
 func TestHopFrontEndsEquivalent(t *testing.T) {
 	nw := testNetwork(t, 600, 11)
 	cfg := Config{
@@ -121,13 +123,10 @@ func TestHopFrontEndsEquivalent(t *testing.T) {
 	st := testStream(t, recv.addr)
 	n := nw.Graph.N()
 
-	local, far := -1, -1 // targets on and off the receiver's shard
-	for v := 0; v < n && (local < 0 || far < 0); v++ {
-		if recv.node.Owned(v) && local < 0 && v != 0 {
+	local := -1 // a target on the receiver's shard
+	for v := 1; v < n && local < 0; v++ {
+		if recv.node.Owned(v) {
 			local = v
-		}
-		if daemons[2].node.Owned(v) && far < 0 {
-			far = v
 		}
 	}
 	s, cross := crossingPair(t, nw, recv)
@@ -142,17 +141,16 @@ func TestHopFrontEndsEquivalent(t *testing.T) {
 		prep func()
 	}{
 		{name: "delivered locally", req: HopRequest{S: owned, T: local}, want: 200},
-		{name: "delivered across a second hop", req: HopRequest{S: s, T: cross, Depth: 1, DeadlineMs: 1500}, want: 200},
-		{name: "truncated past the depth cap", req: HopRequest{S: owned, T: local, Depth: maxHopDepth + 1}, want: 200},
+		{name: "returns the unclassified segment at the next exit", req: HopRequest{S: s, T: cross, DeadlineMs: 1500}, want: 200},
 		{name: "vertex out of range", req: HopRequest{S: owned, T: n}, want: 400},
 		{name: "unknown graph", req: HopRequest{Graph: "nope", S: 0, T: 1}, want: 404},
 		{name: "not the clustered snapshot", req: HopRequest{Graph: "other", S: 0, T: 1}, want: 409},
-		{name: "shard-unreachable bubbled up", req: HopRequest{S: owned, T: far, Depth: 2}, want: 200,
+		{name: "the same segment with every peer down", req: HopRequest{S: s, T: cross, DeadlineMs: 1500}, want: 200,
 			prep: func() { daemons[1].kill(); daemons[2].kill() }},
 		{name: "draining", req: HopRequest{S: owned, T: local}, want: 503,
 			prep: func() { recv.srv.Drain(context.Background()) }},
 	}
-	sawUnreachable := false
+	var segments []HopResponse
 	for _, tc := range cases {
 		if tc.prep != nil {
 			tc.prep()
@@ -166,15 +164,17 @@ func TestHopFrontEndsEquivalent(t *testing.T) {
 			t.Errorf("%s: front-ends disagree\n  json  %d %q %+v\n  frame %d %q %+v", tc.name, jstatus, jmsg, jr, fstatus, fmsg, fr)
 		}
 		if tc.want == 200 && len(fr.Path) == 0 {
-			t.Errorf("%s: classified outcome without a path", tc.name)
+			t.Errorf("%s: routed segment without a path", tc.name)
 		}
-		if tc.req.Depth > maxHopDepth && (fr.Failure != string(route.FailTruncated) || !reflect.DeepEqual(fr.Path, []int{tc.req.S})) {
-			t.Errorf("%s: got failure %q path %v, want truncated at [%d]", tc.name, fr.Failure, fr.Path, tc.req.S)
+		if tc.req.T == cross && len(fr.Path) > 0 {
+			if x := fr.exit(); fr.Path[0] != s || x < 0 || recv.node.Owned(x) {
+				t.Errorf("%s: got %+v, want an unclassified segment from %d to a vertex off the shard", tc.name, fr, s)
+			}
+			segments = append(segments, fr)
 		}
-		sawUnreachable = sawUnreachable || fr.Failure == string(route.FailShardUnreachable)
 	}
-	if !sawUnreachable {
-		t.Error("no case came back shard-unreachable")
+	if len(segments) != 2 || !reflect.DeepEqual(segments[0], segments[1]) {
+		t.Errorf("segments to the next exit, peers up and down: %+v", segments)
 	}
 }
 
@@ -186,9 +186,9 @@ func TestHopCodecIdentity(t *testing.T) {
 		budgetUs int64
 		rid, tp  string
 	}{
-		{HopRequest{S: 3, T: 99, Depth: 1}, 300, "", ""},
-		{HopRequest{Graph: "default", S: 0, T: 1 << 40, Depth: 16}, 1, "req-1.a_b", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
-		{HopRequest{Graph: strings.Repeat("g", 255), S: -1, T: -7, Depth: -2}, 0, strings.Repeat("r", 64), ""},
+		{HopRequest{S: 3, T: 99}, 300, "", ""},
+		{HopRequest{Graph: "default", S: 0, T: 1 << 40}, 1, "req-1.a_b", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
+		{HopRequest{Graph: strings.Repeat("g", 255), S: -1, T: -7}, 0, strings.Repeat("r", 64), ""},
 	}
 	for _, c := range reqs {
 		frame := appendHopRequest(nil, c.req, c.budgetUs, c.rid, c.tp)
@@ -210,8 +210,9 @@ func TestHopCodecIdentity(t *testing.T) {
 		resp   HopResponse
 		msg    string
 	}{
-		{200, HopResponse{Success: true, Stuck: 0, Path: []int{5, 17, 1999}, Moves: 2, Forwards: 1}, ""},
-		{200, HopResponse{Failure: string(route.FailShardUnreachable), Stuck: -1, Path: []int{5}, Hedges: 2, Failovers: 1}, ""},
+		{200, HopResponse{Success: true, Stuck: 0, Path: []int{5, 17, 1999}, Moves: 2}, ""},
+		{200, HopResponse{Failure: string(route.FailDeadEnd), Stuck: 5, Path: []int{5}}, ""},
+		{200, HopResponse{Stuck: -1, Path: []int{5, 17}, Moves: 1}, ""},
 		{409, HopResponse{}, `graph "other" is not the clustered snapshot`},
 		{503, HopResponse{}, ""},
 	}
@@ -309,8 +310,9 @@ func TestHopFrameBounds(t *testing.T) {
 // (plus one growth step), and whatever they accept re-encodes to the very
 // bytes that were read.
 func FuzzHopFrame(f *testing.F) {
-	f.Add(appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99, Depth: 1}, 300, "rid-1", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"))
-	f.Add(appendHopReply(nil, 200, &HopResponse{Success: true, Path: []int{3, 17, 99}, Moves: 2, Forwards: 1}, ""))
+	f.Add(appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99}, 300, "rid-1", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"))
+	f.Add(appendHopReply(nil, 200, &HopResponse{Success: true, Path: []int{3, 17, 99}, Moves: 2}, ""))
+	f.Add(appendHopReply(nil, 200, &HopResponse{Path: []int{3, 17}, Moves: 1}, ""))
 	f.Add(appendHopReply(nil, 404, nil, `unknown graph "nope"`))
 	f.Add(binary.LittleEndian.AppendUint32(nil, maxHopReply))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -338,46 +340,58 @@ func FuzzHopFrame(f *testing.F) {
 }
 
 // TestHopSubMillisecondBudget pins the receiver half of the budget fix: a hop
-// that arrives with 300 µs left, and whose continuation must cross to a peer
-// that never answers, comes back classified shard-unreachable at once — the
-// remainder is not read as "no deadline".
+// routes under the budget its frame carries in µs, not under the receiver's
+// own RequestTimeout. A walk from the hub whose first scan alone outlasts a
+// 1 µs budget comes back cut as deadline at its source; the same hop with a
+// budget of 0, which reads "none", walks its whole segment.
 func TestHopSubMillisecondBudget(t *testing.T) {
-	nw := testNetwork(t, 600, 11)
-	const reqTimeout = 4 * time.Second
-	cfg := Config{RequestTimeout: reqTimeout,
-		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 5}}
-	recv := newReplicatedCluster(t, nw, []replicaSpec{{"0", 0}}, cfg, cluster.Config{Seed: 3, Strikes: 1000})[0]
-	tarpit := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		<-r.Context().Done()
-	}))
-	defer tarpit.Close()
-	recv.node.Members().Add(cluster.Peer{
-		ID: strings.TrimPrefix(tarpit.URL, "http://"), Shard: "1",
-		Fingerprint: recv.node.Self().Fingerprint,
-	})
-	s, tt := crossingPair(t, nw, recv)
+	nw := testNetwork(t, 2000, 11)
+	g := nw.Graph
+	recv := newReplicatedCluster(t, nw, []replicaSpec{{"0", 0}}, Config{RequestTimeout: 4 * time.Second},
+		cluster.Config{Seed: 3})[0]
+	mask := recv.node.OwnedMask()
+	hub := 0
+	for v := 1; v < g.N(); v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	if g.Degree(hub) < 500 {
+		t.Fatalf("the hub has degree %d: its scan may not outlast 1 µs", g.Degree(hub))
+	}
+	// A target whose walk from the hub takes a second scan on this shard:
+	// the first step lands on an owned vertex that is not the target.
+	var ref route.Result
+	tt := -1
+	for v := 0; v < g.N() && tt < 0; v++ {
+		route.GreedyCSRPartial(g, v, hub, mask, route.Budget{}, nil, &ref)
+		if v != hub && len(ref.Path) > 1 && ref.Path[1] != v && mask[ref.Path[1]] {
+			tt = v
+		}
+	}
+	if tt < 0 {
+		t.Fatal("no walk from the hub takes a second local scan")
+	}
 
 	st := testStream(t, recv.addr)
-	start := time.Now()
-	resp, status, msg := frameHop(t, st, HopRequest{S: s, T: tt, Depth: 1}, 300)
-	elapsed := time.Since(start)
-	if status != http.StatusOK || resp.Failure != string(route.FailShardUnreachable) {
-		t.Fatalf("got status %d %q failure %q, want 200 shard-unreachable", status, msg, resp.Failure)
+	cut, status, msg := frameHop(t, st, HopRequest{S: hub, T: tt}, 1)
+	if status != http.StatusOK || cut.Failure != string(route.FailDeadline) || !reflect.DeepEqual(cut.Path, []int{hub}) {
+		t.Fatalf("1 µs budget: status %d %q, got %+v, want a deadline cut at [%d]", status, msg, cut, hub)
 	}
-	if elapsed > reqTimeout/8 {
-		t.Fatalf("a 300 µs hop took %v: the budget was read as the receiver's own %v", elapsed, reqTimeout)
+	full, status, msg := frameHop(t, st, HopRequest{S: hub, T: tt}, 0)
+	if status != http.StatusOK || full.Failure != string(ref.Failure) || !reflect.DeepEqual(full.Path, ref.Path) {
+		t.Fatalf("no budget: status %d %q, got %+v, want the walk %v", status, msg, full, ref.Path)
 	}
 }
 
-// TestHopHangUpCancels pins cancellation across a hop chain: a sender that
-// hangs up while its hop is being served — here a hop forwarded onward to a
-// peer that never answers — releases the receiver and the onward forward at
-// once, not when the budget runs out.
+// TestHopHangUpCancels pins cancellation across a forward: a client that
+// hangs up on the entry daemon while its walk is forwarded — here to a peer
+// that never answers — releases the forward at once, not when the budget runs
+// out; and a receiver drops the stream of a sender that hung up.
 func TestHopHangUpCancels(t *testing.T) {
 	nw := testNetwork(t, 600, 11)
 	const reqTimeout = 4 * time.Second
-	recv := newReplicatedCluster(t, nw, []replicaSpec{{"0", 0}}, Config{RequestTimeout: reqTimeout},
+	entry := newReplicatedCluster(t, nw, []replicaSpec{{"0", 0}}, Config{RequestTimeout: reqTimeout},
 		cluster.Config{Seed: 3, Strikes: 1000})[0]
 	entered, released := make(chan struct{}, 1), make(chan struct{}, 1)
 	tarpit := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -386,36 +400,108 @@ func TestHopHangUpCancels(t *testing.T) {
 		released <- struct{}{}
 	}))
 	defer tarpit.Close()
-	recv.node.Members().Add(cluster.Peer{
+	entry.node.Members().Add(cluster.Peer{
 		ID: strings.TrimPrefix(tarpit.URL, "http://"), Shard: "1",
-		Fingerprint: recv.node.Self().Fingerprint,
+		Fingerprint: entry.node.Self().Fingerprint,
 	})
-	s, tt := crossingPair(t, nw, recv)
+	s, tt := crossingPair(t, nw, entry)
 
-	st := testStream(t, recv.addr)
-	if _, err := st.conn.Write(appendHopRequest(nil, HopRequest{S: s, T: tt, Depth: 1}, reqTimeout.Microseconds(), "", "")); err != nil {
+	ctx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	body, _ := json.Marshal(RouteRequest{S: s, T: tt})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, entry.ts.URL+"/route", bytes.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
 	select {
 	case <-entered:
 	case <-time.After(reqTimeout / 2):
-		t.Fatal("the hop never reached the onward peer")
+		t.Fatal("the walk was never forwarded to the peer")
 	}
 	start := time.Now()
-	st.conn.Close()
+	hangUp()
 	select {
 	case <-released:
 	case <-time.After(reqTimeout / 4):
-		t.Fatalf("the onward forward still ran %v after its sender hung up", time.Since(start))
+		t.Fatalf("the forward still ran %v after its client hung up", time.Since(start))
 	}
+	<-done
+
+	st := testStream(t, entry.addr)
+	if _, status, msg := frameHop(t, st, HopRequest{S: s, T: tt}, 0); status != http.StatusOK {
+		t.Fatalf("hop: status %d %q", status, msg)
+	}
+	st.conn.Close()
 	deadline := time.Now().Add(reqTimeout / 4)
 	for open := 1; open != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the receiver kept the stream of a sender that hung up")
 		}
-		recv.srv.hopMu.Lock()
-		open = len(recv.srv.hopIn)
-		recv.srv.hopMu.Unlock()
+		entry.srv.hopMu.Lock()
+		open = len(entry.srv.hopIn)
+		entry.srv.hopMu.Unlock()
+	}
+}
+
+// TestHopBadSegmentFailsForward pins the entry daemon's check on a peer's
+// answer: a well-framed segment that does not start at the vertex forwarded,
+// makes no move, or ends off the graph is never stitched or forwarded on. It
+// is the peer's failure, and the episode is classified shard-unreachable.
+func TestHopBadSegmentFailsForward(t *testing.T) {
+	nw := testNetwork(t, 600, 11)
+	n := nw.Graph.N()
+	for _, bad := range []struct {
+		name string
+		path func(from int) []int
+	}{
+		{"starts elsewhere", func(from int) []int { return []int{(from + 1) % n, from} }},
+		{"makes no move", func(from int) []int { return []int{from} }},
+		{"ends off the graph", func(from int) []int { return []int{from, n + 5} }},
+	} {
+		entry := newReplicatedCluster(t, nw, []replicaSpec{{"0", 0}},
+			Config{RequestTimeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}},
+			cluster.Config{Seed: 3, Strikes: 1000})[0]
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, brw, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+hopProto+"\r\n\r\n")
+			var buf []byte
+			for {
+				p, err := readFrame(brw.Reader, &buf, maxHopRequest)
+				if err != nil {
+					return
+				}
+				req, _, _, _, _ := decodeHopRequest(p)
+				path := bad.path(req.S)
+				seg := HopResponse{Stuck: -1, Path: path, Moves: len(path) - 1}
+				if _, err := conn.Write(appendHopReply(nil, http.StatusOK, &seg, "")); err != nil {
+					return
+				}
+			}
+		}))
+		t.Cleanup(peer.Close)
+		entry.node.Members().Add(cluster.Peer{
+			ID: strings.TrimPrefix(peer.URL, "http://"), Shard: "1",
+			Fingerprint: entry.node.Self().Fingerprint,
+		})
+		s, tt := crossingPair(t, nw, entry)
+		status, rr, er := clusterPost(t, entry.ts.URL, RouteRequest{S: s, T: tt, IncludePath: true})
+		if status != http.StatusBadGateway || rr.Failure != string(route.FailShardUnreachable) {
+			t.Errorf("%s: status %d (%s) failure %q path %v, want 502 shard-unreachable", bad.name, status, er.Error, rr.Failure, rr.Path)
+		}
+		if st := entry.srv.Stats().Cluster; st.Forwards != 1 || st.ForwardFails != 1 {
+			t.Errorf("%s: %d forwards, %d failed, want 1 and 1", bad.name, st.Forwards, st.ForwardFails)
+		}
 	}
 }
 
@@ -507,10 +593,12 @@ func TestHopStaleStreamRedials(t *testing.T) {
 	}
 }
 
-// TestHopCrossingForwards pins the deadlock argument: two shards forwarding
-// into each other, A→B→A and B→A→B at once, all finish inside the deadline,
-// because every in-flight forward owns its stream and the peer answers it on
-// that stream's own goroutine.
+// TestHopCrossingForwards pins the deadlock argument: two entry daemons
+// forwarding into each other's shards at once, on walks A→B→A and B→A→B, all
+// finish inside the deadline — every in-flight forward owns its stream, the
+// peer answers it on that stream's own goroutine, and a receiver never
+// forwards — and the walk back into the entry's shard, which continues there
+// without an RPC, stitches to the single-node path.
 func TestHopCrossingForwards(t *testing.T) {
 	nw := testNetwork(t, 600, 1) // a graph with walks that re-enter their entry shard, both ways
 	const reqTimeout = 5 * time.Second
@@ -554,6 +642,14 @@ func TestHopCrossingForwards(t *testing.T) {
 	if len(pairs[0]) == 0 || len(pairs[1]) == 0 {
 		t.Fatalf("no walk re-enters its entry shard in both directions (%d, %d)", len(pairs[0]), len(pairs[1]))
 	}
+	want := map[[2]int][]int{}
+	var ref route.Result
+	for _, ps := range pairs {
+		for _, p := range ps {
+			route.GreedyCSR(nw.Graph, p[1], p[0], route.Budget{}, nil, &ref)
+			want[p] = append([]int(nil), ref.Path...)
+		}
+	}
 
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -564,10 +660,10 @@ func TestHopCrossingForwards(t *testing.T) {
 			e := w % 2
 			for i := 0; i < 25; i++ {
 				p := pairs[e][i%len(pairs[e])]
-				status, rr, er := clusterPost(t, daemons[e].ts.URL, RouteRequest{S: p[0], T: p[1]})
-				if status != http.StatusOK || !rr.Success || rr.Forwards < 2 {
-					t.Errorf("walk (%d,%d) via shard %d: status %d (%s) success %v forwards %d",
-						p[0], p[1], e, status, er.Error, rr.Success, rr.Forwards)
+				status, rr, er := clusterPost(t, daemons[e].ts.URL, RouteRequest{S: p[0], T: p[1], IncludePath: true})
+				if status != http.StatusOK || !rr.Success || rr.Forwards < 2 || !reflect.DeepEqual(rr.Path, want[p]) {
+					t.Errorf("walk (%d,%d) via shard %d: status %d (%s) success %v forwards %d path %v, want %v",
+						p[0], p[1], e, status, er.Error, rr.Success, rr.Forwards, rr.Path, want[p])
 					return
 				}
 			}
@@ -703,20 +799,19 @@ func TestHopFrameGoldenBytes(t *testing.T) {
 		golden string
 	}{
 		"request": {
-			appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99, Depth: 1}, 300, "rid-1", ""),
-			"32000000" + // payload length
-				"0300000000000000" + "6300000000000000" + "2c01000000000000" + "0100000000000000" + // s, t, budget µs, depth
+			appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99}, 300, "rid-1", ""),
+			"2a000000" + // payload length
+				"0300000000000000" + "6300000000000000" + "2c01000000000000" + // s, t, budget µs
 				"0700" + "64656661756c74" + "0500" + "7269642d31" + "0000" + // graph, request id, traceparent
-				"d85e822c", // CRC-32
+				"67cca256", // CRC-32
 		},
 		"reply": {
-			appendHopReply(nil, 200, &HopResponse{Success: true, Path: []int{3, 17, 99}, Moves: 2, Forwards: 1}, ""),
-			"46000000" + // payload length
+			appendHopReply(nil, 200, &HopResponse{Success: true, Path: []int{3, 17, 99}, Moves: 2}, ""),
+			"2e000000" + // payload length
 				"c800000000000000" + "0100000000000000" + "0000000000000000" + "0200000000000000" + // status, success, stuck, moves
-				"0100000000000000" + "0000000000000000" + "0000000000000000" + // forwards, hedges, failovers
 				"0000" + // failure
 				"03000000" + "11000000" + "63000000" + // path
-				"7328e2a8", // CRC-32
+				"eb5b706b", // CRC-32
 		},
 	} {
 		if got := hex.EncodeToString(c.frame); got != c.golden {

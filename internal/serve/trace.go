@@ -25,7 +25,7 @@ import (
 //	                 hops, the Traceparent header otherwise) carries the trace
 //	                 id and the parent span; no traceparent, no spans. The
 //	                 entry daemon's sampling decision therefore propagates
-//	                 across the whole hop chain.
+//	                 to every hop it forwards.
 //	startLocalTrace  work the daemon starts on its own behalf (anti-entropy
 //	                 rounds, journal ships) — a separate deterministic id lane
 //	                 so internal traces never collide with request traces.
@@ -127,10 +127,11 @@ func (s *Server) newTrace(trace, parent, kind, detail string) *reqTrace {
 		rootDetail: detail,
 		rootStart:  time.Now(),
 	}
-	// A hop chain can revisit a daemon (d0 -> d1 -> d0): each visit must
-	// allocate span ids on its own lane or the second visit would repeat the
-	// first's ids and corrupt the trace tree. The adopted parent span id is
-	// unique per visit, so it seeds the lane; the entry visit keeps lane 0.
+	// A walk can re-enter a receiver's shard (d0 forwards to d1, then d2,
+	// then d1 again): each visit must allocate span ids on its own lane or
+	// the second visit would repeat the first's ids and corrupt the trace
+	// tree. The adopted parent span id is unique per visit, so it seeds the
+	// lane; the entry daemon keeps lane 0.
 	if parent != "" {
 		rt.n = xrand.HashString(parent)
 	}

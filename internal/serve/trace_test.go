@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -18,7 +19,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/route"
 	"repro/internal/torus"
 )
 
@@ -401,8 +404,11 @@ func TestSpanIDDeterminism(t *testing.T) {
 
 // TestTraceHopsChain pins the trajectory across a hop chain: every daemon of
 // a 3-shard cluster puts its own segment's hops on its own local_route span,
-// and those spans, read in hop-depth order with each continuation's first
-// vertex dropped (as mergeHop drops it), spell the response path.
+// and those spans, read in crossing order with each continuation's first
+// vertex dropped (as mergeHop drops it), spell the response path. The order
+// is the entry daemon's: its forward_rpc "hop depth=k" parents the receiver's
+// hop root and so its segment, and a continuation back on the entry's own
+// shard is its local_route "partial depth=k".
 func TestTraceHopsChain(t *testing.T) {
 	nw := testNetwork(t, 600, 1) // a graph with walks that cross two boundaries
 	daemons := newTracedCluster(t, nw, []replicaSpec{{"0", 0}, {"10", 0}, {"11", 0}},
@@ -433,31 +439,43 @@ func TestTraceHopsChain(t *testing.T) {
 		if trace == nil {
 			t.Fatalf("pair (%d,%d): no trace is rooted at request %s", s, tt, rid)
 		}
-		// A local_route span's depth is its root's: 0 under the entry request,
-		// N under the hop served at depth=N.
+		// The crossing index k of every forward_rpc, and of the hop root it
+		// parents; a local_route span under neither is the entry's own.
 		depthOf := map[string]int{}
 		for _, sp := range trace.spans {
-			if sp.Kind == obs.SpanHop {
-				var d int
-				if _, err := fmt.Sscanf(sp.Detail, "depth=%d", &d); err != nil {
-					t.Fatalf("hop span detail %q: %v", sp.Detail, err)
+			if sp.Kind == obs.SpanForwardRPC {
+				var k int
+				if _, err := fmt.Sscanf(sp.Detail, "hop depth=%d", &k); err != nil {
+					t.Fatalf("forward_rpc span detail %q: %v", sp.Detail, err)
 				}
-				depthOf[sp.ID] = d
+				depthOf[sp.ID] = k
+			}
+		}
+		for _, sp := range trace.spans {
+			if sp.Kind == obs.SpanHop {
+				depthOf[sp.ID] = depthOf[sp.Parent]
 			}
 		}
 		segments := map[int][]obs.Span{}
 		for _, sp := range trace.spans {
-			if sp.Kind == obs.SpanLocalRoute {
-				segments[depthOf[sp.Parent]] = sp.Hops
+			if sp.Kind != obs.SpanLocalRoute {
+				continue
 			}
+			k := depthOf[sp.Parent]
+			if sp.Detail != "partial" {
+				if _, err := fmt.Sscanf(sp.Detail, "partial depth=%d", &k); err != nil {
+					t.Fatalf("local_route span detail %q: %v", sp.Detail, err)
+				}
+			}
+			segments[k] = sp.Hops
 		}
 		if len(segments) != rr.Forwards+1 {
 			t.Fatalf("pair (%d,%d): %d local_route spans for %d forwards", s, tt, len(segments), rr.Forwards)
 		}
 		var path []int
-		for d := 0; d < len(segments); d++ {
-			hops := segments[d]
-			if d > 0 {
+		for k := 0; k < len(segments); k++ {
+			hops := segments[k]
+			if k > 0 {
 				hops = hops[1:]
 			}
 			for _, h := range hops {
@@ -472,6 +490,89 @@ func TestTraceHopsChain(t *testing.T) {
 	}
 	if deepest < 2 {
 		t.Fatalf("%d forwarded queries, none crossed two boundaries — no chain was exercised", checked)
+	}
+}
+
+// TestHopReceiversNeverForward pins that the entry daemon drives every hop,
+// on TestTraceHopsChain's fleet. Pairs are walked until one crosses two
+// boundaries (entry, a receiver, another receiver) and one re-enters the
+// entry's shard. For each of them the stitched path is GreedyCSR's, no
+// receiver forwards, and the entry's forward counter grows by the response's
+// forwards less the re-entries, which continue on the entry without an RPC.
+func TestHopReceiversNeverForward(t *testing.T) {
+	nw := testNetwork(t, 600, 1)
+	g := nw.Graph
+	daemons := newTracedCluster(t, nw, []replicaSpec{{"0", 0}, {"10", 0}, {"11", 0}},
+		Config{RequestTimeout: 5 * time.Second}, cluster.Config{Seed: 4})
+	codes, bits, err := graph.MortonCodes(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwards := func() (f [3]int64) {
+		for i, d := range daemons {
+			f[i] = d.srv.Stats().Cluster.Forwards
+		}
+		return f
+	}
+
+	var ref route.Result
+	n := g.N()
+	chained, reentered := 0, 0
+	for i := 0; i < n*n && (chained == 0 || reentered == 0); i++ {
+		s, tt := (i*7919)%n, (i*104729+13+i/n)%n
+		if s == tt {
+			continue
+		}
+		// The single-node path's crossings, replayed from the entry: stepping
+		// onto a delivered walk's target is delivery wherever it lives.
+		route.GreedyCSR(g, tt, s, route.Budget{}, nil, &ref)
+		e := i % len(daemons)
+		walk := ref.Path
+		if ref.Success {
+			walk = walk[:len(walk)-1]
+		}
+		cur, crossings, reentries := e, 0, 0
+		for j, v := range walk {
+			if j > 0 && !daemons[cur].node.Owned(v) {
+				cur = mortonOwner(t, daemons, codes, bits, v)
+				crossings++
+				if cur == e {
+					reentries++
+				}
+			}
+		}
+		if crossings < 2 || (reentries > 0 && reentered > 0) || (reentries == 0 && chained > 0) {
+			continue
+		}
+
+		before := forwards()
+		status, got, er := clusterPost(t, daemons[e].ts.URL, RouteRequest{S: s, T: tt, IncludePath: true})
+		after := forwards()
+		if status != http.StatusOK || got.Success != ref.Success || !reflect.DeepEqual(got.Path, ref.Path) {
+			t.Fatalf("pair (%d,%d) via d%d: status %d (%s) success %v path %v, single-node success %v path %v",
+				s, tt, e, status, er.Error, got.Success, got.Path, ref.Success, ref.Path)
+		}
+		if got.Forwards != crossings {
+			t.Fatalf("pair (%d,%d) via d%d: %d forwards, the path crosses %d times", s, tt, e, got.Forwards, crossings)
+		}
+		for d := range daemons {
+			want := int64(0)
+			if d == e {
+				want = int64(crossings - reentries)
+			}
+			if grew := after[d] - before[d]; grew != want {
+				t.Fatalf("pair (%d,%d) via d%d, %d crossings, %d re-entries: d%d made %d forwards, want %d",
+					s, tt, e, crossings, reentries, d, grew, want)
+			}
+		}
+		if reentries > 0 {
+			reentered++
+		} else {
+			chained++
+		}
+	}
+	if chained == 0 || reentered == 0 {
+		t.Fatalf("%d two-crossing chains, %d re-entries: the test exercised too little", chained, reentered)
 	}
 }
 
