@@ -52,36 +52,6 @@ func TestGossipPhaseDistinct(t *testing.T) {
 	}
 }
 
-// TestHedgeDelayDeterministic pins the hedge policy: the delay is a pure
-// function of (seed, key) in [After, 1.5*After), varied across keys.
-func TestHedgeDelayDeterministic(t *testing.T) {
-	h := HedgePolicy{After: 20 * time.Millisecond, Seed: 7}
-	if !h.Enabled() {
-		t.Fatal("policy with After > 0 reports disabled")
-	}
-	if (HedgePolicy{}).Enabled() {
-		t.Fatal("zero policy reports enabled")
-	}
-	lo, hi := h.After, h.After+h.After/2
-	distinct := map[time.Duration]bool{}
-	for key := uint64(0); key < 64; key++ {
-		d := h.Delay(key)
-		if d < lo || d >= hi {
-			t.Fatalf("Delay(%d) = %v, outside [%v, %v)", key, d, lo, hi)
-		}
-		if d != h.Delay(key) {
-			t.Fatalf("Delay(%d) not deterministic", key)
-		}
-		distinct[d] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatal("every key hedges at the same instant — synchronized waves")
-	}
-	if d := (HedgePolicy{After: 1}).Delay(3); d != 1 {
-		t.Fatalf("sub-resolvable After must fall back to the base delay, got %v", d)
-	}
-}
-
 // newReplicatedNodes builds one shard ("0") served by k replicas plus one
 // peer of the sibling shard ("1"), all over the same graph, with full static
 // membership.

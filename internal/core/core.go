@@ -229,7 +229,7 @@ func runEpisodeInto(c *Counters, g route.Graph, p route.Protocol, obj route.Obje
 			return
 		}
 		if _, ok := r.(budgetStop); ok {
-			*out = route.Result{Path: append(out.Path[:0], s), Unique: 1, Stuck: -1, Failure: route.FailDeadline}
+			out.FailAtSource(s, route.FailDeadline)
 			c.Record(*out, time.Since(start))
 			err = nil
 			return
@@ -405,8 +405,8 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 		if !bound.Empty() && (bound.Crashed(p.s) || bound.Crashed(p.t)) {
 			// Delivery from/to a crashed vertex is impossible; classify
 			// without running the protocol (the episode still counts).
-			cfg.Counters.Record(route.Result{Path: []int{p.s}, Unique: 1, Stuck: -1,
-				Failure: route.FailCrashedTarget}, 0)
+			ws.out.FailAtSource(p.s, route.FailCrashedTarget)
+			cfg.Counters.Record(ws.out, 0)
 			episodes[i] = episode{done: true, failure: route.FailCrashedTarget}
 			return
 		}

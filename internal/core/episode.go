@@ -82,7 +82,7 @@ func (nw *Network) routeEpisode(cfg EpisodeConfig, sc *route.Scratch, out *route
 	}
 	bound := cfg.Faults.Bind(vw.g)
 	if !bound.Empty() && (bound.Crashed(cfg.S) || bound.Crashed(cfg.T)) {
-		*out = route.Result{Path: append(out.Path[:0], cfg.S), Unique: 1, Stuck: -1, Failure: route.FailCrashedTarget}
+		out.FailAtSource(cfg.S, route.FailCrashedTarget)
 		vw.counters.Record(*out, 0)
 		return vw, nil
 	}

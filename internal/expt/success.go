@@ -199,7 +199,7 @@ func runE3(cfg Config) (Table, error) {
 		err     error
 	}
 	results := make([]repResult, reps)
-	par.ForEach(reps, 0, func(r int) {
+	if err := par.ForEachCtx(cfg.Context(), reps, 0, func(r int) {
 		p := girg.DefaultParams(float64(n))
 		p.Lambda = sparseLambda
 		p.FixedN = true
@@ -214,7 +214,9 @@ func runE3(cfg Config) (Table, error) {
 			results[r].success[k] = res.Success
 			results[r].moves[k] = res.Moves
 		}
-	})
+	}); err != nil {
+		return t, err
+	}
 	succ := make([]int, len(weights))
 	hops := make([][]float64, len(weights))
 	for _, rr := range results {

@@ -4,14 +4,13 @@
 // fn(i) a pure function of i, so parallel runs are bit-identical to
 // sequential ones.
 //
-// Worker panics are contained: a panicking fn(i) no longer tears the whole
+// Worker panics are contained: a panicking fn(i) does not tear the whole
 // process down from an unrecoverable worker goroutine. ForEachCtx surfaces
-// the panic as a *PanicError naming the index; ForEach re-raises it as a
-// *PanicError on the calling goroutine, where the caller can recover. In
-// both cases the remaining workers stop claiming new work and drain
-// cleanly. If several invocations panic, the lowest panicking index is
-// reported: chunks are claimed in index order and a claimed chunk runs to
-// its first panic, so the report is deterministic regardless of scheduling.
+// the panic as a *PanicError naming the index, and the remaining workers
+// stop claiming new work and drain cleanly. If several invocations panic,
+// the lowest panicking index is reported: chunks are claimed in index order
+// and a claimed chunk runs to its first panic, so the report is
+// deterministic regardless of scheduling.
 package par
 
 import (
@@ -54,81 +53,16 @@ func (t *panicTracker) record(pe *PanicError) {
 	t.mu.Unlock()
 }
 
-// invoke runs fn(i), converting a panic into a *PanicError.
-func invoke(fn func(i int), i int) (pe *PanicError) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	fn(i)
-	return nil
-}
-
-// ForEach invokes fn(i) for every i in [0, n), using up to workers
-// goroutines (0 means GOMAXPROCS). It returns when all invocations have
-// finished. fn must be safe to call concurrently for distinct i. If any
-// fn(i) panics, the remaining workers drain, and ForEach re-panics on the
-// calling goroutine with a *PanicError naming the lowest panicking index.
-func ForEach(n, workers int, fn func(i int)) {
-	if pe := forEach(n, workers, fn); pe != nil {
-		panic(pe)
-	}
-}
-
-func forEach(n, workers int, fn func(i int)) *PanicError {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if pe := invoke(fn, i); pe != nil {
-				return pe
-			}
-		}
-		return nil
-	}
-	var (
-		next    int64 = -1
-		stopped atomic.Bool
-		tracker panicTracker
-		wg      sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for !stopped.Load() {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if pe := invoke(fn, i); pe != nil {
-					tracker.record(pe)
-					stopped.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return tracker.pe
-}
-
 // ctxChunk is how many indices a worker claims per context check in
 // ForEachCtx: large enough that the ctx.Err atomic load is amortized away on
 // microsecond-scale fn bodies, small enough that cancellation takes effect
 // within a few dozen invocations per worker.
 const ctxChunk = 16
 
-// ForEachCtx is ForEach with cooperative cancellation: workers claim indices
-// in chunks of ctxChunk and re-check ctx between chunks. If ctx is cancelled
+// ForEachCtx invokes fn(i) for every i in [0, n), using up to workers
+// goroutines (0 means GOMAXPROCS); fn must be safe to call concurrently for
+// distinct i. Cancellation is cooperative: workers claim indices in chunks of
+// ctxChunk and re-check ctx between chunks. If ctx is cancelled
 // (or its deadline passes) before all indices are processed, workers stop
 // claiming new chunks and ForEachCtx returns ctx.Err(); indices already
 // claimed may still run, so on a non-nil return the caller must treat the
@@ -141,7 +75,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) { fn(i) })
 }
 
-// Workers resolves the worker count the ForEach family uses for n
+// Workers resolves the worker count ForEachCtx and ForEachWorkerCtx use for n
 // invocations with a requested pool size of workers (0 = GOMAXPROCS): the
 // requested size capped at n, at least 1. Callers that keep per-worker state
 // size their state slice with it before calling ForEachWorkerCtx with the

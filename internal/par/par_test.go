@@ -8,13 +8,23 @@ import (
 	"testing"
 )
 
+// TestForEachCoversAllIndices runs ForEachWorkerCtx: every index once, on a
+// worker id below Workers(n, workers), and never two invocations of one
+// worker id at a time.
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		const n = 1000
 		hits := make([]int32, n)
-		ForEach(n, workers, func(i int) {
+		busy := make([]int32, Workers(n, workers))
+		if err := ForEachWorkerCtx(context.Background(), n, workers, func(w, i int) {
+			if !atomic.CompareAndSwapInt32(&busy[w], 0, 1) {
+				t.Errorf("workers=%d: worker %d ran two invocations at once", workers, w)
+			}
 			atomic.AddInt32(&hits[i], 1)
-		})
+			atomic.StoreInt32(&busy[w], 0)
+		}); err != nil {
+			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
@@ -25,34 +35,41 @@ func TestForEachCoversAllIndices(t *testing.T) {
 
 func TestForEachEmpty(t *testing.T) {
 	called := false
-	ForEach(0, 4, func(int) { called = true })
-	ForEach(-3, 4, func(int) { called = true })
+	for _, n := range []int{0, -3} {
+		if err := ForEachWorkerCtx(context.Background(), n, 4, func(int, int) { called = true }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if called {
 		t.Fatal("fn called for empty range")
 	}
 }
 
+// TestForEachDeterministicResults: per-worker state folded after the batch
+// gives the same total whatever the worker count.
 func TestForEachDeterministicResults(t *testing.T) {
-	// fn(i) writing to out[i] must give identical results regardless of
-	// worker count.
 	const n = 500
-	compute := func(workers int) []int {
-		out := make([]int, n)
-		ForEach(n, workers, func(i int) { out[i] = i * i })
-		return out
-	}
-	seq := compute(1)
-	parl := compute(8)
-	for i := range seq {
-		if seq[i] != parl[i] {
-			t.Fatalf("results differ at %d", i)
+	compute := func(workers int) int {
+		sums := make([]int, Workers(n, workers))
+		if err := ForEachWorkerCtx(context.Background(), n, workers, func(w, i int) { sums[w] += i * i }); err != nil {
+			t.Fatal(err)
 		}
+		total := 0
+		for _, v := range sums {
+			total += v
+		}
+		return total
+	}
+	if seq, parl := compute(1), compute(8); seq != parl {
+		t.Fatalf("per-worker totals differ: %d sequential, %d on 8 workers", seq, parl)
 	}
 }
 
 func TestForEachMoreWorkersThanWork(t *testing.T) {
 	count := int32(0)
-	ForEach(3, 64, func(int) { atomic.AddInt32(&count, 1) })
+	if err := ForEachCtx(context.Background(), 3, 64, func(int) { atomic.AddInt32(&count, 1) }); err != nil {
+		t.Fatal(err)
+	}
 	if count != 3 {
 		t.Fatalf("count = %d", count)
 	}
@@ -181,37 +198,9 @@ func TestForEachCtxPanicReportsLowestIndex(t *testing.T) {
 	}
 }
 
-func TestForEachPanicRepanicsOnCaller(t *testing.T) {
-	// ForEach has no error return: it re-raises the contained panic on the
-	// calling goroutine, where the caller can recover it. The panic value is
-	// the same *PanicError ForEachCtx would return.
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("workers=%d: panic swallowed", workers)
-				}
-				pe, ok := r.(*PanicError)
-				if !ok {
-					t.Fatalf("workers=%d: recovered %T, want *PanicError", workers, r)
-				}
-				if pe.Index != 7 {
-					t.Fatalf("workers=%d: panic index %d, want 7", workers, pe.Index)
-				}
-			}()
-			ForEach(100, workers, func(i int) {
-				if i == 7 {
-					panic("boom")
-				}
-			})
-		}()
-	}
-}
-
 func TestForEachCtxDeterministicResults(t *testing.T) {
-	// Like ForEach: fn(i) writing to out[i] gives identical results
-	// regardless of worker count when the context never fires.
+	// fn(i) writing to out[i] gives identical results regardless of worker
+	// count when the context never fires.
 	const n = 500
 	compute := func(workers int) []int {
 		out := make([]int, n)

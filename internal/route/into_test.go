@@ -71,13 +71,13 @@ func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, 
 			// One scan per move so far; with none left the single-node walk
 			// would cut on its next scan.
 			if sb.MaxScans = b.MaxScans - merged.Moves; sb.MaxScans <= 0 {
-				merged.cutDeadline(s)
+				merged.FailAtSource(s, FailDeadline)
 				return merged
 			}
 		}
 		exit := greedyWalk(g, o, tgt, cur, masks[cur%len(masks)], sb, &seg)
 		if exit < 0 && seg.Failure == FailDeadline {
-			merged.cutDeadline(s)
+			merged.FailAtSource(s, FailDeadline)
 			return merged
 		}
 		for _, v := range seg.Path[1:] {

@@ -77,6 +77,16 @@ func (r *Result) reset(s int) {
 	r.Failure = FailNone
 }
 
+// FailAtSource resets r to an episode answered at its source s with failure
+// f: Path [s], Unique 1, Stuck -1, no move made. It is the shape of a budget
+// cut (FailDeadline) and of a crashed endpoint (FailCrashedTarget), whoever
+// classifies it; the Path backing array is reused.
+func (r *Result) FailAtSource(s int, f Failure) {
+	r.reset(s)
+	r.Unique = 1
+	r.Failure = f
+}
+
 func (r *Result) step(v int) {
 	r.Path = append(r.Path, v)
 	r.Moves++

@@ -236,11 +236,11 @@ func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budg
 		// MaxScans, then the wall clock.
 		scans++
 		if b.MaxScans > 0 && scans > b.MaxScans {
-			out.cutDeadline(s)
+			out.FailAtSource(s, FailDeadline)
 			return -1
 		}
 		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-			out.cutDeadline(s)
+			out.FailAtSource(s, FailDeadline)
 			return -1
 		}
 		var bs, add, del []int32
@@ -272,14 +272,6 @@ func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budg
 	out.Unique = len(out.Path)
 	out.classify()
 	return -1
-}
-
-// cutDeadline resets r to the engine's budget-cut shape: a failed
-// FailDeadline episode whose path is just the source.
-func (r *Result) cutDeadline(s int) {
-	r.reset(s)
-	r.Unique = 1
-	r.Failure = FailDeadline
 }
 
 // GreedyCSR is the concrete-type fast path: Algorithm 1 from s toward t on a

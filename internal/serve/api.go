@@ -44,9 +44,10 @@ type RouteRequest struct {
 // RouteResponse is the body of a completed /route query (HTTP 200 or a
 // mapped failure status; see StatusFor).
 type RouteResponse struct {
-	// Graph and Protocol echo the resolved names ("" defaults filled in).
-	Graph    string `json:"graph"`
-	Protocol string `json:"protocol"`
+	// Graph and Protocol echo the resolved names ("" defaults filled in); a
+	// batch item leaves Graph to its batch, a rejected item carries neither.
+	Graph    string `json:"graph,omitempty"`
+	Protocol string `json:"protocol,omitempty"`
 	S        int    `json:"s"`
 	T        int    `json:"t"`
 	// Success reports delivery; Failure carries the taxonomy class of an
@@ -115,7 +116,7 @@ type BatchRouteRequest struct {
 	// Graph names the snapshot every item routes on; "" selects "default".
 	Graph string `json:"graph,omitempty"`
 	// Items are the queries, answered in order. An empty batch is 400; a
-	// batch larger than Config.MaxBatch is 413.
+	// batch of more than 256 items is 413.
 	Items []BatchItem `json:"items"`
 }
 
@@ -158,29 +159,10 @@ type BatchItemResult struct {
 	Error string `json:"error,omitempty"`
 	// RetryAfterMs hints when a breaker-rejected item is worth retrying.
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
-	// Protocol echoes the resolved protocol name of a routed item.
-	Protocol string `json:"protocol,omitempty"`
-	S        int    `json:"s"`
-	T        int    `json:"t"`
-	// Success, Failure, Moves, Unique and Path describe the final attempt,
-	// exactly as in RouteResponse.
-	Success bool   `json:"success"`
-	Failure string `json:"failure,omitempty"`
-	Moves   int    `json:"moves"`
-	Unique  int    `json:"unique"`
-	Path    []int  `json:"path,omitempty"`
-	// Attempts counts routing attempts of this item (>1 after retries).
-	Attempts int `json:"attempts"`
-	// Forwards counts cluster hop forwards of the item's final attempt;
-	// Hedges and Failovers mirror RouteResponse.
-	Forwards  int `json:"forwards,omitempty"`
-	Hedges    int `json:"hedges,omitempty"`
-	Failovers int `json:"failovers,omitempty"`
-	// ElapsedMs is the item's share of the batch wall time.
-	ElapsedMs float64 `json:"elapsed_ms"`
-	// Timings attributes the item's time to phases, exactly as in
-	// RouteResponse (QueueUs repeats the batch's shared admission wait).
-	Timings *Timings `json:"timings,omitempty"`
+	// RouteResponse is the item's answer as POST /route gives it, S and T
+	// alone for a rejected item. ElapsedMs is the item's share of the batch
+	// wall time; Timings.QueueUs repeats the batch's admission wait.
+	RouteResponse
 }
 
 // HopRequest is one hop — the body of a JSON POST /cluster/hop, and what a

@@ -33,16 +33,22 @@ type episodeState struct {
 
 var episodePool = sync.Pool{New: func() interface{} { return new(episodeState) }}
 
-// routeOutcome is what one admitted query resolves to: either an item-level
-// rejection (errMsg set) or a routed episode (resp set). clientGone reports
-// that the client departed during retry backoff — the caller stops
+// routeOutcome is what one admitted query resolves to: its batch item — a
+// rejection (Error set) or a routed episode — plus what the wire does not
+// carry. retryAfter is the exact Retry-After of a rejection; clientGone
+// reports that the client departed during retry backoff — the caller stops
 // processing further items, there is nobody left to answer.
 type routeOutcome struct {
-	status     int
-	resp       RouteResponse
-	errMsg     string
+	BatchItemResult
 	retryAfter time.Duration
 	clientGone bool
+}
+
+// rejected is the outcome of a query answered with an error instead of an
+// episode; like any batch item it echoes its endpoints.
+func rejected(q RouteRequest, status int, msg string, retryAfter time.Duration) routeOutcome {
+	item := BatchItemResult{Status: status, Error: msg, RetryAfterMs: retryAfter.Milliseconds(), RouteResponse: RouteResponse{S: q.S, T: q.T}}
+	return routeOutcome{BatchItemResult: item, retryAfter: retryAfter}
 }
 
 // routeOne runs one admitted, validated routing query: breaker gate, then
@@ -62,16 +68,13 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 	// stays nil): what its plan inflicts says nothing of the service.
 	var br *Breaker
 	if len(q.Faults) == 0 {
-		br = s.breaker(graphName, protoName)
+		br = s.routeBreakers.get(graphName, protoName)
 		if retryIn, err := br.Allow(); err != nil {
 			rt.add(obs.SpanBreaker, time.Now(), 0, "", graphName+"/"+protoName, "open")
 			logger.Warn("route rejected", "reason", "breaker open",
 				"graph", graphName, "protocol", protoName, "retry_in_ms", retryIn.Milliseconds())
-			return routeOutcome{
-				status:     http.StatusServiceUnavailable,
-				errMsg:     fmt.Sprintf("circuit breaker open for %s/%s", graphName, protoName),
-				retryAfter: retryIn,
-			}
+			return rejected(q, http.StatusServiceUnavailable,
+				fmt.Sprintf("circuit breaker open for %s/%s", graphName, protoName), retryIn)
 		}
 	}
 
@@ -103,7 +106,7 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		attempts = attempt
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			*res = route.Result{Path: append(res.Path[:0], q.S), Unique: 1, Stuck: -1, Failure: route.FailDeadline}
+			res.FailAtSource(q.S, route.FailDeadline)
 			break
 		}
 		var plan *faults.Plan
@@ -154,35 +157,19 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		}
 		// Back off before the next attempt, but never past the request
 		// deadline or the client's departure.
-		wait := s.cfg.Retry.Backoff(requestID, attempt)
-		if rem := time.Until(deadline); wait > rem {
-			wait = rem
-		}
 		s.retries.Add(1)
+		wait, ok := s.backoff(r.Context(), requestID, attempt, deadline, "attempt", rt, tm)
 		logger.Info("route retrying", "attempt", attempt, "failure", string(res.Failure),
 			"backoff_ms", wait.Milliseconds())
-		if wait > 0 {
-			bkStart := time.Now()
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-				slept := time.Since(bkStart)
-				tm.BackoffUs += slept.Microseconds()
-				s.phaseLat[phaseBackoff].Record(slept)
-				rt.add(obs.SpanRetryBackoff, bkStart, slept, "",
-					fmt.Sprintf("attempt %d", attempt), "")
-			case <-r.Context().Done():
-				t.Stop()
-				logger.Info("route abandoned", "reason", "client gone during backoff", "err", r.Context().Err())
-				if br != nil {
-					br.Record(true)
-				}
-				return routeOutcome{
-					status:     http.StatusServiceUnavailable,
-					errMsg:     fmt.Sprintf("client gone during backoff: %v", r.Context().Err()),
-					clientGone: true,
-				}
+		if !ok {
+			logger.Info("route abandoned", "reason", "client gone during backoff", "err", r.Context().Err())
+			if br != nil {
+				br.Record(true)
 			}
+			out := rejected(q, http.StatusServiceUnavailable,
+				fmt.Sprintf("client gone during backoff: %v", r.Context().Err()), 0)
+			out.clientGone = true
+			return out
 		}
 	}
 
@@ -201,15 +188,14 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 
 	if epErr != nil {
 		logger.Error("route episode failed", "err", epErr, "attempts", attempts)
-		return routeOutcome{status: http.StatusInternalServerError, errMsg: epErr.Error()}
+		return rejected(q, http.StatusInternalServerError, epErr.Error(), 0)
 	}
 	logger.Info("route episode", "graph", graphName, "protocol", protoName,
 		"s", q.S, "t", q.T, "success", res.Success, "failure", string(res.Failure),
 		"moves", res.Moves, "attempts", attempts, "forwards", fwd.forwards,
 		"elapsed_ms", float64(time.Since(start).Microseconds())/1000)
 	tm.TotalUs = tm.QueueUs + time.Since(start).Microseconds()
-	resp := RouteResponse{
-		Graph:    graphName,
+	out := routeOutcome{BatchItemResult: BatchItemResult{Status: StatusFor(res.Failure), RouteResponse: RouteResponse{
 		Protocol: protoName,
 		S:        q.S, T: q.T,
 		Success:   res.Success,
@@ -222,13 +208,13 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		Failovers: fwd.failovers,
 		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
 		Timings:   tm,
-	}
+	}}}
 	if q.IncludePath {
 		// The episode's Path aliases the pooled state and is overwritten by
 		// the next attempt or item; the response keeps its own copy.
-		resp.Path = append([]int(nil), res.Path...)
+		out.Path = append([]int(nil), res.Path...)
 	}
-	return routeOutcome{status: StatusFor(res.Failure), resp: resp}
+	return out
 }
 
 // spanErr classifies one engine episode's outcome for its local_route span:
@@ -269,14 +255,14 @@ type routingRequest interface {
 	graphName() string
 	// check rejects what cannot be served on nw before it takes a worker
 	// slot: a non-zero status with its message.
-	check(nw *core.Network, maxBatch int) (int, string)
+	check(nw *core.Network) (int, string)
 	// logArgs are the attributes its shed and admitted log lines carry.
 	logArgs() []any
 }
 
 func (q *RouteRequest) graphName() string { return graphOrDefault(q.Graph) }
 
-func (q *RouteRequest) check(nw *core.Network, _ int) (int, string) {
+func (q *RouteRequest) check(nw *core.Network) (int, string) {
 	return validateItem(nw, core.Protocol(q.Protocol).String(), q.S, q.T, q.Faults)
 }
 
@@ -286,7 +272,7 @@ func (q *RouteRequest) logArgs() []any {
 
 func (b *BatchRouteRequest) graphName() string { return graphOrDefault(b.Graph) }
 
-func (b *BatchRouteRequest) check(_ *core.Network, maxBatch int) (int, string) {
+func (b *BatchRouteRequest) check(*core.Network) (int, string) {
 	if len(b.Items) == 0 {
 		return http.StatusBadRequest, "empty batch"
 	}
@@ -326,7 +312,7 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 	// handler, so an admitted episode always gets to write its response.
 	if !s.beginRequest() {
 		logger.Info(kind+" rejected", "reason", "draining")
-		writeError(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "server draining")
+		writeError(w, http.StatusServiceUnavailable, retryAfterHint, "server draining")
 		return
 	}
 	defer s.inflight.Done()
@@ -341,7 +327,7 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 			a.graphName, strings.Join(s.GraphNames(), ", "))
 		return
 	}
-	if status, msg := req.check(a.nw, s.cfg.MaxBatch); status != 0 {
+	if status, msg := req.check(a.nw); status != 0 {
 		writeError(w, status, 0, "%s", msg)
 		return
 	}
@@ -359,7 +345,7 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 		if err == ErrOverloaded {
 			a.rt.finish("shed")
 			logger.Warn(kind+" shed", s.admissionArgs(req, "reason", "overloaded")...)
-			writeError(w, http.StatusTooManyRequests, s.cfg.RetryAfter, "overloaded: %d in flight, %d queued",
+			writeError(w, http.StatusTooManyRequests, retryAfterHint, "overloaded: %d in flight, %d queued",
 				s.pool.InFlight(), s.pool.Waiting())
 			return
 		}
@@ -396,12 +382,13 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	s.serveRouting(w, r, "route", maxRouteBody, &req, func(a admission, es *episodeState) {
 		req.Protocol = core.Protocol(req.Protocol).String() // "" = greedy
 		out := s.routeOne(r, a.nw, a.graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, a.rt, a.queued)
-		a.rt.finish(out.errMsg)
-		if out.errMsg != "" {
-			writeError(w, out.status, out.retryAfter, "%s", out.errMsg)
+		a.rt.finish(out.Error)
+		if out.Error != "" {
+			writeError(w, out.Status, out.retryAfter, "%s", out.Error)
 			return
 		}
-		writeJSON(w, out.status, out.resp)
+		out.Graph = a.graphName
+		writeJSON(w, out.Status, out.RouteResponse)
 	})
 }
 
@@ -412,22 +399,21 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // served at all.
 func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRouteRequest
-	s.serveRouting(w, r, "batch", maxRouteBody+int64(s.cfg.MaxBatch)*maxBatchItemBody, &req, func(a admission, es *episodeState) {
+	s.serveRouting(w, r, "batch", maxRouteBody+maxBatch*maxBatchItemBody, &req, func(a admission, es *episodeState) {
 		start := time.Now()
 		deadline := start.Add(s.cfg.RequestTimeout)
 		results := make([]BatchItemResult, len(req.Items))
 		clientGone := false
 		for i, item := range req.Items {
 			protoName := core.Protocol(item.Protocol).String() // "" = greedy
-			results[i].S, results[i].T = item.S, item.T
+			it := &results[i]
+			it.S, it.T = item.S, item.T
 			if clientGone {
-				results[i].Status = http.StatusServiceUnavailable
-				results[i].Error = "client gone, batch abandoned"
+				it.Status, it.Error = http.StatusServiceUnavailable, "client gone, batch abandoned"
 				continue
 			}
 			if status, msg := validateItem(a.nw, protoName, item.S, item.T, item.Faults); status != 0 {
-				results[i].Status = status
-				results[i].Error = msg
+				it.Status, it.Error = status, msg
 				continue
 			}
 			out := s.routeOne(r, a.nw, a.graphName, RouteRequest{
@@ -437,29 +423,8 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 				FaultSeed:   item.FaultSeed,
 				IncludePath: item.IncludePath,
 			}, deadline, es, a.rt, a.queued)
-			if out.errMsg != "" {
-				results[i].Status = out.status
-				results[i].Error = out.errMsg
-				results[i].RetryAfterMs = out.retryAfter.Milliseconds()
-				clientGone = out.clientGone
-				continue
-			}
-			results[i] = BatchItemResult{
-				Status:   out.status,
-				Protocol: out.resp.Protocol,
-				S:        out.resp.S, T: out.resp.T,
-				Success:   out.resp.Success,
-				Failure:   out.resp.Failure,
-				Moves:     out.resp.Moves,
-				Unique:    out.resp.Unique,
-				Path:      out.resp.Path,
-				Attempts:  out.resp.Attempts,
-				Forwards:  out.resp.Forwards,
-				Hedges:    out.resp.Hedges,
-				Failovers: out.resp.Failovers,
-				ElapsedMs: out.resp.ElapsedMs,
-				Timings:   out.resp.Timings,
-			}
+			*it = out.BatchItemResult
+			clientGone = out.clientGone
 		}
 		writeJSON(w, http.StatusOK, BatchRouteResponse{
 			Graph:     a.graphName,

@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,7 +118,7 @@ func TestBatchResultsMatchSingleRoutes(t *testing.T) {
 
 // TestBatchValidation exercises the envelope-level 4xx/413 surface.
 func TestBatchValidation(t *testing.T) {
-	s := New(Config{MaxBatch: 4})
+	s := New(Config{})
 	s.AddNetwork("", testNetwork(t, 300, 5))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -127,7 +129,7 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatalf("empty batch = %d %q, want 400", resp.StatusCode, bad.Error)
 	}
 	// Oversized batch: 413 before any routing.
-	over := make([]BatchItem, 5)
+	over := make([]BatchItem, maxBatch+1)
 	for i := range over {
 		over[i] = BatchItem{S: 0, T: 1}
 	}
@@ -336,7 +338,7 @@ func FuzzRouteBatch(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
 		`{"items":[]}`,
-		`{"items":[{"s":0,"t":1},{"s":0,"t":1},{"s":0,"t":1},{"s":0,"t":1},{"s":0,"t":1}]}`,
+		`{"items":[` + strings.Repeat(`{"s":0,"t":1},`, maxBatch) + `{"s":0,"t":1}]}`,
 		`{"graph":"nope","items":[{"s":0,"t":1}]}`,
 		`{"items":[{"s":3,"t":99,"include_path":true},{"protocol":"phi-dfs","s":7,"t":42}]}`,
 		`{"items":[{"s":-1,"t":1},{"s":0,"t":300},{"s":1,"t":1}]}`,
@@ -355,7 +357,7 @@ func FuzzRouteBatch(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	s := New(Config{MaxBatch: 4, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	s.AddNetwork("", testNetwork(f, 300, 5))
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -392,9 +394,9 @@ func FuzzRouteBatch(f *testing.F) {
 
 // TestRouteHandlerAllocs pins the allocations of one in-process request
 // through Handler(): POST /route and a one-item POST /route/batch, each
-// delivering one greedy episode on the fast path. The bounds are what the
-// handlers made before they shared one prelude; the count includes the
-// test's own request and recorder.
+// delivering one greedy episode on the fast path. They read 51 and 58; each
+// bound leaves one allocation of slack. The count includes the test's own
+// request and recorder.
 func TestRouteHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -407,8 +409,8 @@ func TestRouteHandlerAllocs(t *testing.T) {
 		req  any
 		max  float64
 	}{
-		{"/route", RouteRequest{S: 1, T: 200}, 54},
-		{"/route/batch", BatchRouteRequest{Items: []BatchItem{{S: 1, T: 200}}}, 60},
+		{"/route", RouteRequest{S: 1, T: 200}, 53},
+		{"/route/batch", BatchRouteRequest{Items: []BatchItem{{S: 1, T: 200}}}, 59},
 	} {
 		body, err := json.Marshal(c.req)
 		if err != nil {
@@ -426,6 +428,51 @@ func TestRouteHandlerAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocs per request", c.path, allocs)
 		if allocs > c.max {
 			t.Errorf("%s: %.0f allocs per request, want <= %.0f", c.path, allocs, c.max)
+		}
+	}
+}
+
+// TestRouteBodiesGolden pins the bytes of a POST /route 200 body and of one
+// POST /route/batch body whose items are routed (delivered, then cut by the
+// scan budget), rejected (unknown protocol) and rejected by the breaker the
+// cut opened (with its retry hint). Wall times are the only bytes that vary
+// between runs; they read 0 here, and the registry's protocol list reads
+// "…".
+func TestRouteBodiesGolden(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	s := New(Config{
+		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+		RequestIDSalt: 1,
+		MaxHops:       2,
+		Retry:         RetryPolicy{MaxAttempts: 1},
+		Breaker:       BreakerConfig{MinSamples: 1, FailureThreshold: 0.3, OpenFor: time.Minute, Now: clk.Now},
+	})
+	s.AddNetwork("", testNetwork(t, 400, 11))
+	h := s.Handler()
+	wallTime := regexp.MustCompile(`("elapsed_ms"|_us"):[0-9.e+-]+`)
+	registered := regexp.MustCompile(`\(registered: [^)]*\)`)
+	for _, c := range []struct {
+		path, body string
+		want       string
+	}{
+		{"/route", `{"s":1,"t":200,"include_path":true}`,
+			`{"graph":"default","protocol":"greedy","s":1,"t":200,"success":true,"moves":2,"unique":3,"path":[1,159,200],"attempts":1,"elapsed_ms":0,"timings":{"queue_us":0,"route_us":0,"total_us":0}}`},
+		{"/route/batch", `{"items":[{"s":1,"t":200,"include_path":true},{"protocol":"nope","s":0,"t":1},{"s":12,"t":99},{"s":1,"t":200}]}`,
+			`{"graph":"default","items":[` +
+				`{"status":200,"protocol":"greedy","s":1,"t":200,"success":true,"moves":2,"unique":3,"path":[1,159,200],"attempts":1,"elapsed_ms":0,"timings":{"queue_us":0,"route_us":0,"total_us":0}},` +
+				`{"status":404,"error":"route: unknown protocol \"nope\" (registered: …)","s":0,"t":1,"success":false,"moves":0,"unique":0,"attempts":0,"elapsed_ms":0},` +
+				`{"status":504,"protocol":"greedy","s":12,"t":99,"success":false,"failure":"deadline","moves":0,"unique":1,"attempts":1,"elapsed_ms":0,"timings":{"queue_us":0,"route_us":0,"total_us":0}},` +
+				`{"status":503,"error":"circuit breaker open for default/greedy","retry_after_ms":60000,"s":1,"t":200,"success":false,"moves":0,"unique":0,"attempts":0,"elapsed_ms":0}` +
+				`],"elapsed_ms":0}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, rec.Code, rec.Body)
+		}
+		got := wallTime.ReplaceAllString(strings.TrimSuffix(rec.Body.String(), "\n"), "$1:0")
+		if got = registered.ReplaceAllString(got, "(registered: …)"); got != c.want {
+			t.Errorf("%s body:\n got %s\nwant %s", c.path, got, c.want)
 		}
 	}
 }

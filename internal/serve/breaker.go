@@ -2,8 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ErrBreakerOpen is returned by Breaker.Allow while the breaker is open —
@@ -12,7 +16,8 @@ import (
 // failing.
 var ErrBreakerOpen = errors.New("serve: circuit breaker open")
 
-// BreakerState is the classic three-state circuit-breaker machine.
+// BreakerState is the classic three-state circuit-breaker machine. Its values
+// are the /metrics state gauge's: 0 closed, 1 open, 2 half-open.
 type BreakerState int
 
 const (
@@ -222,4 +227,79 @@ func (b *Breaker) Opens() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.opens
+}
+
+// breakers is one family of circuit breakers keyed by a pair of names —
+// (graph, protocol) for requests, (peer, graph) for forwards — each created
+// on first use with the family's config. The two families are kept apart so
+// that a dead peer fails its own forwards fast without poisoning shard-local
+// routing on the same graph. Safe for concurrent use.
+type breakers struct {
+	cfg BreakerConfig
+	mu  sync.Mutex
+	m   map[[2]string]*Breaker
+}
+
+// get returns the breaker of (a, b), creating it on first use.
+func (f *breakers) get(a, b string) *Breaker {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	br, ok := f.m[[2]string{a, b}]
+	if !ok {
+		if f.m == nil {
+			f.m = map[[2]string]*Breaker{}
+		}
+		br = NewBreaker(f.cfg)
+		f.m[[2]string{a, b}] = br
+	}
+	return br
+}
+
+// breakerEntry is one breaker of a family with its key.
+type breakerEntry struct {
+	key [2]string
+	br  *Breaker
+}
+
+// sorted lists the family by key, so consecutive scrapes diff cleanly.
+func (f *breakers) sorted() []breakerEntry {
+	f.mu.Lock()
+	out := make([]breakerEntry, 0, len(f.m))
+	for k, br := range f.m {
+		out = append(out, breakerEntry{k, br})
+	}
+	f.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		x, y := out[i].key, out[j].key
+		return x[0] < y[0] || x[0] == y[0] && x[1] < y[1]
+	})
+	return out
+}
+
+// writeMetrics emits the family as a state gauge and an opens counter, each
+// sample labelled la=key[0], lb=key[1]. One family at a time: the exposition
+// format requires every sample of a family to follow its TYPE line.
+func (f *breakers) writeMetrics(p *obs.PromWriter, la, lb, state, stateHelp, opens, opensHelp string) {
+	entries := f.sorted()
+	labels := func(k [2]string) []obs.Label {
+		return []obs.Label{{Name: la, Value: k[0]}, {Name: lb, Value: k[1]}}
+	}
+	p.Family(state, "gauge", stateHelp)
+	for _, e := range entries {
+		p.Sample(state, labels(e.key), float64(e.br.State()))
+	}
+	p.Family(opens, "counter", opensHelp)
+	for _, e := range entries {
+		p.SampleInt(opens, labels(e.key), e.br.Opens())
+	}
+}
+
+// vars renders the family for /debug/vars: "a/b" → state with the
+// cumulative open count in parentheses.
+func (f *breakers) vars() map[string]string {
+	out := map[string]string{}
+	for _, e := range f.sorted() {
+		out[e.key[0]+"/"+e.key[1]] = fmt.Sprintf("%s (opens=%d)", e.br.State(), e.br.Opens())
+	}
+	return out
 }

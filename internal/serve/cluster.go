@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -29,12 +28,6 @@ import (
 // completed comes back as the classified shard-unreachable failure, never a
 // hang: the cluster degrades to "that shard's vertices are unreachable" while
 // every shard-local route keeps working.
-
-// peerKey identifies one per-(peer, graph) forward breaker. These are
-// deliberately separate from the (graph, protocol) request breakers: a dead
-// peer must fail its own forwards fast without poisoning shard-local
-// routing on the same graph.
-type peerKey struct{ peer, graph string }
 
 // EnableCluster installs the shard map and starts answering /cluster/hop
 // and /cluster/gossip. client carries every HTTP call this daemon makes to a
@@ -125,25 +118,6 @@ func (s *Server) Exchange(ctx context.Context, peer cluster.Peer, req cluster.Go
 	return resp, nil
 }
 
-// PeerBreaker exposes the (peer, graph) forward breaker, creating it on
-// first use like the forward path does.
-func (s *Server) PeerBreaker(peer, graph string) *Breaker {
-	graph = graphOrDefault(graph)
-	return s.peerBreaker(peer, graph)
-}
-
-func (s *Server) peerBreaker(peer, graph string) *Breaker {
-	key := peerKey{peer, graph}
-	s.peerBreakerMu.Lock()
-	defer s.peerBreakerMu.Unlock()
-	b, ok := s.peerBreakers[key]
-	if !ok {
-		b = NewBreaker(s.cfg.Breaker)
-		s.peerBreakers[key] = b
-	}
-	return b
-}
-
 // clusterEligible reports whether one validated query can take the sharded
 // path: cluster mode on, pure greedy under the standard objective, no fault
 // plan, the resolved snapshot is the one the shard map was built over
@@ -214,6 +188,17 @@ func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int,
 		}
 		mergeHop(res, seg)
 		exit = seg.exit()
+	}
+	// The episode's budget spans its segments, each of which restarted it:
+	// greedyWalk's scan count on the stitched path (one per move, one more to
+	// prove a dead end) decides the cut, and a cut — here or by a segment's
+	// clock — answers at the source, as one walk on the whole graph would.
+	scans := len(res.Path) - 1
+	if res.Failure == route.FailDeadEnd {
+		scans++
+	}
+	if res.Failure == route.FailDeadline || s.cfg.MaxHops > 0 && scans > s.cfg.MaxHops {
+		res.FailAtSource(sv, route.FailDeadline)
 	}
 	s.counters.Record(es.out, time.Since(start))
 	return fwd
@@ -318,8 +303,7 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 	logger := obs.Logger(ctx)
 	node := s.clusterNode
 	for attempt := 1; ; attempt++ {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
+		if time.Until(deadline) <= 0 {
 			return HopResponse{}, false
 		}
 		owners := node.OwnersOf(from)
@@ -329,7 +313,7 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 		}
 		cands := owners[:0:0]
 		for _, p := range owners {
-			if _, err := s.peerBreaker(p.ID, graphName).Allow(); err == nil {
+			if _, err := s.peerBreakers.get(p.ID, graphName).Allow(); err == nil {
 				cands = append(cands, p)
 			}
 		}
@@ -344,24 +328,8 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 		if !retryable || attempt >= s.cfg.Retry.MaxAttempts {
 			return HopResponse{}, false
 		}
-		wait := s.cfg.Retry.Backoff(xrand.Hash64(uint64(from), uint64(t)), attempt)
-		if rem := time.Until(deadline); wait > rem {
-			wait = rem
-		}
-		if wait > 0 {
-			bkStart := time.Now()
-			timer := time.NewTimer(wait)
-			select {
-			case <-timer.C:
-				slept := time.Since(bkStart)
-				tm.BackoffUs += slept.Microseconds()
-				s.phaseLat[phaseBackoff].Record(slept)
-				rt.add(obs.SpanRetryBackoff, bkStart, slept, "",
-					fmt.Sprintf("forward attempt %d", attempt), "")
-			case <-ctx.Done():
-				timer.Stop()
-				return HopResponse{}, false
-			}
+		if _, ok := s.backoff(ctx, xrand.Hash64(uint64(from), uint64(t)), attempt, deadline, "forward attempt", rt, tm); !ok {
+			return HopResponse{}, false
 		}
 	}
 }
@@ -449,9 +417,8 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 	launch(0)
 	next, pending := 1, 1
 	var hedgeC <-chan time.Time
-	hedge := cluster.HedgePolicy{After: s.cfg.HedgeAfter, Seed: s.cfg.Retry.Seed}
-	if hedge.Enabled() && next < len(cands) {
-		c, stop := s.hedgeTimer(hedge.Delay(xrand.Hash64(uint64(from), uint64(t), uint64(k))))
+	if s.cfg.HedgeAfter > 0 && next < len(cands) {
+		c, stop := s.hedgeTimer(hedgeDelay(s.cfg.HedgeAfter, s.cfg.Retry.Seed, xrand.Hash64(uint64(from), uint64(t), uint64(k))))
 		defer stop()
 		hedgeC = c
 	}
@@ -481,7 +448,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 		case a := <-results:
 			pending--
 			peer := cands[a.idx]
-			pb := s.peerBreaker(peer.ID, graphName)
+			pb := s.peerBreakers.get(peer.ID, graphName)
 			s.phaseLat[phaseForward].Record(a.dur)
 			a.ended = true
 			if a.err == nil && a.status == http.StatusOK {
@@ -551,7 +518,7 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 		case http.StatusOK:
 			writeJSON(w, status, resp)
 		case http.StatusServiceUnavailable:
-			writeError(w, status, s.cfg.RetryAfter, "%s", msg)
+			writeError(w, status, retryAfterHint, "%s", msg)
 		default:
 			writeError(w, status, 0, "%s", msg)
 		}
@@ -678,34 +645,9 @@ func (s *Server) writeClusterMetrics(p *obs.PromWriter) {
 		p.SampleInt("smallworld_cluster_peers",
 			[]obs.Label{{Name: "state", Value: st.String()}}, int64(counts[st]))
 	}
-
-	type pbSample struct {
-		peer, graph string
-		state       float64
-		opens       int64
-	}
-	s.peerBreakerMu.Lock()
-	samples := make([]pbSample, 0, len(s.peerBreakers))
-	for key, b := range s.peerBreakers {
-		samples = append(samples, pbSample{key.peer, key.graph, breakerStateValue(b.State()), b.Opens()})
-	}
-	s.peerBreakerMu.Unlock()
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].peer != samples[j].peer {
-			return samples[i].peer < samples[j].peer
-		}
-		return samples[i].graph < samples[j].graph
-	})
-	p.Family("smallworld_cluster_peer_breaker_state", "gauge", "Forward breaker state per (peer, graph): 0 closed, 1 open, 2 half-open.")
-	for _, b := range samples {
-		p.Sample("smallworld_cluster_peer_breaker_state",
-			[]obs.Label{{Name: "peer", Value: b.peer}, {Name: "graph", Value: b.graph}}, b.state)
-	}
-	p.Family("smallworld_cluster_peer_breaker_opens_total", "counter", "Cumulative forward breaker trips to open.")
-	for _, b := range samples {
-		p.SampleInt("smallworld_cluster_peer_breaker_opens_total",
-			[]obs.Label{{Name: "peer", Value: b.peer}, {Name: "graph", Value: b.graph}}, b.opens)
-	}
+	s.peerBreakers.writeMetrics(p, "peer", "graph",
+		"smallworld_cluster_peer_breaker_state", "Forward breaker state per (peer, graph): 0 closed, 1 open, 2 half-open.",
+		"smallworld_cluster_peer_breaker_opens_total", "Cumulative forward breaker trips to open.")
 }
 
 // clusterStats fills the cluster slice of ServeStats.
@@ -728,16 +670,11 @@ func (s *Server) clusterStats(st *ServeStats) {
 		HedgeWins:        s.hedgeWins.Load(),
 		Failovers:        s.failovers.Load(),
 		Peers:            map[string]string{},
-		PeerBreakers:     map[string]string{},
+		PeerBreakers:     s.peerBreakers.vars(),
 	}
 	for _, ps := range node.Members().Snapshot() {
 		st.Cluster.Peers[ps.Peer.ID] = ps.StateS
 	}
-	s.peerBreakerMu.Lock()
-	for key, b := range s.peerBreakers {
-		st.Cluster.PeerBreakers[key.peer+"/"+key.graph] = fmt.Sprintf("%s (opens=%d)", b.State(), b.Opens())
-	}
-	s.peerBreakerMu.Unlock()
 	st.Cluster.Replication = s.replicationStats()
 }
 

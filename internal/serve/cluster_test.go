@@ -135,6 +135,50 @@ func TestClusterEquivalence(t *testing.T) {
 	}
 }
 
+// TestClusterBudgetMatchesSingleNode pins stitched ≡ single-node under a scan
+// budget: a 3-shard fleet and one daemon with the same Config answer every
+// pair with the same status and episode at MaxHops 1, 2 and 3. The budget is
+// the episode's, not each segment's, so a walk past it answers deadline at
+// its source however many segments it took.
+func TestClusterBudgetMatchesSingleNode(t *testing.T) {
+	nw := testNetwork(t, 600, 11)
+	n := nw.Graph.N()
+	for _, maxHops := range []int{1, 2, 3} {
+		// No failure rate reaches 2, so the breakers stay closed and every
+		// pair is routed on both sides.
+		cfg := Config{RequestTimeout: 5 * time.Second, MaxHops: maxHops,
+			Retry: RetryPolicy{MaxAttempts: 1}, Breaker: BreakerConfig{FailureThreshold: 2}}
+		fleet := newTestCluster(t, nw, []string{"0", "10", "11"}, cfg, cluster.Config{Seed: 1})
+		single := New(cfg)
+		single.AddNetwork(DefaultGraph, nw)
+		ts := httptest.NewServer(single.Handler())
+		t.Cleanup(ts.Close)
+		crossed := 0
+		for i := 0; i < 300; i++ {
+			s, tt := (i*7919)%n, (i*104729+13)%n
+			if s == tt {
+				continue
+			}
+			req := RouteRequest{S: s, T: tt, IncludePath: true}
+			wantStatus, want, _ := clusterPost(t, ts.URL, req)
+			entry := fleet[i%len(fleet)]
+			status, got, er := clusterPost(t, entry.ts.URL, req)
+			if status != wantStatus || got.Success != want.Success || got.Failure != want.Failure ||
+				got.Moves != want.Moves || got.Unique != want.Unique || !reflect.DeepEqual(got.Path, want.Path) {
+				t.Errorf("MaxHops %d, pair (%d,%d) via %s: fleet %d (failure=%q moves=%d path=%v %s) != single daemon %d (failure=%q moves=%d path=%v)",
+					maxHops, s, tt, entry.addr, status, got.Failure, got.Moves, got.Path, er.Error,
+					wantStatus, want.Failure, want.Moves, want.Path)
+			}
+			if got.Forwards > 0 {
+				crossed++
+			}
+		}
+		if crossed == 0 {
+			t.Fatalf("MaxHops %d: no query crossed a shard boundary — the test exercised nothing", maxHops)
+		}
+	}
+}
+
 // TestClusterChaos is the kill-one-shard drill: under concurrent load, one
 // shard dies mid-flight. Every request must come back with a classified
 // status within the request deadline — no hangs, no unclassified 500s —
@@ -222,7 +266,7 @@ func TestClusterChaos(t *testing.T) {
 
 	breakerOpen := false
 	for _, d := range survivors {
-		if d.srv.PeerBreaker(victim.addr, DefaultGraph).State() == BreakerOpen {
+		if d.srv.peerBreakers.get(victim.addr, DefaultGraph).State() == BreakerOpen {
 			breakerOpen = true
 		}
 	}

@@ -566,7 +566,7 @@ func TestHopStaleStreamRedials(t *testing.T) {
 	if st.ForwardFails != 0 || a.srv.hopRedials.Load() != 1 {
 		t.Fatalf("restart cost %d forward failures and %d redials, want 0 and 1", st.ForwardFails, a.srv.hopRedials.Load())
 	}
-	pb := a.srv.PeerBreaker(b.addr, DefaultGraph)
+	pb := a.srv.peerBreakers.get(b.addr, DefaultGraph)
 	pb.mu.Lock()
 	fails := pb.fails
 	pb.mu.Unlock()

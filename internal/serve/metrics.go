@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -86,18 +84,6 @@ func (s *Server) writeTraceMetrics(p *obs.PromWriter) {
 	}
 }
 
-// breakerStateValue encodes breaker states as gauge values: 0 closed,
-// 1 open, 2 half-open (so "anything non-zero needs attention" alerts work).
-func breakerStateValue(st BreakerState) float64 {
-	switch st {
-	case BreakerOpen:
-		return 1
-	case BreakerHalfOpen:
-		return 2
-	}
-	return 0
-}
-
 // writeServeMetrics emits the smallworld_serve_* families.
 func (s *Server) writeServeMetrics(p *obs.PromWriter) {
 	draining := int64(0)
@@ -128,44 +114,9 @@ func (s *Server) writeServeMetrics(p *obs.PromWriter) {
 	p.SampleInt("smallworld_serve_mutations_total", nil, s.mutations.Load())
 	p.Family("smallworld_serve_compact_swaps_total", "counter", "Compacted snapshots hot-swapped into the mutable slot.")
 	p.SampleInt("smallworld_serve_compact_swaps_total", nil, s.compactSwaps.Load())
-
-	// Breakers are labelled by their (graph, protocol) pair; keys are
-	// sorted so consecutive scrapes diff cleanly.
-	type brSample struct {
-		graph, proto string
-		state        float64
-		opens        int64
-	}
-	s.breakerMu.Lock()
-	samples := make([]brSample, 0, len(s.breakers))
-	for key, b := range s.breakers {
-		graph, proto := key, ""
-		// Keys are "graph/protocol"; protocol names never contain '/', so
-		// the last separator is the split point even for odd graph names.
-		if i := strings.LastIndex(key, "/"); i >= 0 {
-			graph, proto = key[:i], key[i+1:]
-		}
-		samples = append(samples, brSample{graph, proto, breakerStateValue(b.State()), b.Opens()})
-	}
-	s.breakerMu.Unlock()
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].graph != samples[j].graph {
-			return samples[i].graph < samples[j].graph
-		}
-		return samples[i].proto < samples[j].proto
-	})
-	// One family at a time: the exposition format requires every sample of
-	// a family to follow its TYPE line contiguously.
-	p.Family("smallworld_serve_breaker_state", "gauge", "Circuit breaker state: 0 closed, 1 open, 2 half-open.")
-	for _, b := range samples {
-		p.Sample("smallworld_serve_breaker_state",
-			[]obs.Label{{Name: "graph", Value: b.graph}, {Name: "protocol", Value: b.proto}}, b.state)
-	}
-	p.Family("smallworld_serve_breaker_opens_total", "counter", "Cumulative breaker trips to open.")
-	for _, b := range samples {
-		p.SampleInt("smallworld_serve_breaker_opens_total",
-			[]obs.Label{{Name: "graph", Value: b.graph}, {Name: "protocol", Value: b.proto}}, b.opens)
-	}
+	s.routeBreakers.writeMetrics(p, "graph", "protocol",
+		"smallworld_serve_breaker_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.",
+		"smallworld_serve_breaker_opens_total", "Cumulative breaker trips to open.")
 }
 
 // handleTrace serves GET /debug/trace: the buffered phase spans as JSON

@@ -136,7 +136,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.beginRequest() {
-		writeError(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "server draining")
+		writeError(w, http.StatusServiceUnavailable, retryAfterHint, "server draining")
 		return
 	}
 	defer s.inflight.Done()

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/xrand"
 )
@@ -72,4 +75,46 @@ func (p RetryPolicy) Backoff(requestID uint64, attempt int) time.Duration {
 	// floor so a burst of retriers cannot synchronize at zero delay.
 	u := xrand.HashFloat(p.Seed, requestID, uint64(attempt))
 	return d/2 + time.Duration(u*float64(d/2))
+}
+
+// backoff is the daemon's one retry wait, between a query's engine attempts
+// and a forward's failover passes alike: Retry.Backoff(key, attempt) clamped
+// to the deadline, booked once slept on tm, the retry_backoff histogram and a
+// span labelled "<label> <attempt>". It returns the planned wait, and false
+// when ctx ended it first.
+func (s *Server) backoff(ctx context.Context, key uint64, attempt int, deadline time.Time, label string, rt *reqTrace, tm *Timings) (time.Duration, bool) {
+	wait := s.cfg.Retry.Backoff(key, attempt)
+	if rem := time.Until(deadline); wait > rem {
+		wait = rem
+	}
+	if wait <= 0 {
+		return wait, true
+	}
+	start := time.Now()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-ctx.Done():
+		return wait, false
+	}
+	slept := time.Since(start)
+	tm.BackoffUs += slept.Microseconds()
+	s.phaseLat[phaseBackoff].Record(slept)
+	if rt != nil {
+		rt.add(obs.SpanRetryBackoff, start, slept, "", fmt.Sprintf("%s %d", label, attempt), "")
+	}
+	return wait, true
+}
+
+// hedgeDelay is how long a cross-shard hop waits on its first replica before
+// a hedged second attempt fires at the next one: a pure hash of (seed, key)
+// spread over [after, 1.5*after), deterministic per hop like the retry jitter
+// and varied across hops so hedges do not fire in synchronized waves.
+func hedgeDelay(after time.Duration, seed, key uint64) time.Duration {
+	span := uint64(after) / 2
+	if span == 0 {
+		return after
+	}
+	return after + time.Duration(xrand.Hash64(seed, key)%span)
 }

@@ -109,3 +109,27 @@ func TestBackoffDefaults(t *testing.T) {
 		}
 	}
 }
+
+// TestHedgeDelayDeterministic pins the hedge delay: a pure function of
+// (seed, key) in [after, 1.5*after), varied across keys.
+func TestHedgeDelayDeterministic(t *testing.T) {
+	const after, seed = 20 * time.Millisecond, 7
+	lo, hi := after, after+after/2
+	distinct := map[time.Duration]bool{}
+	for key := uint64(0); key < 64; key++ {
+		d := hedgeDelay(after, seed, key)
+		if d < lo || d >= hi {
+			t.Fatalf("hedgeDelay(%d) = %v, outside [%v, %v)", key, d, lo, hi)
+		}
+		if d != hedgeDelay(after, seed, key) {
+			t.Fatalf("hedgeDelay(%d) not deterministic", key)
+		}
+		distinct[d] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatal("every key hedges at the same instant — synchronized waves")
+	}
+	if d := hedgeDelay(1, seed, 3); d != 1 {
+		t.Fatalf("sub-resolvable after must fall back to the base delay, got %v", d)
+	}
+}

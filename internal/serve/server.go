@@ -64,16 +64,9 @@ type Config struct {
 	MaxHops int
 	// Retry is the transient-failure retry policy.
 	Retry RetryPolicy
-	// Breaker tunes the per-(graph, protocol) circuit breakers.
+	// Breaker tunes every circuit breaker: per (graph, protocol) and per
+	// forward (peer, graph).
 	Breaker BreakerConfig
-	// RetryAfter is the Retry-After hint attached to 429 responses
-	// (default 1s); opened breakers hint their own remaining open time.
-	RetryAfter time.Duration
-	// MaxBatch bounds the items of one POST /route/batch request; larger
-	// batches are rejected with 413 before any routing happens (default 256).
-	// A batch occupies one admission slot for all its items, so the bound is
-	// what keeps one giant batch from starving the pool.
-	MaxBatch int
 	// Logger is the server's structured logger; every request gets a
 	// request-scoped child carrying the X-Request-ID. nil uses slog.Default.
 	Logger *slog.Logger
@@ -89,7 +82,7 @@ type Config struct {
 	RequestIDSalt uint64
 	// HedgeAfter enables hedged hop forwards in cluster mode: when the
 	// first replica has not answered after a deterministic delay derived
-	// from this base (see cluster.HedgePolicy), a second attempt fires at
+	// from this base (see hedgeDelay), a second attempt fires at
 	// the next surviving replica and the first response wins. 0 disables
 	// hedging — forwards fail over sequentially only.
 	HedgeAfter time.Duration
@@ -116,12 +109,6 @@ func (c Config) withDefaults() Config {
 		c.MaxHops = 0
 	}
 	c.Retry = c.Retry.withDefaults()
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 	if c.AntiEntropyInterval <= 0 {
 		c.AntiEntropyInterval = 2 * time.Second
 	}
@@ -142,16 +129,14 @@ type Server struct {
 	// successor, which is what makes hot-swap drop-free.
 	graphs atomic.Pointer[map[string]*core.Network]
 
-	breakerMu sync.Mutex
-	breakers  map[string]*Breaker // keyed "graph/protocol"
+	// routeBreakers guard (graph, protocol) pairs, peerBreakers the forwards
+	// to a (peer, graph).
+	routeBreakers breakers
+	peerBreakers  breakers
 
-	// Cluster mode (nil clusterNode = single-node daemon). Peer breakers are
-	// separate from the (graph, protocol) request breakers above: a dead
-	// peer's forwards must fail fast without poisoning shard-local routing.
+	// Cluster mode (nil clusterNode = single-node daemon).
 	clusterNode   *cluster.Node
 	clusterClient *http.Client
-	peerBreakerMu sync.Mutex
-	peerBreakers  map[peerKey]*Breaker
 
 	forwards         atomic.Int64
 	forwardFails     atomic.Int64
@@ -263,16 +248,16 @@ func New(cfg Config) *Server {
 		logger = slog.Default()
 	}
 	s := &Server{
-		cfg:          c,
-		pool:         NewPool(c.Workers, c.QueueDepth),
-		counters:     core.NewCounters(),
-		breakers:     map[string]*Breaker{},
-		peerBreakers: map[peerKey]*Breaker{},
-		hopIdle:      map[string][]*hopStream{},
-		hopIn:        map[net.Conn]struct{}{},
-		logger:       logger,
-		spans:        c.Spans,
-		rids:         obs.NewRequestIDs(salt),
+		cfg:           c,
+		pool:          NewPool(c.Workers, c.QueueDepth),
+		counters:      core.NewCounters(),
+		routeBreakers: breakers{cfg: c.Breaker},
+		peerBreakers:  breakers{cfg: c.Breaker},
+		hopIdle:       map[string][]*hopStream{},
+		hopIn:         map[net.Conn]struct{}{},
+		logger:        logger,
+		spans:         c.Spans,
+		rids:          obs.NewRequestIDs(salt),
 	}
 	s.hedgeTimer = func(d time.Duration) (<-chan time.Time, func()) {
 		t := time.NewTimer(d)
@@ -317,27 +302,6 @@ func (s *Server) GraphNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// breaker returns the circuit breaker guarding one (graph, protocol) pair,
-// creating it on first use.
-func (s *Server) breaker(graph, proto string) *Breaker {
-	key := graph + "/" + proto
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
-	b, ok := s.breakers[key]
-	if !ok {
-		b = NewBreaker(s.cfg.Breaker)
-		s.breakers[key] = b
-	}
-	return b
-}
-
-// Breaker exposes the (graph, protocol) breaker for tests and admin
-// tooling, creating it on first use like the request path does.
-func (s *Server) Breaker(graph, proto string) *Breaker {
-	graph = graphOrDefault(graph)
-	return s.breaker(graph, core.Protocol(proto).String())
 }
 
 // Draining reports whether Drain has been called.
@@ -544,11 +508,19 @@ func writeError(w http.ResponseWriter, status int, retryAfter time.Duration, for
 
 // maxRouteBody bounds the body of a client request that carries one query
 // (POST /route) or one swap; maxBatchItemBody is what each item a batch may
-// hold adds to that for POST /route/batch.
+// hold adds to that for POST /route/batch. maxBatch bounds those items: a
+// larger batch is 413 before any routing happens. A batch occupies one
+// admission slot for all its items, so the bound is what keeps one giant
+// batch from starving the pool.
 const (
 	maxRouteBody     = 64 << 10
 	maxBatchItemBody = 1 << 10
+	maxBatch         = 256
 )
+
+// retryAfterHint is the Retry-After of a shed (429) or draining (503) answer;
+// an open breaker hints its own remaining open time instead.
+const retryAfterHint = time.Second
 
 // decodeBody decodes a client's JSON request body of at most limit bytes into
 // v. On failure it has answered — 413 past the limit, 400 for anything else —
@@ -708,17 +680,12 @@ func (s *Server) Stats() ServeStats {
 		SwapNoops:    s.swapNoops.Load(),
 		Mutations:    s.mutations.Load(),
 		CompactSwaps: s.compactSwaps.Load(),
-		Breakers:     map[string]string{},
+		Breakers:     s.routeBreakers.vars(),
 	}
 	if log, _ := s.MutationLog(); log != nil {
 		ms := log.Stats()
 		st.Mutate = &ms
 	}
-	s.breakerMu.Lock()
-	for key, b := range s.breakers {
-		st.Breakers[key] = fmt.Sprintf("%s (opens=%d)", b.State(), b.Opens())
-	}
-	s.breakerMu.Unlock()
 	s.clusterStats(&st)
 	return st
 }

@@ -271,7 +271,7 @@ func TestBreakerOverHTTP(t *testing.T) {
 			t.Fatalf("slow request %d: failure = %q, want deadline", i, ok.Failure)
 		}
 	}
-	if got := s.Breaker("", "test-switchable").State(); got != BreakerOpen {
+	if got := s.routeBreakers.get(DefaultGraph, "test-switchable").State(); got != BreakerOpen {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
 
@@ -297,7 +297,7 @@ func TestBreakerOverHTTP(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("probe status = %d, want 200", resp2.StatusCode)
 	}
-	if got := s.Breaker("", "test-switchable").State(); got != BreakerClosed {
+	if got := s.routeBreakers.get(DefaultGraph, "test-switchable").State(); got != BreakerClosed {
 		t.Fatalf("breaker state after probe = %v, want closed", got)
 	}
 	resp3, _, _ := postRoute(t, ts.URL, RouteRequest{Protocol: "test-switchable", S: 0, T: 1})
@@ -334,7 +334,7 @@ func TestFaultProbesSkipBreaker(t *testing.T) {
 			t.Fatalf("probe %d: %d attempts, want 1 (crash-core crashes the same vertices under every seed)", i, ok.Attempts)
 		}
 	}
-	if got := s.Breaker("", "greedy").State(); got != BreakerClosed {
+	if got := s.routeBreakers.get(DefaultGraph, "greedy").State(); got != BreakerClosed {
 		t.Fatalf("breaker state after fault probes = %v, want closed", got)
 	}
 	probe.Faults = nil
@@ -585,7 +585,7 @@ func TestHealthAndVars(t *testing.T) {
 func TestStatsBreakerExport(t *testing.T) {
 	s := New(Config{})
 	s.AddNetwork("", testNetwork(t, 300, 5))
-	b := s.Breaker("", "greedy")
+	b := s.routeBreakers.get(DefaultGraph, "greedy")
 	if _, err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestStatsBreakerExport(t *testing.T) {
 // answers 413; the same shape within it is decoded and judged on its content
 // (no such graph, nothing to swap in, or an empty gossip push).
 func TestRequestBodyLimits(t *testing.T) {
-	s, _, ts := liveServer(t, 300, 5, mutate.Config{})
+	_, _, ts := liveServer(t, 300, 5, mutate.Config{})
 	peer := newReplicaSet(t, testNetwork(t, 100, 8), 1, Config{}, nil)[0].ts.URL
 	for _, c := range []struct {
 		url, path string
@@ -614,7 +614,7 @@ func TestRequestBodyLimits(t *testing.T) {
 	}{
 		{ts.URL, "/route", maxRouteBody, http.StatusNotFound},
 		{ts.URL, "/admin/swap", maxRouteBody, http.StatusBadRequest},
-		{ts.URL, "/route/batch", maxRouteBody + s.cfg.MaxBatch*maxBatchItemBody, http.StatusNotFound},
+		{ts.URL, "/route/batch", maxRouteBody + maxBatch*maxBatchItemBody, http.StatusNotFound},
 		{ts.URL, "/admin/mutate", maxReplicateBody, http.StatusNotFound},
 		{peer, "/cluster/hop", 64 << 10, http.StatusNotFound},
 		{peer, "/cluster/gossip", 1 << 20, http.StatusOK},
