@@ -9,11 +9,11 @@
 //
 //   - structured logging: one log/slog configuration (LogConfig flags,
 //     text or JSON handler, level) whose logger is passed explicitly —
-//     never installed as the slog default — plus request-scoped loggers
-//     carried in a context. The daemon edge generates a request id
-//     (RequestIDs), returns it in an X-Request-ID header and threads it via
-//     WithRequestID / WithLogger so every slog line of the request carries
-//     the same id.
+//     never installed as the slog default. The daemon edge generates a
+//     request id (RequestIDs), returns it in an X-Request-ID header and
+//     puts it in the request context (WithRequestID); a logger wrapped once
+//     by RequestLogger adds it to every record logged with that context, so
+//     every slog line of the request carries the same id.
 //
 //   - trace recorder: SpanLog samples requests deterministically and keeps a
 //     bounded ring of PhaseSpans — where the time went, across daemons —
@@ -115,10 +115,7 @@ func (r *RequestIDs) Next() (seq uint64, id string) {
 // ctxKey keys the obs values stored in a request context.
 type ctxKey int
 
-const (
-	ridKey ctxKey = iota
-	loggerKey
-)
+const ridKey ctxKey = 0
 
 // WithRequestID returns ctx carrying the request id.
 func WithRequestID(ctx context.Context, id string) context.Context {
@@ -131,17 +128,27 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// WithLogger returns ctx carrying a request-scoped logger (typically
-// logger.With("request_id", id)).
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
+// RequestLogger returns l with its handler wrapped so that a record logged
+// with a context carrying a request id (the …Context methods) gets a
+// request_id attribute, last, when it is written. The id rides the context
+// alone, so a request needs no logger of its own.
+func RequestLogger(l *slog.Logger) *slog.Logger {
+	return slog.New(requestIDHandler{l.Handler()})
 }
 
-// Logger returns the request-scoped logger stored in ctx, falling back to
-// slog.Default, so callers can log without checking how they were invoked.
-func Logger(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok && l != nil {
-		return l
+type requestIDHandler struct{ slog.Handler }
+
+func (h requestIDHandler) Handle(ctx context.Context, r slog.Record) error {
+	if id := RequestID(ctx); id != "" {
+		r.AddAttrs(slog.String("request_id", id))
 	}
-	return slog.Default()
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h requestIDHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return requestIDHandler{h.Handler.WithAttrs(attrs)}
+}
+
+func (h requestIDHandler) WithGroup(name string) slog.Handler {
+	return requestIDHandler{h.Handler.WithGroup(name)}
 }

@@ -94,24 +94,44 @@ func TestRequestIDs(t *testing.T) {
 	}
 }
 
-// TestContextHelpers checks the request-id and logger context plumbing,
-// including the slog.Default fallback on a bare context.
+// TestContextHelpers checks the request-id context plumbing and the logger
+// that writes it: a record logged with the id's context carries request_id
+// (through WithAttrs children too), one logged without it does not.
 func TestContextHelpers(t *testing.T) {
 	ctx := context.Background()
 	if got := RequestID(ctx); got != "" {
 		t.Fatalf("RequestID on bare context = %q", got)
 	}
-	if Logger(ctx) != slog.Default() {
-		t.Fatal("Logger on bare context is not slog.Default")
-	}
-	ctx = WithRequestID(ctx, "deadbeef")
 	var buf bytes.Buffer
-	scoped := slog.New(slog.NewTextHandler(&buf, nil))
-	ctx = WithLogger(ctx, scoped)
+	l := RequestLogger(slog.New(slog.NewJSONHandler(&buf, nil)))
+	l.InfoContext(ctx, "bare")
+	ctx = WithRequestID(ctx, "deadbeef")
 	if got := RequestID(ctx); got != "deadbeef" {
 		t.Fatalf("RequestID = %q", got)
 	}
-	if Logger(ctx) != scoped {
-		t.Fatal("Logger did not return the scoped logger")
+	l.InfoContext(ctx, "scoped", "k", 1)
+	l.With("svc", "x").WarnContext(ctx, "child")
+	l.DebugContext(ctx, "below the level")
+	var recs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 3: %s", len(recs), buf.String())
+	}
+	if id, ok := recs[0]["request_id"]; ok {
+		t.Errorf("record without a request context carries request_id %v", id)
+	}
+	for _, rec := range recs[1:] {
+		if rec["request_id"] != "deadbeef" {
+			t.Errorf("%v: request_id = %v, want deadbeef", rec["msg"], rec["request_id"])
+		}
+	}
+	if recs[2]["svc"] != "x" {
+		t.Errorf("child lost its attribute: %v", recs[2])
 	}
 }

@@ -82,6 +82,13 @@ func (p *PromWriter) SampleInt(name string, labels []Label, v int64) {
 	p.Sample(name, labels, float64(v))
 }
 
+// Scalar declares a family that holds one unlabelled integer sample, and
+// emits it: what most counters and gauges are.
+func (p *PromWriter) Scalar(name, mtype, help string, v int64) {
+	p.Family(name, mtype, help)
+	p.SampleInt(name, nil, v)
+}
+
 // Err returns the first write error, if any.
 func (p *PromWriter) Err() error { return p.err }
 
@@ -118,18 +125,12 @@ func escapeHelp(s string) string {
 // histogram as a cumulative native Prometheus histogram. Metric names and
 // labels are stable; the DESIGN.md §9 table documents them.
 func WriteEngineMetrics(p *PromWriter, s core.EngineStats) {
-	p.Family("smallworld_engine_episodes_total", "counter", "Routing episodes finished by the engine.")
-	p.SampleInt("smallworld_engine_episodes_total", nil, s.Episodes)
-	p.Family("smallworld_engine_moves_total", "counter", "Message transmissions across all episodes.")
-	p.SampleInt("smallworld_engine_moves_total", nil, s.Moves)
-	p.Family("smallworld_engine_truncations_total", "counter", "Episodes that hit a protocol's move cap.")
-	p.SampleInt("smallworld_engine_truncations_total", nil, s.Truncations)
-	p.Family("smallworld_engine_failures_total", "counter", "Episodes that did not deliver (including panicked ones).")
-	p.SampleInt("smallworld_engine_failures_total", nil, s.Failures)
-	p.Family("smallworld_engine_panics_total", "counter", "Episodes whose protocol panicked (converted to errors).")
-	p.SampleInt("smallworld_engine_panics_total", nil, s.Panics)
-	p.Family("smallworld_engine_batches_total", "counter", "RunMilgram / RunMilgramCtx invocations.")
-	p.SampleInt("smallworld_engine_batches_total", nil, s.Batches)
+	p.Scalar("smallworld_engine_episodes_total", "counter", "Routing episodes finished by the engine.", s.Episodes)
+	p.Scalar("smallworld_engine_moves_total", "counter", "Message transmissions across all episodes.", s.Moves)
+	p.Scalar("smallworld_engine_truncations_total", "counter", "Episodes that hit a protocol's move cap.", s.Truncations)
+	p.Scalar("smallworld_engine_failures_total", "counter", "Episodes that did not deliver (including panicked ones).", s.Failures)
+	p.Scalar("smallworld_engine_panics_total", "counter", "Episodes whose protocol panicked (converted to errors).", s.Panics)
+	p.Scalar("smallworld_engine_batches_total", "counter", "RunMilgram / RunMilgramCtx invocations.", s.Batches)
 
 	p.Family("smallworld_engine_episode_failures_total", "counter", "Unsuccessful episodes by failure class.")
 	// FailureTaxonomy always carries the full key set; emit in the stable
@@ -159,14 +160,10 @@ func WriteEngineMetrics(p *PromWriter, s core.EngineStats) {
 func WriteRuntimeMetrics(p *PromWriter) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	p.Family("smallworld_go_goroutines", "gauge", "Live goroutines.")
-	p.SampleInt("smallworld_go_goroutines", nil, int64(runtime.NumGoroutine()))
-	p.Family("smallworld_go_heap_alloc_bytes", "gauge", "Heap bytes allocated and in use.")
-	p.SampleInt("smallworld_go_heap_alloc_bytes", nil, int64(ms.HeapAlloc))
-	p.Family("smallworld_go_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.")
-	p.SampleInt("smallworld_go_heap_sys_bytes", nil, int64(ms.HeapSys))
-	p.Family("smallworld_go_gc_cycles_total", "counter", "Completed GC cycles.")
-	p.SampleInt("smallworld_go_gc_cycles_total", nil, int64(ms.NumGC))
+	p.Scalar("smallworld_go_goroutines", "gauge", "Live goroutines.", int64(runtime.NumGoroutine()))
+	p.Scalar("smallworld_go_heap_alloc_bytes", "gauge", "Heap bytes allocated and in use.", int64(ms.HeapAlloc))
+	p.Scalar("smallworld_go_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.", int64(ms.HeapSys))
+	p.Scalar("smallworld_go_gc_cycles_total", "counter", "Completed GC cycles.", int64(ms.NumGC))
 	p.Family("smallworld_go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.")
 	p.Sample("smallworld_go_gc_pause_seconds_total", nil, float64(ms.PauseTotalNs)/1e9)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -58,8 +59,7 @@ func rejected(q RouteRequest, status int, msg string, retryAfter time.Duration) 
 // admission slot. rt carries the request's distributed phase trace (nil when
 // untraced) and queued the admission wait already measured by the caller,
 // repeated into this query's Timings.
-func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q RouteRequest, deadline time.Time, es *episodeState, rt *reqTrace, queued time.Duration) routeOutcome {
-	logger := obs.Logger(r.Context())
+func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName string, q RouteRequest, deadline time.Time, es *episodeState, rt *reqTrace, queued time.Duration) routeOutcome {
 	protoName := q.Protocol
 	tm := &Timings{QueueUs: queued.Microseconds()}
 
@@ -71,7 +71,7 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		br = s.routeBreakers.get(graphName, protoName)
 		if retryIn, err := br.Allow(); err != nil {
 			rt.add(obs.SpanBreaker, time.Now(), 0, "", graphName+"/"+protoName, "open")
-			logger.Warn("route rejected", "reason", "breaker open",
+			s.logger.WarnContext(ctx, "route rejected", "reason", "breaker open",
 				"graph", graphName, "protocol", protoName, "retry_in_ms", retryIn.Milliseconds())
 			return rejected(q, http.StatusServiceUnavailable,
 				fmt.Sprintf("circuit breaker open for %s/%s", graphName, protoName), retryIn)
@@ -132,7 +132,7 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 			// Sharded path: partial greedy over the local shard, each exit
 			// forwarded to the owning peer, the stitched result recorded as
 			// one engine episode. Budget mapping mirrors RouteEpisodeInto's.
-			fwd = s.clusterRoute(r.Context(), graphName, q.S, q.T,
+			fwd = s.clusterRoute(ctx, graphName, q.S, q.T,
 				time.Now().Add(remaining), es, rt, tm)
 			epErr = nil
 		} else {
@@ -158,16 +158,16 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		// Back off before the next attempt, but never past the request
 		// deadline or the client's departure.
 		s.retries.Add(1)
-		wait, ok := s.backoff(r.Context(), requestID, attempt, deadline, "attempt", rt, tm)
-		logger.Info("route retrying", "attempt", attempt, "failure", string(res.Failure),
+		wait, ok := s.backoff(ctx, requestID, attempt, deadline, "attempt", rt, tm)
+		s.logger.InfoContext(ctx, "route retrying", "attempt", attempt, "failure", string(res.Failure),
 			"backoff_ms", wait.Milliseconds())
 		if !ok {
-			logger.Info("route abandoned", "reason", "client gone during backoff", "err", r.Context().Err())
+			s.logger.InfoContext(ctx, "route abandoned", "reason", "client gone during backoff", "err", ctx.Err())
 			if br != nil {
 				br.Record(true)
 			}
 			out := rejected(q, http.StatusServiceUnavailable,
-				fmt.Sprintf("client gone during backoff: %v", r.Context().Err()), 0)
+				fmt.Sprintf("client gone during backoff: %v", ctx.Err()), 0)
 			out.clientGone = true
 			return out
 		}
@@ -181,21 +181,30 @@ func (s *Server) routeOne(r *http.Request, nw *core.Network, graphName string, q
 		stateBefore := br.State()
 		br.Record(epErr != nil || Transient(res.Failure, nil) || res.Failure == route.FailCancelled)
 		if after := br.State(); after == BreakerOpen && stateBefore != BreakerOpen {
-			logger.Warn("circuit breaker opened", "graph", graphName, "protocol", protoName,
+			s.logger.WarnContext(ctx, "circuit breaker opened", "graph", graphName, "protocol", protoName,
 				"opens", br.Opens())
 		}
 	}
 
 	if epErr != nil {
-		logger.Error("route episode failed", "err", epErr, "attempts", attempts)
+		s.logger.ErrorContext(ctx, "route episode failed", "err", epErr, "attempts", attempts)
 		return rejected(q, http.StatusInternalServerError, epErr.Error(), 0)
 	}
-	logger.Info("route episode", "graph", graphName, "protocol", protoName,
-		"s", q.S, "t", q.T, "success", res.Success, "failure", string(res.Failure),
-		"moves", res.Moves, "attempts", attempts, "forwards", fwd.forwards,
-		"elapsed_ms", float64(time.Since(start).Microseconds())/1000)
+	// The episode record is kept at Info when its answer is not a 200 or
+	// took a retry; a delivered first attempt is routine, at Debug.
+	status := StatusFor(res.Failure)
+	level := slog.LevelDebug
+	if status != http.StatusOK || attempts > 1 {
+		level = slog.LevelInfo
+	}
+	if s.logger.Enabled(ctx, level) {
+		s.logger.Log(ctx, level, "route episode", "graph", graphName, "protocol", protoName,
+			"s", q.S, "t", q.T, "success", res.Success, "failure", string(res.Failure),
+			"moves", res.Moves, "attempts", attempts, "forwards", fwd.forwards,
+			"elapsed_ms", float64(time.Since(start).Microseconds())/1000)
+	}
 	tm.TotalUs = tm.QueueUs + time.Since(start).Microseconds()
-	out := routeOutcome{BatchItemResult: BatchItemResult{Status: StatusFor(res.Failure), RouteResponse: RouteResponse{
+	out := routeOutcome{BatchItemResult: BatchItemResult{Status: status, RouteResponse: RouteResponse{
 		Protocol: protoName,
 		S:        q.S, T: q.T,
 		Success:   res.Success,
@@ -303,7 +312,7 @@ type admission struct {
 // on its worker slot over a pooled episode state; the request's trace
 // finishes clean when run returns unless run finished it first.
 func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind string, limit int64, req routingRequest, run func(a admission, es *episodeState)) {
-	logger := obs.Logger(r.Context())
+	ctx := r.Context()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
 		return
@@ -311,7 +320,7 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 	// Count the request as in-flight from here: Drain waits for the whole
 	// handler, so an admitted episode always gets to write its response.
 	if !s.beginRequest() {
-		logger.Info(kind+" rejected", "reason", "draining")
+		s.logger.InfoContext(ctx, kind+" rejected", "reason", "draining")
 		writeError(w, http.StatusServiceUnavailable, retryAfterHint, "server draining")
 		return
 	}
@@ -335,22 +344,22 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 	// The distributed trace starts at admission: the queue wait is the first
 	// phase of the request, and the sampling decision made here rides every
 	// forwarded hop via the Traceparent header.
-	a.rt = s.startEntryTrace(r.Context())
+	a.rt = s.startEntryTrace(ctx)
 	defer a.rt.finish("")
 
 	// Admission: bounded concurrency, bounded queue, fast shedding. A batch
 	// is one unit of work — one slot, shed as one.
 	qStart := time.Now()
-	if err := s.pool.Acquire(r.Context()); err != nil {
+	if err := s.pool.Acquire(ctx); err != nil {
 		if err == ErrOverloaded {
 			a.rt.finish("shed")
-			logger.Warn(kind+" shed", s.admissionArgs(req, "reason", "overloaded")...)
+			s.logger.WarnContext(ctx, kind+" shed", s.admissionArgs(req, "reason", "overloaded")...)
 			writeError(w, http.StatusTooManyRequests, retryAfterHint, "overloaded: %d in flight, %d queued",
 				s.pool.InFlight(), s.pool.Waiting())
 			return
 		}
 		a.rt.finish("cancelled while queued")
-		logger.Info(kind+" rejected", "reason", "cancelled while queued", "err", err)
+		s.logger.InfoContext(ctx, kind+" rejected", "reason", "cancelled while queued", "err", err)
 		writeError(w, http.StatusServiceUnavailable, 0, "cancelled while queued: %v", err)
 		return
 	}
@@ -358,8 +367,8 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 	a.queued = time.Since(qStart)
 	s.phaseLat[phaseQueue].Record(a.queued)
 	a.rt.add(obs.SpanQueueWait, qStart, a.queued, "", "", "")
-	if logger.Enabled(r.Context(), slog.LevelDebug) {
-		logger.Debug(kind+" admitted", s.admissionArgs(req, "graph", a.graphName)...)
+	if s.logger.Enabled(ctx, slog.LevelDebug) {
+		s.logger.DebugContext(ctx, kind+" admitted", s.admissionArgs(req, "graph", a.graphName)...)
 	}
 
 	es := episodePool.Get().(*episodeState)
@@ -381,7 +390,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var req RouteRequest
 	s.serveRouting(w, r, "route", maxRouteBody, &req, func(a admission, es *episodeState) {
 		req.Protocol = core.Protocol(req.Protocol).String() // "" = greedy
-		out := s.routeOne(r, a.nw, a.graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, a.rt, a.queued)
+		out := s.routeOne(r.Context(), a.nw, a.graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, a.rt, a.queued)
 		a.rt.finish(out.Error)
 		if out.Error != "" {
 			writeError(w, out.Status, out.retryAfter, "%s", out.Error)
@@ -416,7 +425,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 				it.Status, it.Error = status, msg
 				continue
 			}
-			out := s.routeOne(r, a.nw, a.graphName, RouteRequest{
+			out := s.routeOne(r.Context(), a.nw, a.graphName, RouteRequest{
 				Protocol: protoName,
 				S:        item.S, T: item.T,
 				Faults:      item.Faults,

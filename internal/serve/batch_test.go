@@ -394,7 +394,7 @@ func FuzzRouteBatch(f *testing.F) {
 
 // TestRouteHandlerAllocs pins the allocations of one in-process request
 // through Handler(): POST /route and a one-item POST /route/batch, each
-// delivering one greedy episode on the fast path. They read 51 and 58; each
+// delivering one greedy episode on the fast path. They read 39 and 46; each
 // bound leaves one allocation of slack. The count includes the test's own
 // request and recorder.
 func TestRouteHandlerAllocs(t *testing.T) {
@@ -409,8 +409,8 @@ func TestRouteHandlerAllocs(t *testing.T) {
 		req  any
 		max  float64
 	}{
-		{"/route", RouteRequest{S: 1, T: 200}, 53},
-		{"/route/batch", BatchRouteRequest{Items: []BatchItem{{S: 1, T: 200}}}, 59},
+		{"/route", RouteRequest{S: 1, T: 200}, 40},
+		{"/route/batch", BatchRouteRequest{Items: []BatchItem{{S: 1, T: 200}}}, 47},
 	} {
 		body, err := json.Marshal(c.req)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"time"
 
@@ -156,6 +157,8 @@ type routeFwd struct {
 //
 // forwards counts every exit, re-entries included: the times the path leaves
 // the current shard's mask, a pure function of (path, masks, entry shard).
+// A walk that reaches an exit with its scan budget spent is cut there: that
+// exit counts, but it is neither forwarded nor continued.
 // Exactly one engine episode is recorded, here, with the merged result — hop
 // receivers record nothing, so cluster-wide counters sum honestly.
 func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int, deadline time.Time, es *episodeState, rt *reqTrace, tm *Timings) routeFwd {
@@ -165,6 +168,12 @@ func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int,
 	var fwd routeFwd
 	for exit := s.localSegment(sv, tv, 0, deadline, res, rt, tm); exit >= 0; {
 		fwd.forwards++
+		// An unclassified walk of MaxHops moves needs one more scan, past the
+		// budget: it is cut here, before the next forward or continuation.
+		if s.cfg.MaxHops > 0 && len(res.Path)-1 >= s.cfg.MaxHops {
+			res.FailAtSource(sv, route.FailDeadline)
+			break
+		}
 		var seg HopResponse
 		if owned[exit] {
 			var local route.Result
@@ -180,7 +189,7 @@ func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int,
 				res.Failure = route.FailShardUnreachable
 				res.Stuck = -1
 				res.Unique = len(res.Path)
-				obs.Logger(ctx).Warn("shard unreachable", "graph", graphName,
+				s.logger.WarnContext(ctx, "shard unreachable", "graph", graphName,
 					"exit_vertex", exit, "t", tv)
 				break
 			}
@@ -300,7 +309,6 @@ func mergeHop(res *route.Result, hop HopResponse) {
 // retries exhausted, deadline spent — and the caller classifies the episode
 // shard-unreachable.
 func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, deadline time.Time, k int, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool) {
-	logger := obs.Logger(ctx)
 	node := s.clusterNode
 	for attempt := 1; ; attempt++ {
 		if time.Until(deadline) <= 0 {
@@ -308,7 +316,7 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 		}
 		owners := node.OwnersOf(from)
 		if len(owners) == 0 {
-			logger.Warn("forward failed", "reason", "no routable owner", "vertex", from)
+			s.logger.WarnContext(ctx, "forward failed", "reason", "no routable owner", "vertex", from)
 			return HopResponse{}, false
 		}
 		cands := owners[:0:0]
@@ -318,7 +326,7 @@ func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, 
 			}
 		}
 		if len(cands) == 0 {
-			logger.Warn("forward failed", "reason", "peer breakers open", "vertex", from, "replicas", len(owners))
+			s.logger.WarnContext(ctx, "forward failed", "reason", "peer breakers open", "vertex", from, "replicas", len(owners))
 			return HopResponse{}, false
 		}
 		resp, retryable, ok := s.tryReplicas(ctx, graphName, from, t, deadline, k, cands, fwd, rt, tm)
@@ -367,7 +375,6 @@ type hopAttempt struct {
 // "cancelled") — the peer may have served the hop and recorded children under
 // that id, and a published parent keeps stitched trees free of orphans.
 func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int, deadline time.Time, k int, cands []cluster.Peer, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
-	logger := obs.Logger(ctx)
 	node := s.clusterNode
 	req := HopRequest{Graph: graphName, S: from, T: t}
 
@@ -439,8 +446,10 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 				s.phaseLat[phaseHedge].Record(hedgeWait)
 				rt.add(obs.SpanHedgeWait, passStart, hedgeWait,
 					cands[next].ID, fmt.Sprintf("hedge idx=%d", next), "")
-				logger.Debug("forward hedged", "vertex", from,
-					"first", cands[0].ID, "hedge", cands[next].ID)
+				if s.logger.Enabled(ctx, slog.LevelDebug) {
+					s.logger.DebugContext(ctx, "forward hedged", "vertex", from,
+						"first", cands[0].ID, "hedge", cands[next].ID)
+				}
 				launch(next)
 				next++
 				pending++
@@ -473,10 +482,10 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 			if a.err != nil {
 				retryable = true
 				errMsg = a.err.Error()
-				logger.Warn("forward failed", "peer", peer.ID, "err", a.err)
+				s.logger.WarnContext(ctx, "forward failed", "peer", peer.ID, "err", a.err)
 			} else {
 				errMsg = fmt.Sprintf("status %d", a.status)
-				logger.Warn("forward failed", "peer", peer.ID, "status", a.status)
+				s.logger.WarnContext(ctx, "forward failed", "peer", peer.ID, "status", a.status)
 				if a.status < 400 || a.status >= 500 {
 					retryable = true
 				}
@@ -575,8 +584,10 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 	// spans still need the accumulator the segment threads through.
 	s.localSegment(req.S, req.T, 0, deadline, &es.out, rt, &Timings{})
 	resp = hopSegment(&es.out)
-	obs.Logger(ctx).Debug("hop served", "s", req.S, "t", req.T,
-		"success", resp.Success, "failure", resp.Failure, "exit", resp.exit())
+	if s.logger.Enabled(ctx, slog.LevelDebug) {
+		s.logger.DebugContext(ctx, "hop served", "s", req.S, "t", req.T,
+			"success", resp.Success, "failure", resp.Failure, "exit", resp.exit())
+	}
 	return resp, http.StatusOK, ""
 }
 
@@ -610,22 +621,14 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 // when cluster mode is on).
 func (s *Server) writeClusterMetrics(p *obs.PromWriter) {
 	node := s.clusterNode
-	p.Family("smallworld_cluster_forwards_total", "counter", "Hop forwards attempted.")
-	p.SampleInt("smallworld_cluster_forwards_total", nil, s.forwards.Load())
-	p.Family("smallworld_cluster_forward_failures_total", "counter", "Hop forward attempts that failed (transport error, non-200, breaker open).")
-	p.SampleInt("smallworld_cluster_forward_failures_total", nil, s.forwardFails.Load())
-	p.Family("smallworld_cluster_shard_unreachable_total", "counter", "Episodes classified shard-unreachable at this daemon.")
-	p.SampleInt("smallworld_cluster_shard_unreachable_total", nil, s.shardUnreachable.Load())
-	p.Family("smallworld_cluster_hops_served_total", "counter", "POST /cluster/hop segments served.")
-	p.SampleInt("smallworld_cluster_hops_served_total", nil, s.hopsServed.Load())
-	p.Family("smallworld_cluster_hedges_total", "counter", "Hedged second forward attempts fired.")
-	p.SampleInt("smallworld_cluster_hedges_total", nil, s.hedges.Load())
-	p.Family("smallworld_cluster_hedge_wins_total", "counter", "Hedged attempts whose response won the race.")
-	p.SampleInt("smallworld_cluster_hedge_wins_total", nil, s.hedgeWins.Load())
-	p.Family("smallworld_cluster_failovers_total", "counter", "Forwards that succeeded at a replica other than the first choice.")
-	p.SampleInt("smallworld_cluster_failovers_total", nil, s.failovers.Load())
-	p.Family("smallworld_cluster_gossip_rounds_total", "counter", "Gossip rounds ticked.")
-	p.SampleInt("smallworld_cluster_gossip_rounds_total", nil, int64(node.Members().Round()))
+	p.Scalar("smallworld_cluster_forwards_total", "counter", "Hop forwards attempted.", s.forwards.Load())
+	p.Scalar("smallworld_cluster_forward_failures_total", "counter", "Hop forward attempts that failed (transport error, non-200, breaker open).", s.forwardFails.Load())
+	p.Scalar("smallworld_cluster_shard_unreachable_total", "counter", "Episodes classified shard-unreachable at this daemon.", s.shardUnreachable.Load())
+	p.Scalar("smallworld_cluster_hops_served_total", "counter", "POST /cluster/hop segments served.", s.hopsServed.Load())
+	p.Scalar("smallworld_cluster_hedges_total", "counter", "Hedged second forward attempts fired.", s.hedges.Load())
+	p.Scalar("smallworld_cluster_hedge_wins_total", "counter", "Hedged attempts whose response won the race.", s.hedgeWins.Load())
+	p.Scalar("smallworld_cluster_failovers_total", "counter", "Forwards that succeeded at a replica other than the first choice.", s.failovers.Load())
+	p.Scalar("smallworld_cluster_gossip_rounds_total", "counter", "Gossip rounds ticked.", int64(node.Members().Round()))
 	p.Family("smallworld_cluster_hedge_win_latency_seconds", "histogram", "Round-trip latency of hedged attempts that won their race.")
 	s.hedgeWinLat.WriteHistogramSamples(p, "smallworld_cluster_hedge_win_latency_seconds", nil)
 	p.Family("smallworld_cluster_failover_latency_seconds", "histogram", "Time from a forward pass's first attempt to a success at a non-first-choice replica.")
@@ -636,8 +639,7 @@ func (s *Server) writeClusterMetrics(p *obs.PromWriter) {
 	p.Family("smallworld_cluster_hop_streams", "gauge", "Open hop streams: accepted (in) and dialled, idle or in use (out).")
 	p.SampleInt("smallworld_cluster_hop_streams", []obs.Label{{Name: "dir", Value: "in"}}, int64(in))
 	p.SampleInt("smallworld_cluster_hop_streams", []obs.Label{{Name: "dir", Value: "out"}}, s.hopStreamsOut.Load())
-	p.Family("smallworld_cluster_hop_redials_total", "counter", "Forwards retried on a fresh dial because the reused stream was stale.")
-	p.SampleInt("smallworld_cluster_hop_redials_total", nil, s.hopRedials.Load())
+	p.Scalar("smallworld_cluster_hop_redials_total", "counter", "Forwards retried on a fresh dial because the reused stream was stale.", s.hopRedials.Load())
 
 	counts := node.Members().CountByState()
 	p.Family("smallworld_cluster_peers", "gauge", "Known peers by failure-detector state.")

@@ -139,7 +139,9 @@ func TestClusterEquivalence(t *testing.T) {
 // budget: a 3-shard fleet and one daemon with the same Config answer every
 // pair with the same status and episode at MaxHops 1, 2 and 3. The budget is
 // the episode's, not each segment's, so a walk past it answers deadline at
-// its source however many segments it took.
+// its source however many segments it took. A walk that reaches an exit with
+// the budget spent is cut there: at MaxHops 1 every exit comes after the one
+// move allowed, so no pair costs its fleet a hop.
 func TestClusterBudgetMatchesSingleNode(t *testing.T) {
 	nw := testNetwork(t, 600, 11)
 	n := nw.Graph.N()
@@ -153,6 +155,12 @@ func TestClusterBudgetMatchesSingleNode(t *testing.T) {
 		single.AddNetwork(DefaultGraph, nw)
 		ts := httptest.NewServer(single.Handler())
 		t.Cleanup(ts.Close)
+		hopsServed := func() (sum int64) {
+			for _, d := range fleet {
+				sum += d.srv.hopsServed.Load()
+			}
+			return sum
+		}
 		crossed := 0
 		for i := 0; i < 300; i++ {
 			s, tt := (i*7919)%n, (i*104729+13)%n
@@ -162,7 +170,12 @@ func TestClusterBudgetMatchesSingleNode(t *testing.T) {
 			req := RouteRequest{S: s, T: tt, IncludePath: true}
 			wantStatus, want, _ := clusterPost(t, ts.URL, req)
 			entry := fleet[i%len(fleet)]
+			before := hopsServed()
 			status, got, er := clusterPost(t, entry.ts.URL, req)
+			if hops := hopsServed() - before; hops > int64(got.Forwards) || maxHops == 1 && hops != 0 {
+				t.Errorf("MaxHops %d, pair (%d,%d) via %s: the fleet served %d hops for %d exits (%q)",
+					maxHops, s, tt, entry.addr, hops, got.Forwards, got.Failure)
+			}
 			if status != wantStatus || got.Success != want.Success || got.Failure != want.Failure ||
 				got.Moves != want.Moves || got.Unique != want.Unique || !reflect.DeepEqual(got.Path, want.Path) {
 				t.Errorf("MaxHops %d, pair (%d,%d) via %s: fleet %d (failure=%q moves=%d path=%v %s) != single daemon %d (failure=%q moves=%d path=%v)",

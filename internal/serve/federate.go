@@ -43,7 +43,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, 0, "not clustered")
 		return
 	}
-	logger := obs.Logger(r.Context())
+	ctx := r.Context()
 
 	// Self first, in-process. The instance name is the advertised peer id —
 	// the same spelling peers use for this daemon — so a federated scrape
@@ -59,7 +59,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if selfErr != nil {
-		logger.Warn("federation: self scrape failed", "err", selfErr)
+		s.logger.WarnContext(ctx, "federation: self scrape failed", "err", selfErr)
 	}
 
 	// Peers in parallel, deterministically ordered in the output: routable
@@ -72,7 +72,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, p cluster.Peer) {
 			defer wg.Done()
-			results[i] = s.scrapePeer(r.Context(), p)
+			results[i] = s.scrapePeer(ctx, p)
 		}(i, p)
 	}
 	wg.Wait()
@@ -80,7 +80,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		s.fedScrapes.Add(1)
 		if res.err != nil {
 			s.fedScrapeFails.Add(1)
-			logger.Warn("federation: peer scrape failed", "peer", peers[i].ID, "err", res.err)
+			s.logger.WarnContext(ctx, "federation: peer scrape failed", "peer", peers[i].ID, "err", res.err)
 			continue
 		}
 		instances = append(instances, res.inst)
@@ -90,7 +90,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	p := obs.NewPromWriter(w)
 	obs.MergeExpositions(p, instances)
 	if err := p.Err(); err != nil {
-		logger.Warn("federation: merged write failed", "err", err)
+		s.logger.WarnContext(ctx, "federation: merged write failed", "err", err)
 	}
 }
 

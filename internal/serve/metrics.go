@@ -22,7 +22,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
 	if err := s.writeMetricsTo(w); err != nil {
-		obs.Logger(r.Context()).Warn("metrics write failed", "err", err)
+		s.logger.WarnContext(r.Context(), "metrics write failed", "err", err)
 	}
 }
 
@@ -69,18 +69,13 @@ func (s *Server) writeTraceMetrics(p *obs.PromWriter) {
 	}
 	if s.spans != nil {
 		st := s.spans.Stats()
-		p.Family("smallworld_trace_spans_published_total", "counter", "Phase spans recorded by the distributed span log.")
-		p.SampleInt("smallworld_trace_spans_published_total", nil, st.Published)
-		p.Family("smallworld_trace_spans_dropped_total", "counter", "Phase spans overwritten before export (ring full).")
-		p.SampleInt("smallworld_trace_spans_dropped_total", nil, st.Dropped)
-		p.Family("smallworld_trace_spans_buffered", "gauge", "Completed spans currently held in the ring.")
-		p.SampleInt("smallworld_trace_spans_buffered", nil, int64(st.Buffered))
+		p.Scalar("smallworld_trace_spans_published_total", "counter", "Phase spans recorded by the distributed span log.", st.Published)
+		p.Scalar("smallworld_trace_spans_dropped_total", "counter", "Phase spans overwritten before export (ring full).", st.Dropped)
+		p.Scalar("smallworld_trace_spans_buffered", "gauge", "Completed spans currently held in the ring.", int64(st.Buffered))
 	}
 	if s.clusterNode != nil {
-		p.Family("smallworld_federation_scrapes_total", "counter", "Peer scrapes attempted by GET /cluster/metrics.")
-		p.SampleInt("smallworld_federation_scrapes_total", nil, s.fedScrapes.Load())
-		p.Family("smallworld_federation_scrape_failures_total", "counter", "Peer scrapes that failed or returned unparsable expositions.")
-		p.SampleInt("smallworld_federation_scrape_failures_total", nil, s.fedScrapeFails.Load())
+		p.Scalar("smallworld_federation_scrapes_total", "counter", "Peer scrapes attempted by GET /cluster/metrics.", s.fedScrapes.Load())
+		p.Scalar("smallworld_federation_scrape_failures_total", "counter", "Peer scrapes that failed or returned unparsable expositions.", s.fedScrapeFails.Load())
 	}
 }
 
@@ -90,30 +85,18 @@ func (s *Server) writeServeMetrics(p *obs.PromWriter) {
 	if s.draining.Load() {
 		draining = 1
 	}
-	p.Family("smallworld_serve_draining", "gauge", "1 while the server drains for shutdown.")
-	p.SampleInt("smallworld_serve_draining", nil, draining)
-	p.Family("smallworld_serve_graphs", "gauge", "Installed graph snapshots.")
-	p.SampleInt("smallworld_serve_graphs", nil, int64(len(*s.graphs.Load())))
-	p.Family("smallworld_serve_inflight", "gauge", "Requests holding a worker slot.")
-	p.SampleInt("smallworld_serve_inflight", nil, int64(s.pool.InFlight()))
-	p.Family("smallworld_serve_waiting", "gauge", "Admitted requests queued for a worker.")
-	p.SampleInt("smallworld_serve_waiting", nil, int64(s.pool.Waiting()))
-	p.Family("smallworld_serve_admitted_total", "counter", "Requests admitted by the pool.")
-	p.SampleInt("smallworld_serve_admitted_total", nil, s.pool.Acquired())
-	p.Family("smallworld_serve_shed_total", "counter", "Requests shed with 429 by the admission pool.")
-	p.SampleInt("smallworld_serve_shed_total", nil, s.pool.Shed())
-	p.Family("smallworld_serve_retries_total", "counter", "Transient-failure retry attempts.")
-	p.SampleInt("smallworld_serve_retries_total", nil, s.retries.Load())
-	p.Family("smallworld_serve_swaps_total", "counter", "Graph snapshots installed via /admin/swap.")
-	p.SampleInt("smallworld_serve_swaps_total", nil, s.swaps.Load())
-	p.Family("smallworld_serve_quarantined_total", "counter", "Swap snapshots rejected by checksum/format verification.")
-	p.SampleInt("smallworld_serve_quarantined_total", nil, s.quarantined.Load())
-	p.Family("smallworld_serve_swap_noops_total", "counter", "Path swaps skipped: fingerprint already installed.")
-	p.SampleInt("smallworld_serve_swap_noops_total", nil, s.swapNoops.Load())
-	p.Family("smallworld_serve_mutations_total", "counter", "Mutation batches committed via /admin/mutate.")
-	p.SampleInt("smallworld_serve_mutations_total", nil, s.mutations.Load())
-	p.Family("smallworld_serve_compact_swaps_total", "counter", "Compacted snapshots hot-swapped into the mutable slot.")
-	p.SampleInt("smallworld_serve_compact_swaps_total", nil, s.compactSwaps.Load())
+	p.Scalar("smallworld_serve_draining", "gauge", "1 while the server drains for shutdown.", draining)
+	p.Scalar("smallworld_serve_graphs", "gauge", "Installed graph snapshots.", int64(len(*s.graphs.Load())))
+	p.Scalar("smallworld_serve_inflight", "gauge", "Requests holding a worker slot.", int64(s.pool.InFlight()))
+	p.Scalar("smallworld_serve_waiting", "gauge", "Admitted requests queued for a worker.", int64(s.pool.Waiting()))
+	p.Scalar("smallworld_serve_admitted_total", "counter", "Requests admitted by the pool.", s.pool.Acquired())
+	p.Scalar("smallworld_serve_shed_total", "counter", "Requests shed with 429 by the admission pool.", s.pool.Shed())
+	p.Scalar("smallworld_serve_retries_total", "counter", "Transient-failure retry attempts.", s.retries.Load())
+	p.Scalar("smallworld_serve_swaps_total", "counter", "Graph snapshots installed via /admin/swap.", s.swaps.Load())
+	p.Scalar("smallworld_serve_quarantined_total", "counter", "Swap snapshots rejected by checksum/format verification.", s.quarantined.Load())
+	p.Scalar("smallworld_serve_swap_noops_total", "counter", "Path swaps skipped: fingerprint already installed.", s.swapNoops.Load())
+	p.Scalar("smallworld_serve_mutations_total", "counter", "Mutation batches committed via /admin/mutate.", s.mutations.Load())
+	p.Scalar("smallworld_serve_compact_swaps_total", "counter", "Compacted snapshots hot-swapped into the mutable slot.", s.compactSwaps.Load())
 	s.routeBreakers.writeMetrics(p, "graph", "protocol",
 		"smallworld_serve_breaker_state", "Circuit breaker state: 0 closed, 1 open, 2 half-open.",
 		"smallworld_serve_breaker_opens_total", "Cumulative breaker trips to open.")
@@ -133,6 +116,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := s.spans.WriteJSONL(w); err != nil {
-		obs.Logger(r.Context()).Warn("span write failed", "err", err)
+		s.logger.WarnContext(r.Context(), "span write failed", "err", err)
 	}
 }

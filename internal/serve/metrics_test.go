@@ -8,12 +8,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/route"
 )
@@ -277,6 +280,102 @@ func TestRequestIDPropagation(t *testing.T) {
 		if byMsg[msg] == 0 {
 			t.Errorf("no %q log line carries request_id %s (got %v)", msg, rid, byMsg)
 		}
+	}
+}
+
+// TestRequestLogPolicy pins what a request leaves in an Info-level log: a
+// delivered first attempt writes no record; a budget cut (504) and a request
+// that needed a retry each write one "route episode" record carrying the
+// response's X-Request-ID. At Debug, the hop a peer serves for a forwarded
+// walk is logged under the entry daemon's id, which rode the hop frame.
+func TestRequestLogPolicy(t *testing.T) {
+	var logBuf syncBuffer
+	records := func() map[string][]string {
+		byID := map[string][]string{}
+		for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+			if line == "" {
+				continue
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log line %q does not parse: %v", line, err)
+			}
+			id, _ := rec["request_id"].(string)
+			byID[id] = append(byID[id], rec["msg"].(string))
+		}
+		return byID
+	}
+	info, err := (&obs.LogConfig{Format: "json", Level: "info"}).NewLogger(&logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := testNetwork(t, 400, 11)
+	daemon := func(attempts int) string {
+		s := New(Config{Logger: info, MaxHops: 2, RequestIDSalt: uint64(attempts),
+			Retry: RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}})
+		s.AddNetwork("", nw)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	once, twice := daemon(1), daemon(2)
+	for _, c := range []struct {
+		name     string
+		url      string
+		req      RouteRequest
+		status   int
+		attempts int
+		want     []string
+	}{
+		{"delivered first attempt", once, RouteRequest{S: 1, T: 200}, http.StatusOK, 1, nil},
+		{"budget cut", once, RouteRequest{S: 12, T: 99}, http.StatusGatewayTimeout, 1, []string{"route episode"}},
+		// Fault seed 6 crashes the target on the first attempt only.
+		{"delivered on retry", twice, RouteRequest{S: 1, T: 200, FaultSeed: 6,
+			Faults: []faults.Spec{{Model: "crash-uniform", Rate: 0.5}}},
+			http.StatusOK, 2, []string{"route retrying", "route episode"}},
+	} {
+		resp, got, _ := postRoute(t, c.url, c.req)
+		if resp.StatusCode != c.status || got.Attempts != c.attempts {
+			t.Fatalf("%s: status %d after %d attempts, want %d after %d", c.name,
+				resp.StatusCode, got.Attempts, c.status, c.attempts)
+		}
+		rid := resp.Header.Get("X-Request-ID")
+		if msgs := records()[rid]; !reflect.DeepEqual(msgs, c.want) {
+			t.Errorf("%s: records under request_id %s = %q, want %q", c.name, rid, msgs, c.want)
+		}
+	}
+	if untagged := records()[""]; len(untagged) > 0 {
+		t.Errorf("records without a request_id: %q", untagged)
+	}
+
+	debug, err := (&obs.LogConfig{Format: "json", Level: "debug"}).NewLogger(&logBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := newTestCluster(t, nw, []string{"0", "10", "11"}, Config{Logger: debug}, cluster.Config{Seed: 1})
+	n := nw.Graph.N()
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("no pair crossed a shard boundary")
+		}
+		entry := fleet[i%len(fleet)]
+		resp, got, _ := postRoute(t, entry.ts.URL, RouteRequest{S: (i * 7919) % n, T: (i*104729 + 13) % n})
+		if got.Forwards == 0 {
+			continue
+		}
+		// A walk's first exit lies outside the entry's shard: a peer served it.
+		rid := resp.Header.Get("X-Request-ID")
+		served := 0
+		for _, msg := range records()[rid] {
+			if msg == "hop served" {
+				served++
+			}
+		}
+		if served == 0 {
+			t.Errorf("pair %d via %s: %d forwards, but no \"hop served\" record carries request_id %s",
+				i, entry.addr, got.Forwards, rid)
+		}
+		break
 	}
 }
 

@@ -130,7 +130,7 @@ func (s *Server) publishLive() {
 // SIGKILL. Semantically invalid batches are 422 with the failing op's
 // index; the live graph is untouched by them.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	logger := obs.Logger(r.Context())
+	ctx := r.Context()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
 		return
@@ -168,19 +168,19 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var opErr *mutate.OpError
 		if errors.As(err, &opErr) {
-			logger.Info("mutate rejected", "graph", name, "ops", len(req.Ops), "err", err)
+			s.logger.InfoContext(ctx, "mutate rejected", "graph", name, "ops", len(req.Ops), "err", err)
 			writeError(w, http.StatusUnprocessableEntity, 0, "%v", err)
 			return
 		}
 		// Journal or encoding failure: the batch is not durable and was not
 		// published — the daemon's disk is in trouble.
-		logger.Error("mutate failed", "graph", name, "err", err)
+		s.logger.ErrorContext(ctx, "mutate failed", "graph", name, "err", err)
 		writeError(w, http.StatusInternalServerError, 0, "%v", err)
 		return
 	}
 	s.publishLive()
 	s.mutations.Add(1)
-	logger.Debug("mutate applied", "graph", name, "ops", len(req.Ops),
+	s.logger.DebugContext(ctx, "mutate applied", "graph", name, "ops", len(req.Ops),
 		"generation", app.Generation, "seq", app.Seq, "epoch", app.Epoch)
 	writeJSON(w, http.StatusOK, MutateResponse{
 		Graph:      name,
@@ -229,28 +229,16 @@ func (s *Server) writeMutateMetrics(p *obs.PromWriter) {
 		return
 	}
 	st := log.Stats()
-	p.Family("smallworld_mutate_batches_total", "counter", "Mutation batches journaled and published.")
-	p.SampleInt("smallworld_mutate_batches_total", nil, int64(st.Batches))
-	p.Family("smallworld_mutate_ops_total", "counter", "Mutation ops applied across all batches.")
-	p.SampleInt("smallworld_mutate_ops_total", nil, int64(st.Ops))
-	p.Family("smallworld_mutate_rejected_total", "counter", "Mutation batches rejected by validation.")
-	p.SampleInt("smallworld_mutate_rejected_total", nil, int64(st.Rejected))
-	p.Family("smallworld_mutate_compactions_total", "counter", "Overlay compactions committed.")
-	p.SampleInt("smallworld_mutate_compactions_total", nil, int64(st.Compactions))
-	p.Family("smallworld_mutate_replayed_batches", "gauge", "Batches replayed from the journal at the last open.")
-	p.SampleInt("smallworld_mutate_replayed_batches", nil, int64(st.Replayed))
-	p.Family("smallworld_mutate_generation", "gauge", "Live journal generation (bumps at each compaction).")
-	p.SampleInt("smallworld_mutate_generation", nil, int64(st.Generation))
-	p.Family("smallworld_mutate_overlay_epoch", "gauge", "Published overlay epoch (applied batches since the base snapshot).")
-	p.SampleInt("smallworld_mutate_overlay_epoch", nil, int64(st.Overlay.Epoch))
-	p.Family("smallworld_mutate_overlay_added_vertices", "gauge", "Vertices added over the base snapshot.")
-	p.SampleInt("smallworld_mutate_overlay_added_vertices", nil, int64(st.Overlay.AddedVertices))
-	p.Family("smallworld_mutate_overlay_removed_vertices", "gauge", "Vertices tombstoned over the base snapshot.")
-	p.SampleInt("smallworld_mutate_overlay_removed_vertices", nil, int64(st.Overlay.RemovedVertices))
-	p.Family("smallworld_mutate_overlay_added_edges", "gauge", "Edges added over the base snapshot.")
-	p.SampleInt("smallworld_mutate_overlay_added_edges", nil, int64(st.Overlay.AddedEdges))
-	p.Family("smallworld_mutate_overlay_removed_edges", "gauge", "Edges removed over the base snapshot.")
-	p.SampleInt("smallworld_mutate_overlay_removed_edges", nil, int64(st.Overlay.RemovedEdges))
-	p.Family("smallworld_mutate_overlay_dirty_vertices", "gauge", "Vertices whose adjacency differs from the base.")
-	p.SampleInt("smallworld_mutate_overlay_dirty_vertices", nil, int64(st.Overlay.DirtyVertices))
+	p.Scalar("smallworld_mutate_batches_total", "counter", "Mutation batches journaled and published.", int64(st.Batches))
+	p.Scalar("smallworld_mutate_ops_total", "counter", "Mutation ops applied across all batches.", int64(st.Ops))
+	p.Scalar("smallworld_mutate_rejected_total", "counter", "Mutation batches rejected by validation.", int64(st.Rejected))
+	p.Scalar("smallworld_mutate_compactions_total", "counter", "Overlay compactions committed.", int64(st.Compactions))
+	p.Scalar("smallworld_mutate_replayed_batches", "gauge", "Batches replayed from the journal at the last open.", int64(st.Replayed))
+	p.Scalar("smallworld_mutate_generation", "gauge", "Live journal generation (bumps at each compaction).", int64(st.Generation))
+	p.Scalar("smallworld_mutate_overlay_epoch", "gauge", "Published overlay epoch (applied batches since the base snapshot).", int64(st.Overlay.Epoch))
+	p.Scalar("smallworld_mutate_overlay_added_vertices", "gauge", "Vertices added over the base snapshot.", int64(st.Overlay.AddedVertices))
+	p.Scalar("smallworld_mutate_overlay_removed_vertices", "gauge", "Vertices tombstoned over the base snapshot.", int64(st.Overlay.RemovedVertices))
+	p.Scalar("smallworld_mutate_overlay_added_edges", "gauge", "Edges added over the base snapshot.", int64(st.Overlay.AddedEdges))
+	p.Scalar("smallworld_mutate_overlay_removed_edges", "gauge", "Edges removed over the base snapshot.", int64(st.Overlay.RemovedEdges))
+	p.Scalar("smallworld_mutate_overlay_dirty_vertices", "gauge", "Vertices whose adjacency differs from the base.", int64(st.Overlay.DirtyVertices))
 }

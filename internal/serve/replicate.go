@@ -65,7 +65,7 @@ func selfPosition(log *mutate.Log, node *cluster.Node) mutate.Position {
 // Like gossip, imports stay up while draining: repair traffic is what lets
 // the rest of the shard release a draining primary.
 func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) {
-	logger := obs.Logger(r.Context())
+	ctx := r.Context()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
 		return
@@ -101,21 +101,21 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 		var corrupt *mutate.CorruptError
 		switch {
 		case errors.As(err, &syncErr):
-			logger.Info("replicate refused", "graph", name, "from", req.Segment.From,
+			s.logger.InfoContext(ctx, "replicate refused", "graph", name, "from", req.Segment.From,
 				"batches", len(req.Segment.Batches), "err", err)
 			writeJSON(w, http.StatusConflict, ReplicateResponse{
 				Graph: name, Applied: applied, Position: log.Head(), Self: node.Self(),
 			})
 		case errors.As(err, &corrupt):
-			logger.Warn("replicate rejected corrupt batch", "graph", name, "err", err)
+			s.logger.WarnContext(ctx, "replicate rejected corrupt batch", "graph", name, "err", err)
 			writeError(w, http.StatusUnprocessableEntity, 0, "segment rejected: %v", err)
 		default:
-			logger.Error("replicate failed", "graph", name, "err", err)
+			s.logger.ErrorContext(ctx, "replicate failed", "graph", name, "err", err)
 			writeError(w, http.StatusInternalServerError, 0, "%v", err)
 		}
 		return
 	}
-	logger.Debug("replicate applied", "graph", name, "from", req.Segment.From,
+	s.logger.DebugContext(ctx, "replicate applied", "graph", name, "from", req.Segment.From,
 		"batches", len(req.Segment.Batches), "applied", applied)
 	writeJSON(w, http.StatusOK, ReplicateResponse{
 		Graph: name, Applied: applied, Position: log.Head(), Self: node.Self(),
@@ -128,7 +128,7 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 // with the local position, so the puller knows not to apply anything and
 // what the exporter is actually on.
 func (s *Server) handleClusterSegment(w http.ResponseWriter, r *http.Request) {
-	logger := obs.Logger(r.Context())
+	ctx := r.Context()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
 		return
@@ -158,13 +158,13 @@ func (s *Server) handleClusterSegment(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var syncErr *mutate.SyncError
 		if errors.As(err, &syncErr) {
-			logger.Info("segment refused", "graph", name, "from", req.From, "err", err)
+			s.logger.InfoContext(ctx, "segment refused", "graph", name, "from", req.From, "err", err)
 			writeJSON(w, http.StatusConflict, SegmentResponse{
 				Graph: name, Position: log.Head(), Self: node.Self(),
 			})
 			return
 		}
-		logger.Error("segment export failed", "graph", name, "from", req.From, "err", err)
+		s.logger.ErrorContext(ctx, "segment export failed", "graph", name, "from", req.From, "err", err)
 		writeError(w, http.StatusInternalServerError, 0, "%v", err)
 		return
 	}
@@ -423,22 +423,14 @@ func (s *Server) writeReplicationMetrics(p *obs.PromWriter) {
 	if node.Replica() == 0 {
 		primary = 1
 	}
-	p.Family("smallworld_replication_primary", "gauge", "1 on the shard's write primary (replica 0).")
-	p.SampleInt("smallworld_replication_primary", nil, primary)
-	p.Family("smallworld_replication_seq", "gauge", "Local replicated-log sequence (journaled batches this generation).")
-	p.SampleInt("smallworld_replication_seq", nil, int64(pos.Seq))
-	p.Family("smallworld_replication_shipped_batches_total", "counter", "Batches acknowledged by replicas on the push path.")
-	p.SampleInt("smallworld_replication_shipped_batches_total", nil, s.shippedBatches.Load())
-	p.Family("smallworld_replication_ship_failures_total", "counter", "Journal pushes that did not land (left to anti-entropy).")
-	p.SampleInt("smallworld_replication_ship_failures_total", nil, s.shipFails.Load())
-	p.Family("smallworld_replication_imported_batches_total", "counter", "Batches imported from peers (pushed and pulled).")
-	p.SampleInt("smallworld_replication_imported_batches_total", nil, s.importedBatches.Load())
-	p.Family("smallworld_replication_anti_entropy_rounds_total", "counter", "Anti-entropy repair rounds run.")
-	p.SampleInt("smallworld_replication_anti_entropy_rounds_total", nil, s.aeRounds.Load())
-	p.Family("smallworld_replication_anti_entropy_pulled_total", "counter", "Batches pulled by anti-entropy.")
-	p.SampleInt("smallworld_replication_anti_entropy_pulled_total", nil, s.aePulled.Load())
-	p.Family("smallworld_replication_generation_lag_total", "counter", "Rounds that saw a same-shard peer on a later journal generation.")
-	p.SampleInt("smallworld_replication_generation_lag_total", nil, s.genLag.Load())
+	p.Scalar("smallworld_replication_primary", "gauge", "1 on the shard's write primary (replica 0).", primary)
+	p.Scalar("smallworld_replication_seq", "gauge", "Local replicated-log sequence (journaled batches this generation).", int64(pos.Seq))
+	p.Scalar("smallworld_replication_shipped_batches_total", "counter", "Batches acknowledged by replicas on the push path.", s.shippedBatches.Load())
+	p.Scalar("smallworld_replication_ship_failures_total", "counter", "Journal pushes that did not land (left to anti-entropy).", s.shipFails.Load())
+	p.Scalar("smallworld_replication_imported_batches_total", "counter", "Batches imported from peers (pushed and pulled).", s.importedBatches.Load())
+	p.Scalar("smallworld_replication_anti_entropy_rounds_total", "counter", "Anti-entropy repair rounds run.", s.aeRounds.Load())
+	p.Scalar("smallworld_replication_anti_entropy_pulled_total", "counter", "Batches pulled by anti-entropy.", s.aePulled.Load())
+	p.Scalar("smallworld_replication_generation_lag_total", "counter", "Rounds that saw a same-shard peer on a later journal generation.", s.genLag.Load())
 
 	// Per-replica lag gauges from gossip-learned live positions. The epoch
 	// gauge is the peer's raw advertised position; batches_behind is the

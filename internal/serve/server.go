@@ -67,8 +67,12 @@ type Config struct {
 	// Breaker tunes every circuit breaker: per (graph, protocol) and per
 	// forward (peer, graph).
 	Breaker BreakerConfig
-	// Logger is the server's structured logger; every request gets a
-	// request-scoped child carrying the X-Request-ID. nil uses slog.Default.
+	// Logger is the server's structured logger (nil uses slog.Default). New
+	// wraps its handler once: a record logged with a request's context
+	// carries that request's X-Request-ID as request_id. A request logs at
+	// Info only what is worth keeping (a rejection, a retry, an answer that
+	// is not a 200); its routine records — admitted, a delivered first
+	// attempt, a hop served — are Debug, and are not built below it.
 	Logger *slog.Logger
 	// Spans, when non-nil, samples requests into distributed phase spans
 	// (queue wait, local route, forward RPCs, hedge waits, ...), propagated
@@ -247,6 +251,7 @@ func New(cfg Config) *Server {
 	if logger == nil {
 		logger = slog.Default()
 	}
+	logger = obs.RequestLogger(logger)
 	s := &Server{
 		cfg:           c,
 		pool:          NewPool(c.Workers, c.QueueDepth),
@@ -397,12 +402,12 @@ func (s *Server) Handler() http.Handler {
 
 // withRequestID is the edge middleware: it adopts the caller's X-Request-ID
 // when one is presented (and sane), minting one otherwise, returns it in
-// the X-Request-ID response header, and threads a request-scoped logger
-// (carrying the id) plus the id itself through the request context, so
-// every layer below — admission, retries, breaker trips, swaps, engine
-// episodes — logs under one correlatable id. Adoption is what stitches a
-// cluster episode together: the entry daemon's id rides every forwarded
-// hop, so one grep over all shards' logs reconstructs the whole walk.
+// the X-Request-ID response header, and puts the id in the request context,
+// so every layer below — admission, retries, breaker trips, swaps, engine
+// episodes — logs under one correlatable id through s.logger. Adoption is
+// what stitches a cluster episode together: the entry daemon's id rides
+// every forwarded hop, so at Debug one grep over all shards' logs
+// reconstructs the whole walk.
 func (s *Server) withRequestID(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, id := s.requestScope(r.Context(), r.Header.Get("X-Request-ID"))
@@ -411,14 +416,13 @@ func (s *Server) withRequestID(h http.Handler) http.Handler {
 	})
 }
 
-// requestScope labels ctx with the request id — the presented one when it is
-// sane, a minted one otherwise — and the logger that carries it.
+// requestScope labels ctx with the request id: the presented one when it is
+// sane, a minted one otherwise.
 func (s *Server) requestScope(ctx context.Context, id string) (context.Context, string) {
 	if id = sanitizeRequestID(id); id == "" {
 		_, id = s.rids.Next()
 	}
-	ctx = obs.WithRequestID(ctx, id)
-	return obs.WithLogger(ctx, s.logger.With("request_id", id)), id
+	return obs.WithRequestID(ctx, id), id
 }
 
 // sanitizeRequestID vets an incoming X-Request-ID for adoption: at most 64
@@ -545,7 +549,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 // keep routing on the snapshot they already resolved. A file that fails
 // verification is quarantined: 422, the counter ticks, nothing is installed.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
-	logger := obs.Logger(r.Context())
+	ctx := r.Context()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, 0, "POST required")
 		return
@@ -568,7 +572,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			var corrupt *graphio.CorruptError
 			if errors.As(err, &corrupt) {
 				s.quarantined.Add(1)
-				logger.Warn("swap snapshot quarantined", "path", req.Path, "err", err)
+				s.logger.WarnContext(ctx, "swap snapshot quarantined", "path", req.Path, "err", err)
 				writeError(w, http.StatusUnprocessableEntity, 0, "snapshot rejected, not installed: %v", err)
 				return
 			}
@@ -580,7 +584,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		// map, so a retried deploy script cannot churn breakers or labels.
 		if cur, ok := s.Network(name); ok && cur.Graph.Fingerprint() == g.Fingerprint() {
 			s.swapNoops.Add(1)
-			logger.Info("swap no-op: fingerprint already installed", "graph", name,
+			s.logger.InfoContext(ctx, "swap no-op: fingerprint already installed", "graph", name,
 				"path", req.Path, "fingerprint", fmt.Sprintf("%016x", g.Fingerprint()))
 			writeJSON(w, http.StatusOK, SwapResponse{
 				Graph:       name,
@@ -619,7 +623,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	s.AddNetwork(name, nw)
 	s.swaps.Add(1)
-	logger.Info("graph swapped", "graph", name, "label", nw.Label,
+	s.logger.InfoContext(ctx, "graph swapped", "graph", name, "label", nw.Label,
 		"n", nw.Graph.N(), "m", nw.Graph.M(),
 		"fingerprint", fmt.Sprintf("%016x", nw.Graph.Fingerprint()))
 	writeJSON(w, http.StatusOK, SwapResponse{
