@@ -104,7 +104,7 @@ func run(args []string, ready chan<- string) error {
 		workers = fs.Int("workers", 0, "max concurrently routing requests (0 = 4)")
 		queue   = fs.Int("queue", 0, "max requests waiting for a worker (0 = 16); beyond this, shed with 429")
 		timeout = fs.Duration("timeout", 2*time.Second, "per-request deadline, retries included")
-		maxHops = fs.Int("max-hops", 0, "per-attempt adjacency-query budget (0 = engine default, -1 = unlimited)")
+		maxHops = fs.Int("max-hops", 0, "per-attempt adjacency-query budget of a request that enters at this daemon, carried across shards on every hop (0 = engine default, -1 = unlimited)")
 		retries = fs.Int("retries", 0, "total routing attempts per request (0 = 3)")
 		drainT  = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		sample  = fs.Float64("trace-sample", 0, "deterministic trace sampling rate in [0, 1]: sampled requests record phase spans, their local_route spans carrying the per-hop trajectory, served on /debug/trace (0 = tracing off)")

@@ -28,6 +28,7 @@ var allowedGlobals = map[string]string{
 	"internal/core.reportOrder":      "read-only table: protocol reporting order",
 	"internal/plot.palette":          "read-only table: figure colours",
 	"internal/serve.episodePool":     "sync.Pool of scratch buffers: holds no state between requests",
+	"internal/serve.failureClasses":  "read-only table: each routing outcome's status, exit code and retry rule",
 }
 
 // TestNoProcessGlobals parses every non-test package of the module and fails

@@ -137,25 +137,23 @@ func (nw *Network) Giant() []int { return nw.Graph.Giant() }
 // zero value selects greedy). Observers, if any, receive the episode's
 // per-move events (step order, episode 0) after the episode finishes.
 func (nw *Network) Route(proto Protocol, s, t int, obs ...route.Observer) (route.Result, error) {
-	var res route.Result
-	vw, err := nw.routeEpisode(EpisodeConfig{Protocol: proto, S: s, T: t}, nil, &res)
-	if err != nil {
-		return route.Result{}, err
-	}
+	cfg := EpisodeConfig{Protocol: proto, S: s, T: t}
 	if len(obs) > 0 {
-		obj := vw.objective(t)
-		for _, o := range obs {
-			if o != nil {
-				route.Observe(vw.g, obj, res, 0, o)
+		cfg.Observer = route.ObserverFunc(func(ev route.MoveEvent) {
+			for _, o := range obs {
+				if o != nil {
+					o.Move(ev)
+				}
 			}
-		}
+		})
 	}
-	return res, nil
+	return nw.RouteEpisode(cfg)
 }
 
 // budgetStop is the sentinel the budget guard panics with to unwind opaque
 // protocol code once an episode exhausts its hop or wall-time budget;
-// runEpisodeInto recovers it and classifies the episode route.FailDeadline.
+// routeView.routeOne recovers it and classifies the episode
+// route.FailDeadline.
 type budgetStop struct{}
 
 // budgetGraph enforces per-episode budgets at the one point every protocol
@@ -165,10 +163,9 @@ type budgetStop struct{}
 // count. The wall-time budget is checked on the same path; it is inherently
 // nondeterministic and meant as a hang backstop, not a reproducible cutoff.
 type budgetGraph struct {
-	inner      route.Graph
-	maxQueries int       // 0 = unlimited
-	deadline   time.Time // zero = no wall-time budget
-	queries    int
+	inner   route.Graph
+	b       route.Budget // MaxScans caps the queries
+	queries int
 }
 
 func (b *budgetGraph) N() int               { return b.inner.N() }
@@ -176,10 +173,10 @@ func (b *budgetGraph) Weight(v int) float64 { return b.inner.Weight(v) }
 
 func (b *budgetGraph) Neighbors(v int) []int32 {
 	b.queries++
-	if b.maxQueries > 0 && b.queries > b.maxQueries {
+	if b.b.MaxScans > 0 && b.queries > b.b.MaxScans {
 		panic(budgetStop{})
 	}
-	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
+	if !b.b.Deadline.IsZero() && time.Now().After(b.b.Deadline) {
 		panic(budgetStop{})
 	}
 	return b.inner.Neighbors(v)
@@ -204,42 +201,6 @@ type episode struct {
 	stretch   float64 // 0 when not computed or failed
 	path      []int   // retained only for observer replay
 	err       error
-}
-
-// runEpisodeInto runs one protocol episode into the caller-owned out
-// (reusing its Path backing array) over the caller's scratch, feeding c,
-// enforcing the optional hop and wall-time budgets, and converting a
-// protocol panic (possible with externally registered protocols) into an
-// error instead of tearing down the whole batch. A budget cut is not an
-// error: out becomes a failed Result classified route.FailDeadline whose
-// path is just the source (the protocol's internal state is opaque, so the
-// partial trajectory is not recoverable).
-func runEpisodeInto(c *Counters, g route.Graph, p route.Protocol, obj route.Objective, s int, maxHops int, timeout time.Duration, sc *route.Scratch, out *route.Result) (err error) {
-	start := time.Now()
-	if maxHops > 0 || timeout > 0 {
-		bg := &budgetGraph{inner: g, maxQueries: maxHops}
-		if timeout > 0 {
-			bg.deadline = start.Add(timeout)
-		}
-		g = bg
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := r.(budgetStop); ok {
-			out.FailAtSource(s, route.FailDeadline)
-			c.Record(*out, time.Since(start))
-			err = nil
-			return
-		}
-		c.recordPanic()
-		err = fmt.Errorf("core: protocol %q panicked routing from %d: %v", p.Name(), s, r)
-	}()
-	p.RouteInto(g, obj, s, sc, out)
-	c.Record(*out, time.Since(start))
-	return nil
 }
 
 // MilgramConfig configures a batch routing experiment.
@@ -410,7 +371,7 @@ func RunMilgramCtx(ctx context.Context, nw *Network, cfg MilgramConfig) (Milgram
 			episodes[i] = episode{done: true, failure: route.FailCrashedTarget}
 			return
 		}
-		if err := vw.routeOne(bound, i, p.s, p.t, cfg.MaxHops, cfg.EpisodeTimeout, &ws.sc, &ws.out); err != nil {
+		if err := vw.routeOne(bound, i, p.s, p.t, nil, cfg.MaxHops, cfg.EpisodeTimeout, &ws.sc, &ws.out); err != nil {
 			episodes[i] = episode{done: true, err: err}
 			return
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -40,7 +41,17 @@ type EpisodeConfig struct {
 	Observer route.Observer
 	// Counters, when non-nil, count the episode. nil counts nothing.
 	Counters *Counters
+	// Owned, when non-nil, confines a greedy fast-path episode to one shard,
+	// one flag per vertex (route.GreedyCSRPartial): stepping onto a vertex
+	// flagged false ends it unclassified — Success false, Failure
+	// route.FailNone — with Path ending at that exit, where the walk goes on
+	// under what route.HandOver leaves of its budget.
+	Owned []bool
 }
+
+// ErrMaskUnsupported refuses an EpisodeConfig.Owned mask, before anything is
+// routed, for an episode off the greedy fast path.
+var ErrMaskUnsupported = errors.New("core: a routing mask takes a greedy episode under phi with no fault plan over an immutable graph, one flag per vertex")
 
 // RouteEpisode runs one budgeted routing episode under cfg. Episodes whose
 // source or target a fault plan crashed are classified
@@ -62,37 +73,34 @@ func (nw *Network) RouteEpisode(cfg EpisodeConfig) (route.Result, error) {
 // array is reused; callers that keep paths past the next episode copy them
 // (route.Result.CopyInto). sc may be nil at the cost of per-episode
 // allocations. Greedy episodes on a phi network (nil NewObjective) without
-// faults run the concrete zero-allocation fast path (route.GreedyCSR, or
-// route.GreedyCSROverlay when a live overlay is attached).
+// faults run the concrete zero-allocation fast path (route.GreedyCSR,
+// route.GreedyCSROverlay when a live overlay is attached, or
+// route.GreedyCSRPartial for one shard's segment under cfg.Owned).
 func (nw *Network) RouteEpisodeInto(cfg EpisodeConfig, sc *route.Scratch, out *route.Result) error {
-	_, err := nw.routeEpisode(cfg, sc, out)
-	return err
-}
-
-// routeEpisode is the body of Route and RouteEpisodeInto. It returns the
-// view the episode routed over, so a caller replaying further observers
-// scores them on the same epoch.
-func (nw *Network) routeEpisode(cfg EpisodeConfig, sc *route.Scratch, out *route.Result) (routeView, error) {
 	vw, err := nw.view(cfg.Protocol, nil, cfg.Counters)
 	if err != nil {
-		return vw, err
+		return err
 	}
-	if n := vw.g.N(); cfg.S < 0 || cfg.S >= n || cfg.T < 0 || cfg.T >= n {
-		return vw, fmt.Errorf("core: vertex pair (%d, %d) out of range (n = %d)", cfg.S, cfg.T, n)
+	n := vw.g.N()
+	if cfg.S < 0 || cfg.S >= n || cfg.T < 0 || cfg.T >= n {
+		return fmt.Errorf("core: vertex pair (%d, %d) out of range (n = %d)", cfg.S, cfg.T, n)
 	}
 	bound := cfg.Faults.Bind(vw.g)
+	if cfg.Owned != nil && (!vw.csr || vw.ov != nil || !bound.Empty() || len(cfg.Owned) != n) {
+		return ErrMaskUnsupported
+	}
 	if !bound.Empty() && (bound.Crashed(cfg.S) || bound.Crashed(cfg.T)) {
 		out.FailAtSource(cfg.S, route.FailCrashedTarget)
 		vw.counters.Record(*out, 0)
-		return vw, nil
+		return nil
 	}
-	if err := vw.routeOne(bound, cfg.Episode, cfg.S, cfg.T, cfg.MaxHops, cfg.Timeout, sc, out); err != nil {
-		return vw, err
+	if err := vw.routeOne(bound, cfg.Episode, cfg.S, cfg.T, cfg.Owned, cfg.MaxHops, cfg.Timeout, sc, out); err != nil {
+		return err
 	}
 	if cfg.Observer != nil {
 		route.Observe(vw.g, vw.objective(cfg.T), *out, cfg.Episode, cfg.Observer)
 	}
-	return vw, nil
+	return nil
 }
 
 // routeView is what one request, or one whole batch, routes over — fixed by
@@ -165,27 +173,54 @@ func (vw *routeView) objective(t int) route.Objective {
 // routeOne routes one episode from s toward t into out and feeds the view's
 // counters. This is the one place the fast-path decision is made: a greedy
 // episode under the standard phi with no fault plan and a scratch to build
-// on runs the concrete walk (over the overlay when live); everything else
-// runs the protocol through the interface path on the episode's faulty
-// view. Budget cuts come back as route.FailDeadline results on both paths.
-func (vw *routeView) routeOne(bound *faults.BoundPlan, episode, s, t, maxHops int, timeout time.Duration, sc *route.Scratch, out *route.Result) error {
-	if vw.csr && bound.Empty() && sc != nil {
-		start := time.Now()
-		b := route.Budget{MaxScans: maxHops}
-		if timeout > 0 {
-			b.Deadline = start.Add(timeout)
-		}
-		if vw.ov != nil {
+// on runs the concrete walk (over the overlay when live, over one shard when
+// owned is set — RouteEpisodeInto admitted that mask); everything else runs
+// the protocol through the interface path on the episode's faulty view,
+// behind a budgetGraph when a budget is set, and a protocol panic (possible
+// with externally registered protocols) comes back as an error instead of
+// tearing down a whole batch. Budget cuts come back as route.FailDeadline
+// results with the path reset to s on both paths: an opaque protocol's
+// partial trajectory is not recoverable.
+func (vw *routeView) routeOne(bound *faults.BoundPlan, episode, s, t int, owned []bool, maxHops int, timeout time.Duration, sc *route.Scratch, out *route.Result) (err error) {
+	start := time.Now()
+	b := route.Budget{MaxScans: maxHops}
+	if timeout > 0 {
+		b.Deadline = start.Add(timeout)
+	}
+	if owned != nil || vw.csr && bound.Empty() && sc != nil {
+		switch {
+		case owned != nil:
+			route.GreedyCSRPartial(vw.base, t, s, owned, b, sc, out)
+		case vw.ov != nil:
 			route.GreedyCSROverlay(vw.ov, t, s, b, sc, out)
-		} else {
+		default:
 			route.GreedyCSR(vw.base, t, s, b, sc, out)
 		}
 		vw.counters.Record(*out, time.Since(start))
 		return nil
 	}
-	eg, eobj := vw.g, vw.objective(t)
+	g, obj := vw.g, vw.objective(t)
 	if !bound.Empty() {
-		eg, eobj = bound.View(eg, eobj, episode)
+		g, obj = bound.View(g, obj, episode)
 	}
-	return runEpisodeInto(vw.counters, eg, vw.proto, eobj, s, maxHops, timeout, sc, out)
+	if maxHops > 0 || timeout > 0 {
+		g = &budgetGraph{inner: g, b: b}
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if _, ok := r.(budgetStop); ok {
+			out.FailAtSource(s, route.FailDeadline)
+			vw.counters.Record(*out, time.Since(start))
+			err = nil
+			return
+		}
+		vw.counters.recordPanic()
+		err = fmt.Errorf("core: protocol %q panicked routing from %d: %v", vw.proto.Name(), s, r)
+	}()
+	vw.proto.RouteInto(g, obj, s, sc, out)
+	vw.counters.Record(*out, time.Since(start))
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -151,5 +152,77 @@ func TestNetworkDefaultsToPhi(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("greedy RouteEpisodeInto made %v allocations per episode, want 0", allocs)
+	}
+}
+
+// TestRouteEpisodeMasked pins a shard's segment as a core episode: with
+// Owned set, RouteEpisodeInto routes exactly route.GreedyCSRPartial's
+// segment under the same budget, counts it and replays it to the observer,
+// allocation-free; any episode off the greedy fast path is refused with
+// ErrMaskUnsupported before it routes.
+func TestRouteEpisodeMasked(t *testing.T) {
+	live, frozen := liveNet(t, 600, 33, 8)
+	g := frozen.Graph
+	n := g.N()
+	owned := make([]bool, n)
+	for v := range owned {
+		owned[v] = v%2 == 0
+	}
+	c := NewCounters()
+	var sc route.Scratch
+	var got, want route.Result
+	exits := 0
+	for i := 0; i < 200; i++ {
+		s, tgt, budget := i*7919%n, (i*104729+1)%n, i%4
+		var events int
+		obs := route.ObserverFunc(func(route.MoveEvent) { events++ })
+		cfg := EpisodeConfig{S: s, T: tgt, MaxHops: budget, Owned: owned, Counters: c, Observer: obs}
+		if err := frozen.RouteEpisodeInto(cfg, &sc, &got); err != nil {
+			t.Fatal(err)
+		}
+		if route.GreedyCSRPartial(g, tgt, s, owned, route.Budget{MaxScans: budget}, nil, &want) >= 0 {
+			exits++
+		}
+		if !reflect.DeepEqual(got, want) || events != len(got.Path) {
+			t.Fatalf("(%d -> %d, %d scans): %+v with %d events, want %+v", s, tgt, budget, got, events, want)
+		}
+	}
+	if st := c.Stats(); st.Episodes != 200 || exits == 0 {
+		t.Fatalf("%d episodes counted, %d exits, want 200 and some", st.Episodes, exits)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		cfg := EpisodeConfig{S: i * 7919 % n, T: (i*104729 + 1) % n, Owned: owned}
+		if err := frozen.RouteEpisodeInto(cfg, &sc, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a masked RouteEpisodeInto made %v allocations per episode, want 0", allocs)
+	}
+
+	plan, err := faults.NewPlan(3, faults.Spec{Model: "edge-drop", Rate: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := &Network{Graph: g, NewObjective: func(t int) route.Objective { return route.NewStandard(g, t) }}
+	for name, tc := range map[string]struct {
+		nw  *Network
+		cfg EpisodeConfig
+	}{
+		"another protocol":   {frozen, EpisodeConfig{Protocol: "phi-dfs", S: 0, T: 1, Owned: owned}},
+		"a fault plan":       {frozen, EpisodeConfig{S: 0, T: 1, Owned: owned, Faults: plan}},
+		"a live overlay":     {live, EpisodeConfig{S: 0, T: 1, Owned: make([]bool, live.LiveN())}},
+		"a custom objective": {custom, EpisodeConfig{S: 0, T: 1, Owned: owned}},
+		"a short mask":       {frozen, EpisodeConfig{S: 0, T: 1, Owned: owned[:n-1]}},
+	} {
+		tc.cfg.Counters = c
+		if err := tc.nw.RouteEpisodeInto(tc.cfg, &sc, &got); !errors.Is(err, ErrMaskUnsupported) {
+			t.Errorf("%s: %v, want ErrMaskUnsupported", name, err)
+		}
+	}
+	if st := c.Stats(); st.Episodes != 200 {
+		t.Errorf("refused episodes were counted: %d episodes", st.Episodes)
 	}
 }

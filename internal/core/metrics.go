@@ -61,9 +61,9 @@ func durBucketLabel(b int) string {
 }
 
 // Record folds one finished episode into the counters — the engine calls it
-// for every episode it routes; serving layers that route outside
-// RouteEpisodeInto (the cluster hop path stitches per-shard segments itself)
-// call it with the merged result. res must be a terminal, classified result.
+// for every episode it routes; a serving layer that stitches one walk from
+// per-shard segments (EpisodeConfig.Owned, routed with nil Counters) calls it
+// once with the stitched result. res must be a terminal, classified result.
 func (c *Counters) Record(res route.Result, d time.Duration) {
 	if c == nil {
 		return
@@ -100,7 +100,7 @@ func (c *Counters) recordCancelled(n int) {
 }
 
 // recordPanic counts an episode whose protocol panicked (the engine converts
-// the panic to an error; see runEpisodeInto).
+// the panic to an error; see routeView.routeOne).
 func (c *Counters) recordPanic() {
 	if c != nil {
 		c.episodes.Add(1)

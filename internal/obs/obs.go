@@ -104,12 +104,10 @@ func NewRequestIDs(salt uint64) *RequestIDs {
 	return &RequestIDs{salt: salt}
 }
 
-// Next returns the next request: the 1-based sequence number (services use
-// it as a deterministic per-request seed) and the id string for headers and
-// logs.
-func (r *RequestIDs) Next() (seq uint64, id string) {
-	seq = r.seq.Add(1)
-	return seq, fmt.Sprintf("%016x", xrand.Hash64(r.salt, seq))
+// Next returns the next request id, for headers and logs: the hash of the
+// salt and the 1-based sequence number, 16 hex digits. The id seeds nothing.
+func (r *RequestIDs) Next() string {
+	return fmt.Sprintf("%016x", xrand.Hash64(r.salt, r.seq.Add(1)))
 }
 
 // ctxKey keys the obs values stored in a request context.

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // TestLogConfigFormats checks both handlers produce parseable output and the
@@ -68,15 +71,14 @@ func TestRegisterLogFlags(t *testing.T) {
 }
 
 // TestRequestIDs checks ids are unique, deterministic in the salt, and the
-// sequence numbers are the 1-based counter services use as per-request seeds.
+// i-th id is the hash of the salt and the 1-based sequence number i.
 func TestRequestIDs(t *testing.T) {
 	a, b := NewRequestIDs(42), NewRequestIDs(42)
 	seen := make(map[string]bool)
 	for i := 1; i <= 100; i++ {
-		seqA, idA := a.Next()
-		_, idB := b.Next()
-		if seqA != uint64(i) {
-			t.Fatalf("seq = %d, want %d", seqA, i)
+		idA, idB := a.Next(), b.Next()
+		if want := fmt.Sprintf("%016x", xrand.Hash64(42, uint64(i))); idA != want {
+			t.Fatalf("id %d = %q, want %q", i, idA, want)
 		}
 		if idA != idB {
 			t.Fatalf("same salt, same seq, different ids: %q vs %q", idA, idB)
@@ -89,7 +91,7 @@ func TestRequestIDs(t *testing.T) {
 		}
 		seen[idA] = true
 	}
-	if _, other := NewRequestIDs(43).Next(); seen[other] {
+	if other := NewRequestIDs(43).Next(); seen[other] {
 		t.Fatalf("different salt reproduced an id: %q", other)
 	}
 }

@@ -53,8 +53,9 @@ func TestRouteIntoMatchesRouteAllProtocols(t *testing.T) {
 // stitchWalk runs greedyWalk to termination. Without masks that is one
 // call. With masks (shard i owns masks[i]; vertex v lives on shard
 // v % len(masks)) it chains segments the way the serving layer's hop
-// forwarding does, handing each segment what is left of the scan budget, so
-// the stitched episode must equal the single-node one — budget cut included.
+// forwarding does, handing each continuation what HandOver leaves of the scan
+// budget, so the stitched episode must equal the single-node one — budget cut
+// included.
 func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, tgt, s int, b Budget) Result {
 	t.Helper()
 	var seg, merged Result
@@ -65,16 +66,8 @@ func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, 
 		return merged
 	}
 	merged.reset(s)
+	sb := b
 	for cur := s; ; {
-		sb := b
-		if b.MaxScans > 0 {
-			// One scan per move so far; with none left the single-node walk
-			// would cut on its next scan.
-			if sb.MaxScans = b.MaxScans - merged.Moves; sb.MaxScans <= 0 {
-				merged.FailAtSource(s, FailDeadline)
-				return merged
-			}
-		}
 		exit := greedyWalk(g, o, tgt, cur, masks[cur%len(masks)], sb, &seg)
 		if exit < 0 && seg.Failure == FailDeadline {
 			merged.FailAtSource(s, FailDeadline)
@@ -93,6 +86,10 @@ func stitchWalk(t *testing.T, g *graph.Graph, o *graph.Overlay, masks [][]bool, 
 		}
 		if merged.Moves > len(masks[0]) {
 			t.Fatal("stitching did not terminate")
+		}
+		var ok bool
+		if sb.MaxScans, ok = HandOver(b.MaxScans, &merged); !ok {
+			return merged
 		}
 		cur = exit
 	}
@@ -171,7 +168,7 @@ func TestGreedyCSRMatchesInterfaceGreedy(t *testing.T) {
 			t.Run(gc.prefix+c.name, func(t *testing.T) {
 				rng := xrand.New(41)
 				expired := Budget{Deadline: time.Now().Add(-time.Second)}
-				delivered, hops := 0, 0
+				delivered, hops, spentExits := 0, 0, 0
 				for i := 0; i < 120; i++ {
 					s, tgt := rng.IntN(c.ref.N()), rng.IntN(c.ref.N())
 					want := Greedy(c.ref, NewStandard(c.ref, tgt), s)
@@ -190,6 +187,17 @@ func TestGreedyCSRMatchesInterfaceGreedy(t *testing.T) {
 						}
 						sameEpisode(t, "scan budget", exp, stitchWalk(t, base, c.o, c.masks, tgt, s, Budget{MaxScans: limit}))
 					}
+					// Every exit of a masked walk (a step across parities
+					// onto a vertex other than the target) reached with the
+					// budget exactly spent is cut as the single-node walk is.
+					for i := 1; c.masks != nil && i < len(want.Path); i++ {
+						if v := want.Path[i]; v != tgt && v%2 != want.Path[i-1]%2 {
+							b := Budget{MaxScans: i}
+							sameEpisode(t, "budget spent at an exit",
+								stitchWalk(t, base, c.o, nil, tgt, s, b), stitchWalk(t, base, c.o, c.masks, tgt, s, b))
+							spentExits++
+						}
+					}
 					if s != tgt {
 						sameEpisode(t, "expired deadline", cut, stitchWalk(t, base, c.o, c.masks, tgt, s, expired))
 					}
@@ -197,6 +205,9 @@ func TestGreedyCSRMatchesInterfaceGreedy(t *testing.T) {
 				if mean := float64(hops) / float64(delivered); delivered < 20 || mean < gc.minHops {
 					t.Fatalf("%d of 120 episodes delivered over %.2f hops on average, want at least 20 and %.0f hops",
 						delivered, mean, gc.minHops)
+				}
+				if c.masks != nil && spentExits == 0 {
+					t.Fatal("no masked walk reached an exit: the spent-budget cut went unchecked")
 				}
 			})
 		}

@@ -274,6 +274,23 @@ func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budg
 	return -1
 }
 
+// HandOver is the budget rule of a walk stitched from GreedyCSRPartial
+// segments, applied at each exit: res is the walk so far, ending at the exit,
+// under the episode's scan budget maxScans (0 = unlimited). Greedy spends one
+// scan per move, so the continuation may make maxScans - res.Moves scans.
+// With none left, the whole-graph walk is cut on its next scan, the exit's:
+// HandOver cuts res at its source and reports false.
+func HandOver(maxScans int, res *Result) (scans int, ok bool) {
+	if maxScans <= 0 {
+		return 0, true
+	}
+	if scans = maxScans - res.Moves; scans <= 0 {
+		res.FailAtSource(res.Path[0], FailDeadline)
+		return 0, false
+	}
+	return scans, true
+}
+
 // GreedyCSR is the concrete-type fast path: Algorithm 1 from s toward t on a
 // *graph.Graph under the standard objective
 //
@@ -300,7 +317,8 @@ func GreedyCSR(g *graph.Graph, t, s int, b Budget, _ *Scratch, out *Result) {
 // partition: it routes greedily from s toward t over the full CSR arrays but
 // stops the moment the walk steps onto a vertex the shard does not own,
 // returning that vertex so the caller can forward the continuation to the
-// owning peer (internal/serve's /cluster/hop path).
+// owning peer (core.EpisodeConfig.Owned routes it; internal/serve's sharded
+// path drives it).
 //
 // The scores, comparison order and tie-breaks are exactly GreedyCSR's, so
 // stitching the per-shard segments back together reproduces the single-node

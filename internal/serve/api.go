@@ -169,7 +169,8 @@ type BatchItemResult struct {
 // request frame on a hop stream carries (hopwire.go): the entry daemon of a
 // sharded greedy walk hands one segment of it to the peer owning the vertex
 // the walk stepped onto. The receiver routes that one segment over its own
-// shard and returns it; it never forwards onward.
+// shard, under the scan budget the request carries, and returns it; it never
+// forwards onward.
 type HopRequest struct {
 	// Graph names the snapshot; it must be the receiver's clustered snapshot
 	// (fingerprints are pre-checked by membership, a mismatch is 409).
@@ -178,6 +179,12 @@ type HopRequest struct {
 	// episode target.
 	S int `json:"s"`
 	T int `json:"t"`
+	// MaxScans is what is left of the episode's scan budget: the entry
+	// daemon's MaxHops less the moves the walk made before S
+	// (route.HandOver). The receiver walks at most that many adjacency scans
+	// (0 = no cap), whatever its own MaxHops: a segment that needs one more
+	// comes back cut as deadline.
+	MaxScans int `json:"max_scans,omitempty"`
 	// DeadlineMs is the sender's remaining request budget; the receiver
 	// routes under min(DeadlineMs, its own RequestTimeout). 0 is "none": a
 	// frame carries the budget in µs instead, so a remainder under 1 ms
@@ -400,49 +407,49 @@ type MutateResponse struct {
 	ElapsedMs float64 `json:"elapsed_ms"`
 }
 
-// StatusFor maps a routing outcome to its HTTP status. Definitive protocol
+// failureClass is how the daemon, the CLI and the retry loop treat one
+// routing outcome: its HTTP status (StatusFor), cmd/route's exit code
+// (ExitCodeFor), and whether another attempt under the request's fault plan
+// may do better (Transient; nil = never).
+type failureClass struct {
+	status, exit int
+	retry        func(*faults.Plan) bool
+}
+
+// failureClasses declares every routing outcome once. Definitive protocol
 // outcomes — delivery, a proven dead end, a protocol-truncated walk — are
 // 200s: the service answered the question, and the body carries the class.
-// Engine-inflicted failures map to 5xx because the *service* (not the
-// query) degraded: deadline means the per-request budget ran out (504),
-// crashed-target means the fault plan took the endpoint down (502), and
-// cancelled means the daemon was draining (503). The same table appears in
-// DESIGN.md §7.
+// Engine-inflicted failures map to 5xx because the *service* (not the query)
+// degraded: deadline means the per-request budget ran out (504) and may have
+// been unlucky, crashed-target means the fault plan took the endpoint down
+// (502; it recovers only if the salted retry seed re-draws the crash set), as
+// does a shard no forward could reach, and cancelled means the daemon was
+// draining (503). The same table appears in DESIGN.md §7.
+var failureClasses = map[route.Failure]failureClass{
+	route.FailNone:             {http.StatusOK, 0, nil},
+	route.FailDeadEnd:          {http.StatusOK, 2, nil},
+	route.FailDeadline:         {http.StatusGatewayTimeout, 3, func(*faults.Plan) bool { return true }},
+	route.FailTruncated:        {http.StatusOK, 4, nil},
+	route.FailCrashedTarget:    {http.StatusBadGateway, 5, (*faults.Plan).SeededCrashes},
+	route.FailCancelled:        {http.StatusServiceUnavailable, 6, nil},
+	route.FailShardUnreachable: {http.StatusBadGateway, 7, nil},
+}
+
+// StatusFor maps a routing outcome to its HTTP status; an undeclared class
+// is a 500.
 func StatusFor(f route.Failure) int {
-	switch f {
-	case route.FailNone, route.FailDeadEnd, route.FailTruncated:
-		return http.StatusOK
-	case route.FailDeadline:
-		return http.StatusGatewayTimeout
-	case route.FailCrashedTarget, route.FailShardUnreachable:
-		return http.StatusBadGateway
-	case route.FailCancelled:
-		return http.StatusServiceUnavailable
+	if c, ok := failureClasses[f]; ok {
+		return c.status
 	}
 	return http.StatusInternalServerError
 }
 
-// ExitCodeFor maps a routing outcome to a process exit code — the CLI
-// analogue of StatusFor, used by cmd/route so scripts can branch on *why*
-// routing failed: success=0, dead-end=2, deadline=3, truncated=4,
-// crashed-target=5, cancelled=6, shard-unreachable=7 (1 stays the generic
-// error exit).
+// ExitCodeFor maps a routing outcome to a process exit code, so scripts
+// driving cmd/route can branch on *why* routing failed; an undeclared class
+// exits 1, the generic error exit.
 func ExitCodeFor(f route.Failure) int {
-	switch f {
-	case route.FailNone:
-		return 0
-	case route.FailDeadEnd:
-		return 2
-	case route.FailDeadline:
-		return 3
-	case route.FailTruncated:
-		return 4
-	case route.FailCrashedTarget:
-		return 5
-	case route.FailCancelled:
-		return 6
-	case route.FailShardUnreachable:
-		return 7
+	if c, ok := failureClasses[f]; ok {
+		return c.exit
 	}
 	return 1
 }

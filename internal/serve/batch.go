@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -101,7 +102,7 @@ func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName strin
 		attempts int
 		fwd      routeFwd
 	)
-	clustered := s.clusterEligible(nw, protoName, q)
+	clustered := s.clusterEligible(nw)
 	for attempt := 1; ; attempt++ {
 		attempts = attempt
 		remaining := time.Until(deadline)
@@ -129,25 +130,15 @@ func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName strin
 			Counters: s.counters,
 		}
 		if clustered {
-			// Sharded path: partial greedy over the local shard, each exit
-			// forwarded to the owning peer, the stitched result recorded as
-			// one engine episode. Budget mapping mirrors RouteEpisodeInto's.
-			fwd = s.clusterRoute(ctx, graphName, q.S, q.T,
-				time.Now().Add(remaining), es, rt, tm)
-			epErr = nil
-		} else {
-			// The engine replays a traced episode's walk into hc once it ends.
-			var hc *obs.HopCollector
-			if rt != nil {
-				hc = &obs.HopCollector{}
-				epCfg.Observer = hc
-			}
-			epStart := time.Now()
-			epErr = nw.RouteEpisodeInto(epCfg, &es.sc, res)
-			epDur := time.Since(epStart)
-			tm.RouteUs += epDur.Microseconds()
-			s.phaseLat[phaseRoute].Record(epDur)
-			rt.localRoute(epStart, epDur, faultDetail, spanErr(epErr, res), hc)
+			// Sharded path: each segment a core episode over one shard's
+			// mask, each exit forwarded to the owning peer, the stitched
+			// result recorded as one engine episode. An episode core will
+			// not walk on one shard routes the whole graph here instead.
+			fwd, epErr = s.clusterRoute(ctx, nw, graphName, epCfg, es, rt, tm)
+			clustered = !errors.Is(epErr, core.ErrMaskUnsupported)
+		}
+		if !clustered {
+			epErr = s.engineRoute(nw, epCfg, &es.sc, res, rt, tm, faultDetail)
 		}
 		if epErr != nil || res.Success || !Transient(res.Failure, plan) {
 			break
@@ -226,18 +217,31 @@ func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName strin
 	return out
 }
 
-// spanErr classifies one engine episode's outcome for its local_route span:
-// the error text, the failure class of an unsuccessful episode, or "" when
-// the walk delivered.
-func spanErr(err error, res *route.Result) string {
-	switch {
-	case err != nil:
-		return err.Error()
-	case res.Success:
-		return ""
-	default:
-		return string(res.Failure)
+// engineRoute is each engine episode this daemon routes, whole or one
+// shard's segment: core routes it (a traced one replays its walk into a hop
+// collector once it ends) and it is booked as route time on tm, on the route
+// phase histogram and as a local_route span labelled detail. A mask core
+// refuses (core.ErrMaskUnsupported) routed nothing and is booked nowhere.
+func (s *Server) engineRoute(nw *core.Network, cfg core.EpisodeConfig, sc *route.Scratch, out *route.Result, rt *reqTrace, tm *Timings, detail string) error {
+	var hc *obs.HopCollector
+	if rt != nil {
+		hc = &obs.HopCollector{}
+		cfg.Observer = hc
 	}
+	start := time.Now()
+	err := nw.RouteEpisodeInto(cfg, sc, out)
+	if errors.Is(err, core.ErrMaskUnsupported) {
+		return err
+	}
+	d := time.Since(start)
+	tm.RouteUs += d.Microseconds()
+	s.phaseLat[phaseRoute].Record(d)
+	errMsg := string(out.Failure) // "" when delivered or unclassified
+	if err != nil {
+		errMsg = err.Error()
+	}
+	rt.localRoute(start, d, detail, errMsg, hc)
+	return err
 }
 
 // validateItem is the one validation of a routing query against the resolved

@@ -119,22 +119,16 @@ func (s *Server) Exchange(ctx context.Context, peer cluster.Peer, req cluster.Go
 	return resp, nil
 }
 
-// clusterEligible reports whether one validated query can take the sharded
-// path: cluster mode on, pure greedy under the standard objective, no fault
-// plan, the resolved snapshot is the one the shard map was built over
+// clusterEligible reports whether a query on nw starts on the sharded path:
+// cluster mode is on and nw is the snapshot the shard map was built over
 // (equal memoized fingerprints — after a hot swap to another graph the mask
-// no longer applies and the query falls back to local full-graph routing),
-// and the slot carries no live overlay — the shard masks are bound to the
-// immutable base, so a replicated live slot routes locally over its full
-// overlay instead.
-func (s *Server) clusterEligible(nw *core.Network, protoName string, q RouteRequest) bool {
+// no longer applies and the query routes over the full graph here). Whether
+// the episode can walk one shard at all — greedy under phi, no fault plan,
+// no live overlay — is core's to decide (core.ErrMaskUnsupported), on the
+// same view it routes over.
+func (s *Server) clusterEligible(nw *core.Network) bool {
 	node := s.clusterNode
-	return node != nil &&
-		protoName == "greedy" &&
-		nw.NewObjective == nil &&
-		len(q.Faults) == 0 &&
-		nw.Graph.Fingerprint() == node.Graph().Fingerprint() &&
-		nw.LiveOverlay() == nil
+	return node != nil && nw.Graph.Fingerprint() == node.Graph().Fingerprint()
 }
 
 // routeFwd is the forwarding summary of one sharded episode attempt, as
@@ -147,100 +141,80 @@ type routeFwd struct {
 }
 
 // clusterRoute runs one attempt of a sharded greedy episode into es.out, and
-// the entry daemon drives every hop of it. It walks its own segment, hands
-// each exit to the peer owning it — the peer routes one segment and returns
-// it (serveHop) — and stitches the segments until the walk is classified. An
-// exit back inside the entry's own mask continues here, without an RPC. A
-// forward that cannot be completed classifies the episode shard-unreachable.
-// Greedy is strictly φ-increasing, so the walk never repeats a vertex and the
-// loop ends; the deadline bounds it regardless.
+// the entry daemon drives every hop of it. Each segment is one core episode
+// over a shard's mask: the entry walks its own, hands each exit to the peer
+// owning it — the peer routes one segment and returns it (serveHop) — and
+// stitches the segments until the walk is classified. An exit back inside
+// the entry's own mask continues here, without an RPC. Every continuation
+// walks what route.HandOver leaves of cfg's scan budget, and an exit reached
+// with none left is cut there, so the stitched walk is cut where one walk on
+// the whole graph is, whatever the peers' own MaxHops. A forward that cannot
+// be completed classifies the episode shard-unreachable. Greedy is strictly
+// φ-increasing, so the walk never repeats a vertex and the loop ends; the
+// deadline bounds it regardless.
 //
 // forwards counts every exit, re-entries included: the times the path leaves
-// the current shard's mask, a pure function of (path, masks, entry shard).
-// A walk that reaches an exit with its scan budget spent is cut there: that
-// exit counts, but it is neither forwarded nor continued.
-// Exactly one engine episode is recorded, here, with the merged result — hop
-// receivers record nothing, so cluster-wide counters sum honestly.
-func (s *Server) clusterRoute(ctx context.Context, graphName string, sv, tv int, deadline time.Time, es *episodeState, rt *reqTrace, tm *Timings) routeFwd {
+// the current shard's mask, a pure function of (path, masks, entry shard). An
+// exit cut for want of a scan counts, though it is neither forwarded nor
+// continued. The segments count nothing; the attempt is recorded here, once,
+// as one engine episode with the stitched result, so cluster-wide counters
+// sum honestly. An episode core will not walk on one shard comes back as
+// core.ErrMaskUnsupported, routed and recorded nowhere.
+func (s *Server) clusterRoute(ctx context.Context, nw *core.Network, graphName string, cfg core.EpisodeConfig, es *episodeState, rt *reqTrace, tm *Timings) (routeFwd, error) {
 	start := time.Now()
+	deadline := start.Add(cfg.Timeout)
 	res := &es.out
 	owned := s.clusterNode.OwnedMask()
+	seg := cfg
+	seg.Owned, seg.Counters = owned, nil
 	var fwd routeFwd
-	for exit := s.localSegment(sv, tv, 0, deadline, res, rt, tm); exit >= 0; {
+	if err := s.engineRoute(nw, seg, &es.sc, res, rt, tm, "partial"); err != nil {
+		return fwd, err
+	}
+	var local route.Result
+	for exit := hopSegment(res).exit(); exit >= 0; {
 		fwd.forwards++
-		// An unclassified walk of MaxHops moves needs one more scan, past the
-		// budget: it is cut here, before the next forward or continuation.
-		if s.cfg.MaxHops > 0 && len(res.Path)-1 >= s.cfg.MaxHops {
-			res.FailAtSource(sv, route.FailDeadline)
+		scans, ok := route.HandOver(cfg.MaxHops, res)
+		if !ok {
 			break
 		}
-		var seg HopResponse
+		seg.S, seg.MaxHops = exit, scans
+		var hop HopResponse
 		if owned[exit] {
-			var local route.Result
-			s.localSegment(exit, tv, fwd.forwards, deadline, &local, rt, tm)
-			seg = hopSegment(&local)
+			// At least 1 ns: a zero Timeout reads "none", and a spent
+			// deadline must still cut the continuation's first scan.
+			seg.Timeout = max(time.Until(deadline), time.Nanosecond)
+			detail := "partial"
+			if rt != nil {
+				detail = fmt.Sprintf("partial depth=%d", fwd.forwards)
+			}
+			if err := s.engineRoute(nw, seg, &es.sc, &local, rt, tm, detail); err != nil {
+				return fwd, err
+			}
+			hop = hopSegment(&local)
 		} else {
+			req := HopRequest{Graph: graphName, S: exit, T: cfg.T, MaxScans: seg.MaxHops}
 			fwdStart := time.Now()
-			hop, ok := s.forwardHop(ctx, graphName, exit, tv, deadline, fwd.forwards, &fwd, rt, tm)
+			hop, ok = s.forwardHop(ctx, req, deadline, fwd.forwards, &fwd, rt, tm)
 			tm.ForwardUs += time.Since(fwdStart).Microseconds()
 			if !ok {
+				// No owner answered: the walk ends at the exit, unreachable.
 				s.shardUnreachable.Add(1)
-				res.Success = false
-				res.Failure = route.FailShardUnreachable
-				res.Stuck = -1
-				res.Unique = len(res.Path)
+				hop = HopResponse{Failure: string(route.FailShardUnreachable), Stuck: -1}
 				s.logger.WarnContext(ctx, "shard unreachable", "graph", graphName,
-					"exit_vertex", exit, "t", tv)
-				break
+					"exit_vertex", exit, "t", cfg.T)
 			}
-			seg = hop
 		}
-		mergeHop(res, seg)
-		exit = seg.exit()
+		mergeHop(res, hop)
+		exit = hop.exit()
 	}
-	// The episode's budget spans its segments, each of which restarted it:
-	// greedyWalk's scan count on the stitched path (one per move, one more to
-	// prove a dead end) decides the cut, and a cut — here or by a segment's
-	// clock — answers at the source, as one walk on the whole graph would.
-	scans := len(res.Path) - 1
-	if res.Failure == route.FailDeadEnd {
-		scans++
+	// A cut — by the scan budget or the clock, in whichever segment — answers
+	// at the source, as one walk on the whole graph does.
+	if res.Failure == route.FailDeadline {
+		res.FailAtSource(cfg.S, route.FailDeadline)
 	}
-	if res.Failure == route.FailDeadline || s.cfg.MaxHops > 0 && scans > s.cfg.MaxHops {
-		res.FailAtSource(sv, route.FailDeadline)
-	}
-	s.counters.Record(es.out, time.Since(start))
-	return fwd
-}
-
-// localSegment is the step the entry daemon and a hop receiver share: the
-// partial router from `from` toward t over this daemon's mask, into out. It
-// returns the exit vertex the walk stepped onto, or -1 once the walk is
-// classified (route.GreedyCSRPartial's contract). k > 0 marks the entry
-// daemon's continuation after its k-th crossing, a re-entry into its shard;
-// the span label carries it as a forward's carries its crossing.
-func (s *Server) localSegment(from, t, k int, deadline time.Time, out *route.Result, rt *reqTrace, tm *Timings) int {
-	node := s.clusterNode
-	b := route.Budget{MaxScans: s.cfg.MaxHops, Deadline: deadline}
-	start := time.Now()
-	exit := route.GreedyCSRPartial(node.Graph(), t, from, node.OwnedMask(), b, nil, out)
-	segDur := time.Since(start)
-	tm.RouteUs += segDur.Microseconds()
-	s.phaseLat[phaseRoute].Record(segDur)
-	// A traced segment's span carries the hops of this daemon's part of the
-	// walk, replayed off the clock.
-	var hc *obs.HopCollector
-	detail := "partial"
-	if rt != nil {
-		hc = &obs.HopCollector{}
-		g := node.Graph()
-		route.Observe(g, route.NewStandard(g, t), *out, 0, hc)
-		if k > 0 {
-			detail = fmt.Sprintf("partial depth=%d", k)
-		}
-	}
-	rt.localRoute(start, segDur, detail, "", hc)
-	return exit
+	s.counters.Record(*res, time.Since(start))
+	return fwd, nil
 }
 
 // hopSegment is the HopResponse of one routed segment; its path aliases res.
@@ -290,7 +264,7 @@ func mergeHop(res *route.Result, hop HopResponse) {
 	res.Truncated = hop.Failure == string(route.FailTruncated)
 }
 
-// forwardHop hands the walk at vertex `from` — the episode's k-th boundary
+// forwardHop hands the walk at vertex req.S — the episode's k-th boundary
 // crossing — to the replica set owning it and returns the segment it routed.
 // Candidates come from OwnersOf in deterministic failover order (alive before
 // suspect, then replica id); open-breaker peers are skipped. The first
@@ -308,35 +282,35 @@ func mergeHop(res *route.Result, hop HopResponse) {
 // could be obtained — no routable owner, breakers open, candidates and
 // retries exhausted, deadline spent — and the caller classifies the episode
 // shard-unreachable.
-func (s *Server) forwardHop(ctx context.Context, graphName string, from, t int, deadline time.Time, k int, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool) {
+func (s *Server) forwardHop(ctx context.Context, req HopRequest, deadline time.Time, k int, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool) {
 	node := s.clusterNode
 	for attempt := 1; ; attempt++ {
 		if time.Until(deadline) <= 0 {
 			return HopResponse{}, false
 		}
-		owners := node.OwnersOf(from)
+		owners := node.OwnersOf(req.S)
 		if len(owners) == 0 {
-			s.logger.WarnContext(ctx, "forward failed", "reason", "no routable owner", "vertex", from)
+			s.logger.WarnContext(ctx, "forward failed", "reason", "no routable owner", "vertex", req.S)
 			return HopResponse{}, false
 		}
 		cands := owners[:0:0]
 		for _, p := range owners {
-			if _, err := s.peerBreakers.get(p.ID, graphName).Allow(); err == nil {
+			if _, err := s.peerBreakers.get(p.ID, req.Graph).Allow(); err == nil {
 				cands = append(cands, p)
 			}
 		}
 		if len(cands) == 0 {
-			s.logger.WarnContext(ctx, "forward failed", "reason", "peer breakers open", "vertex", from, "replicas", len(owners))
+			s.logger.WarnContext(ctx, "forward failed", "reason", "peer breakers open", "vertex", req.S, "replicas", len(owners))
 			return HopResponse{}, false
 		}
-		resp, retryable, ok := s.tryReplicas(ctx, graphName, from, t, deadline, k, cands, fwd, rt, tm)
+		resp, retryable, ok := s.tryReplicas(ctx, req, deadline, k, cands, fwd, rt, tm)
 		if ok {
 			return resp, true
 		}
 		if !retryable || attempt >= s.cfg.Retry.MaxAttempts {
 			return HopResponse{}, false
 		}
-		if _, ok := s.backoff(ctx, xrand.Hash64(uint64(from), uint64(t)), attempt, deadline, "forward attempt", rt, tm); !ok {
+		if _, ok := s.backoff(ctx, xrand.Hash64(uint64(req.S), uint64(req.T)), attempt, deadline, "forward attempt", rt, tm); !ok {
 			return HopResponse{}, false
 		}
 	}
@@ -374,10 +348,8 @@ type hopAttempt struct {
 // parents onto it. A cancelled loser still publishes its span (err
 // "cancelled") — the peer may have served the hop and recorded children under
 // that id, and a published parent keeps stitched trees free of orphans.
-func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int, deadline time.Time, k int, cands []cluster.Peer, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
+func (s *Server) tryReplicas(ctx context.Context, req HopRequest, deadline time.Time, k int, cands []cluster.Peer, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
 	node := s.clusterNode
-	req := HopRequest{Graph: graphName, S: from, T: t}
-
 	results := make(chan *hopAttempt, len(cands))
 	atts := make([]hopAttempt, len(cands))
 	passStart := time.Now()
@@ -414,7 +386,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 		go func() {
 			a.resp, a.status, a.err = s.hopRPC(actx, cands[i].ID, req, deadline, tp)
 			if a.err == nil && a.status == http.StatusOK {
-				a.err = checkSegment(a.resp, from, node.Graph().N())
+				a.err = checkSegment(a.resp, req.S, node.Graph().N())
 			}
 			a.dur = time.Since(a.start)
 			results <- a
@@ -425,7 +397,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 	next, pending := 1, 1
 	var hedgeC <-chan time.Time
 	if s.cfg.HedgeAfter > 0 && next < len(cands) {
-		c, stop := s.hedgeTimer(hedgeDelay(s.cfg.HedgeAfter, s.cfg.Retry.Seed, xrand.Hash64(uint64(from), uint64(t), uint64(k))))
+		c, stop := s.hedgeTimer(hedgeDelay(s.cfg.HedgeAfter, s.cfg.Retry.Seed, xrand.Hash64(uint64(req.S), uint64(req.T), uint64(k))))
 		defer stop()
 		hedgeC = c
 	}
@@ -447,7 +419,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 				rt.add(obs.SpanHedgeWait, passStart, hedgeWait,
 					cands[next].ID, fmt.Sprintf("hedge idx=%d", next), "")
 				if s.logger.Enabled(ctx, slog.LevelDebug) {
-					s.logger.DebugContext(ctx, "forward hedged", "vertex", from,
+					s.logger.DebugContext(ctx, "forward hedged", "vertex", req.S,
 						"first", cands[0].ID, "hedge", cands[next].ID)
 				}
 				launch(next)
@@ -457,7 +429,7 @@ func (s *Server) tryReplicas(ctx context.Context, graphName string, from, t int,
 		case a := <-results:
 			pending--
 			peer := cands[a.idx]
-			pb := s.peerBreakers.get(peer.ID, graphName)
+			pb := s.peerBreakers.get(peer.ID, req.Graph)
 			s.phaseLat[phaseForward].Record(a.dur)
 			a.ended = true
 			if a.err == nil && a.status == http.StatusOK {
@@ -536,17 +508,18 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 
 // serveHop answers one hop, whichever front-end it arrived on: route one
 // segment of a peer's greedy walk over the local mask into es and return it.
-// The segment is terminal, or unclassified (Success false, Failure "") and
-// ending at the exit vertex the entry daemon forwards next. A hop makes no
-// outbound call; it is a pure function of (snapshot, s, t, budget). budget is
-// the sender's remaining request budget (0 = none; the hop routes under
-// min(budget, RequestTimeout)) and tp its traceparent. Hops bypass the
-// admission pool — they continue a request already admitted at the entry
-// daemon, and waiting for a slot here could deadlock two entry daemons
-// forwarding into each other's shards — but they respect draining. Any routed
-// segment is 200, with resp.Path aliasing es; any other status comes with its
-// error text. The entry daemon records the episode, so this touches no engine
-// counters.
+// The segment is one core episode under the hop's scan budget (req.MaxScans;
+// this daemon's own MaxHops plays no part): terminal, or unclassified
+// (Success false, Failure "") and ending at the exit vertex the entry daemon
+// forwards next. A hop makes no outbound call; it is a pure function of
+// (snapshot, s, t, scans, budget). budget is the sender's remaining request
+// budget (0 = none; the hop routes under min(budget, RequestTimeout)) and tp
+// its traceparent. Hops bypass the admission pool — they continue a request
+// already admitted at the entry daemon, and waiting for a slot here could
+// deadlock two entry daemons forwarding into each other's shards — but they
+// respect draining. Any routed segment is 200, with resp.Path aliasing es; any
+// other status comes with its error text. The entry daemon records the
+// episode, so this touches no engine counters.
 func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Duration, tp string, es *episodeState) (resp HopResponse, status int, msg string) {
 	if !s.beginRequest() {
 		return resp, http.StatusServiceUnavailable, "server draining"
@@ -559,8 +532,6 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 		return resp, http.StatusNotFound, fmt.Sprintf("unknown graph %q", graphName)
 	case nw.Graph.Fingerprint() != s.clusterNode.Graph().Fingerprint():
 		return resp, http.StatusConflict, fmt.Sprintf("graph %q is not the clustered snapshot", graphName)
-	case nw.LiveOverlay() != nil:
-		return resp, http.StatusConflict, fmt.Sprintf("graph %q carries a live overlay; hops route over the immutable base only", graphName)
 	case req.S < 0 || req.S >= nw.Graph.N() || req.T < 0 || req.T >= nw.Graph.N():
 		return resp, http.StatusBadRequest, fmt.Sprintf("vertex pair (%d, %d) out of range (n = %d)", req.S, req.T, nw.Graph.N())
 	}
@@ -573,16 +544,19 @@ func (s *Server) serveHop(ctx context.Context, req HopRequest, budget time.Durat
 	rt := s.startHopTrace(tp, "")
 	defer rt.finish("")
 
-	deadline := time.Now().Add(s.cfg.RequestTimeout)
+	timeout := s.cfg.RequestTimeout
 	if budget > 0 {
-		if d := time.Now().Add(budget); d.Before(deadline) {
-			deadline = d
-		}
+		timeout = min(timeout, budget)
 	}
+	cfg := core.EpisodeConfig{S: req.S, T: req.T, MaxHops: req.MaxScans, Timeout: timeout,
+		Owned: s.clusterNode.OwnedMask()}
 	// The hop's Timings stay local: HopResponse carries no attribution (the
 	// entry daemon owns the merged episode), but the per-phase histograms and
 	// spans still need the accumulator the segment threads through.
-	s.localSegment(req.S, req.T, 0, deadline, &es.out, rt, &Timings{})
+	if err := s.engineRoute(nw, cfg, &es.sc, &es.out, rt, &Timings{}, "partial"); err != nil {
+		// The slot carries a live overlay: a mask routes the immutable base only.
+		return resp, http.StatusConflict, fmt.Sprintf("graph %q: %v", graphName, err)
+	}
 	resp = hopSegment(&es.out)
 	if s.logger.Enabled(ctx, slog.LevelDebug) {
 		s.logger.DebugContext(ctx, "hop served", "s", req.S, "t", req.T,

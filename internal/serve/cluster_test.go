@@ -192,6 +192,55 @@ func TestClusterBudgetMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestClusterBudgetRidesTheHop pins that the scan budget is the entry
+// daemon's: the hop carries what is left of it, so a receiver's own MaxHops
+// decides nothing. A fleet whose entry and peers run different MaxHops
+// answers every pair as one daemon with the entry's Config does — status,
+// failure, moves and path — with the peers at MaxHops 1 under an entry at the
+// default, and with the entry at MaxHops 1, 2 and 3 over peers at the
+// default.
+func TestClusterBudgetRidesTheHop(t *testing.T) {
+	nw := testNetwork(t, 600, 11)
+	n := nw.Graph.N()
+	base := Config{RequestTimeout: 5 * time.Second,
+		Retry: RetryPolicy{MaxAttempts: 1}, Breaker: BreakerConfig{FailureThreshold: 2}}
+	for _, c := range []struct{ entry, peers int }{{0, 1}, {1, 0}, {2, 0}, {3, 0}} {
+		entryCfg, peerCfg := base, base
+		entryCfg.MaxHops, peerCfg.MaxHops = c.entry, c.peers
+		peers := newTestCluster(t, nw, []string{"10", "11"}, peerCfg, cluster.Config{Seed: 1})
+		entry := startShard(t, nw, "0", "127.0.0.1:0", entryCfg, cluster.Config{Seed: 1})
+		for _, p := range peers {
+			entry.node.Members().Add(p.node.Self())
+		}
+		single := New(entryCfg)
+		single.AddNetwork(DefaultGraph, nw)
+		ts := httptest.NewServer(single.Handler())
+		t.Cleanup(ts.Close)
+		forwarded := 0
+		for i := 0; i < 300; i++ {
+			s, tt := (i*7919)%n, (i*104729+13)%n
+			if s == tt {
+				continue
+			}
+			req := RouteRequest{S: s, T: tt, IncludePath: true}
+			wantStatus, want, _ := clusterPost(t, ts.URL, req)
+			status, got, er := clusterPost(t, entry.ts.URL, req)
+			if status != wantStatus || got.Success != want.Success || got.Failure != want.Failure ||
+				got.Moves != want.Moves || !reflect.DeepEqual(got.Path, want.Path) {
+				t.Errorf("entry MaxHops %d, peers %d, pair (%d,%d): fleet %d (failure=%q moves=%d path=%v %s) != single daemon %d (failure=%q moves=%d path=%v)",
+					c.entry, c.peers, s, tt, status, got.Failure, got.Moves, got.Path, er.Error,
+					wantStatus, want.Failure, want.Moves, want.Path)
+			}
+			if got.Forwards > 0 {
+				forwarded++
+			}
+		}
+		if forwarded == 0 {
+			t.Fatalf("entry MaxHops %d, peers %d: no query crossed a shard boundary", c.entry, c.peers)
+		}
+	}
+}
+
 // TestClusterChaos is the kill-one-shard drill: under concurrent load, one
 // shard dies mid-flight. Every request must come back with a classified
 // status within the request deadline — no hangs, no unclassified 500s —

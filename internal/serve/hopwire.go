@@ -22,7 +22,7 @@ import (
 // payload | u32 CRC-32`, little-endian), and a payload is `i64… | str… | u32
 // path vertex…`, a str being a u16 length and its bytes:
 //
-//	request  s, t, budget µs | graph, request id, traceparent
+//	request  s, t, budget µs, scans left | graph, request id, traceparent
 //	reply    status, success, stuck, moves | failure (200) or error text |
 //	         the segment's path (200 only)
 
@@ -95,16 +95,16 @@ func budgetMicros(d time.Duration) int64 {
 // appendHopRequest encodes a request frame. The budget rides in µs;
 // req.DeadlineMs is the JSON contract's field and is not encoded.
 func appendHopRequest(b []byte, req HopRequest, budgetUs int64, rid, tp string) []byte {
-	return appendFrame(b, []int64{int64(req.S), int64(req.T), budgetUs}, []string{req.Graph, rid, tp}, nil)
+	return appendFrame(b, []int64{int64(req.S), int64(req.T), budgetUs, int64(req.MaxScans)}, []string{req.Graph, rid, tp}, nil)
 }
 
 func decodeHopRequest(p []byte) (req HopRequest, budgetUs int64, rid, tp string, err error) {
-	var ints [3]int64
+	var ints [4]int64
 	var strs [3]string
 	if rest, err := decodeFrame(p, ints[:], strs[:]); err != nil || len(rest) != 0 {
 		return req, 0, "", "", errHopFrame
 	}
-	return HopRequest{Graph: strs[0], S: int(ints[0]), T: int(ints[1])}, ints[2], strs[1], strs[2], nil
+	return HopRequest{Graph: strs[0], S: int(ints[0]), T: int(ints[1]), MaxScans: int(ints[3])}, ints[2], strs[1], strs[2], nil
 }
 
 // appendHopReply encodes a reply frame: for 200 the routed segment, straight

@@ -187,7 +187,7 @@ func TestHopCodecIdentity(t *testing.T) {
 		rid, tp  string
 	}{
 		{HopRequest{S: 3, T: 99}, 300, "", ""},
-		{HopRequest{Graph: "default", S: 0, T: 1 << 40}, 1, "req-1.a_b", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
+		{HopRequest{Graph: "default", S: 0, T: 1 << 40, MaxScans: 1 << 20}, 1, "req-1.a_b", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
 		{HopRequest{Graph: strings.Repeat("g", 255), S: -1, T: -7}, 0, strings.Repeat("r", 64), ""},
 	}
 	for _, c := range reqs {
@@ -310,7 +310,7 @@ func TestHopFrameBounds(t *testing.T) {
 // (plus one growth step), and whatever they accept re-encodes to the very
 // bytes that were read.
 func FuzzHopFrame(f *testing.F) {
-	f.Add(appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99}, 300, "rid-1", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"))
+	f.Add(appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99, MaxScans: 12}, 300, "rid-1", "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"))
 	f.Add(appendHopReply(nil, 200, &HopResponse{Success: true, Path: []int{3, 17, 99}, Moves: 2}, ""))
 	f.Add(appendHopReply(nil, 200, &HopResponse{Path: []int{3, 17}, Moves: 1}, ""))
 	f.Add(appendHopReply(nil, 404, nil, `unknown graph "nope"`))
@@ -799,11 +799,11 @@ func TestHopFrameGoldenBytes(t *testing.T) {
 		golden string
 	}{
 		"request": {
-			appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99}, 300, "rid-1", ""),
-			"2a000000" + // payload length
-				"0300000000000000" + "6300000000000000" + "2c01000000000000" + // s, t, budget µs
+			appendHopRequest(nil, HopRequest{Graph: "default", S: 3, T: 99, MaxScans: 7}, 300, "rid-1", ""),
+			"32000000" + // payload length
+				"0300000000000000" + "6300000000000000" + "2c01000000000000" + "0700000000000000" + // s, t, budget µs, scans left
 				"0700" + "64656661756c74" + "0500" + "7269642d31" + "0000" + // graph, request id, traceparent
-				"67cca256", // CRC-32
+				"69835c13", // CRC-32
 		},
 		"reply": {
 			appendHopReply(nil, 200, &HopResponse{Success: true, Path: []int{3, 17, 99}, Moves: 2}, ""),

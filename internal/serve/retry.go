@@ -44,12 +44,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // Transient reports whether a failure under the request's fault plan (nil
-// for none) is worth retrying: a deadline cut may have been unlucky, and a
-// crashed target recovers only if the salted retry seed re-draws the crash
-// set (faults.Plan.SeededCrashes). Dead ends and truncations are definitive
-// protocol outcomes, and cancellation means the server is draining.
+// for none) is worth retrying, by its class's row in failureClasses.
 func Transient(f route.Failure, plan *faults.Plan) bool {
-	return f == route.FailDeadline || f == route.FailCrashedTarget && plan.SeededCrashes()
+	retry := failureClasses[f].retry
+	return retry != nil && retry(plan)
 }
 
 // Backoff returns the delay before retry attempt `attempt` (1-based: the

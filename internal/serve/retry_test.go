@@ -44,6 +44,22 @@ func TestTransientClassification(t *testing.T) {
 	}
 }
 
+// TestFailureClassesDeclared pins that every routing outcome has its row in
+// failureClasses, and nothing else does: a class added to route.Failures()
+// without a status, an exit code and a retry rule fails here, not as a 500
+// on the wire or exit 1 from cmd/route.
+func TestFailureClassesDeclared(t *testing.T) {
+	classes := append([]route.Failure{route.FailNone}, route.Failures()...)
+	for _, f := range classes {
+		if _, ok := failureClasses[f]; !ok {
+			t.Errorf("failure class %q has no row in failureClasses", f)
+		}
+	}
+	if len(failureClasses) != len(classes) {
+		t.Errorf("failureClasses has %d rows for %d classes", len(failureClasses), len(classes))
+	}
+}
+
 // TestBackoffGrowthAndCap verifies the exponential envelope: attempt k's
 // delay lies in [cap_k/2, cap_k) where cap_k = min(Base*2^(k-1), MaxDelay),
 // so delays grow and then saturate at MaxDelay.

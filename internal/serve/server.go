@@ -59,8 +59,11 @@ type Config struct {
 	// retries and backoff included; each attempt's remaining share is mapped
 	// onto the engine's episode wall-time budget (default 2s).
 	RequestTimeout time.Duration
-	// MaxHops is the per-attempt adjacency-query budget handed to the
-	// engine (default 1 << 20; 0 keeps the default, -1 disables).
+	// MaxHops is the per-attempt adjacency-query budget of a query that
+	// enters at this daemon (default 1 << 20; 0 keeps the default, -1
+	// disables). A sharded walk carries what is left of it on every hop, so
+	// the entry daemon's MaxHops bounds the whole walk and a hop receiver's
+	// own plays no part.
 	MaxHops int
 	// Retry is the transient-failure retry policy.
 	Retry RetryPolicy
@@ -420,7 +423,7 @@ func (s *Server) withRequestID(h http.Handler) http.Handler {
 // sane, a minted one otherwise.
 func (s *Server) requestScope(ctx context.Context, id string) (context.Context, string) {
 	if id = sanitizeRequestID(id); id == "" {
-		_, id = s.rids.Next()
+		id = s.rids.Next()
 	}
 	return obs.WithRequestID(ctx, id), id
 }
