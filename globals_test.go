@@ -17,9 +17,8 @@ import (
 // state. Everything else mutable belongs to a value its caller owns, so two
 // daemons in one process never share counters, loggers or exports.
 var allowedGlobals = map[string]string{
-	"internal/route.regMu":           "protocol registry: written at init and by Register, read-only after",
-	"internal/route.regByName":       "protocol registry: written at init and by Register, read-only after",
-	"internal/route.regOrder":        "protocol registry: written at init and by Register, read-only after",
+	"internal/route.regMu":           "protocol registry: serializes Register, which runs at init",
+	"internal/route.reg":             "protocol registry: published by Register at init, read lock-free after",
 	"internal/faults.regMu":          "fault-model registry: written at init and by Register, read-only after",
 	"internal/faults.regByName":      "fault-model registry: written at init and by Register, read-only after",
 	"internal/faults.regOrder":       "fault-model registry: written at init and by Register, read-only after",

@@ -13,7 +13,7 @@
 //     request id (RequestIDs), returns it in an X-Request-ID header and
 //     puts it in the request context (WithRequestID); a logger wrapped once
 //     by RequestLogger adds it to every record logged with that context, so
-//     every slog line of the request carries the same id.
+//     every slog line of the request carries the id that replays it.
 //
 //   - trace recorder: SpanLog samples requests deterministically and keeps a
 //     bounded ring of PhaseSpans — where the time went, across daemons —
@@ -104,8 +104,8 @@ func NewRequestIDs(salt uint64) *RequestIDs {
 	return &RequestIDs{salt: salt}
 }
 
-// Next returns the next request id, for headers and logs: the hash of the
-// salt and the 1-based sequence number, 16 hex digits. The id seeds nothing.
+// Next returns the next request id (16 hex digits: the hash of the salt and
+// the 1-based sequence number), for headers, logs and the request's draws.
 func (r *RequestIDs) Next() string {
 	return fmt.Sprintf("%016x", xrand.Hash64(r.salt, r.seq.Add(1)))
 }

@@ -150,7 +150,7 @@ type SpanLogConfig struct {
 	// Service stamps every span with the recording daemon's identity.
 	Service string
 	// Seed salts trace ids and the sampling decision (pin it in tests for
-	// reproducible ids; daemons use the request-id salt).
+	// reproducible ids; cmd/smallworldd passes its -seed).
 	Seed uint64
 	// SampleRate is the fraction of entry requests that start a trace, in
 	// [0, 1]. Requests arriving with a Traceparent header are always

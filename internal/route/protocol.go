@@ -2,9 +2,12 @@ package route
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Protocol is a pluggable routing protocol: one algorithm that moves a
@@ -37,12 +40,21 @@ func Route(p Protocol, g Graph, obj Objective, s int) Result {
 }
 
 // The protocol registry. Built-ins self-register from their files' init
-// functions; Register is also the extension point for new protocols.
+// functions, so it is published before any importer reads it; Register is
+// also the extension point for new protocols. Every episode looks its
+// protocol up, so readers take no lock: Register publishes each new state
+// copy-on-write, and regMu serializes writers only.
 var (
-	regMu     sync.RWMutex
-	regByName = map[string]Protocol{}
-	regOrder  []string
+	regMu sync.Mutex
+	reg   atomic.Pointer[registry]
 )
+
+// registry is one published state of the registry, never modified once
+// stored: the protocols by name, and their names in registration order.
+type registry struct {
+	byName map[string]Protocol
+	order  []string
+}
 
 // Register adds a protocol to the registry. It panics on an empty name or a
 // duplicate registration — both are programming errors caught at init time.
@@ -53,34 +65,32 @@ func Register(p Protocol) {
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := regByName[name]; dup {
+	old := reg.Load()
+	if old == nil {
+		old = &registry{byName: map[string]Protocol{}}
+	}
+	if _, dup := old.byName[name]; dup {
 		panic("route: duplicate protocol registration " + name)
 	}
-	regByName[name] = p
-	regOrder = append(regOrder, name)
+	next := &registry{byName: maps.Clone(old.byName), order: append(slices.Clip(old.order), name)}
+	next.byName[name] = p
+	reg.Store(next)
 }
 
 // Lookup resolves a protocol by its registered name. The error for an
 // unknown name lists every registered protocol.
 func Lookup(name string) (Protocol, error) {
-	regMu.RLock()
-	p, ok := regByName[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("route: unknown protocol %q (registered: %s)",
-			name, strings.Join(Registered(), ", "))
+	if p, ok := reg.Load().byName[name]; ok {
+		return p, nil
 	}
-	return p, nil
+	return nil, fmt.Errorf("route: unknown protocol %q (registered: %s)",
+		name, strings.Join(Registered(), ", "))
 }
 
 // Registered returns the names of all registered protocols in registration
 // order (built-ins first, then external registrations).
 func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(regOrder))
-	copy(out, regOrder)
-	return out
+	return append([]string{}, reg.Load().order...)
 }
 
 // RegisteredSorted returns the registered names in lexicographic order, for

@@ -1,7 +1,9 @@
 package route
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,6 +55,48 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Register(stubProtocol{name: "test-dup"})
+}
+
+// TestRegisterWhileRouting pins the registry's lock-free readers: while
+// Register publishes new protocols, concurrent Lookup and Registered calls
+// (every episode makes one) always see the built-ins, and every
+// registration lands. Run under -race it also checks that a
+// published state is never written.
+func TestRegisterWhileRouting(t *testing.T) {
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := Lookup("greedy"); err != nil {
+					t.Error(err)
+					return
+				}
+				if names := Registered(); len(names) < 5 {
+					t.Errorf("Registered() = %v mid-registration", names)
+					return
+				}
+			}
+		}()
+	}
+	base := len(Registered()) // names unique per run, so the test repeats under -count
+	for i := 0; i < 20; i++ {
+		Register(stubProtocol{name: fmt.Sprintf("test-concurrent-%d-%d", base, i)})
+	}
+	close(stop)
+	wg.Wait()
+	for i := 0; i < 20; i++ {
+		if _, err := Lookup(fmt.Sprintf("test-concurrent-%d-%d", base, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestRegisterEmptyNamePanics(t *testing.T) {

@@ -30,10 +30,10 @@ type RouteRequest struct {
 	// fault-tolerance probes). Each spec resolves through the faults
 	// registry; unknown models fail the request with 400.
 	Faults []faults.Spec `json:"faults,omitempty"`
-	// FaultSeed seeds the per-request fault plan (0 = derive from the
-	// request). Retried attempts salt this seed so transient fault draws and
-	// seeded crash sets (crash-uniform) are independent across attempts;
-	// crash-core ignores it.
+	// FaultSeed seeds the per-request fault plan (0 = a hash of the
+	// request's X-Request-ID, the key of all its draws). Retried
+	// attempts salt this seed so transient fault draws and seeded crash sets
+	// (crash-uniform) are independent across attempts; crash-core ignores it.
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// IncludePath asks for the full vertex path in the response (off by
 	// default: paths on poly-log graphs are short, but dashboards polling
@@ -130,7 +130,7 @@ type BatchItem struct {
 	T int `json:"t"`
 	// Faults optionally layers a per-item fault plan.
 	Faults []faults.Spec `json:"faults,omitempty"`
-	// FaultSeed seeds the per-item fault plan (0 = derive from the item).
+	// FaultSeed seeds the per-item fault plan (0 = X-Request-ID's item key).
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// IncludePath asks for the item's full vertex path.
 	IncludePath bool `json:"include_path,omitempty"`

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -53,16 +54,16 @@ func rejected(q RouteRequest, status int, msg string, retryAfter time.Duration) 
 	return routeOutcome{BatchItemResult: item, retryAfter: retryAfter}
 }
 
-// routeOne runs one admitted, validated routing query: breaker gate, then
-// budgeted engine episodes with transient-failure retries under the caller's
-// deadline. It is the shared core of POST /route and POST /route/batch; the
-// caller has resolved the graph, validated the query and acquired an
-// admission slot. rt carries the request's distributed phase trace (nil when
-// untraced) and queued the admission wait already measured by the caller,
-// repeated into this query's Timings.
-func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName string, q RouteRequest, deadline time.Time, es *episodeState, rt *reqTrace, queued time.Duration) routeOutcome {
+// routeOne runs item i of admitted request a, a validated routing query:
+// breaker gate, then budgeted engine episodes with transient-failure retries
+// under the caller's deadline, drawing under drawKey(a.key, i). It is the
+// shared core of POST /route (item 0) and POST /route/batch. a's trace (nil
+// when untraced) records the query, and a's queue wait is repeated into the
+// query's Timings.
+func (s *Server) routeOne(ctx context.Context, a admission, i int, q RouteRequest, deadline time.Time, es *episodeState) routeOutcome {
+	nw, graphName, rt := a.nw, a.graphName, a.rt
 	protoName := q.Protocol
-	tm := &Timings{QueueUs: queued.Microseconds()}
+	tm := &Timings{QueueUs: a.queued.Microseconds()}
 
 	// Circuit breaker: fail fast while this (graph, protocol) is unhealthy.
 	// A query with its own fault plan neither consults nor feeds it (br
@@ -79,11 +80,7 @@ func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName strin
 		}
 	}
 
-	requestID := s.reqID.Add(1)
-	faultSeed := q.FaultSeed
-	if faultSeed == 0 {
-		faultSeed = xrand.Hash64(requestID, uint64(q.S)<<32|uint64(uint32(q.T)))
-	}
+	key := drawKey(a.key, i)
 	start := time.Now()
 
 	// A traced query's local_route spans name the fault specs in effect.
@@ -112,10 +109,11 @@ func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName strin
 		}
 		var plan *faults.Plan
 		if len(q.Faults) > 0 {
-			// Salt the plan seed per attempt: transient fault draws and
-			// seeded crash sets (crash-uniform) re-roll on retry, which is
-			// what makes crashed-target retryable under such a plan.
-			plan, epErr = faults.NewPlan(xrand.Hash64(faultSeed, uint64(attempt)), q.Faults...)
+			// The plan seed is fault_seed (0: the item key), salted per
+			// attempt: transient fault draws and seeded crash sets
+			// (crash-uniform) re-roll on retry, which is what makes
+			// crashed-target retryable under such a plan.
+			plan, epErr = faults.NewPlan(xrand.Hash64(cmp.Or(q.FaultSeed, key), uint64(attempt)), q.Faults...)
 			if epErr != nil {
 				break
 			}
@@ -134,7 +132,7 @@ func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName strin
 			// mask, each exit forwarded to the owning peer, the stitched
 			// result recorded as one engine episode. An episode core will
 			// not walk on one shard routes the whole graph here instead.
-			fwd, epErr = s.clusterRoute(ctx, nw, graphName, epCfg, es, rt, tm)
+			fwd, epErr = s.clusterRoute(ctx, nw, graphName, key, epCfg, es, rt, tm)
 			clustered = !errors.Is(epErr, core.ErrMaskUnsupported)
 		}
 		if !clustered {
@@ -149,7 +147,7 @@ func (s *Server) routeOne(ctx context.Context, nw *core.Network, graphName strin
 		// Back off before the next attempt, but never past the request
 		// deadline or the client's departure.
 		s.retries.Add(1)
-		wait, ok := s.backoff(ctx, requestID, attempt, deadline, "attempt", rt, tm)
+		wait, ok := s.backoff(ctx, key, attempt, deadline, "attempt", rt, tm)
 		s.logger.InfoContext(ctx, "route retrying", "attempt", attempt, "failure", string(res.Failure),
 			"backoff_ms", wait.Milliseconds())
 		if !ok {
@@ -299,14 +297,20 @@ func (b *BatchRouteRequest) check(*core.Network) (int, string) {
 func (b *BatchRouteRequest) logArgs() []any { return []any{"items", len(b.Items)} }
 
 // admission is a routing request past the prelude: the network it routes on
-// and that slot's name, its distributed trace (nil when untraced) and the
-// time it waited for its worker slot.
+// and that slot's name, the key of its draws, its distributed trace (nil when
+// untraced) and the time it waited for its worker slot.
 type admission struct {
 	nw        *core.Network
 	graphName string
+	key       uint64
 	rt        *reqTrace
 	queued    time.Duration
 }
+
+// drawKey keys part i of what key keys — item i of a request (POST /route is
+// item 0) under admission.key, the hash of the request id, or an item's i-th
+// boundary crossing under the item's key — so a request replays from its id.
+func drawKey(key uint64, i int) uint64 { return xrand.Hash64(key, uint64(i)) }
 
 // serveRouting is the one prelude of POST /route and POST /route/batch:
 // method, drain gate, a body of at most limit bytes decoded into req, graph
@@ -333,7 +337,7 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 	if !decodeBody(w, r, limit, req) {
 		return
 	}
-	a := admission{graphName: req.graphName()}
+	a := admission{graphName: req.graphName(), key: xrand.HashString(obs.RequestID(ctx))}
 	var ok bool
 	if a.nw, ok = s.Network(a.graphName); !ok {
 		writeError(w, http.StatusNotFound, 0, "unknown graph %q (installed: %s)",
@@ -394,7 +398,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var req RouteRequest
 	s.serveRouting(w, r, "route", maxRouteBody, &req, func(a admission, es *episodeState) {
 		req.Protocol = core.Protocol(req.Protocol).String() // "" = greedy
-		out := s.routeOne(r.Context(), a.nw, a.graphName, req, time.Now().Add(s.cfg.RequestTimeout), es, a.rt, a.queued)
+		out := s.routeOne(r.Context(), a, 0, req, time.Now().Add(s.cfg.RequestTimeout), es)
 		a.rt.finish(out.Error)
 		if out.Error != "" {
 			writeError(w, out.Status, out.retryAfter, "%s", out.Error)
@@ -429,13 +433,13 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 				it.Status, it.Error = status, msg
 				continue
 			}
-			out := s.routeOne(r.Context(), a.nw, a.graphName, RouteRequest{
+			out := s.routeOne(r.Context(), a, i, RouteRequest{
 				Protocol: protoName,
 				S:        item.S, T: item.T,
 				Faults:      item.Faults,
 				FaultSeed:   item.FaultSeed,
 				IncludePath: item.IncludePath,
-			}, deadline, es, a.rt, a.queued)
+			}, deadline, es)
 			*it = out.BatchItemResult
 			clientGone = out.clientGone
 		}

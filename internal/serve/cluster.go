@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/route"
-	"repro/internal/xrand"
 )
 
 // This file is the cluster half of the serving layer: when EnableCluster
@@ -151,7 +150,8 @@ type routeFwd struct {
 // the whole graph is, whatever the peers' own MaxHops. A forward that cannot
 // be completed classifies the episode shard-unreachable. Greedy is strictly
 // φ-increasing, so the walk never repeats a vertex and the loop ends; the
-// deadline bounds it regardless.
+// deadline bounds it regardless. key is the query's item key: its k-th
+// crossing draws under drawKey(key, k).
 //
 // forwards counts every exit, re-entries included: the times the path leaves
 // the current shard's mask, a pure function of (path, masks, entry shard). An
@@ -160,7 +160,7 @@ type routeFwd struct {
 // as one engine episode with the stitched result, so cluster-wide counters
 // sum honestly. An episode core will not walk on one shard comes back as
 // core.ErrMaskUnsupported, routed and recorded nowhere.
-func (s *Server) clusterRoute(ctx context.Context, nw *core.Network, graphName string, cfg core.EpisodeConfig, es *episodeState, rt *reqTrace, tm *Timings) (routeFwd, error) {
+func (s *Server) clusterRoute(ctx context.Context, nw *core.Network, graphName string, key uint64, cfg core.EpisodeConfig, es *episodeState, rt *reqTrace, tm *Timings) (routeFwd, error) {
 	start := time.Now()
 	deadline := start.Add(cfg.Timeout)
 	res := &es.out
@@ -195,7 +195,7 @@ func (s *Server) clusterRoute(ctx context.Context, nw *core.Network, graphName s
 		} else {
 			req := HopRequest{Graph: graphName, S: exit, T: cfg.T, MaxScans: seg.MaxHops}
 			fwdStart := time.Now()
-			hop, ok = s.forwardHop(ctx, req, deadline, fwd.forwards, &fwd, rt, tm)
+			hop, ok = s.forwardHop(ctx, req, deadline, fwd.forwards, drawKey(key, fwd.forwards), &fwd, rt, tm)
 			tm.ForwardUs += time.Since(fwdStart).Microseconds()
 			if !ok {
 				// No owner answered: the walk ends at the exit, unreachable.
@@ -265,24 +265,24 @@ func mergeHop(res *route.Result, hop HopResponse) {
 }
 
 // forwardHop hands the walk at vertex req.S — the episode's k-th boundary
-// crossing — to the replica set owning it and returns the segment it routed.
-// Candidates come from OwnersOf in deterministic failover order (alive before
-// suspect, then replica id); open-breaker peers are skipped. The first
-// candidate is posted immediately; if a hedge policy is configured and the
-// candidate has not answered after the deterministic hedge delay, a second
-// attempt fires at the next candidate and the first 200 wins — the loser is
-// cancelled via its context and records nothing (slow is not a strike). A
-// candidate that fails on its own counts against its (peer, graph) breaker,
-// strikes the membership failure detector, and fails over to the next
-// candidate immediately.
+// crossing, whose draws are keyed by key — to the replica set owning it and
+// returns the segment it routed. Candidates come from OwnersOf in
+// deterministic failover order (alive before suspect, then replica id);
+// open-breaker peers are skipped. The first candidate is posted immediately;
+// if a hedge policy is configured and the candidate has not answered after
+// the hedge delay, a second attempt fires at the next candidate and the
+// first 200 wins — the loser is cancelled via its context and records
+// nothing (slow is not a strike). A candidate that fails on its own counts
+// against its (peer, graph) breaker, strikes the membership failure
+// detector, and fails over to the next candidate immediately.
 //
 // When every candidate of a pass failed, retryable failures (transport
-// errors, 5xx) back off and retry under the request deadline with a fresh
-// candidate list; pure-4xx passes are permanent. ok is false when no answer
-// could be obtained — no routable owner, breakers open, candidates and
-// retries exhausted, deadline spent — and the caller classifies the episode
-// shard-unreachable.
-func (s *Server) forwardHop(ctx context.Context, req HopRequest, deadline time.Time, k int, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool) {
+// errors, 5xx) back off, Retry.Backoff(key, pass), and retry under the
+// request deadline with a fresh candidate list; pure-4xx passes are
+// permanent. ok is false when no answer could be obtained — no routable
+// owner, breakers open, candidates and retries exhausted, deadline spent —
+// and the caller classifies the episode shard-unreachable.
+func (s *Server) forwardHop(ctx context.Context, req HopRequest, deadline time.Time, k int, key uint64, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool) {
 	node := s.clusterNode
 	for attempt := 1; ; attempt++ {
 		if time.Until(deadline) <= 0 {
@@ -303,14 +303,14 @@ func (s *Server) forwardHop(ctx context.Context, req HopRequest, deadline time.T
 			s.logger.WarnContext(ctx, "forward failed", "reason", "peer breakers open", "vertex", req.S, "replicas", len(owners))
 			return HopResponse{}, false
 		}
-		resp, retryable, ok := s.tryReplicas(ctx, req, deadline, k, cands, fwd, rt, tm)
+		resp, retryable, ok := s.tryReplicas(ctx, req, deadline, k, key, cands, fwd, rt, tm)
 		if ok {
 			return resp, true
 		}
 		if !retryable || attempt >= s.cfg.Retry.MaxAttempts {
 			return HopResponse{}, false
 		}
-		if _, ok := s.backoff(ctx, xrand.Hash64(uint64(req.S), uint64(req.T)), attempt, deadline, "forward attempt", rt, tm); !ok {
+		if _, ok := s.backoff(ctx, key, attempt, deadline, "forward attempt", rt, tm); !ok {
 			return HopResponse{}, false
 		}
 	}
@@ -332,7 +332,7 @@ type hopAttempt struct {
 }
 
 // tryReplicas runs one failover pass over the candidate replicas: try the
-// first, hedge onto the second after the deterministic delay, fail over to
+// first, hedge onto the second after the delay drawn under key, fail over to
 // the next on observed failure, first 200 wins; hedges and failovers are
 // counted into fwd. retryable reports whether at least one failure was
 // transient (transport error or 5xx) — a pure-4xx pass will not improve on
@@ -348,7 +348,7 @@ type hopAttempt struct {
 // parents onto it. A cancelled loser still publishes its span (err
 // "cancelled") — the peer may have served the hop and recorded children under
 // that id, and a published parent keeps stitched trees free of orphans.
-func (s *Server) tryReplicas(ctx context.Context, req HopRequest, deadline time.Time, k int, cands []cluster.Peer, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
+func (s *Server) tryReplicas(ctx context.Context, req HopRequest, deadline time.Time, k int, key uint64, cands []cluster.Peer, fwd *routeFwd, rt *reqTrace, tm *Timings) (HopResponse, bool, bool) {
 	node := s.clusterNode
 	results := make(chan *hopAttempt, len(cands))
 	atts := make([]hopAttempt, len(cands))
@@ -397,7 +397,7 @@ func (s *Server) tryReplicas(ctx context.Context, req HopRequest, deadline time.
 	next, pending := 1, 1
 	var hedgeC <-chan time.Time
 	if s.cfg.HedgeAfter > 0 && next < len(cands) {
-		c, stop := s.hedgeTimer(hedgeDelay(s.cfg.HedgeAfter, s.cfg.Retry.Seed, xrand.Hash64(uint64(req.S), uint64(req.T), uint64(k))))
+		c, stop := s.hedgeTimer(hedgeDelay(s.cfg.HedgeAfter, s.cfg.Retry.Seed, key))
 		defer stop()
 		hedgeC = c
 	}

@@ -362,8 +362,9 @@ func TestClusterEndpointsUnclustered(t *testing.T) {
 	}
 }
 
-// TestRequestIDAdoption pins satellite 1: a sane incoming X-Request-ID is
-// adopted (response echoes it), a hostile one is replaced with a minted id.
+// TestRequestIDAdoption pins the edge's request-id adoption: a sane incoming
+// X-Request-ID is adopted (the response echoes it), a hostile or over-long
+// one is replaced with a minted id, and a request without one gets one.
 func TestRequestIDAdoption(t *testing.T) {
 	srv := New(Config{RequestIDSalt: 1})
 	srv.AddNetwork(DefaultGraph, testNetwork(t, 64, 3))
@@ -396,8 +397,8 @@ func TestRequestIDAdoption(t *testing.T) {
 	}
 }
 
-// TestReadyzFingerprint pins satellite 2: the ready body carries each
-// snapshot's fingerprint and, when clustered, the shard and peer table.
+// TestReadyzFingerprint pins the /readyz body of a clustered daemon: each
+// snapshot's fingerprint, the daemon's shard and its peer table.
 func TestReadyzFingerprint(t *testing.T) {
 	nw := testNetwork(t, 64, 5)
 	daemons := newTestCluster(t, nw, []string{"0", "1"},

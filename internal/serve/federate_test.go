@@ -120,9 +120,9 @@ func TestFederatedMetricsDegraded(t *testing.T) {
 	}
 }
 
-// TestReadyzReplicaLag pins satellite 6: /readyz (and /debug/vars through
-// the same accessors) reports the local live position and the per-replica
-// lag learned from gossip.
+// TestReadyzReplicaLag pins the replication view of /readyz (and of
+// /debug/vars, through the same accessors): the local live position and the
+// per-replica lag learned from gossip.
 func TestReadyzReplicaLag(t *testing.T) {
 	nw := testNetwork(t, 400, 7)
 	daemons := newReplicaSet(t, nw, 2, Config{RequestTimeout: 3 * time.Second}, nil)

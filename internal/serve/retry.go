@@ -23,9 +23,9 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth.
 	MaxDelay time.Duration
-	// Seed drives the jitter; every delay is a pure function of
-	// (Seed, requestID, attempt), so retry schedules are reproducible in
-	// tests and across restarts with a pinned seed.
+	// Seed drives the jitter; every delay is a pure function of (Seed, key,
+	// attempt), key a hash of the request id (drawKey), so a request's
+	// schedule replays under its X-Request-ID on any daemon with this Seed.
 	Seed uint64
 }
 
@@ -50,14 +50,14 @@ func Transient(f route.Failure, plan *faults.Plan) bool {
 	return retry != nil && retry(plan)
 }
 
-// Backoff returns the delay before retry attempt `attempt` (1-based: the
-// delay between attempt k and attempt k+1 is Backoff(requestID, k)). The
-// exponential base doubles per attempt and is capped at MaxDelay; full
-// jitter then draws uniformly from [cap/2, cap], so concurrent retriers
-// decorrelate without ever collapsing the wait to zero. The draw is a pure
-// hash of (Seed, requestID, attempt) — no shared RNG, no lock, fully
-// deterministic for a pinned seed.
-func (p RetryPolicy) Backoff(requestID uint64, attempt int) time.Duration {
+// Backoff returns the delay before retry attempt `attempt` of what key keys,
+// a query or one boundary crossing (drawKey), 1-based: Backoff(key, k) is
+// the delay between attempts k and k+1. The exponential base doubles per
+// attempt and is capped at MaxDelay; full jitter then draws uniformly from
+// [cap/2, cap], so concurrent retriers decorrelate without ever collapsing
+// the wait to zero. The draw is a pure hash of (Seed, key, attempt) — no
+// shared RNG, no lock, fully deterministic for a pinned seed.
+func (p RetryPolicy) Backoff(key uint64, attempt int) time.Duration {
 	p = p.withDefaults()
 	if attempt < 1 {
 		attempt = 1
@@ -71,7 +71,7 @@ func (p RetryPolicy) Backoff(requestID uint64, attempt int) time.Duration {
 	}
 	// Uniform in [d/2, d): half the spread of classic full jitter, keeping a
 	// floor so a burst of retriers cannot synchronize at zero delay.
-	u := xrand.HashFloat(p.Seed, requestID, uint64(attempt))
+	u := xrand.HashFloat(p.Seed, key, uint64(attempt))
 	return d/2 + time.Duration(u*float64(d/2))
 }
 
@@ -106,9 +106,9 @@ func (s *Server) backoff(ctx context.Context, key uint64, attempt int, deadline 
 }
 
 // hedgeDelay is how long a cross-shard hop waits on its first replica before
-// a hedged second attempt fires at the next one: a pure hash of (seed, key)
-// spread over [after, 1.5*after), deterministic per hop like the retry jitter
-// and varied across hops so hedges do not fire in synchronized waves.
+// a hedged second attempt fires at the next one: a pure hash of (seed, the
+// crossing's drawKey) spread over [after, 1.5*after), replayed with the
+// request and varied across crossings so hedges do not fire in waves.
 func hedgeDelay(after time.Duration, seed, key uint64) time.Duration {
 	span := uint64(after) / 2
 	if span == 0 {

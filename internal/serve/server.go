@@ -210,7 +210,6 @@ type Server struct {
 	drainMu  sync.RWMutex
 	inflight sync.WaitGroup
 	draining atomic.Bool
-	reqID    atomic.Uint64
 	retries  atomic.Int64
 	swaps    atomic.Int64
 	// quarantined counts swap snapshots rejected by checksum/format
