@@ -129,7 +129,7 @@ func TestRouteDispatch(t *testing.T) {
 	nw := girgNet(t, 800, 5)
 	giant := nw.Giant()
 	s, tgt := giant[0], giant[len(giant)-1]
-	for _, proto := range Protocols() {
+	for _, proto := range reportOrder {
 		res, err := nw.Route(proto, s, tgt)
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)

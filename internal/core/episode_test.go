@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/girg"
 	"repro/internal/route"
 )
 
@@ -112,6 +115,57 @@ func TestRouteEpisodeIntoZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: RouteEpisodeInto made %v allocations per episode, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestEpisodeBytesFlatInN: every built-in protocol keeps its episode state
+// in the caller's Scratch, so once one Scratch has routed a set of pairs,
+// routing them again allocates about the same bytes per episode on the
+// sparse n = 20 000 fixture as on the n = 2 000 one — where four Phi-DFS
+// n-arrays, a lookahead memo or history's maps would grow with n.
+func TestEpisodeBytesFlatInN(t *testing.T) {
+	perEpisode := func(proto Protocol, nw *Network) float64 {
+		giant := nw.Giant()
+		var sc route.Scratch
+		var res route.Result
+		routeAll := func() {
+			for i := 0; i < 50; i++ {
+				cfg := EpisodeConfig{Protocol: proto, S: giant[i*7919%len(giant)], T: giant[(i*104729+13)%len(giant)]}
+				if err := nw.RouteEpisodeInto(cfg, &sc, &res); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		routeAll() // grow the Scratch and the path buffer
+		// TotalAlloc is process-wide: the least of three rounds is the one
+		// other goroutines disturbed least.
+		least := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			routeAll()
+			runtime.ReadMemStats(&after)
+			least = math.Min(least, float64(after.TotalAlloc-before.TotalAlloc)/50)
+		}
+		return least
+	}
+	fixture := func(n float64) *Network {
+		p := girg.DefaultParams(n)
+		p.FixedN = true
+		p.Lambda = 0.005
+		nw, err := NewGIRG(p, 5, girg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	small, large := fixture(2000), fixture(20000)
+	for _, proto := range reportOrder {
+		a, b := perEpisode(proto, small), perEpisode(proto, large)
+		t.Logf("%s: %.0f B per episode at n=2000, %.0f B at n=20000", proto, a, b)
+		if b > 1.2*a {
+			t.Errorf("%s allocates %.0f B per episode at n=2000 and %.0f B at n=20000: its state grows with n", proto, a, b)
 		}
 	}
 }

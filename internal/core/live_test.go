@@ -60,12 +60,12 @@ func liveNet(t *testing.T, n float64, seed uint64, batches int) (*Network, *Netw
 
 // TestRunMilgramLiveMatchesMaterialized is the engine-level acceptance: a
 // batch over the live overlay reports bit-identically to the same batch
-// over the compacted snapshot, for every registered protocol, stretch
+// over the compacted snapshot, for every built-in protocol, stretch
 // included.
 func TestRunMilgramLiveMatchesMaterialized(t *testing.T) {
 	liveNW, frozen := liveNet(t, 800, 31, 12)
-	for _, proto := range route.Registered() {
-		cfg := MilgramConfig{Pairs: 60, Seed: 7, Protocol: Protocol(proto),
+	for _, proto := range reportOrder {
+		cfg := MilgramConfig{Pairs: 60, Seed: 7, Protocol: proto,
 			WholeGraph: true, ComputeStretch: true}
 		a, err := RunMilgram(liveNW, cfg)
 		if err != nil {

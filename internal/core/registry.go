@@ -23,19 +23,12 @@ func (p Protocol) String() string {
 var reportOrder = []Protocol{"greedy", "greedy+lookahead", "phi-dfs", "history", "gravity-pressure"}
 
 // Protocols lists all registered protocols: the built-ins in report order,
-// then any externally registered protocols in registration order.
+// then any externally registered protocols in registration order (which
+// lists the built-ins first: they register at route's init).
 func Protocols() []Protocol {
-	registered := route.Registered()
-	builtin := make(map[Protocol]bool, len(reportOrder))
-	for _, p := range reportOrder {
-		builtin[p] = true
-	}
-	out := make([]Protocol, 0, len(registered))
-	out = append(out, reportOrder...)
-	for _, name := range registered {
-		if !builtin[Protocol(name)] {
-			out = append(out, Protocol(name))
-		}
+	out := append([]Protocol{}, reportOrder...)
+	for _, name := range route.Registered()[len(reportOrder):] {
+		out = append(out, Protocol(name))
 	}
 	return out
 }

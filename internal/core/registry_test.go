@@ -102,6 +102,14 @@ func TestZeroValueProtocolIsGreedy(t *testing.T) {
 	}
 }
 
+// plugIn registers a test protocol the first time a test asks for it, so
+// the suite runs in any order and repeats under -count.
+func plugIn(p route.Protocol) {
+	if _, err := route.Lookup(p.Name()); err != nil {
+		route.Register(p)
+	}
+}
+
 // constProtocol is an externally registered protocol: it never moves.
 type constProtocol struct{}
 
@@ -119,7 +127,7 @@ func (panicProtocol) RouteInto(route.Graph, route.Objective, int, *route.Scratch
 }
 
 func TestExternalProtocolPlugsIn(t *testing.T) {
-	route.Register(constProtocol{})
+	plugIn(constProtocol{})
 	nw := girgNet(t, 600, 34)
 
 	// Addressable everywhere a protocol name is accepted.
@@ -151,7 +159,7 @@ func TestExternalProtocolPlugsIn(t *testing.T) {
 }
 
 func TestProtocolPanicBecomesError(t *testing.T) {
-	route.Register(panicProtocol{})
+	plugIn(panicProtocol{})
 	nw := girgNet(t, 600, 36)
 
 	c := NewCounters()

@@ -64,7 +64,7 @@ func (slowProtocol) RouteInto(g route.Graph, _ route.Objective, s int, _ *route.
 }
 
 func TestRunMilgramEpisodeTimeoutTurnsHangIntoFailure(t *testing.T) {
-	route.Register(slowProtocol{})
+	plugIn(slowProtocol{})
 	nw := girgNet(t, 600, 52)
 	start := time.Now()
 	rep, err := RunMilgram(nw, MilgramConfig{
@@ -271,7 +271,7 @@ func TestEngineStatsTaxonomyKeysAlwaysPresent(t *testing.T) {
 	}
 	// An unclassified failure from an external protocol must be folded into
 	// the taxonomy as a dead end, in the report and the engine counters alike.
-	route.Register(stuckProtocol{})
+	plugIn(stuckProtocol{})
 	nw := girgNet(t, 900, 64)
 	before := c.Stats()
 	rep, err := RunMilgram(nw, MilgramConfig{Pairs: 60, Seed: 65, Protocol: "test-stuck", Counters: c})

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/plot"
+	"repro/internal/registry"
 )
 
 // Config controls the cost of an experiment run.
@@ -145,24 +146,21 @@ type Experiment struct {
 	Run func(cfg Config) (Table, error)
 }
 
-var registry = map[string]Experiment{}
+// experiments is the experiment registry, keyed by id.
+var experiments = registry.Registry[Experiment]{Pkg: "expt", Noun: "experiment"}
 
 // register adds an experiment to the registry; it panics on duplicate ids
 // (a programming error caught at test time).
-func register(e Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("expt: duplicate experiment id " + e.ID)
-	}
-	registry[e.ID] = e
-}
+func register(e Experiment) { experiments.Add(e.ID, e) }
 
 // All returns the experiments sorted by id (E1..E16 then F1).
 func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
+	ids := experiments.Names()
+	sort.Slice(ids, func(i, j int) bool { return lessID(ids[i], ids[j]) })
+	out := make([]Experiment, len(ids))
+	for i, id := range ids {
+		out[i], _ = experiments.Get(id)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessID(out[i].ID, out[j].ID) })
 	return out
 }
 
@@ -179,8 +177,7 @@ func lessID(a, b string) bool {
 
 // ByID looks an experiment up.
 func ByID(id string) (Experiment, bool) {
-	e, ok := registry[strings.ToUpper(id)]
-	return e, ok
+	return experiments.Get(strings.ToUpper(id))
 }
 
 // sparseLambda is the kernel prefactor the routing experiments use for

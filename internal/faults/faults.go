@@ -29,10 +29,9 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
+	"repro/internal/registry"
 	"repro/internal/route"
 	"repro/internal/xrand"
 )
@@ -86,30 +85,14 @@ type Bound interface {
 // return descriptive errors; rate bounds are checked centrally by New.
 type Builder func(Spec) (Model, error)
 
-// The fault-model registry, mirroring route's protocol registry: built-ins
-// self-register at init, external models join through Register, and CLIs
-// derive usage text and unknown-name errors from the registered set.
-var (
-	regMu     sync.RWMutex
-	regByName = map[string]Builder{}
-	regOrder  []string
-)
+// models is the fault-model registry: built-ins self-register at init, and
+// external models join through Register.
+var models = registry.Registry[Builder]{Pkg: "faults", Noun: "model"}
 
 // Register adds a fault-model builder to the registry. It panics on an empty
 // name or a duplicate registration — both are programming errors caught at
 // init time.
-func Register(name string, b Builder) {
-	if name == "" {
-		panic("faults: Register with empty model name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := regByName[name]; dup {
-		panic("faults: duplicate model registration " + name)
-	}
-	regByName[name] = b
-	regOrder = append(regOrder, name)
-}
+func Register(name string, b Builder) { models.Add(name, b) }
 
 // maxRetries caps Spec.Retries: msg-loss folds its budget into one drop
 // probability with a loop of that many steps at Bind, so a budget from a
@@ -119,9 +102,7 @@ const maxRetries = 1 << 10
 // New builds a fault model from its spec. The error for an unknown model
 // name lists every registered model.
 func New(spec Spec) (Model, error) {
-	regMu.RLock()
-	b, ok := regByName[spec.Model]
-	regMu.RUnlock()
+	b, ok := models.Get(spec.Model)
 	if !ok {
 		return nil, fmt.Errorf("faults: unknown fault model %q (registered: %s)",
 			spec.Model, strings.Join(RegisteredSorted(), ", "))
@@ -137,21 +118,11 @@ func New(spec Spec) (Model, error) {
 
 // Registered returns the registered model names in registration order
 // (built-ins first, then external registrations).
-func Registered() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(regOrder))
-	copy(out, regOrder)
-	return out
-}
+func Registered() []string { return models.Names() }
 
 // RegisteredSorted returns the registered model names in lexicographic
 // order, for stable display in usage text and error messages.
-func RegisteredSorted() []string {
-	names := Registered()
-	sort.Strings(names)
-	return names
-}
+func RegisteredSorted() []string { return models.Sorted() }
 
 // Plan layers fault models over a graph/objective pair. The zero value (and
 // a nil *Plan) injects nothing. Models apply in order: model i wraps the

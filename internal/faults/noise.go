@@ -13,9 +13,8 @@ import (
 // delta_v drawn per vertex uniformly from [-rate, +rate]. With rate -> 0
 // this is the o(1)-exponent relaxation the theorem proves harmless; larger
 // rates stress-test beyond it. Unlike route.NewRelaxed it works on any
-// route.Graph (not just *graph.Graph), composes with the other fault layers,
-// and recomputes the hash-based noise on the fly instead of allocating an
-// O(n) cache per episode.
+// route.Graph (not just *graph.Graph) and composes with the other fault
+// layers; like it, it recomputes the hash-based noise on the fly.
 
 func init() {
 	Register("objective-noise", func(s Spec) (Model, error) {

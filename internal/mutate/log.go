@@ -25,13 +25,10 @@ type Config struct {
 	// (dirty + added + tombstoned vertices) reaches this threshold; 0
 	// disables automatic compaction (Compact can still be called directly).
 	CompactAt int
-	// OnApply, if set, is called with each newly published overlay, under
-	// the log's lock — it must publish-and-return, not call back into the
-	// Log.
-	OnApply func(ov *graph.Overlay)
 	// OnCompact, if set, is called after a compaction commits with the new
 	// base graph, the rebuilt (tail-replayed) overlay over it, and the path
-	// of the snapshot written — again under the lock, no reentry.
+	// of the snapshot written — under the log's lock: it must
+	// publish-and-return, not call back into the Log.
 	OnCompact func(base *graph.Graph, ov *graph.Overlay, snapshot string)
 	// Logger receives replay/compaction progress; nil discards.
 	Logger *slog.Logger
@@ -345,9 +342,6 @@ func (l *Log) Apply(ops []Op) (Applied, error) {
 	l.seq++
 	l.batches++
 	l.opsApplied += uint64(len(ops))
-	if l.cfg.OnApply != nil {
-		l.cfg.OnApply(l.ov)
-	}
 	if l.cfg.CompactAt > 0 && l.ov.DeltaSize() >= l.cfg.CompactAt && l.compacting.CompareAndSwap(false, true) {
 		l.wg.Add(1)
 		go func() {

@@ -178,9 +178,6 @@ func (l *Log) Import(seg Segment) (applied int, err error) {
 		l.batches++
 		l.opsApplied += uint64(len(ops))
 		applied++
-		if l.cfg.OnApply != nil {
-			l.cfg.OnApply(l.ov)
-		}
 	}
 	return applied, nil
 }

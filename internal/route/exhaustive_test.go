@@ -181,23 +181,28 @@ func TestHistoryPatchMoveAccounting(t *testing.T) {
 
 // TestHistoryKeepsNoPerVertexState: history's memory travels in the message
 // (TestHistoryProgramStateless of the deleted internal/dist). What an episode
-// allocates must therefore not grow with the graph around it, where Phi-DFS —
-// whose per-vertex fields are the paper's node memory — pays for every vertex.
+// allocates must therefore not grow with the graph around it — and since the
+// Scratch keeps every protocol's vertex slots, neither does Phi-DFS's node
+// memory once the caller's Scratch has grown. The control routes Phi-DFS on
+// a fresh Scratch per episode, which pays for every vertex.
 func TestHistoryKeepsNoPerVertexState(t *testing.T) {
 	const pad = 100000
-	bytesPerEpisode := func(p Protocol, n int) uint64 {
+	bytesPerEpisode := func(p Protocol, n int, fresh bool) uint64 {
 		// The star with a tail of TestHistoryPatchMoveAccounting, among
 		// n-6 isolated vertices.
 		g := newTestGraph(n, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {4, 5}})
 		obj := scoreObjective(append([]float64{1, 5, 4, 3, 2, 0}, make([]float64, n-6)...), 5)
-		var sc Scratch
+		sc := new(Scratch)
 		var out Result
-		p.RouteInto(g, obj, 0, &sc, &out) // grow the caller's buffers
+		p.RouteInto(g, obj, 0, sc, &out) // grow the caller's buffers
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const episodes = 8
 		for i := 0; i < episodes; i++ {
-			if p.RouteInto(g, obj, 0, &sc, &out); !out.Success || out.Unique != 6 {
+			if fresh {
+				sc = new(Scratch)
+			}
+			if p.RouteInto(g, obj, 0, sc, &out); !out.Success || out.Unique != 6 {
 				t.Fatalf("%s: %+v", p.Name(), out)
 			}
 		}
@@ -206,11 +211,13 @@ func TestHistoryKeepsNoPerVertexState(t *testing.T) {
 	}
 	// Under a bit per added vertex: the runtime's own allocations put a few
 	// hundred bytes of noise on the reading.
-	if small, big := bytesPerEpisode(HistoryPatch{}, 6), bytesPerEpisode(HistoryPatch{}, 6+pad); big > small+pad/8 {
-		t.Fatalf("history allocates %d bytes an episode on 6 vertices and %d among %d more: state per vertex", small, big, pad)
+	for _, p := range []Protocol{HistoryPatch{}, PhiDFS{}} {
+		if small, big := bytesPerEpisode(p, 6, false), bytesPerEpisode(p, 6+pad, false); big > small+pad/8 {
+			t.Fatalf("%s allocates %d bytes an episode on 6 vertices and %d among %d more: state per vertex", p.Name(), small, big, pad)
+		}
 	}
-	if small, big := bytesPerEpisode(PhiDFS{}, 6), bytesPerEpisode(PhiDFS{}, 6+pad); big < small+8*pad {
-		t.Fatalf("control: Phi-DFS allocates %d and %d bytes an episode; the measure does not see node memory", small, big)
+	if small, big := bytesPerEpisode(PhiDFS{}, 6, true), bytesPerEpisode(PhiDFS{}, 6+pad, true); big < small+8*pad {
+		t.Fatalf("control: Phi-DFS on a fresh Scratch allocates %d and %d bytes an episode; the measure does not see node memory", small, big)
 	}
 }
 

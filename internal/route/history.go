@@ -1,8 +1,8 @@
 package route
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 )
 
 // HistoryPatch is the first patching example of Section 5: the message
@@ -31,50 +31,68 @@ func init() { Register(HistoryPatch{}) }
 // frontierEdge is a candidate unexplored edge (from a visited vertex to an
 // unvisited neighbor), ordered by the neighbor's objective.
 type frontierEdge struct {
-	score float64
-	to    int
-	from  int
+	score    float64
+	to, from int
 }
 
+// frontierHeap is a max-heap of frontier edges: container/heap's sift steps
+// written out (edges of equal priority leave in the same order) without
+// boxing every edge into an interface.
 type frontierHeap []frontierEdge
 
-func (h frontierHeap) Len() int { return len(h) }
-func (h frontierHeap) Less(i, j int) bool {
+func (h frontierHeap) less(i, j int) bool {
 	if h[i].score != h[j].score {
 		return h[i].score > h[j].score
 	}
 	return h[i].to < h[j].to
 }
-func (h frontierHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *frontierHeap) Push(x interface{}) { *h = append(*h, x.(frontierEdge)) }
-func (h *frontierHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *frontierHeap) push(e frontierEdge) {
+	q := append(*h, e)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *frontierHeap) pop() frontierEdge {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; 2*i+1 < n; {
+		j := 2*i + 1 // the child that leaves first
+		if j+1 < n && q.less(j+1, j) {
+			j++
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // RouteInto runs the history-patched protocol from s toward obj.Target into
-// out, reusing out's Path backing array and sc's unique-count marks. The protocol's own exploration state (visited set,
-// frontier heap) is still allocated per episode — history carries
-// per-episode message state by design; only greedy is the zero-alloc path.
-func (a HistoryPatch) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
-	maxMoves := a.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 64*g.N() + 256
-	}
-	out.reset(s)
-	res := out
-	visited := map[int]bool{}
-	frontier := &frontierHeap{}
+// res, keeping the message's history — the visited set, the frontier heap,
+// the walk back to it — in sc (a nil sc routes on a fresh one).
+func (a HistoryPatch) RouteInto(g Graph, obj Objective, s int, sc *Scratch, res *Result) {
+	sc, maxMoves := startPatch(g, s, a.MaxMoves, sc, res)
+	visited := &sc.vert
+	sc.frontier = sc.frontier[:0]
 
 	visit := func(v int) {
-		visited[v] = true
+		visited.set(v)
 		for _, u32 := range g.Neighbors(v) {
 			u := int(u32)
-			if !visited[u] {
-				heap.Push(frontier, frontierEdge{score: obj.Score(u), to: u, from: v})
+			if !visited.has(u) {
+				sc.frontier.push(frontierEdge{score: obj.Score(u), to: u, from: v})
 			}
 		}
 	}
@@ -92,31 +110,26 @@ func (a HistoryPatch) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out 
 		if u := BestNeighbor(g, obj, pos); u >= 0 && better(obj.Score(u), obj.Score(pos), u, pos) {
 			res.step(u)
 			pos = u
-			if !visited[u] {
+			if !visited.has(u) {
 				visit(u)
 			}
 			continue
 		}
 		// Local optimum: take the globally best unexplored edge.
-		var next frontierEdge
-		found := false
-		for frontier.Len() > 0 {
-			e := heap.Pop(frontier).(frontierEdge)
-			if !visited[e.to] {
-				next, found = e, true
-				break
+		next := frontierEdge{to: -1}
+		for len(sc.frontier) > 0 && next.to < 0 {
+			if e := sc.frontier.pop(); !visited.has(e.to) {
+				next = e
 			}
 		}
-		if !found {
+		if next.to < 0 {
 			res.Stuck = pos
 			res.finalize(sc, g.N()) // component exhausted
 			return
 		}
 		// Walk within the visited subgraph from pos to next.from, then
 		// across the unexplored edge.
-		for _, v := range walkVisited(g, visited, pos, next.from) {
-			res.step(v)
-		}
+		walkVisited(g, sc, pos, next.from, res)
 		res.step(next.to)
 		pos = next.to
 		visit(pos)
@@ -125,46 +138,40 @@ func (a HistoryPatch) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out 
 	res.finalize(sc, g.N())
 }
 
-// walkVisited returns the vertices after `from` on a shortest path from
-// `from` to `to` inside the visited set (empty if from == to). Both
-// endpoints must be visited.
-func walkVisited(g Graph, visited map[int]bool, from, to int) []int {
+// walkVisited steps res along a shortest path from `from` to `to` inside
+// the visited set, by a BFS under its own walk epoch. Both endpoints must be
+// visited.
+func walkVisited(g Graph, sc *Scratch, from, to int, res *Result) {
 	if from == to {
-		return nil
+		return
 	}
-	prev := map[int]int{from: from}
-	queue := []int{from}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v == to {
-			break
-		}
-		for _, u32 := range g.Neighbors(v) {
-			u := int(u32)
-			if !visited[u] {
-				continue
-			}
-			if _, seen := prev[u]; !seen {
-				prev[u] = v
+	reached := &sc.walk
+	reached.begin(g.N())
+	reached.set(from)
+	sc.prev = grow(sc.prev, g.N())
+	queue := append(sc.queue[:0], int32(from))
+	for head := 0; head < len(queue) && int(queue[head]) != to; head++ {
+		v := queue[head]
+		for _, u := range g.Neighbors(int(v)) {
+			if sc.vert.has(int(u)) && !reached.has(int(u)) {
+				reached.set(int(u))
+				sc.prev[u] = v
 				queue = append(queue, u)
 			}
 		}
 	}
-	if _, ok := prev[to]; !ok {
+	sc.queue = queue
+	if !reached.has(to) {
 		// The visited set is connected by construction, so this cannot
-		// happen; return a direct hop as a defensive fallback.
-		return []int{to}
+		// happen; take a direct hop as a defensive fallback.
+		res.step(to)
+		return
 	}
-	var rev []int
-	for v := to; v != from; v = prev[v] {
-		rev = append(rev, v)
+	end := len(res.Path)
+	for v := to; v != from; v = int(sc.prev[v]) {
+		res.step(v)
 	}
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
+	slices.Reverse(res.Path[end:]) // stepped from to back to from
 }
 
 // GravityPressure is the gravity-pressure patching heuristic of
@@ -185,16 +192,12 @@ func (GravityPressure) Name() string { return "gravity-pressure" }
 
 func init() { Register(GravityPressure{}) }
 
-// RouteInto runs gravity-pressure from s toward obj.Target into out, reusing
-// out's Path backing array and sc's unique-count marks (the per-episode visit counts stay a map).
-func (a GravityPressure) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
-	maxMoves := a.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 64*g.N() + 256
-	}
-	out.reset(s)
-	res := out
-	visits := map[int]int{s: 1}
+// RouteInto runs gravity-pressure from s toward obj.Target into res, keeping
+// the visit counts in sc (a nil sc routes on a fresh one).
+func (a GravityPressure) RouteInto(g Graph, obj Objective, s int, sc *Scratch, res *Result) {
+	sc, maxMoves := startPatch(g, s, a.MaxMoves, sc, res)
+	sc.visits = grow(sc.visits, g.N())
+	*slot(sc, sc.visits, s, 0)++
 	pos := s
 	pressure := false
 	stuckScore := math.Inf(-1)
@@ -223,14 +226,14 @@ func (a GravityPressure) RouteInto(g Graph, obj Objective, s int, sc *Scratch, o
 				continue
 			}
 		} else {
-			next = leastVisitedNeighbor(g, obj, visits, pos)
+			next = leastVisitedNeighbor(g, obj, sc, pos)
 			if next < 0 {
 				res.Stuck = pos
 				res.finalize(sc, g.N())
 				return
 			}
 		}
-		visits[next]++
+		*slot(sc, sc.visits, next, 0)++
 		res.step(next)
 		pos = next
 	}
@@ -240,13 +243,13 @@ func (a GravityPressure) RouteInto(g Graph, obj Objective, s int, sc *Scratch, o
 
 // leastVisitedNeighbor returns pos's neighbor with the fewest visits,
 // breaking ties by objective then id; -1 if pos is isolated.
-func leastVisitedNeighbor(g Graph, obj Objective, visits map[int]int, pos int) int {
+func leastVisitedNeighbor(g Graph, obj Objective, sc *Scratch, pos int) int {
 	best := -1
 	bestVisits := 0
 	var bestScore float64
 	for _, u32 := range g.Neighbors(pos) {
 		u := int(u32)
-		vc := visits[u]
+		vc := *slot(sc, sc.visits, u, 0)
 		if best == -1 || vc < bestVisits ||
 			(vc == bestVisits && better(obj.Score(u), bestScore, u, best)) {
 			best, bestVisits, bestScore = u, vc, obj.Score(u)

@@ -312,21 +312,22 @@ func TestGreedyRouterRouteIntoZeroAllocOnCustomObjective(t *testing.T) {
 	}
 }
 
-// TestScratchEpochWraparound forces the uint32 visited-marks epoch to wrap
-// and checks the marks stay sound (stale marks from epoch 2^32-1 must not
-// leak into the fresh epoch).
+// TestScratchEpochWraparound forces the uint32 epoch of the Scratch's
+// vertex stamps to wrap and checks the stamps stay sound (stale stamps from
+// epoch 2^32-1 must not leak into the fresh epoch).
 func TestScratchEpochWraparound(t *testing.T) {
 	var sc Scratch
-	sc.beginSeen(4)
-	sc.seen[2] = sc.seenEpoch // a valid mark in the current epoch
-	sc.seenEpoch = math.MaxUint32
-	sc.beginSeen(4)
-	if sc.seenEpoch == 0 {
-		t.Fatal("seen epoch 0 would validate zeroed marks")
+	m := &sc.vert
+	m.begin(4)
+	m.set(2) // a valid stamp in the current epoch
+	m.epoch = math.MaxUint32
+	m.begin(4)
+	if m.epoch == 0 {
+		t.Fatal("epoch 0 would validate zeroed stamps")
 	}
-	for v, st := range sc.seen {
-		if st == sc.seenEpoch {
-			t.Fatalf("stale mark for vertex %d survived wraparound", v)
+	for v := range m.stamp {
+		if m.has(v) {
+			t.Fatalf("stale stamp for vertex %d survived wraparound", v)
 		}
 	}
 }

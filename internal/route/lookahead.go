@@ -18,12 +18,9 @@ type LookaheadGreedy struct{}
 // Name returns "greedy+lookahead".
 func (LookaheadGreedy) Name() string { return "greedy+lookahead" }
 
-// RouteInto runs greedy routing under the lookahead-wrapped objective. The
-// lookahead score cache is built per episode (it memoizes the wrapped
-// objective, which changes with the target), so this reuses the Result but
-// is not zero-alloc.
-func (LookaheadGreedy) RouteInto(g Graph, obj Objective, s int, _ *Scratch, out *Result) {
-	greedyInto(g, NewLookahead(g, obj), s, out)
+// RouteInto runs greedy routing under the lookahead objective, memoized in sc.
+func (LookaheadGreedy) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
+	greedyInto(g, lookahead(g, obj, sc.begin(g.N())), s, out)
 }
 
 func init() { Register(LookaheadGreedy{}) }
@@ -41,7 +38,14 @@ func init() { Register(LookaheadGreedy{}) }
 // whose score remains +Inf). This still only uses information about direct
 // neighbors — two hops of it travel with the scores.
 func NewLookahead(g Graph, inner Objective) Objective {
-	cache := newScoreCache(g.N())
+	return lookahead(g, inner, new(Scratch).begin(g.N()))
+}
+
+// lookahead is NewLookahead memoizing psi in the slots of sc, an episode
+// just begun: under a fault view whose adjacency changes per query
+// (edge-drop), a vertex keeps the psi of its first scan.
+func lookahead(g Graph, inner Objective, sc *Scratch) Objective {
+	sc.memo = grow(sc.memo, g.N())
 	phi := func(v int) float64 {
 		if v == inner.Target {
 			return lookaheadTargetScore
@@ -52,8 +56,9 @@ func NewLookahead(g Graph, inner Objective) Objective {
 		if v == inner.Target {
 			return math.Inf(1)
 		}
-		if s, ok := cache.get(v); ok {
-			return s
+		memo := slot(sc, sc.memo, v, math.NaN())
+		if !math.IsNaN(*memo) {
+			return *memo
 		}
 		best := phi(v)
 		for _, u := range g.Neighbors(v) {
@@ -61,7 +66,7 @@ func NewLookahead(g Graph, inner Objective) Objective {
 				best = s
 			}
 		}
-		cache.put(v, best)
+		*memo = best
 		return best
 	}
 	return Objective{Target: inner.Target, Score: score}

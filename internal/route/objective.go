@@ -80,15 +80,13 @@ func NewGeometric(g GeoGraph, t int) Objective {
 // M_v = min{w_v, score(v)^-1} and delta_v drawn once per vertex uniformly
 // from [-eps, +eps] (deterministically from seed). With eps -> 0 this is
 // the o(1)-exponent relaxation the theorem allows; larger eps stress-tests
-// beyond it. The target remains the unique maximum.
+// beyond it. The target remains the unique maximum. Like NewStandard it
+// scores on demand, not memoized: the noise is a pure function of (seed, v),
+// so setup stays O(1) however few vertices an episode scores.
 func NewRelaxed(inner Objective, g GeoGraph, eps float64, seed uint64) Objective {
-	cache := newScoreCache(g.N())
 	score := func(v int) float64 {
 		if v == inner.Target {
 			return math.Inf(1)
-		}
-		if s, ok := cache.get(v); ok {
-			return s
 		}
 		phi := inner.Score(v)
 		m := g.Weight(v)
@@ -99,9 +97,7 @@ func NewRelaxed(inner Objective, g GeoGraph, eps float64, seed uint64) Objective
 			m = 1 // noise exponent is only meaningful on the >= 1 scale
 		}
 		delta := (2*hashFloat(seed, uint64(v)) - 1) * eps
-		s := phi * math.Pow(m, delta)
-		cache.put(v, s)
-		return s
+		return phi * math.Pow(m, delta)
 	}
 	return Objective{Target: inner.Target, Score: score}
 }
@@ -116,26 +112,6 @@ func hashFloat(seed, v uint64) float64 {
 	x ^= x >> 31
 	return float64(x>>11) * 0x1p-53
 }
-
-// scoreCache memoizes per-vertex scores; NaN marks "unset".
-type scoreCache struct {
-	vals []float64
-}
-
-func newScoreCache(n int) *scoreCache {
-	c := &scoreCache{vals: make([]float64, n)}
-	for i := range c.vals {
-		c.vals[i] = math.NaN()
-	}
-	return c
-}
-
-func (c *scoreCache) get(v int) (float64, bool) {
-	s := c.vals[v]
-	return s, !math.IsNaN(s)
-}
-
-func (c *scoreCache) put(v int, s float64) { c.vals[v] = s }
 
 // better reports whether vertex a strictly beats vertex b under the given
 // scores, breaking exact ties by vertex id so every protocol has a total

@@ -13,11 +13,11 @@ import (
 // finding the target it is discarded and the paused outer DFS resumes.
 //
 // Per-vertex state (the paper's v.Phi, v.parent, v.started_new_dfs,
-// v.previous_Phi) lives in flat arrays indexed by vertex; message state is
-// the triple (best_seen_objective, Phi, last_visited_vertex). The recursion
-// of the pseudocode is unrolled into an explicit action loop so the
-// constant-memory claim stays visible: each loop iteration is one EXPLORE or
-// BACKTRACK_TO call.
+// v.previous_Phi) lives in the Scratch, one dfsVertex per vertex the message
+// reached; message state is the triple (best_seen_objective, Phi,
+// last_visited_vertex). The recursion of the pseudocode is unrolled into an
+// explicit action loop so the constant-memory claim stays visible: each loop
+// iteration is one EXPLORE or BACKTRACK_TO call.
 type PhiDFS struct {
 	// MaxMoves caps the number of message transmissions; 0 means the
 	// default of 64*n + 256. The cap only guards against pathological
@@ -37,35 +37,27 @@ const (
 	actBacktrack
 )
 
-// RouteInto runs Algorithm 2 from s toward obj.Target into out, reusing
-// out's Path backing array and sc's unique-count marks. The per-vertex DFS state arrays are still allocated
-// per episode — they are the protocol's distributed per-vertex memory, not
-// scratch the caller owns.
-func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Result) {
-	n := g.N()
-	maxMoves := a.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = 64*n + 256
-	}
+// dfsVertex is one vertex's memory in Algorithm 2. phi starts NaN, which
+// compares unequal to everything: "not visited in the current Phi-DFS".
+type dfsVertex struct {
+	phi, prevPhi float64
+	parent       int32
+	started      bool
+}
 
-	// Per-vertex state. vPhi is NaN while the vertex has never been
-	// visited; NaN compares unequal to everything, which is exactly the
-	// "not visited in the current Phi-DFS" semantics the pseudocode needs.
-	vPhi := make([]float64, n)
-	for i := range vPhi {
-		vPhi[i] = math.NaN()
-	}
-	parent := make([]int32, n)
-	started := make([]bool, n)
-	prevPhi := make([]float64, n)
+// RouteInto runs Algorithm 2 from s toward obj.Target into res, keeping every
+// vertex's memory in sc (a nil sc routes on a fresh one).
+func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, res *Result) {
+	n := g.N()
+	sc, maxMoves := startPatch(g, s, a.MaxMoves, sc, res)
+	sc.dfs = grow(sc.dfs, n)
+	unvisited := dfsVertex{phi: math.NaN()}
 
 	// Message state (ROUTING lines 2-5).
 	mBest := math.Inf(-1)
 	mPhi := math.Inf(-1)
 	mLast := s
 
-	out.reset(s)
-	res := out
 	pos := s // current message position
 
 	// moveTo performs one message transmission, maintaining
@@ -92,7 +84,8 @@ func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Resul
 				return
 			}
 			// Line 8: already visited in the current Phi-DFS?
-			if vPhi[v] == mPhi {
+			vx := slot(sc, sc.dfs, v, unvisited)
+			if vx.phi == mPhi {
 				kind, cur = actBacktrack, mLast
 				continue
 			}
@@ -101,14 +94,14 @@ func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Resul
 			if phiV := obj.Score(v); phiV > mBest {
 				mBest = phiV
 				if best >= 0 && obj.Score(best) >= phiV {
-					started[v] = true
-					prevPhi[v] = mPhi
+					vx.started = true
+					vx.prevPhi = mPhi
 					mPhi = phiV
 				}
 			}
 			// Line 13: INIT_VERTEX.
-			vPhi[v] = mPhi
-			parent[v] = int32(mLast)
+			vx.phi = mPhi
+			vx.parent = int32(mLast)
 			// Lines 14-17: go to the best neighbor if one clears Phi.
 			if best >= 0 && obj.Score(best) >= mPhi {
 				kind, cur = actExplore, best
@@ -123,12 +116,13 @@ func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Resul
 			// Phi-DFS — best objective strictly below the child we just
 			// finished (the cursor phi(m.last_visited_vertex)), at least
 			// Phi, excluding the parent.
+			vx := slot(sc, sc.dfs, v, unvisited)
 			cursor := obj.Score(mLast)
-			if u := nextChild(g, obj, v, int(parent[v]), mPhi, cursor); u >= 0 {
+			if u := nextChild(g, obj, v, int(vx.parent), mPhi, cursor); u >= 0 {
 				kind, cur = actExplore, u
 				continue
 			}
-			if started[v] {
+			if vx.started {
 				// Lines 24-27: the Phi-DFS rooted at v failed; resume the
 				// previous DFS in the state where we left it, coming from
 				// v.parent. Deviation from the literal pseudocode: re-entering
@@ -140,30 +134,30 @@ func (a PhiDFS) RouteInto(g Graph, obj Objective, s int, sc *Scratch, out *Resul
 				// v's children from the top, which matches the paper's stated
 				// intent that vertices of the failed inner DFS are treated as
 				// unvisited by the resumed DFS.
-				started[v] = false
-				mPhi = prevPhi[v]
-				vPhi[v] = prevPhi[v]
-				mLast = int(parent[v])
+				vx.started = false
+				mPhi = vx.prevPhi
+				vx.phi = vx.prevPhi
+				mLast = int(vx.parent)
 				if u := BestNeighbor(g, obj, v); u >= 0 && obj.Score(u) >= mPhi {
 					kind, cur = actExplore, u
 					continue
 				}
-				if int(parent[v]) == v {
+				if int(vx.parent) == v {
 					res.Stuck = v
 					res.finalize(sc, n)
 					return
 				}
-				kind, cur = actBacktrack, int(parent[v])
+				kind, cur = actBacktrack, int(vx.parent)
 				continue
 			}
-			if int(parent[v]) == v {
+			if int(vx.parent) == v {
 				// The bottom-level DFS exhausted the component of s
 				// without finding the target.
 				res.Stuck = v
 				res.finalize(sc, n)
 				return
 			}
-			kind, cur = actBacktrack, int(parent[v])
+			kind, cur = actBacktrack, int(vx.parent)
 		}
 	}
 	res.Truncated = true

@@ -2,18 +2,15 @@ package route
 
 import (
 	"fmt"
-	"maps"
-	"slices"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/registry"
 )
 
 // Protocol is a pluggable routing protocol: one algorithm that moves a
 // message from a source toward an objective's target. Implementations must
-// be stateless values (any per-episode state lives inside RouteInto) so a
-// single Protocol can serve concurrent episodes. The built-in protocols
+// be stateless values (per-episode state lives in the Scratch or inside
+// RouteInto) so a single Protocol can serve concurrent episodes. The built-in protocols
 // register themselves at init time; external protocols join the same registry
 // through Register and are then addressable by name everywhere a protocol
 // name is accepted (core.MilgramConfig, cmd/route -proto, ...).
@@ -39,48 +36,19 @@ func Route(p Protocol, g Graph, obj Objective, s int) Result {
 	return res
 }
 
-// The protocol registry. Built-ins self-register from their files' init
-// functions, so it is published before any importer reads it; Register is
-// also the extension point for new protocols. Every episode looks its
-// protocol up, so readers take no lock: Register publishes each new state
-// copy-on-write, and regMu serializes writers only.
-var (
-	regMu sync.Mutex
-	reg   atomic.Pointer[registry]
-)
-
-// registry is one published state of the registry, never modified once
-// stored: the protocols by name, and their names in registration order.
-type registry struct {
-	byName map[string]Protocol
-	order  []string
-}
+// protocols is the protocol registry. Built-ins self-register from their
+// files' init functions, so it is complete before any importer reads it;
+// Register is also the extension point for new protocols.
+var protocols = registry.Registry[Protocol]{Pkg: "route", Noun: "protocol"}
 
 // Register adds a protocol to the registry. It panics on an empty name or a
 // duplicate registration — both are programming errors caught at init time.
-func Register(p Protocol) {
-	name := p.Name()
-	if name == "" {
-		panic("route: Register with empty protocol name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	old := reg.Load()
-	if old == nil {
-		old = &registry{byName: map[string]Protocol{}}
-	}
-	if _, dup := old.byName[name]; dup {
-		panic("route: duplicate protocol registration " + name)
-	}
-	next := &registry{byName: maps.Clone(old.byName), order: append(slices.Clip(old.order), name)}
-	next.byName[name] = p
-	reg.Store(next)
-}
+func Register(p Protocol) { protocols.Add(p.Name(), p) }
 
 // Lookup resolves a protocol by its registered name. The error for an
 // unknown name lists every registered protocol.
 func Lookup(name string) (Protocol, error) {
-	if p, ok := reg.Load().byName[name]; ok {
+	if p, ok := protocols.Get(name); ok {
 		return p, nil
 	}
 	return nil, fmt.Errorf("route: unknown protocol %q (registered: %s)",
@@ -89,17 +57,11 @@ func Lookup(name string) (Protocol, error) {
 
 // Registered returns the names of all registered protocols in registration
 // order (built-ins first, then external registrations).
-func Registered() []string {
-	return append([]string{}, reg.Load().order...)
-}
+func Registered() []string { return protocols.Names() }
 
 // RegisteredSorted returns the registered names in lexicographic order, for
 // stable display in error messages and CLIs.
-func RegisteredSorted() []string {
-	names := Registered()
-	sort.Strings(names)
-	return names
-}
+func RegisteredSorted() []string { return protocols.Sorted() }
 
 // MoveEvent is one step of a routing trajectory as seen by an Observer: the
 // message sits on vertex V, whose model weight is W and whose objective

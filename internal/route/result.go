@@ -93,10 +93,17 @@ func (r *Result) step(v int) {
 }
 
 // finalize classifies the finished episode and counts its distinct vertices
-// (allocation-free when a Scratch is supplied). n is the vertex count of the
-// routed graph, sizing the scratch marks.
+// on sc's vertex stamps (the episode's own slots are dead by then). n is the
+// vertex count of the routed graph.
 func (r *Result) finalize(sc *Scratch, n int) {
-	r.Unique = uniqueCount(r.Path, sc, n)
+	sc.vert.begin(n)
+	r.Unique = 0
+	for _, v := range r.Path {
+		if !sc.vert.has(v) {
+			sc.vert.set(v)
+			r.Unique++
+		}
+	}
 	r.classify()
 }
 

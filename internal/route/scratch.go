@@ -1,55 +1,86 @@
 package route
 
-// Scratch is the reusable per-worker state of Protocol.RouteInto: the
-// buffers an interface-path episode needs that would otherwise be allocated
-// fresh per call. One Scratch serves one goroutine at a time; engines keep
-// one per worker (core.RunMilgram) or pool them per request (internal/serve)
-// and thread the same value through every episode that worker runs. The CSR
-// fast path takes one for the same call shape and leaves it alone: GreedyCSR
-// keeps no state between episodes.
+// Scratch is the reusable per-worker state of Protocol.RouteInto, where every
+// built-in protocol keeps its episode's vertex state. One Scratch serves one
+// goroutine at a time; engines keep one per worker (core.RunMilgram) or pool
+// them per request (internal/serve), so their episodes allocate nothing for
+// that state. GreedyCSR takes one for the same call shape and leaves it alone.
 //
-// The zero value is ready to use: buffers grow on first use and are retained
-// across episodes. A Scratch never shrinks; sizing is bounded by the largest
-// graph it has routed on.
+// Every per-vertex slot obeys one epoch-stamp rule (stamps): v's slot is
+// valid only while its stamp equals the current epoch, so an episode resets
+// them all with one increment instead of an O(n) refill. The zero value is
+// ready to use; buffers grow to the largest graph routed and never shrink.
 type Scratch struct {
-	// seen/seenEpoch marks visited vertices (unique-count): seen[v] is set
-	// iff it equals seenEpoch, so clearing every mark between episodes is
-	// one increment instead of an O(n) refill.
-	seen      []uint32
-	seenEpoch uint32
+	// vert stamps the slots of the episode's protocol — history's visited
+	// set, dfs, memo or visits — and then the unique count's marks.
+	vert   stamps
+	dfs    []dfsVertex // Φ-DFS's per-vertex memory
+	memo   []float64   // lookahead's psi, NaN until scored
+	visits []int       // gravity-pressure's visit counts
+	// history's unexplored-edge heap, and its BFS back to the frontier
+	// (one walk epoch per BFS).
+	frontier frontierHeap
+	walk     stamps
+	prev     []int32
+	queue    []int32
 }
 
-// beginSeen readies the visited-marks buffer for a graph on n vertices.
-func (sc *Scratch) beginSeen(n int) {
-	if len(sc.seen) < n {
-		sc.seen = make([]uint32, n)
-		sc.seenEpoch = 0
+// stamps is the epoch-stamp rule: slot v is set iff stamp[v] == epoch.
+type stamps struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// begin clears every slot for n vertices: one increment (a real clear once
+// every 2^32 begins).
+func (m *stamps) begin(n int) {
+	if len(m.stamp) < n {
+		m.stamp = make([]uint32, n)
+		m.epoch = 0
 	}
-	sc.seenEpoch++
-	if sc.seenEpoch == 0 {
-		clear(sc.seen)
-		sc.seenEpoch = 1
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.stamp)
+		m.epoch = 1
 	}
 }
 
-// uniqueCount returns the number of distinct vertices in path. With a
-// Scratch it runs allocation-free over the epoch-stamped marks; without one
-// it falls back to a throwaway map (the package-level Route).
-func uniqueCount(path []int, sc *Scratch, n int) int {
+func (m *stamps) has(v int) bool { return m.stamp[v] == m.epoch }
+func (m *stamps) set(v int)      { m.stamp[v] = m.epoch }
+
+// begin clears the vertex stamps of sc (a fresh Scratch when nil) for n.
+func (sc *Scratch) begin(n int) *Scratch {
 	if sc == nil {
-		seen := make(map[int]struct{}, len(path))
-		for _, v := range path {
-			seen[v] = struct{}{}
-		}
-		return len(seen)
+		sc = new(Scratch)
 	}
-	sc.beginSeen(n)
-	unique := 0
-	for _, v := range path {
-		if sc.seen[v] != sc.seenEpoch {
-			sc.seen[v] = sc.seenEpoch
-			unique++
-		}
+	sc.vert.begin(n)
+	return sc
+}
+
+// startPatch starts a patching protocol's episode from s on g: res reset to
+// s, sc begun, and the move cap, maxMoves or 64n + 256 when 0.
+func startPatch(g Graph, s, maxMoves int, sc *Scratch, res *Result) (*Scratch, int) {
+	res.reset(s)
+	if maxMoves == 0 {
+		maxMoves = 64*g.N() + 256
 	}
-	return unique
+	return sc.begin(g.N()), maxMoves
+}
+
+// slot returns v's slot of vals, set to init the first time the episode
+// touches v.
+func slot[T any](sc *Scratch, vals []T, v int, init T) *T {
+	if !sc.vert.has(v) {
+		sc.vert.set(v)
+		vals[v] = init
+	}
+	return &vals[v]
+}
+
+// grow returns s with at least n elements; stamps mask stale contents.
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		return make([]T, n)
+	}
+	return s
 }

@@ -217,14 +217,8 @@ func (s *scorer) bestUnit2(run []int32, best int, bestScore float64) (int, float
 // tombstoned vertex reads an empty adjacency and an added one (v >= g.N())
 // reads its delta alone; a non-nil owned stops the walk the moment it steps
 // onto a vertex with owned[v] false. Overlay and ownership each cost one
-// nil check per hop, nothing per neighbor.
-//
-// exit >= 0 is that non-owned vertex (never t — arriving at the target is
-// delivery wherever it lives): out holds the segment so far, Path ending at
-// exit, deliberately unclassified (Success false, Failure FailNone, which no
-// terminal episode ever is) because the episode is not over. exit == -1 is
-// a terminal episode: delivered, dead-end, or a budget cut (FailDeadline
-// with the path reset to s).
+// nil check per hop, nothing per neighbor. exit and out read as
+// GreedyCSRPartial's return values say.
 func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budget, out *Result) (exit int) {
 	out.reset(s)
 	offsets, adj := g.CSR()

@@ -38,7 +38,8 @@ type RouteRequest struct {
 	// IncludePath asks for the full vertex path in the response (off by
 	// default: paths on poly-log graphs are short, but dashboards polling
 	// success rates don't want them).
-	IncludePath bool `json:"include_path,omitempty"`
+	IncludePath bool           `json:"include_path,omitempty"`
+	models      []faults.Model // built from Faults once, at validation
 }
 
 // RouteResponse is the body of a completed /route query (HTTP 200 or a

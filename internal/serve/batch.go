@@ -108,15 +108,12 @@ func (s *Server) routeOne(ctx context.Context, a admission, i int, q RouteReques
 			break
 		}
 		var plan *faults.Plan
-		if len(q.Faults) > 0 {
-			// The plan seed is fault_seed (0: the item key), salted per
-			// attempt: transient fault draws and seeded crash sets
-			// (crash-uniform) re-roll on retry, which is what makes
-			// crashed-target retryable under such a plan.
-			plan, epErr = faults.NewPlan(xrand.Hash64(cmp.Or(q.FaultSeed, key), uint64(attempt)), q.Faults...)
-			if epErr != nil {
-				break
-			}
+		if len(q.models) > 0 {
+			// The models validation built, seeded by fault_seed (0: the item
+			// key) salted per attempt: transient fault draws and seeded
+			// crash sets (crash-uniform) re-roll on retry, which is what
+			// makes crashed-target retryable under such a plan.
+			plan = &faults.Plan{Seed: xrand.Hash64(cmp.Or(q.FaultSeed, key), uint64(attempt)), Models: q.models}
 		}
 		epCfg := core.EpisodeConfig{
 			Protocol: core.Protocol(protoName),
@@ -244,19 +241,21 @@ func (s *Server) engineRoute(nw *core.Network, cfg core.EpisodeConfig, sc *route
 
 // validateItem is the one validation of a routing query against the resolved
 // network: POST /route runs it before the request takes a worker slot, POST
-// /route/batch on each item once the batch holds one. A non-zero status
-// rejects the query with the message.
-func validateItem(nw *core.Network, protoName string, s, t int, specs []faults.Spec) (int, string) {
+// /route/batch on each item once the batch holds one. It builds the query's
+// fault models, once for all its attempts; a non-zero status rejects the
+// query with the message.
+func validateItem(nw *core.Network, protoName string, s, t int, specs []faults.Spec) ([]faults.Model, int, string) {
 	if _, err := route.Lookup(protoName); err != nil {
-		return http.StatusNotFound, err.Error()
+		return nil, http.StatusNotFound, err.Error()
 	}
 	if n := nw.LiveN(); s < 0 || s >= n || t < 0 || t >= n {
-		return http.StatusBadRequest, fmt.Sprintf("vertex pair (%d, %d) out of range (n = %d)", s, t, n)
+		return nil, http.StatusBadRequest, fmt.Sprintf("vertex pair (%d, %d) out of range (n = %d)", s, t, n)
 	}
-	if _, err := faults.NewPlan(0, specs...); err != nil {
-		return http.StatusBadRequest, err.Error()
+	plan, err := faults.NewPlan(0, specs...)
+	if err != nil {
+		return nil, http.StatusBadRequest, err.Error()
 	}
-	return 0, ""
+	return plan.Models, 0, ""
 }
 
 // routingRequest is a decoded POST /route or POST /route/batch body, as the
@@ -273,8 +272,9 @@ type routingRequest interface {
 
 func (q *RouteRequest) graphName() string { return graphOrDefault(q.Graph) }
 
-func (q *RouteRequest) check(nw *core.Network) (int, string) {
-	return validateItem(nw, core.Protocol(q.Protocol).String(), q.S, q.T, q.Faults)
+func (q *RouteRequest) check(nw *core.Network) (status int, msg string) {
+	q.models, status, msg = validateItem(nw, core.Protocol(q.Protocol).String(), q.S, q.T, q.Faults)
+	return status, msg
 }
 
 func (q *RouteRequest) logArgs() []any {
@@ -429,7 +429,8 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 				it.Status, it.Error = http.StatusServiceUnavailable, "client gone, batch abandoned"
 				continue
 			}
-			if status, msg := validateItem(a.nw, protoName, item.S, item.T, item.Faults); status != 0 {
+			models, status, msg := validateItem(a.nw, protoName, item.S, item.T, item.Faults)
+			if status != 0 {
 				it.Status, it.Error = status, msg
 				continue
 			}
@@ -439,6 +440,7 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 				Faults:      item.Faults,
 				FaultSeed:   item.FaultSeed,
 				IncludePath: item.IncludePath,
+				models:      models,
 			}, deadline, es)
 			*it = out.BatchItemResult
 			clientGone = out.clientGone

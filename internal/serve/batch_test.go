@@ -6,14 +6,18 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/girg"
 	"repro/internal/route"
 )
 
@@ -429,6 +433,59 @@ func TestRouteHandlerAllocs(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s: %.0f allocs per request, want <= %.0f", c.path, allocs, c.max)
 		}
+	}
+}
+
+// TestPhiDFSRouteBytesFlatInN: a Phi-DFS POST /route keeps the protocol's
+// per-vertex memory in the request's pooled Scratch, so it allocates about
+// the same bytes on the sparse n = 20 000 fixture as on the n = 2 000 one,
+// where four n-arrays per attempt grew tenfold. Measured as in
+// TestTracedRouteBytesFlatInN.
+func TestPhiDFSRouteBytesFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops pooled Scratches at random")
+	}
+	perRequest := func(n float64) float64 {
+		p := girg.DefaultParams(n)
+		p.FixedN = true
+		p.Lambda = 0.005
+		nw, err := core.NewGIRG(p, 5, girg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		srv.AddNetwork(DefaultGraph, nw)
+		h := srv.Handler()
+		giant := nw.Giant()
+		post := func(i int) {
+			s, tt := giant[(i*7919)%len(giant)], giant[(i*104729+13)%len(giant)]
+			body := fmt.Sprintf(`{"protocol":"phi-dfs","s":%d,"t":%d}`, s, tt)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/route", strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("route %s: status %d %s", body, rec.Code, rec.Body)
+			}
+		}
+		const requests = 64
+		for i := 0; i < requests; i++ {
+			post(i)
+		}
+		least := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < requests; i++ {
+				post(i)
+			}
+			runtime.ReadMemStats(&after)
+			least = math.Min(least, float64(after.TotalAlloc-before.TotalAlloc)/requests)
+		}
+		return least
+	}
+	small, large := perRequest(2000), perRequest(20000)
+	t.Logf("phi-dfs /route: %.0f B at n=2000, %.0f B at n=20000", small, large)
+	if large > 1.2*small {
+		t.Fatalf("a phi-dfs /route allocates %.0f B at n=2000 and %.0f B at n=20000: its state grows with n", small, large)
 	}
 }
 
