@@ -6,11 +6,13 @@
 // code, so CI can fail a build on a latency regression:
 //
 //	loadgen -self -n 20000 -rps 200 -duration 10s -max-p99-ms 250 -min-success 0.99
-//	loadgen -addr localhost:8080 -nmax 100000 -rps 500 -duration 30s -batch 16
+//	loadgen -addr localhost:8080 -rps 500 -duration 30s -batch 16
 //
 // With -self, loadgen spins up an in-process daemon (same serving stack as
 // smallworldd: admission pool, breakers, retries) on a loopback port and
 // drives that — no second process, which is how the CI perf smoke runs.
+// Query pairs are drawn from the default graph's vertex ids, read off the
+// first daemon's /readyz.
 // With -batch k, each request is a POST /route/batch of k queries sharing
 // one admission slot; the configured -rps still counts requests, so the
 // query throughput is rps×k.
@@ -18,6 +20,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -182,7 +185,6 @@ func run(args []string, out *os.File) (int, error) {
 		workers  = fs.Int("workers", 0, "-self daemon worker pool size (0 = 4)")
 		queue    = fs.Int("queue", 0, "-self daemon admission queue depth (0 = 16)")
 		timeout  = fs.Duration("timeout", 2*time.Second, "-self daemon per-request deadline")
-		nmax     = fs.Int("nmax", 0, "vertex-id upper bound for query pairs against -addr (required with -addr)")
 		rps      = fs.Float64("rps", 100, "requests per second, held open-loop")
 		duration = fs.Duration("duration", 10*time.Second, "generation window")
 		batch    = fs.Int("batch", 1, "queries per request: 1 = POST /route, k>1 = POST /route/batch of k")
@@ -215,7 +217,6 @@ func run(args []string, out *os.File) (int, error) {
 	}
 
 	base := *addr
-	verts := *nmax
 	if *self {
 		p := girg.DefaultParams(*n)
 		p.FixedN = true
@@ -263,10 +264,6 @@ func run(args []string, out *os.File) (int, error) {
 		go hs.Serve(ln)
 		defer hs.Shutdown(context.Background())
 		base = ln.Addr().String()
-		verts = g.N()
-	}
-	if verts <= 1 {
-		return 1, fmt.Errorf("-nmax must be > 1 when driving a remote daemon")
 	}
 	// Several -addr endpoints consistent-hash the queries: each (s, t) pair
 	// lands on a stable daemon, and a crashed endpoint only loses its own
@@ -274,6 +271,16 @@ func run(args []string, out *os.File) (int, error) {
 	ring := cluster.NewRing(strings.Split(base, ","))
 	if ring == nil {
 		return 1, fmt.Errorf("no usable address in %q", base)
+	}
+	client := &http.Client{Timeout: *timeout + 5*time.Second}
+	first := "http://" + strings.Split(base, ",")[0]
+	routing, err := readyGraph(client, first, serve.DefaultGraph)
+	if err != nil {
+		return 1, fmt.Errorf("query id space: %w", err)
+	}
+	verts := routing.Vertices
+	if verts <= 1 {
+		return 1, fmt.Errorf("%s serves %d vertices on graph %q, too few to route between", first, verts, serve.DefaultGraph)
 	}
 
 	// Pre-build one request body per tick: the generation loop must not
@@ -326,7 +333,6 @@ func run(args []string, out *os.File) (int, error) {
 		cnt      counters
 		wg       sync.WaitGroup
 	)
-	client := &http.Client{Timeout: *timeout + 5*time.Second}
 
 	// The mutation stream rides alongside the routing traffic: one
 	// sequential sender at its own rate against the first endpoint (the
@@ -336,10 +342,13 @@ func run(args []string, out *os.File) (int, error) {
 	mutCtx, mutCancel := context.WithCancel(context.Background())
 	defer mutCancel()
 	if *mutRPS > 0 {
-		first := "http://" + strings.Split(base, ",")[0]
-		liveN, err := fetchLiveN(client, first, *mutSlot)
+		mutable, err := readyGraph(client, first, cmp.Or(*mutSlot, serve.DefaultGraph))
 		if err != nil {
 			return 1, fmt.Errorf("mutate stream: %w", err)
+		}
+		liveN := mutable.Vertices
+		if mutable.Live != nil {
+			liveN = mutable.Live.Vertices
 		}
 		go mutator(mutCtx, client, first+"/admin/mutate", *mutSlot, xrand.New(*seed+2),
 			liveN, *mutDim, time.Duration(float64(time.Second) / *mutRPS), &mut)
@@ -554,34 +563,28 @@ type mutCounters struct {
 	sent, ok, rejected, errs atomic.Int64
 }
 
-// fetchLiveN reads the live vertex count of the mutable graph slot from
-// /readyz — the id space in-batch references must stay inside. A daemon
-// with a mutation log reports it in the live section; one without is not
-// mutable and the first batch will come back 404.
-func fetchLiveN(client *http.Client, base, slot string) (int, error) {
-	if slot == "" {
-		slot = serve.DefaultGraph
-	}
+// readyGraph reads graph slot's entry off the daemon's /readyz: its base
+// vertex count is the id space of the query pairs, and for the mutable slot
+// the live section's count is the one in-batch references must stay inside
+// (a slot without one is not mutable, and the first batch comes back 404).
+func readyGraph(client *http.Client, base, slot string) (serve.ReadyGraph, error) {
 	resp, err := client.Get(base + "/readyz")
 	if err != nil {
-		return 0, err
+		return serve.ReadyGraph{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("%s/readyz: status %d", base, resp.StatusCode)
+		return serve.ReadyGraph{}, fmt.Errorf("%s/readyz: status %d", base, resp.StatusCode)
 	}
 	var ready serve.ReadyResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
-		return 0, err
+		return serve.ReadyGraph{}, fmt.Errorf("%s/readyz: %w", base, err)
 	}
 	g, ok := ready.Graphs[slot]
 	if !ok {
-		return 0, fmt.Errorf("%s serves no graph %q", base, slot)
+		return serve.ReadyGraph{}, fmt.Errorf("%s serves no graph %q", base, slot)
 	}
-	if g.Live != nil {
-		return g.Live.Vertices, nil
-	}
-	return g.Vertices, nil
+	return g, nil
 }
 
 // mutator streams random churn batches at its own open-loop pace: joins (an

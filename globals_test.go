@@ -23,7 +23,6 @@ var allowedGlobals = map[string]string{
 	"internal/expt.e16DefaultModels": "read-only table: E16's default fault models",
 	"internal/core.reportOrder":      "read-only table: protocol reporting order",
 	"internal/plot.palette":          "read-only table: figure colours",
-	"internal/serve.episodePool":     "sync.Pool of scratch buffers: holds no state between requests",
 	"internal/serve.failureClasses":  "read-only table: each routing outcome's status, exit code and retry rule",
 }
 

@@ -15,8 +15,8 @@ func routableIDs(m *Membership) map[string]bool {
 }
 
 // TestFlapNotMarkedDown is the flapping gate: a peer that oscillates
-// alive → suspect → alive — silent past SuspectAfter but always answering
-// again before DownAfter — must never be observed down, over many flap
+// alive → suspect → alive — silent past suspectAfter but always answering
+// again before downAfter — must never be observed down, over many flap
 // cycles and for several flap cadences. Marking a flapping peer down would
 // turn every transient network hiccup into a full shard outage.
 func TestFlapNotMarkedDown(t *testing.T) {
@@ -38,7 +38,7 @@ func TestFlapNotMarkedDown(t *testing.T) {
 				clk.advance(tc.silence)
 				st := states(m)["flappy"]
 				if st == StateDown {
-					t.Fatalf("cycle %d: flapping peer marked down after %v of silence (DownAfter is 10s)",
+					t.Fatalf("cycle %d: flapping peer marked down after %v of silence (downAfter is 10s)",
 						cycle, tc.silence)
 				}
 				if tc.suspect && st != StateSuspect {
@@ -60,7 +60,7 @@ func TestFlapNotMarkedDown(t *testing.T) {
 
 // TestStrikesDoNotReviveDownPeer pins the one-way-street property of the
 // failure detector: once a peer is down — struck out by forward failures or
-// silent past DownAfter — further failure reports, indirect gossip mentions
+// silent past downAfter — further failure reports, indirect gossip mentions
 // and strike-count resets via more failures must never put it back into the
 // routable set. Only first-hand contact (ReportSuccess, Receive from the
 // peer itself, explicit Add) revives.

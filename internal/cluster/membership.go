@@ -15,11 +15,11 @@ type PeerState int
 const (
 	// StateAlive peers answered (or were introduced) recently.
 	StateAlive PeerState = iota
-	// StateSuspect peers have been silent past SuspectAfter; they are still
+	// StateSuspect peers have been silent past suspectAfter; they are still
 	// routed to — the per-peer breaker decides whether that is wise — but a
 	// suspect peer is the last choice when an alive one serves the shard.
 	StateSuspect
-	// StateDown peers were silent past DownAfter or struck out by forward
+	// StateDown peers were silent past downAfter or struck out by forward
 	// failures. They are not routed to and not gossiped onward, and only
 	// direct contact revives them.
 	StateDown
@@ -38,6 +38,18 @@ func (s PeerState) String() string {
 	return "unknown"
 }
 
+// The gossip and failure-detector constants.
+const (
+	// viewSize bounds the peers shared per gossip exchange.
+	viewSize = 16
+	// fanout is how many peers each Tick pushes to.
+	fanout = 3
+	// suspectAfter is the silence that demotes a peer to suspect.
+	suspectAfter = 3 * time.Second
+	// downAfter is the silence that demotes a peer to down.
+	downAfter = 10 * time.Second
+)
+
 // Config tunes a Membership. The zero value (plus Self) is serviceable.
 type Config struct {
 	// Self identifies the local daemon; it is prepended to every shared
@@ -46,15 +58,6 @@ type Config struct {
 	// Replica is the local daemon's replica id within its shard (0 = the
 	// shard's write primary). NewNode folds it into Self.
 	Replica int
-	// ViewSize bounds the peers shared per gossip exchange (default 16).
-	ViewSize int
-	// Fanout is how many peers each Tick pushes to (default 3).
-	Fanout int
-	// SuspectAfter is the silence that demotes a peer to suspect
-	// (default 3s).
-	SuspectAfter time.Duration
-	// DownAfter is the silence that demotes a peer to down (default 10s).
-	DownAfter time.Duration
 	// Strikes is how many consecutive forward failures take a peer straight
 	// to down (default 3); any success resets the count.
 	Strikes int
@@ -67,18 +70,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ViewSize <= 0 {
-		c.ViewSize = 16
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * time.Second
-	}
-	if c.DownAfter <= c.SuspectAfter {
-		c.DownAfter = c.SuspectAfter + 7*time.Second
-	}
 	if c.Strikes <= 0 {
 		c.Strikes = 3
 	}
@@ -217,9 +208,9 @@ func (m *Membership) state(e *member, now time.Time) PeerState {
 	}
 	silence := now.Sub(e.lastSeen)
 	switch {
-	case silence >= m.cfg.DownAfter:
+	case silence >= downAfter:
 		return StateDown
-	case silence >= m.cfg.SuspectAfter:
+	case silence >= suspectAfter:
 		return StateSuspect
 	}
 	return StateAlive
@@ -283,7 +274,7 @@ func (m *Membership) Routable() []Peer {
 }
 
 // View returns the bounded view shared in gossip exchanges: self first,
-// then up to ViewSize non-down peers. When more qualify than fit, the kept
+// then up to viewSize non-down peers. When more qualify than fit, the kept
 // subset is a deterministic hash sample varied per round, so every peer
 // eventually propagates (plain truncation of a sorted list would starve the
 // tail forever).
@@ -297,12 +288,12 @@ func (m *Membership) View() []Peer {
 			candidates = append(candidates, e.peer)
 		}
 	}
-	candidates = m.sample(candidates, m.cfg.ViewSize, m.round)
+	candidates = m.sample(candidates, viewSize, m.round)
 	return append([]Peer{m.self}, candidates...)
 }
 
 // Tick advances one gossip round and returns this round's push targets: a
-// deterministic pure-hash sample of Fanout non-down peers. Rounds are
+// deterministic pure-hash sample of fanout non-down peers. Rounds are
 // counted internally, so the schedule is a pure function of (Seed, round
 // sequence, peer ids) regardless of worker count or wall clock.
 func (m *Membership) Tick() []Peer {
@@ -316,7 +307,7 @@ func (m *Membership) Tick() []Peer {
 			candidates = append(candidates, e.peer)
 		}
 	}
-	return m.sample(candidates, m.cfg.Fanout, m.round)
+	return m.sample(candidates, fanout, m.round)
 }
 
 // Round reports the gossip rounds ticked so far.

@@ -17,12 +17,10 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func testConfig(self string, clk *fakeClock) Config {
 	return Config{
-		Self:         Peer{ID: self, Shard: "0", Fingerprint: "f"},
-		SuspectAfter: 3 * time.Second,
-		DownAfter:    10 * time.Second,
-		Strikes:      3,
-		Seed:         42,
-		Now:          clk.now,
+		Self:    Peer{ID: self, Shard: "0", Fingerprint: "f"},
+		Strikes: 3,
+		Seed:    42,
+		Now:     clk.now,
 	}
 }
 
@@ -46,11 +44,11 @@ func TestSilenceDemotion(t *testing.T) {
 	}
 	clk.advance(3 * time.Second)
 	if got := states(m)["b:1"]; got != StateSuspect {
-		t.Fatalf("after SuspectAfter state %v, want suspect", got)
+		t.Fatalf("after suspectAfter state %v, want suspect", got)
 	}
 	clk.advance(7 * time.Second)
 	if got := states(m)["b:1"]; got != StateDown {
-		t.Fatalf("after DownAfter state %v, want down", got)
+		t.Fatalf("after downAfter state %v, want down", got)
 	}
 	if r := m.Routable(); len(r) != 0 {
 		t.Fatalf("down peer still routable: %v", r)
@@ -127,7 +125,6 @@ func TestTickDeterminism(t *testing.T) {
 		clk := newFakeClock()
 		cfg := testConfig("self:1", clk)
 		cfg.Seed = seed
-		cfg.Fanout = 2
 		m := NewMembership(cfg)
 		for _, id := range []string{"a:1", "b:1", "c:1", "d:1", "e:1"} {
 			m.Add(Peer{ID: id})
@@ -166,14 +163,13 @@ func TestTickDeterminism(t *testing.T) {
 	}
 }
 
-// TestViewBounded checks View never exceeds ViewSize+1 entries, always leads
-// with self, and excludes down peers.
+// TestViewBounded checks View never exceeds viewSize+1 entries, always leads
+// with self, and excludes down peers: of viewSize+4 peers one is down, and
+// more than viewSize remain.
 func TestViewBounded(t *testing.T) {
 	clk := newFakeClock()
-	cfg := testConfig("self:1", clk)
-	cfg.ViewSize = 4
-	m := NewMembership(cfg)
-	for i := 0; i < 10; i++ {
+	m := NewMembership(testConfig("self:1", clk))
+	for i := 0; i < viewSize+4; i++ {
 		m.Add(Peer{ID: string(rune('a'+i)) + ":1"})
 	}
 	m.ReportFailure("a:1")
@@ -181,8 +177,8 @@ func TestViewBounded(t *testing.T) {
 	m.ReportFailure("a:1")
 
 	v := m.View()
-	if len(v) != 5 {
-		t.Fatalf("view size %d, want 5 (self + ViewSize)", len(v))
+	if len(v) != viewSize+1 {
+		t.Fatalf("view size %d, want %d (self + viewSize)", len(v), viewSize+1)
 	}
 	if v[0].ID != "self:1" {
 		t.Fatalf("view does not lead with self: %v", v)

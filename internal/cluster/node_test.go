@@ -203,7 +203,7 @@ func TestOwnersOfExcludesMismatchedFingerprint(t *testing.T) {
 func TestOwnersOfExcludesDown(t *testing.T) {
 	g := testGraph(t, 100)
 	clk := newFakeClock()
-	n, err := NewNode(g, mustPrefix(t, "0"), "a:1", Config{Now: clk.now, DownAfter: 10e9})
+	n, err := NewNode(g, mustPrefix(t, "0"), "a:1", Config{Now: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,11 +172,7 @@ func (b *budgetGraph) N() int               { return b.inner.N() }
 func (b *budgetGraph) Weight(v int) float64 { return b.inner.Weight(v) }
 
 func (b *budgetGraph) Neighbors(v int) []int32 {
-	b.queries++
-	if b.b.MaxScans > 0 && b.queries > b.b.MaxScans {
-		panic(budgetStop{})
-	}
-	if !b.b.Deadline.IsZero() && time.Now().After(b.b.Deadline) {
+	if b.b.Spent(&b.queries) {
 		panic(budgetStop{})
 	}
 	return b.inner.Neighbors(v)

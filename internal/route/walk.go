@@ -32,6 +32,16 @@ type Budget struct {
 	Deadline time.Time
 }
 
+// Spent is the budget rule of the walk and of core's budgetGraph: count one
+// more scan into *scans, then report it cut past MaxScans or past Deadline.
+func (b *Budget) Spent(scans *int) bool {
+	*scans++
+	return b.MaxScans > 0 && *scans > b.MaxScans || b.late()
+}
+
+// late reads the clock out of line, so that Spent inlines into the walk.
+func (b *Budget) late() bool { return !b.Deadline.IsZero() && time.Now().After(b.Deadline) }
+
 // scorer is the scan primitive of the fast path: phi toward one target read
 // straight off the base graph's flat position and weight arrays, plus the
 // argmax of phi over one adjacency list. It is a plain struct — no
@@ -226,14 +236,7 @@ func greedyWalk(g *graph.Graph, o *graph.Overlay, t, s int, owned []bool, b Budg
 	scans := 0
 	v := s
 	for v != t {
-		// Budget check, in budgetGraph's order: count the scan, cut past
-		// MaxScans, then the wall clock.
-		scans++
-		if b.MaxScans > 0 && scans > b.MaxScans {
-			out.FailAtSource(s, FailDeadline)
-			return -1
-		}
-		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
+		if b.Spent(&scans) {
 			out.FailAtSource(s, FailDeadline)
 			return -1
 		}

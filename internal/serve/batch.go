@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -21,20 +20,19 @@ import (
 // This file is the routing API: POST /route/batch answers many queries under
 // one admission slot, and POST /route is a batch of one — both run through
 // one prelude (serveRouting) and routeOne, the single retry/breaker/budget
-// core, over a pooled episodeState whose buffers are reused across every
-// attempt and every item of a request.
+// core, over the worker slot's episodeState whose buffers are reused across
+// every attempt and every item of a request.
 
-// episodeState is the pooled per-request routing state: the scratch buffers
-// and the Result every engine attempt builds into (core.RouteEpisodeInto).
-// One admitted request — a whole batch — checks out one state and threads it
-// through all its episodes, so steady-state serving stops allocating a
-// Result path per episode.
+// episodeState is one worker's routing state: the scratch buffers, the
+// Result every engine attempt builds into (core.RouteEpisodeInto) and the one
+// a sharded walk's local continuations build into. A request — a whole batch
+// — threads its worker slot's state (Pool.Acquire) through all its episodes,
+// and a hop stream keeps one for its lifetime.
 type episodeState struct {
-	sc  route.Scratch
-	out route.Result
+	sc    route.Scratch
+	out   route.Result
+	local route.Result
 }
-
-var episodePool = sync.Pool{New: func() interface{} { return new(episodeState) }}
 
 // routeOutcome is what one admitted query resolves to: its batch item — a
 // rejection (Error set) or a routed episode — plus what the wire does not
@@ -251,6 +249,9 @@ func validateItem(nw *core.Network, protoName string, s, t int, specs []faults.S
 	if n := nw.LiveN(); s < 0 || s >= n || t < 0 || t >= n {
 		return nil, http.StatusBadRequest, fmt.Sprintf("vertex pair (%d, %d) out of range (n = %d)", s, t, n)
 	}
+	if len(specs) == 0 {
+		return nil, 0, ""
+	}
 	plan, err := faults.NewPlan(0, specs...)
 	if err != nil {
 		return nil, http.StatusBadRequest, err.Error()
@@ -317,7 +318,7 @@ func drawKey(key uint64, i int) uint64 { return xrand.Hash64(key, uint64(i)) }
 // lookup, req's own check, then admission — shed when the pool is full,
 // rejected when the client leaves while queued — and the queue span. kind
 // ("route" or "batch") opens its log lines. run serves the admitted request
-// on its worker slot over a pooled episode state; the request's trace
+// on its worker slot, in that slot's episode state; the request's trace
 // finishes clean when run returns unless run finished it first.
 func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind string, limit int64, req routingRequest, run func(a admission, es *episodeState)) {
 	ctx := r.Context()
@@ -358,7 +359,8 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 	// Admission: bounded concurrency, bounded queue, fast shedding. A batch
 	// is one unit of work — one slot, shed as one.
 	qStart := time.Now()
-	if err := s.pool.Acquire(ctx); err != nil {
+	es, err := s.pool.Acquire(ctx)
+	if err != nil {
 		if err == ErrOverloaded {
 			a.rt.finish("shed")
 			s.logger.WarnContext(ctx, kind+" shed", s.admissionArgs(req, "reason", "overloaded")...)
@@ -371,7 +373,7 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 		writeError(w, http.StatusServiceUnavailable, 0, "cancelled while queued: %v", err)
 		return
 	}
-	defer s.pool.Release()
+	defer s.pool.Release(es)
 	a.queued = time.Since(qStart)
 	s.phaseLat[phaseQueue].Record(a.queued)
 	a.rt.add(obs.SpanQueueWait, qStart, a.queued, "", "", "")
@@ -379,8 +381,6 @@ func (s *Server) serveRouting(w http.ResponseWriter, r *http.Request, kind strin
 		s.logger.DebugContext(ctx, kind+" admitted", s.admissionArgs(req, "graph", a.graphName)...)
 	}
 
-	es := episodePool.Get().(*episodeState)
-	defer episodePool.Put(es)
 	run(a, es)
 }
 

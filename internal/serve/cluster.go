@@ -171,7 +171,7 @@ func (s *Server) clusterRoute(ctx context.Context, nw *core.Network, graphName s
 	if err := s.engineRoute(nw, seg, &es.sc, res, rt, tm, "partial"); err != nil {
 		return fwd, err
 	}
-	var local route.Result
+	local := &es.local
 	for exit := hopSegment(res).exit(); exit >= 0; {
 		fwd.forwards++
 		scans, ok := route.HandOver(cfg.MaxHops, res)
@@ -188,10 +188,10 @@ func (s *Server) clusterRoute(ctx context.Context, nw *core.Network, graphName s
 			if rt != nil {
 				detail = fmt.Sprintf("partial depth=%d", fwd.forwards)
 			}
-			if err := s.engineRoute(nw, seg, &es.sc, &local, rt, tm, detail); err != nil {
+			if err := s.engineRoute(nw, seg, &es.sc, local, rt, tm, detail); err != nil {
 				return fwd, err
 			}
-			hop = hopSegment(&local)
+			hop = hopSegment(local)
 		} else {
 			req := HopRequest{Graph: graphName, S: exit, T: cfg.T, MaxScans: seg.MaxHops}
 			fwdStart := time.Now()
@@ -476,8 +476,8 @@ func (s *Server) tryReplicas(ctx context.Context, req HopRequest, deadline time.
 // handleClusterHop serves POST /cluster/hop. With Upgrade: smallworld-hop/1
 // the connection becomes a hop stream (serveHopStream) — what peers use.
 // Without it, it is the JSON front-end of serveHop: one HopRequest body, one
-// HopResponse, the documented contract and the reference the frame codec is
-// tested against.
+// HopResponse, routed in a request-local episode state: the documented
+// contract and the reference the frame codec is tested against.
 func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.clusterNode == nil:
@@ -491,10 +491,8 @@ func (s *Server) handleClusterHop(w http.ResponseWriter, r *http.Request) {
 		if !decodeBody(w, r, 64<<10, &req) {
 			return
 		}
-		es := episodePool.Get().(*episodeState)
-		defer episodePool.Put(es)
 		budget := time.Duration(req.DeadlineMs) * time.Millisecond
-		resp, status, msg := s.serveHop(r.Context(), req, budget, r.Header.Get(obs.TraceHeader), es)
+		resp, status, msg := s.serveHop(r.Context(), req, budget, r.Header.Get(obs.TraceHeader), new(episodeState))
 		switch status {
 		case http.StatusOK:
 			writeJSON(w, status, resp)

@@ -243,7 +243,8 @@ func (st *hopStream) roundTrip(ctx context.Context, peer string, req HopRequest,
 
 // serveHopStream is the stream front-end of serveHop: it takes the upgraded
 // connection over from the HTTP server and answers its frames in order, each
-// reply encoded straight from the segment's result. A well-framed payload that
+// segment routed in the stream's own episode state and its reply encoded
+// straight from the segment's result. A well-framed payload that
 // does not decode is answered 400 and the stream stays usable; lost framing,
 // or a sender that hangs up, ends it. A hop makes no outbound call, so there
 // is nothing to cancel while one is served. Shutdown does not see a hijacked
@@ -277,6 +278,7 @@ func (s *Server) serveHopStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var buf []byte // the request is decoded before the reply is encoded over it
+	es := new(episodeState)
 	for {
 		p, err := readFrame(brw.Reader, &buf, maxHopRequest)
 		if err != nil {
@@ -284,13 +286,11 @@ func (s *Server) serveHopStream(w http.ResponseWriter, r *http.Request) {
 		}
 		var resp HopResponse
 		status, msg := http.StatusBadRequest, "bad hop frame"
-		es := episodePool.Get().(*episodeState)
 		if req, budgetUs, rid, tp, err := decodeHopRequest(p); err == nil {
 			ctx, _ := s.requestScope(r.Context(), rid)
 			resp, status, msg = s.serveHop(ctx, req, time.Duration(budgetUs)*time.Microsecond, tp, es)
 		}
 		buf = appendHopReply(buf, status, &resp, msg)
-		episodePool.Put(es)
 		if _, err := conn.Write(buf); err != nil {
 			return
 		}

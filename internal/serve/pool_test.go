@@ -15,10 +15,12 @@ func TestPoolAdmissionBounds(t *testing.T) {
 	ctx := context.Background()
 
 	// Fill both worker slots.
-	if err := p.Acquire(ctx); err != nil {
+	first, err := p.Acquire(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Acquire(ctx); err != nil {
+	second, err := p.Acquire(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := p.InFlight(); got != 2 {
@@ -28,16 +30,16 @@ func TestPoolAdmissionBounds(t *testing.T) {
 	// Third request queues (does not error, does not hold a slot yet).
 	queued := make(chan error, 1)
 	go func() {
-		err := p.Acquire(ctx)
+		es, err := p.Acquire(ctx)
 		if err == nil {
-			defer p.Release()
+			defer p.Release(es)
 		}
 		queued <- err
 	}()
 	waitFor(t, func() bool { return p.Waiting() == 1 })
 
 	// Fourth request exceeds workers+queue: shed, not queued.
-	if err := p.Acquire(ctx); err != ErrOverloaded {
+	if _, err := p.Acquire(ctx); err != ErrOverloaded {
 		t.Fatalf("Acquire #4 = %v, want ErrOverloaded", err)
 	}
 	if got := p.Shed(); got != 1 {
@@ -45,47 +47,59 @@ func TestPoolAdmissionBounds(t *testing.T) {
 	}
 
 	// Releasing a worker admits the queued request.
-	p.Release()
+	p.Release(first)
 	if err := <-queued; err != nil {
 		t.Fatalf("queued Acquire = %v", err)
 	}
-	p.Release()
+	p.Release(second)
 }
 
 // TestPoolAcquireCancelled verifies a queued waiter honours its context.
 func TestPoolAcquireCancelled(t *testing.T) {
 	p := NewPool(1, 4)
-	if err := p.Acquire(context.Background()); err != nil {
+	held, err := p.Acquire(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- p.Acquire(ctx) }()
+	go func() {
+		_, err := p.Acquire(ctx)
+		done <- err
+	}()
 	waitFor(t, func() bool { return p.Waiting() == 1 })
 	cancel()
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("Acquire = %v, want context.Canceled", err)
 	}
 	// The cancelled waiter must have released its admission ticket.
-	p.Release()
-	if err := p.Acquire(context.Background()); err != nil {
+	p.Release(held)
+	again, err := p.Acquire(context.Background())
+	if err != nil {
 		t.Fatalf("Acquire after cancel = %v", err)
 	}
-	p.Release()
+	if again != held {
+		t.Fatal("the one worker slot came back with another state")
+	}
+	p.Release(again)
 }
 
 // TestPoolConcurrentHammer floods the pool from many goroutines and checks
-// the books balance: every admit is released, nothing hangs.
+// the books balance: every admit is released, nothing hangs, no two
+// concurrent holders share a worker's state, and every state comes back.
 func TestPoolConcurrentHammer(t *testing.T) {
-	p := NewPool(4, 8)
+	const workers = 4
+	p := NewPool(workers, 8)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	admitted, shed := 0, 0
+	held := map[*episodeState]bool{}
+	seen := map[*episodeState]bool{}
 	for i := 0; i < 200; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := p.Acquire(context.Background())
+			es, err := p.Acquire(context.Background())
 			mu.Lock()
 			if err != nil {
 				shed++
@@ -93,9 +107,16 @@ func TestPoolConcurrentHammer(t *testing.T) {
 				return
 			}
 			admitted++
+			if held[es] {
+				t.Errorf("state %p handed to two holders at once", es)
+			}
+			held[es], seen[es] = true, true
 			mu.Unlock()
 			time.Sleep(time.Millisecond)
-			p.Release()
+			mu.Lock()
+			delete(held, es)
+			mu.Unlock()
+			p.Release(es)
 		}()
 	}
 	wg.Wait()
@@ -107,6 +128,22 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	}
 	if int(p.Shed()) != shed {
 		t.Fatalf("Shed counter %d != observed %d", p.Shed(), shed)
+	}
+	if len(seen) != workers {
+		t.Fatalf("%d distinct states handed out by %d workers", len(seen), workers)
+	}
+	back := map[*episodeState]bool{}
+	for range workers {
+		es, err := p.Acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		back[es] = true
+	}
+	for es := range seen {
+		if !back[es] {
+			t.Fatalf("state %p did not come back after Release", es)
+		}
 	}
 }
 
