@@ -241,7 +241,7 @@ func run(args []string, out *os.File) (int, error) {
 				return 1, err
 			}
 			defer os.RemoveAll(dir)
-			mutLog, err := mutate.Open(dir, g, mutate.Config{OnCompact: srv.InstallCompacted})
+			mutLog, err := mutate.Open(dir, g, mutate.Config{})
 			if err != nil {
 				return 1, err
 			}

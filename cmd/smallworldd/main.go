@@ -212,7 +212,6 @@ func run(args []string, ready chan<- string) error {
 		mutLog, err = mutate.Open(*mutateDir, g, mutate.Config{
 			Resume:    *resume,
 			CompactAt: compact,
-			OnCompact: srv.InstallCompacted,
 			Logger:    logger,
 		})
 		if err != nil {

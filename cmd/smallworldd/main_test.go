@@ -3,16 +3,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/girg"
 	"repro/internal/graphio"
+	"repro/internal/mutate"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -210,5 +214,130 @@ func TestDaemonSamplesFreshGraph(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("run after SIGTERM = %v", err)
+	}
+}
+
+// TestDaemonCompactionSwapsIn runs the daemon with a mutation log that folds
+// at a delta of 8: one batch past the threshold compacts in the background,
+// and the compaction reaches the served slot through the log's own publish —
+// the graph /readyz reports is the folded snapshot, the swap is counted, and
+// a vertex added before the fold still routes.
+func TestDaemonCompactionSwapsIn(t *testing.T) {
+	dir := t.TempDir()
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-n", "2000", "-mutate-dir", dir, "-compact-at", "8"}, ready)
+	}()
+	var base string
+	select {
+	case addr := <-ready:
+		base = "http://" + addr
+	case err := <-errc:
+		t.Fatalf("daemon exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not become ready")
+	}
+	defer func() {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Errorf("run after SIGTERM = %v", err)
+		}
+	}()
+
+	// One batch: a join wired to two base vertices, and eight leaves — a
+	// delta past the threshold in a single commit.
+	ops := []mutate.Op{
+		{Op: mutate.OpAddVertex, Pos: []float64{0.5, 0.5}, W: 2},
+		{Op: mutate.OpAddEdge, U: 2000, V: 17},
+		{Op: mutate.OpAddEdge, U: 2000, V: 18},
+	}
+	for v := 100; v < 108; v++ {
+		ops = append(ops, mutate.Op{Op: mutate.OpRemoveVertex, V: v})
+	}
+	body, _ := json.Marshal(serve.MutateRequest{Ops: ops})
+	resp, err := http.Post(base+"/admin/mutate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mr serve.MutateResponse
+	err = json.NewDecoder(resp.Body).Decode(&mr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || len(mr.Assigned) != 1 || mr.Assigned[0] != 2000 {
+		t.Fatalf("mutate: status %d (%v), assigned %v", resp.StatusCode, err, mr.Assigned)
+	}
+
+	readySlot := func() serve.ReadyGraph {
+		var ready serve.ReadyResponse
+		getJSON(t, base+"/readyz", &ready)
+		return ready.Graphs[serve.DefaultGraph]
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for slot := readySlot(); slot.Live == nil || slot.Live.Generation < 2; slot = readySlot() {
+		if time.Now().After(deadline) {
+			t.Fatal("the background compaction never committed")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// /readyz loads the graph map before it asks the log for the generation,
+	// so the answer after the one that saw generation 2 is the first whose
+	// graph is sure to postdate the fold.
+	slot := readySlot()
+	var cur struct {
+		Snapshot string `json:"snapshot"`
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil || json.Unmarshal(raw, &cur) != nil || cur.Snapshot == "" {
+		t.Fatalf("CURRENT names no snapshot (%v): %s", err, raw)
+	}
+	folded, err := graphio.ReadFile(filepath.Join(dir, cur.Snapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%016x", folded.Fingerprint()); slot.Fingerprint != want || slot.Live.Fingerprint != want {
+		t.Fatalf("/readyz serves base %s, live %s; the folded snapshot is %s", slot.Fingerprint, slot.Live.Fingerprint, want)
+	}
+
+	mresp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	var swaps int
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if v, ok := strings.CutPrefix(line, "smallworld_serve_compact_swaps_total "); ok {
+			swaps, _ = strconv.Atoi(v)
+		}
+	}
+	if swaps < 1 {
+		t.Fatalf("smallworld_serve_compact_swaps_total = %d, want >= 1", swaps)
+	}
+
+	body, _ = json.Marshal(serve.RouteRequest{S: 17, T: 2000})
+	rresp, err := http.Post(base+"/route", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rresp.Body.Close()
+	if rresp.StatusCode != http.StatusOK {
+		t.Fatalf("/route to the vertex added before the fold = %d, want 200", rresp.StatusCode)
+	}
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
 	}
 }

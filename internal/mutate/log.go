@@ -25,11 +25,6 @@ type Config struct {
 	// (dirty + added + tombstoned vertices) reaches this threshold; 0
 	// disables automatic compaction (Compact can still be called directly).
 	CompactAt int
-	// OnCompact, if set, is called after a compaction commits with the new
-	// base graph, the rebuilt (tail-replayed) overlay over it, and the path
-	// of the snapshot written — under the log's lock: it must
-	// publish-and-return, not call back into the Log.
-	OnCompact func(base *graph.Graph, ov *graph.Overlay, snapshot string)
 	// Logger receives replay/compaction progress; nil discards.
 	Logger *slog.Logger
 }
@@ -58,9 +53,9 @@ const (
 // Log is the journaled mutation pipeline: Apply validates a batch against
 // the live overlay, appends its canonical encoding to the generation's
 // write-ahead journal (fsynced before the call returns), then publishes the
-// next overlay epoch. Opening the same directory again replays the journal
-// over the same base to a bit-identical live fingerprint. Safe for
-// concurrent use; batches serialize.
+// next overlay epoch to its subscribers. Opening the same directory again
+// replays the journal over the same base to a bit-identical live
+// fingerprint. Safe for concurrent use; batches serialize.
 type Log struct {
 	dir string
 	cfg Config
@@ -72,6 +67,7 @@ type Log struct {
 	gen     int
 	seq     int // next batch sequence number in this generation
 	journal *journal
+	subs    []func(base *graph.Graph, ov *graph.Overlay)
 
 	batches     uint64
 	opsApplied  uint64
@@ -220,19 +216,61 @@ func writeCurrent(dir string, cur current) error {
 func (l *Log) replay() error {
 	l.ov = graph.NewOverlay(l.base)
 	for seq, payload := range l.journal.payloads {
-		ops, err := DecodeBatch(payload)
+		next, _, err := replayBatch(l.ov, payload)
 		if err != nil {
-			return fmt.Errorf("mutate: generation %d batch %d: %w", l.gen, seq, err)
+			return fmt.Errorf("mutate: generation %d batch %d does not replay: %w", l.gen, seq, err)
 		}
-		e := l.ov.Edit()
-		if _, err := applyOps(e, ops); err != nil {
-			return fmt.Errorf("mutate: generation %d batch %d does not apply: %w", l.gen, seq, err)
-		}
-		l.ov = e.Finish()
+		l.ov = next
 		l.replayed++
 	}
 	l.seq = len(l.journal.payloads)
 	return nil
+}
+
+// replayBatch decodes one journaled batch and applies it over ov — the step
+// replay, Import and the compaction tail share. A decode failure is a
+// *CorruptError, an apply failure the batch's *OpError.
+func replayBatch(ov *graph.Overlay, payload []byte) (*graph.Overlay, int, error) {
+	ops, err := DecodeBatch(payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	e := ov.Edit()
+	if _, err := applyOps(e, ops); err != nil {
+		return nil, 0, err
+	}
+	return e.Finish(), len(ops), nil
+}
+
+// commit journals (fsyncs) a validated batch at the next seq, then makes
+// next, the overlay with it applied, live. The caller publishes.
+func (l *Log) commit(next *graph.Overlay, payload []byte, ops int) error {
+	if err := l.journal.put(l.seq, payload); err != nil {
+		return fmt.Errorf("mutate: journal append: %w", err)
+	}
+	l.ov = next
+	l.seq++
+	l.batches++
+	l.opsApplied += uint64(ops)
+	return nil
+}
+
+// Subscribe hands fn the live base and overlay now and after every commit:
+// an Apply, an Import that applied a batch (even if it then failed), a
+// compaction. Calls run under the log's lock, so they never overlap and
+// arrive in journal order; fn must store and return, never call the Log.
+func (l *Log) Subscribe(fn func(base *graph.Graph, ov *graph.Overlay)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.subs = append(l.subs, fn)
+	fn(l.base, l.ov)
+}
+
+// publish hands the live base and overlay to every subscriber, under l.mu.
+func (l *Log) publish() {
+	for _, fn := range l.subs {
+		fn(l.base, l.ov)
+	}
 }
 
 // sweepStale removes generation directories and snapshots other than the
@@ -304,7 +342,7 @@ func (l *Log) Stats() Stats {
 
 // Apply validates, journals and publishes one batch, in that order: a batch
 // is acknowledged only after its canonical encoding is fsynced into the
-// write-ahead journal, and it becomes visible to routing only after that —
+// write-ahead journal, and it reaches the subscribers only after that —
 // all-or-nothing. Validation failures return an *OpError (the serving
 // layer's 422) with the live graph untouched.
 func (l *Log) Apply(ops []Op) (Applied, error) {
@@ -334,14 +372,11 @@ func (l *Log) Apply(ops []Op) (Applied, error) {
 		l.rejected++
 		return Applied{}, err
 	}
-	if err := l.journal.put(l.seq, payload); err != nil {
-		return Applied{}, fmt.Errorf("mutate: journal append: %w", err)
+	if err := l.commit(e.Finish(), payload, len(ops)); err != nil {
+		return Applied{}, err
 	}
-	l.ov = e.Finish()
-	res := Applied{Generation: l.gen, Seq: l.seq, Epoch: l.ov.Epoch(), Assigned: assigned}
-	l.seq++
-	l.batches++
-	l.opsApplied += uint64(len(ops))
+	l.publish()
+	res := Applied{Generation: l.gen, Seq: l.seq - 1, Epoch: l.ov.Epoch(), Assigned: assigned}
 	if l.cfg.CompactAt > 0 && l.ov.DeltaSize() >= l.cfg.CompactAt && l.compacting.CompareAndSwap(false, true) {
 		l.wg.Add(1)
 		go func() {
@@ -364,7 +399,8 @@ func (l *Log) Apply(ops []Op) (Applied, error) {
 //  3. under the lock: journal the batches applied since the capture into
 //     the new generation (renumbered from 0), rebuild the overlay by
 //     replaying that tail over the new base, flip CURRENT — the commit
-//     point — then retire the old generation and publish.
+//     point — then retire the old generation and publish the new base and
+//     overlay to the subscribers.
 //
 // A crash before the CURRENT flip leaves the old generation fully live (the
 // half-written next generation is swept on the next open); a crash after it
@@ -453,15 +489,9 @@ func (l *Log) compact() error {
 		if err := nj.put(seq-upTo, payload); err != nil {
 			return abort(nj, fmt.Errorf("mutate: compact: %w", err))
 		}
-		ops, err := DecodeBatch(payload)
-		if err != nil {
-			return abort(nj, fmt.Errorf("mutate: compact: batch %d: %w", seq, err))
-		}
-		e := nov.Edit()
-		if _, err := applyOps(e, ops); err != nil {
+		if nov, _, err = replayBatch(nov, payload); err != nil {
 			return abort(nj, fmt.Errorf("mutate: compact: batch %d does not replay over the folded base: %w", seq, err))
 		}
-		nov = e.Finish()
 	}
 	if err := writeCurrent(l.dir, current{
 		Version:    currentVersion,
@@ -482,9 +512,7 @@ func (l *Log) compact() error {
 	l.cfg.Logger.Info("mutation log compacted",
 		"generation", newGen, "snapshot", snap, "tail_batches", tail,
 		"fingerprint", fpString(newBase.Fingerprint()))
-	if l.cfg.OnCompact != nil {
-		l.cfg.OnCompact(newBase, nov, snapPath)
-	}
+	l.publish()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package mutate
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 )
 
@@ -124,8 +125,9 @@ func (l *Log) Export(baseFP string, generation, from, max int) (Segment, error) 
 }
 
 // Import applies a shipped segment: every batch the log does not already
-// hold is decoded, validated against the live overlay, journaled (fsynced)
-// and published — the same all-or-nothing pipeline Apply runs, preserving
+// hold is decoded, validated against the live overlay and journaled
+// (fsynced), and the subscribers are handed the result once, when any batch
+// applied — the same all-or-nothing pipeline Apply runs, preserving
 // the received bytes so the journals of primary and replica stay
 // bit-identical. Batches below the log's seq are verified byte-equal
 // against the local journal and skipped (idempotent re-ship); a segment
@@ -137,6 +139,11 @@ func (l *Log) Export(baseFP string, generation, from, max int) (Segment, error) 
 func (l *Log) Import(seg Segment) (applied int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	defer func() {
+		if applied > 0 {
+			l.publish()
+		}
+	}()
 	if l.closed {
 		return 0, fmt.Errorf("mutate: log closed")
 	}
@@ -160,23 +167,19 @@ func (l *Log) Import(seg Segment) (applied int, err error) {
 			}
 			continue
 		}
-		ops, err := DecodeBatch(payload)
-		if err != nil {
-			return applied, fmt.Errorf("mutate: imported batch %d: %w", seq, err)
-		}
-		e := l.ov.Edit()
-		if _, err := applyOps(e, ops); err != nil {
+		next, ops, err := replayBatch(l.ov, payload)
+		var opErr *OpError
+		if errors.As(err, &opErr) {
 			// The batch was valid on the peer that journaled it; failing to
 			// apply here means the two logs do not share a history.
 			return applied, &SyncError{Field: "batch", Want: fmt.Sprintf("batch %d to apply", seq), Got: err.Error()}
 		}
-		if err := l.journal.put(seq, payload); err != nil {
-			return applied, fmt.Errorf("mutate: journal append: %w", err)
+		if err != nil {
+			return applied, fmt.Errorf("mutate: imported batch %d: %w", seq, err)
 		}
-		l.ov = e.Finish()
-		l.seq++
-		l.batches++
-		l.opsApplied += uint64(len(ops))
+		if err := l.commit(next, payload, ops); err != nil {
+			return applied, err
+		}
 		applied++
 	}
 	return applied, nil

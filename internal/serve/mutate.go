@@ -17,16 +17,14 @@ import (
 // overlay, journaled (fsynced) before the response is written, and then
 // published — in-flight routing requests keep the overlay epoch they
 // resolved, the next request sees the new one. The mutation log owns
-// durability and compaction (internal/mutate); this layer owns the HTTP
-// contract, the atomic publish into the served Network, and the hot swap of
-// compacted snapshots through the same copy-on-write graph map /admin/swap
-// uses.
+// durability, compaction and the order of publication (internal/mutate);
+// this layer owns the HTTP contract and the one install function the log
+// publishes through.
 
-// EnableMutation attaches a mutation log to a graph slot: it builds a
-// phi Network over the log's base graph (which, after a resume
-// from a compacted log, is the folded snapshot rather than the original
-// base), publishes the log's current overlay on it, and installs it under
-// graphName. At most one slot per server is mutable. In cluster mode the
+// EnableMutation attaches a mutation log to a graph slot by subscribing
+// installLive to it, which serves the log's base (after a resume from a
+// compacted log, the folded snapshot) and overlay at once and every commit
+// after that. At most one slot per server is mutable. In cluster mode the
 // mutable slot must be separate from the clustered routing slot: shard
 // ownership is computed over an immutable base, so the replicated live
 // graph is served whole on every replica while sharded routing continues
@@ -46,12 +44,10 @@ func (s *Server) EnableMutation(log *mutate.Log, graphName string) error {
 	if s.mutLog != nil {
 		return fmt.Errorf("serve: mutation already enabled on graph %q", s.mutGraph)
 	}
-	base, ov := log.Base(), log.Overlay()
-	nw := liveNetwork(base)
-	if err := nw.SetOverlay(ov); err != nil {
-		return err
-	}
-	s.AddNetwork(graphName, nw)
+	var live *core.Network // touched only by the subscriber, under the log's lock
+	log.Subscribe(func(base *graph.Graph, ov *graph.Overlay) {
+		live = s.installLive(graphName, live, base, ov)
+	})
 	s.mutLog = log
 	s.mutGraph = graphName
 	if node := s.clusterNode; node != nil {
@@ -70,65 +66,33 @@ func (s *Server) MutationLog() (*mutate.Log, string) {
 	return s.mutLog, s.mutGraph
 }
 
-// liveNetwork builds the phi Network a mutation log's base graph is served
-// as.
-func liveNetwork(g *graph.Graph) *core.Network {
-	return &core.Network{Graph: g, Label: fmt.Sprintf("live(n=%d,fp=%016x)", g.N(), g.Fingerprint())}
-}
-
-// InstallCompacted hot-swaps a compacted snapshot into the mutable graph
-// slot: a fresh Network over the folded base, carrying the tail-replayed
-// overlay, installed through the same copy-on-write map /admin/swap uses —
-// in-flight requests keep routing on the pre-compaction view, which is
-// routing-identical by construction. Wire it as the mutation log's
-// OnCompact hook (it is called under the log's lock and does not call back
-// into the log).
-func (s *Server) InstallCompacted(base *graph.Graph, ov *graph.Overlay, snapshot string) {
-	s.mutMu.Lock()
-	name := s.mutGraph
-	s.mutMu.Unlock()
-	if name == "" {
-		return
+// installLive publishes one commit of the mutation log and returns the
+// network now serving it: on live's base, one atomic overlay store; on a
+// new base (the first call, or a compaction), a fresh phi Network through
+// the copy-on-write map /admin/swap uses — in-flight requests keep the
+// routing-identical pre-compaction view. It runs under the log's lock.
+func (s *Server) installLive(name string, live *core.Network, base *graph.Graph, ov *graph.Overlay) *core.Network {
+	if live != nil && live.SetOverlay(ov) == nil {
+		return live
 	}
-	nw := liveNetwork(base)
-	if err := nw.SetOverlay(ov); err != nil {
-		// The log hands us the overlay over the base it hands us; a mismatch
-		// is a bug, not a runtime condition.
-		s.logger.Error("compacted overlay rejected", "err", err)
-		return
-	}
+	nw := &core.Network{Graph: base, Label: fmt.Sprintf("live(n=%d,fp=%016x)", base.N(), base.Fingerprint())}
+	_ = nw.SetOverlay(ov) // cannot fail: the log hands over an overlay of the base it hands over
 	s.AddNetwork(name, nw)
-	s.swaps.Add(1)
-	s.compactSwaps.Add(1)
-	s.logger.Info("compacted snapshot swapped in", "graph", name,
-		"snapshot", snapshot, "n", base.N(), "m", base.M(),
-		"fingerprint", fmt.Sprintf("%016x", base.Fingerprint()))
-}
-
-// publishLive re-publishes the mutation log's current overlay onto the
-// served network after a batch commits. It also heals the case where a
-// background compaction committed without an OnCompact hook installed: the
-// log's base has moved on, so the old network's overlay can no longer
-// advance, and a fresh Network over the new base is installed instead.
-func (s *Server) publishLive() {
-	s.mutMu.Lock()
-	log, name := s.mutLog, s.mutGraph
-	s.mutMu.Unlock()
-	base, ov := log.Base(), log.Overlay()
-	if nw, ok := s.Network(name); ok && nw.Graph.Fingerprint() == base.Fingerprint() {
-		if err := nw.SetOverlay(ov); err == nil {
-			return
-		}
+	if live != nil {
+		s.swaps.Add(1)
+		s.compactSwaps.Add(1)
+		s.logger.Info("compacted snapshot swapped in", "graph", name,
+			"n", base.N(), "m", base.M(), "fingerprint", fmt.Sprintf("%016x", base.Fingerprint()))
 	}
-	s.InstallCompacted(base, ov, "")
+	return nw
 }
 
-// handleMutate serves POST /admin/mutate: decode, apply through the
-// journaled mutation log (validation → fsynced journal append → publish),
-// then re-publish the overlay on the served network. The response is
-// written only after the journal append — an acknowledged batch survives a
-// SIGKILL. Semantically invalid batches are 422 with the failing op's
-// index; the live graph is untouched by them.
+// handleMutate serves POST /admin/mutate: decode, then apply through the
+// journaled mutation log (validation → fsynced journal append → publish on
+// the served network). The response is written only after the journal
+// append — an acknowledged batch survives a SIGKILL. Semantically invalid
+// batches are 422 with the failing op's index; the live graph is untouched
+// by them.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if r.Method != http.MethodPost {
@@ -178,7 +142,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, 0, "%v", err)
 		return
 	}
-	s.publishLive()
 	s.mutations.Add(1)
 	s.logger.DebugContext(ctx, "mutate applied", "graph", name, "ops", len(req.Ops),
 		"generation", app.Generation, "seq", app.Seq, "epoch", app.Epoch)

@@ -3,28 +3,26 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/atomicio"
-	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/mutate"
 )
 
 // liveServer builds a Server with a mutation log driving the default slot,
-// wired the way cmd/smallworldd wires it (OnCompact → InstallCompacted).
+// wired the way cmd/smallworldd wires it.
 func liveServer(t testing.TB, n float64, seed uint64, cfg mutate.Config) (*Server, *mutate.Log, *httptest.Server) {
 	t.Helper()
 	s := New(Config{})
 	nw := testNetwork(t, n, seed)
-	cfg.OnCompact = func(base *graph.Graph, ov *graph.Overlay, snapshot string) {
-		s.InstallCompacted(base, ov, snapshot)
-	}
 	log, err := mutate.Open(t.TempDir(), nw.Graph, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -347,4 +345,98 @@ func TestMutateJournaledBeforeAck(t *testing.T) {
 		t.Fatalf("replayed fingerprint %016x != acknowledged %016x", got, want)
 	}
 	log.Close()
+}
+
+// TestLivePublishInJournalOrder: eight writers commit at once, half over
+// /admin/mutate and half straight into the log, and the served slot follows
+// the log's commits in journal order with nobody publishing by hand. Without
+// compaction a reader never sees the served epoch go down, and once quiet
+// the slot serves the log's overlay itself; with compaction, once quiet it
+// serves the log's base, and every fold was swapped in exactly once.
+func TestLivePublishInJournalOrder(t *testing.T) {
+	const writers, perWriter = 8, 20
+	write := func(t *testing.T, log *mutate.Log, url string) {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					ops := []mutate.Op{{Op: mutate.OpAddVertex, Pos: []float64{float64(w) / writers, float64(i) / perWriter}, W: 2}}
+					if w%2 == 0 {
+						if _, err := log.Apply(ops); err != nil {
+							t.Error(err)
+							return
+						}
+						continue
+					}
+					body, _ := json.Marshal(MutateRequest{Ops: ops})
+					resp, err := http.Post(url+"/admin/mutate", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("mutate: status %d", resp.StatusCode)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	t.Run("overlay", func(t *testing.T) {
+		s, log, ts := liveServer(t, 300, 31, mutate.Config{})
+		served, _ := s.Network("")
+		done := make(chan struct{})
+		readerErr := make(chan error, 1)
+		go func() {
+			var last uint64
+			for {
+				select {
+				case <-done:
+					readerErr <- nil
+					return
+				default:
+				}
+				ep := served.LiveOverlay().Epoch()
+				if ep < last {
+					readerErr <- fmt.Errorf("served epoch went from %d down to %d", last, ep)
+					return
+				}
+				last = ep
+			}
+		}()
+		write(t, log, ts.URL)
+		close(done)
+		if err := <-readerErr; err != nil {
+			t.Fatal(err)
+		}
+		if nw, _ := s.Network(""); nw != served {
+			t.Fatal("the slot's network was replaced without a compaction")
+		}
+		if got, want := served.LiveOverlay(), log.Overlay(); got != want {
+			t.Fatalf("served overlay at epoch %d, the log's at %d", got.Epoch(), want.Epoch())
+		}
+	})
+
+	t.Run("compaction", func(t *testing.T) {
+		s, log, ts := liveServer(t, 300, 32, mutate.Config{CompactAt: 8})
+		write(t, log, ts.URL)
+		log.Close() // waits for the compaction in flight
+		st := log.Stats()
+		if st.Compactions == 0 {
+			t.Fatal("no compaction ran")
+		}
+		nw, _ := s.Network("")
+		if nw.Graph != log.Base() || nw.LiveOverlay() != log.Overlay() {
+			t.Fatalf("slot serves base %016x at epoch %d, the log is at %016x epoch %d",
+				nw.Graph.Fingerprint(), nw.LiveOverlay().Epoch(), log.Base().Fingerprint(), log.Overlay().Epoch())
+		}
+		if got := s.Stats().CompactSwaps; got != int64(st.Compactions) {
+			t.Fatalf("%d compacted snapshots swapped in, the log committed %d compactions", got, st.Compactions)
+		}
+	})
 }

@@ -94,7 +94,6 @@ func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) 
 	applied, err := log.Import(req.Segment)
 	if applied > 0 {
 		s.importedBatches.Add(int64(applied))
-		s.publishLive()
 	}
 	if err != nil {
 		var syncErr *mutate.SyncError
@@ -337,7 +336,6 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 			pulled += applied
 			s.aePulled.Add(int64(applied))
 			s.importedBatches.Add(int64(applied))
-			s.publishLive()
 		}
 		if err != nil {
 			s.logger.Warn("anti-entropy import failed", "peer", target.ID, "from", resp.Segment.From, "err", err)

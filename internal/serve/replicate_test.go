@@ -313,6 +313,16 @@ func TestReplicateGapReship(t *testing.T) {
 	if got := replica.log.Position().Seq; got != 3 {
 		t.Fatalf("replica at seq %d after gap re-ship, want 3", got)
 	}
+	servesLog(t, primary)
+}
+
+// servesLog fails unless d's live slot serves its log's live graph — which
+// holds with no publishing by hand, whichever path committed the batches.
+func servesLog(t *testing.T, d *replicaDaemon) {
+	t.Helper()
+	if got, want := readyLiveOf(t, d).Fingerprint, fingerprintHex(d.log.Fingerprint()); got != want {
+		t.Fatalf("%s serves live fp %s, its log is at %s", d.addr, got, want)
+	}
 }
 
 // TestAntiEntropyPull pins the catch-all: a replica that missed every push
@@ -328,7 +338,7 @@ func TestAntiEntropyPull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	primary.srv.publishLive()
+	servesLog(t, primary)
 
 	// Before the replica hears the primary's live position, a round finds no
 	// one ahead and pulls nothing.

@@ -179,10 +179,6 @@ type Server struct {
 	aePulled        atomic.Int64
 	genLag          atomic.Int64
 
-	// drainMu orders request registration against Drain: handlers register
-	// under RLock, Drain flips the flag under Lock, so no handler can slip
-	// past the draining check and Add to a WaitGroup that is already being
-	// waited on.
 	logger *slog.Logger
 	rids   *obs.RequestIDs
 
@@ -207,6 +203,10 @@ type Server struct {
 	fedScrapes     atomic.Int64
 	fedScrapeFails atomic.Int64
 
+	// drainMu orders request registration against Drain: handlers register
+	// under RLock, Drain flips the flag under Lock, so no handler can slip
+	// past the draining check and Add to a WaitGroup that is already being
+	// waited on.
 	drainMu  sync.RWMutex
 	inflight sync.WaitGroup
 	draining atomic.Bool
@@ -221,7 +221,8 @@ type Server struct {
 	swapNoops atomic.Int64
 
 	// Mutation mode (nil mutLog = immutable snapshots only). The log owns
-	// durability; mutGraph names the single mutable slot. mutations counts
+	// durability and publishes every commit on the slot mutGraph names (the
+	// one mutable slot; EnableMutation subscribes to it). mutations counts
 	// committed batches, compactSwaps the compacted snapshots hot-swapped in.
 	mutMu        sync.Mutex
 	mutLog       *mutate.Log
